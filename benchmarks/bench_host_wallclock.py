@@ -229,6 +229,10 @@ def test_host_wallclock_report(wallclock_rows):
 
 
 def _quick_gate() -> int:
+    if not RESULTS_PATH.exists():
+        print(f"perf-smoke: no baseline at {RESULTS_PATH}; run this file "
+              "without --quick and commit the result", file=sys.stderr)
+        return 2
     doc = json.loads(RESULTS_PATH.read_text())
     committed = {(r["matrix"], r["case"]): r for r in doc["rows"]}
     failures = []

@@ -58,26 +58,87 @@ def values_key(A) -> str:
     return h.hexdigest()
 
 
-def _nbytes(obj, _seen=None) -> int:
-    """Approximate deep byte count of the numpy payload of an object tree."""
-    if _seen is None:
-        _seen = set()
-    if id(obj) in _seen:
-        return 0
-    _seen.add(id(obj))
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return sum(_nbytes(o, _seen) for o in obj)
-    if isinstance(obj, dict):
-        return sum(_nbytes(k, _seen) + _nbytes(v, _seen) for k, v in obj.items())
-    if isinstance(obj, (int, float, np.integer, np.floating)):
-        return 8
-    if isinstance(obj, (str, bytes)):
-        return len(obj)
-    if hasattr(obj, "__dict__"):
-        return _nbytes(vars(obj), _seen)
-    return 0
+#: CPython keeps one shared object per int up to this value; larger ints are
+#: one object per allocation
+_SHARED_INT_MAX = 256
+
+#: summed lengths of the field names of SymbolicFactorization,
+#: BlockPartition and BlockStructure, plus 8 for ``sym.n``
+_SYM_FIELDS, _PART_FIELDS, _BSTRUCT_FIELDS = 9 + 8, 47, 48
+
+
+def _int_objects(*values) -> int:
+    """Number of distinct int objects behind ``values`` when every element
+    was allocated on its own: ints up to :data:`_SHARED_INT_MAX` are shared
+    per value, the rest count one each."""
+    values = np.concatenate(values)
+    shared = values[values <= _SHARED_INT_MAX]
+    return len(values) - len(shared) + len(np.unique(shared))
+
+
+def _opening_steps(sym, part, first: int) -> np.ndarray:
+    """Elimination steps ``k >= first`` whose L column or U row touches a
+    block that no earlier position of ``k``'s own block touches — the steps
+    at which the block structure gains an ``(I, J)`` key."""
+    block_of = part.block_of
+    steps = np.arange(first, sym.n)
+    opened = []
+    for structs, skip_own_block in ((sym.lcol, False), (sym.urow, True)):
+        structs = structs[first:]
+        lens = np.fromiter(map(len, structs), dtype=np.int64, count=len(structs))
+        k = np.repeat(steps, lens)
+        own, touched = block_of[k], block_of[np.concatenate(structs)]
+        # within one step the touched blocks are non-decreasing: keep one
+        # entry per (step, touched block) before sorting
+        keep = np.concatenate(([True], (k[1:] != k[:-1]) | (touched[1:] != touched[:-1])))
+        if skip_own_block:
+            keep &= touched != own
+        k, key = k[keep], (own * part.N + touched)[keep]
+        opened.append(k[np.unique(key, return_index=True)[1]])
+    return np.unique(np.concatenate(opened))
+
+
+def _accounted_nbytes(row_perm, col_perm, sym, part, bstruct) -> int:
+    """Byte size the cache charges for one entry, from array lengths.
+
+    Eviction under ``max_bytes`` depends on this figure, so it is kept equal
+    to what the recursive object walk of the earlier implementation
+    returned (``tests/data/analysis_golden.json`` pins it): 8 bytes per
+    array element, the field-name lengths, ``part`` charged once on its own
+    and once inside ``bstruct``, and 8 bytes per distinct int *object* held
+    in a list or a key.  The walk met one such object per partition bound
+    and block size, per ``lblocks``/``ublocks`` key, per L block (its row
+    block, shared by the list entry and the ``lrows`` key), per U block (its
+    column block) and per step that opened a block (that step's own block,
+    shared by every key it opened) — with small ints shared per value.
+    """
+    N = part.N
+    arrays = sym.factor_entries + sym.n
+    arrays += 2 * (len(part.bounds) + len(part.block_of))
+    arrays += sum(map(len, bstruct.lrows.values()))
+    arrays += sum(map(len, bstruct.udense_cols.values()))
+
+    part_ints = (part.bounds, part.sizes())
+    block_ids = np.arange(N)
+    lkeys = np.array(list(bstruct.lrows), dtype=np.int64).reshape(-1, 2)
+    ukeys = np.array(list(bstruct.udense_cols), dtype=np.int64).reshape(-1, 2)
+    # steps in blocks whose id is a shared int add nothing to block_ids
+    opened = np.empty(0, dtype=np.int64)
+    if N > _SHARED_INT_MAX + 1:
+        opened = _opening_steps(sym, part, part.start(_SHARED_INT_MAX + 1))
+    ints = _int_objects(*part_ints) + _int_objects(
+        *part_ints,
+        block_ids,
+        np.fromiter(bstruct.ublocks, dtype=np.int64, count=len(bstruct.ublocks)),
+        lkeys[:, 0],
+        ukeys[:, 1],
+        part.block_of[opened],
+    )
+    return (
+        row_perm.nbytes + col_perm.nbytes
+        + _SYM_FIELDS + 2 * _PART_FIELDS + _BSTRUCT_FIELDS
+        + 8 * (arrays + ints)
+    )
 
 
 @dataclass
@@ -97,12 +158,8 @@ class AnalysisArtifacts:
 
     def __post_init__(self):
         if not self.nbytes:
-            self.nbytes = (
-                self.row_perm.nbytes
-                + self.col_perm.nbytes
-                + _nbytes(self.sym)
-                + _nbytes(self.part)
-                + _nbytes(self.bstruct)
+            self.nbytes = _accounted_nbytes(
+                self.row_perm, self.col_perm, self.sym, self.part, self.bstruct
             )
 
     def order(self, A):

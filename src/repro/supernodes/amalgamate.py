@@ -4,7 +4,9 @@ The average supernode of the static structure is only 1.5-2 columns wide,
 which makes tasks too fine-grained.  The paper's remedy merges *consecutive*
 supernodes whose below-diagonal structures differ by at most ``r`` entries
 (the amalgamation factor; 4-6 works best in their experiments), requiring no
-row/column permutation and running in O(n).
+row/column permutation.  The paper's pass is O(n); this one makes a single
+left-to-right sweep over the boundaries and at each compares the L and U
+tails of two columns, so it costs the summed length of the tails compared.
 
 Merging supernodes ``S1 = [a, b)`` and ``S2 = [b, c)`` admits explicit zeros
 in two places: rows of ``lcol[a]`` not present below ``S2`` (they become
@@ -22,7 +24,16 @@ from ..symbolic import SymbolicFactorization
 
 def _below(arr: np.ndarray, pos: int) -> np.ndarray:
     """Entries of a sorted array strictly greater than ``pos``."""
-    return arr[np.searchsorted(arr, pos, side="right"):]
+    return arr[arr.searchsorted(pos, side="right"):]
+
+
+def _tail_difference(a: np.ndarray, b: np.ndarray, pos: int) -> int:
+    """Size of the symmetric difference of the entries ``> pos`` of two
+    sorted duplicate-free arrays: every entry of their merge that is not one
+    of an equal adjacent pair."""
+    merged = np.concatenate((_below(a, pos), _below(b, pos)))
+    merged.sort()
+    return len(merged) - 2 * np.count_nonzero(merged[1:] == merged[:-1])
 
 
 def amalgamate_supernodes(
@@ -47,26 +58,16 @@ def amalgamate_supernodes(
     for idx in range(1, len(bounds) - 1):
         b = bounds[idx]
         c = bounds[idx + 1]
-        if c - start > max_size:
-            out.append(b)
-            start = b
-            continue
-        # L structure of the run below position c-1 vs the next supernode's
-        run_below = _below(sym.lcol[start], c - 1)
-        next_below = _below(sym.lcol[b], c - 1)
-        # rows the run has but the next supernode lacks (and vice versa)
-        diff = len(np.setdiff1d(run_below, next_below, assume_unique=True)) + len(
-            np.setdiff1d(next_below, run_below, assume_unique=True)
-        )
-        # the merged block's U rows also pad up to the union of the two
-        # runs' U structures (Corollary 3's "almost dense" cost); charge it
-        run_right = _below(sym.urow[start], c - 1)
-        next_right = _below(sym.urow[b], c - 1)
-        diff += len(np.setdiff1d(run_right, next_right, assume_unique=True)) + len(
-            np.setdiff1d(next_right, run_right, assume_unique=True)
-        )
-        if diff <= factor:
-            continue  # merge: do not emit boundary b
+        if c - start <= max_size:
+            # rows below position c-1 that the run has but the next
+            # supernode lacks, and vice versa
+            diff = _tail_difference(sym.lcol[start], sym.lcol[b], c - 1)
+            # the merged block's U rows also pad up to the union of the two
+            # runs' U structures (Corollary 3's "almost dense" cost); charge it
+            if diff <= factor:
+                diff += _tail_difference(sym.urow[start], sym.urow[b], c - 1)
+            if diff <= factor:
+                continue  # merge: do not emit boundary b
         out.append(b)
         start = b
     out.append(bounds[-1])

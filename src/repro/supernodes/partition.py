@@ -25,16 +25,24 @@ def find_supernodes(sym: SymbolicFactorization, max_size: int = 25) -> list:
     """Return supernode boundaries ``[s0=0, s1, ..., n]`` from the static
     L structure, capping supernode width at ``max_size``."""
     n = sym.n
-    bounds = [0]
-    start = 0
-    for k in range(1, n):
-        prev = sym.lcol[k - 1]
-        cur = sym.lcol[k]
-        # same supernode iff lcol[k] == lcol[k-1] minus its diagonal entry
-        same = len(cur) == len(prev) - 1 and np.array_equal(prev[1:], cur)
-        if not same or k - start >= max_size:
-            bounds.append(k)
-            start = k
+    if n == 0:
+        return [0, 0]
+    lens = np.fromiter(map(len, sym.lcol), dtype=np.int64, count=n)
+    offs = np.cumsum(lens) - lens
+    flat = np.concatenate(sym.lcol)
+    # same supernode iff lcol[k] == lcol[k-1] minus its diagonal entry.  The
+    # columns lie back to back in ``flat``, so when the lengths fit, entry i
+    # of column k-1 (past its diagonal) faces entry i + len(k-1) - 1
+    partner = np.arange(len(flat)) + np.repeat(lens - 1, lens)
+    differs = flat != flat[np.minimum(partner, len(flat) - 1)]
+    differs[offs] = False
+    mismatches = np.add.reduceat(differs, offs)
+    same = np.zeros(n, dtype=bool)
+    same[1:] = (lens[1:] == lens[:-1] - 1) & (mismatches[:-1] == 0)
+    # a run of "same" columns is cut every max_size columns
+    pos = np.arange(n)
+    run_start = np.maximum.accumulate(np.where(same, 0, pos))
+    bounds = pos[(pos - run_start) % max_size == 0].tolist()
     bounds.append(n)
     return bounds
 
@@ -51,10 +59,9 @@ class BlockPartition:
 
     def __post_init__(self) -> None:
         self.bounds = np.asarray(self.bounds, dtype=np.int64)
-        n = int(self.bounds[-1])
-        self.block_of = np.empty(n, dtype=np.int64)
-        for b in range(self.N):
-            self.block_of[self.bounds[b] : self.bounds[b + 1]] = b
+        self.block_of = np.repeat(
+            np.arange(self.N, dtype=np.int64), np.diff(self.bounds)
+        )
         # plain-int views of the bounds: start()/size() sit on the hot path
         # of every Factor/Update task, and indexing a Python list is several
         # times cheaper than ndarray scalar extraction

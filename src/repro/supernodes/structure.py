@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..symbolic import SymbolicFactorization
+from ..symbolic.george_ng import sorted_unique
 from .partition import BlockPartition
 
 
@@ -124,48 +125,69 @@ class BlockStructure:
         }
 
 
+def _project(structs: list, block_of: np.ndarray, skip_own_block: bool):
+    """Project per-position index lists onto the block grid.
+
+    ``structs[k]`` holds the global indices position ``k`` touches.  Returns
+    ``(segments, neighbours)``: ``segments[(B, C)]`` is the sorted array of
+    distinct indices in block ``C`` touched from positions in block ``B``,
+    and ``neighbours[B]`` the sorted list of those ``C``.  One gather, one
+    sort and one split; no per-entry Python.
+    """
+    n = len(block_of)
+    lens = np.fromiter(map(len, structs), dtype=np.int64, count=n)
+    own = np.repeat(block_of, lens)
+    idx = np.concatenate(structs) if n else np.empty(0, dtype=np.int64)
+    if skip_own_block:
+        off_block = block_of[idx] != own
+        own, idx = own[off_block], idx[off_block]
+    # block_of is monotone, so sorting (own block, index) pairs also groups
+    # them by (own block, index's block)
+    pairs = sorted_unique(own * n + idx)
+    own, idx = np.divmod(pairs, n)
+    other = block_of[idx]
+    starts = _run_starts(own, other)
+    own, other = own[starts], other[starts]
+    segments = dict(zip(
+        zip(own.tolist(), other.tolist()), _split(idx, starts)
+    ))
+    own_starts = _run_starts(own)
+    neighbours = dict(zip(
+        own[own_starts].tolist(),
+        (a.tolist() for a in _split(other, own_starts)),
+    ))
+    return segments, neighbours
+
+
+def _run_starts(*keys) -> np.ndarray:
+    """Positions where any of the equally long ``keys`` arrays changes."""
+    first = np.zeros(len(keys[0]), dtype=bool)
+    for key in keys:
+        first[1:] |= key[1:] != key[:-1]
+    first[:1] = True
+    return np.flatnonzero(first)
+
+
+def _split(arr: np.ndarray, starts: np.ndarray) -> list:
+    """Views of ``arr`` cut at ``starts`` (``np.split`` without its
+    per-piece axis bookkeeping)."""
+    cuts = starts.tolist()
+    return [arr[a:b] for a, b in zip(cuts, cuts[1:] + [len(arr)])]
+
+
 def build_block_structure(
     sym: SymbolicFactorization, part: BlockPartition
 ) -> BlockStructure:
     """Project the static structure onto the 2D block grid."""
-    N = part.N
     block_of = part.block_of
-
-    lblocks = {J: set() for J in range(N)}
-    ublocks = {I: set() for I in range(N)}
-    udense: dict = {}
-    lrows: dict = {}
-
-    for k in range(sym.n):
-        J = int(block_of[k])
-        # L column k: rows >= k
-        for r in sym.lcol[k]:
-            I = int(block_of[r])
-            lblocks[J].add(I)
-            key = (I, J)
-            s = lrows.get(key)
-            if s is None:
-                s = set()
-                lrows[key] = s
-            s.add(int(r))
-        # U row k: columns >= k
-        I = J
-        for c in sym.urow[k]:
-            Jc = int(block_of[c])
-            if Jc == I:
-                continue  # diagonal block handled via lrows
-            ublocks[I].add(Jc)
-            key = (I, Jc)
-            s = udense.get(key)
-            if s is None:
-                s = set()
-                udense[key] = s
-            s.add(int(c))
-
+    # L column k: rows >= k, filed under (row block, column block)
+    by_col, lblocks = _project(sym.lcol, block_of, skip_own_block=False)
+    # U row k: columns >= k; the diagonal block is handled via lrows
+    udense, ublocks = _project(sym.urow, block_of, skip_own_block=True)
     return BlockStructure(
         part=part,
-        lblocks={J: sorted(v) for J, v in lblocks.items() if v},
-        ublocks={I: sorted(v) for I, v in ublocks.items() if v},
-        udense_cols={k: np.asarray(sorted(v), dtype=np.int64) for k, v in udense.items()},
-        lrows={k: np.asarray(sorted(v), dtype=np.int64) for k, v in lrows.items()},
+        lblocks=lblocks,
+        ublocks=ublocks,
+        udense_cols=udense,
+        lrows={(I, J): rows for (J, I), rows in by_col.items()},
     )

@@ -7,12 +7,17 @@
 * :mod:`stats` — factor-entry and operation counts for the Table 1 columns.
 """
 
-from .george_ng import static_symbolic_factorization, SymbolicFactorization
+from .george_ng import (
+    static_symbolic_factorization,
+    StructuralDiagonalError,
+    SymbolicFactorization,
+)
 from .cholesky_bound import cholesky_ata_structure, elimination_tree
 from .stats import structure_stats, elementwise_ops, FillStats
 
 __all__ = [
     "static_symbolic_factorization",
+    "StructuralDiagonalError",
     "SymbolicFactorization",
     "cholesky_ata_structure",
     "elimination_tree",

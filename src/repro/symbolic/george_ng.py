@@ -16,12 +16,17 @@ Outputs, per step ``k``:
 * ``urow[k]`` — the unioned trailing structure: the static structure of row
   ``k`` of U (column indices ``>= k``, diagonal included).
 
-Implementation note — the key observation making this fast is that after
-step ``k`` all candidate rows share *one identical* trailing structure, so
-rows are kept in **groups** holding a single shared sorted index array.
-Each step unions the candidate groups (O(size) with numpy), merges them into
-one group, and retires row ``k``.  Membership tests are one binary search
-per *group*, not per row.
+Implementation note — after step ``k`` all candidate rows share *one
+identical* trailing structure, so rows are kept in **groups** holding a single
+shared sorted index array, and the groups are kept in ``n`` buckets keyed by
+the *first column* of that array.  The invariant that makes this work: at
+step ``k`` every live group's structure starts at a column ``>= k`` (a group
+holding a column ``j < k`` was a candidate at step ``j`` and was replaced by
+the union's tail, which starts after ``j``), so "contains ``k``" is "starts at
+``k``" and the candidates of step ``k`` are exactly ``by_first[k]`` — no
+membership scan.  Each step unions its candidates, retires row ``k`` and files
+the merged tail under its new first column: O(sum |urow|) work overall, up to
+the log factor of sorting each union.
 """
 
 from __future__ import annotations
@@ -79,9 +84,25 @@ class SymbolicFactorization:
         return F
 
 
+class StructuralDiagonalError(ValueError):
+    """The input's structural diagonal is not zero-free, so some step has no
+    pivot row among its candidates."""
+
+
 def _contains(sorted_arr: np.ndarray, x: int) -> bool:
     pos = np.searchsorted(sorted_arr, x)
     return bool(pos < len(sorted_arr) and sorted_arr[pos] == x)
+
+
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int array the caller owns: sorts ``values`` in
+    place and drops equal neighbours, several times cheaper than
+    ``np.unique``'s generic path on the short, nearly sorted arrays here."""
+    values.sort()
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def static_symbolic_factorization(A: CSRMatrix) -> SymbolicFactorization:
@@ -91,61 +112,52 @@ def static_symbolic_factorization(A: CSRMatrix) -> SymbolicFactorization:
     n = A.nrows
     if A.ncols != n:
         raise ValueError("square matrix required")
+    if n == 0:
+        return SymbolicFactorization(0, [], [])
 
-    # groups: gid -> (sorted structure array, set of member rows)
-    structs = {}
-    members = {}
-    for i in range(n):
-        cols = np.array(A.row_indices(i), dtype=np.int64)
-        if not _contains(cols, i):
-            raise ValueError(
-                f"zero on the structural diagonal at position {i}; "
-                "apply a maximum transversal first"
-            )
-        structs[i] = cols
-        members[i] = {i}
+    indptr = A.indptr
+    # private copy: the structures handed out below are views into it
+    indices = np.array(A.indices, dtype=np.int64)
+    if len(indices) and not 0 <= indices.min() <= indices.max() < n:
+        raise ValueError("column index out of range")
+    rows = np.arange(n, dtype=np.int64)
+    has_diag = np.zeros(n, dtype=bool)
+    entry_rows = np.repeat(rows, np.diff(indptr))
+    has_diag[entry_rows[indices == entry_rows]] = True
+    if not has_diag.all():
+        raise StructuralDiagonalError(
+            f"zero on the structural diagonal at position "
+            f"{int(np.argmin(has_diag))}; apply a maximum transversal first"
+        )
+
+    # groups are (sorted structure, sorted member rows) pairs, one per row to
+    # start with, filed under the structure's first column
+    by_first = [[] for _ in range(n)]
+    ptr = indptr.tolist()
+    for i, first in enumerate(indices[indptr[:-1]].tolist()):
+        by_first[first].append((indices[ptr[i]:ptr[i + 1]], rows[i:i + 1]))
 
     lcol = [None] * n
     urow = [None] * n
 
     for k in range(n):
-        # find candidate groups: structure contains k, with live members
-        cand_gids = [g for g, s in structs.items() if _contains(s, k)]
-        # candidate rows (all live members of candidate groups are >= k
-        # because retired rows are removed from their groups)
-        cand_rows = []
-        for g in cand_gids:
-            cand_rows.extend(members[g])
-        cand_rows = np.asarray(sorted(cand_rows), dtype=np.int64)
-        if len(cand_rows) == 0 or cand_rows[0] != k:
-            raise AssertionError(
+        cands = by_first[k]
+        if len(cands) == 1:
+            union, members = cands[0]
+        elif cands:
+            union = sorted_unique(np.concatenate([s for s, _ in cands]))
+            members = np.concatenate([m for _, m in cands])
+            members.sort()
+        if not cands or members[0] != k:
+            raise StructuralDiagonalError(
                 f"step {k}: pivot row {k} not among candidates — diagonal "
                 "not zero-free or internal error"
             )
-        lcol[k] = cand_rows
-
-        # union of trailing structures (columns >= k)
-        pieces = []
-        for g in cand_gids:
-            s = structs[g]
-            pieces.append(s[np.searchsorted(s, k):])
-        union = pieces[0] if len(pieces) == 1 else np.unique(np.concatenate(pieces))
+        lcol[k] = members
         urow[k] = union
-
-        # merge candidate groups into one; retire row k
-        keep = cand_gids[0]
-        merged = set()
-        for g in cand_gids:
-            merged |= members[g]
-            if g != keep:
-                del structs[g]
-                del members[g]
-        merged.discard(k)
-        if merged:
-            structs[keep] = union[1:] if len(union) and union[0] == k else union
-            members[keep] = merged
-        else:
-            del structs[keep]
-            del members[keep]
+        # retire row k; the survivors share the union's tail, which starts
+        # after k and holds each survivor's own diagonal
+        if len(members) > 1:
+            by_first[union[1]].append((union[1:], members[1:]))
 
     return SymbolicFactorization(n, lcol, urow)

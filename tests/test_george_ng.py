@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from repro.baselines import superlu_like_factor
 from repro.matrices import random_nonsymmetric
 from repro.ordering import prepare_matrix
-from repro.sparse import coo_to_csr
-from repro.symbolic import static_symbolic_factorization
+from repro.sparse import CSRMatrix, coo_to_csr
+from repro.symbolic import StructuralDiagonalError, static_symbolic_factorization
 
 
 def george_ng_reference(A):
@@ -27,6 +27,110 @@ def george_ng_reference(A):
         lcol.append(sorted(cand))
         urow.append(sorted(union))
     return lcol, urow
+
+
+def george_ng_dense(P):
+    """Section 3.1 verbatim on a dense boolean pattern: at step ``k`` the
+    candidate rows are those at or below ``k`` with a nonzero in column
+    ``k``; the OR of their trailing parts is written back to each."""
+    F = np.array(P, dtype=bool)
+    lcol, urow = [], []
+    for k in range(len(F)):
+        cand = np.flatnonzero(F[k:, k]) + k
+        union = F[cand, k:].any(axis=0)
+        F[cand, k:] = union
+        lcol.append(cand.tolist())
+        urow.append((np.flatnonzero(union) + k).tolist())
+    return lcol, urow
+
+
+def pattern_to_csr(P):
+    P = np.asarray(P, dtype=bool)
+    rows, cols = np.nonzero(P)
+    return coo_to_csr(len(P), len(P), rows, cols, np.ones(len(rows)))
+
+
+def assert_matches_dense_reference(P):
+    sym = static_symbolic_factorization(pattern_to_csr(P))
+    ref_l, ref_u = george_ng_dense(P)
+    assert [a.tolist() for a in sym.lcol] == ref_l
+    assert [a.tolist() for a in sym.urow] == ref_u
+    assert all(a.dtype == np.int64 for a in sym.lcol + sym.urow)
+
+
+def _shape(n, **marks):
+    """Identity pattern of order ``n`` plus the given dense rows/columns."""
+    P = np.eye(n, dtype=bool)
+    for r in marks.get("rows", ()):
+        P[r, :] = True
+    for c in marks.get("cols", ()):
+        P[:, c] = True
+    return P
+
+
+DEGENERATE = {
+    "one_by_one": np.ones((1, 1), dtype=bool),
+    "diagonal_only": _shape(9),
+    "fully_dense": np.ones((8, 8), dtype=bool),
+    "arrow_first": _shape(10, rows=[0], cols=[0]),
+    "arrow_last": _shape(10, rows=[9], cols=[9]),
+    "one_dense_row_top": _shape(10, rows=[0]),
+    "one_dense_row_middle": _shape(10, rows=[4]),
+    "one_dense_column_first": _shape(10, cols=[0]),
+    "one_dense_column_last": _shape(10, cols=[9]),
+    "block_diagonal": np.kron(np.eye(3, dtype=bool), np.ones((4, 4), dtype=bool)),
+    "lower_triangular": np.tril(np.ones((7, 7), dtype=bool)),
+    "upper_triangular": np.triu(np.ones((7, 7), dtype=bool)),
+}
+
+
+class TestDifferentialAgainstDenseReference:
+    @pytest.mark.parametrize("name", sorted(DEGENERATE))
+    def test_degenerate_shapes(self, name):
+        assert_matches_dense_reference(DEGENERATE[name])
+
+    @given(
+        n=st.integers(1, 40),
+        density=st.floats(0.0, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_zero_free_diagonal_patterns(self, n, density, seed):
+        rng = np.random.default_rng(seed)
+        P = rng.random((n, n)) < density
+        np.fill_diagonal(P, True)
+        assert_matches_dense_reference(P)
+
+
+class TestDegenerateInputs:
+    def test_empty_matrix(self):
+        sym = static_symbolic_factorization(CSRMatrix(0, 0, [0], []))
+        assert (sym.n, sym.lcol, sym.urow, sym.factor_entries) == (0, [], [], 0)
+
+    def test_one_by_one(self):
+        sym = static_symbolic_factorization(coo_to_csr(1, 1, [0], [0], [2.0]))
+        assert [a.tolist() for a in sym.lcol] == [[0]]
+        assert [a.tolist() for a in sym.urow] == [[0]]
+
+    def test_zero_diagonal_reports_first_position(self):
+        # rows 1 and 3 lack their diagonal entry
+        A = coo_to_csr(4, 4, [0, 1, 2, 3, 3], [0, 0, 2, 1, 2], np.ones(5))
+        with pytest.raises(StructuralDiagonalError, match="position 1;"):
+            static_symbolic_factorization(A)
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_column_index_out_of_range(self, bad):
+        A = CSRMatrix(2, 2, [0, 2, 3], [0, bad, 1])
+        with pytest.raises(ValueError, match="out of range"):
+            static_symbolic_factorization(A)
+
+    def test_pivot_row_missing_is_a_typed_error(self):
+        # a malformed CSR (row 0 not sorted) passes the diagonal check but
+        # leaves step 0 without its pivot row among the candidates
+        A = CSRMatrix(2, 2, [0, 2, 4], [1, 0, 0, 1])
+        with pytest.raises(StructuralDiagonalError, match="not among candidates"):
+            static_symbolic_factorization(A)
+        assert issubclass(StructuralDiagonalError, ValueError)
 
 
 def _subset(small, big):

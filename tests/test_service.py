@@ -84,6 +84,28 @@ class TestAnalysisCache:
         cache.put("b", art)
         assert len(cache) == 1 and cache.stats.evictions == 1
 
+    def test_byte_bounded_eviction_sequence_pinned(self):
+        """Three artifacts under a byte bound that holds the two smaller
+        ones with 3.5 % to spare: a size model drifting by more than that
+        changes which put evicts what."""
+        from repro.matrices import dense_matrix, nearly_dense_row
+
+        arts = {
+            "s": analyze(dense_matrix(40))[0],
+            "m": analyze(random_nonsymmetric(80, density=0.08, seed=3))[0],
+            "l": analyze(nearly_dense_row(120, seed=2))[0],
+        }
+        assert [a.nbytes for a in arts.values()] == [15239, 46599, 53743]
+        cache = AnalysisCache(max_entries=10, max_bytes=64000)
+        history = []
+        for key in ("s", "m", "l", "s"):
+            cache.put(key, arts[key])
+            resident = [k for k in arts if k in cache]
+            stats = cache.stats
+            assert stats.bytes == sum(arts[k].nbytes for k in resident)
+            history.append(("".join(resident), stats.evictions))
+        assert history == [("s", 0), ("sm", 0), ("l", 2), ("s", 3)]
+
     def test_last_entry_never_evicted_by_bytes(self, A):
         art, _ = analyze(A)
         cache = AnalysisCache(max_entries=10, max_bytes=1)

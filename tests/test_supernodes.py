@@ -186,3 +186,77 @@ class TestSupernodeStats:
         st = supernode_stats(ctx["sym"])
         bounds = find_supernodes(ctx["sym"], max_size=25)
         assert st["count"] == len(bounds) - 1
+
+
+# -- per-entry loop references for the vectorised projections ---------------
+
+
+def find_supernodes_loop(sym, max_size):
+    bounds, start = [0], 0
+    for k in range(1, sym.n):
+        same = np.array_equal(sym.lcol[k - 1][1:], sym.lcol[k])
+        if not same or k - start >= max_size:
+            bounds.append(k)
+            start = k
+    return bounds + [sym.n]
+
+
+def amalgamate_loop(sym, bounds, factor, max_size):
+    out, start = [bounds[0]], bounds[0]
+    for b, c in zip(bounds[1:-1], bounds[2:]):
+        merge = c - start <= max_size and factor >= sum(
+            len(np.setxor1d(x[start][x[start] >= c], x[b][x[b] >= c]))
+            for x in (sym.lcol, sym.urow)
+        )
+        if not merge:
+            out.append(b)
+            start = b
+    return out + [bounds[-1]]
+
+
+def block_structure_loop(sym, part):
+    """One ``set.add`` per factor entry, as Section 3.2 reads."""
+    lrows, udense = {}, {}
+    for k in range(sym.n):
+        J = int(part.block_of[k])
+        for r in sym.lcol[k].tolist():
+            lrows.setdefault((int(part.block_of[r]), J), set()).add(r)
+        for c in sym.urow[k].tolist():
+            if part.block_of[c] != J:
+                udense.setdefault((J, int(part.block_of[c])), set()).add(c)
+    return lrows, udense
+
+
+class TestAgainstLoopReferences:
+    CASES = [(30, 0.1, 0), (45, 0.08, 1), (60, 0.05, 2), (25, 0.3, 3), (1, 1.0, 4)]
+
+    def test_supernodes_and_amalgamation(self):
+        for n, density, seed in self.CASES:
+            _, sym = _sym(n=n, density=density, seed=seed)
+            for max_size in (1, 3, 25):
+                exact = find_supernodes(sym, max_size=max_size)
+                assert exact == find_supernodes_loop(sym, max_size)
+                for factor in (0, 4, 12):
+                    assert amalgamate_supernodes(
+                        sym, exact, factor=factor, max_size=max_size
+                    ) == amalgamate_loop(sym, exact, factor, max_size)
+
+    def test_block_structure_on_arbitrary_partitions(self, rng):
+        for n, density, seed in self.CASES:
+            _, sym = _sym(n=n, density=density, seed=seed)
+            cuts = np.flatnonzero(rng.random(n - 1) < 0.3) + 1
+            for bounds in ([0, n], list(range(n + 1)), [0, *cuts.tolist(), n]):
+                part = BlockPartition(np.array(bounds))
+                bs = build_block_structure(sym, part)
+                lrows, udense = block_structure_loop(sym, part)
+                for got, ref in ((bs.lrows, lrows), (bs.udense_cols, udense)):
+                    assert {k: v.tolist() for k, v in got.items()} == {
+                        k: sorted(v) for k, v in ref.items()
+                    }
+                assert bs.lblocks == {
+                    J: sorted(I for I, J2 in lrows if J2 == J) for J in range(part.N)
+                }
+                assert bs.ublocks == {
+                    I: sorted(J for I2, J in udense if I2 == I)
+                    for I in {I for I, _ in udense}
+                }
