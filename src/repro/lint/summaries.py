@@ -234,15 +234,18 @@ class ValueInfo:
     """Abstract value: reachable roots plus order provenance."""
 
     __slots__ = ("roots", "unordered", "reason", "element_unordered",
-                 "tainted")
+                 "tainted", "numeric")
 
     def __init__(self, roots=(), unordered=False, reason="set",
-                 element_unordered=False, tainted=False):
+                 element_unordered=False, tainted=False, numeric=False):
         self.roots = set(roots)
         self.unordered = unordered
         self.reason = reason
         self.element_unordered = element_unordered
         self.tainted = tainted
+        #: an immutable number (numeric literal, or arithmetic over
+        #: numbers): ``+=`` on it rebinds the name, it never extends
+        self.numeric = numeric
 
     @staticmethod
     def fresh():
@@ -255,6 +258,7 @@ class ValueInfo:
         out.element_unordered = (self.element_unordered
                                  or other.element_unordered)
         out.tainted = self.tainted or other.tainted
+        out.numeric = self.numeric and other.numeric
         return out
 
 
@@ -292,8 +296,10 @@ class AbstractEvaluator:
     # -- expressions --------------------------------------------------------
 
     def eval(self, node) -> ValueInfo:
-        if node is None or isinstance(node, ast.Constant):
+        if node is None:
             return ValueInfo.fresh()
+        if isinstance(node, ast.Constant):
+            return ValueInfo(numeric=isinstance(node.value, (int, float, complex)))
         if isinstance(node, ast.Name):
             info = self.env.get(node.id)
             if info is None:
@@ -311,9 +317,10 @@ class AbstractEvaluator:
         if isinstance(node, ast.Starred):
             return self.eval(node.value)
         if isinstance(node, (ast.BinOp, ast.UnaryOp)):
-            for sub in ast.iter_child_nodes(node):
-                if isinstance(sub, ast.expr):
-                    self.eval(sub)
+            operands = [self.eval(sub) for sub in ast.iter_child_nodes(node)
+                        if isinstance(sub, ast.expr)]
+            if all(o.numeric for o in operands):
+                return ValueInfo(numeric=True)
             return ValueInfo({self.alloc()})  # array arithmetic allocates
         if isinstance(node, (ast.Compare, ast.BoolOp)):
             for sub in ast.iter_child_nodes(node):
@@ -571,8 +578,12 @@ class AbstractEvaluator:
         elif isinstance(s, ast.AugAssign):
             info = self.eval(s.value)
             base = self.eval(s.target)
-            self.note_mutation(base.roots, s)
             self.note_aug_assign(s, info)
+            if isinstance(s.target, ast.Name) and base.numeric:
+                # a number accumulator: the statement rebinds the name to a
+                # new number, whatever the RHS was unpacked from
+                return
+            self.note_mutation(base.roots, s)
             # only ``+=`` can graft the RHS into the target (list extend);
             # ``-=``/``*=``/... read their RHS without retaining it
             if isinstance(s.target, ast.Name) and isinstance(s.op, ast.Add):

@@ -8,10 +8,16 @@ from .kernels import (
     FLOP_GEMM,
     FLOP_TRSM,
 )
-from .blocks import BlockLUMatrix, StructureViolation, SingularMatrixError
+from .blocks import (
+    BlockLUMatrix,
+    NumericPlan,
+    StructureViolation,
+    SingularMatrixError,
+)
 from .tasks import (
     factor_block_column,
     update_block_column,
+    update_block_columns,
     apply_pivots_to_column,
     factored_column_of,
     FactoredColumn,
@@ -42,10 +48,12 @@ __all__ = [
     "FLOP_GEMM",
     "FLOP_TRSM",
     "BlockLUMatrix",
+    "NumericPlan",
     "StructureViolation",
     "SingularMatrixError",
     "factor_block_column",
     "update_block_column",
+    "update_block_columns",
     "apply_pivots_to_column",
     "factored_column_of",
     "FactoredColumn",

@@ -7,9 +7,20 @@ factorization".  Structurally-zero positions inside a block hold exact 0.0
 and *stay* exactly 0.0 throughout elimination (products with exact zeros are
 exact zeros), which the test suite asserts; any operation that would touch a
 block outside the static structure raises :class:`StructureViolation`.
+
+Storage is **one float64 arena laid out block-column-major**: the blocks of
+column ``J`` lie back to back in ascending ``I`` (U blocks, the diagonal,
+then the L blocks), each C-contiguous, so the whole column — and in
+particular its L panel, diagonal included — is one C-contiguous
+``rows x size(J)`` array that ``Factor(J)`` eliminates in place.
+``blocks[(I, J)]`` are views into the arena.  Where each block and each CSR
+entry lands is a function of the pattern alone and is compiled once into a
+:class:`NumericPlan`, memoised on the :class:`BlockStructure`.
 """
 
 from __future__ import annotations
+
+import hashlib
 
 import numpy as np
 
@@ -34,21 +45,205 @@ class SingularMatrixError(RuntimeError):
         self.pivot_index = pivot_index
 
 
+class NumericPlan:
+    """Where everything lives in the arena, compiled from the pattern.
+
+    Per nonzero block, in arena order (by ``J``, then ``I``): its key, block
+    row, first row inside its column and structural row count; per block
+    column: its block range, its diagonal block, its arena offset, the start
+    of its L panel and that panel's structural rows.  Held as int64 arrays
+    (plus one list of references to the structure's own key tuples), not as
+    per-block Python objects: a plan rides on every cached
+    :class:`BlockStructure`, outside ``AnalysisArtifacts.nbytes`` (see
+    :attr:`nbytes`).
+
+    The flat arena position of every entry of the *most recent* CSR pattern
+    scattered through the plan is kept too, keyed by a digest of that
+    pattern, so a same-pattern refactor is one fancy-index store.
+    """
+
+    def __init__(self, bstruct: BlockStructure):
+        part = bstruct.part
+        N = part.N
+        keys = list(bstruct.lrows)
+        keys.extend(bstruct.udense_cols)
+        IJ = np.array(keys, dtype=np.int64).reshape(-1, 2)
+        order = np.lexsort((IJ[:, 0], IJ[:, 1]))
+        I, J = IJ[order, 0], IJ[order, 1]
+        self.part = part
+        self.keys = [keys[i] for i in order.tolist()]
+        self.blk_I = I
+        self.col_ptr = np.searchsorted(J, np.arange(N + 1))
+        self.col_diag = np.flatnonzero(I == J)
+        if len(self.col_diag) != N:
+            raise StructureViolation("a diagonal block is structurally zero")
+        sizes = self.sizes = part.sizes()
+        rows = sizes[I]
+        above = np.cumsum(rows) - rows  # rows before the block, arena-wide
+        first = self.col_ptr[:-1]
+        self.blk_row0 = above - np.repeat(above[first], np.diff(self.col_ptr))
+        col_rows = np.add.reduceat(rows, first) if N else rows
+        self.col_off = np.concatenate(([0], np.cumsum(col_rows * sizes)))
+        self.lpanel_off = (
+            self.col_off[:-1] + self.blk_row0[self.col_diag] * sizes
+        )
+        # structural rows the paper's packed storage holds: every row of a
+        # diagonal block, the listed rows of an L block, none for U
+        lrows = bstruct.lrows
+        self.blk_srows = np.where(
+            I == J, rows,
+            np.fromiter(
+                (len(lrows[k]) if k[0] > k[1] else 0 for k in self.keys),
+                dtype=np.int64, count=len(self.keys),
+            ),
+        )
+        self.col_srows = (
+            np.add.reduceat(self.blk_srows, first) if N else self.blk_srows
+        )
+        self._pattern = None  # digest of the CSR pattern _scatter is for
+        self._scatter = None
+
+    @classmethod
+    def of(cls, bstruct: BlockStructure) -> "NumericPlan":
+        """The plan of ``bstruct``, built on first use."""
+        plan = bstruct._numeric_plan
+        if plan is None:
+            plan = bstruct._numeric_plan = cls(bstruct)
+        return plan
+
+    @property
+    def size(self) -> int:
+        """Arena length in float64 elements."""
+        return int(self.col_off[-1])
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the plan holds, the cached scatter included."""
+        arrays = (self.blk_I, self.blk_row0, self.blk_srows, self.sizes,
+                  self.col_ptr, self.col_diag, self.col_off, self.lpanel_off,
+                  self.col_srows)
+        b = sum(a.nbytes for a in arrays) + 8 * len(self.keys)
+        if self._scatter is not None:
+            b += self._scatter.nbytes + len(self._pattern)
+        return b
+
+    # -- views ---------------------------------------------------------------
+
+    def views(self, arena: np.ndarray, columns=None) -> dict:
+        """``(I, J) -> view`` of every block of the given block columns
+        (default: all) inside ``arena``."""
+        if arena.shape != (self.size,) or arena.dtype != np.float64:
+            raise ValueError(
+                f"arena must be float64 of shape ({self.size},); "
+                f"got {arena.dtype} {arena.shape}"
+            )
+        part = self.part
+        keys = self.keys
+        lo = self.blk_row0.tolist()
+        hi = (self.blk_row0 + self.sizes[self.blk_I]).tolist()
+        ptr = self.col_ptr.tolist()
+        off = self.col_off.tolist()
+        blocks = {}
+        for J in range(part.N) if columns is None else columns:
+            panel = arena[off[J] : off[J + 1]].reshape(-1, part.size(J))
+            for b in range(ptr[J], ptr[J + 1]):
+                blocks[keys[b]] = panel[lo[b] : hi[b]]
+        return blocks
+
+    def lpanel(self, arena: np.ndarray, K: int) -> np.ndarray:
+        """The L panel of block column ``K`` — diagonal block, then the L
+        blocks in ascending ``I`` — as one C-contiguous 2D view."""
+        return arena[self.lpanel_off[K] : self.col_off[K + 1]].reshape(
+            -1, self.part.size(K)
+        )
+
+    def below_diagonal(self, K: int) -> list:
+        """``(I, first row, end row, structural rows)`` of each L block
+        below the diagonal of column ``K`` in ascending ``I``, rows counted
+        inside ``lpanel(K)[size(K):]``."""
+        a, b = int(self.col_diag[K]) + 1, int(self.col_ptr[K + 1])
+        Is = self.blk_I[a:b]
+        lo = self.blk_row0[a:b] - (self.blk_row0[a - 1] + self.part.size(K))
+        return list(zip(Is.tolist(), lo.tolist(),
+                        (lo + self.sizes[Is]).tolist(),
+                        self.blk_srows[a:b].tolist()))
+
+    # -- CSR scatter ---------------------------------------------------------
+
+    def scatter_positions(self, A: CSRMatrix) -> np.ndarray:
+        """Flat arena position of every stored entry of ``A``.
+
+        Memoised for the last pattern seen and validated by a digest of
+        ``A.indptr``/``A.indices``: a different pattern is never scattered
+        through a stale map, it is mapped afresh — and raises
+        :class:`StructureViolation` if an entry falls outside the static
+        block structure."""
+        n = self.part.n
+        if A.nrows != n or A.ncols != n:
+            raise StructureViolation(
+                f"matrix is {A.nrows}x{A.ncols}, the block structure {n}x{n}"
+            )
+        h = hashlib.blake2b(digest_size=16)
+        h.update(np.ascontiguousarray(A.indptr))
+        h.update(np.ascontiguousarray(A.indices))
+        pattern = h.digest()
+        if pattern != self._pattern:
+            self._scatter = self._map_entries(A)
+            self._pattern = pattern
+        return self._scatter
+
+    def _map_entries(self, A: CSRMatrix) -> np.ndarray:
+        part = self.part
+        N = part.N
+        rows = np.repeat(np.arange(A.nrows, dtype=np.int64), np.diff(A.indptr))
+        cols = A.indices
+        if len(cols) == 0:
+            return np.empty(0, dtype=np.int64)
+        if cols.min() < 0 or cols.max() >= part.n:
+            raise StructureViolation("column index out of range")
+        BI = part.block_of[rows]
+        BJ = part.block_of[cols]
+        blk_J = np.repeat(np.arange(N, dtype=np.int64), np.diff(self.col_ptr))
+        blk_key = blk_J * N + self.blk_I  # ascending: arena order
+        key = BJ * N + BI
+        b = np.minimum(np.searchsorted(blk_key, key), len(blk_key) - 1)
+        outside = np.flatnonzero(blk_key[b] != key)
+        if len(outside):
+            e = outside[0]
+            raise StructureViolation(
+                f"matrix entry ({rows[e]},{cols[e]}) falls outside the static "
+                f"block structure at block ({BI[e]},{BJ[e]})"
+            )
+        bounds = part.bounds
+        local_row = self.blk_row0[b] + rows - bounds[BI]
+        return (self.col_off[BJ] + local_row * self.sizes[BJ]
+                + cols - bounds[BJ])
+
+
 class BlockLUMatrix:
-    """The working LU storage: a dict of dense blocks over a 2D partition.
+    """The working LU storage: dense blocks over a 2D partition, all views
+    into one arena (see the module docstring for the layout).
 
     Parameters
     ----------
     part, bstruct:
         The supernode partition and its static block structure.
-    blocks:
-        Mapping ``(I, J) -> ndarray``; missing keys are structural zeros.
+    arena:
+        The float64 storage to view; a zeroed one is allocated by default.
+        Passing another matrix's arena shares its memory.
+    columns:
+        Block columns whose blocks ``blocks`` exposes (default: all) — a
+        1D rank's local storage is the columns it owns.
     """
 
-    def __init__(self, part: BlockPartition, bstruct: BlockStructure, blocks=None):
+    def __init__(self, part: BlockPartition, bstruct: BlockStructure,
+                 arena: np.ndarray = None, columns=None):
         self.part = part
         self.bstruct = bstruct
-        self.blocks = {} if blocks is None else blocks
+        self.plan = NumericPlan.of(bstruct)
+        self.arena = np.zeros(self.plan.size) if arena is None else arena
+        #: ``(I, J) -> ndarray`` view; missing keys are structural zeros
+        self.blocks = self.plan.views(self.arena, columns)
         self.n = part.n
         self.pivot_seq = [None] * part.N  # per block column: list of (m, t)
         self.abft = None  # optional repro.numfact.abft.AbftLedger
@@ -60,43 +255,15 @@ class BlockLUMatrix:
         cls, A: CSRMatrix, part: BlockPartition, bstruct: BlockStructure
     ) -> "BlockLUMatrix":
         """Allocate the full static block structure and scatter ``A``."""
+        positions = NumericPlan.of(bstruct).scatter_positions(A)
         m = cls(part, bstruct)
-        for (I, J) in bstruct.nonzero_blocks():
-            m.blocks[(I, J)] = np.zeros((part.size(I), part.size(J)))
-        block_of = part.block_of
-        bounds = part.bounds
-        # vectorised scatter: map every entry to its block and local offset,
-        # then assign one fancy-indexed run per nonzero block
-        nnz = len(A.indices)
-        if nnz == 0:
-            return m
-        rows = np.repeat(np.arange(A.nrows, dtype=np.int64),
-                         np.diff(A.indptr))
-        cols = A.indices
-        BI = block_of[rows]
-        BJ = block_of[cols]
-        li = rows - bounds[BI]
-        lj = cols - bounds[BJ]
-        N = part.N
-        key = BI * N + BJ
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        run_starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        run_ends = np.r_[run_starts[1:], nnz]
-        for s, e in zip(run_starts.tolist(), run_ends.tolist()):
-            idx = order[s:e]
-            I = int(BI[idx[0]])
-            J = int(BJ[idx[0]])
-            blk = m.blocks.get((I, J))
-            if blk is None:
-                i = int(rows[idx[0]])
-                c = int(cols[idx[0]])
-                raise StructureViolation(
-                    f"matrix entry ({i},{c}) falls outside the static "
-                    f"block structure at block ({I},{J})"
-                )
-            blk[li[idx], lj[idx]] = A.data[idx]
+        m.arena[positions] = A.data
         return m
+
+    def lpanel(self, K: int) -> np.ndarray:
+        """The stacked L panel of block column ``K`` (diagonal block
+        first): the rows ``Factor(K)`` searches, swaps and eliminates."""
+        return self.plan.lpanel(self.arena, K)
 
     # -- queries -----------------------------------------------------------
 
@@ -116,21 +283,28 @@ class BlockLUMatrix:
 
     def swap_rows_in_block_column(self, J: int, r1: int, r2: int) -> None:
         """Exchange the contents of global rows ``r1`` and ``r2`` inside
-        block column ``J`` (used to replay a pivot sequence).
+        block column ``J`` (used to replay a pivot sequence)."""
+        if r1 != r2:
+            self.swap_block_rows(J, *self.locate_rows(r1, r2))
+
+    def locate_rows(self, r1: int, r2: int) -> tuple:
+        """``(I1, o1, I2, o2)``: the block row and the offset inside it of
+        global rows ``r1`` and ``r2``."""
+        part = self.part
+        I1 = int(part.block_of[r1])
+        I2 = int(part.block_of[r2])
+        return I1, r1 - part.start(I1), I2, r2 - part.start(I2)
+
+    def swap_block_rows(self, J: int, I1: int, o1: int, I2: int, o2: int) -> None:
+        """Exchange row ``o1`` of block ``(I1, J)`` with row ``o2`` of
+        block ``(I2, J)``.
 
         If one of the two rows lies in an absent (structurally zero) block,
         the other row's content must already be zero — otherwise the swap
         would create fill outside the static structure.
         """
-        if r1 == r2:
-            return
-        part = self.part
-        I1 = int(part.block_of[r1])
-        I2 = int(part.block_of[r2])
         b1 = self.blocks.get((I1, J))
         b2 = self.blocks.get((I2, J))
-        o1 = r1 - part.start(I1)
-        o2 = r2 - part.start(I2)
         if b1 is not None and b2 is not None:
             if self.abft is not None:
                 self.abft.on_swap(I1, o1, b1, I2, o2, b2, J)
@@ -142,14 +316,14 @@ class BlockLUMatrix:
         elif b1 is None:
             if np.any(b2[o2]):
                 raise StructureViolation(
-                    f"pivot swap would move nonzeros of row {r2} into absent "
-                    f"block ({I1},{J})"
+                    f"pivot swap would move nonzeros of row "
+                    f"{self.part.start(I2) + o2} into absent block ({I1},{J})"
                 )
         else:
             if np.any(b1[o1]):
                 raise StructureViolation(
-                    f"pivot swap would move nonzeros of row {r1} into absent "
-                    f"block ({I2},{J})"
+                    f"pivot swap would move nonzeros of row "
+                    f"{self.part.start(I1) + o1} into absent block ({I2},{J})"
                 )
 
     # -- verification helpers ---------------------------------------------

@@ -8,29 +8,36 @@ T3D/T3E rates.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 from .counter import KernelCounter, DGEMM, DGEMV, BLAS1
 
 
-#: process-wide scratch buffers, keyed by use site.  The simulator runs
-#: every rank cooperatively on one host thread, and each use site fully
-#: writes its scratch before reading it inside a single yield-free window,
-#: so reusing (even clobbering) a slot across calls and ranks is safe.
-#: Growing in place (never shrinking) keeps the hot paths free of large
-#: per-call ``np.empty`` allocations, whose mmap + first-touch page faults
-#: dominate at bench scale.
-_SCRATCH_POOL: dict = {}
+#: per-thread scratch buffers, keyed by use site.  The simulator runs every
+#: rank cooperatively on one host thread, and each use site fully writes its
+#: scratch before reading it inside a single yield-free window, so reusing
+#: (even clobbering) a slot across calls and ranks is safe; the thread
+#: backend (:mod:`repro.parallel.shared_memory`) runs updates concurrently,
+#: hence one pool per thread.  Growing in place (never shrinking) keeps the
+#: hot paths free of large per-call ``np.empty`` allocations, whose mmap +
+#: first-touch page faults dominate at bench scale.
+_SCRATCH = threading.local()
 
 
 def scratch_buffer(slot: str, nrows: int, ncols: int = None) -> np.ndarray:
     """An uninitialised float64 scratch of the requested shape, recycled
-    per ``slot`` (see :data:`_SCRATCH_POOL` for the safety argument)."""
+    per ``slot`` and thread (see :data:`_SCRATCH` for the safety argument)."""
     need = nrows if ncols is None else nrows * ncols
-    buf = _SCRATCH_POOL.get(slot)
+    try:
+        pool = _SCRATCH.pool
+    except AttributeError:
+        pool = _SCRATCH.pool = {}
+    buf = pool.get(slot)
     if buf is None or buf.size < need:
         size = need if buf is None else max(need, 2 * buf.size)
-        buf = _SCRATCH_POOL[slot] = np.empty(size)
+        buf = pool[slot] = np.empty(size)
     flat = buf[:need]
     return flat if ncols is None else flat.reshape(nrows, ncols)
 
@@ -57,6 +64,27 @@ def as_gemm_operand(X):
     return X if X.flags.c_contiguous else np.ascontiguousarray(X)
 
 
+def block_product(A, B, out):
+    """``out[...] = A @ B`` — the one rule for the update's products.
+
+    Inner dimension 1 (a width-1 supernode: 62-77 % of the block products of
+    the benchmark patterns) is an outer product, formed by an elementwise
+    multiply.  Elementwise kernels are bit-identical however the operands
+    are stacked, so ``A`` may be one L block or a column's whole stacked L
+    panel; ``+ 0.0`` turns a ``-0.0`` product into the ``+0.0`` a GEMM's
+    zero-initialised accumulator produces.  Inner dimension >= 2 is a GEMM
+    and must keep the block's own call shape: BLAS picks its summation
+    order from the operand shapes, so stacking changes bits (DESIGN.md
+    "Host performance").
+    """
+    if A.shape[1] == 1:
+        np.multiply(A, B, out=out)
+        np.add(out, 0.0, out=out)
+    else:
+        np.matmul(A, B, out=out)
+    return out
+
+
 def gemm_update(
     C,
     A,
@@ -77,19 +105,14 @@ def gemm_update(
 
     ``out`` is an optional preallocated product scratch with exactly
     ``B.shape[1]`` columns and at least ``A.shape[0]`` rows: the product is
-    formed with ``np.matmul(..., out=)`` (bit-identical to ``A @ B`` — same
-    BLAS call, same shapes) and subtracted in place, so the update allocates
-    nothing.  Batched panel sweeps share one such scratch across all their
-    GEMMs (see :func:`repro.numfact.tasks.update_block_column`).
+    formed there by :func:`block_product` (bit-identical to ``A @ B``) and
+    subtracted in place, so the update allocates nothing.
     """
     A = as_gemm_operand(A)
     B = as_gemm_operand(B)
     if out is None:
-        C -= A @ B
-    else:
-        prod = out[: A.shape[0]]
-        np.matmul(A, B, out=prod)
-        np.subtract(C, prod, out=C)
+        out = np.empty((A.shape[0], B.shape[1]))
+    np.subtract(C, block_product(A, B, out[: A.shape[0]]), out=C)
     if counter is not None:
         ncols = B.shape[1] if ncols_structural is None else ncols_structural
         nrows = A.shape[0] if nrows_structural is None else nrows_structural

@@ -24,7 +24,7 @@ from .blocks import BlockLUMatrix
 from .counter import KernelCounter
 from .kernels import unit_lower_solve, upper_solve
 from .robust import PivotMonitor, SilentCorruptionError
-from .tasks import factor_block_column, update_block_column
+from .tasks import factor_block_column, update_block_columns
 
 
 @dataclass
@@ -226,10 +226,7 @@ def sstar_factor(
     monitor_cfg = None
     monitor_factory = None
     if abft:
-        pristine = BlockLUMatrix(
-            part, bstruct,
-            blocks={key: blk.copy() for key, blk in m.blocks.items()},
-        )
+        pristine = BlockLUMatrix(part, bstruct, arena=m.arena.copy())
         AbftLedger.attach(m, counter=counter)
         if monitor is not None:
             monitor_cfg = (monitor.anorm, monitor.perturb, monitor.threshold)
@@ -256,8 +253,7 @@ def sstar_factor(
                 m, K, counter=counter, pivot_threshold=pivot_threshold,
                 monitor=monitor,
             )
-        for J in bstruct.u_block_cols(K):
-            update_block_column(m, fc, J, counter=counter)
+        update_block_columns(m, fc, bstruct.u_block_cols(K), counter=counter)
     return LUFactorization(m, sym, part, bstruct, counter,
                            pristine=pristine, monitor_cfg=monitor_cfg)
 

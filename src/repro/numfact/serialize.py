@@ -13,7 +13,7 @@ import numpy as np
 
 from ..supernodes import BlockPartition, build_block_structure
 from ..symbolic import SymbolicFactorization
-from .blocks import BlockLUMatrix
+from .blocks import BlockLUMatrix, StructureViolation
 from .counter import KernelCounter
 from .sequential import LUFactorization
 
@@ -61,7 +61,13 @@ def load_factorization(path) -> LUFactorization:
     bstruct = build_block_structure(sym, part)
     m = BlockLUMatrix(part, bstruct)
     for I, J in z["block_keys"]:
-        m.blocks[(int(I), int(J))] = z[f"blk_{I}_{J}"].copy()
+        stored = z[f"blk_{I}_{J}"]
+        blk = m.blocks.get((int(I), int(J)))
+        if blk is None or blk.shape != stored.shape:
+            raise StructureViolation(
+                f"stored block ({I},{J}) does not fit the stored structure"
+            )
+        blk[...] = stored
     seqs = [[] for _ in range(part.N)]
     for K, a, b in z["pivots"]:
         seqs[int(K)].append((int(a), int(b)))

@@ -14,10 +14,14 @@
     nonzero ``L_IK`` — the BLAS-3 DGEMM payload that Theorem 1's dense
     subcolumns make possible.
 
-Updates consume a :class:`FactoredColumn` — the self-contained result of
-``Factor(K)`` (pivot sequence, diagonal block, L blocks).  In the parallel
-codes this object *is* the message the owner of column ``K`` multicasts;
-sequentially it is just a set of views into the same storage.
+``Factor(K)`` eliminates in place on the contiguous L-panel view of the
+arena (:mod:`repro.numfact.blocks`): no pack, no scatter-back.  Updates
+consume a :class:`FactoredColumn` — the self-contained result of
+``Factor(K)`` (pivot sequence, diagonal block, L blocks, and the L blocks
+once more as one stacked panel).  On the owner it is a set of views into
+the arena; in the 1D parallel code its copy *is* the message the owner of
+column ``K`` multicasts, and the receiver rebuilds it with
+:meth:`FactoredColumn.from_message`.
 
 Pivot bookkeeping is LINPACK-style: interchanges are applied to block
 columns ``>= K`` only (never retroactively to already-factored columns),
@@ -27,21 +31,22 @@ and the triangular solvers replay them in order.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .blocks import BlockLUMatrix, SingularMatrixError, StructureViolation
 from .counter import KernelCounter, DGEMM, DGEMV, BLAS1
-from .kernels import FLOP_GEMM, gemm_update, scratch_buffer, unit_lower_solve
+from .kernels import block_product, scratch_buffer, unit_lower_solve
 
-#: batched supernode updates: fuse the per-(I, J) GEMMs of an elimination
-#: stage into one sweep over the destination panel sharing a single
-#: preallocated product scratch (``np.matmul(..., out=)`` + in-place
-#: subtract — bit-identical to the per-block path, since each block keeps
-#: its own BLAS call shape; see DESIGN.md "Host performance" for why true
-#: operand stacking is *not* bit-stable on modern BLAS).  The legacy
-#: per-block path is kept for A/B timing and the equivalence tests.
+#: batched supernode updates: ``Update(K, J)`` forms the products of a
+#: width-1 column's whole L panel with one stacked elementwise multiply and
+#: charges the sweep's flops in one or two exact ``KernelCounter.add``
+#: calls.  ``batched_updates(False)`` makes one kernel call and one charge
+#: per block instead; both produce bit-identical factors and equal counters
+#: (see DESIGN.md "Host performance" for why elementwise kernels may be
+#: stacked and GEMMs may not).  Kept for A/B timing and the equivalence
+#: tests.
 _BATCHED_UPDATES = True
 
 
@@ -52,7 +57,7 @@ def batched_updates_enabled() -> bool:
 
 @contextmanager
 def batched_updates(enabled: bool):
-    """Temporarily force the batched (or legacy per-block) update path."""
+    """Temporarily force the batched (or per-block) update path."""
     global _BATCHED_UPDATES
     prev = _BATCHED_UPDATES
     _BATCHED_UPDATES = bool(enabled)
@@ -70,47 +75,38 @@ class FactoredColumn:
     pivots: list  # [(m_pos, t_pos), ...] global position pairs, in order
     diag: np.ndarray  # the bs x bs diagonal block (unit-lower L + upper U)
     lblocks: dict  # block row I (> K) -> dense L block
+    #: the L blocks stacked in ascending I as one C-contiguous array: a view
+    #: of the owner's arena, or None (the update then works block by block)
+    lpanel: np.ndarray = None
 
-    # update-sweep memo: sorted (I, block) pairs + the tallest block, built
-    # once and reused by every Update(K, J) consuming this column
-    _lsorted: list = field(default=None, init=False, repr=False, compare=False)
-    _lmaxrows: int = field(default=0, init=False, repr=False, compare=False)
-    # batched-sweep memo: (I, lik, structural_rows, lik.shape[1]) tuples in
-    # ascending I, built on the first Update and shared by all later ones
-    _sweep: list = field(default=None, init=False, repr=False, compare=False)
-
-    def sorted_lblocks(self) -> list:
-        """``sorted(lblocks.items())``, computed once per column."""
-        if self._lsorted is None:
-            self._lsorted = sorted(self.lblocks.items())
-            self._lmaxrows = max(
-                (b.shape[0] for _, b in self._lsorted), default=0
-            )
-        return self._lsorted
-
-    def max_lrows(self) -> int:
-        """Row count of the tallest L block (product-scratch height)."""
-        self.sorted_lblocks()
-        return self._lmaxrows
-
-    def update_sweep(self, bstruct) -> list:
-        """``(I, lik, structural_rows, lik.shape[1])`` tuples in ascending
-        I, resolved once against ``bstruct`` and shared by every
-        ``Update(K, *)`` consuming this column."""
-        sweep = self._sweep
-        if sweep is None:
-            K = self.K
-            sweep = self._sweep = [
-                (I, lik, bstruct.l_rows_count(I, K), lik.shape[1])
-                for I, lik in self.sorted_lblocks()
-            ]
-        return sweep
+    @classmethod
+    def from_message(cls, payload: dict) -> "FactoredColumn":
+        """The column a ``("col", K)`` message carries.  A width-1 column's
+        blocks are stacked once here, so every ``Update(K, J)`` consuming it
+        takes the same stacked multiply as on the owner."""
+        diag, lblocks = payload["diag"], payload["lblocks"]
+        lpanel = None
+        if diag.shape[0] == 1 and lblocks:
+            lpanel = np.concatenate([lblocks[I] for I in sorted(lblocks)])
+        return cls(payload["K"], payload["pivots"], diag, lblocks, lpanel)
 
     def nbytes(self) -> int:
         b = self.diag.nbytes + 16 * len(self.pivots)
         for blk in self.lblocks.values():
             b += blk.nbytes
         return b
+
+
+def _panel_position(part, K: int, below, t: int) -> int:
+    """Global position of row ``t`` of the stacked L panel of column K,
+    for a row below the diagonal block."""
+    off = part.size(K)
+    for I in below:
+        rows = part.size(I)
+        if t < off + rows:
+            return part.start(I) + t - off
+        off += rows
+    raise IndexError(f"row {t} is outside the L panel of column {K}")
 
 
 def factor_block_column(
@@ -123,6 +119,10 @@ def factor_block_column(
     """Run ``Factor(K)`` (Fig. 7); records the pivot sequence on ``m`` and
     returns the :class:`FactoredColumn` for downstream updates.
 
+    The panel is eliminated **in place** on the contiguous L-panel view of
+    the arena, so a :class:`SingularMatrixError` leaves column ``K`` half
+    eliminated: the matrix is then unusable and callers discard it.
+
     ``pivot_threshold`` is the classical threshold-pivoting parameter
     ``u``: the diagonal is kept whenever ``|a_cc| >= u * max_i |a_ic|``.
     ``u = 1.0`` is pure partial pivoting (the paper's setting); smaller
@@ -133,39 +133,21 @@ def factor_block_column(
     tracks pivot growth and, when enabled, replaces tiny pivots by
     ``±sqrt(eps)*||A||`` (SuperLU_DIST-style static perturbation) instead
     of letting the elimination divide by them."""
-    part = m.part
-    bs = part.size(K)
-    if m.abft is not None:
-        # verify the panel at consumption: a silently corrupted input
-        # block must be caught before its poison spreads into the factors
-        for I in m.bstruct.l_block_rows(K):
-            m.abft.verify_block(I, K, m.blocks[(I, K)], where=f"factor({K})")
-    # panel metadata (block list, position table, packed row count) depends
-    # only on the static structure: build once per K, reuse across ranks,
-    # refactorizations and restarts
-    meta = m.bstruct._fmeta.get(K)
-    if meta is None:
-        below = [I for I in m.bstruct.l_block_rows(K) if I > K]
-        positions = np.concatenate(
-            [part.positions(K)] + [part.positions(I) for I in below]
-        ).tolist()
-        srows = m.bstruct.panel_rows_count(K)  # packed rows (accounting)
-        meta = m.bstruct._fmeta[K] = (below, positions, srows)
-    else:
-        below, positions, srows = meta
-    panel_blocks = [(K, m.blocks[(K, K)])] + [(I, m.blocks[(I, K)]) for I in below]
-    nrows = 0
-    for _I, blk in panel_blocks:
-        nrows += blk.shape[0]
-    panel = scratch_buffer("factor-panel", nrows, bs)
-    off = 0
-    for _I, blk in panel_blocks:
-        rows = blk.shape[0]
-        panel[off : off + rows, :] = blk
-        off += rows
-
     if not 0.0 < pivot_threshold <= 1.0:
         raise ValueError("pivot_threshold must be in (0, 1]")
+    part = m.part
+    bs = part.size(K)
+    below = [I for I in m.bstruct.l_block_rows(K) if I > K]
+    if m.abft is not None:
+        # verify the panel at consumption, before the first write: a
+        # silently corrupted input block must be caught before its poison
+        # spreads into the factors
+        for I in m.bstruct.l_block_rows(K):
+            m.abft.verify_block(I, K, m.blocks[(I, K)], where=f"factor({K})")
+    panel = m.lpanel(K)
+    nrows = panel.shape[0]
+    srows = int(m.plan.col_srows[K])  # packed rows (accounting)
+
     pivots = []
     start_K = part.start(K)
     cadd = counter.add if counter is not None else None
@@ -197,7 +179,9 @@ def factor_block_column(
             and panel[c, c] != 0.0
         ):
             t = c  # keep the diagonal: threshold pivoting
-        pivots.append((positions[c], positions[t]))
+        pivots.append(
+            (gcol, start_K + t if t < bs else _panel_position(part, K, below, t))
+        )
         if t != c:
             tmp = scratch[0, :]
             tmp[:] = panel[c, :]
@@ -229,35 +213,24 @@ def factor_block_column(
             pivot_index=gcol,
         )
 
-    # scatter the panel back into the blocks
-    off = 0
-    for _I, blk in panel_blocks:
-        rows = blk.shape[0]
-        blk[:, :] = panel[off : off + rows, :]
-        off += rows
-
     m.pivot_seq[K] = pivots
     if m.abft is not None:
         # the panel kernels are elementwise; re-anchor rather than carry
         m.abft.anchor_column(m, K)
-    return FactoredColumn(
-        K=K,
-        pivots=pivots,
-        diag=m.blocks[(K, K)],
-        lblocks={I: m.blocks[(I, K)] for I in below},
-    )
+    return factored_column_of(m, K)
 
 
 def factored_column_of(m: BlockLUMatrix, K: int) -> FactoredColumn:
     """Re-wrap an already factored local column (views, no copies)."""
     if m.pivot_seq[K] is None:
         raise RuntimeError(f"Factor({K}) has not run yet")
-    below = [I for I in m.bstruct.l_block_rows(K) if I > K]
+    blocks = m.blocks
     return FactoredColumn(
         K=K,
         pivots=m.pivot_seq[K],
-        diag=m.blocks[(K, K)],
-        lblocks={I: m.blocks[(I, K)] for I in below},
+        diag=blocks[(K, K)],
+        lblocks={I: blocks[(I, K)] for I in m.bstruct.l_block_rows(K) if I > K},
+        lpanel=m.lpanel(K)[m.part.size(K):],
     )
 
 
@@ -275,92 +248,114 @@ def update_block_column(
     apply_pivots: bool = True,
     batched: bool = None,
 ) -> None:
-    """Run ``Update(K, J)`` for ``J > K`` (Fig. 8) against local storage ``m``
-    using the factored column ``fc`` (local views or a received message).
+    """Run ``Update(K, J)`` for one ``J > K``: :func:`update_block_columns`
+    over a single block column."""
+    update_block_columns(m, fc, (J,), counter=counter,
+                         apply_pivots=apply_pivots, batched=batched)
 
-    ``batched=None`` follows the module default (:func:`batched_updates`);
-    both paths produce bit-identical factors and identical KernelCounter
-    tallies — the batched sweep only fuses dispatch and shares one product
-    scratch across the panel's GEMMs.
+
+def update_block_columns(
+    m: BlockLUMatrix,
+    fc: FactoredColumn,
+    columns,
+    counter: KernelCounter = None,
+    apply_pivots: bool = True,
+    batched: bool = None,
+) -> None:
+    """Run ``Update(K, J)`` (Fig. 8) for every ``J`` in ``columns`` against
+    local storage ``m`` using the factored column ``fc`` (local views or a
+    received message) — the update half of elimination stage ``K``.
+
+    What depends on ``K`` alone is resolved once for the sweep: the real
+    interchanges as ``(block, offset)`` pairs, the L blocks with their row
+    ranges and structural row counts.
+
+    ``batched=None`` follows the module default (:func:`batched_updates`).
+    Batched, the flops of one ``Update(K, J)`` are charged in at most two
+    ``KernelCounter.add`` calls (every charge is an integer-valued float
+    far below 2**53, so the per-key sums, the first-touch key order and
+    hence the virtual times equal those of per-block charges) and, when the
+    column is one wide and its L panel contiguous, the products come from
+    one stacked multiply (:func:`repro.numfact.kernels.block_product`).
+    Both paths produce bit-identical factors and equal counter tallies.
     """
     K = fc.K
-    if J <= K:
-        raise ValueError("Update(K, J) requires J > K")
-    if apply_pivots:
-        apply_pivots_to_column(m, fc.pivots, J)
-
-    ukj = m.blocks.get((K, J))
-    if ukj is None:
-        return  # structurally zero: nothing to scale or propagate
-
-    # structural subcolumn count, for paper-faithful FLOP accounting
-    ncols_structural = len(m.bstruct.udense_cols[(K, J)])
-
-    if m.abft is not None:
-        m.abft.pre_solve(K, J, fc.diag)
-    unit_lower_solve(fc.diag, ukj, counter=counter, ncols_structural=ncols_structural)
-    if m.abft is not None:
-        m.abft.post_solve(K, J, ukj)
-
     if batched is None:
         batched = _BATCHED_UPDATES
+    blocks = m.blocks
+    abft = m.abft
+    udense_cols = m.bstruct.udense_cols
+    diag = fc.diag
+    lblocks = fc.lblocks
+    lk = diag.shape[0]
+    swaps = ()
+    if apply_pivots:
+        swaps = [m.locate_rows(r1, r2) for r1, r2 in fc.pivots if r1 != r2]
+    below = m.plan.below_diagonal(K)
+    lrows = below[-1][2] if below else 0
+    stacked = batched and lk == 1 and fc.lpanel is not None
+    cadd = counter.add if counter is not None else None
+    subtract = np.subtract
 
-    if not batched:
-        lbs = fc.sorted_lblocks()
-        # legacy per-block path (kept for A/B timing + equivalence tests)
-        for I, lik in lbs:
-            target = m.blocks.get((I, J))
+    for J in columns:
+        if J <= K:
+            raise ValueError("Update(K, J) requires J > K")
+        for I1, o1, I2, o2 in swaps:
+            m.swap_block_rows(J, I1, o1, I2, o2)
+
+        ukj = blocks.get((K, J))
+        if ukj is None:
+            continue  # structurally zero: nothing to scale or propagate
+
+        # structural subcolumn count, for paper-faithful FLOP accounting
+        ncols = len(udense_cols[(K, J)])
+
+        if abft is not None:
+            abft.pre_solve(K, J, diag)
+        unit_lower_solve(diag, ukj, counter=counter, ncols_structural=ncols)
+        if abft is not None:
+            abft.post_solve(K, J, ukj)
+        if not below:
+            continue
+
+        prod = scratch_buffer("update-prod", lrows, ukj.shape[1])
+        if stacked:
+            block_product(fc.lpanel, ukj, prod)
+        wide = ncols >= 2
+        gran = lk if lk < ncols else ncols
+        gemm_rows = gemv_rows = 0
+        gemm_first = False
+        for I, lo, hi, nrows in below:
+            p = prod[lo:hi]
+            if not stacked:
+                block_product(lblocks[I], ukj, p)
+            target = blocks.get((I, J))
             if target is None:
                 # per George-Ng this contribution must vanish; verify cheaply
-                if np.any(lik @ ukj):
+                if np.any(p):
                     raise StructureViolation(
                         f"update ({K},{J}) touches absent block ({I},{J})"
                     )
                 continue
-            if m.abft is not None:
-                m.abft.carry_gemm(I, J, lik, ukj, K=K)
-            gemm_update(
-                target,
-                lik,
-                ukj,
-                counter=counter,
-                ncols_structural=ncols_structural,
-                nrows_structural=m.bstruct.l_rows_count(I, K),
-            )
-        return
-
-    # batched sweep: one contiguous product scratch for the whole panel,
-    # hoisted lookups and a per-column metadata memo (structural row counts
-    # resolved once, not once per consuming Update), zero per-block
-    # allocation beyond the scratch.  Per-block BLAS shapes (and therefore
-    # bits) are preserved — see module-level note.
-    sweep = fc.update_sweep(m.bstruct)
-    if not sweep:
-        return
-    scratch = scratch_buffer("update-prod", fc._lmaxrows, ukj.shape[1])
-    blocks_get = m.blocks.get
-    abft = m.abft
-    matmul = np.matmul
-    subtract = np.subtract
-    cadd = counter.add if counter is not None else None
-    wide = ncols_structural >= 2
-    for I, lik, nrows, lk in sweep:
-        prod = scratch[: lik.shape[0]]
-        matmul(lik, ukj, out=prod)
-        target = blocks_get((I, J))
-        if target is None:
-            # per George-Ng this contribution must vanish; verify cheaply
-            if np.any(prod):
-                raise StructureViolation(
-                    f"update ({K},{J}) touches absent block ({I},{J})"
-                )
-            continue
-        if abft is not None:
-            abft.carry_gemm(I, J, lik, ukj, K=K)
-        subtract(target, prod, out=target)
-        if cadd is not None:
-            fl = 2.0 * nrows * lk * ncols_structural
+            if abft is not None:
+                abft.carry_gemm(I, J, lblocks[I], ukj, K=K)
+            subtract(target, p, out=target)
+            if cadd is None:
+                continue
             if wide and nrows >= 2:
-                cadd(DGEMM, fl, gran=lk if lk < ncols_structural else ncols_structural)
+                if batched:
+                    gemm_first = gemm_first or not gemv_rows
+                    gemm_rows += nrows
+                else:
+                    cadd(DGEMM, 2.0 * nrows * lk * ncols, gran=gran)
+            elif batched:
+                gemv_rows += nrows
             else:
-                cadd(DGEMV, fl, gran=lk)
+                cadd(DGEMV, 2.0 * nrows * lk * ncols, gran=lk)
+        # the sweep's merged charges, in the order their keys were first due
+        if gemm_rows and gemm_first:
+            cadd(DGEMM, 2.0 * gemm_rows * lk * ncols, gran=gran)
+        if gemv_rows:
+            cadd(DGEMV, 2.0 * gemv_rows * lk * ncols, gran=lk)
+        if gemm_rows and not gemm_first:
+            cadd(DGEMM, 2.0 * gemm_rows * lk * ncols, gran=gran)

@@ -51,23 +51,26 @@ def _distribute_1d(
     A: CSRMatrix, part: BlockPartition, bstruct: BlockStructure, owner, nprocs: int,
     full: BlockLUMatrix = None,
 ):
-    """Build per-rank BlockLUMatrix holding only owned block columns.
+    """Build per-rank BlockLUMatrix holding only owned block columns;
+    returns ``(full, locals)``.
 
     ``full`` lets checkpoint/restart redistribute an existing (partially
     factored) matrix instead of the original ``A``.
     """
     if full is None:
         full = BlockLUMatrix.from_csr(A, part, bstruct)
-    locals_ = []
-    for _ in range(nprocs):
-        m = BlockLUMatrix(part, bstruct)
-        locals_.append(m)
-    for (I, J), blk in full.blocks.items():
-        locals_[int(owner[J])].blocks[(I, J)] = blk
+    owned = [[] for _ in range(nprocs)]
+    for J in range(part.N):
+        owned[int(owner[J])].append(J)
+    # every rank's storage is its own columns of the one shared arena
+    locals_ = [
+        BlockLUMatrix(part, bstruct, arena=full.arena, columns=cols)
+        for cols in owned
+    ]
     for K, seq in enumerate(full.pivot_seq):
         if seq is not None:
             locals_[int(owner[K])].pivot_seq[K] = seq
-    return locals_
+    return full, locals_
 
 
 def _consumers(tg: TaskGraph, schedule: Schedule, k: int) -> list:
@@ -147,12 +150,7 @@ def _rank_program(env, ctx):
                 if ctx.get("abft"):
                     verify_payload(payload, where=f"payload:col({k})",
                                    column=k, metrics=env.metrics)
-                fc = FactoredColumn(
-                    K=payload["K"],
-                    pivots=payload["pivots"],
-                    diag=payload["diag"],
-                    lblocks=payload["lblocks"],
-                )
+                fc = FactoredColumn.from_message(payload)
                 received[k] = fc
                 seen.add(k)
                 buffer_bytes += fc.nbytes()
@@ -246,7 +244,8 @@ def run_1d(
         )
         cache[skey] = schedule
 
-    locals_ = _distribute_1d(A, part, bstruct, schedule.owner, nprocs, full=start_from)
+    merged, locals_ = _distribute_1d(
+        A, part, bstruct, schedule.owner, nprocs, full=start_from)
     if abft:
         for m in locals_:
             AbftLedger.attach(m)
@@ -268,10 +267,8 @@ def run_1d(
     opts.setdefault("zero_copy", True)
     sim = Simulator(nprocs, spec, _rank_program, args=(ctx,), **opts).run()
 
-    # merge the distributed factor back into one BlockLUMatrix for solving
-    merged = BlockLUMatrix(part, bstruct)
-    for m in locals_:
-        merged.blocks.update(m.blocks)
+    # the ranks factored their columns of the shared arena in place: the
+    # full matrix is the merged factor once it knows the pivot sequences
     for ret in sim.returns:
         if ret is None:  # rank crashed; its state is on the restart path
             continue

@@ -96,9 +96,7 @@ class ResilientResult:
 
 def _copy_state(m: BlockLUMatrix) -> BlockLUMatrix:
     """Deep-copy a checkpoint so a crashed round cannot taint it."""
-    out = BlockLUMatrix(m.part, m.bstruct)
-    for key, blk in m.blocks.items():
-        out.blocks[key] = blk.copy()
+    out = BlockLUMatrix(m.part, m.bstruct, arena=m.arena.copy())
     out.pivot_seq = list(m.pivot_seq)
     return out
 

@@ -33,7 +33,7 @@ import numpy as np
 from ..machine import Simulator, MachineSpec
 from ..numfact import BlockLUMatrix, SingularMatrixError, StructureViolation
 from ..numfact.abft import payload_checksums, verify_payload
-from ..numfact.kernels import scratch_buffer, unit_lower_solve
+from ..numfact.kernels import block_product, scratch_buffer, unit_lower_solve
 from ..numfact.tasks import batched_updates_enabled
 from ..sparse import CSRMatrix
 from ..supernodes import BlockPartition, BlockStructure
@@ -73,7 +73,7 @@ def _distribute_2d(A, part, bstruct, grid: Grid2D, full: BlockLUMatrix = None):
     locals_ = [dict() for _ in range(grid.nprocs)]
     for (I, J), blk in full.blocks.items():
         locals_[grid.owner_of_block(I, J)][(I, J)] = blk
-    return locals_
+    return full, locals_
 
 
 def _swap_local(blocks, part, J, r1, r2, bstruct):
@@ -190,7 +190,7 @@ def _rank_program_2d(env, ctx):
             # local best candidate (position >= gm), ties -> smallest position
             best_abs, best_pos, best_row = -1.0, -1, None
             ncand = 0
-            for s0, blk, _lrc in panel:
+            for s0, blk, _srows in panel:
                 lo = gm - s0
                 if lo < 0:
                     lo = 0
@@ -410,7 +410,6 @@ def _rank_program_2d(env, ctx):
                 do_batch = batched and bool(items)
                 blocks_get = blocks.get
                 compute = env.compute
-                matmul = np.matmul
                 subtract = np.subtract
             t0 = env.clock
             ncols = len(udense_cols[(K, J)])
@@ -423,8 +422,7 @@ def _rank_program_2d(env, ctx):
                     "2d-update-prod", maxrows, ukj.shape[1])
                 wide = ncols >= 2
                 for I, lik, srows, lk in items:
-                    prod = scratch[: lik.shape[0]]
-                    matmul(lik, ukj, out=prod)
+                    prod = block_product(lik, ukj, scratch[: lik.shape[0]])
                     target = blocks_get((I, J))
                     if target is None:
                         if np.any(prod):
@@ -441,14 +439,16 @@ def _rank_program_2d(env, ctx):
             else:
                 for I, lik, srows, lk in items:
                     target = blocks_get((I, J))
+                    prod = block_product(
+                        lik, ukj, np.empty((lik.shape[0], ukj.shape[1])))
                     if target is None:
-                        if np.any(lik @ ukj):
+                        if np.any(prod):
                             raise StructureViolation(
                                 f"2D update ({K},{J}) touches absent block ({I},{J})"
                             )
                         continue
                     snap = env.snapshot()
-                    target -= lik @ ukj
+                    target -= prod
                     kernel = "dgemm" if ncols >= 2 and srows >= 2 else "dgemv"
                     env.counter.add(
                         kernel,
@@ -540,7 +540,7 @@ def run_2d(
         grid = Grid2D.preferred(nprocs)
     if grid.nprocs != nprocs:
         raise ValueError("grid size does not match nprocs")
-    locals_ = _distribute_2d(A, part, bstruct, grid, full=start_from)
+    merged, locals_ = _distribute_2d(A, part, bstruct, grid, full=start_from)
     ctx = {
         "grid": grid,
         "part": part,
@@ -566,13 +566,8 @@ def run_2d(
         grid.nprocs, spec, _rank_program_2d, args=(ctx,), **opts
     ).run()
 
-    merged = BlockLUMatrix(part, bstruct)
-    for d in locals_:
-        merged.blocks.update(d)
-    if start_from is not None:
-        for K, seq in enumerate(start_from.pivot_seq):
-            if seq is not None:
-                merged.pivot_seq[K] = seq
+    # the ranks' dicts hold views of the one arena, factored in place: the
+    # full matrix is the merged factor once it knows the pivot sequences
     spans = []
     for ret in sim.returns:
         if ret is None:  # rank crashed; its state is on the restart path

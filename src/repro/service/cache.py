@@ -247,6 +247,13 @@ class AnalysisCache:
     Capacity is bounded both by entry count (``max_entries``) and by the
     artifacts' accounted byte size (``max_bytes``, ``None`` = unbounded);
     either bound evicts least-recently-used entries.
+
+    ``max_bytes`` bounds ``AnalysisArtifacts.nbytes``, the analysis outputs.
+    What later phases memoise *on* a cached block structure is not in that
+    figure and lives exactly as long as the entry: the task graph and its
+    schedules, and the numeric phase's storage plan
+    (:class:`repro.numfact.NumericPlan`; its own ``nbytes`` is at most 8
+    bytes per stored matrix entry plus 64 bytes per nonzero block).
     """
 
     max_entries: int = 32

@@ -24,7 +24,9 @@ Mechanics:
 * **retry** — a job whose simulated transport gives up
   (:class:`repro.machine.DeliveryError`, from the PR-2 resilience layer)
   is retried on a clean network up to ``max_retries`` times before being
-  marked failed;
+  marked failed; a job whose *values* are at fault
+  (:class:`repro.numfact.SingularMatrixError`,
+  :class:`repro.numfact.NumericalError`) is marked failed at once;
 * **metrics** — a :class:`MetricsSnapshot` reports cache hit rate, queue
   depth, p50/p95 latency and throughput in virtual seconds.
 """
@@ -38,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from ..machine import DeliveryError, MachineSpec
-from ..numfact import SilentCorruptionError
+from ..numfact import NumericalError, SilentCorruptionError, SingularMatrixError
 from ..obs import BATCH, JOB, QUEUE, MetricsRegistry, as_tracer
 from .cache import AnalysisCache, values_key
 
@@ -379,14 +381,22 @@ class SolveService:
         worker = min(range(self.workers), key=lambda w: self._worker_clock[w])
         start = max(self._worker_clock[worker], head.arrival)
 
-        solver = None
+        solver = X = None
         error = None
         attempts = 0
         corruption_retry = False
         while True:
             attempts += 1
+            solver = None
             try:
-                solver = self._run_solver(head.A, opts, strip_faults=attempts > 1)
+                candidate = self._run_solver(head.A, opts, strip_faults=attempts > 1)
+                X = candidate.solve(B)
+                solver = candidate
+                break
+            except (SingularMatrixError, NumericalError) as e:
+                # the values are at fault, not the transport: retrying the
+                # same matrix cannot help, the batch fails with the error
+                error = e
                 break
             except DeliveryError as e:
                 error = e
@@ -405,7 +415,6 @@ class SolveService:
             self.metrics_registry.counter("abft.recovered").inc()
 
         if solver is not None:
-            X = solver.solve(B)
             finish = start + self._modeled_seconds(solver, nrhs)
         else:
             # the failed attempts still occupied the lane; charge a latency

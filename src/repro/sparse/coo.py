@@ -52,8 +52,7 @@ def coo_to_csr(nrows, ncols, rows, cols, vals=None, sum_duplicates=True):
         uvals = vals
 
     indptr = np.zeros(nrows + 1, dtype=np.int64)
-    np.add.at(indptr, urows + 1, 1)
-    np.cumsum(indptr, out=indptr)
+    np.cumsum(np.bincount(urows, minlength=nrows), out=indptr[1:])
     return CSRMatrix(nrows, ncols, indptr, ucols, uvals)
 
 

@@ -134,7 +134,6 @@ class CSRMatrix:
         """
         from .coo import coo_to_csr
 
-        rows, cols, vals = [], [], []
         if row_perm is None:
             row_perm = np.arange(self.nrows)
         if col_perm is None:
@@ -144,19 +143,15 @@ class CSRMatrix:
         # inverse of col_perm: old column j lands at position inv[j]
         col_inv = np.empty(self.ncols, dtype=np.int64)
         col_inv[col_perm] = np.arange(self.ncols)
-        for knew, iold in enumerate(row_perm):
-            c, v = self.row(iold)
-            rows.append(np.full(len(c), knew, dtype=np.int64))
-            cols.append(col_inv[c])
-            vals.append(v)
-        if rows:
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            vals = np.concatenate(vals)
-        else:
-            rows = np.empty(0, dtype=np.int64)
-            cols = np.empty(0, dtype=np.int64)
-            vals = np.empty(0)
+        # one gather: entry e of new row k is entry starts[k] + e of the old
+        # storage, for e < counts[k]
+        starts = self.indptr[row_perm]
+        counts = self.indptr[row_perm + 1] - starts
+        first = np.cumsum(counts) - counts
+        rows = np.repeat(np.arange(len(row_perm), dtype=np.int64), counts)
+        src = np.arange(len(rows), dtype=np.int64) + np.repeat(starts - first, counts)
+        cols = col_inv[self.indices[src]]
+        vals = self.data[src]
         return coo_to_csr(self.nrows, self.ncols, rows, cols, vals)
 
     def pattern_rows(self) -> list:

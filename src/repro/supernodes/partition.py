@@ -26,7 +26,7 @@ def find_supernodes(sym: SymbolicFactorization, max_size: int = 25) -> list:
     L structure, capping supernode width at ``max_size``."""
     n = sym.n
     if n == 0:
-        return [0, 0]
+        return [0]  # no columns, no supernodes
     lens = np.fromiter(map(len, sym.lcol), dtype=np.int64, count=n)
     offs = np.cumsum(lens) - lens
     flat = np.concatenate(sym.lcol)

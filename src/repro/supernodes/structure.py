@@ -29,16 +29,10 @@ class BlockStructure:
     ublocks: dict  # I -> sorted list of block cols J >  I with U_{IJ} != 0
     udense_cols: dict  # (I, J) -> sorted array of global dense subcolumn ids
     lrows: dict  # (I, J), I >= J -> sorted array of global structural rows
-    # memoized structural counts: queried once per GEMM on the update hot
-    # path, immutable once the structure is built
-    _lrc: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
-    _prc: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
-    # per-panel factorization metadata (repro.numfact.tasks): position
-    # tables and row offsets derived from part + lblocks, built lazily
-    _fmeta: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    # the storage layout compiled from this structure
+    # (repro.numfact.blocks.NumericPlan.of), built on first use
+    _numeric_plan: object = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     @property
     def N(self) -> int:
@@ -70,25 +64,14 @@ class BlockStructure:
     def l_rows_count(self, I: int, J: int) -> int:
         """Structural rows of L block (I, J) — the rows the paper's packed
         supernode storage holds (diagonal blocks are fully dense)."""
-        key = (I, J)
-        c = self._lrc.get(key)
-        if c is None:
-            if I == J:
-                c = self.part.size(I)
-            else:
-                rows = self.lrows.get(key)
-                c = 0 if rows is None else len(rows)
-            self._lrc[key] = c
-        return c
+        if I == J:
+            return self.part.size(I)
+        rows = self.lrows.get((I, J))
+        return 0 if rows is None else len(rows)
 
     def panel_rows_count(self, K: int) -> int:
         """Structural rows of the whole L panel of column block K."""
-        c = self._prc.get(K)
-        if c is None:
-            c = self._prc[K] = sum(
-                self.l_rows_count(I, K) for I in self.l_block_rows(K)
-            )
-        return c
+        return sum(self.l_rows_count(I, K) for I in self.l_block_rows(K))
 
     def block_entry_count(self, I: int, J: int) -> int:
         """Structural entries inside block (I, J) (before dense padding)."""

@@ -362,6 +362,40 @@ class TestAliasing:
         assert rules_of(findings) == ["Z202"]
         assert findings[0].line == 4
 
+    def test_z202_clean_number_accumulator_fed_from_payload(self):
+        # ``rows += nrows`` rebinds an int: it neither extends ``rows`` with
+        # the payload's values nor writes to the payload
+        src = (
+            "def tally(fc):\n"
+            "    rows = 0\n"
+            "    for blk, nrows in fc['sweep']:\n"
+            "        rows += nrows\n"
+            "        if nrows > 1:\n"
+            "            rows += 2 * nrows\n"
+            "    return rows\n"
+            "def prog(env, cache):\n"
+            "    msg = yield env.recv(('t', 0))\n"
+            "    cache[0] = msg\n"
+            "    tally(msg)\n"
+        )
+        assert lint_rules(src) == []
+
+    @pytest.mark.parametrize("init", ["[]", "2 * [None]"])
+    def test_z202_list_extended_with_payload_still_flagged(self, init):
+        src = (
+            "def stash(items):\n"
+            f"    acc = {init}\n"
+            "    acc += items\n"
+            "    acc[-1].fill(0.0)\n"
+            "def prog(env, cache):\n"
+            "    msg = yield env.recv(('t', 0))\n"
+            "    cache[0] = msg\n"
+            "    stash(msg)\n"
+        )
+        findings = lint_source(src)
+        assert rules_of(findings) == ["Z202"]
+        assert findings[0].line == 8
+
     def test_z202_clean_mutate_without_retention(self):
         src = (
             "def prog(env):\n"
