@@ -55,6 +55,10 @@ class FactorizationReport:
     perturbed_pivots: int = 0  # tiny pivots statically perturbed
     restarts: int = 0  # crashed-and-discarded checkpoint rounds
     analysis_reused: bool = False  # refactor hit cached symbolic state
+    #: simulated runs: payloads were delivered zero-copy (False = the
+    #: certificate declined and every message was deep-copied; see
+    #: ``SimResult.zero_copy_reason``); None for sequential
+    zero_copy: Optional[bool] = None
 
 
 class SStarSolver:
@@ -340,7 +344,7 @@ class SStarSolver:
         has_crashes = self.faults is not None and bool(self.faults.crashes)
         resilient = not sequential and (has_crashes or self.ckpt_interval is not None)
 
-        parallel_seconds = None
+        parallel_seconds = zero_copy = None
         messages = bytes_sent = 0
         restarts = 0
         if sequential:
@@ -420,8 +424,10 @@ class SStarSolver:
             parallel_seconds = res.parallel_seconds
             if resilient:
                 messages, bytes_sent = res.messages, res.bytes_sent
+                zero_copy = all(sim.zero_copy for sim in res.results)
             else:
                 messages, bytes_sent = res.sim.messages, res.sim.bytes_sent
+                zero_copy = res.sim.zero_copy
         else:
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -476,6 +482,7 @@ class SStarSolver:
             perturbed_pivots=len(monitor.perturbations) if monitor is not None else 0,
             restarts=restarts,
             analysis_reused=reused,
+            zero_copy=zero_copy,
         )
         return self
 

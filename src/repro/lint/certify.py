@@ -31,6 +31,9 @@ CERT_VERSION = 1
 #: the aliasing rules whose absence certifies a module for zero-copy
 ZC_RULES = ("Z201", "Z202")
 
+#: decline reason of a module no certificate speaks for
+UNCERTIFIED = "uncertified"
+
 
 def _sha256_file(path) -> str:
     h = hashlib.sha256()
@@ -82,29 +85,38 @@ class ZeroCopyCertificate:
     ``covers(name)`` is the authorisation check the simulator uses: the
     module must be present, Z-rule clean, and its installed source must
     still hash to the certified value (verified once per process).
+    ``decline_reason(name)`` says which of the three failed.
     """
 
     def __init__(self, modules, env_names=("env",)):
         self.modules = dict(modules)
         self.env_names = tuple(env_names)
-        self._verified = {}  # module name -> bool (staleness check memo)
+        self._verified = {}  # module name -> decline reason ("" = covered)
+
+    def decline_reason(self, module_name):
+        """None when ``module_name`` is covered, else why it is not:
+        ``"uncertified"`` (no entry, or no source file to hash),
+        ``"dirty"`` (Z-rule findings) or ``"stale sha256"`` (edited since
+        it was certified)."""
+        reason = self._verified.get(module_name)
+        if reason is None:
+            entry = self.modules.get(module_name)
+            if entry is None:
+                reason = UNCERTIFIED
+            elif not entry.get("clean"):
+                reason = "dirty"
+            else:
+                src = _module_source_file(module_name)
+                try:
+                    fresh = src is not None and _sha256_file(src) == entry["sha256"]
+                except OSError:
+                    fresh = False
+                reason = "" if fresh else "stale sha256"
+            self._verified[module_name] = reason
+        return reason or None
 
     def covers(self, module_name) -> bool:
-        if module_name is None:
-            return False
-        cached = self._verified.get(module_name)
-        if cached is not None:
-            return cached
-        entry = self.modules.get(module_name)
-        ok = False
-        if entry is not None and entry.get("clean"):
-            src = _module_source_file(module_name)
-            try:
-                ok = src is not None and _sha256_file(src) == entry["sha256"]
-            except OSError:
-                ok = False
-        self._verified[module_name] = ok
-        return ok
+        return self.decline_reason(module_name) is None
 
     def clean_modules(self):
         return sorted(m for m, e in self.modules.items() if e.get("clean"))
@@ -191,8 +203,9 @@ def default_certificate():
     return _DEFAULT_CERT
 
 
-def certificate_covers(module_name, cert=None) -> bool:
-    """Does a certificate authorise zero-copy delivery for ``module_name``?
+def certificate_decline_reason(module_name, cert=None):
+    """None when a certificate authorises zero-copy delivery for
+    ``module_name``, else why not (:meth:`ZeroCopyCertificate.decline_reason`).
 
     ``cert`` may be None (use the packaged default), a path, or a
     :class:`ZeroCopyCertificate`.  Missing/unreadable certificates simply
@@ -205,6 +218,11 @@ def certificate_covers(module_name, cert=None) -> bool:
             cert = ZeroCopyCertificate.load(cert)
         except (OSError, ValueError, json.JSONDecodeError):
             cert = None
-    if cert is None:
-        return False
-    return cert.covers(module_name)
+    if cert is None or module_name is None:
+        return UNCERTIFIED
+    return cert.decline_reason(module_name)
+
+
+def certificate_covers(module_name, cert=None) -> bool:
+    """Does a certificate authorise zero-copy delivery for ``module_name``?"""
+    return certificate_decline_reason(module_name, cert) is None

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -297,6 +298,10 @@ def _payload_digest(payload) -> bytes:
     h = hashlib.blake2b(digest_size=16)
     _digest_into(h, payload)
     return h.digest()
+
+
+#: (reason: module) strings already warned about in this process
+_ZC_WARNED = set()
 
 
 class _SanitizeGuard:
@@ -674,6 +679,10 @@ class SimResult:
     trace: SimTrace = None  # message trace (only when Simulator(trace=True))
     crashed: list = field(default_factory=list)  # ranks dead at exit
     fault_stats: FaultStats = field(default_factory=FaultStats)
+    zero_copy: bool = False  # payloads were delivered without a deep copy
+    #: why a requested zero-copy delivery was not honoured: ``"sanitize"``,
+    #: or ``"uncertified" / "stale sha256" / "dirty"`` + ``": <module>"``
+    zero_copy_reason: str = None
 
     @property
     def nprocs(self) -> int:
@@ -754,7 +763,11 @@ class Simulator:
         caller (tests/benchmarks only).  ``sanitize=True`` always restores
         copying so the dynamic write-after-send checker keeps its
         pre-mutation reference bytes — CI cross-checks zero-copy runs
-        bit-for-bit this way.
+        bit-for-bit this way.  A request the certificate declines is not
+        silent: the run copies, and says so — ``SimResult.zero_copy`` /
+        ``zero_copy_reason``, one :class:`RuntimeWarning` per (module,
+        reason) per process, and a ``sim.zero_copy.fallback`` count in the
+        tracer's metrics.
 
         ``scheduler`` selects the host event loop: ``"event"`` (default)
         wakes a blocked rank only when a message lands in the mailbox it
@@ -805,18 +818,18 @@ class Simulator:
         # always restores copying so the mutation checker keeps honest
         # pre-mutation reference bytes.
         self._zc_requested = bool(zero_copy)
-        self._zc_certified = False
-        if zero_copy:
-            if zero_copy == "unchecked":
-                self._zc_certified = True
-            else:
-                from ..lint.certify import certificate_covers
+        self._zc_module = getattr(program, "__module__", None)
+        self._zc_declined = None  # why the certificate said no, if it did
+        if zero_copy and zero_copy != "unchecked":
+            from ..lint.certify import certificate_decline_reason
 
-                self._zc_certified = certificate_covers(
-                    getattr(program, "__module__", None),
-                    cert=None if zero_copy is True else zero_copy,
-                )
+            self._zc_declined = certificate_decline_reason(
+                self._zc_module,
+                cert=None if zero_copy is True else zero_copy,
+            )
+        self._zc_certified = self._zc_requested and self._zc_declined is None
         self.zero_copy = False  # effective flag, finalised at run()
+        self.zero_copy_reason = None  # why a requested zero-copy is off
         self._fast_send = False  # finalised at run()
         # event-scheduler wake set + run-state views (populated by run();
         # _deposit consults them to wake a rank blocked on the landed tag)
@@ -825,6 +838,22 @@ class Simulator:
         self._waiting_tag = None
         self.envs = [Env(self, r) for r in range(nprocs)]
         self._programs = [program(self.envs[r], *args) for r in range(nprocs)]
+
+    def _note_zero_copy_fallback(self) -> None:
+        """Zero-copy was asked for and the certificate declined: the run
+        deep-copies every payload (correct, but up to 30 % slower on the
+        1D codes).  Leave the reason on the result, count it, warn once."""
+        self.zero_copy_reason = f"{self._zc_declined}: {self._zc_module}"
+        if self.tracer is not None:
+            self.tracer.metrics.counter("sim.zero_copy.fallback").inc()
+        if self.zero_copy_reason not in _ZC_WARNED:
+            _ZC_WARNED.add(self.zero_copy_reason)
+            warnings.warn(
+                f"zero-copy delivery requested but not certified "
+                f"({self.zero_copy_reason}); payloads are deep-copied — "
+                "regenerate the certificate with `repro lint --certify`",
+                RuntimeWarning, stacklevel=3,
+            )
 
     # -- mailbox -----------------------------------------------------------
 
@@ -1013,9 +1042,11 @@ class Simulator:
         # harness switches sanitize on after constructing the simulator,
         # and sanitize must always restore copying (the mutation checker
         # needs the receiver to hold pre-mutation bytes)
-        self.zero_copy = bool(
-            self._zc_requested and self._zc_certified and not self.sanitize
-        )
+        self.zero_copy = self._zc_certified and not self.sanitize
+        if self._zc_declined is not None and not self.sanitize:
+            self._note_zero_copy_fallback()
+        elif self._zc_requested and self.sanitize:
+            self.zero_copy_reason = "sanitize"
         self._fast_send = (
             self.faults is None
             and self.reliable is None
@@ -1290,4 +1321,6 @@ class Simulator:
             returns=returns,
             crashed=sorted(r for r in range(self.nprocs) if state[r] == CRASHED),
             fault_stats=self.fault_stats,
+            zero_copy=self.zero_copy,
+            zero_copy_reason=self.zero_copy_reason,
         )

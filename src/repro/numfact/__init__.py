@@ -36,6 +36,7 @@ from .robust import (
 )
 from .abft import (
     AbftLedger,
+    column_leaves,
     payload_checksums,
     recover_block_column,
     verify_payload,
@@ -73,6 +74,7 @@ __all__ = [
     "SilentCorruptionError",
     "matrix_maxnorm",
     "AbftLedger",
+    "column_leaves",
     "payload_checksums",
     "recover_block_column",
     "verify_payload",

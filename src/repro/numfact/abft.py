@@ -277,6 +277,20 @@ def _find_mismatch(payload, record, path):
     return None
 
 
+def column_leaves(payload, plan) -> dict:
+    """What is checksummed of a 1D ``("col", K)`` payload: the pivots and
+    one leaf **per block** of the panel (row slices, located by the plan
+    of whoever asks — sender and receiver share the pattern), so a flipped
+    element is blamed on its block ``(I, K)`` and not on the column."""
+    K, panel = payload["K"], payload["panel"]
+    bs = panel.shape[1]
+    blocks = {
+        I: panel[bs + lo : bs + hi] for I, lo, hi, _ in plan.below_diagonal(K)
+    }
+    return {"K": K, "pivots": payload["pivots"],
+            "panel": {K: panel[:bs], **blocks}}
+
+
 def _blame_block(path, column):
     """Best-effort block coordinates for a payload mismatch path."""
     if column is None:
@@ -284,7 +298,7 @@ def _blame_block(path, column):
     for i, part in enumerate(path):
         if part == "diag":
             return (column, column)
-        if part == "lblocks" and i + 1 < len(path):
+        if part in ("lblocks", "panel") and i + 1 < len(path):
             return (path[i + 1], column)
     # urow payloads map column index J -> scaled U_KJ block
     if path and isinstance(path[0], int):

@@ -60,6 +60,14 @@ class NumericPlan:
     The flat arena position of every entry of the *most recent* CSR pattern
     scattered through the plan is kept too, keyed by a digest of that
     pattern, so a same-pattern refactor is one fancy-index store.
+
+    What every ``Update(K, J)`` needs of column ``K`` alone — the row range
+    of each L block inside the panel (:meth:`below_diagonal`) — is tabulated
+    on first use and kept, so repeated runs on one pattern read it instead
+    of re-deriving it per update; a pattern that is factored once and
+    dropped never builds more than the columns it touches.  The panel's
+    shape and wire size (:meth:`lpanel_shape`, :meth:`column_nbytes`) are
+    O(1) from the offsets above.
     """
 
     def __init__(self, bstruct: BlockStructure):
@@ -100,6 +108,7 @@ class NumericPlan:
         self.col_srows = (
             np.add.reduceat(self.blk_srows, first) if N else self.blk_srows
         )
+        self._below = {}  # K -> below_diagonal(K), built on first use
         self._pattern = None  # digest of the CSR pattern _scatter is for
         self._scatter = None
 
@@ -123,15 +132,16 @@ class NumericPlan:
                   self.col_ptr, self.col_diag, self.col_off, self.lpanel_off,
                   self.col_srows)
         b = sum(a.nbytes for a in arrays) + 8 * len(self.keys)
+        # a built below_diagonal table: a tuple of one 4-tuple per L block
+        b += sum(64 + 80 * len(t) for t in self._below.values())
         if self._scatter is not None:
             b += self._scatter.nbytes + len(self._pattern)
         return b
 
     # -- views ---------------------------------------------------------------
 
-    def views(self, arena: np.ndarray, columns=None) -> dict:
-        """``(I, J) -> view`` of every block of the given block columns
-        (default: all) inside ``arena``."""
+    def views(self, arena: np.ndarray) -> dict:
+        """``(I, J) -> view`` of every block inside ``arena``."""
         if arena.shape != (self.size,) or arena.dtype != np.float64:
             raise ValueError(
                 f"arena must be float64 of shape ({self.size},); "
@@ -144,7 +154,7 @@ class NumericPlan:
         ptr = self.col_ptr.tolist()
         off = self.col_off.tolist()
         blocks = {}
-        for J in range(part.N) if columns is None else columns:
+        for J in range(part.N):
             panel = arena[off[J] : off[J + 1]].reshape(-1, part.size(J))
             for b in range(ptr[J], ptr[J + 1]):
                 blocks[keys[b]] = panel[lo[b] : hi[b]]
@@ -157,16 +167,32 @@ class NumericPlan:
             -1, self.part.size(K)
         )
 
-    def below_diagonal(self, K: int) -> list:
+    def lpanel_shape(self, K: int) -> tuple:
+        """``(rows, width)`` of ``lpanel(K)``."""
+        width = int(self.sizes[K])
+        return int(self.col_off[K + 1] - self.lpanel_off[K]) // width, width
+
+    def column_nbytes(self, K: int) -> int:
+        """Wire size of factored column ``K``: its L panel plus 16 bytes
+        per pivot pair."""
+        return int(8 * (self.col_off[K + 1] - self.lpanel_off[K])
+                   + 16 * self.sizes[K])
+
+    def below_diagonal(self, K: int) -> tuple:
         """``(I, first row, end row, structural rows)`` of each L block
         below the diagonal of column ``K`` in ascending ``I``, rows counted
-        inside ``lpanel(K)[size(K):]``."""
-        a, b = int(self.col_diag[K]) + 1, int(self.col_ptr[K + 1])
-        Is = self.blk_I[a:b]
-        lo = self.blk_row0[a:b] - (self.blk_row0[a - 1] + self.part.size(K))
-        return list(zip(Is.tolist(), lo.tolist(),
-                        (lo + self.sizes[Is]).tolist(),
-                        self.blk_srows[a:b].tolist()))
+        inside ``lpanel(K)[size(K):]``.  Built once per ``K`` — never per
+        ``(K, J)`` pair, so the plan stays O(blocks) — and immutable: every
+        ``Update(K, ·)`` of every run on this pattern reads the same tuple."""
+        below = self._below.get(K)
+        if below is None:
+            a, b = int(self.col_diag[K]) + 1, int(self.col_ptr[K + 1])
+            Is = self.blk_I[a:b]
+            lo = self.blk_row0[a:b] - (self.blk_row0[a - 1] + self.part.size(K))
+            below = self._below[K] = tuple(zip(
+                Is.tolist(), lo.tolist(), (lo + self.sizes[Is]).tolist(),
+                self.blk_srows[a:b].tolist()))
+        return below
 
     # -- CSR scatter ---------------------------------------------------------
 
@@ -231,19 +257,19 @@ class BlockLUMatrix:
     arena:
         The float64 storage to view; a zeroed one is allocated by default.
         Passing another matrix's arena shares its memory.
-    columns:
-        Block columns whose blocks ``blocks`` exposes (default: all) — a
-        1D rank's local storage is the columns it owns.
+
+    A matrix exposing only some block columns of an arena — a 1D rank's
+    local storage — comes from :meth:`column_subset`.
     """
 
     def __init__(self, part: BlockPartition, bstruct: BlockStructure,
-                 arena: np.ndarray = None, columns=None):
+                 arena: np.ndarray = None, _views: dict = None):
         self.part = part
         self.bstruct = bstruct
         self.plan = NumericPlan.of(bstruct)
         self.arena = np.zeros(self.plan.size) if arena is None else arena
         #: ``(I, J) -> ndarray`` view; missing keys are structural zeros
-        self.blocks = self.plan.views(self.arena, columns)
+        self.blocks = self.plan.views(self.arena) if _views is None else _views
         self.n = part.n
         self.pivot_seq = [None] * part.N  # per block column: list of (m, t)
         self.abft = None  # optional repro.numfact.abft.AbftLedger
@@ -259,6 +285,16 @@ class BlockLUMatrix:
         m = cls(part, bstruct)
         m.arena[positions] = A.data
         return m
+
+    def column_subset(self, columns) -> "BlockLUMatrix":
+        """A matrix over the same arena exposing only the given block
+        columns, with pivot sequences of its own — a 1D rank's local
+        storage.  The views are this matrix's, not sliced again."""
+        keys, ptr, mine = self.plan.keys, self.plan.col_ptr, self.blocks
+        views = {key: mine[key]
+                 for J in columns for key in keys[ptr[J] : ptr[J + 1]]}
+        return BlockLUMatrix(self.part, self.bstruct, arena=self.arena,
+                             _views=views)
 
     def lpanel(self, K: int) -> np.ndarray:
         """The stacked L panel of block column ``K`` (diagonal block

@@ -17,11 +17,14 @@
 ``Factor(K)`` eliminates in place on the contiguous L-panel view of the
 arena (:mod:`repro.numfact.blocks`): no pack, no scatter-back.  Updates
 consume a :class:`FactoredColumn` — the self-contained result of
-``Factor(K)`` (pivot sequence, diagonal block, L blocks, and the L blocks
-once more as one stacked panel).  On the owner it is a set of views into
-the arena; in the 1D parallel code its copy *is* the message the owner of
-column ``K`` multicasts, and the receiver rebuilds it with
-:meth:`FactoredColumn.from_message`.
+``Factor(K)``: the pivot sequence and **one panel**, the diagonal block
+with the L blocks stacked below it in ascending block row.  On the owner
+the panel is a view of the arena; in the 1D parallel code one copy of it
+*is* the message the owner of column ``K`` multicasts, and every receiver
+wraps that same buffer with :meth:`FactoredColumn.from_message`.  Where
+each L block lies inside the panel is not part of the column: it is read
+from the consumer's own :class:`repro.numfact.blocks.NumericPlan`
+(``below_diagonal(K)``), compiled once per pattern.
 
 Pivot bookkeeping is LINPACK-style: interchanges are applied to block
 columns ``>= K`` only (never retroactively to already-factored columns),
@@ -31,11 +34,15 @@ and the triangular solvers replay them in order.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockLUMatrix, SingularMatrixError, StructureViolation
+from .blocks import (
+    BlockLUMatrix,
+    NumericPlan,
+    SingularMatrixError,
+    StructureViolation,
+)
 from .counter import KernelCounter, DGEMM, DGEMV, BLAS1
 from .kernels import block_product, scratch_buffer, unit_lower_solve
 
@@ -67,34 +74,39 @@ def batched_updates(enabled: bool):
         _BATCHED_UPDATES = prev
 
 
-@dataclass
 class FactoredColumn:
     """Everything ``Update(*, J)`` needs from a factored block column K."""
 
-    K: int
-    pivots: list  # [(m_pos, t_pos), ...] global position pairs, in order
-    diag: np.ndarray  # the bs x bs diagonal block (unit-lower L + upper U)
-    lblocks: dict  # block row I (> K) -> dense L block
-    #: the L blocks stacked in ascending I as one C-contiguous array: a view
-    #: of the owner's arena, or None (the update then works block by block)
-    lpanel: np.ndarray = None
+    __slots__ = ("K", "pivots", "panel", "diag", "lpanel")
+
+    def __init__(self, K: int, pivots: list, panel: np.ndarray):
+        bs = panel.shape[1]
+        self.K = K
+        self.pivots = pivots  # [(m_pos, t_pos), ...] global position pairs
+        #: ``lpanel(K)``: one C-contiguous array, a view of the owner's
+        #: arena or the buffer a ``("col", K)`` message carried
+        self.panel = panel
+        self.diag = panel[:bs]  # the diagonal block (unit-lower L + upper U)
+        self.lpanel = panel[bs:]  # the L blocks, stacked in ascending I
 
     @classmethod
-    def from_message(cls, payload: dict) -> "FactoredColumn":
-        """The column a ``("col", K)`` message carries.  A width-1 column's
-        blocks are stacked once here, so every ``Update(K, J)`` consuming it
-        takes the same stacked multiply as on the owner."""
-        diag, lblocks = payload["diag"], payload["lblocks"]
-        lpanel = None
-        if diag.shape[0] == 1 and lblocks:
-            lpanel = np.concatenate([lblocks[I] for I in sorted(lblocks)])
-        return cls(payload["K"], payload["pivots"], diag, lblocks, lpanel)
-
-    def nbytes(self) -> int:
-        b = self.diag.nbytes + 16 * len(self.pivots)
-        for blk in self.lblocks.values():
-            b += blk.nbytes
-        return b
+    def from_message(cls, payload: dict, plan: NumericPlan) -> "FactoredColumn":
+        """The column a ``("col", K)`` message carries, as views of the
+        received panel.  The panel must be exactly the ``lpanel(K)`` of the
+        receiver's own ``plan`` — anything else is a
+        :class:`StructureViolation`, never a mis-sliced update."""
+        K, panel = payload["K"], payload["panel"]
+        if not (isinstance(K, int) and 0 <= K < plan.part.N):
+            raise StructureViolation(f"column message for block column {K!r}")
+        shape = plan.lpanel_shape(K)
+        if not (isinstance(panel, np.ndarray) and panel.dtype == np.float64
+                and panel.shape == shape):
+            raise StructureViolation(
+                f"column message {K}: panel is {getattr(panel, 'dtype', None)} "
+                f"{getattr(panel, 'shape', None)}, this pattern's L panel "
+                f"is float64 {shape}"
+            )
+        return cls(K, payload["pivots"], panel)
 
 
 def _panel_position(part, K: int, below, t: int) -> int:
@@ -224,14 +236,7 @@ def factored_column_of(m: BlockLUMatrix, K: int) -> FactoredColumn:
     """Re-wrap an already factored local column (views, no copies)."""
     if m.pivot_seq[K] is None:
         raise RuntimeError(f"Factor({K}) has not run yet")
-    blocks = m.blocks
-    return FactoredColumn(
-        K=K,
-        pivots=m.pivot_seq[K],
-        diag=blocks[(K, K)],
-        lblocks={I: blocks[(I, K)] for I in m.bstruct.l_block_rows(K) if I > K},
-        lpanel=m.lpanel(K)[m.part.size(K):],
-    )
+    return FactoredColumn(K, m.pivot_seq[K], m.lpanel(K))
 
 
 def apply_pivots_to_column(m: BlockLUMatrix, pivots, J: int) -> None:
@@ -275,8 +280,9 @@ def update_block_columns(
     ``KernelCounter.add`` calls (every charge is an integer-valued float
     far below 2**53, so the per-key sums, the first-touch key order and
     hence the virtual times equal those of per-block charges) and, when the
-    column is one wide and its L panel contiguous, the products come from
-    one stacked multiply (:func:`repro.numfact.kernels.block_product`).
+    column is one wide, the products come from one stacked multiply
+    (:func:`repro.numfact.kernels.block_product`); a wider column's
+    per-block GEMMs read their L block as a row slice of the same panel.
     Both paths produce bit-identical factors and equal counter tallies.
     """
     K = fc.K
@@ -286,14 +292,14 @@ def update_block_columns(
     abft = m.abft
     udense_cols = m.bstruct.udense_cols
     diag = fc.diag
-    lblocks = fc.lblocks
+    lpanel = fc.lpanel
     lk = diag.shape[0]
     swaps = ()
     if apply_pivots:
         swaps = [m.locate_rows(r1, r2) for r1, r2 in fc.pivots if r1 != r2]
     below = m.plan.below_diagonal(K)
     lrows = below[-1][2] if below else 0
-    stacked = batched and lk == 1 and fc.lpanel is not None
+    stacked = batched and lk == 1
     cadd = counter.add if counter is not None else None
     subtract = np.subtract
 
@@ -320,7 +326,7 @@ def update_block_columns(
 
         prod = scratch_buffer("update-prod", lrows, ukj.shape[1])
         if stacked:
-            block_product(fc.lpanel, ukj, prod)
+            block_product(lpanel, ukj, prod)
         wide = ncols >= 2
         gran = lk if lk < ncols else ncols
         gemm_rows = gemv_rows = 0
@@ -328,7 +334,7 @@ def update_block_columns(
         for I, lo, hi, nrows in below:
             p = prod[lo:hi]
             if not stacked:
-                block_product(lblocks[I], ukj, p)
+                block_product(lpanel[lo:hi], ukj, p)
             target = blocks.get((I, J))
             if target is None:
                 # per George-Ng this contribution must vanish; verify cheaply
@@ -338,7 +344,7 @@ def update_block_columns(
                     )
                 continue
             if abft is not None:
-                abft.carry_gemm(I, J, lblocks[I], ukj, K=K)
+                abft.carry_gemm(I, J, lpanel[lo:hi], ukj, K=K)
             subtract(target, p, out=target)
             if cadd is None:
                 continue

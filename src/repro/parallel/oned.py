@@ -20,13 +20,16 @@ from dataclasses import dataclass
 
 from ..machine import Simulator, MachineSpec
 from ..numfact import (
+    AbftLedger,
     BlockLUMatrix,
+    FactoredColumn,
+    column_leaves,
     factor_block_column,
     factored_column_of,
-    update_block_column,
+    payload_checksums,
+    update_block_columns,
+    verify_payload,
 )
-from ..numfact.abft import AbftLedger, payload_checksums, verify_payload
-from ..numfact.tasks import FactoredColumn
 from ..scheduling import Schedule, graph_schedule, compute_ahead_schedule
 from ..supernodes import BlockPartition, BlockStructure
 from ..taskgraph import TaskGraph, build_task_graph, FACTOR, UPDATE
@@ -52,7 +55,7 @@ def _distribute_1d(
     full: BlockLUMatrix = None,
 ):
     """Build per-rank BlockLUMatrix holding only owned block columns;
-    returns ``(full, locals)``.
+    returns ``(full, locals)``.  ``owner`` is a list of ranks.
 
     ``full`` lets checkpoint/restart redistribute an existing (partially
     factored) matrix instead of the original ``A``.
@@ -61,121 +64,147 @@ def _distribute_1d(
         full = BlockLUMatrix.from_csr(A, part, bstruct)
     owned = [[] for _ in range(nprocs)]
     for J in range(part.N):
-        owned[int(owner[J])].append(J)
+        owned[owner[J]].append(J)
     # every rank's storage is its own columns of the one shared arena
-    locals_ = [
-        BlockLUMatrix(part, bstruct, arena=full.arena, columns=cols)
-        for cols in owned
-    ]
+    locals_ = [full.column_subset(cols) for cols in owned]
     for K, seq in enumerate(full.pivot_seq):
         if seq is not None:
-            locals_[int(owner[K])].pivot_seq[K] = seq
+            locals_[owner[K]].pivot_seq[K] = seq
     return full, locals_
 
 
-def _consumers(tg: TaskGraph, schedule: Schedule, k: int) -> list:
-    """Processors owning a column updated by column k (excluding owner(k))."""
-    me = int(schedule.owner[k])
-    out = sorted(
-        {
-            int(schedule.owner[t[2]])
-            for t in tg.succ.get((FACTOR, k), ())
-            if t[0] == UPDATE
+def _consumers(tg: TaskGraph, owner: list) -> list:
+    """Per column k: the processors owning a column updated by column k
+    (excluding owner(k)), ascending."""
+    out = []
+    for k in range(tg.N):
+        ranks = {
+            owner[t[2]] for t in tg.succ.get((FACTOR, k), ()) if t[0] == UPDATE
         }
-        - {me}
-    )
+        ranks.discard(owner[k])
+        out.append(sorted(ranks))
     return out
+
+
+def _mapping(tg: TaskGraph, method: str, nprocs: int, spec: MachineSpec):
+    """``(schedule, owner as a list, consumer lists or None)`` — pure
+    functions of their arguments, memoised on the graph so restart rounds
+    and repeated runs of one pattern don't re-derive them.  RAPID multicasts
+    a column to its consumers only; CA broadcasts (no consumer lists)."""
+    cache = getattr(tg, "_sched_cache", None)
+    if cache is None:
+        cache = tg._sched_cache = {}
+    key = (method, nprocs, spec)
+    entry = cache.get(key)
+    if entry is None:
+        if method == "rapid":
+            schedule = graph_schedule(tg, nprocs, spec)
+        elif method == "ca":
+            schedule = compute_ahead_schedule(tg, nprocs, spec)
+        else:
+            raise ValueError(f"unknown 1D method {method!r}")
+        owner = [int(p) for p in schedule.owner]
+        consumers = _consumers(tg, owner) if method == "rapid" else None
+        entry = cache[key] = (schedule, owner, consumers)
+    return entry
+
+
+def _receive_column(payload, plan, abft, metrics) -> FactoredColumn:
+    """Wrap (and with ABFT verify, block by block) a received column."""
+    fc = FactoredColumn.from_message(payload, plan)
+    if abft:  # against the per-block leaves the sender checksummed
+        verify_payload(
+            {**column_leaves(payload, plan), "abft": payload.get("abft")},
+            where=f"payload:col({fc.K})", column=fc.K, metrics=metrics)
+    return fc
 
 
 def _rank_program(env, ctx):
     """Generic 1D SPMD rank: execute my scheduled task list in order."""
     schedule: Schedule = ctx["schedule"]
-    tg: TaskGraph = ctx["tg"]
+    owner: list = ctx["owner"]
+    consumers = ctx["consumers"]  # None: broadcast to everyone (CA)
     m: BlockLUMatrix = ctx["locals"][env.rank]
-    broadcast = ctx["broadcast"]
+    pivot_threshold = ctx["pivot_threshold"]
+    monitor = ctx["monitor"]
+    abft = ctx["abft"]
+    rank = env.rank
+    counter = env.counter
+    plan = m.plan
+    column_nbytes = plan.column_nbytes
     # checkpoint/restart runs a window of elimination stages [k0, k1) per
     # round; a task's stage is its source column k (task[1])
-    k0, k1 = ctx.get("stage_range", (0, len(schedule.owner)))
+    k0, k1 = ctx["stage_range"]
     received = {}
     seen = set()  # every column ever received (incl. later-freed buffers)
     local_fc = {}  # my own factored columns, re-wrapped once per k
     buffer_bytes = 0
     high_water = 0
 
-    my_tasks = [t for t in schedule.proc_tasks[env.rank] if k0 <= t[1] < k1]
+    my_tasks = [t for t in schedule.proc_tasks[rank] if k0 <= t[1] < k1]
     # index of the last Update consuming each remote column k, so the
     # receive buffer frees exactly when its final local consumer ran
     last_use = {}
     for idx, t in enumerate(my_tasks):
         if t[0] == UPDATE:
             last_use[t[1]] = idx
+    others = [p for p in range(env.nprocs) if p != rank]
     for idx, task in enumerate(my_tasks):
         t0 = env.clock
         if task[0] == FACTOR:
             k = task[1]
             win = env.begin_counted()
             fc = factor_block_column(
-                m, k, counter=env.counter,
-                pivot_threshold=ctx["pivot_threshold"],
-                monitor=ctx.get("monitor"),
+                m, k, counter=counter,
+                pivot_threshold=pivot_threshold, monitor=monitor,
             )
             env.end_counted(win)
             env.span(f"F{k}", t0)
-            # pack a fresh send buffer: fc holds views into the local
-            # storage ``m``, which later Factor/Update tasks keep mutating
-            # while the posted payload is still in flight (Z201)
-            payload = {
-                "K": int(k),
-                "pivots": list(fc.pivots),
-                "diag": fc.diag.copy(),
-                "lblocks": {I: b.copy() for I, b in fc.lblocks.items()},
-            }
-            if ctx.get("abft"):
-                payload["abft"] = payload_checksums(payload)
-            if broadcast:
-                dests = [p for p in range(env.nprocs) if p != env.rank]
-            else:
-                dests = _consumers(tg, schedule, k)
-            env.multicast(dests, ("col", k), payload, nbytes=fc.nbytes())
+            # the message is one fresh copy of the column's L panel: fc
+            # holds views into the local storage ``m``, which later
+            # Factor/Update tasks keep mutating while the posted payload is
+            # still in flight (Z201).  Every consumer reads that one buffer
+            # in place, so it is frozen before it is posted.
+            panel = fc.panel.copy()
+            panel.setflags(write=False)
+            payload = {"K": int(k), "pivots": list(fc.pivots), "panel": panel}
+            if abft:
+                payload["abft"] = payload_checksums(column_leaves(payload, plan))
+            env.multicast(others if consumers is None else consumers[k],
+                          ("col", k), payload, nbytes=column_nbytes(k))
         else:
             _, k, j = task
-            if int(schedule.owner[k]) == env.rank:
+            remote = owner[k] != rank
+            if not remote:
                 fc = local_fc.get(k)
                 if fc is None:
                     fc = local_fc[k] = factored_column_of(m, k)
-            elif k in received:
-                fc = received[k]
             else:
-                payload = yield env.recv(("col", k))
-                if ctx.get("abft"):
-                    verify_payload(payload, where=f"payload:col({k})",
-                                   column=k, metrics=env.metrics)
-                fc = FactoredColumn.from_message(payload)
-                received[k] = fc
-                seen.add(k)
-                buffer_bytes += fc.nbytes()
-                high_water = max(high_water, buffer_bytes)
+                fc = received.get(k)
+                if fc is None:
+                    payload = yield env.recv(("col", k))
+                    fc = received[k] = _receive_column(
+                        payload, plan, abft, env.metrics)
+                    seen.add(k)
+                    buffer_bytes += column_nbytes(k)
+                    if buffer_bytes > high_water:
+                        high_water = buffer_bytes
             win = env.begin_counted()
-            update_block_column(m, fc, j, counter=env.counter)
+            update_block_columns(m, fc, (j,), counter=counter)
             env.end_counted(win)
             env.span(f"U{k},{j}", t0)
             # free the buffer once the last local consumer ran
-            if (
-                int(schedule.owner[k]) != env.rank
-                and idx == last_use[k]
-                and k in received
-            ):
-                buffer_bytes -= received.pop(k).nbytes()
-    if broadcast:
+            if remote and idx == last_use[k]:
+                del received[k]
+                buffer_bytes -= column_nbytes(k)
+    if consumers is None:
         # CA broadcasts *every* factored column to every processor; drain
         # the ones this rank never consumed (the Cbuffer free of the real
         # code) so no message is left undelivered at exit
         for k in range(k0, k1):
-            if int(schedule.owner[k]) != env.rank and k not in seen:
+            if owner[k] != rank and k not in seen:
                 payload = yield env.recv(("col", k))
-                if ctx.get("abft"):
-                    verify_payload(payload, where=f"payload:col({k})",
-                                   column=k, metrics=env.metrics)
+                _receive_column(payload, plan, abft, env.metrics)
     return {"pivot_seq": m.pivot_seq, "high_water": high_water}
 
 
@@ -223,43 +252,23 @@ def run_1d(
         tg = getattr(bstruct, "_tg_cache", None)
         if tg is None:
             tg = bstruct._tg_cache = build_task_graph(bstruct)
-    if method == "rapid":
-        broadcast = False
-    elif method == "ca":
-        broadcast = True
-    else:
-        raise ValueError(f"unknown 1D method {method!r}")
-    # schedules are pure functions of (tg, method, nprocs, spec): memoise on
-    # the graph so restart rounds and repeated runs don't re-derive them
-    cache = getattr(tg, "_sched_cache", None)
-    if cache is None:
-        cache = tg._sched_cache = {}
-    skey = (method, nprocs, spec)
-    schedule = cache.get(skey)
-    if schedule is None:
-        schedule = (
-            graph_schedule(tg, nprocs, spec)
-            if method == "rapid"
-            else compute_ahead_schedule(tg, nprocs, spec)
-        )
-        cache[skey] = schedule
+    schedule, owner, consumers = _mapping(tg, method, nprocs, spec)
 
     merged, locals_ = _distribute_1d(
-        A, part, bstruct, schedule.owner, nprocs, full=start_from)
+        A, part, bstruct, owner, nprocs, full=start_from)
     if abft:
         for m in locals_:
             AbftLedger.attach(m)
     ctx = {
         "schedule": schedule,
-        "tg": tg,
+        "owner": owner,
+        "consumers": consumers,
         "locals": locals_,
-        "broadcast": broadcast,
         "pivot_threshold": pivot_threshold,
         "monitor": monitor,
         "abft": abft,
+        "stage_range": (0, part.N) if stage_range is None else stage_range,
     }
-    if stage_range is not None:
-        ctx["stage_range"] = stage_range
     opts = dict(sim_opts or {})
     # zero-copy delivery by default: this module is Z-rule certified
     # (repro lint --certify); the simulator falls back to copying if the

@@ -26,6 +26,7 @@ operations in the same order per matrix element — which the tests assert.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -327,7 +328,7 @@ def _rank_program_2d(env, ctx):
                                column=K, metrics=env.metrics)
             lcol_cache[K] = info
         pivots = info["pivots"]
-        cols_after = [J for J in my_cols if J > K]
+        cols_after = my_cols[bisect_right(my_cols, K):]
         # delayed row interchanges within my processor column
         for step, (gm, t) in enumerate(pivots):
             if gm == t:
@@ -385,16 +386,16 @@ def _rank_program_2d(env, ctx):
     # ---- Update_2D(K, J): local GEMM sweep (Fig. 15) ---------------------
     udense_cols = bstruct.udense_cols
 
-    def update_stage(K, urow, js):
-        """Run ``Update_2D(K, J)`` for each candidate ``J`` in ``js``
-        (skipping columns absent from the scaled U row), hoisting the
-        per-stage lookups shared by the whole sweep out of the per-(K, J)
-        work.  Per-(K, J) spans, counters and clock charges are unchanged."""
+    def update_stage(K, urow, lo, hi=N):
+        """Run ``Update_2D(K, J)`` for every block column ``lo < J <= hi``
+        of the scaled U row — its own keys, ascending as the scaling rank
+        inserted them, so structurally absent columns cost nothing —
+        hoisting the per-stage lookups shared by the whole sweep out of the
+        per-(K, J) work.  Per-(K, J) spans, counters and clock charges are
+        unchanged."""
         items = None
-        urow_get = urow.get
-        for J in js:
-            ukj = urow_get(J)
-            if ukj is None:
+        for J, ukj in urow.items():
+            if J == "abft" or not lo < J <= hi:
                 continue
             if items is None:
                 sweep = lcol_sweep.get(K)
@@ -464,14 +465,12 @@ def _rank_program_2d(env, ctx):
     # checkpoint/restart runs a window of elimination stages [k_lo, k_hi)
     # per round; the full run is the single window [0, N)
     k_lo, k_hi = ctx.get("stage_range", (0, N))
-    # a J absent from the scaled U row is a no-op Update (its first check
-    # returns immediately) — skip the call entirely
     if synchronous:
         for k in range(k_lo, k_hi):
             if c == k % pc:
                 yield from factor(k)
             yield from scaleswap(k)
-            update_stage(k, urow_cache[k], [j for j in my_cols if j > k])
+            update_stage(k, urow_cache[k], k)
             yield env.barrier()
     else:
         if c == k_lo % pc:
@@ -480,9 +479,9 @@ def _rank_program_2d(env, ctx):
             yield from scaleswap(k)
             urow = urow_cache[k]
             if (k + 1) % pc == c:
-                update_stage(k, urow, (k + 1,))
+                update_stage(k, urow, k, k + 1)
                 yield from factor(k + 1)
-            update_stage(k, urow, [j for j in my_cols if j > k + 1])
+            update_stage(k, urow, k + 1)
         if k_hi < N:
             # window boundary: finish stage k_hi-1 completely (its Factor
             # already ran; ScaleSwap + every trailing update) so the merged
@@ -490,7 +489,7 @@ def _rank_program_2d(env, ctx):
             # the next round.
             k = k_hi - 1
             yield from scaleswap(k)
-            update_stage(k, urow_cache[k], [j for j in my_cols if j > k])
+            update_stage(k, urow_cache[k], k)
         # ScaleSwap(N-1) never runs in the pipelined loop, but Factor(N-1)
         # still multicast its L panel along the processor rows; drain it so
         # no message is left undelivered at exit (the Cbuffer free)

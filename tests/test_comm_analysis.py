@@ -65,8 +65,8 @@ class TestPredictedVolume:
         sched = graph_schedule(tg, 4, T3E)
         predicted = predicted_1d_volume(tg, sched)
         res = run_1d(om.A, part, bstruct, 4, T3E, method="rapid", tg=tg)
-        # the executor sizes messages with FactoredColumn.nbytes(), which
-        # counts the same panels plus small pivot metadata
+        # the executor sizes messages with NumericPlan.column_nbytes(K),
+        # which counts the same panels plus small pivot metadata
         assert res.sim.bytes_sent == pytest.approx(predicted, rel=0.25)
 
     def test_single_proc_zero(self, pipeline):

@@ -203,3 +203,97 @@ class TestStats:
         res = run(2, prog)
         assert len(res.spans) == 2
         assert all(s.label == "work" for s in res.spans)
+
+
+# ---------------------------------------------------------------------------
+# a declined zero-copy request is never silent
+# ---------------------------------------------------------------------------
+
+
+def _one_message(env):
+    if env.rank == 0:
+        env.send(1, "m", np.ones(3))
+        return None
+    return (yield env.recv("m"))
+
+
+def _cert_for(module, clean=True, sha256="0" * 64):
+    from repro.lint.certify import ZeroCopyCertificate
+
+    return ZeroCopyCertificate({module: {
+        "path": "x", "sha256": sha256, "clean": clean, "findings": [],
+    }})
+
+
+class TestZeroCopyFallback:
+    @pytest.fixture(autouse=True)
+    def _forget_warnings(self, monkeypatch):
+        from repro.machine import simulator
+
+        monkeypatch.setattr(simulator, "_ZC_WARNED", set())
+
+    def test_wrong_hash_warns_once_and_counts_every_run(self):
+        from repro.obs import Tracer
+        from repro.parallel.oned import _rank_program
+
+        cert = _cert_for("repro.parallel.oned")  # clean, but another source
+        tracer = Tracer()
+
+        def run_once():
+            sim = Simulator(2, T3E, _rank_program, args=(None,),
+                            zero_copy=cert, tracer=tracer)
+            with pytest.raises(TypeError):  # ctx=None: dies after finalising
+                sim.run()
+            return sim
+
+        with pytest.warns(RuntimeWarning, match="stale sha256") as caught:
+            first = run_once()
+            second = run_once()
+        assert len([w for w in caught if w.category is RuntimeWarning]) == 1
+        for sim in (first, second):
+            assert sim.zero_copy is False
+            assert sim.zero_copy_reason == "stale sha256: repro.parallel.oned"
+        assert tracer.metrics.counter("sim.zero_copy.fallback").value == 2
+
+    @pytest.mark.parametrize("cert,reason", [
+        (_cert_for("somewhere.else"), "uncertified"),
+        (_cert_for(__name__, clean=False), "dirty"),
+        ("/nonexistent/cert.json", "uncertified"),
+    ], ids=["uncertified", "dirty", "unreadable"])
+    def test_reason_reaches_the_result(self, cert, reason):
+        with pytest.warns(RuntimeWarning, match=reason):
+            res = Simulator(2, T3E, _one_message, zero_copy=cert).run()
+        assert res.zero_copy is False
+        assert res.zero_copy_reason == f"{reason}: {__name__}"
+        assert res.returns[1].tobytes() == np.ones(3).tobytes()
+
+    def test_sanitize_and_unrequested_runs_do_not_warn(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            plain = Simulator(2, T3E, _one_message).run()
+            checked = Simulator(2, T3E, _one_message, zero_copy=True,
+                                sanitize=True).run()
+            trusted = Simulator(2, T3E, _one_message,
+                                zero_copy="unchecked").run()
+        assert (plain.zero_copy, plain.zero_copy_reason) == (False, None)
+        assert (checked.zero_copy, checked.zero_copy_reason) == (False, "sanitize")
+        assert (trusted.zero_copy, trusted.zero_copy_reason) == (True, None)
+
+    @pytest.mark.parametrize("method", ["1d-rapid", "1d-ca", "2d", "2d-sync"])
+    def test_every_parallel_method_runs_zero_copy(self, contexts, method):
+        # the committed certificate covers the rank programs at HEAD: a
+        # stale one would put every simulated run back on deep copies
+        import warnings
+
+        from repro.api import SStarSolver
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            solver = SStarSolver(nprocs=4, machine="T3E", method=method)
+            solver.factor(contexts("sherman5")["A"])
+        assert solver.sim_result.zero_copy is True
+        assert solver.sim_result.zero_copy_reason is None
+        assert solver.report.zero_copy is True
+        assert SStarSolver().factor(contexts("sherman5")["A"]).report.zero_copy is None
