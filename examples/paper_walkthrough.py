@@ -11,12 +11,11 @@ Run:  python examples/paper_walkthrough.py
 
 import numpy as np
 
-from repro.analysis import render_timeline
 from repro.machine import T3E
 from repro.matrices import random_nonsymmetric
 from repro.ordering import prepare_matrix
 from repro.parallel import run_2d
-from repro.scheduling import demo_unit_weight_charts
+from repro.scheduling import demo_unit_weight_charts, gantt_from_trace
 from repro.supernodes import build_block_structure, build_partition
 from repro.symbolic import static_symbolic_factorization
 from repro.taskgraph import build_task_graph, FACTOR
@@ -72,7 +71,7 @@ def main():
     print(f"  modeled time {res.parallel_seconds*1e6:.1f} us, "
           f"{res.sim.messages} messages, overlap degree {res.overlap_degree()}"
           f" (Theorem 2 bound: p_c = {res.grid.pc})")
-    print(render_timeline(res.sim.spans, 4, width=56))
+    print(gantt_from_trace(res.sim.spans).render(width=56))
 
     # and of course it still solves the system
     b = np.ones(n)

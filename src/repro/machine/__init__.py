@@ -34,7 +34,6 @@ from .simulator import (
     RankCrashedError,
     Timeout,
     TIMEOUT,
-    TaskSpan,
 )
 
 __all__ = [
@@ -59,5 +58,4 @@ __all__ = [
     "RankCrashedError",
     "Timeout",
     "TIMEOUT",
-    "TaskSpan",
 ]

@@ -158,16 +158,6 @@ class DeadlockError(RuntimeError):
 
 
 @dataclass
-class TaskSpan:
-    """A labeled interval of work on one rank (for Gantt/overlap analysis)."""
-
-    rank: int
-    label: str
-    start: float
-    end: float
-
-
-@dataclass
 class MessageRecord:
     """One transmission attempt in a :class:`SimTrace` (send-ordered).
 
@@ -392,31 +382,11 @@ class Env:
             tr.span(self.rank, kernel, _obs.COMPUTE, t0, self.clock,
                     {"nflops": float(nflops)})
 
-    def compute_counted(self, counter_before: dict) -> None:
-        """Charge the *difference* between the rank counter and a snapshot —
-        convenient when numeric kernels already did their own accounting."""
-        tr = self._sim.tracer
-        for key, v in self.counter.by_gran.items():
-            prev = counter_before.get(key, 0.0)
-            if v > prev:
-                kernel, gran = key
-                dt = self._sim.spec.compute_seconds(kernel, v - prev, gran)
-                t0 = self.clock
-                self.clock += dt
-                self.busy += dt
-                if tr is not None:
-                    tr.span(self.rank, kernel, _obs.COMPUTE, t0, self.clock,
-                            {"nflops": float(v - prev)})
-
-    def snapshot(self) -> dict:
-        return dict(self.counter.by_gran)
-
     def begin_counted(self):
         """Open a counted-compute window: kernels account into the rank
         counter as usual, and :meth:`end_counted` prices exactly the keys
-        touched since — O(touched) instead of the full-tally scan of
-        ``snapshot``/``compute_counted``, with bit-identical clock math
-        (deltas are replayed in ``by_gran`` insertion order)."""
+        touched since, replaying the deltas in ``by_gran`` insertion
+        order."""
         c = self.counter
         outer = c._touched
         t = c._touched = {}
@@ -462,9 +432,15 @@ class Env:
         duplicated, delayed or corrupted; with :class:`ReliableDelivery`
         enabled a failed attempt is retried (ack/timeout/exponential
         backoff) up to ``max_attempts`` times, after which a typed
-        :class:`DeliveryError` is raised.
+        :class:`DeliveryError` is raised.  A ``dest`` that is not a rank
+        is a :class:`ValueError` here, at the send.
         """
         sim = self._sim
+        if not 0 <= dest < sim.nprocs:
+            raise ValueError(
+                f"rank {self.rank} sends tag {tag!r} to rank {dest}: "
+                f"not a rank of this {sim.nprocs}-rank run"
+            )
         if sim._fast_send and dest != self.rank:
             # hot path: no faults, no reliable transport, no tracer, no
             # sanitize guard — same arithmetic as the general path below
@@ -594,10 +570,11 @@ class Env:
                 return
 
             # failed attempt: record it (dropped, never deposited)
-            rec = sim._record_dropped(
-                dest, tag, arrival, self.rank,
+            rec = sim._deposit(
+                dest, tag, arrival, self.rank, None,
                 nbytes=nbytes, send_clock=t_send,
                 logical=logical, attempt=attempt, corrupted=corrupted,
+                dropped=True,
             )
             if rec is not None and logical is None:
                 logical = rec.seq
@@ -658,9 +635,10 @@ class Env:
     def span(self, label: str, start: float, end: float = None) -> None:
         """Record a labeled task interval ending at the current clock."""
         end = self.clock if end is None else end
-        self.spans.append(TaskSpan(self.rank, label, start, end))
+        self.spans.append(_obs.Span(self.rank, label, _obs.TASK, start, end))
         tr = self._sim.tracer
         if tr is not None:
+            # its own record: an OffsetTracer (restart rounds) shifts it
             tr.span(self.rank, label, _obs.TASK, start, end)
 
 
@@ -672,7 +650,7 @@ class SimResult:
     rank_clocks: list
     rank_busy: list
     counters: list  # per-rank KernelCounter
-    spans: list  # all TaskSpans
+    spans: list  # every rank's task spans (repro.obs.Span, cat TASK)
     messages: int
     bytes_sent: int
     returns: list  # per-rank program return values
@@ -719,7 +697,6 @@ class Simulator:
         sanitize: bool = False,
         tracer=None,
         zero_copy=False,
-        scheduler: str = "event",
     ):
         """``program(env, *args)`` must return a generator (it may also be a
         plain function for compute-only ranks).
@@ -759,30 +736,19 @@ class Simulator:
         ``repro lint --certify`` and only engages when ``program``'s module
         is certified clean (and its source unchanged since certification).
         Pass a path / :class:`repro.lint.certify.ZeroCopyCertificate` to use
-        a different certificate, or the string ``"unchecked"`` to trust the
-        caller (tests/benchmarks only).  ``sanitize=True`` always restores
-        copying so the dynamic write-after-send checker keeps its
-        pre-mutation reference bytes — CI cross-checks zero-copy runs
-        bit-for-bit this way.  A request the certificate declines is not
-        silent: the run copies, and says so — ``SimResult.zero_copy`` /
+        a different certificate; one that cannot be read certifies nothing.
+        ``sanitize=True`` always restores copying so the dynamic
+        write-after-send checker keeps its pre-mutation reference bytes —
+        CI cross-checks zero-copy runs bit-for-bit this way.  A request the
+        certificate declines is not silent: the run copies, and says so —
+        ``SimResult.zero_copy`` /
         ``zero_copy_reason``, one :class:`RuntimeWarning` per (module,
         reason) per process, and a ``sim.zero_copy.fallback`` count in the
         tracer's metrics.
-
-        ``scheduler`` selects the host event loop: ``"event"`` (default)
-        wakes a blocked rank only when a message lands in the mailbox it
-        awaits, ``"poll"`` is the legacy round-robin scan.  Both produce
-        identical virtual times, span traces and results (the wake set is
-        drained in host order, which reproduces the poll loop's service
-        order exactly); ``"poll"`` is kept for A/B timing and the
-        equivalence tests.
         """
         self.nprocs = nprocs
         self.spec = spec
         self.sanitize = bool(sanitize)
-        if scheduler not in ("event", "poll"):
-            raise ValueError(f"scheduler must be 'event' or 'poll', got {scheduler!r}")
-        self.scheduler = scheduler
         self.tracer = tracer
         if tracer is not None:
             # pre-resolved hot-path counters (one inc per send attempt)
@@ -820,7 +786,7 @@ class Simulator:
         self._zc_requested = bool(zero_copy)
         self._zc_module = getattr(program, "__module__", None)
         self._zc_declined = None  # why the certificate said no, if it did
-        if zero_copy and zero_copy != "unchecked":
+        if zero_copy:
             from ..lint.certify import certificate_decline_reason
 
             self._zc_declined = certificate_decline_reason(
@@ -831,8 +797,8 @@ class Simulator:
         self.zero_copy = False  # effective flag, finalised at run()
         self.zero_copy_reason = None  # why a requested zero-copy is off
         self._fast_send = False  # finalised at run()
-        # event-scheduler wake set + run-state views (populated by run();
-        # _deposit consults them to wake a rank blocked on the landed tag)
+        # wake set + run-state views (populated by run(); _deposit consults
+        # them to wake a rank blocked on the landed tag)
         self._wake = None
         self._state = None
         self._waiting_tag = None
@@ -859,7 +825,9 @@ class Simulator:
 
     def _deposit(self, dest, tag, arrival, src, payload, nbytes=0, send_clock=0.0,
                  logical=None, attempt=0, duplicate=False, corrupted=False,
-                 guard=None):
+                 guard=None, dropped=False):
+        """Number and trace one transmission attempt and, unless the
+        network ``dropped`` it, park the payload in ``dest``'s mailbox."""
         self._seq += 1
         record = None
         if self.trace is not None:
@@ -868,8 +836,11 @@ class Simulator:
                 send_clock=send_clock, arrival=arrival, nbytes=nbytes,
                 logical=self._seq if logical is None else logical,
                 attempt=attempt, duplicate=duplicate, corrupted=corrupted,
+                dropped=dropped,
             )
             self.trace.records.append(record)
+        if dropped:
+            return record
         key = (dest, tag)
         entry = (arrival, self._seq, payload, src, record, guard,
                  send_clock, nbytes)
@@ -882,45 +853,18 @@ class Simulator:
         else:
             heapq.heappush(box, entry)
         if (
+            # run() has started (plain-function ranks send at construction)
             self._wake is not None
             and self._state[dest] == _RECV
             and self._waiting_tag[dest] == tag
         ):
-            # event scheduler: the landed message is exactly what the
-            # destination's recv awaits — wake it
+            # the landed message is exactly what the destination's recv
+            # awaits — wake it
             self._wake.add(dest)
-        return record
-
-    def _record_dropped(self, dest, tag, arrival, src, nbytes=0, send_clock=0.0,
-                        logical=None, attempt=0, corrupted=False):
-        """Trace a transmission attempt that the network lost."""
-        self._seq += 1
-        record = None
-        if self.trace is not None:
-            record = MessageRecord(
-                seq=self._seq, src=src, dest=dest, tag=tag,
-                send_clock=send_clock, arrival=arrival, nbytes=nbytes,
-                logical=self._seq if logical is None else logical,
-                attempt=attempt, dropped=True, corrupted=corrupted,
-            )
-            self.trace.records.append(record)
         return record
 
     def _note_lost(self, dest, tag, src):
         self._lost.setdefault((dest, repr(tag)), []).append(src)
-
-    def _try_fetch(self, dest, tag):
-        box = self._mailboxes.get((dest, tag))
-        if box:
-            if len(box) == 1:
-                (arrival, _, payload, src, record, guard,
-                 send_clock, nbytes) = box[0]
-                del self._mailboxes[(dest, tag)]
-            else:
-                (arrival, _, payload, src, record, guard,
-                 send_clock, nbytes) = heapq.heappop(box)
-            return arrival, payload, record, guard, src, send_clock, nbytes
-        return None
 
     def _pending_by_rank(self) -> dict:
         """Undelivered mailbox contents, grouped per destination rank."""
@@ -937,7 +881,7 @@ class Simulator:
         label = None
         for s in self.envs[src].spans:
             if s.start <= send_clock <= s.end:
-                label = s.label  # keep the last (innermost) match
+                label = s.name  # keep the last (innermost) match
         return label
 
     def _check_guard(self, guard, record=None, when="it was consumed"):
@@ -1053,8 +997,7 @@ class Simulator:
             and self.tracer is None
             and not self.sanitize
         )
-        event_mode = self.scheduler == "event"
-        wake = self._wake = set() if event_mode else None
+        wake = self._wake = set()
         order = self._order
         nord = len(order)
         oidx = {r: i for i, r in enumerate(order)}
@@ -1080,8 +1023,7 @@ class Simulator:
             state[r] = CRASHED
             waiting_tag[r] = None
             waiting_deadline[r] = None
-            if wake is not None:
-                wake.discard(r)
+            wake.discard(r)
             crash_time.pop(r, None)
             self.fault_stats.crashes.append((r, env.clock))
             gen = self._programs[r]
@@ -1123,7 +1065,7 @@ class Simulator:
                 waiting_tag[r] = req.tag
                 waiting_deadline[r] = req.deadline
                 blocked_at[r] = envs[r].clock
-                if wake is not None and (r, req.tag) in mailboxes:
+                if (r, req.tag) in mailboxes:
                     # the awaited message already landed: wake immediately
                     wake.add(r)
             elif isinstance(req, _BarrierRequest):
@@ -1161,7 +1103,7 @@ class Simulator:
                     # leave it undelivered
                     crash(r, at=ct)
                     return True
-            # fetch inline (single-entry boxes dominate; see _try_fetch)
+            # single-entry boxes dominate (see _deposit)
             if len(box) == 1:
                 (arrival, _, payload, src, record, guard,
                  send_clock, nbytes) = box[0]
@@ -1196,41 +1138,35 @@ class Simulator:
 
         while True:
             progressed = False
-            # satisfy receivers.  The event scheduler visits only woken
-            # ranks (a deposit matching a blocked recv, or a recv posted
-            # against a non-empty mailbox) but drains them in host order,
-            # so it services the exact sequence the poll scan would —
-            # virtual times and span traces are byte-identical.  While a
-            # rank is blocked every input of the checks below is frozen
-            # (its clock, the box head, deadline, crash time), so poll
-            # re-scans between deposits are provably no-ops.
-            if event_mode:
-                if len(wake) == 1:
-                    # overwhelmingly common: a single woken rank.  The host
-                    # order scan would visit exactly it, then keep scanning —
-                    # servicing may wake later-order ranks the same pass
-                    # must also drain (earlier-order wakes carry over to the
-                    # next pass, exactly as in the full scan).
-                    r = wake.pop()
-                    if state[r] == RECV and service_recv(r):
-                        progressed = True
-                    if wake:
-                        for i in range(oidx[r] + 1, nord):
-                            rr = order[i]
-                            if rr not in wake:
-                                continue
-                            wake.discard(rr)
-                            if state[rr] == RECV and service_recv(rr):
-                                progressed = True
-                elif wake:
-                    for r in order:
-                        if r not in wake:
+            # satisfy receivers: only woken ranks (a deposit matching a
+            # blocked recv, or a recv posted against a non-empty mailbox),
+            # drained in passes over the host order.  That service order is
+            # observable — it fixes ``_seq``, the order of
+            # ``tracer.messages`` and so the Chrome-trace flow ids that
+            # ``tests/data/trace_golden.json`` pins.  While a rank is
+            # blocked every input of service_recv's checks is frozen (its
+            # clock, the box head, deadline, crash time), so nothing is
+            # missed by not looking at it between deposits.
+            if len(wake) == 1:
+                # overwhelmingly common: a single woken rank.  Servicing it
+                # may wake later-order ranks, which this pass must also
+                # drain; earlier-order wakes carry over to the next pass.
+                r = wake.pop()
+                if state[r] == RECV and service_recv(r):
+                    progressed = True
+                if wake:
+                    for i in range(oidx[r] + 1, nord):
+                        rr = order[i]
+                        if rr not in wake:
                             continue
-                        wake.discard(r)
-                        if state[r] == RECV and service_recv(r):
+                        wake.discard(rr)
+                        if state[rr] == RECV and service_recv(rr):
                             progressed = True
-            else:
-                for r in self._order:
+            elif wake:
+                for r in order:
+                    if r not in wake:
+                        continue
+                    wake.discard(r)
                     if state[r] == RECV and service_recv(r):
                         progressed = True
             if progressed:

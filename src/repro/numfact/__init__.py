@@ -5,7 +5,6 @@ from .counter import KernelCounter
 from .kernels import (
     unit_lower_solve,
     upper_solve,
-    FLOP_GEMM,
     FLOP_TRSM,
 )
 from .blocks import (
@@ -21,8 +20,6 @@ from .tasks import (
     apply_pivots_to_column,
     factored_column_of,
     FactoredColumn,
-    batched_updates,
-    batched_updates_enabled,
 )
 from .sequential import sstar_factor, sstar_refactor, LUFactorization
 from .serialize import save_factorization, load_factorization
@@ -46,7 +43,6 @@ __all__ = [
     "KernelCounter",
     "unit_lower_solve",
     "upper_solve",
-    "FLOP_GEMM",
     "FLOP_TRSM",
     "BlockLUMatrix",
     "NumericPlan",
@@ -58,8 +54,6 @@ __all__ = [
     "apply_pivots_to_column",
     "factored_column_of",
     "FactoredColumn",
-    "batched_updates",
-    "batched_updates_enabled",
     "sstar_factor",
     "sstar_refactor",
     "LUFactorization",

@@ -35,8 +35,7 @@ class KernelCounter:
     # values of the ``by_gran`` keys mutated since the window opened, so the
     # time model can price exactly the delta without scanning the whole
     # tally.  ``_korder`` records each key's global insertion index so the
-    # window replays deltas in ``by_gran`` order (bit-identical clock math
-    # to the full-scan ``compute_counted``).
+    # window replays deltas in ``by_gran`` order.
     _touched: dict = field(default=None, init=False, repr=False, compare=False)
     _korder: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)

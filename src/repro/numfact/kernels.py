@@ -12,7 +12,7 @@ import threading
 
 import numpy as np
 
-from .counter import KernelCounter, DGEMM, DGEMV, BLAS1
+from .counter import KernelCounter, DGEMM, DGEMV
 
 
 #: per-thread scratch buffers, keyed by use site.  The simulator runs every
@@ -42,26 +42,9 @@ def scratch_buffer(slot: str, nrows: int, ncols: int = None) -> np.ndarray:
     return flat if ncols is None else flat.reshape(nrows, ncols)
 
 
-def FLOP_GEMM(m: int, k: int, n: int) -> float:
-    """Flops of an ``m x k`` times ``k x n`` multiply-accumulate."""
-    return 2.0 * m * k * n
-
-
 def FLOP_TRSM(k: int, n: int) -> float:
     """Flops of a triangular solve with ``k x k`` triangle and ``n`` rhs."""
     return float(k) * k * n
-
-
-def as_gemm_operand(X):
-    """A C-contiguous view of a GEMM operand — the identity on the packed
-    path (dense blocks are allocated contiguous), an explicit
-    ``ascontiguousarray`` otherwise.
-
-    BLAS silently copies a strided operand into a hidden temporary on every
-    call; making the copy explicit here means the hot paths can assert it
-    never happens (``as_gemm_operand(b) is b`` for packed blocks).
-    """
-    return X if X.flags.c_contiguous else np.ascontiguousarray(X)
 
 
 def block_product(A, B, out):
@@ -83,43 +66,6 @@ def block_product(A, B, out):
     else:
         np.matmul(A, B, out=out)
     return out
-
-
-def gemm_update(
-    C,
-    A,
-    B,
-    counter: KernelCounter = None,
-    ncols_structural=None,
-    nrows_structural=None,
-    out=None,
-):
-    """``C -= A @ B`` with DGEMM/DGEMV accounting.
-
-    ``ncols_structural`` / ``nrows_structural`` — the paper's packed
-    supernode storage holds only the structurally dense subcolumns of ``B``
-    (Fig. 8 lines 12-16) and the structural rows of ``A``; pass their counts
-    so the *accounted* flops match what that implementation executes, even
-    though our numerics safely run on the padded full blocks (structurally
-    zero positions are exact zeros — see DESIGN.md invariants).
-
-    ``out`` is an optional preallocated product scratch with exactly
-    ``B.shape[1]`` columns and at least ``A.shape[0]`` rows: the product is
-    formed there by :func:`block_product` (bit-identical to ``A @ B``) and
-    subtracted in place, so the update allocates nothing.
-    """
-    A = as_gemm_operand(A)
-    B = as_gemm_operand(B)
-    if out is None:
-        out = np.empty((A.shape[0], B.shape[1]))
-    np.subtract(C, block_product(A, B, out[: A.shape[0]]), out=C)
-    if counter is not None:
-        ncols = B.shape[1] if ncols_structural is None else ncols_structural
-        nrows = A.shape[0] if nrows_structural is None else nrows_structural
-        fl = FLOP_GEMM(nrows, A.shape[1], ncols)
-        kernel = DGEMM if ncols >= 2 and nrows >= 2 else DGEMV
-        counter.add(kernel, fl, gran=min(A.shape[1], ncols) if kernel == DGEMM else A.shape[1])
-    return C
 
 
 def unit_lower_solve(L, B, counter: KernelCounter = None, ncols_structural=None):
@@ -157,22 +103,6 @@ def upper_solve(U, B, counter: KernelCounter = None):
         ncols = 1 if B.ndim == 1 else B.shape[1]
         counter.add(DGEMM if ncols >= 2 else DGEMV, FLOP_TRSM(k, ncols) + k * ncols)
     return B
-
-
-def rank1_update(A, x, y, counter: KernelCounter = None):
-    """``A -= outer(x, y)`` (the BLAS-2 kernel inside panel factorization)."""
-    A -= np.outer(x, y)
-    if counter is not None:
-        counter.add(DGEMV, 2.0 * len(x) * len(y))
-    return A
-
-
-def scale_vector(x, alpha, counter: KernelCounter = None):
-    """``x /= alpha`` (BLAS-1)."""
-    x /= alpha
-    if counter is not None:
-        counter.add(BLAS1, float(len(x)))
-    return x
 
 
 # -- ABFT checksum kernels ---------------------------------------------------

@@ -33,8 +33,6 @@ and the triangular solvers replay them in order.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-
 import numpy as np
 
 from .blocks import (
@@ -45,34 +43,6 @@ from .blocks import (
 )
 from .counter import KernelCounter, DGEMM, DGEMV, BLAS1
 from .kernels import block_product, scratch_buffer, unit_lower_solve
-
-#: batched supernode updates: ``Update(K, J)`` forms the products of a
-#: width-1 column's whole L panel with one stacked elementwise multiply and
-#: charges the sweep's flops in one or two exact ``KernelCounter.add``
-#: calls.  ``batched_updates(False)`` makes one kernel call and one charge
-#: per block instead; both produce bit-identical factors and equal counters
-#: (see DESIGN.md "Host performance" for why elementwise kernels may be
-#: stacked and GEMMs may not).  Kept for A/B timing and the equivalence
-#: tests.
-_BATCHED_UPDATES = True
-
-
-def batched_updates_enabled() -> bool:
-    """Is the batched update sweep the current default?"""
-    return _BATCHED_UPDATES
-
-
-@contextmanager
-def batched_updates(enabled: bool):
-    """Temporarily force the batched (or per-block) update path."""
-    global _BATCHED_UPDATES
-    prev = _BATCHED_UPDATES
-    _BATCHED_UPDATES = bool(enabled)
-    try:
-        yield
-    finally:
-        _BATCHED_UPDATES = prev
-
 
 class FactoredColumn:
     """Everything ``Update(*, J)`` needs from a factored block column K."""
@@ -251,12 +221,11 @@ def update_block_column(
     J: int,
     counter: KernelCounter = None,
     apply_pivots: bool = True,
-    batched: bool = None,
 ) -> None:
     """Run ``Update(K, J)`` for one ``J > K``: :func:`update_block_columns`
     over a single block column."""
     update_block_columns(m, fc, (J,), counter=counter,
-                         apply_pivots=apply_pivots, batched=batched)
+                         apply_pivots=apply_pivots)
 
 
 def update_block_columns(
@@ -265,7 +234,6 @@ def update_block_columns(
     columns,
     counter: KernelCounter = None,
     apply_pivots: bool = True,
-    batched: bool = None,
 ) -> None:
     """Run ``Update(K, J)`` (Fig. 8) for every ``J`` in ``columns`` against
     local storage ``m`` using the factored column ``fc`` (local views or a
@@ -275,19 +243,17 @@ def update_block_columns(
     interchanges as ``(block, offset)`` pairs, the L blocks with their row
     ranges and structural row counts.
 
-    ``batched=None`` follows the module default (:func:`batched_updates`).
-    Batched, the flops of one ``Update(K, J)`` are charged in at most two
+    The flops of one ``Update(K, J)`` are charged in at most two
     ``KernelCounter.add`` calls (every charge is an integer-valued float
     far below 2**53, so the per-key sums, the first-touch key order and
-    hence the virtual times equal those of per-block charges) and, when the
-    column is one wide, the products come from one stacked multiply
-    (:func:`repro.numfact.kernels.block_product`); a wider column's
-    per-block GEMMs read their L block as a row slice of the same panel.
-    Both paths produce bit-identical factors and equal counter tallies.
+    hence the virtual times equal those of one charge per block) and, when
+    the column is one wide, the products come from one stacked multiply
+    (:func:`repro.numfact.kernels.block_product`; DESIGN.md "Host
+    performance" has why elementwise kernels may be stacked and GEMMs may
+    not); a wider column's per-block GEMMs read their L block as a row
+    slice of the same panel.
     """
     K = fc.K
-    if batched is None:
-        batched = _BATCHED_UPDATES
     blocks = m.blocks
     abft = m.abft
     udense_cols = m.bstruct.udense_cols
@@ -299,7 +265,7 @@ def update_block_columns(
         swaps = [m.locate_rows(r1, r2) for r1, r2 in fc.pivots if r1 != r2]
     below = m.plan.below_diagonal(K)
     lrows = below[-1][2] if below else 0
-    stacked = batched and lk == 1
+    stacked = lk == 1
     cadd = counter.add if counter is not None else None
     subtract = np.subtract
 
@@ -349,15 +315,10 @@ def update_block_columns(
             if cadd is None:
                 continue
             if wide and nrows >= 2:
-                if batched:
-                    gemm_first = gemm_first or not gemv_rows
-                    gemm_rows += nrows
-                else:
-                    cadd(DGEMM, 2.0 * nrows * lk * ncols, gran=gran)
-            elif batched:
-                gemv_rows += nrows
+                gemm_first = gemm_first or not gemv_rows
+                gemm_rows += nrows
             else:
-                cadd(DGEMV, 2.0 * nrows * lk * ncols, gran=lk)
+                gemv_rows += nrows
         # the sweep's merged charges, in the order their keys were first due
         if gemm_rows and gemm_first:
             cadd(DGEMM, 2.0 * gemm_rows * lk * ncols, gran=gran)

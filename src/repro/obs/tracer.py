@@ -19,8 +19,11 @@ Tracks
 
 Zero overhead when disabled: every instrumentation site in the simulator,
 solver and service is guarded by ``if tracer is not None`` — no tracer, no
-object construction, no appends (``BENCH_trace_overhead.json`` measures
-this).
+object construction, no appends.  What it costs when enabled is the
+benchmark's ``obs.tracer_overhead_ratio`` (traced over untraced host time
+of the same simulated runs; 1.54 on ``python3 benchmarks/e2e/run.py
+--workload sim_2d --trace 1``, the workload with the most spans per
+host-second).
 
 Categories are fixed strings (``compute``, ``send``, ``recv_wait``,
 ``retransmit_backoff``, ``barrier_wait``, ``checkpoint``, ``task``,
@@ -31,7 +34,7 @@ and the profiler can classify spans without string parsing.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .metrics import MetricsRegistry
 

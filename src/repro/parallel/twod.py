@@ -35,7 +35,6 @@ from ..machine import Simulator, MachineSpec
 from ..numfact import BlockLUMatrix, SingularMatrixError, StructureViolation
 from ..numfact.abft import payload_checksums, verify_payload
 from ..numfact.kernels import block_product, scratch_buffer, unit_lower_solve
-from ..numfact.tasks import batched_updates_enabled
 from ..sparse import CSRMatrix
 from ..supernodes import BlockPartition, BlockStructure
 from .mapping import Grid2D
@@ -148,7 +147,6 @@ def _rank_program_2d(env, ctx):
     pivot_threshold: float = ctx["pivot_threshold"]
     monitor = ctx.get("monitor")
     abft = bool(ctx.get("abft"))
-    batched = batched_updates_enabled()
     block_of = ctx["block_of"]
     r, c = grid.coords(env.rank)
     pr, pc = grid.pr, grid.pc
@@ -408,55 +406,30 @@ def _rank_program_2d(env, ctx):
                         (lik.shape[0] for _, lik, _, _ in items), default=0)
                     sweep = lcol_sweep[K] = (items, maxrows)
                 items, maxrows = sweep
-                do_batch = batched and bool(items)
                 blocks_get = blocks.get
                 compute = env.compute
                 subtract = np.subtract
             t0 = env.clock
             ncols = len(udense_cols[(K, J)])
-            if do_batch:
-                # fused sweep sharing one product scratch: same per-block
-                # BLAS shapes and charge order as the legacy path
-                # (bit-identical factors and virtual times), no per-block
-                # temporaries
-                scratch = scratch_buffer(
-                    "2d-update-prod", maxrows, ukj.shape[1])
-                wide = ncols >= 2
-                for I, lik, srows, lk in items:
-                    prod = block_product(lik, ukj, scratch[: lik.shape[0]])
-                    target = blocks_get((I, J))
-                    if target is None:
-                        if np.any(prod):
-                            raise StructureViolation(
-                                f"2D update ({K},{J}) touches absent block ({I},{J})"
-                            )
-                        continue
-                    subtract(target, prod, out=target)
-                    if wide and srows >= 2:
-                        compute("dgemm", 2.0 * srows * lk * ncols,
-                                gran=lk if lk < ncols else ncols)
-                    else:
-                        compute("dgemv", 2.0 * srows * lk * ncols, gran=lk)
-            else:
-                for I, lik, srows, lk in items:
-                    target = blocks_get((I, J))
-                    prod = block_product(
-                        lik, ukj, np.empty((lik.shape[0], ukj.shape[1])))
-                    if target is None:
-                        if np.any(prod):
-                            raise StructureViolation(
-                                f"2D update ({K},{J}) touches absent block ({I},{J})"
-                            )
-                        continue
-                    snap = env.snapshot()
-                    target -= prod
-                    kernel = "dgemm" if ncols >= 2 and srows >= 2 else "dgemv"
-                    env.counter.add(
-                        kernel,
-                        2.0 * srows * lk * ncols,
-                        gran=min(lk, ncols) if kernel == "dgemm" else lk,
-                    )
-                    env.compute_counted(snap)
+            # one product scratch for the sweep, one BLAS call and one
+            # charge per block: no per-block temporaries
+            scratch = scratch_buffer("2d-update-prod", maxrows, ukj.shape[1])
+            wide = ncols >= 2
+            for I, lik, srows, lk in items:
+                prod = block_product(lik, ukj, scratch[: lik.shape[0]])
+                target = blocks_get((I, J))
+                if target is None:
+                    if np.any(prod):
+                        raise StructureViolation(
+                            f"2D update ({K},{J}) touches absent block ({I},{J})"
+                        )
+                    continue
+                subtract(target, prod, out=target)
+                if wide and srows >= 2:
+                    compute("dgemm", 2.0 * srows * lk * ncols,
+                            gran=lk if lk < ncols else ncols)
+                else:
+                    compute("dgemv", 2.0 * srows * lk * ncols, gran=lk)
             if env.clock > t0:
                 update_spans.append((env.rank, K, t0, env.clock))
                 env.span(f"U2D{K}", t0)

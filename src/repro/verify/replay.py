@@ -103,8 +103,8 @@ def _compare(base, other, label: str) -> list:
     chk("messages", base.messages, other.messages)
     chk("bytes_sent", base.bytes_sent, other.bytes_sent)
     chk("returns", base.returns, other.returns)
-    chk("spans", [(s.rank, s.label, s.start, s.end) for s in base.spans],
-        [(s.rank, s.label, s.start, s.end) for s in other.spans])
+    chk("spans", [s.key() for s in base.spans],
+        [s.key() for s in other.spans])
     chk("trace", _trace_key(base.trace), _trace_key(other.trace))
     return mismatches
 

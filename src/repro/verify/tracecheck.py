@@ -175,27 +175,27 @@ def parse_span_label(label: str):
 def check_spans_against_dag(spans, tg, schedule=None, parse=parse_span_label) -> list:
     """Verify executed spans cover and linearize the task graph.
 
-    ``spans`` are :class:`repro.machine.TaskSpan` records (per-rank
-    execution order is their recorded order).  A span whose label ``parse``
-    cannot interpret is ignored, so auxiliary spans coexist with the check.
+    ``spans`` are ``SimResult.spans`` (per-rank execution order is their
+    recorded order).  A span whose name ``parse`` cannot interpret is
+    ignored, so auxiliary spans coexist with the check.
     """
     violations = []
     where = {}  # task -> (rank, per-rank index, start, end)
     per_rank_idx = {}
     for s in spans:
-        task = parse(s.label)
+        task = parse(s.name)
         if task is None:
             continue
-        idx = per_rank_idx.get(s.rank, 0)
-        per_rank_idx[s.rank] = idx + 1
+        idx = per_rank_idx.get(s.track, 0)
+        per_rank_idx[s.track] = idx + 1
         if task in where:
             violations.append(Violation(
                 "DAG",
                 f"task {task!r} executed twice: on rank {where[task][0]} "
-                f"and rank {s.rank}",
+                f"and rank {s.track}",
             ))
             continue
-        where[task] = (s.rank, idx, s.start, s.end)
+        where[task] = (s.track, idx, s.start, s.end)
 
     known = set(tg.tasks)
     for task in tg.tasks:
@@ -264,7 +264,7 @@ def check_run(result, spec=None, tg=None, schedule=None) -> TraceCheckReport:
         vs, checked = check_spans_against_dag(result.spans, tg, schedule=schedule)
         report.violations.extend(vs)
         report.stats["spans"] = sum(
-            1 for s in result.spans if parse_span_label(s.label) is not None
+            1 for s in result.spans if parse_span_label(s.name) is not None
         )
         report.stats["dag_edges"] = checked
     return report

@@ -1,19 +1,16 @@
-"""Host wall-clock overhaul: semantics-preservation tests.
+"""The two delivery modes: semantics-preservation tests.
 
-The performance work (lint-certified zero-copy delivery, the event-driven
-scheduler, batched supernode updates, pooled scratch) must be *observably
-free*: every mode toggle yields bit-identical factors and solves, identical
-virtual times, and byte-identical Chrome traces.  These tests pin that down
-pairwise:
+Both stay live — a certified program's payloads are delivered zero-copy,
+while ``sanitize=True`` and uncertified programs copy — so the pair must be
+*observably equal*: bit-identical factors and solves, identical virtual
+times, byte-identical Chrome traces.  These tests pin that down:
 
 * zero-copy vs deep-copy delivery — 1D rapid/CA, 2D sync/async, a resilient
   crash-restart run, and a chaos-style lossy-network scenario;
-* event scheduler vs the legacy round-robin poll scan;
-* batched supernode update sweeps vs the legacy per-block path;
 * the sanitizer (``sanitize=True``) catching a seeded write-after-send
   mutation that zero-copy semantics forbid;
 * the certificate logic gating zero-copy (clean + fresh hash, or nothing);
-* ``as_gemm_operand`` / ``gemm_update`` never copying packed operands;
+* the pooled scratch reusing and growing its slots;
 * mailbox arrival-order delivery through the single-entry fast path and
   the heap path.
 
@@ -36,9 +33,8 @@ from repro.machine import (
     Simulator,
     T3E,
 )
-from repro.numfact import BlockLUMatrix, sstar_factor
-from repro.numfact.kernels import as_gemm_operand, gemm_update, scratch_buffer
-from repro.numfact.tasks import batched_updates
+from repro.numfact import sstar_factor
+from repro.numfact.kernels import scratch_buffer
 from repro.obs import Tracer, to_chrome_trace
 from repro.parallel import (
     run_1d,
@@ -171,88 +167,6 @@ class TestZeroCopyDelivery:
 
 
 # ---------------------------------------------------------------------------
-# event-driven scheduler vs round-robin polling
-# ---------------------------------------------------------------------------
-
-
-class TestEventScheduler:
-    @pytest.mark.parametrize("method", ["rapid", "ca"])
-    def test_1d_equivalent(self, pipeline, method):
-        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
-        traces, results = [], []
-        for scheduler in ("event", "poll"):
-            tr = Tracer()
-            res = run_1d(*args, method=method,
-                         sim_opts={"scheduler": scheduler, "tracer": tr})
-            traces.append(_chrome_bytes(tr))
-            results.append(res)
-        assert traces[0] == traces[1]
-        _assert_factor_identical(results[0].factor, results[1].factor)
-        _assert_sim_identical(results[0].sim, results[1].sim)
-
-    @pytest.mark.parametrize("synchronous", [False, True])
-    def test_2d_equivalent(self, pipeline, synchronous):
-        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
-        traces, results = [], []
-        for scheduler in ("event", "poll"):
-            tr = Tracer()
-            res = run_2d(*args, synchronous=synchronous,
-                         sim_opts={"scheduler": scheduler, "tracer": tr})
-            traces.append(_chrome_bytes(tr))
-            results.append(res)
-        assert traces[0] == traces[1]
-        _assert_factor_identical(results[0].factor, results[1].factor)
-        _assert_sim_identical(results[0].sim, results[1].sim)
-
-    def test_resilient_equivalent(self, pipeline):
-        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
-        probe = run_1d(*args, method="ca")
-        plan = FaultPlan(crashes=[CrashFault(1, probe.sim.total_time * 0.5)])
-        outs = [
-            run_1d_resilient(*args, method="ca", ckpt_interval=3,
-                             faults=plan, reliable=True,
-                             sim_opts={"scheduler": scheduler})
-            for scheduler in ("event", "poll")
-        ]
-        _assert_factor_identical(outs[0].factor, outs[1].factor)
-        assert outs[0].total_time == outs[1].total_time
-
-    def test_bad_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="scheduler"):
-            Simulator(2, T3E, lambda env: iter(()), scheduler="greedy")
-
-
-# ---------------------------------------------------------------------------
-# batched supernode updates vs the legacy per-block path
-# ---------------------------------------------------------------------------
-
-
-class TestBatchedUpdates:
-    def test_sequential_bit_identical(self, pipeline):
-        kw = dict(sym=pipeline["sym"], part=pipeline["part"],
-                  bstruct=pipeline["bstruct"])
-        with batched_updates(True):
-            a = sstar_factor(pipeline["om"].A, **kw)
-        with batched_updates(False):
-            b = sstar_factor(pipeline["om"].A, **kw)
-        _assert_factor_identical(a.matrix, b.matrix)
-        assert a.counter.by_gran == b.counter.by_gran
-
-    @pytest.mark.parametrize("runner,kw", [
-        (run_1d, {"method": "ca"}),
-        (run_2d, {"synchronous": False}),
-    ])
-    def test_parallel_bit_identical(self, pipeline, runner, kw):
-        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
-        with batched_updates(True):
-            a = runner(*args, **kw)
-        with batched_updates(False):
-            b = runner(*args, **kw)
-        _assert_factor_identical(a.factor, b.factor)
-        _assert_sim_identical(a.sim, b.sim)
-
-
-# ---------------------------------------------------------------------------
 # sanitizer: seeded write-after-send mutation must be caught
 # ---------------------------------------------------------------------------
 
@@ -294,15 +208,6 @@ class TestSanitizer:
         assert not sim._zc_certified
         sim.run()
         assert got[0].tobytes() == np.ones(4).tobytes()
-
-    def test_unchecked_zero_copy_exposes_the_hazard(self):
-        # zero_copy="unchecked" bypasses the certificate — the seeded
-        # mutation is visible to the receiver, which is exactly why
-        # certification gates the default
-        got = []
-        Simulator(2, T3E, _wapsend_program, args=(got, True),
-                  zero_copy="unchecked").run()
-        assert got[0][0] == -7.0
 
 
 # ---------------------------------------------------------------------------
@@ -357,36 +262,11 @@ class TestCertificate:
 
 
 # ---------------------------------------------------------------------------
-# gemm operands: no hidden temporaries on the packed path
+# pooled product scratch
 # ---------------------------------------------------------------------------
 
 
 class TestGemmOperands:
-    def test_packed_blocks_are_not_copied(self, pipeline):
-        m = BlockLUMatrix.from_csr(pipeline["om"].A, pipeline["part"],
-                                   pipeline["bstruct"])
-        for blk in list(m.blocks.values())[:16]:
-            assert blk.flags.c_contiguous
-            assert as_gemm_operand(blk) is blk  # regression: no copy
-
-    def test_noncontiguous_view_copied_once_explicitly(self):
-        base = np.arange(36.0).reshape(6, 6)
-        view = base[:, ::2]  # strided: BLAS would copy this silently
-        out = as_gemm_operand(view)
-        assert out is not view and out.flags.c_contiguous
-        assert out.tobytes() == np.ascontiguousarray(view).tobytes()
-
-    def test_gemm_update_scratch_path_bit_identical(self):
-        rng = np.random.default_rng(5)
-        A = rng.standard_normal((7, 4))
-        B = rng.standard_normal((4, 3))
-        C0 = rng.standard_normal((7, 3))
-        ref = C0.copy()
-        gemm_update(ref, A, B)
-        got = C0.copy()
-        gemm_update(got, A, B, out=scratch_buffer("test-gemm", 9, 3))
-        assert got.tobytes() == ref.tobytes()
-
     def test_scratch_pool_reuses_and_grows(self):
         a = scratch_buffer("test-pool", 4, 3)
         b = scratch_buffer("test-pool", 2, 2)

@@ -16,6 +16,21 @@ The block GEMMs go through the host BLAS, whose bits are a property of the
 build; the file therefore also records a BLAS canary, and on a host whose
 BLAS rounds differently the comparison is skipped instead of failing.
 
+``width1_sweep`` is one more scenario, recorded at 2684ecc — the last
+commit that still had a per-block ``Update(K, J)`` beside the stacked
+sweep — so
+``tests/test_numeric_plan.py::test_width1_sweep_equals_per_block_path_with_absent_targets``
+still compares the sweep with the per-block path: with its recorded
+output.  That both paths gave these digests was a one-off check against
+the parent's sources (``git archive 2684ecc src`` unpacked beside this
+tree, :func:`width1_sweep_record` run under the update toggle's two
+settings and compared with the file); this tree cannot repeat it, the
+toggle being gone.  The command is in CHANGES.md, PR 21.
+
+``recorded_from`` names the commit per section: the ``cases`` came out of
+the 2684ecc re-recording byte for byte as first recorded at 61bceec and
+keep that provenance.
+
 Re-record (only when a numeric output is *meant* to change)::
 
     PYTHONPATH=src python tests/test_numeric_golden.py
@@ -157,12 +172,46 @@ def numeric_records(A, amalgamation: int) -> dict:
     return out
 
 
-@pytest.fixture(scope="module")
-def golden():
+def width1_sweep_record(abft: bool) -> dict:
+    """70x70, every supernode one column wide (``block_size=1``), explicit
+    ``-0.0`` entries, negative pivots, absent update targets: what the
+    stacked width-1 sweep and its merged charges leave behind."""
+    A0 = g.random_nonsymmetric(70, density=0.07, seed=11)
+    data = -np.abs(A0.data)
+    rows = np.repeat(np.arange(A0.nrows), np.diff(A0.indptr))
+    data[np.flatnonzero(rows != A0.indices)[::4]] = -0.0
+    art, om = analyze(A0.with_values(data), block_size=1, amalgamation=0)
+    part, bs = art.part, art.bstruct
+    lu = sstar_factor(om.A, sym=art.sym, part=part, bstruct=bs, abft=abft)
+    return {
+        "N": part.N,
+        "absent_targets": sum(
+            not bs.has_block(I, J)
+            for J in range(part.N) for I in range(J + 1, part.N)
+        ),
+        "explicit_negative_zeros": int(
+            np.count_nonzero((om.A.data == 0.0) & np.signbit(om.A.data))
+        ),
+        "arena": _hash(lu.matrix.arena.tobytes()),
+        "pivot_seq": _hash(np.int64(lu.matrix.pivot_seq).tobytes()),
+        # item order is part of the contract: charges replay in it
+        "by_gran": [
+            f"{k}/{gran}/{v.hex()}" for (k, gran), v in lu.counter.by_gran.items()
+        ],
+        "flops": [f"{k}/{v.hex()}" for k, v in lu.counter.flops.items()],
+    }
+
+
+def load_golden() -> dict:
     doc = json.loads(GOLDEN.read_text())
     if doc["blas_canary"] != blas_canary():
         pytest.skip("host BLAS rounds differently from the recording host")
-    return doc["cases"]
+    return doc
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return load_golden()["cases"]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -202,11 +251,15 @@ if __name__ == "__main__":
     ).stdout.strip()
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(json.dumps({
-        "recorded_from": commit,
+        "recorded_from": {"cases": commit, "width1_sweep": commit},
         "blas_canary": blas_canary(),
         "cases": {
             name: numeric_records(make(), amalg)
             for name, (make, amalg) in CASES.items()
+        },
+        "width1_sweep": {
+            "plain": width1_sweep_record(False),
+            "abft": width1_sweep_record(True),
         },
     }, indent=1, sort_keys=True) + "\n")
     print(f"recorded {len(CASES)} cases from {commit} -> {GOLDEN}")

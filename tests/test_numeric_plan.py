@@ -11,7 +11,6 @@ from repro.numfact import (
     NumericPlan,
     SingularMatrixError,
     StructureViolation,
-    batched_updates,
     factor_block_column,
     load_factorization,
     save_factorization,
@@ -23,6 +22,8 @@ from repro.service import AnalysisCache, SolveService, analyze
 from repro.sparse import CSRMatrix, coo_to_csr, csr_to_dense
 from repro.supernodes import build_block_structure, build_partition
 from repro.symbolic import static_symbolic_factorization
+
+from .test_numeric_golden import load_golden, width1_sweep_record
 
 
 def _pipeline(A, max_size=25, amalgamation=4):
@@ -309,28 +310,15 @@ def test_stacked_multiply_equals_per_block_gemm_bitwise(heights, width, data):
 
 @pytest.mark.parametrize("abft", [False, True])
 def test_width1_sweep_equals_per_block_path_with_absent_targets(abft):
-    """Every supernode one column wide (``max_size=1``), explicit ``-0.0``
-    entries, negative pivots: the stacked sweep with merged charges and the
-    per-block path agree on every byte and on the counter, key order
-    included."""
-    A0 = g.random_nonsymmetric(70, density=0.07, seed=11)
-    data = -np.abs(A0.data)
-    rows = np.repeat(np.arange(A0.nrows), np.diff(A0.indptr))
-    data[np.flatnonzero(rows != A0.indices)[::4]] = -0.0
-    A, sym, part, bstruct = _pipeline(A0.with_values(data), max_size=1,
-                                      amalgamation=0)
-    assert part.N == A.nrows
-    assert any(not bstruct.has_block(I, J)
-               for J in range(part.N) for I in range(J + 1, part.N))
-    kw = dict(sym=sym, part=part, bstruct=bstruct, abft=abft)
-    with batched_updates(True):
-        a = sstar_factor(A, **kw)
-    with batched_updates(False):
-        b = sstar_factor(A, **kw)
-    assert a.matrix.arena.tobytes() == b.matrix.arena.tobytes()
-    assert a.matrix.pivot_seq == b.matrix.pivot_seq
-    assert list(a.counter.by_gran.items()) == list(b.counter.by_gran.items())
-    assert list(a.counter.flops.items()) == list(b.counter.flops.items())
+    """Every supernode one column wide, explicit ``-0.0`` entries, negative
+    pivots: the stacked sweep with merged charges leaves the arena bytes,
+    pivots and counters (key order included) that the per-block path left
+    at the last commit that had one — ``width1_sweep`` in
+    ``tests/data/numeric_golden.json``."""
+    want = load_golden()["width1_sweep"]["abft" if abft else "plain"]
+    assert want["N"] == 70 and want["absent_targets"] > 0
+    assert want["explicit_negative_zeros"] > 0
+    assert width1_sweep_record(abft) == want
 
 
 # ---------------------------------------------------------------------------

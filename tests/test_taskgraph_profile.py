@@ -50,7 +50,7 @@ class TestProfile:
 
 class TestChromeTrace:
     def test_export(self, tmp_path):
-        from repro.analysis import export_chrome_trace
+        from repro.obs import to_chrome_trace, validate_trace
         from repro.machine import T3E as spec
         from repro.parallel import run_2d
         from repro.matrices import random_nonsymmetric
@@ -65,7 +65,9 @@ class TestChromeTrace:
         bstruct = build_block_structure(sym, part)
         res = run_2d(om.A, part, bstruct, 4, spec)
         out = tmp_path / "trace.json"
-        export_chrome_trace(res.sim.spans, out)
+        out.write_text(json.dumps(to_chrome_trace(res.sim.spans)))
         data = json.loads(out.read_text())
-        assert len(data["traceEvents"]) == len(res.sim.spans)
-        assert all(e["ph"] == "X" for e in data["traceEvents"])
+        assert validate_trace(data) == []
+        tasks = [e for e in data["traceEvents"] if e["ph"] == "X"]
+        assert len(tasks) == len(res.sim.spans)
+        assert {e["pid"] for e in tasks} == {s.track for s in res.sim.spans}

@@ -215,43 +215,43 @@ class TestDagConformance:
         assert parse_span_label("swap") is None
 
     def test_conforming_spans_pass(self):
-        from repro.machine import TaskSpan
+        from repro.obs import TASK, Span
 
         spans = [
-            TaskSpan(0, "F0", 0.0, 1.0),
-            TaskSpan(1, "U0,1", 0.5, 2.0),
-            TaskSpan(1, "F1", 2.0, 3.0),
+            Span(0, "F0", TASK, 0.0, 1.0),
+            Span(1, "U0,1", TASK, 0.5, 2.0),
+            Span(1, "F1", TASK, 2.0, 3.0),
         ]
         vs, checked = check_spans_against_dag(spans, self._graph())
         assert vs == [] and checked == 2
 
     def test_order_violation_detected(self):
-        from repro.machine import TaskSpan
+        from repro.obs import TASK, Span
 
         spans = [  # F1 completes before its dependence U0,1: rule 2 broken
-            TaskSpan(0, "F0", 0.0, 1.0),
-            TaskSpan(1, "F1", 0.0, 0.5),
-            TaskSpan(1, "U0,1", 0.5, 2.0),
+            Span(0, "F0", TASK, 0.0, 1.0),
+            Span(1, "F1", TASK, 0.0, 0.5),
+            Span(1, "U0,1", TASK, 0.5, 2.0),
         ]
         vs, _ = check_spans_against_dag(spans, self._graph())
         assert len(vs) == 1 and vs[0].rule == "DAG"
         assert "('F', 1)" in vs[0].message
 
     def test_missing_task_detected(self):
-        from repro.machine import TaskSpan
+        from repro.obs import TASK, Span
 
-        spans = [TaskSpan(0, "F0", 0.0, 1.0), TaskSpan(1, "U0,1", 1.0, 2.0)]
+        spans = [Span(0, "F0", TASK, 0.0, 1.0), Span(1, "U0,1", TASK, 1.0, 2.0)]
         vs, _ = check_spans_against_dag(spans, self._graph())
         assert any("no executed span" in v.message for v in vs)
 
     def test_duplicate_task_detected(self):
-        from repro.machine import TaskSpan
+        from repro.obs import TASK, Span
 
         spans = [
-            TaskSpan(0, "F0", 0.0, 1.0),
-            TaskSpan(1, "F0", 0.0, 1.0),
-            TaskSpan(1, "U0,1", 1.0, 2.0),
-            TaskSpan(1, "F1", 2.0, 3.0),
+            Span(0, "F0", TASK, 0.0, 1.0),
+            Span(1, "F0", TASK, 0.0, 1.0),
+            Span(1, "U0,1", TASK, 1.0, 2.0),
+            Span(1, "F1", TASK, 2.0, 3.0),
         ]
         vs, _ = check_spans_against_dag(spans, self._graph())
         assert any("twice" in v.message for v in vs)
