@@ -1,5 +1,5 @@
-"""Production workflow: threshold pivoting, refinement, condition estimate,
-factor reuse via serialization, and the packed storage backend.
+"""Production workflow: threshold pivoting, refinement, condition estimate
+and factor reuse via serialization.
 
 Run:  python examples/production_workflow.py
 """
@@ -71,12 +71,6 @@ def main():
             r = np.linalg.norm(csr_matvec(A, xj) - B[:, j])
             resid = max(resid, r)
         print(f"  archive {size/1024:.0f} KiB; worst residual over 4 rhs: {resid:.2e}")
-
-    # 4. packed backend: the paper's storage scheme, about half the memory
-    print("\n== packed storage backend ==")
-    sp = SStarSolver(backend="packed").factor(A)
-    xp = sp.solve(b)
-    print(f"  packed solve backward error {backward_error(A, xp, b):.2e}")
 
 
 if __name__ == "__main__":

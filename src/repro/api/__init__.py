@@ -1,11 +1,12 @@
 """High-level public API."""
 
-from .solver import SStarSolver, FactorizationReport
+from .solver import METHODS, SStarSolver, FactorizationReport
 from .experiment import ExperimentContext
 from .fixtures import MemoCache, prepare_pipeline, SMALL_SUITE
 from .validate import validate_matrix, format_report, CheckResult
 
 __all__ = [
+    "METHODS",
     "SStarSolver",
     "FactorizationReport",
     "ExperimentContext",

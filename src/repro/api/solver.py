@@ -36,6 +36,10 @@ from ..sparse import CSRMatrix, dense_to_csr
 
 _MACHINES = {"T3D": T3D, "T3E": T3E, "GENERIC": GENERIC}
 
+#: every ``method`` the solver (and the CLI's ``--method``) accepts;
+#: ``METHODS[1:]`` are the parallel ones
+METHODS = ("sequential", "1d-rapid", "1d-ca", "2d", "2d-sync")
+
 
 @dataclass
 class FactorizationReport:
@@ -72,7 +76,8 @@ class SStarSolver:
         Amalgamation factor ``r`` (0 disables; the paper finds 4-6 best).
     nprocs, machine, method:
         Optional parallel execution on the simulated machine: ``method`` in
-        ``{"sequential", "1d-rapid", "1d-ca", "2d", "2d-sync"}``;
+        ``{"sequential", "1d-rapid", "1d-ca", "2d", "2d-sync"}``
+        (:data:`METHODS`; anything else is a ``ValueError`` at construction);
         ``machine`` in ``{"T3D", "T3E", "GENERIC"}`` or a
         :class:`repro.machine.MachineSpec`.
     grid:
@@ -82,15 +87,11 @@ class SStarSolver:
         Threshold-pivoting parameter ``u`` in (0, 1]; 1.0 (default) is pure
         partial pivoting, smaller values keep the diagonal when
         ``|a_kk| >= u * max`` — fewer interchanges, bounded extra growth.
-    backend:
-        Sequential storage backend: ``"blocks"`` (padded dense blocks, the
-        default) or ``"packed"`` (the paper's packed supernode panels,
-        ~half the memory; sequential method only).
     perturb:
         Enable SuperLU_DIST-style static pivot perturbation: tiny pivots
         (``< sqrt(eps) * ||A||``) are replaced instead of poisoning the
         factorization; ``solve`` then escalates to iterative refinement
-        (see ``refine``).  Not supported by the ``"packed"`` backend.
+        (see ``refine``).
     refine:
         Iterative-refinement policy for ``solve``: ``"auto"`` (default —
         refine when pivots were perturbed), ``"always"`` or ``"never"``.
@@ -120,8 +121,7 @@ class SStarSolver:
         corruption raises :class:`repro.numfact.SilentCorruptionError`
         (with block coordinates) or recovers automatically — by localized
         block-column recompute sequentially, or by checkpoint-window
-        replay on the resilient parallel paths.  Requires the ``"blocks"``
-        backend.
+        replay on the resilient parallel paths.
     tune:
         Model-guided autotuning (:mod:`repro.tune`): ``factor`` /
         ``refactor`` first resolve a :class:`repro.tune.TuningPlan` for
@@ -161,7 +161,6 @@ class SStarSolver:
         method: str = "sequential",
         grid=None,
         pivot_threshold: float = 1.0,
-        backend: str = "blocks",
         perturb: bool = False,
         refine: str = "auto",
         refine_tol: float = 1e-8,
@@ -181,10 +180,11 @@ class SStarSolver:
         self.block_size = block_size
         self.amalgamation = amalgamation
         self.nprocs = nprocs
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}: expected one of {METHODS}")
         self.method = method
         self.grid = grid
         self.pivot_threshold = pivot_threshold
-        self.backend = backend
         self.perturb = perturb
         if refine not in ("auto", "always", "never"):
             raise ValueError("refine must be 'auto', 'always' or 'never'")
@@ -200,8 +200,6 @@ class SStarSolver:
         )
         self.analysis_cache = analysis_cache
         self.growth_limit = growth_limit
-        if abft and backend != "blocks":
-            raise ValueError("abft=True requires the 'blocks' backend")
         self.abft = abft
         self.tracer = as_tracer(trace)
         self.tune = tune
@@ -324,11 +322,7 @@ class SStarSolver:
         art, om, cache_key, reused = self._analyze(A, reuse)
         sym, part, bstruct = art.sym, art.part, art.bstruct
 
-        monitor = None
-        if self.backend == "blocks":
-            monitor = PivotMonitor(matrix_maxnorm(om.A), perturb=self.perturb)
-        elif self.perturb:
-            raise ValueError("perturb=True requires the 'blocks' backend")
+        monitor = PivotMonitor(matrix_maxnorm(om.A), perturb=self.perturb)
         self.monitor = monitor
 
         sequential = self.method == "sequential" or self.nprocs == 1
@@ -348,24 +342,14 @@ class SStarSolver:
         messages = bytes_sent = 0
         restarts = 0
         if sequential:
-            if self.backend == "packed":
-                from ..numfact import packed_factor
-
-                lu = packed_factor(
-                    om.A, sym=sym, part=part,
-                    pivot_threshold=self.pivot_threshold,
-                )
-            elif self.backend == "blocks":
-                lu = sstar_factor(
-                    om.A, sym=sym, part=part, bstruct=bstruct,
-                    pivot_threshold=self.pivot_threshold,
-                    monitor=monitor,
-                    abft=self.abft,
-                )
-            else:
-                raise ValueError(f"unknown backend {self.backend!r}")
+            lu = sstar_factor(
+                om.A, sym=sym, part=part, bstruct=bstruct,
+                pivot_threshold=self.pivot_threshold,
+                monitor=monitor,
+                abft=self.abft,
+            )
             counter = lu.counter
-        elif self.method in ("1d-rapid", "1d-ca", "2d", "2d-sync"):
+        elif self.method in METHODS:
             oned = self.method.startswith("1d")
             if resilient:
                 from ..parallel import run_1d_resilient, run_2d_resilient
@@ -444,7 +428,7 @@ class SStarSolver:
                 {"method": self.method, "flops": float(counter.total),
                  "reused_analysis": bool(reused)},
             )
-            if monitor is not None and monitor.perturbations:
+            if monitor.perturbations:
                 self.tracer.metrics.counter(
                     "numfact.pivot_perturbations"
                 ).inc(len(monitor.perturbations))
@@ -456,12 +440,10 @@ class SStarSolver:
         self._A = A
         self._artifacts = art
         if self.analysis_cache is not None:
-            growth = monitor.growth_factor if monitor is not None else None
-            numerics_broke = monitor is not None and (
-                bool(monitor.perturbations)
-                or (growth is not None and growth > self.growth_limit)
-            )
-            if numerics_broke:
+            growth = monitor.growth_factor
+            if monitor.perturbations or (
+                growth is not None and growth > self.growth_limit
+            ):
                 # the static-structure assumption is doing real numerical
                 # work for this pattern: force a fresh analysis next time
                 self.analysis_cache.invalidate(cache_key)
@@ -478,8 +460,8 @@ class SStarSolver:
             nprocs=self.nprocs if self.method != "sequential" else 1,
             messages=messages,
             bytes_sent=bytes_sent,
-            growth_factor=monitor.growth_factor if monitor is not None else None,
-            perturbed_pivots=len(monitor.perturbations) if monitor is not None else 0,
+            growth_factor=monitor.growth_factor,
+            perturbed_pivots=len(monitor.perturbations),
             restarts=restarts,
             analysis_reused=reused,
             zero_copy=zero_copy,

@@ -14,8 +14,8 @@ Commands
                model-vs-observed drift from a traced run (or a saved trace)
 ``validate``   run the full invariant battery on a matrix
 ``verify-comm`` static + dynamic + replay communication-protocol analyses
-``lint``       dataflow static analysis: determinism (D1xx) and zero-copy
-               aliasing (Z2xx) rules over the codebase
+``lint``       static analysis: determinism (D1xx), zero-copy aliasing
+               (Z2xx) and comm-protocol (Y01/T0x) rules over the codebase
 ``serve-demo`` run a synthetic workload through the SolveService front end
 ``chaos``      seeded fault-injection campaign over the 1D/2D/resilient
                solvers and the service, with oracle checks and optional
@@ -268,28 +268,13 @@ def cmd_validate(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_SEVERITY_ORDER = ("note", "warning", "error")
-
-
-def _verify_comm_exit(counts, fail_on) -> int:
-    """Exit code from severity counts and the ``--fail-on`` threshold."""
-    if fail_on == "never":
-        return 0
-    thr = _SEVERITY_ORDER.index(fail_on)
-    n = sum(c for s, c in counts.items() if _SEVERITY_ORDER.index(s) >= thr)
-    return 1 if n else 0
-
-
 def cmd_verify_comm(args) -> int:
     import json
+    from pathlib import Path
 
+    from .lint import PROTOCOL_RULES, count_at_or_above, iter_python_files, lint_paths
     from .machine import T3D, T3E, GENERIC
-    from .verify import (
-        check_run,
-        lint_file,
-        lint_parallel_modules,
-        replay_check,
-    )
+    from .verify import check_run, replay_check
 
     spec = {"T3D": T3D, "T3E": T3E, "GENERIC": GENERIC}[args.machine]
     counts = {"note": 0, "warning": 0, "error": 0}
@@ -298,7 +283,10 @@ def cmd_verify_comm(args) -> int:
 
     def finish() -> int:
         failures = sum(counts.values())
-        code = _verify_comm_exit(counts, args.fail_on)
+        # every dynamic violation is an error; lower severities are static
+        failing = args.fail_on != "never" and (
+            counts["error"] or count_at_or_above(static, args.fail_on))
+        code = 1 if failing else 0
         if args.json:
             doc["counts"] = dict(counts)
             doc["fail_on"] = args.fail_on
@@ -311,16 +299,15 @@ def cmd_verify_comm(args) -> int:
 
     # -- 1. static comm-lint ----------------------------------------------
     out("== static comm-lint ==")
-    if args.module:
-        try:
-            lint_results = {m: lint_file(m) for m in args.module}
-        except OSError as e:
-            print(f"cannot read module: {e}", file=sys.stderr)
-            return 2
-    else:
-        lint_results = lint_parallel_modules()
-    for path, findings in sorted(lint_results.items()):
-        name = path.rsplit("/", 1)[-1]
+    missing = [m for m in args.module or () if not Path(m).is_file()]
+    if missing:
+        print(f"cannot read module: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    files = iter_python_files(args.module or [Path(__file__).parent / "parallel"])
+    static = lint_paths(files, select=PROTOCOL_RULES + ("PARSE",))
+    for path in files:
+        name = path.name
+        findings = [f for f in static if f.path == str(path)]
         doc["static"][name] = [f.as_dict() for f in findings]
         if findings:
             for f in findings:
@@ -871,6 +858,8 @@ def cmd_suite(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .api import METHODS
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="S* sparse LU with partial pivoting (paper reproduction)",
@@ -905,8 +894,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--refine", action="store_true",
                    help="apply iterative refinement")
     s.add_argument("--nprocs", type=int, default=1)
-    s.add_argument("--method", default="sequential",
-                   choices=["sequential", "1d-rapid", "1d-ca", "2d", "2d-sync"])
+    s.add_argument("--method", default="sequential", choices=METHODS)
     s.add_argument("--machine", default="T3E", choices=["T3D", "T3E", "GENERIC"])
     s.add_argument("--perturb", action="store_true",
                    help="replace tiny pivots by sqrt(eps)*||A|| instead of "
@@ -923,8 +911,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("simulate", help="parallel run on the simulated machine")
     m.add_argument("matrix")
     m.add_argument("--nprocs", type=int, default=8)
-    m.add_argument("--method", default="2d",
-                   choices=["1d-rapid", "1d-ca", "2d", "2d-sync"])
+    m.add_argument("--method", default="2d", choices=METHODS[1:])
     m.add_argument("--machine", default="T3E", choices=["T3D", "T3E", "GENERIC"])
     m.add_argument("--faults", help="FaultPlan JSON file to inject")
     m.add_argument("--reliable", action="store_true",
@@ -988,9 +975,6 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--codes",
                     help="comma list of SPMD codes to check dynamically "
                          "(1d-rapid,1d-ca,2d,2d-sync,trisolve-1d,trisolve-2d)")
-    vc.add_argument("--all-parallel-modules", action="store_true",
-                    help="lint every repro.parallel module (the default; kept "
-                         "as an explicit flag for CI invocations)")
     vc.add_argument("--module", action="append",
                     help="lint this source file instead of repro.parallel")
     vc.add_argument("--static-only", action="store_true",
@@ -1015,8 +999,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ln = sub.add_parser(
         "lint",
-        help="dataflow static analysis: determinism (D1xx) and zero-copy "
-             "aliasing (Z2xx) rules",
+        help="static analysis: determinism (D1xx), zero-copy aliasing "
+             "(Z2xx) and comm-protocol (Y01/T0x) rules",
     )
     ln.add_argument("paths", nargs="*",
                     help="files or directories to lint (default: the "

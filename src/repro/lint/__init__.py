@@ -1,8 +1,9 @@
-"""``repro.lint`` — extensible dataflow static analysis for the repro codebase.
+"""``repro.lint`` — the one AST-analysis framework of the repro codebase.
 
-Where :mod:`repro.verify.commlint` is a per-call AST lint of the SPMD
-communication *protocol*, this package checks two deeper invariants the
-S* design depends on, by tracking values through assignments and calls:
+Three passes share one rule registry, one ``Finding`` record and one
+suppression syntax.  Two track values through assignments and calls to
+check invariants the S* design depends on, the third is a per-call lint of
+the SPMD sources:
 
 * **determinism** (``D1xx`` rules) — nothing that feeds numerics or
   message-emission order may depend on an unordered collection, global RNG
@@ -10,11 +11,16 @@ S* design depends on, by tracking values through assignments and calls:
 * **zero-copy aliasing** (``Z2xx`` rules) — a payload posted with
   ``env.send``/``env.multicast`` must not be mutated afterwards (RMA put
   semantics), and a received buffer must not be mutated in place while a
-  reference to it is retained elsewhere.
+  reference to it is retained elsewhere;
+* **communication protocol** (``Y01``/``T0x`` rules, :mod:`protocol`) —
+  every ``recv``/``barrier`` request is ``yield``-ed, a tag kind's send
+  and recv sides agree in arity and both exist, and a tag inside a ``for``
+  loop varies with the loop (``PROTOCOL_RULES``; ``repro verify-comm``'s
+  static stage selects exactly these).
 
 The framework is a rule registry with per-rule severities, per-line
 ``# lint: disable=RULE`` suppressions, text/JSON rendering and a
-``repro lint`` CLI verb; the two passes are interprocedural within the
+``repro lint`` CLI verb; the dataflow passes are interprocedural within the
 linted file set (function summaries — "returns a fresh buffer", "returns
 an alias of parameter p", "mutates parameter p", "returns an unordered
 collection" — are resolved across modules via their import graph).
@@ -41,6 +47,7 @@ from .core import (
 )
 from . import determinism  # noqa: F401  (registers D1xx rules)
 from . import aliasing  # noqa: F401  (registers Z2xx rules)
+from .protocol import PROTOCOL_RULES  # (registers Y01/T0x rules)
 from .certify import (
     ZeroCopyCertificate,
     build_certificate,
@@ -67,4 +74,5 @@ __all__ = [
     "render_json",
     "max_severity",
     "count_at_or_above",
+    "PROTOCOL_RULES",
 ]

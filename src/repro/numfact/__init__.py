@@ -23,7 +23,6 @@ from .tasks import (
 )
 from .sequential import sstar_factor, sstar_refactor, LUFactorization
 from .serialize import save_factorization, load_factorization
-from .packed import packed_factor, PackedLUMatrix, PackedFactorization
 from .robust import (
     NumericalError,
     PerturbationRecord,
@@ -59,9 +58,6 @@ __all__ = [
     "LUFactorization",
     "save_factorization",
     "load_factorization",
-    "packed_factor",
-    "PackedLUMatrix",
-    "PackedFactorization",
     "NumericalError",
     "PerturbationRecord",
     "PivotMonitor",

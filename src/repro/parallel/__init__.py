@@ -6,6 +6,8 @@
 * :mod:`twod` — the 2D block-cyclic codes: synchronous and asynchronous
   pipelined SPMD algorithms (Section 5.2, Figs. 12-15);
 * :mod:`mapping` — 1D cyclic and 2D grid data mappings;
+* :mod:`trisolve` — the distributed triangular solves: one SPMD program
+  over either mapping;
 * :mod:`buffers` — communication-buffer accounting for Theorem 2.
 """
 
@@ -13,9 +15,8 @@ from .mapping import Grid2D, cyclic_owner
 from .oned import run_1d, OneDResult
 from .twod import run_2d, TwoDResult
 from .buffers import buffer_requirements, BufferReport
-from .trisolve import run_1d_trisolve, TriSolveResult
+from .trisolve import run_1d_trisolve, run_2d_trisolve, TriSolveResult
 from .shared_memory import sstar_factor_threads
-from .trisolve2d import run_2d_trisolve, TriSolve2DResult
 from .resilience import (
     run_1d_resilient,
     run_2d_resilient,
@@ -33,10 +34,9 @@ __all__ = [
     "buffer_requirements",
     "BufferReport",
     "run_1d_trisolve",
+    "run_2d_trisolve",
     "TriSolveResult",
     "sstar_factor_threads",
-    "run_2d_trisolve",
-    "TriSolve2DResult",
     "run_1d_resilient",
     "run_2d_resilient",
     "ResilientResult",

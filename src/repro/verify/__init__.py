@@ -4,11 +4,11 @@ The simulator's contract (see :mod:`repro.machine.simulator`) is easy to
 state and easy to violate silently: tags must uniquely identify a logical
 transfer, every ``recv``/``barrier`` must be ``yield``-ed, and every
 deposited message must eventually be consumed.  This package machine-checks
-that discipline with three cooperating analyses:
+that discipline at run time; the **static** half (un-yielded
+``recv``/``barrier`` calls, tag tuples missing loop discriminators,
+send/recv tag-shape mismatches) is the protocol pass of :mod:`repro.lint`
+(``PROTOCOL_RULES``):
 
-* :mod:`commlint` — **static** AST lint of the SPMD sources: un-yielded
-  ``recv``/``barrier`` calls, tag tuples missing loop discriminators
-  (collision risk), and send/recv tag-shape mismatches across a module;
 * :mod:`tracecheck` — **dynamic** checks over a recorded message trace
   (``Simulator(trace=True)``): per-``(dest, tag)`` uniqueness, no leaked
   (never-received) messages, causal delivery, and — for the 1D codes —
@@ -18,17 +18,10 @@ that discipline with three cooperating analyses:
   perturbed host scheduling orders and require bit-identical numerics,
   clocks, spans and traces.
 
-``python -m repro verify-comm`` wires all three together;
+``python -m repro verify-comm`` wires the lint pass and both together;
 :mod:`pytest_support` patches trace checking into existing simulator tests.
 """
 
-from .commlint import (
-    LintFinding,
-    lint_source,
-    lint_file,
-    lint_parallel_modules,
-    parallel_module_paths,
-)
 from .tracecheck import (
     Violation,
     TraceCheckReport,
@@ -41,11 +34,6 @@ from .tracecheck import (
 from .replay import ReplayReport, host_orders, replay_check
 
 __all__ = [
-    "LintFinding",
-    "lint_source",
-    "lint_file",
-    "lint_parallel_modules",
-    "parallel_module_paths",
     "Violation",
     "TraceCheckReport",
     "ProtocolViolationError",

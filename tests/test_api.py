@@ -73,6 +73,28 @@ class TestParallelMethods:
         with pytest.raises(ValueError, match="method"):
             SStarSolver(nprocs=2, method="3d").factor(A)
 
+    @pytest.mark.parametrize("nprocs", [1, 4])
+    def test_unknown_method_is_rejected_at_construction(self, nprocs):
+        # before any analysis or tuner search; with nprocs=1 a typo used to
+        # run as "sequential"
+        with pytest.raises(ValueError, match="unknown method '1d-rapd'"):
+            SStarSolver(nprocs=nprocs, method="1d-rapd", tune=True)
+
+    def test_cli_method_choices_are_the_solvers(self):
+        from repro.api import METHODS
+        from repro.cli import build_parser
+
+        sub = build_parser()._subparsers._group_actions[0].choices
+        choices = {
+            name: a.choices for name in ("solve", "simulate")
+            for a in sub[name]._actions if a.dest == "method"
+        }
+        assert choices == {"solve": METHODS, "simulate": METHODS[1:]}
+
+    def test_storage_backend_selector_is_gone(self):
+        with pytest.raises(TypeError, match="backend"):
+            SStarSolver(backend="packed")
+
     def test_sim_result_exposed(self):
         A = random_nonsymmetric(50, density=0.08, seed=46)
         s = SStarSolver(nprocs=4, method="1d-rapid").factor(A)

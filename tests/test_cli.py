@@ -146,7 +146,7 @@ class TestBenchService:
 
 class TestVerifyComm:
     def test_static_only_all_modules(self, capsys):
-        assert main(["verify-comm", "--all-parallel-modules", "--static-only"]) == 0
+        assert main(["verify-comm", "--static-only"]) == 0
         out = capsys.readouterr().out
         assert "static comm-lint" in out
         assert "PASS" in out

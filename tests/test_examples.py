@@ -49,4 +49,4 @@ def test_production_workflow(capsys):
     _run("production_workflow.py")
     out = capsys.readouterr().out
     assert "condition estimate" in out
-    assert "packed solve" in out
+    assert "factor reuse via serialization" in out

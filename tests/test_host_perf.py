@@ -80,7 +80,7 @@ class TestZeroCopyDelivery:
         # guard against a silently stale certificate making every A/B in
         # this class compare copy vs copy
         for mod in ("repro.parallel.oned", "repro.parallel.twod",
-                    "repro.parallel.trisolve", "repro.parallel.trisolve2d"):
+                    "repro.parallel.trisolve"):
             assert certificate_covers(mod), f"certificate stale for {mod}"
 
     @pytest.mark.parametrize("method", ["rapid", "ca"])
@@ -115,6 +115,10 @@ class TestZeroCopyDelivery:
         c2 = run_2d_trisolve(lu, b, 4, T3E, sim_opts={"zero_copy": False})
         assert z2.x.tobytes() == c2.x.tobytes()
         assert z2.sim.total_time == c2.sim.total_time
+        # one certified module, one result type, for both mappings
+        for z in (z1, z2):
+            assert z.sim.zero_copy is True, z.sim.zero_copy_reason
+        assert type(z1) is type(z2)
 
     def test_resilient_restart_bit_identical(self, pipeline):
         args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)

@@ -27,13 +27,22 @@ tree, :func:`width1_sweep_record` run under the update toggle's two
 settings and compared with the file); this tree cannot repeat it, the
 toggle being gone.  The command is in CHANGES.md, PR 21.
 
+``trisolve`` pins the distributed triangular solves (two of the matrices
+x the 1d-rapid owner map and ``Grid2D.preferred`` x P in {4, 6} x a vector
+and an ``(n, 3)`` right-hand side: ``x`` bytes, virtual time, messages,
+bytes, per-rank clocks, ``by_gran`` order).  It was recorded at 73ec0d6,
+the last commit with one rank program per mapping (``parallel/trisolve.py``
+and ``parallel/trisolve2d.py``), so the one program over a mapping that
+replaced them is compared with both originals' recorded output.
+
 ``recorded_from`` names the commit per section: the ``cases`` came out of
 the 2684ecc re-recording byte for byte as first recorded at 61bceec and
 keep that provenance.
 
-Re-record (only when a numeric output is *meant* to change)::
+Re-record (only when a numeric output is *meant* to change) every section,
+or only the named ones (the others keep their bytes and provenance)::
 
-    PYTHONPATH=src python tests/test_numeric_golden.py
+    PYTHONPATH=src python tests/test_numeric_golden.py [cases|width1_sweep|trisolve ...]
 """
 
 import hashlib
@@ -51,7 +60,7 @@ from repro.numfact import (
     matrix_maxnorm,
     sstar_factor,
 )
-from repro.parallel import run_1d, run_2d
+from repro.parallel import Grid2D, run_1d, run_1d_trisolve, run_2d, run_2d_trisolve
 from repro.service import analyze
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "numeric_golden.json"
@@ -202,6 +211,48 @@ def width1_sweep_record(abft: bool) -> dict:
     }
 
 
+#: the matrices of the ``trisolve`` section: one dominated by width-1
+#: supernodes (many blocks, many messages), one with real interchanges
+TRISOLVE_CASES = ("circuit_like_300", "negzero_negative_pivots_80")
+
+
+def _trisolve_record(tri) -> dict:
+    sim = tri.sim
+    return {
+        "x": _hash(tri.x.tobytes()),
+        "parallel_seconds": float(tri.parallel_seconds).hex(),
+        "messages": sim.messages,
+        "bytes_sent": sim.bytes_sent,
+        "rank_clocks": [float(c).hex() for c in sim.rank_clocks],
+        "by_gran": [
+            f"{k}/{gran}/{v.hex()}"
+            for (k, gran), v in sim.total_counter().by_gran.items()
+        ],
+    }
+
+
+def trisolve_records(name: str) -> dict:
+    """Both distributed triangular solves of one case: the 1d-rapid owner
+    map and the preferred grid, P in {4, 6}, vector and ``(n, 3)`` rhs."""
+    make, amalgamation = CASES[name]
+    art, om = analyze(make(), block_size=25, amalgamation=amalgamation)
+    sym, part, bs = art.sym, art.part, art.bstruct
+    rng = np.random.default_rng(22)
+    rhs = {"vector": rng.standard_normal(sym.n),
+           "block3": rng.standard_normal((sym.n, 3))}
+    out = {"N": part.N}
+    for P in (4, 6):
+        res = run_1d(om.A, part, bs, P, T3E, method="rapid")
+        lu = LUFactorization(res.factor, sym, part, bs, None)
+        out["interchanges"] = lu.num_interchanges()
+        for shape, b in rhs.items():
+            out[f"1d/P{P}/{shape}"] = _trisolve_record(
+                run_1d_trisolve(lu, res.schedule.owner, b, P, T3E))
+            out[f"2d/P{P}/{shape}"] = _trisolve_record(
+                run_2d_trisolve(lu, b, P, T3E, grid=Grid2D.preferred(P)))
+    return out
+
+
 def load_golden() -> dict:
     doc = json.loads(GOLDEN.read_text())
     if doc["blas_canary"] != blas_canary():
@@ -242,24 +293,45 @@ def test_recorded_cases_cover_what_they_claim(golden):
     )
 
 
+@pytest.mark.parametrize("name", TRISOLVE_CASES)
+def test_trisolves_match_recorded_runs(name):
+    want = load_golden()["trisolve"][name]
+    got = trisolve_records(name)
+    assert sorted(got) == sorted(want)
+    for run in want:
+        assert got[run] == want[run], run
+    assert want["1d/P6/vector"]["messages"] > 0 < want["2d/P6/block3"]["messages"]
+
+
+#: section -> recorder
+SECTIONS = {
+    "cases": lambda: {
+        name: numeric_records(make(), amalg)
+        for name, (make, amalg) in CASES.items()
+    },
+    "width1_sweep": lambda: {
+        "plain": width1_sweep_record(False),
+        "abft": width1_sweep_record(True),
+    },
+    "trisolve": lambda: {name: trisolve_records(name) for name in TRISOLVE_CASES},
+}
+
+
 if __name__ == "__main__":
     import subprocess
+    import sys
 
     commit = subprocess.run(
         ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True,
         cwd=pathlib.Path(__file__).parent,
     ).stdout.strip()
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({
-        "recorded_from": {"cases": commit, "width1_sweep": commit},
-        "blas_canary": blas_canary(),
-        "cases": {
-            name: numeric_records(make(), amalg)
-            for name, (make, amalg) in CASES.items()
-        },
-        "width1_sweep": {
-            "plain": width1_sweep_record(False),
-            "abft": width1_sweep_record(True),
-        },
-    }, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(CASES)} cases from {commit} -> {GOLDEN}")
+    wanted = sys.argv[1:] or list(SECTIONS)
+    doc = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"recorded_from": {}}
+    if doc.setdefault("blas_canary", blas_canary()) != blas_canary():
+        sys.exit("host BLAS rounds differently from the recording host: "
+                 "re-record every section here, or none")
+    for section in wanted:
+        doc[section] = SECTIONS[section]()
+        doc["recorded_from"][section] = commit
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {', '.join(wanted)} from {commit} -> {GOLDEN}")

@@ -110,25 +110,6 @@ def test_solution_matches_numpy(n, seed):
 
 
 @given(matrix_params)
-@settings(max_examples=10, deadline=None)
-def test_packed_backend_agrees(params):
-    """Property: the packed backend picks the same pivots and produces a
-    machine-precision-equal solution for arbitrary random matrices."""
-    from repro.numfact import packed_factor
-
-    n, seed, density = params
-    A = random_nonsymmetric(n, density=density, seed=seed)
-    om = prepare_matrix(A)
-    sym = static_symbolic_factorization(om.A)
-    part = build_partition(sym, max_size=5, amalgamation=3)
-    dense = sstar_factor(om.A, sym=sym, part=part)
-    packed = packed_factor(om.A, sym=sym, part=part)
-    assert dense.matrix.pivot_seq == packed.matrix.pivot_seq
-    b = np.ones(n)
-    assert np.allclose(dense.solve(b), packed.solve(b), rtol=1e-8, atol=1e-11)
-
-
-@given(matrix_params)
 @settings(max_examples=8, deadline=None)
 def test_distributed_trisolves_bitwise(params):
     """Property: both distributed triangular solvers are bitwise equal to

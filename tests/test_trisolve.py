@@ -181,3 +181,57 @@ class TestTriSolve2D:
                              res.sim.total_counter())
         with pytest.raises(ValueError, match="grid"):
             run_2d_trisolve(lu, np.ones(40), 8, T3E, grid=Grid2D(2, 2))
+
+
+class TestMappingMustFitTheRun:
+    """A mapping that does not fit the factor or the run is one
+    ``ValueError`` naming the block column and rank, raised before the
+    simulator exists — not a send error, a deadlock or an ``IndexError``
+    from deep inside a rank program."""
+
+    @pytest.fixture(autouse=True)
+    def no_rank_may_run(self, monkeypatch):
+        from repro.parallel import trisolve
+
+        def boom(*a, **k):
+            raise AssertionError("the simulator was built")
+
+        monkeypatch.setattr(trisolve, "Simulator", boom)
+
+    @pytest.mark.parametrize("nprocs", [2, 3])
+    def test_1d_owner_names_a_rank_the_run_lacks(self, factored, nprocs):
+        om, lu, res = factored  # factored on 4 ranks
+        with pytest.raises(ValueError, match=r"block column \d+ is mapped to rank [23]"):
+            run_1d_trisolve(lu, res.schedule.owner, np.ones(om.n), nprocs, T3E)
+
+    def test_1d_owner_of_the_wrong_length(self, factored):
+        om, lu, res = factored
+        with pytest.raises(ValueError, match=rf"owner maps {lu.part.N - 2} block "
+                                             rf"columns, the factor has {lu.part.N}"):
+            run_1d_trisolve(lu, res.schedule.owner[:-2], np.ones(om.n), 4, T3E)
+
+    @pytest.mark.parametrize("nprocs", [2, 8])
+    def test_2d_grid_of_another_size(self, factored, nprocs):
+        from repro.parallel import Grid2D, run_2d_trisolve
+
+        om, lu, _ = factored
+        with pytest.raises(ValueError, match=rf"grid 2x2 has 4 ranks, the run has {nprocs}"):
+            run_2d_trisolve(lu, np.ones(om.n), nprocs, T3E, grid=Grid2D(2, 2))
+
+    @pytest.mark.parametrize("mapping", ["1d", "2d"])
+    def test_unfactored_block_column(self, factored, mapping):
+        import copy
+
+        from repro.parallel import run_2d_trisolve
+
+        om, lu, res = factored
+        half = copy.copy(lu)
+        half.matrix = copy.copy(lu.matrix)
+        half.matrix.pivot_seq = list(lu.matrix.pivot_seq)
+        half.matrix.pivot_seq[3] = None
+        with pytest.raises(ValueError, match=r"block column 3 \(on rank \d\) has no pivot"):
+            if mapping == "1d":
+                run_1d_trisolve(half, res.schedule.owner, np.ones(om.n), 4, T3E)
+            else:
+                run_2d_trisolve(half, np.ones(om.n), 4, T3E)
+

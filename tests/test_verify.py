@@ -5,9 +5,15 @@ program (or source snippet) and asserts the matching analysis flags exactly
 that defect, with a diagnostic naming the offending rank/tag/call-site.
 """
 
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
+import repro.parallel
+from repro import lint
+from repro.lint import PROTOCOL_RULES, RULES, lint_paths
 from repro.machine import DeadlockError, GENERIC, SimTrace, Simulator
 from repro.machine.simulator import MessageRecord
 from repro.taskgraph import FACTOR, UPDATE
@@ -17,8 +23,6 @@ from repro.verify import (
     check_run,
     check_spans_against_dag,
     host_orders,
-    lint_parallel_modules,
-    lint_source,
     parse_span_label,
     replay_check,
 )
@@ -29,8 +33,13 @@ def run_traced(nprocs, program, args=(), **kw):
     return Simulator(nprocs, GENERIC, program, args=args, trace=True, **kw).run()
 
 
+def lint_source(src, path="<string>"):
+    """The protocol pass alone (the other passes have tests/test_lint.py)."""
+    return lint.lint_source(src, path=path, select=PROTOCOL_RULES)
+
+
 # ---------------------------------------------------------------------------
-# static comm-lint
+# static comm-lint: the protocol pass of repro.lint
 # ---------------------------------------------------------------------------
 
 
@@ -104,7 +113,7 @@ class TestCommLint:
         src = (
             "def prog(env, n):\n"
             "    for i in range(n):\n"
-            "        env.send(1, ('x',), i)  # commlint: ok\n"
+            "        env.send(1, ('x',), i)  # lint: disable=T03\n"
         )
         assert [f for f in lint_source(src) if f.rule == "T03"] == []
 
@@ -118,8 +127,27 @@ class TestCommLint:
         assert "T03" in rules and "T02" in rules
 
     def test_repo_parallel_modules_are_clean(self):
-        for path, findings in lint_parallel_modules().items():
-            assert findings == [], f"{path}: {[str(f) for f in findings]}"
+        root = pathlib.Path(repro.parallel.__file__).parent
+        assert (root / "trisolve.py").exists()
+        findings = lint_paths([root], select=PROTOCOL_RULES)
+        assert findings == [], [str(f) for f in findings]
+
+    def test_rules_are_registered_with_their_severities(self):
+        assert [RULES[r].severity for r in PROTOCOL_RULES] == [
+            "error", "error", "warning", "warning"]
+        table = json.loads(lint.render_json([]))["rules"]
+        assert set(PROTOCOL_RULES) <= set(table) and len(table) == 12
+        assert table["T02"]["severity"] == "warning"
+
+    def test_unselected_lint_reports_protocol_next_to_dataflow_findings(self):
+        src = (
+            "def prog(env, buf):\n"
+            "    for d in {1, 2}:\n"
+            "        env.send(d, ('orphan', d), buf)\n"
+            "    buf[0] = 1.0\n"
+        )
+        rules = {f.rule for f in lint.lint_source(src)}
+        assert {"T02", "D101", "Z201"} <= rules
 
 
 # ---------------------------------------------------------------------------

@@ -101,7 +101,11 @@ PAPER_NOTES = {
     "storage_backends": (
         "Storage — packed panels vs padded dense blocks",
         "The paper's packed supernode layout vs this repo's padded-block "
-        "teaching backend: same pivots, same flops, less memory.",
+        "storage: same pivots, same flops, less memory.  A recorded "
+        "comparison: these rows were measured at `73ec0d6`, the last commit "
+        "that had the second storage backend and the bench script that wrote "
+        "them (both deleted in PR 22 — no driver, ABFT or perturbation path "
+        "ever used it); `BENCH_storage_backends.json` is kept as evidence.",
     ),
     "trisolve": (
         "Triangular solves vs factorization",
