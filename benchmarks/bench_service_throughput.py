@@ -6,8 +6,13 @@ paper's test matrices.  Three effects are measured in wall-clock time:
 * **amortization** — a cold ``factor`` pays the full George-Ng analyze
   phase (transversal, ordering, symbolic, partition) on every call; a
   cache-hit ``refactor`` of a same-pattern matrix pays only the numeric
-  Factor/Update sweep.  The issue's acceptance bar is >= 3x on the analyze
-  phase; we assert it on the end-to-end ratio's analyze component.
+  Factor/Update sweep.  The ratio is *reported*, and gated only at
+  ``> 1``: it shrinks whenever the analysis gets cheaper (3.2-4.2x when
+  the layer was written, 2.5-3.1x after PR 12, lower again after PR 23),
+  so a fixed floor fails for the wrong reason.  What is gated is the
+  mechanism: a warm ``refactor`` makes **zero** calls to
+  ``prepare_matrix`` / ``static_symbolic_factorization`` (counted by
+  monkeypatch; the cold ``factor`` next to it must be seen making them).
 * **multi-RHS batching** — one ``solve`` of an ``(n, k)`` block against
   ``k`` sequential vector solves (BLAS-3 vs repeated BLAS-2 sweeps over
   the factor blocks).
@@ -18,7 +23,10 @@ paper's test matrices.  Three effects are measured in wall-clock time:
 Rows land in ``benchmarks/results/BENCH_service_throughput.json``.
 """
 
+import importlib
 import time
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -35,6 +43,30 @@ NRHS = 8
 
 def _perturbed(A, rng, rel=0.05):
     return A.with_values(A.data * (1.0 + rel * rng.uniform(-1.0, 1.0, A.nnz)))
+
+
+#: every name the analyze phase's two entry points are looked up under
+ANALYSIS_ENTRY_POINTS = (
+    ("repro.ordering", "prepare_matrix"),
+    ("repro.symbolic", "static_symbolic_factorization"),
+    ("repro.numfact.sequential", "static_symbolic_factorization"),
+)
+
+
+@contextmanager
+def counted_analysis_calls():
+    """Count calls to the analysis entry points while the block runs."""
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for modname, attr in ANALYSIS_ENTRY_POINTS:
+            mod = importlib.import_module(modname)
+
+            def counting(*args, _real=getattr(mod, attr), _attr=attr, **kwargs):
+                calls[_attr] += 1
+                return _real(*args, **kwargs)
+
+            mp.setattr(mod, attr, counting)
+        yield calls
 
 
 def _bitwise_equal(a, b):
@@ -68,6 +100,13 @@ def service_rows():
                                   warm.factorization.matrix)
         t_cold /= REPEATS
         t_warm /= REPEATS
+
+        with counted_analysis_calls() as calls:
+            SStarSolver().factor(Ai)
+            cold_calls = dict(calls)
+            calls.clear()
+            SStarSolver(analysis_cache=cache).refactor(Ai)
+            warm_calls = sum(calls.values())
         # the whole cold-vs-warm gap is analyze work the cache skipped
         t_analyze = t_cold - t_warm
 
@@ -90,6 +129,9 @@ def service_rows():
             "warm_refactor_s": t_warm,
             "analyze_s": t_analyze,
             "amortization": t_cold / t_warm,
+            "cold_prepare_matrix_calls": cold_calls.get("prepare_matrix", 0),
+            "cold_symbolic_calls": cold_calls.get("static_symbolic_factorization", 0),
+            "warm_analysis_calls": warm_calls,
             "nrhs": NRHS,
             "seq_solves_s": t_seq,
             "block_solve_s": t_blk,
@@ -115,12 +157,17 @@ def test_service_throughput_report(service_rows):
     save_results("service_throughput", service_rows)
 
     for r in service_rows:
-        # acceptance: cached refactor amortizes the analyze phase >= 3x
-        # end-to-end, and a block solve beats k sequential solves
-        assert r["amortization"] >= 3.0, (
-            f"{r['matrix']}: amortization {r['amortization']:.2f}x < 3x"
+        # acceptance: a cached refactor runs no analysis at all (and the
+        # counter is live: the cold factor is seen running both phases), it
+        # is therefore cheaper than a cold factor, and a block solve beats k
+        # sequential solves.  (analysis_reused and bit-equal factors are
+        # asserted per repeat in the fixture.)
+        assert r["cold_prepare_matrix_calls"] == r["cold_symbolic_calls"] == 1, r
+        assert r["warm_analysis_calls"] == 0, r
+        assert r["amortization"] > 1.0, (
+            f"{r['matrix']}: warm refactor no cheaper than a cold factor "
+            f"({r['amortization']:.2f}x)"
         )
-        assert r["analyze_s"] > 0.0
         assert r["multirhs_speedup"] > 1.0, (
             f"{r['matrix']}: block solve no faster than "
             f"{r['nrhs']} sequential solves"

@@ -304,7 +304,7 @@ def cmd_verify_comm(args) -> int:
         print(f"cannot read module: {', '.join(missing)}", file=sys.stderr)
         return 2
     files = iter_python_files(args.module or [Path(__file__).parent / "parallel"])
-    static = lint_paths(files, select=PROTOCOL_RULES + ("PARSE",))
+    static = lint_paths(files, select=PROTOCOL_RULES)
     for path in files:
         name = path.name
         findings = [f for f in static if f.path == str(path)]

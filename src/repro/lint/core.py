@@ -163,7 +163,9 @@ def iter_python_files(paths) -> list:
 def lint_paths(paths, env_names=("env",), select=None) -> list:
     """Lint files/directories; returns all findings sorted by location.
 
-    ``select`` restricts output to an iterable of rule ids.
+    ``select`` restricts output to an iterable of rule ids — plus ``PARSE``,
+    always: a file that could not be analysed has not been found clean of
+    the selected rules.
     """
     from .summaries import build_project_summaries
 
@@ -186,7 +188,7 @@ def lint_paths(paths, env_names=("env",), select=None) -> list:
             continue
         findings.extend(_run_passes(m, summaries))
     if select is not None:
-        wanted = set(select)
+        wanted = set(select) | {"PARSE"}
         findings = [f for f in findings if f.rule in wanted]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings

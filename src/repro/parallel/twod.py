@@ -510,8 +510,7 @@ def run_2d(
     """
     if grid is None:
         grid = Grid2D.preferred(nprocs)
-    if grid.nprocs != nprocs:
-        raise ValueError("grid size does not match nprocs")
+    grid.check(part.N, nprocs)
     merged, locals_ = _distribute_2d(A, part, bstruct, grid, full=start_from)
     ctx = {
         "grid": grid,

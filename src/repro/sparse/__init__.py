@@ -17,6 +17,8 @@ from .ops import (
     csr_matvec,
     csr_to_dense,
     dense_to_csr,
+    sorted_unique,
+    check_column_indices,
 )
 from .io import write_matrix_market, read_matrix_market
 
@@ -32,6 +34,8 @@ __all__ = [
     "csr_matvec",
     "csr_to_dense",
     "dense_to_csr",
+    "sorted_unique",
+    "check_column_indices",
     "write_matrix_market",
     "read_matrix_market",
 ]

@@ -26,31 +26,70 @@ def pattern_transpose(A: CSRMatrix) -> CSRMatrix:
     return coo_to_csr(A.ncols, A.nrows, cols, rows, np.ones(len(rows)))
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int array the caller owns: sorts ``values`` in
+    place and drops equal neighbours, several times cheaper than
+    ``np.unique``'s generic path."""
+    values.sort()
+    keep = np.empty(len(values), dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def check_column_indices(A: CSRMatrix) -> None:
+    """Raise ``ValueError`` naming the first column index outside
+    ``[0, ncols)`` — :class:`CSRMatrix` itself does not range-check."""
+    idx, n = A.indices, A.ncols
+    if len(idx) and not 0 <= idx.min() <= idx.max() < n:
+        bad = int(idx[(idx < 0) | (idx >= n)][0])
+        raise ValueError(f"column index {bad} outside [0, {n}) in a matrix of shape {A.shape}")
+
+
+#: most (j, k) pairs :func:`ata_pattern` expands at once: 2**20 int64 keys
+#: and their temporaries stay under ~40 MB however dense a row is
+_ATA_PAIR_BUDGET = 1 << 20
+
+
 def ata_pattern(A: CSRMatrix) -> CSRMatrix:
-    """Structural pattern of :math:`A^T A` for a square matrix.
+    """Structural pattern of :math:`A^T A` (``A`` may be rectangular).
 
     :math:`(A^T A)_{jk} \\ne 0` iff some row of ``A`` holds nonzeros in both
     columns ``j`` and ``k`` — i.e. every row of ``A`` contributes a clique on
-    its column support.  We build the pattern row-by-row as a union of those
-    cliques, which is how the ordering code consumes it (as an adjacency
-    structure).
+    its column support.  Each stored entry ``(i, j)`` is expanded into the
+    pairs ``(j, k)`` for every ``k`` of row ``i``, encoded as ``j * n + k``,
+    and the pattern is the sorted set of those keys.  Entries are expanded in
+    chunks of at most ``_ATA_PAIR_BUDGET`` pairs, so a dense row costs time,
+    not memory.
+
+    Raises ``ValueError`` on a column index outside ``[0, ncols)``.
     """
+    check_column_indices(A)
     n = A.ncols
-    neighbors = [set() for _ in range(n)]
-    for i in range(A.nrows):
-        cols = A.row_indices(i)
-        cl = cols.tolist()
-        for j in cl:
-            neighbors[j].update(cl)
-    rows_out = []
-    cols_out = []
-    for j in range(n):
-        nb = sorted(neighbors[j])
-        rows_out.append(np.full(len(nb), j, dtype=np.int64))
-        cols_out.append(np.asarray(nb, dtype=np.int64))
-    rows_out = np.concatenate(rows_out) if rows_out else np.empty(0, np.int64)
-    cols_out = np.concatenate(cols_out) if cols_out else np.empty(0, np.int64)
-    return coo_to_csr(n, n, rows_out, cols_out, np.ones(len(rows_out)))
+    idx = A.indices
+    row_len = np.diff(A.indptr)
+    # per stored entry: how many pairs it expands to, and where its row starts
+    width = np.repeat(row_len, row_len)
+    start = np.repeat(A.indptr[:-1], row_len)
+    done = np.cumsum(width)
+    keys = np.empty(0, dtype=np.int64)
+    lo = 0
+    while lo < A.nnz:
+        base = done[lo] - width[lo]
+        hi = max(lo + 1, int(np.searchsorted(done, base + _ATA_PAIR_BUDGET, "right")))
+        w = width[lo:hi]
+        first = done[lo:hi] - w - base  # entry e owns pairs first[e] .. first[e] + w[e]
+        # k side: pair t of entry e reads position start[e] + (t - first[e])
+        pos = np.repeat(start[lo:hi] - first, w)
+        pos += np.arange(len(pos))
+        pairs = np.repeat(idx[lo:hi], w)
+        pairs *= n
+        pairs += idx[pos]
+        keys = sorted_unique(np.concatenate([keys, pairs]) if len(keys) else pairs)
+        lo = hi
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return CSRMatrix(n, n, indptr, keys % n)
 
 
 def aplusat_pattern(A: CSRMatrix) -> CSRMatrix:

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..sparse import sorted_unique
 from ..symbolic import SymbolicFactorization
-from ..symbolic.george_ng import sorted_unique
 from .partition import BlockPartition
 
 

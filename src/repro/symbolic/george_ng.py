@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse import CSRMatrix
+from ..sparse import CSRMatrix, sorted_unique
 
 
 @dataclass
@@ -92,17 +92,6 @@ class StructuralDiagonalError(ValueError):
 def _contains(sorted_arr: np.ndarray, x: int) -> bool:
     pos = np.searchsorted(sorted_arr, x)
     return bool(pos < len(sorted_arr) and sorted_arr[pos] == x)
-
-
-def sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` of an int array the caller owns: sorts ``values`` in
-    place and drops equal neighbours, several times cheaper than
-    ``np.unique``'s generic path on the short, nearly sorted arrays here."""
-    values.sort()
-    keep = np.empty(len(values), dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
 
 
 def static_symbolic_factorization(A: CSRMatrix) -> SymbolicFactorization:

@@ -7,9 +7,17 @@ the analysis layer was vectorised (PR 12).  The tier-1 test below asserts
 the current code reproduces them, so "bit-identical" is checked against
 recorded evidence rather than against a retained old code path.
 
-Re-record (only when an analysis output is *meant* to change)::
+The ``ordering`` section pins the layer before it: ``perm`` and
+``fill_edges`` of :func:`repro.ordering.minimum_degree` on the AᵀA and
+A+Aᵀ patterns (``multiple`` both ways) and the ``indptr``/``indices`` of
+:func:`repro.sparse.ata_pattern`, recorded from the commit before those two
+kernels were rewritten in set algebra (PR 23).
 
-    PYTHONPATH=src python tests/test_analysis_golden.py
+Re-record (only when an analysis output is *meant* to change) — every
+section, or only the named ones, the others keeping their bytes and their
+``recorded_from``::
+
+    PYTHONPATH=src python tests/test_analysis_golden.py [cases] [ordering]
 """
 
 import hashlib
@@ -19,8 +27,10 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.matrices import generators as g, get_matrix
+from repro.matrices import generators as g, get_matrix, suite_names
+from repro.ordering import maximum_transversal, minimum_degree
 from repro.service import analyze
+from repro.sparse import aplusat_pattern, ata_pattern
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "analysis_golden.json"
 
@@ -81,14 +91,67 @@ def analysis_digests(A) -> dict:
     return out
 
 
+def _cold_solve_cases() -> dict:
+    # generator seeds as benchmarks/e2e draws them (seed * 1000 + round):
+    # rounds 0-2 of seed 0 and round 0 of seeds 1 and 2
+    out = {}
+    for s in (0, 1, 2, 1000, 2000):
+        out[f"cold_fem_unstructured_600_s{s}"] = (
+            lambda s=s: g.fem_unstructured(n=600, avg_degree=12, nonsym=0.4, seed=s))
+        out[f"cold_circuit_like_450_s{s}"] = lambda s=s: g.circuit_like(n=450, seed=s)
+    return out
+
+
+ORDERING_CASES = {
+    **_cold_solve_cases(),
+    # the four service_warm patterns
+    "warm_stencil_3d_8x8x5x3": lambda: g.stencil_3d(nx=8, ny=8, nz=5, ndof=3),
+    "warm_fem_unstructured_1400": lambda: g.fem_unstructured(
+        n=1400, avg_degree=12, nonsym=0.4),
+    "warm_circuit_like_991": lambda: g.circuit_like(n=991),
+    "warm_fem_unstructured_1800": lambda: g.fem_unstructured(
+        n=1800, avg_degree=14, nonsym=0.25),
+    **{f"suite_{name}_small": (lambda name=name: get_matrix(name, "small"))
+       for name in suite_names()},
+}
+
+
+def ordering_digests(A) -> dict:
+    """What ``prepare_matrix`` computes between the transversal and the
+    symmetric permutation, for both minimum-degree orderings."""
+    trans, _ = maximum_transversal(A)
+    At = A.permute(row_perm=trans)
+    G = ata_pattern(At)
+    out = {"n": G.nrows, "ata_indptr": _digest([G.indptr]),
+           "ata_indices": _digest([G.indices])}
+    for name, pattern in (("mindeg-ata", G), ("mindeg-aplusat", aplusat_pattern(At))):
+        for multiple in (True, False):
+            res = minimum_degree(pattern, multiple=multiple)
+            out[f"{name}/multiple={multiple}"] = {
+                "perm": _digest([res.perm]), "fill_edges": int(res.fill_edges)}
+    return out
+
+
+SECTIONS = {
+    "cases": lambda: {name: analysis_digests(make()) for name, make in CASES.items()},
+    "ordering": lambda: {
+        name: ordering_digests(make()) for name, make in ORDERING_CASES.items()},
+}
+
+
 @pytest.fixture(scope="module")
 def golden():
-    return json.loads(GOLDEN.read_text())["cases"]
+    return json.loads(GOLDEN.read_text())
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_analysis_outputs_match_recorded_digests(name, golden):
-    assert analysis_digests(CASES[name]()) == golden[name]
+    assert analysis_digests(CASES[name]()) == golden["cases"][name]
+
+
+@pytest.mark.parametrize("name", sorted(ORDERING_CASES))
+def test_ordering_outputs_match_recorded_digests(name, golden):
+    assert ordering_digests(ORDERING_CASES[name]()) == golden["ordering"][name]
 
 
 def test_container_types_unchanged():
@@ -108,14 +171,16 @@ def test_container_types_unchanged():
 
 if __name__ == "__main__":
     import subprocess
+    import sys
 
     commit = subprocess.run(
         ["git", "rev-parse", "--short", "HEAD"], capture_output=True, text=True,
         cwd=pathlib.Path(__file__).parent,
     ).stdout.strip()
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps({
-        "recorded_from": commit,
-        "cases": {name: analysis_digests(make()) for name, make in CASES.items()},
-    }, indent=1, sort_keys=True) + "\n")
-    print(f"recorded {len(CASES)} cases from {commit} -> {GOLDEN}")
+    wanted = sys.argv[1:] or list(SECTIONS)
+    doc = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"recorded_from": {}}
+    for section in wanted:
+        doc[section] = SECTIONS[section]()
+        doc["recorded_from"][section] = commit
+    GOLDEN.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {', '.join(wanted)} from {commit} -> {GOLDEN}")

@@ -118,6 +118,25 @@ class TestFramework:
         assert rules_of(findings) == ["PARSE"]
         assert findings[0].severity == Severity.ERROR
 
+    def test_parse_error_survives_any_select(self, tmp_path):
+        # "no Z201 finding" must not read as "clean" for a file never analysed
+        bad = tmp_path / "bad.py"
+        bad.write_text("def broken(:\n")
+        assert rules_of(lint_paths([bad], select=["Z201"])) == ["PARSE"]
+        assert rules_of(lint_paths([bad], select=[])) == ["PARSE"]
+
+    def test_unparseable_module_is_not_certified_clean(self, tmp_path):
+        from repro.lint.certify import build_certificate
+
+        (tmp_path / "bad.py").write_text("def broken(:\n")
+        (tmp_path / "good.py").write_text("def f(xs):\n    return sorted(xs)\n")
+        cert = build_certificate([tmp_path])
+        assert cert.clean_modules() == ["good"]
+        assert cert.dirty_modules() == ["bad"]
+        (finding,) = cert.modules["bad"]["findings"]
+        assert finding.startswith("PARSE bad.py:1:0 cannot lint")
+        assert not cert.covers("bad")
+
 
 # ---------------------------------------------------------------------------
 # determinism pass: D101..D106
@@ -621,3 +640,11 @@ class TestCli:
         rc = main(["verify-comm", "--module", str(bad), "--static-only",
                    "--fail-on=never"])
         assert rc == 0
+
+    def test_verify_comm_fails_on_a_module_it_cannot_parse(self, tmp_path, capsys):
+        bad = tmp_path / "badmod.py"
+        bad.write_text("def prog(env:\n    yield env.barrier()\n")
+        rc = main(["verify-comm", "--module", str(bad), "--static-only", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 1 and doc["ok"] is False
+        assert [f["rule"] for f in doc["static"]["badmod.py"]] == ["PARSE"]

@@ -11,7 +11,11 @@ from repro.ordering import (
     minimum_degree,
     prepare_matrix,
 )
-from repro.sparse import ata_pattern, coo_to_csr, csr_to_dense
+from repro.matrices import generators
+from repro.sparse import CSRMatrix, aplusat_pattern, ata_pattern, coo_to_csr, csr_to_dense
+from repro.symbolic.cholesky_bound import cholesky_ata_structure
+
+from .reference_ordering import reference_minimum_degree
 
 
 class TestTransversal:
@@ -95,6 +99,104 @@ class TestMinimumDegree:
         G = ata_pattern(random_nonsymmetric(15, seed=3))
         res = minimum_degree(G, multiple=False)
         assert sorted(res.perm.tolist()) == list(range(15))
+
+
+def _graph(n, edges, one_directional=False):
+    """Pattern with an entry per edge — both directions, or only the one given."""
+    rows = [i for i, _ in edges]
+    cols = [j for _, j in edges]
+    if not one_directional:
+        rows, cols = rows + cols, cols + rows
+    return coo_to_csr(n, n, rows, cols, np.ones(len(rows)))
+
+
+def _cholesky_fill(G, perm):
+    """Fill of the symbolic Cholesky factor of ``G[perm, perm]`` — computed
+    by the etree column merge, which shares no code with the elimination."""
+    Gp = aplusat_pattern(G).permute(row_perm=perm, col_perm=perm)
+    off_diagonal = sum(
+        int(np.count_nonzero(Gp.row_indices(i) > i)) for i in range(Gp.nrows)
+    )
+    return sum(len(c) - 1 for c in cholesky_ata_structure(Gp)) - off_diagonal
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 14))
+    pair = st.tuples(st.integers(0, max(n - 1, 0)), st.integers(0, max(n - 1, 0)))
+    edges = draw(st.lists(pair, max_size=3 * n)) if n else []
+    return _graph(n, edges, one_directional=draw(st.booleans()))
+
+
+class TestMinimumDegreeOracles:
+    """Properties checked against code that is not the elimination itself:
+    the frozen pre-PR-23 implementation and symbolic Cholesky."""
+
+    @given(graphs(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_random_graphs(self, G, multiple):
+        res = minimum_degree(G, multiple=multiple)
+        assert res.perm.dtype == np.int64
+        assert sorted(res.perm.tolist()) == list(range(G.nrows))
+        ref_perm, ref_fill = reference_minimum_degree(G, multiple=multiple)
+        assert np.array_equal(res.perm, ref_perm)
+        assert res.fill_edges == ref_fill == _cholesky_fill(G, res.perm)
+
+    @pytest.mark.parametrize("multiple", [True, False])
+    @pytest.mark.parametrize("make, fill", [
+        # the cold_solve generators on a seed no golden uses
+        (lambda: generators.fem_unstructured(600, 12, 0.4, seed=3), 5599),
+        (lambda: generators.circuit_like(450, seed=3), 25820),
+    ])
+    def test_cold_solve_patterns(self, make, fill, multiple):
+        A = make()
+        trans, _ = maximum_transversal(A)
+        G = ata_pattern(A.permute(row_perm=trans))
+        res = minimum_degree(G, multiple=multiple)
+        ref_perm, ref_fill = reference_minimum_degree(G, multiple=multiple)
+        assert np.array_equal(res.perm, ref_perm)
+        assert res.fill_edges == ref_fill == _cholesky_fill(G, res.perm)
+        if multiple:
+            assert res.fill_edges == fill
+
+    def test_mass_elimination_takes_a_clique_at_once(self):
+        # K5 plus a pendant path: the clique's nodes are indistinguishable
+        edges = [(i, j) for i in range(5) for j in range(i)] + [(5, 6), (6, 7)]
+        res = minimum_degree(_graph(8, edges))
+        assert res.fill_edges == 0
+        ref_perm, _ = reference_minimum_degree(_graph(8, edges))
+        assert np.array_equal(res.perm, ref_perm)
+
+    def test_isolated_vertices_come_first_in_index_order(self):
+        res = minimum_degree(_graph(6, [(1, 4)]))
+        assert res.perm.tolist() == [0, 2, 3, 5, 1, 4]
+        assert res.fill_edges == 0
+
+
+class TestMinimumDegreeInputs:
+    def test_empty_and_single_node(self):
+        assert minimum_degree(_graph(0, [])).perm.tolist() == []
+        one = minimum_degree(_graph(1, [(0, 0)]))
+        assert (one.perm.tolist(), one.fill_edges) == ([0], 0)
+
+    def test_one_directional_pattern_is_symmetrised(self):
+        edges = [(0, 3), (3, 1), (1, 4), (4, 2), (0, 2), (3, 4)]
+        one_way = minimum_degree(_graph(5, edges, one_directional=True))
+        both = minimum_degree(_graph(5, edges))
+        assert np.array_equal(one_way.perm, both.perm)
+        assert one_way.fill_edges == both.fill_edges
+
+    def test_rejects_rectangular_pattern(self):
+        G = coo_to_csr(3, 4, [0, 1], [1, 3], [1, 1])
+        with pytest.raises(ValueError, match=r"square.*\(3, 4\)"):
+            minimum_degree(G)
+
+    @pytest.mark.parametrize("bad", [3, 7, -1])
+    def test_rejects_out_of_range_column_index(self, bad):
+        # CSRMatrix itself does not range-check indices
+        G = CSRMatrix(3, 3, [0, 1, 2, 2], [1, bad])
+        with pytest.raises(ValueError, match=rf"column index {bad} outside \[0, 3\)"):
+            minimum_degree(G)
 
 
 class TestPipeline:

@@ -107,6 +107,15 @@ PAPER_NOTES = {
         "them (both deleted in PR 22 — no driver, ABFT or perturbation path "
         "ever used it); `BENCH_storage_backends.json` is kept as evidence.",
     ),
+    "ordering_host": (
+        "Ordering — host seconds of the AᵀA pattern and minimum degree",
+        "Paper (Section 3.1): columns are ordered by multiple minimum degree "
+        "on the graph of AᵀA; no time is reported for it.  Rows compare the "
+        "commit before PR 23 (`parent_*`) with this tree, best repeat of the "
+        "best of three alternating processes; the permutation digest and the "
+        "fill are the same on both trees or the bench script refuses to write "
+        "(`python benchmarks/bench_ordering_host.py`).",
+    ),
     "trisolve": (
         "Triangular solves vs factorization",
         "Paper (Section 2): the triangular solvers are much less time "
@@ -125,7 +134,7 @@ ORDER = [
     "table5", "table6", "fig17", "fig18", "table7", "eq4",
     "ablation_ordering", "ablation_grid", "ablation_blocksize",
     "ablation_network", "memory_scalability", "storage_backends",
-    "trisolve", "tune_gain",
+    "ordering_host", "trisolve", "tune_gain",
 ]
 
 
