@@ -1,6 +1,7 @@
 """High-level public API."""
 
-from .solver import METHODS, SStarSolver, FactorizationReport
+from ..parallel import METHODS
+from .solver import SStarSolver, FactorizationReport
 from .experiment import ExperimentContext
 from .fixtures import MemoCache, prepare_pipeline, SMALL_SUITE
 from .validate import validate_matrix, format_report, CheckResult

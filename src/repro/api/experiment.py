@@ -2,8 +2,8 @@
 
 Every table/figure bench needs the same preprocessing (generate matrix,
 order, static symbolic, partition, dynamic baseline); an
-:class:`ExperimentContext` computes each stage lazily and caches it, so a
-bench module touches exactly the stages it reports on.
+:class:`ExperimentContext` runs the analyze phase (:func:`repro.pipeline.analyze`)
+and the dynamic baseline lazily, once each, and hands out their stages.
 """
 
 from __future__ import annotations
@@ -12,15 +12,9 @@ from functools import cached_property
 
 from ..baselines import superlu_like_factor
 from ..matrices import get_matrix, SUITE
-from ..ordering import prepare_matrix
+from ..pipeline import analyze
 from ..sparse import structural_symmetry, ata_pattern
-from ..supernodes import build_partition, build_block_structure
-from ..symbolic import (
-    static_symbolic_factorization,
-    cholesky_ata_structure,
-    structure_stats,
-)
-from ..taskgraph import build_task_graph
+from ..symbolic import cholesky_ata_structure, structure_stats
 
 
 class ExperimentContext:
@@ -44,34 +38,29 @@ class ExperimentContext:
         return get_matrix(self.name, self.scale)
 
     @cached_property
+    def _analysis(self):
+        """``(artifacts, ordered matrix)`` of the one analyze phase."""
+        return analyze(self.A, self.block_size, self.amalgamation)
+
+    @property
     def ordered(self):
-        return prepare_matrix(self.A)
+        return self._analysis[1]
 
-    @cached_property
+    @property
     def sym(self):
-        return static_symbolic_factorization(self.ordered.A)
+        return self._analysis[0].sym
 
-    @cached_property
+    @property
     def part(self):
-        return build_partition(
-            self.sym, max_size=self.block_size, amalgamation=self.amalgamation
-        )
+        return self._analysis[0].part
 
-    @cached_property
-    def part_no_amalgamation(self):
-        return build_partition(self.sym, max_size=self.block_size, amalgamation=0)
-
-    @cached_property
+    @property
     def bstruct(self):
-        return build_block_structure(self.sym, self.part)
+        return self._analysis[0].bstruct
 
-    @cached_property
-    def bstruct_no_amalgamation(self):
-        return build_block_structure(self.sym, self.part_no_amalgamation)
-
-    @cached_property
+    @property
     def taskgraph(self):
-        return build_task_graph(self.bstruct)
+        return self._analysis[0].task_graph
 
     @cached_property
     def dynamic(self):
@@ -97,10 +86,7 @@ class ExperimentContext:
             structural_symmetry(self.A),
         )
 
-    def sequential_factor(self, amalgamation: int = None):
+    def sequential_factor(self):
         from ..numfact import sstar_factor
 
-        part = self.part if amalgamation is None else build_partition(
-            self.sym, max_size=self.block_size, amalgamation=amalgamation
-        )
-        return sstar_factor(self.ordered.A, sym=self.sym, part=part)
+        return sstar_factor(self.ordered.A, sym=self.sym, part=self.part)

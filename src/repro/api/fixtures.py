@@ -39,17 +39,12 @@ def prepare_pipeline(name, block_size=25, amalgamation=4, scale="small") -> dict
     """Fully prepared pipeline stages for one suite matrix (the dict shape
     the test suite's ``contexts`` fixture hands out)."""
     from ..matrices import get_matrix
-    from ..ordering import prepare_matrix
+    from ..pipeline import analyze
     from ..sparse import csr_to_dense
-    from ..supernodes import build_partition, build_block_structure
-    from ..symbolic import static_symbolic_factorization
 
     A = get_matrix(name, scale)
-    om = prepare_matrix(A)
-    sym = static_symbolic_factorization(om.A)
-    part = build_partition(sym, max_size=block_size, amalgamation=amalgamation)
-    bstruct = build_block_structure(sym, part)
+    art, om = analyze(A, block_size, amalgamation)
     return dict(
-        A=A, om=om, sym=sym, part=part, bstruct=bstruct,
+        A=A, om=om, sym=art.sym, part=art.part, bstruct=art.bstruct,
         dense=csr_to_dense(om.A),
     )

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..machine import T3D, T3E, GENERIC, MachineSpec, FaultPlan
+from ..machine import MachineSpec, FaultPlan, spec_by_name
 from ..obs import PHASE, as_tracer
 from ..numfact import (
     LUFactorization,
@@ -32,13 +32,9 @@ from ..numfact import (
     matrix_maxnorm,
     sstar_factor,
 )
+from ..parallel import check_run_options, factorize
+from ..pipeline import analyze, pattern_key
 from ..sparse import CSRMatrix, dense_to_csr
-
-_MACHINES = {"T3D": T3D, "T3E": T3E, "GENERIC": GENERIC}
-
-#: every ``method`` the solver (and the CLI's ``--method``) accepts;
-#: ``METHODS[1:]`` are the parallel ones
-METHODS = ("sequential", "1d-rapid", "1d-ca", "2d", "2d-sync")
 
 
 @dataclass
@@ -77,12 +73,19 @@ class SStarSolver:
     nprocs, machine, method:
         Optional parallel execution on the simulated machine: ``method`` in
         ``{"sequential", "1d-rapid", "1d-ca", "2d", "2d-sync"}``
-        (:data:`METHODS`; anything else is a ``ValueError`` at construction);
-        ``machine`` in ``{"T3D", "T3E", "GENERIC"}`` or a
-        :class:`repro.machine.MachineSpec`.
+        (:data:`repro.parallel.METHODS` — ``"sequential"`` plus the keys of
+        the driver table; the run goes through
+        :func:`repro.parallel.factorize`); ``machine`` in
+        ``{"T3D", "T3E", "GENERIC"}`` (:func:`repro.machine.spec_by_name`) or
+        a :class:`repro.machine.MachineSpec`.  An unknown method or machine
+        name, ``nprocs < 1``, ``ckpt_interval < 1`` or a ``grid`` whose size
+        is not ``nprocs`` is a ``ValueError`` at construction.
     grid:
         Optional :class:`repro.parallel.Grid2D` fixing the 2D process-grid
         shape (default: ``Grid2D.preferred``, the paper's ``p_c/p_r ~ 2``).
+        It holds on the checkpointed path too, for every round that still
+        has ``nprocs`` ranks; after a crash shrank the run the survivors
+        use ``Grid2D.preferred``.
     pivot_threshold:
         Threshold-pivoting parameter ``u`` in (0, 1]; 1.0 (default) is pure
         partial pivoting, smaller values keep the diagonal when
@@ -100,11 +103,11 @@ class SStarSolver:
     faults, reliable:
         Optional :class:`repro.machine.FaultPlan` (or a path/JSON string)
         and reliable-delivery switch for the simulated parallel methods.
-        A plan with crash faults routes through the checkpoint/restart
-        drivers (:mod:`repro.parallel.resilience`).
+        A plan with crash faults runs in checkpoint/restart rounds
+        (:mod:`repro.parallel.resilience`).
     ckpt_interval:
-        Stages per checkpoint round for crash recovery (default 4 when a
-        crash plan forces the resilient path).
+        Stages per checkpoint round (``>= 1``); giving it selects the
+        checkpointed path (default 4 when a crash plan forces it).
     analysis_cache:
         Optional :class:`repro.service.AnalysisCache`.  ``factor`` stores
         its analyze-phase artifacts there; ``refactor`` reuses any cached
@@ -177,11 +180,10 @@ class SStarSolver:
         tune_seed: int = 0,
         tune_opts: dict = None,
     ):
+        check_run_options(method, nprocs, ckpt_interval, grid)
         self.block_size = block_size
         self.amalgamation = amalgamation
         self.nprocs = nprocs
-        if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}: expected one of {METHODS}")
         self.method = method
         self.grid = grid
         self.pivot_threshold = pivot_threshold
@@ -196,7 +198,7 @@ class SStarSolver:
         self.reliable = reliable
         self.ckpt_interval = ckpt_interval
         self.spec = (
-            machine if isinstance(machine, MachineSpec) else _MACHINES[machine.upper()]
+            machine if isinstance(machine, MachineSpec) else spec_by_name(machine)
         )
         self.analysis_cache = analysis_cache
         self.growth_limit = growth_limit
@@ -253,8 +255,6 @@ class SStarSolver:
     def _analyze(self, A, reuse: bool):
         """Produce (artifacts, ordered matrix, reused flag), consulting the
         cache / prior state when ``reuse`` is requested."""
-        from ..service.cache import analyze, pattern_key
-
         key = pattern_key(A)
         cache_key = (key, self.block_size, self.amalgamation)
         if reuse:
@@ -280,7 +280,6 @@ class SStarSolver:
     def _resolve_plan(self, A) -> None:
         """Look up (or search for) the pattern's tuned plan and adopt its
         configuration; one search per (pattern, machine, nprocs)."""
-        from ..service.cache import pattern_key
         from ..tune import Tuner, plan_cache_key
 
         key = plan_cache_key(pattern_key(A), self.spec.name, self.nprocs)
@@ -328,16 +327,6 @@ class SStarSolver:
         sequential = self.method == "sequential" or self.nprocs == 1
         if sequential and (self.faults is not None or self.reliable is not None):
             raise ValueError("fault injection requires a parallel method")
-        sim_opts = {}
-        if self.faults is not None:
-            sim_opts["faults"] = self.faults
-        if self.reliable is not None:
-            sim_opts["reliable"] = self.reliable
-        if self.tracer is not None:
-            sim_opts["tracer"] = self.tracer
-        has_crashes = self.faults is not None and bool(self.faults.crashes)
-        resilient = not sequential and (has_crashes or self.ckpt_interval is not None)
-
         parallel_seconds = zero_copy = None
         messages = bytes_sent = 0
         restarts = 0
@@ -348,72 +337,36 @@ class SStarSolver:
                 monitor=monitor,
                 abft=self.abft,
             )
-            counter = lu.counter
-        elif self.method in METHODS:
-            oned = self.method.startswith("1d")
-            if resilient:
-                from ..parallel import run_1d_resilient, run_2d_resilient
-
-                kwargs = dict(
-                    ckpt_interval=self.ckpt_interval or 4,
-                    faults=self.faults,
-                    reliable=self.reliable,
-                    pivot_threshold=self.pivot_threshold,
-                    monitor=monitor,
-                    abft=self.abft,
-                )
-                if self.tracer is not None:
-                    kwargs["sim_opts"] = {"tracer": self.tracer}
-                if oned:
-                    res = run_1d_resilient(
-                        om.A, part, bstruct, self.nprocs, self.spec,
-                        method=self.method.split("-")[1], **kwargs,
-                    )
-                else:
-                    res = run_2d_resilient(
-                        om.A, part, bstruct, self.nprocs, self.spec,
-                        synchronous=self.method.endswith("sync"), **kwargs,
-                    )
-                self.resilient_result = res
-                restarts = sum(1 for r in res.rounds if not r.ok)
-                lu = LUFactorization(res.factor, sym, part, bstruct, res.total_counter())
-            elif oned:
-                from ..parallel import run_1d
-
-                res = run_1d(
-                    om.A, part, bstruct, self.nprocs, self.spec,
-                    method=self.method.split("-")[1],
-                    pivot_threshold=self.pivot_threshold,
-                    sim_opts=sim_opts,
-                    monitor=monitor,
-                    abft=self.abft,
-                )
-                self.sim_result = res.sim
-                lu = LUFactorization(res.factor, sym, part, bstruct, res.sim.total_counter())
-            else:
-                from ..parallel import run_2d
-
-                res = run_2d(
-                    om.A, part, bstruct, self.nprocs, self.spec,
-                    synchronous=self.method.endswith("sync"),
-                    grid=self.grid,
-                    pivot_threshold=self.pivot_threshold,
-                    sim_opts=sim_opts,
-                    monitor=monitor,
-                    abft=self.abft,
-                )
-                self.sim_result = res.sim
-                lu = LUFactorization(res.factor, sym, part, bstruct, res.sim.total_counter())
-            counter = lu.counter
-            parallel_seconds = res.parallel_seconds
-            if resilient:
-                messages, bytes_sent = res.messages, res.bytes_sent
-                zero_copy = all(sim.zero_copy for sim in res.results)
-            else:
-                messages, bytes_sent = res.sim.messages, res.sim.bytes_sent
-                zero_copy = res.sim.zero_copy
         else:
-            raise ValueError(f"unknown method {self.method!r}")
+            # a plan with crash faults needs the checkpoint/restart rounds
+            ckpt_interval = self.ckpt_interval
+            if ckpt_interval is None and self.faults is not None and self.faults.crashes:
+                ckpt_interval = 4
+            res = factorize(
+                self.method, om.A, part, bstruct, self.nprocs, self.spec,
+                grid=self.grid,
+                pivot_threshold=self.pivot_threshold,
+                monitor=monitor,
+                abft=self.abft,
+                sim_opts=None if self.tracer is None else {"tracer": self.tracer},
+                faults=self.faults,
+                reliable=self.reliable,
+                ckpt_interval=ckpt_interval,
+            )
+            if ckpt_interval is not None:
+                # totals live on the ResilientResult, one SimResult per
+                # committed round
+                self.resilient_result = totals = res
+                sims = res.results
+                restarts = sum(1 for r in res.rounds if not r.ok)
+            else:
+                self.sim_result = totals = res.sim
+                sims = [res.sim]
+            lu = LUFactorization(res.factor, sym, part, bstruct, totals.total_counter())
+            parallel_seconds = res.parallel_seconds
+            messages, bytes_sent = totals.messages, totals.bytes_sent
+            zero_copy = all(sim.zero_copy for sim in sims)
+        counter = lu.counter
 
         if self.tracer is not None:
             # the numfact phase span: simulated makespan for parallel runs,

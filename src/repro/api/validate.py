@@ -34,9 +34,8 @@ def validate_matrix(A, nprocs: int = 4, check_parallel: bool = True) -> list:
     from ..baselines import superlu_like_factor
     from ..machine import T3E
     from ..numfact import sstar_factor
-    from ..ordering import is_structurally_nonsingular, prepare_matrix
-    from ..supernodes import build_block_structure, build_partition
-    from ..symbolic import static_symbolic_factorization
+    from ..ordering import is_structurally_nonsingular
+    from ..pipeline import analyze
     from ..sparse import csr_matvec
 
     results = []
@@ -58,8 +57,8 @@ def validate_matrix(A, nprocs: int = 4, check_parallel: bool = True) -> list:
     if not results[-1].passed:
         return results
 
-    om = prepare_matrix(A)
-    sym = static_symbolic_factorization(om.A)
+    art, om = analyze(A, 25, 4)
+    sym, part, bstruct = art.sym, art.part, art.bstruct
 
     # 2. static covers dynamic
     def c_coverage():
@@ -77,8 +76,8 @@ def validate_matrix(A, nprocs: int = 4, check_parallel: bool = True) -> list:
     check("George-Ng coverage", c_coverage)
 
     # 3. Theorem 1 on exact supernodes
-    part0 = build_partition(sym, max_size=25, amalgamation=0)
-    bs0 = build_block_structure(sym, part0)
+    exact = art.reblock(25, 0)
+    part0, bs0 = exact.part, exact.bstruct
 
     def c_theorem1():
         for (I, J), cols in bs0.udense_cols.items():
@@ -94,9 +93,6 @@ def validate_matrix(A, nprocs: int = 4, check_parallel: bool = True) -> list:
     check("Theorem 1 dense subcolumns", c_theorem1)
 
     # 4 + 5 + 6: factor with amalgamation and solve
-    part = build_partition(sym, max_size=25, amalgamation=4)
-    bstruct = build_block_structure(sym, part)
-
     def c_blocks():
         block_of = part.block_of
         for k in range(sym.n):
@@ -137,11 +133,11 @@ def validate_matrix(A, nprocs: int = 4, check_parallel: bool = True) -> list:
     check("backward-stable solve", c_solve)
 
     if check_parallel and lu is not None:
-        from ..parallel import run_1d, run_2d
+        from ..parallel import factorize
 
         def c_parallel():
-            r1 = run_1d(om.A, part, bstruct, nprocs, T3E, method="rapid")
-            r2 = run_2d(om.A, part, bstruct, nprocs, T3E)
+            r1 = factorize("1d-rapid", om.A, part, bstruct, nprocs, T3E)
+            r2 = factorize("2d", om.A, part, bstruct, nprocs, T3E)
             for key, blk in lu.matrix.blocks.items():
                 if not np.array_equal(blk, r1.factor.blocks[key]):
                     raise AssertionError(f"1D block {key} differs")

@@ -26,11 +26,8 @@ from ..machine import GENERIC, ReliableDelivery
 from ..matrices import random_nonsymmetric
 from ..numfact import SilentCorruptionError, sstar_factor
 from ..obs import PHASE, MetricsRegistry, Tracer
-from ..ordering import prepare_matrix
-from ..parallel import run_1d, run_1d_resilient, run_2d, run_2d_resilient
-from ..supernodes import build_block_structure, build_partition
-from ..symbolic import static_symbolic_factorization
-from ..taskgraph import build_task_graph
+from ..parallel import factorize
+from ..pipeline import analyze
 from . import plans
 from .oracles import evaluate
 
@@ -38,6 +35,11 @@ from .oracles import evaluate
 # ---------------------------------------------------------------------------
 # scenarios
 # ---------------------------------------------------------------------------
+
+
+#: the persisted 1D / 2D ``method`` flavours -> their
+#: :data:`repro.parallel.DRIVERS` key (service scenarios persist the key)
+_DRIVER_KEYS = {"rapid": "1d-rapid", "ca": "1d-ca", "async": "2d", "sync": "2d-sync"}
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,17 @@ class Scenario:
     ckpt_interval: int = 4
 
     @property
+    def driver(self) -> str:
+        """The solver ``method`` (a :data:`repro.parallel.DRIVERS` key) this
+        scenario runs."""
+        return _DRIVER_KEYS.get(self.method, self.method)
+
+    @property
+    def resilient(self) -> bool:
+        """Runs in checkpoint/restart rounds."""
+        return self.mode in ("resilient-1d", "resilient-2d")
+
+    @property
     def capabilities(self) -> frozenset:
         toks = set()
         if self.reliable:
@@ -69,9 +82,7 @@ class Scenario:
                 toks.add(plans.CHECKSUM)
         if self.abft:
             toks.add(plans.ABFT)
-        if self.mode.startswith("resilient"):
-            toks.add(plans.RESILIENT)
-        if self.mode == "service":
+        if self.resilient or self.mode == "service":
             # job-level retry replays the whole solve from scratch — the
             # service's analogue of a checkpoint restart
             toks.add(plans.RESILIENT)
@@ -113,11 +124,8 @@ class ChaosContext:
     """The campaign's matrix pipeline and fault-free reference results."""
 
     A: object
+    art: object  # AnalysisArtifacts: sym / part / bstruct / task_graph
     om: object
-    sym: object
-    part: object
-    bstruct: object
-    tg: object
     spec: object
     seq: object  # sequential LUFactorization — the bit-identity reference
     b: np.ndarray
@@ -141,17 +149,13 @@ def build_context(n: int = 60, density: float = 0.08, mseed: int = 11,
                   block: int = 5, amalg: int = 3, spec=GENERIC) -> ChaosContext:
     """Build the shared pipeline for a campaign on one random matrix."""
     A = random_nonsymmetric(n, density=density, seed=mseed)
-    om = prepare_matrix(A)
-    sym = static_symbolic_factorization(om.A)
-    part = build_partition(sym, max_size=block, amalgamation=amalg)
-    bstruct = build_block_structure(sym, part)
-    tg = build_task_graph(bstruct)
-    seq = sstar_factor(om.A, sym=sym, part=part)
+    art, om = analyze(A, block, amalg)
+    seq = sstar_factor(om.A, sym=art.sym, part=art.part)
     b = np.arange(float(n))
     x_ref = seq.solve(b)
-    base = run_1d(om.A, part, bstruct, 4, spec, method="ca", tg=tg)
+    base = factorize("1d-ca", om.A, art.part, art.bstruct, 4, spec)
     return ChaosContext(
-        A=A, om=om, sym=sym, part=part, bstruct=bstruct, tg=tg, spec=spec,
+        A=A, art=art, om=om, spec=spec,
         seq=seq, b=b, x_ref=x_ref, tscale=base.sim.total_time,
         config={"n": n, "density": density, "mseed": mseed,
                 "block": block, "amalg": amalg},
@@ -245,45 +249,9 @@ def execute_case(ctx: ChaosContext, scenario: Scenario, plan) -> RunOutcome:
     direct = scenario.mode in ("1d", "2d")
     use_plan = RecordingPlan(plan) if direct else plan
     try:
-        if direct:
-            sim_opts = {"tracer": tracer, "trace": True, "faults": use_plan}
-            if rel is not None:
-                sim_opts["reliable"] = rel
-            if scenario.mode == "1d":
-                res = run_1d(ctx.om.A, ctx.part, ctx.bstruct, scenario.nprocs,
-                             ctx.spec, method=scenario.method, tg=ctx.tg,
-                             sim_opts=sim_opts, abft=scenario.abft)
-                out.schedule = res.schedule
-            else:
-                res = run_2d(ctx.om.A, ctx.part, ctx.bstruct, scenario.nprocs,
-                             ctx.spec, synchronous=(scenario.method == "sync"),
-                             sim_opts=sim_opts, abft=scenario.abft)
-            out.sim = res.sim
-            out.factor = res.factor
-            out.seconds = res.sim.total_time
-            out.crashes = tuple(res.sim.fault_stats.crashes)
-        elif scenario.mode in ("resilient-1d", "resilient-2d"):
-            runner = (run_1d_resilient if scenario.mode == "resilient-1d"
-                      else run_2d_resilient)
-            kwargs = {"method": scenario.method} if scenario.mode == "resilient-1d" \
-                else {"synchronous": scenario.method == "sync"}
-            res = runner(
-                ctx.om.A, ctx.part, ctx.bstruct, scenario.nprocs, ctx.spec,
-                ckpt_interval=scenario.ckpt_interval, faults=plan,
-                reliable=rel, sim_opts={"tracer": tracer, "trace": True},
-                abft=scenario.abft, **kwargs,
-            )
-            out.resilient = res
-            out.factor = res.factor
-            out.seconds = res.total_time
-            out.crashes = tuple(res.crashes)
-            fired = []
-            for round_sim in res.results:
-                fired.extend(round_sim.fault_stats.injected)
-            out.injected = tuple(sorted(fired, key=lambda e: e.key()))
-        elif scenario.mode == "service":
+        if scenario.mode == "service":
             from ..service import SolveService
-            opts = {"method": scenario.method, "nprocs": scenario.nprocs,
+            opts = {"method": scenario.driver, "nprocs": scenario.nprocs,
                     "abft": scenario.abft}
             if plan.rules or plan.crashes or plan.events:
                 opts["faults"] = plan
@@ -294,7 +262,26 @@ def execute_case(ctx: ChaosContext, scenario: Scenario, plan) -> RunOutcome:
             jid = svc.submit(ctx.A, ctx.b)
             out.x = svc.result(jid)
         else:
-            raise ValueError(f"unknown scenario mode {scenario.mode!r}")
+            res = factorize(
+                scenario.driver, ctx.om.A, ctx.art.part, ctx.art.bstruct,
+                scenario.nprocs, ctx.spec, abft=scenario.abft,
+                sim_opts={"tracer": tracer, "trace": True},
+                faults=use_plan, reliable=rel,
+                ckpt_interval=scenario.ckpt_interval if scenario.resilient else None,
+            )
+            out.factor = res.factor
+            out.seconds = res.parallel_seconds
+            if scenario.resilient:
+                out.resilient = res
+                out.crashes = tuple(res.crashes)
+                fired = []
+                for round_sim in res.results:
+                    fired.extend(round_sim.fault_stats.injected)
+                out.injected = tuple(sorted(fired, key=lambda e: e.key()))
+            else:
+                out.sim = res.sim
+                out.schedule = getattr(res, "schedule", None)  # 1D runs
+                out.crashes = tuple(res.sim.fault_stats.crashes)
     except Exception as e:  # the oracles decide what failure means
         out.error = e
     if isinstance(use_plan, RecordingPlan):

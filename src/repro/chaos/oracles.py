@@ -71,7 +71,8 @@ def check_bit_identical(factor, reference) -> OracleReport:
 
 
 def check_solve_identical(ctx, factor) -> OracleReport:
-    lf = LUFactorization(factor, ctx.sym, ctx.part, ctx.bstruct, None)
+    art = ctx.art
+    lf = LUFactorization(factor, art.sym, art.part, art.bstruct, None)
     x = lf.solve(ctx.b)
     if np.array_equal(x, ctx.x_ref):
         return OracleReport("solve_identical", True)
@@ -180,13 +181,13 @@ def evaluate(ctx, scenario, outcome) -> list:
     reports.append(check_bit_identical(outcome.factor, ctx.seq))
     reports.append(check_solve_identical(ctx, outcome.factor))
     if outcome.sim is not None:  # direct single-simulator run
-        tg = ctx.tg if scenario.mode == "1d" else None
+        tg = ctx.art.task_graph if outcome.schedule is not None else None
         reports.append(check_tracecheck(outcome.sim, ctx.spec, tg=tg,
                                         schedule=outcome.schedule))
         reports.append(check_span_tiling(outcome.tracer, outcome.sim))
         reports.append(check_metrics_consistent(outcome.tracer, outcome.sim))
     if outcome.resilient is not None:
-        reports.append(check_recovery(outcome.resilient, ctx.part.N))
+        reports.append(check_recovery(outcome.resilient, ctx.art.part.N))
         for i, round_sim in enumerate(outcome.resilient.results):
             rep = check_run(round_sim, spec=ctx.spec)
             if not rep.ok:

@@ -177,8 +177,8 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-#: ``repro trace``/``repro profile`` mode shorthands
-_TRACE_MODES = {"1d": "1d-rapid", "2d": "2d"}
+#: ``repro trace``/``repro profile`` shorthand: ``--mode 1d`` is 1D RAPID
+_TRACE_MODES = {"1d": "1d-rapid"}
 
 
 def _traced_run(args):
@@ -246,10 +246,7 @@ def cmd_profile(args) -> int:
           f"machine={args.machine}")
     print(prof.render(args.top))
     if solver.sim_result is not None:
-        from .taskgraph import build_task_graph
-
-        tg = build_task_graph(solver._artifacts.bstruct)
-        rec = reconcile(prof, tg, solver.spec)
+        rec = reconcile(prof, solver._artifacts.task_graph, solver.spec)
         print(f"model critical path : "
               f"{rec['model_critical_path_seconds']:.6e} s")
         print(f"model-vs-observed drift: {rec['drift'] * 100.0:+.1f}%")
@@ -273,10 +270,10 @@ def cmd_verify_comm(args) -> int:
     from pathlib import Path
 
     from .lint import PROTOCOL_RULES, count_at_or_above, iter_python_files, lint_paths
-    from .machine import T3D, T3E, GENERIC
+    from .machine import spec_by_name
     from .verify import check_run, replay_check
 
-    spec = {"T3D": T3D, "T3E": T3E, "GENERIC": GENERIC}[args.machine]
+    spec = spec_by_name(args.machine)
     counts = {"note": 0, "warning": 0, "error": 0}
     doc = {"static": {}, "dynamic": [], "replay": [], "faults": {}}
     out = (lambda *a, **k: None) if args.json else print
@@ -324,12 +321,9 @@ def cmd_verify_comm(args) -> int:
     # -- 2+3. dynamic trace check and determinism replay -------------------
     from .matrices import random_nonsymmetric
     from .numfact import LUFactorization
-    from .ordering import prepare_matrix
-    from .parallel import run_1d, run_2d, run_1d_trisolve, run_2d_trisolve
+    from .parallel import DRIVERS, factorize, run_1d_trisolve, run_2d_trisolve
+    from .pipeline import analyze
     from .sparse import read_matrix_market
-    from .supernodes import build_block_structure, build_partition
-    from .symbolic import static_symbolic_factorization
-    from .taskgraph import build_task_graph
 
     if args.matrix:
         A = read_matrix_market(args.matrix)
@@ -339,46 +333,27 @@ def cmd_verify_comm(args) -> int:
                   "structure to exercise the protocols)", file=sys.stderr)
             return 2
         A = random_nonsymmetric(args.n, density=0.06, seed=args.seed)
-    om = prepare_matrix(A)
-    sym = static_symbolic_factorization(om.A)
-    part = build_partition(sym, max_size=args.block_size, amalgamation=4)
-    bstruct = build_block_structure(sym, part)
-    tg = build_task_graph(bstruct)
+    art, om = analyze(A, args.block_size)
+    tg = art.task_graph
     P = args.nprocs
+    run_args = (om.A, art.part, art.bstruct, P, spec)
     b = np.arange(float(om.A.nrows))
 
-    lu_box = {}
-
-    def runner_1d(method):
-        def run(sim_opts):
-            res = run_1d(om.A, part, bstruct, P, spec, method=method, tg=tg,
-                         sim_opts=sim_opts)
-            lu_box.setdefault(method, (res.factor, res.schedule))
-            return res
-        return run
-
-    def runner_2d(sync):
-        return lambda sim_opts: run_2d(om.A, part, bstruct, P, spec,
-                                       synchronous=sync, sim_opts=sim_opts)
+    def driver_runner(method):
+        return lambda sim_opts: factorize(method, *run_args, sim_opts=sim_opts)
 
     def runner_tri1d(sim_opts):
-        factor, schedule = lu_box["rapid"]
-        lu = LUFactorization(factor, sym, part, bstruct, None)
-        return run_1d_trisolve(lu, schedule.owner, b, P, spec, sim_opts=sim_opts)
+        return run_1d_trisolve(lu, rapid.schedule.owner, b, P, spec,
+                               sim_opts=sim_opts)
 
     def runner_tri2d(sim_opts):
-        factor, _ = lu_box["rapid"]
-        lu = LUFactorization(factor, sym, part, bstruct, None)
         return run_2d_trisolve(lu, b, P, spec, sim_opts=sim_opts)
 
-    targets = [
-        ("1d-rapid", runner_1d("rapid"), True),
-        ("1d-ca", runner_1d("ca"), True),
-        ("2d", runner_2d(False), False),
-        ("2d-sync", runner_2d(True), False),
-        ("trisolve-1d", runner_tri1d, False),
-        ("trisolve-2d", runner_tri2d, False),
-    ]
+    # (code, runner, check against the task graph and schedule: the 1D codes)
+    targets = [(m, driver_runner(m), d.layout == "1d")
+               for m, d in DRIVERS.items()]
+    targets += [("trisolve-1d", runner_tri1d, False),
+                ("trisolve-2d", runner_tri2d, False)]
     if args.codes:
         wanted = set(args.codes.split(","))
         unknown = wanted - {t[0] for t in targets}
@@ -386,11 +361,10 @@ def cmd_verify_comm(args) -> int:
             print(f"unknown codes: {sorted(unknown)}", file=sys.stderr)
             return 2
         targets = [t for t in targets if t[0] in wanted]
-    if any(t[0].startswith("trisolve") for t in targets) and not any(
-        t[0] == "1d-rapid" for t in targets
-    ):
-        # the trisolve runners reuse the rapid factorization
-        runner_1d("rapid")({"trace": False})
+    if any(t[0].startswith("trisolve") for t in targets):
+        # both trisolves solve with the factors of one rapid factorization
+        rapid = factorize("1d-rapid", *run_args)
+        lu = LUFactorization(rapid.factor, art.sym, art.part, art.bstruct, None)
 
     out(f"\n== dynamic trace check (P={P}, {args.machine}, "
         f"n={om.A.nrows}) ==")
@@ -434,16 +408,13 @@ def cmd_verify_comm(args) -> int:
     # -- 4. fault injection: recovered runs must still satisfy the protocol
     if args.fault_rate > 0 or args.crash_recovery:
         from .machine import FaultPlan
-        from .parallel import run_1d_resilient
 
         out(f"\n== fault-injection trace check "
             f"(drop rate {args.fault_rate}, seed {args.fault_seed}) ==")
 
         def faulty_runner(faults, sim_opts):
-            opts = dict(sim_opts)
-            opts.update({"faults": faults, "reliable": True})
-            return run_1d(om.A, part, bstruct, P, spec, method="ca", tg=tg,
-                          sim_opts=opts)
+            return factorize("1d-ca", *run_args, sim_opts=sim_opts,
+                             faults=faults, reliable=True)
 
         if args.fault_rate > 0:
             plan = FaultPlan.drops(args.fault_rate, seed=args.fault_seed)
@@ -481,12 +452,12 @@ def cmd_verify_comm(args) -> int:
         if args.crash_recovery:
             # crash a rank mid-factorization, recover via checkpoint/restart
             # and require every committed round's trace to pass the checks
-            base = run_1d(om.A, part, bstruct, P, spec, method="ca", tg=tg)
+            base = factorize("1d-ca", *run_args)
             plan = FaultPlan.drops(args.fault_rate, seed=args.fault_seed)
             plan = plan.with_crash(P - 1, 0.4 * base.sim.total_time)
-            rres = run_1d_resilient(
-                om.A, part, bstruct, P, spec, method="ca", faults=plan,
-                reliable=True, sim_opts={"trace": True},
+            rres = factorize(
+                "1d-ca", *run_args, faults=plan, reliable=True,
+                sim_opts={"trace": True}, ckpt_interval=4,
             )
             nbad = sum(1 for r in rres.rounds if not r.ok)
             out(f"crash-recovery: {len(rres.rounds)} rounds, {nbad} "
@@ -700,11 +671,10 @@ def cmd_bench_service(args) -> int:
 def cmd_tune(args) -> int:
     import json as _json
 
-    from .machine import GENERIC, T3D, T3E
+    from .machine import spec_by_name
     from .matrices import SUITE, get_matrix
     from .tune import Tuner, default_plan
 
-    specs = {"T3D": T3D, "T3E": T3E, "GENERIC": GENERIC}
     if args.matrix in SUITE:
         A = get_matrix(args.matrix, args.scale)
     else:
@@ -714,7 +684,7 @@ def cmd_tune(args) -> int:
         budget = None
     elif budget != "auto":
         budget = float(budget)
-    tuner = Tuner(spec=specs[args.machine], nprocs=args.nprocs,
+    tuner = Tuner(spec=spec_by_name(args.machine), nprocs=args.nprocs,
                   budget=budget, seed=args.seed)
     res = tuner.tune(A)
 
@@ -857,9 +827,20 @@ def cmd_suite(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """argparse type of ``--nprocs`` / ``--ckpt-interval``: an int >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .api import METHODS
+    from .machine import MACHINES
 
+    machines = list(MACHINES)
+    modes = [*_TRACE_MODES, *METHODS[1:]]
     p = argparse.ArgumentParser(
         prog="repro",
         description="S* sparse LU with partial pivoting (paper reproduction)",
@@ -893,9 +874,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--threshold", type=float, default=1.0)
     s.add_argument("--refine", action="store_true",
                    help="apply iterative refinement")
-    s.add_argument("--nprocs", type=int, default=1)
+    s.add_argument("--nprocs", type=_count, default=1)
     s.add_argument("--method", default="sequential", choices=METHODS)
-    s.add_argument("--machine", default="T3E", choices=["T3D", "T3E", "GENERIC"])
+    s.add_argument("--machine", default="T3E", choices=machines)
     s.add_argument("--perturb", action="store_true",
                    help="replace tiny pivots by sqrt(eps)*||A|| instead of "
                         "failing (recover via --refine)")
@@ -903,20 +884,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="FaultPlan JSON file: inject message/crash faults "
                         "into the simulated parallel run (implies 1d-ca on "
                         "4 ranks unless --method/--nprocs are given)")
-    s.add_argument("--ckpt-interval", type=int, default=None,
+    s.add_argument("--ckpt-interval", type=_count, default=None,
                    help="stages per checkpoint round (crash recovery)")
     s.add_argument("-o", "--output")
     s.set_defaults(func=cmd_solve)
 
     m = sub.add_parser("simulate", help="parallel run on the simulated machine")
     m.add_argument("matrix")
-    m.add_argument("--nprocs", type=int, default=8)
+    m.add_argument("--nprocs", type=_count, default=8)
     m.add_argument("--method", default="2d", choices=METHODS[1:])
-    m.add_argument("--machine", default="T3E", choices=["T3D", "T3E", "GENERIC"])
+    m.add_argument("--machine", default="T3E", choices=machines)
     m.add_argument("--faults", help="FaultPlan JSON file to inject")
     m.add_argument("--reliable", action="store_true",
                    help="enable the ack/retry transport")
-    m.add_argument("--ckpt-interval", type=int, default=None,
+    m.add_argument("--ckpt-interval", type=_count, default=None,
                    help="stages per checkpoint round (enables the "
                         "checkpoint/restart driver)")
     m.set_defaults(func=cmd_simulate)
@@ -927,11 +908,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tr.add_argument("matrix")
     tr.add_argument("--mode", default="2d",
-                    choices=["1d", "2d", "1d-rapid", "1d-ca", "2d-sync"],
+                    choices=modes,
                     help="1d is shorthand for 1d-rapid")
-    tr.add_argument("--nprocs", type=int, default=8)
+    tr.add_argument("--nprocs", type=_count, default=8)
     tr.add_argument("--machine", default="T3E",
-                    choices=["T3D", "T3E", "GENERIC"])
+                    choices=machines)
     tr.add_argument("--out", default="trace.json",
                     help="output trace file (load in ui.perfetto.dev)")
     tr.add_argument("--check", action="store_true",
@@ -947,17 +928,17 @@ def build_parser() -> argparse.ArgumentParser:
                     help="matrix to run (omit when loading --trace)")
     pf.add_argument("--trace", help="profile a saved trace JSON instead")
     pf.add_argument("--mode", default="2d",
-                    choices=["1d", "2d", "1d-rapid", "1d-ca", "2d-sync"])
-    pf.add_argument("--nprocs", type=int, default=8)
+                    choices=modes)
+    pf.add_argument("--nprocs", type=_count, default=8)
     pf.add_argument("--machine", default="T3E",
-                    choices=["T3D", "T3E", "GENERIC"])
+                    choices=machines)
     pf.add_argument("--top", type=int, default=5,
                     help="how many longest spans to list")
     pf.set_defaults(func=cmd_profile)
 
     v = sub.add_parser("validate", help="run the invariant battery on a matrix")
     v.add_argument("matrix")
-    v.add_argument("--nprocs", type=int, default=4)
+    v.add_argument("--nprocs", type=_count, default=4)
     v.add_argument("--skip-parallel", action="store_true")
     v.set_defaults(func=cmd_validate)
 
@@ -970,11 +951,11 @@ def build_parser() -> argparse.ArgumentParser:
                     help="order of the random test matrix")
     vc.add_argument("--seed", type=int, default=31)
     vc.add_argument("--block-size", type=int, default=6)
-    vc.add_argument("--nprocs", type=int, default=4)
-    vc.add_argument("--machine", default="T3E", choices=["T3D", "T3E", "GENERIC"])
+    vc.add_argument("--nprocs", type=_count, default=4)
+    vc.add_argument("--machine", default="T3E", choices=machines)
     vc.add_argument("--codes",
                     help="comma list of SPMD codes to check dynamically "
-                         "(1d-rapid,1d-ca,2d,2d-sync,trisolve-1d,trisolve-2d)")
+                         f"({','.join(METHODS[1:])},trisolve-1d,trisolve-2d)")
     vc.add_argument("--module", action="append",
                     help="lint this source file instead of repro.parallel")
     vc.add_argument("--static-only", action="store_true",
@@ -1069,9 +1050,9 @@ def build_parser() -> argparse.ArgumentParser:
     tn.add_argument("--scale", default="small",
                     choices=["small", "bench"],
                     help="suite-matrix scale when `matrix` is a suite name")
-    tn.add_argument("--nprocs", type=int, default=8)
+    tn.add_argument("--nprocs", type=_count, default=8)
     tn.add_argument("--machine", default="T3E",
-                    choices=["T3D", "T3E", "GENERIC"])
+                    choices=machines)
     tn.add_argument("--budget", default="auto",
                     help="virtual-second cap on simulator probes: a float, "
                          "'auto' (~10 factorizations) or 'none'")

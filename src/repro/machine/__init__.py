@@ -13,7 +13,7 @@ delay/corrupt, rank crashes) and the opt-in reliable-delivery transport;
 see DESIGN.md "Resilience".
 """
 
-from .specs import MachineSpec, T3D, T3E, GENERIC
+from .specs import MachineSpec, T3D, T3E, GENERIC, MACHINES, spec_by_name
 from .faults import (
     FaultPlan,
     MessageFaultRule,
@@ -41,6 +41,8 @@ __all__ = [
     "T3D",
     "T3E",
     "GENERIC",
+    "MACHINES",
+    "spec_by_name",
     "FaultPlan",
     "MessageFaultRule",
     "CrashFault",

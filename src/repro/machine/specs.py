@@ -130,3 +130,16 @@ GENERIC = MachineSpec(
     latency_s=2.0e-6,
     bandwidth_bps=1e9,
 )
+
+#: the built-in machines by name — the one table ``--machine`` choices and
+#: :func:`spec_by_name` read
+MACHINES = {spec.name: spec for spec in (T3D, T3E, GENERIC)}
+
+
+def spec_by_name(name: str) -> MachineSpec:
+    """The built-in :class:`MachineSpec` called ``name`` (any case)."""
+    spec = MACHINES.get(str(name).upper())
+    if spec is None:
+        raise ValueError(
+            f"unknown machine {name!r}: expected one of {tuple(MACHINES)}")
+    return spec

@@ -8,7 +8,11 @@
 * :mod:`mapping` — 1D cyclic and 2D grid data mappings;
 * :mod:`trisolve` — the distributed triangular solves: one SPMD program
   over either mapping;
-* :mod:`buffers` — communication-buffer accounting for Theorem 2.
+* :mod:`buffers` — communication-buffer accounting for Theorem 2;
+* :mod:`resilience` — checkpoint/restart rounds over either code;
+* :mod:`drivers` — the run layer: the :data:`DRIVERS` table (method name ->
+  layout, runner, fixed keywords) and :func:`factorize`, the one entry
+  point every caller outside this package uses to start a run.
 """
 
 from .mapping import Grid2D, cyclic_owner
@@ -23,6 +27,7 @@ from .resilience import (
     ResilientResult,
     RoundInfo,
 )
+from .drivers import DRIVERS, METHODS, Driver, check_run_options, factorize
 
 __all__ = [
     "Grid2D",
@@ -41,4 +46,9 @@ __all__ = [
     "run_2d_resilient",
     "ResilientResult",
     "RoundInfo",
+    "DRIVERS",
+    "METHODS",
+    "Driver",
+    "check_run_options",
+    "factorize",
 ]

@@ -32,7 +32,7 @@ from ..numfact import (
 )
 from ..scheduling import Schedule, graph_schedule, compute_ahead_schedule
 from ..supernodes import BlockPartition, BlockStructure
-from ..taskgraph import TaskGraph, build_task_graph, FACTOR, UPDATE
+from ..taskgraph import TaskGraph, task_graph_of, FACTOR, UPDATE
 from ..sparse import CSRMatrix
 
 
@@ -246,12 +246,7 @@ def run_1d(
     poisoning the factorization.
     """
     if tg is None:
-        # the task graph is a pure function of the static block structure:
-        # memoise it there so repeated runs (benchmark sweeps, restart
-        # rounds, refactorizations) don't re-derive it
-        tg = getattr(bstruct, "_tg_cache", None)
-        if tg is None:
-            tg = bstruct._tg_cache = build_task_graph(bstruct)
+        tg = task_graph_of(bstruct)
     schedule, owner, consumers = _mapping(tg, method, nprocs, spec)
 
     merged, locals_ = _distribute_1d(

@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from ..machine import FaultPlan, RankCrashedError
 from ..numfact import BlockLUMatrix, SilentCorruptionError
 from ..obs import CHECKPOINT
-from ..taskgraph import build_task_graph
-from .mapping import Grid2D
 from .oned import run_1d
 from .twod import run_2d
 
@@ -101,27 +99,66 @@ def _copy_state(m: BlockLUMatrix) -> BlockLUMatrix:
     return out
 
 
-def _run_resilient(runner, A, part, bstruct, nprocs, spec, *,
-                   ckpt_interval, faults, reliable, sim_opts,
-                   max_restarts, runner_kwargs):
+def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
+                     ckpt_interval, faults, reliable, sim_opts,
+                     max_restarts, **runner_kwargs):
+    """The checkpoint/restart loop over ``runner`` (:func:`run_1d` or
+    :func:`run_2d`, with ``runner_kwargs``); see the module docstring.
+    Reached through :func:`repro.parallel.factorize`."""
+    if ckpt_interval < 1:  # the window would never advance
+        raise ValueError(f"ckpt_interval must be >= 1, got {ckpt_interval}")
+    if max_restarts is None:
+        max_restarts = nprocs
     N = part.N
     plan = faults if faults is not None else FaultPlan()
     # each round's Simulator restarts virtual time at 0; an offset proxy
     # splices the rounds onto the caller's one continuous trace timeline
     tracer = (sim_opts or {}).get("tracer")
 
-    def note_round(window, t0, ok, crashed, seconds, np_round):
+    def close_round(ok, seconds=0.0, crashed=(), corrupted=None):
+        """Record the round that just ran and charge its virtual time."""
+        out.rounds.append(RoundInfo(
+            window, nprocs, ok=ok, crashed=tuple(crashed), seconds=seconds,
+            corrupted=corrupted,
+        ))
+        out.total_time += seconds
         if tracer is None:
             return
         tracer.span(
             "ckpt/rounds", f"round {window[0]}:{window[1]}", CHECKPOINT,
-            t0, t0 + seconds,
-            {"ok": bool(ok), "nprocs": int(np_round),
+            round_start, round_start + seconds,
+            {"ok": ok, "nprocs": int(nprocs),
              "crashed": [int(c) for c in crashed]},
         )
         tracer.metrics.counter("ckpt.rounds").inc()
         if not ok:
             tracer.metrics.counter("ckpt.restarts").inc()
+
+    def discard_crashed_round(err: RankCrashedError):
+        """Ranks died in this round — the simulator raised ``err`` because
+        the survivors were blocked, or the round "completed" for them with
+        the dead ranks' in-window tasks possibly missing.  Either way the
+        round state is not a checkpoint: record it, charge its time and
+        shrink the run to the survivors; ``err`` propagates when the
+        restart budget is spent or nobody is left."""
+        nonlocal restarts, plan, nprocs
+        restarts += 1
+        if restarts > max_restarts:
+            raise err
+        close_round(False, err.detected_at, crashed=err.ranks)
+        # drop the dead ranks, highest first so the renumbering in
+        # after_crash stays consistent; the elapsed shift applies once,
+        # not per dead rank
+        elapsed = err.detected_at
+        for dead in sorted(err.ranks, reverse=True):
+            plan = plan.after_crash(dead, elapsed)
+            elapsed = 0.0
+            nprocs -= 1
+        if nprocs < 1:
+            raise err
+        # a caller-fixed 2D grid no longer fits: run_2d re-picks
+        # Grid2D.preferred for the surviving rank count
+        runner_kwargs.pop("grid", None)
 
     checkpoint = None  # None = start from A itself
     out = ResilientResult(factor=None, nprocs_final=nprocs)
@@ -155,75 +192,26 @@ def _run_resilient(runner, A, part, bstruct, nprocs, spec, *,
             restarts += 1
             if restarts > max_restarts:
                 raise
-            out.rounds.append(RoundInfo(
-                window, nprocs, ok=False, corrupted=e.block,
-            ))
-            note_round(window, round_start, False, (), 0.0, nprocs)
+            close_round(False, corrupted=e.block)
             if tracer is not None:
                 tracer.metrics.counter("abft.recovered").inc()
             plan = plan.without_corrupt()
             continue  # re-run the same window from the checkpoint
         except RankCrashedError as e:
-            restarts += 1
-            if restarts > max_restarts:
-                raise
-            out.rounds.append(RoundInfo(
-                window, nprocs, ok=False, crashed=tuple(e.ranks),
-                seconds=e.detected_at,
-            ))
-            note_round(window, round_start, False, e.ranks, e.detected_at,
-                       nprocs)
-            out.total_time += e.detected_at
-            # shrink the grid: drop the dead ranks (highest first so the
-            # renumbering in after_crash stays consistent; the elapsed
-            # shift applies once, not per dead rank)
-            elapsed = e.detected_at
-            for dead in sorted(e.ranks, reverse=True):
-                plan = plan.after_crash(dead, elapsed)
-                elapsed = 0.0
-                nprocs -= 1
-            if nprocs < 1:
-                raise
+            discard_crashed_round(e)
             continue  # re-run the same window on the survivors
         if res.sim.crashed:
-            # the round "completed" for the survivors but a rank died with
-            # work outstanding: its in-window tasks may be missing, so the
-            # round state is not a checkpoint.  Discard and re-run.
-            restarts += 1
-            if restarts > max_restarts:
-                raise RankCrashedError(
-                    "rank(s) crashed and restart budget is exhausted",
-                    ranks=list(res.sim.crashed),
-                    crash_times=[t for _, t in res.sim.fault_stats.crashes],
-                    detected_at=res.sim.total_time,
-                    blocked={},
-                )
-            out.rounds.append(RoundInfo(
-                window, nprocs, ok=False, crashed=tuple(res.sim.crashed),
-                seconds=res.sim.total_time,
+            discard_crashed_round(RankCrashedError(
+                "rank(s) crashed with work outstanding",
+                ranks=res.sim.crashed,
+                crash_times=dict(res.sim.fault_stats.crashes),
+                detected_at=res.sim.total_time,
             ))
-            note_round(window, round_start, False, res.sim.crashed,
-                       res.sim.total_time, nprocs)
-            out.total_time += res.sim.total_time
-            elapsed = res.sim.total_time
-            for dead in sorted(res.sim.crashed, reverse=True):
-                plan = plan.after_crash(dead, elapsed)
-                elapsed = 0.0
-                nprocs -= 1
-            if nprocs < 1:
-                raise RankCrashedError(
-                    "all ranks crashed", ranks=list(res.sim.crashed),
-                    crash_times=[], detected_at=res.sim.total_time, blocked={},
-                )
             continue
         # the round committed: its merged state is the new checkpoint
         checkpoint = res.factor
-        out.rounds.append(RoundInfo(
-            window, nprocs, ok=True, seconds=res.sim.total_time,
-        ))
-        note_round(window, round_start, True, (), res.sim.total_time, nprocs)
+        close_round(True, res.sim.total_time)
         out.results.append(res.sim)
-        out.total_time += res.sim.total_time
         plan = plan.shifted(res.sim.total_time)
         k = window[1]
     out.factor = checkpoint
@@ -248,27 +236,13 @@ def run_1d_resilient(
     ``abft=True`` additionally checksums multicast payloads; a detected
     silent corruption discards the round and replays the window from the
     checkpoint (counted in ``abft.recovered``)."""
-    return _run_resilient(
+    return run_checkpointed(
         run_1d, A, part, bstruct, nprocs, spec,
         ckpt_interval=ckpt_interval, faults=faults, reliable=reliable,
-        sim_opts=sim_opts,
-        max_restarts=max_restarts if max_restarts is not None else nprocs,
-        runner_kwargs={
-            "method": method,
-            "pivot_threshold": pivot_threshold,
-            "monitor": monitor,
-            "abft": abft,
-            # the task graph depends only on the static structure: build it
-            # once here instead of once per restart round
-            "tg": build_task_graph(bstruct),
-        },
+        sim_opts=sim_opts, max_restarts=max_restarts,
+        method=method, pivot_threshold=pivot_threshold, monitor=monitor,
+        abft=abft,
     )
-
-
-def _run_2d_round(A, part, bstruct, nprocs, spec, **kw):
-    # re-pick the grid shape for the current (possibly shrunk) rank count
-    return run_2d(A, part, bstruct, nprocs, spec,
-                  grid=Grid2D.preferred(nprocs), **kw)
 
 
 def run_2d_resilient(
@@ -290,15 +264,10 @@ def run_2d_resilient(
     checkpoint — the 2D analogue of shrinking the process grid.  ``abft``
     behaves as in :func:`run_1d_resilient`.
     """
-    return _run_resilient(
-        _run_2d_round, A, part, bstruct, nprocs, spec,
+    return run_checkpointed(
+        run_2d, A, part, bstruct, nprocs, spec,
         ckpt_interval=ckpt_interval, faults=faults, reliable=reliable,
-        sim_opts=sim_opts,
-        max_restarts=max_restarts if max_restarts is not None else nprocs,
-        runner_kwargs={
-            "synchronous": synchronous,
-            "pivot_threshold": pivot_threshold,
-            "monitor": monitor,
-            "abft": abft,
-        },
+        sim_opts=sim_opts, max_restarts=max_restarts,
+        synchronous=synchronous, pivot_threshold=pivot_threshold,
+        monitor=monitor, abft=abft,
     )

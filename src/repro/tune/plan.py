@@ -25,6 +25,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
+from ..pipeline import LRUStats, PatternLRU
+
 
 @dataclass(frozen=True)
 class TuningPlan:
@@ -126,31 +128,12 @@ def plan_cache_key(pattern: str, machine_name: str, nprocs: int) -> tuple:
 
 
 @dataclass
-class PlanCacheStats:
+class PlanCacheStats(LRUStats):
     """Counters accumulated over a :class:`PlanCache`'s lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    entries: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "evictions": self.evictions,
-            "entries": self.entries,
-        }
 
 
 @dataclass
-class PlanCache:
+class PlanCache(PatternLRU):
     """LRU cache of :class:`TuningPlan` keyed by
     ``(pattern, machine, nprocs)`` (see :func:`plan_cache_key`).
 
@@ -165,57 +148,10 @@ class PlanCache:
     _entries: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _stats: PlanCacheStats = field(default_factory=PlanCacheStats, repr=False)
 
-    def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
+    metric_prefix = "tune.plan_cache"
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key) -> bool:
-        return tuple(key) in self._entries
-
-    def get(self, key) -> Optional[TuningPlan]:
-        """Return the cached plan for ``key`` (marking it most-recently-
-        used) or ``None`` on a miss."""
-        key = tuple(key)
-        plan = self._entries.get(key)
-        if plan is None:
-            self._stats.misses += 1
-            self._count("tune.plan_cache.misses")
-            return None
-        self._entries.move_to_end(key)
-        self._stats.hits += 1
-        self._count("tune.plan_cache.hits")
-        return plan
-
-    def peek(self, key) -> Optional[TuningPlan]:
-        """Like :meth:`get` but with no stats or LRU side effects."""
-        return self._entries.get(tuple(key))
-
-    def put(self, key, plan: TuningPlan) -> None:
-        key = tuple(key)
-        self._entries[key] = plan
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self._stats.evictions += 1
-            self._count("tune.plan_cache.evictions")
-
-    def invalidate(self, key) -> bool:
-        key = tuple(key)
-        if key in self._entries:
-            del self._entries[key]
-            return True
-        return False
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-    @property
-    def stats(self) -> PlanCacheStats:
-        self._stats.entries = len(self._entries)
-        return self._stats
+    def _key(self, key) -> tuple:
+        return tuple(key)  # JSON hands keys back as lists
 
     # -- JSON ----------------------------------------------------------
 

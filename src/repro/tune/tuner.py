@@ -40,10 +40,8 @@ import numpy as np
 from ..analysis.model import plan_time_model
 from ..machine import MachineSpec, T3E
 from ..obs import PHASE, Tracer, as_tracer, profile_trace
-from ..ordering import prepare_matrix
-from ..supernodes import build_block_structure, build_partition
-from ..symbolic import static_symbolic_factorization
-from ..taskgraph import build_task_graph
+from ..parallel import Grid2D, factorize
+from ..pipeline import analyze
 from ..taskgraph.profile import parallelism_profile
 from .plan import TuningPlan, plan_cache_key
 from .space import comm_estimate_1d, comm_estimate_2d, enumerate_plans
@@ -65,8 +63,6 @@ def default_plan(nprocs: int = 1, block_size: int = 25,
     asynchronous code on the preferred ``p_c / p_r ~ 2`` grid."""
     if nprocs <= 1:
         return TuningPlan(block_size=block_size, amalgamation=amalgamation)
-    from ..parallel import Grid2D
-
     g = Grid2D.preferred(nprocs)
     return TuningPlan(
         block_size=block_size, amalgamation=amalgamation, layout="2d",
@@ -141,24 +137,22 @@ class _PatternState:
     shares across candidates (everything here is pattern-only)."""
 
     def __init__(self, A, spec: MachineSpec):
-        self.A = A
         self.spec = spec
-        self.om = prepare_matrix(A)
-        self.sym = static_symbolic_factorization(self.om.A)
+        # the analysis arrives at the default plan's blocking; the other
+        # candidates re-block its permutations and symbolic structure
+        default = TuningPlan()
+        self._analyzed = (default.block_size, default.amalgamation)
+        self.art, self.om = analyze(A, *self._analyzed)
         self._by_blocking = {}
 
     def blocking(self, block_size: int, amalgamation: int):
         key = (block_size, amalgamation)
         got = self._by_blocking.get(key)
         if got is None:
-            part = build_partition(
-                self.sym, max_size=block_size, amalgamation=amalgamation
-            )
-            bstruct = build_block_structure(self.sym, part)
-            tg = build_task_graph(bstruct)
+            art = self.art if key == self._analyzed else self.art.reblock(*key)
+            tg = art.task_graph
             prof = parallelism_profile(tg, self.spec)
-            got = (part, bstruct, tg, prof)
-            self._by_blocking[key] = got
+            got = self._by_blocking[key] = (art.part, art.bstruct, tg, prof)
         return got
 
     def stage_cap(self, part, fraction: float) -> Optional[int]:
@@ -311,27 +305,14 @@ class Tuner:
                 "busy": 1.0, "comm": 0.0, "idle": 0.0,
             }
         cap = state.stage_cap(part, fraction)
-        kwargs = {"sim_opts": {"tracer": Tracer()}}
-        if cap is not None:
-            kwargs["stage_range"] = (0, cap)
-        if plan.layout == "1d":
-            from ..parallel import run_1d
-
-            res = run_1d(
-                state.om.A, part, bstruct, plan.nprocs, self.spec,
-                method=plan.pipeline, tg=tg, **kwargs,
-            )
-        else:
-            from ..parallel import run_2d
-
-            res = run_2d(
-                state.om.A, part, bstruct, plan.nprocs, self.spec,
-                synchronous=plan.synchronous, grid=plan.grid(), **kwargs,
-            )
+        tracer = Tracer()
+        res = factorize(
+            plan.method, state.om.A, part, bstruct, plan.nprocs, self.spec,
+            grid=plan.grid(), tg=tg, sim_opts={"tracer": tracer},
+            stage_range=None if cap is None else (0, cap),
+        )
         self._count("probes")
-        attr = profile_trace(
-            kwargs["sim_opts"]["tracer"], total_time=res.sim.total_time
-        ).attribution()
+        attr = profile_trace(tracer, total_time=res.sim.total_time).attribution()
         return dict(
             attr,
             seconds=res.parallel_seconds,
@@ -343,8 +324,6 @@ class Tuner:
     def tune(self, A) -> TuneResult:
         """Run the full search for ``A``'s pattern; returns the winning
         plan and the complete search trace."""
-        from ..service.cache import pattern_key
-
         self._count("searches")
         state = _PatternState(A, self.spec)
         space_kwargs = {}
@@ -452,7 +431,7 @@ class Tuner:
         winner.status = "winner"
         return TuneResult(
             best=winner.plan,
-            pattern=pattern_key(A),
+            pattern=state.art.key,
             machine=self.spec.name,
             nprocs=self.nprocs,
             seed=self.seed,

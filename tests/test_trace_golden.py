@@ -5,9 +5,12 @@ workload (sherman5, 4 simulated T3E nodes) under every parallel driver, a
 blake2b digest of the ``to_chrome_trace`` bytes, ``SimResult.messages`` /
 ``bytes_sent``, the per-rank receive-buffer ``high_water`` (1D) and the
 simulated ``parallel_seconds`` — plain, with ``abft=True``, on a lossy
-network under ``ReliableDelivery``, and through a ``run_1d_resilient``
+network under ``ReliableDelivery``, and through a checkpointed
 crash-restart — recorded from the commit *before* the 1D column message
-became one contiguous panel (PR 16).  The tier-1 test below asserts the
+became one contiguous panel (PR 16).  Every scenario runs through
+``repro.parallel.factorize``, the one entry point of the run layer, so the
+goldens also pin that the driver table adds nothing observable.  The tier-1
+test below asserts the
 current code reproduces them, so "the payload change is invisible" is
 checked against recorded evidence, not against a retained old wire format
 (same recipe as ``tests/test_numeric_golden.py``, whose BLAS canary this
@@ -27,21 +30,12 @@ import pytest
 from repro.api.fixtures import prepare_pipeline
 from repro.machine import CrashFault, FaultPlan, T3E
 from repro.obs import Tracer, to_chrome_trace
-from repro.parallel import run_1d, run_2d
-from repro.parallel.resilience import run_1d_resilient
+from repro.parallel import DRIVERS, factorize
 
 from .test_numeric_golden import blas_canary
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "trace_golden.json"
 MATRIX, NPROCS = "sherman5", 4
-
-#: driver name -> (runner, keyword arguments)
-DRIVERS = {
-    "1d-rapid": (run_1d, {"method": "rapid"}),
-    "1d-ca": (run_1d, {"method": "ca"}),
-    "2d": (run_2d, {"synchronous": False}),
-    "2d-sync": (run_2d, {"synchronous": True}),
-}
 
 
 def _trace_digest(tracer) -> str:
@@ -63,10 +57,9 @@ def _sim_record(sim) -> dict:
 
 
 def _run(args, driver, **extra) -> dict:
-    runner, kw = DRIVERS[driver]
     abft = extra.pop("abft", False)
     tracer = Tracer()
-    res = runner(*args, abft=abft, sim_opts={"tracer": tracer, **extra}, **kw)
+    res = factorize(driver, *args, abft=abft, sim_opts={"tracer": tracer}, **extra)
     out = _sim_record(res.sim)
     out["trace"] = _trace_digest(tracer)
     out["parallel_seconds"] = float(res.parallel_seconds).hex()
@@ -74,11 +67,11 @@ def _run(args, driver, **extra) -> dict:
 
 
 def _run_crash_restart(args, abft: bool) -> dict:
-    probe = run_1d(*args, method="ca")
+    probe = factorize("1d-ca", *args)
     plan = FaultPlan(crashes=[CrashFault(2, probe.sim.total_time * 0.4)])
     tracer = Tracer()
-    res = run_1d_resilient(
-        *args, method="ca", ckpt_interval=3, reliable=True, faults=plan,
+    res = factorize(
+        "1d-ca", *args, ckpt_interval=3, reliable=True, faults=plan,
         abft=abft, sim_opts={"tracer": tracer},
     )
     return {
