@@ -34,7 +34,7 @@ from ..numfact import (
 )
 from ..parallel import check_run_options, factorize
 from ..pipeline import analyze, pattern_key
-from ..sparse import CSRMatrix, dense_to_csr
+from ..sparse import CSRMatrix, dense_to_csr, rhs_array
 
 
 @dataclass
@@ -448,12 +448,7 @@ class SStarSolver:
         """
         if self._lu is None:
             raise RuntimeError("call factor(A) first")
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim not in (1, 2) or b.shape[0] != self._lu.n:
-            raise ValueError(
-                f"rhs must have shape ({self._lu.n},) or ({self._lu.n}, k); "
-                f"got {b.shape}"
-            )
+        b = rhs_array(b, self._lu.n)
         if self.tracer is not None:
             # modeled virtual cost of the two triangular sweeps: ~4 flops
             # per factor entry per right-hand side, panel (dgemm) rate for

@@ -65,9 +65,11 @@ class NumericPlan:
     of each L block inside the panel (:meth:`below_diagonal`) — is tabulated
     on first use and kept, so repeated runs on one pattern read it instead
     of re-deriving it per update; a pattern that is factored once and
-    dropped never builds more than the columns it touches.  The panel's
-    shape and wire size (:meth:`lpanel_shape`, :meth:`column_nbytes`) are
-    O(1) from the offsets above.
+    dropped never builds more than the columns it touches.  The global rows
+    of every width-1 column's L panel (:meth:`width1_rows`, for the
+    triangular solve) are one int64 array, built on the first solve.  The
+    panel's shape and wire size (:meth:`lpanel_shape`,
+    :meth:`column_nbytes`) are O(1) from the offsets above.
     """
 
     def __init__(self, bstruct: BlockStructure):
@@ -109,6 +111,7 @@ class NumericPlan:
             np.add.reduceat(self.blk_srows, first) if N else self.blk_srows
         )
         self._below = {}  # K -> below_diagonal(K), built on first use
+        self._w1_rows = self._w1_ptr = None  # width1_rows, built on first use
         self._pattern = None  # digest of the CSR pattern _scatter is for
         self._scatter = None
 
@@ -134,6 +137,8 @@ class NumericPlan:
         b = sum(a.nbytes for a in arrays) + 8 * len(self.keys)
         # a built below_diagonal table: a tuple of one 4-tuple per L block
         b += sum(64 + 80 * len(t) for t in self._below.values())
+        if self._w1_rows is not None:
+            b += self._w1_rows.nbytes + self._w1_ptr.nbytes
         if self._scatter is not None:
             b += self._scatter.nbytes + len(self._pattern)
         return b
@@ -177,6 +182,29 @@ class NumericPlan:
         per pivot pair."""
         return int(8 * (self.col_off[K + 1] - self.lpanel_off[K])
                    + 16 * self.sizes[K])
+
+    def width1_rows(self, K: int) -> np.ndarray:
+        """For a block column ``K`` one wide: the global row of every row of
+        ``lpanel(K)[1:]`` (its L blocks below the diagonal, ascending ``I``),
+        so a solve subtracts the column's stacked product from ``x`` in one
+        fancy-index store; empty for a wider column.
+
+        A slice of one int64 array over all width-1 columns, built on first
+        use and kept, like :meth:`below_diagonal` (one small array per
+        column costs a multiple of its bytes in resident memory: DESIGN.md
+        "Numeric kernels by shape")."""
+        if self._w1_rows is None:
+            N = self.part.N
+            blk_J = np.repeat(np.arange(N), np.diff(self.col_ptr))
+            sel = np.flatnonzero((np.arange(len(blk_J)) > self.col_diag[blk_J])
+                                 & (self.sizes[blk_J] == 1))
+            Is = self.blk_I[sel]
+            counts = self.sizes[Is]
+            first = self.part.bounds[Is] - (np.cumsum(counts) - counts)
+            self._w1_rows = np.repeat(first, counts) + np.arange(counts.sum())
+            self._w1_ptr = np.searchsorted(np.repeat(blk_J[sel], counts),
+                                           np.arange(N + 1))
+        return self._w1_rows[self._w1_ptr[K] : self._w1_ptr[K + 1]]
 
     def below_diagonal(self, K: int) -> tuple:
         """``(I, first row, end row, structural rows)`` of each L block

@@ -48,23 +48,34 @@ def FLOP_TRSM(k: int, n: int) -> float:
 
 
 def block_product(A, B, out):
-    """``out[...] = A @ B`` — the one rule for the update's products.
+    """``out[...] = A @ B`` — the one rule for the products of the update
+    and of the width-1 forward solve, bit-equal to ``np.matmul(A, B)``.
 
-    Inner dimension 1 (a width-1 supernode: 62-77 % of the block products of
-    the benchmark patterns) is an outer product, formed by an elementwise
-    multiply.  Elementwise kernels are bit-identical however the operands
-    are stacked, so ``A`` may be one L block or a column's whole stacked L
-    panel; ``+ 0.0`` turns a ``-0.0`` product into the ``+0.0`` a GEMM's
-    zero-initialised accumulator produces.  Inner dimension >= 2 is a GEMM
-    and must keep the block's own call shape: BLAS picks its summation
-    order from the operand shapes, so stacking changes bits (DESIGN.md
-    "Host performance").
+    Products go through ``np.dot``, BLAS's direct entry: at the 2-3-wide
+    operands of the benchmark patterns the cost of a product is the call,
+    and ``np.matmul``'s gufunc dispatch costs more than the arithmetic
+    (DESIGN.md "Numeric kernels by shape").  Inner dimension >= 2 is a
+    GEMM/GEMV that must keep the block's own call shape: BLAS picks its
+    summation order from the operand shapes, so stacking changes bits
+    (DESIGN.md "Host performance").
+
+    Inner dimension 1 (a width-1 supernode: 64-92 % of the block columns of
+    the ``service_warm`` patterns) is an outer product: every entry is one
+    rounded multiply, so ``A`` may be one L block or a column's whole
+    stacked L panel.  ``np.dot`` forms it with a one-deep GEMM whose fused
+    ``0 + a*b`` can leave a ``-0.0`` where ``np.matmul`` yields ``+0.0``
+    (``[0.0, -0.5] * 5e-324``), hence ``+ 0.0`` after it.  When one side is
+    a single row or column, ``np.dot`` takes BLAS's scaled-vector update
+    instead, which skips a zero scale and so loses the NaN of ``0 * inf``:
+    those products stay with ``np.matmul`` itself.
     """
-    if A.shape[1] == 1:
-        np.multiply(A, B, out=out)
-        np.add(out, 0.0, out=out)
-    else:
+    m, k = A.shape
+    if k == 1 and (m == 1 or B.shape[1] == 1):
         np.matmul(A, B, out=out)
+    else:
+        np.dot(A, B, out=out)
+        if k == 1:
+            np.add(out, 0.0, out=out)
     return out
 
 

@@ -16,13 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sparse import CSRMatrix
+from ..sparse import CSRMatrix, rhs_array
 from ..supernodes import build_partition, build_block_structure, BlockPartition, BlockStructure
 from ..symbolic import static_symbolic_factorization, SymbolicFactorization
 from .abft import AbftLedger, recover_block_column
 from .blocks import BlockLUMatrix
 from .counter import KernelCounter
-from .kernels import unit_lower_solve, upper_solve
+from .kernels import block_product, scratch_buffer, unit_lower_solve, upper_solve
 from .robust import PivotMonitor, SilentCorruptionError
 from .tasks import factor_block_column, update_block_columns
 
@@ -96,31 +96,50 @@ class LUFactorization:
         Forward substitution interleaves each block's delayed pivot sequence
         (LINPACK/ipiv semantics), then back substitution runs over U.
         ``b`` may be a vector or an ``(n, k)`` block of right-hand sides.
+
+        A block column one wide has the identity for its unit triangle: the
+        forward sweep forms its products in one stacked outer product over
+        the L panel and subtracts them at the panel's global rows
+        (:meth:`repro.numfact.NumericPlan.width1_rows`); the backward sweep
+        divides by its ``1 x 1`` diagonal.  Wider columns keep one product
+        per block (same bits: see :func:`repro.numfact.kernels.block_product`).
         """
         self.verify_abft()
         m = self.matrix
-        part = self.part
-        x = np.asarray(b, dtype=np.float64).copy()
-        if x.shape[0] != self.n or x.ndim > 2:
-            raise ValueError(f"rhs must have shape ({self.n},) or ({self.n}, k)")
-        N = part.N
-        bounds = part.bounds
+        plan = m.plan
+        blocks = m.blocks
+        x = rhs_array(b, self.n).copy()
+        xs = x[:, None] if x.ndim == 1 else x  # (n, k): stacked products
+        N = self.part.N
+        bounds = self.part.bounds.tolist()
         for K in range(N):
             for r1, r2 in m.pivot_seq[K]:
                 if r1 != r2:
                     tmp = x[r1].copy() if x.ndim == 2 else x[r1]
                     x[r1] = x[r2]
                     x[r2] = tmp
-            xk = x[bounds[K] : bounds[K + 1]]
-            unit_lower_solve(m.blocks[(K, K)], xk)
+            lo, hi = bounds[K], bounds[K + 1]
+            if hi - lo == 1:
+                rows = plan.width1_rows(K)
+                if len(rows):
+                    prod = scratch_buffer("solve-prod", len(rows), xs.shape[1])
+                    block_product(m.lpanel(K)[1:], xs[lo:hi], prod)
+                    xs[rows] -= prod
+                continue
+            xk = x[lo:hi]
+            unit_lower_solve(blocks[(K, K)], xk)
             for I in self.bstruct.l_block_rows(K):
                 if I > K:
-                    x[bounds[I] : bounds[I + 1]] -= m.blocks[(I, K)] @ xk
+                    x[bounds[I] : bounds[I + 1]] -= blocks[(I, K)] @ xk
         for K in range(N - 1, -1, -1):
-            xk = x[bounds[K] : bounds[K + 1]]
+            lo, hi = bounds[K], bounds[K + 1]
+            xk = x[lo:hi]
             for J in self.bstruct.u_block_cols(K):
-                xk -= m.blocks[(K, J)] @ x[bounds[J] : bounds[J + 1]]
-            upper_solve(m.blocks[(K, K)], xk)
+                xk -= blocks[(K, J)] @ x[bounds[J] : bounds[J + 1]]
+            if hi - lo == 1:
+                xk /= blocks[(K, K)][0, 0]
+            else:
+                upper_solve(blocks[(K, K)], xk)
         return x
 
     def solve_transpose(self, b: np.ndarray) -> np.ndarray:
@@ -135,9 +154,7 @@ class LUFactorization:
         self.verify_abft()
         m = self.matrix
         part = self.part
-        x = np.asarray(b, dtype=np.float64).copy()
-        if x.shape[0] != self.n or x.ndim > 2:
-            raise ValueError(f"rhs must have shape ({self.n},) or ({self.n}, k)")
+        x = rhs_array(b, self.n).copy()
         N = part.N
         bounds = part.bounds
         # U^T y = b: forward over block rows

@@ -33,6 +33,8 @@ and the triangular solvers replay them in order.
 
 from __future__ import annotations
 
+from math import isfinite
+
 import numpy as np
 
 from .blocks import (
@@ -79,16 +81,13 @@ class FactoredColumn:
         return cls(K, payload["pivots"], panel)
 
 
-def _panel_position(part, K: int, below, t: int) -> int:
-    """Global position of row ``t`` of the stacked L panel of column K,
-    for a row below the diagonal block."""
-    off = part.size(K)
-    for I in below:
-        rows = part.size(I)
-        if t < off + rows:
-            return part.start(I) + t - off
-        off += rows
-    raise IndexError(f"row {t} is outside the L panel of column {K}")
+def _panel_position(m: BlockLUMatrix, K: int, r: int) -> int:
+    """Global position of row ``r`` of ``lpanel(K)[size(K):]``, the L
+    blocks below the diagonal of column K."""
+    for I, lo, hi, _ in m.plan.below_diagonal(K):
+        if r < hi:
+            return m.part.start(I) + r - lo
+    raise IndexError(f"row {r} is outside the L panel of column {K}")
 
 
 def factor_block_column(
@@ -119,7 +118,6 @@ def factor_block_column(
         raise ValueError("pivot_threshold must be in (0, 1]")
     part = m.part
     bs = part.size(K)
-    below = [I for I in m.bstruct.l_block_rows(K) if I > K]
     if m.abft is not None:
         # verify the panel at consumption, before the first write: a
         # silently corrupted input block must be caught before its poison
@@ -140,29 +138,28 @@ def factor_block_column(
         col = panel[c:, c]
         ab = abs_col[: nrows - c]
         np.abs(col, out=ab)
-        t = int(np.argmax(ab)) + c
-        if not np.isfinite(panel[t, c]):
+        t = int(ab.argmax()) + c
+        best = float(panel[t, c])  # one read, a Python float from here on
+        if not isfinite(best):
             raise SingularMatrixError(
                 f"non-finite pivot candidate for global column {gcol} "
                 "(earlier tiny pivot overflowed; enable perturbation or "
                 "loosen pivot_threshold)",
                 pivot_index=gcol,
             )
-        if panel[t, c] == 0.0:
+        if best == 0.0:
             if monitor is None or not monitor.perturb:
                 raise SingularMatrixError(
                     f"no nonzero pivot for global column {gcol}",
                     pivot_index=gcol,
                 )
             t = c  # numerically dead column: perturb the diagonal below
-        if (
-            pivot_threshold < 1.0
-            and abs(panel[c, c]) >= pivot_threshold * abs(panel[t, c])
-            and panel[c, c] != 0.0
-        ):
-            t = c  # keep the diagonal: threshold pivoting
+        elif pivot_threshold < 1.0:
+            diag = float(panel[c, c])
+            if abs(diag) >= pivot_threshold * abs(best) and diag != 0.0:
+                t = c  # keep the diagonal: threshold pivoting
         pivots.append(
-            (gcol, start_K + t if t < bs else _panel_position(part, K, below, t))
+            (gcol, start_K + t if t < bs else _panel_position(m, K, t - bs))
         )
         if t != c:
             tmp = scratch[0, :]
@@ -185,7 +182,7 @@ def factor_block_column(
             if cadd is not None:
                 cadd(DGEMV, 2.0 * max(srows - c - 1, 0) * (bs - c - 1), gran=bs)
 
-    if not np.all(np.isfinite(panel)):
+    if not np.isfinite(panel).all():
         bad = int(np.argwhere(~np.isfinite(panel))[0, 1])
         gcol = part.start(K) + min(bad, bs - 1)
         raise SingularMatrixError(
@@ -199,7 +196,7 @@ def factor_block_column(
     if m.abft is not None:
         # the panel kernels are elementwise; re-anchor rather than carry
         m.abft.anchor_column(m, K)
-    return factored_column_of(m, K)
+    return FactoredColumn(K, pivots, panel)
 
 
 def factored_column_of(m: BlockLUMatrix, K: int) -> FactoredColumn:
@@ -246,12 +243,14 @@ def update_block_columns(
     The flops of one ``Update(K, J)`` are charged in at most two
     ``KernelCounter.add`` calls (every charge is an integer-valued float
     far below 2**53, so the per-key sums, the first-touch key order and
-    hence the virtual times equal those of one charge per block) and, when
-    the column is one wide, the products come from one stacked multiply
+    hence the virtual times equal those of one charge per block).  A
+    column one wide runs no triangular solve (its unit triangle is the
+    identity; the solve's charge is still added) and forms its products in
+    one stacked outer product over the panel
     (:func:`repro.numfact.kernels.block_product`; DESIGN.md "Host
-    performance" has why elementwise kernels may be stacked and GEMMs may
-    not); a wider column's per-block GEMMs read their L block as a row
-    slice of the same panel.
+    performance" has why outer products may be stacked and GEMMs may not);
+    a wider column's per-block GEMMs read their L block as a row slice of
+    the same panel.
     """
     K = fc.K
     blocks = m.blocks
@@ -284,7 +283,12 @@ def update_block_columns(
 
         if abft is not None:
             abft.pre_solve(K, J, diag)
-        unit_lower_solve(diag, ukj, counter=counter, ncols_structural=ncols)
+        if not stacked:
+            unit_lower_solve(diag, ukj, counter=counter, ncols_structural=ncols)
+        elif cadd is not None:
+            # a 1x1 unit triangle is the identity: only the charge
+            # unit_lower_solve adds for it (FLOP_TRSM(1, ncols), gran 1)
+            cadd(DGEMM if ncols >= 2 else DGEMV, float(ncols), gran=1)
         if abft is not None:
             abft.post_solve(K, J, ukj)
         if not below:

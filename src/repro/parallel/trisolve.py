@@ -39,6 +39,7 @@ import numpy as np
 from ..machine import Simulator, MachineSpec
 from ..numfact import LUFactorization
 from ..numfact.kernels import unit_lower_solve, upper_solve
+from ..sparse import rhs_array
 from .mapping import ColumnMapping, Grid2D
 
 
@@ -201,11 +202,7 @@ def _solve_program(env, ctx):
 
 
 def _run_trisolve(lu, mapping, b, nprocs, spec, sim_opts) -> TriSolveResult:
-    b = np.asarray(b, dtype=np.float64)
-    if b.ndim not in (1, 2) or b.shape[0] != lu.n:
-        raise ValueError(
-            f"rhs must have shape ({lu.n},) or ({lu.n}, k); got {b.shape}"
-        )
+    b = rhs_array(b, lu.n)
     ctx = {"lu": lu, "b": b, **_shared_tables(lu, mapping, nprocs)}
     opts = dict(sim_opts or {})
     opts.setdefault("zero_copy", True)  # Z-rule certified module

@@ -42,6 +42,7 @@ import numpy as np
 from ..machine import DeliveryError, MachineSpec
 from ..numfact import NumericalError, SilentCorruptionError, SingularMatrixError
 from ..obs import BATCH, JOB, QUEUE, MetricsRegistry, as_tracer
+from ..sparse import rhs_array
 from .cache import AnalysisCache, values_key
 
 #: modeled cost of the analyze phase per structural entry (transversal +
@@ -243,12 +244,7 @@ class SolveService:
                 queue_depth=len(self._queue),
                 max_queue=self.max_queue,
             )
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim not in (1, 2) or b.shape[0] != A.nrows:
-            raise ValueError(
-                f"rhs must have shape ({A.nrows},) or ({A.nrows}, k); "
-                f"got {b.shape}"
-            )
+        b = rhs_array(b, A.nrows)
         opts = dict(self.solver_opts)
         opts.update(solver_opts or {})
         opts_key = tuple(sorted((k, repr(v)) for k, v in opts.items()))

@@ -6,7 +6,7 @@ system needs — compressed sparse row/column storage, pattern algebra
 a Matrix-Market-flavoured I/O layer — is implemented here.
 """
 
-from .csr import CSRMatrix
+from .csr import CSRMatrix, real_array, rhs_array
 from .coo import coo_to_csr, csr_to_coo
 from .ops import (
     csr_transpose,
@@ -24,6 +24,8 @@ from .io import write_matrix_market, read_matrix_market
 
 __all__ = [
     "CSRMatrix",
+    "real_array",
+    "rhs_array",
     "coo_to_csr",
     "csr_to_coo",
     "csr_transpose",

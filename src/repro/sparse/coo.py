@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSRMatrix
+from .csr import CSRMatrix, real_array
 
 
 def coo_to_csr(nrows, ncols, rows, cols, vals=None, sum_duplicates=True):
@@ -18,7 +18,7 @@ def coo_to_csr(nrows, ncols, rows, cols, vals=None, sum_duplicates=True):
     cols = np.asarray(cols, dtype=np.int64)
     if vals is None:
         vals = np.ones(len(rows))
-    vals = np.asarray(vals, dtype=np.float64)
+    vals = real_array(vals)
     if not (len(rows) == len(cols) == len(vals)):
         raise ValueError("triplet arrays must have equal length")
     if len(rows) and (rows.min() < 0 or rows.max() >= nrows):

@@ -14,6 +14,30 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def real_array(values, what: str = "values") -> np.ndarray:
+    """``values`` as a float64 array, refusing what a cast would corrupt.
+
+    ``np.asarray(values, dtype=np.float64)`` drops the imaginary part of a
+    complex input with only a ``ComplexWarning`` and parses strings; here a
+    dtype that is not bool, integer or real floating raises ``TypeError``
+    naming it.  The shared entry check of matrix values and right-hand
+    sides."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biuf":
+        raise TypeError(f"{what} must be real numbers; got dtype {a.dtype}")
+    return a.astype(np.float64, copy=False)
+
+
+def rhs_array(b, n: int) -> np.ndarray:
+    """A right-hand side of an ``n x n`` system: :func:`real_array` of
+    ``b``, which must have shape ``(n,)`` or ``(n, k)`` (``ValueError``
+    otherwise)."""
+    b = real_array(b, "rhs")
+    if b.ndim not in (1, 2) or b.shape[0] != n:
+        raise ValueError(f"rhs must have shape ({n},) or ({n}, k); got {b.shape}")
+    return b
+
+
 @dataclass
 class CSRMatrix:
     """A real ``nrows x ncols`` sparse matrix in CSR form.
@@ -43,13 +67,16 @@ class CSRMatrix:
         if self.data is None:
             self.data = np.ones(len(self.indices), dtype=np.float64)
         else:
-            self.data = np.asarray(self.data, dtype=np.float64)
+            self.data = real_array(self.data)
         if len(self.indptr) != self.nrows + 1:
             raise ValueError(
                 f"indptr has length {len(self.indptr)}, expected {self.nrows + 1}"
             )
-        if len(self.indices) != len(self.data):
-            raise ValueError("indices and data length mismatch")
+        if self.data.shape != self.indices.shape:
+            raise ValueError(
+                f"indices and data length mismatch: {self.indices.shape} "
+                f"indices, data of shape {self.data.shape}"
+            )
         if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
             raise ValueError("indptr does not span indices")
 
@@ -113,7 +140,7 @@ class CSRMatrix:
 
     def with_values(self, data) -> "CSRMatrix":
         """Same pattern, new values — the refactorization workload shape."""
-        data = np.asarray(data, dtype=np.float64)
+        data = real_array(data)
         if data.shape != (self.nnz,):
             raise ValueError(
                 f"values must have shape ({self.nnz},); got {data.shape}"

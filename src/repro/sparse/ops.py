@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .coo import coo_to_csr, csr_to_coo
-from .csr import CSRMatrix
+from .csr import CSRMatrix, real_array
 
 
 def csr_transpose(A: CSRMatrix) -> CSRMatrix:
@@ -119,7 +119,7 @@ def structural_symmetry(A: CSRMatrix) -> float:
 
 def csr_matvec(A: CSRMatrix, x: np.ndarray) -> np.ndarray:
     """Sparse matrix-vector product ``A @ x``."""
-    x = np.asarray(x, dtype=np.float64)
+    x = real_array(x, "x")
     y = np.zeros(A.nrows)
     for i in range(A.nrows):
         cols, vals = A.row(i)
@@ -139,6 +139,6 @@ def csr_to_dense(A: CSRMatrix) -> np.ndarray:
 
 def dense_to_csr(D, drop_tol: float = 0.0) -> CSRMatrix:
     """Build a CSR matrix from a dense array, dropping |value| <= drop_tol."""
-    D = np.asarray(D, dtype=np.float64)
+    D = real_array(D)
     rows, cols = np.nonzero(np.abs(D) > drop_tol)
     return coo_to_csr(D.shape[0], D.shape[1], rows, cols, D[rows, cols])

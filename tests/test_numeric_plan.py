@@ -339,7 +339,19 @@ def test_plan_size_is_bounded_and_outside_the_cache_accounting(make):
     plan = NumericPlan.of(art.bstruct)
     BlockLUMatrix.from_csr(om.A, art.part, art.bstruct)  # caches the scatter
     nblocks = len(art.bstruct.nonzero_blocks())
-    assert 0 < plan.nbytes <= 8 * om.A.nnz + 64 * nblocks
+    bound = 8 * om.A.nnz + 64 * nblocks
+    assert 0 < plan.nbytes <= bound
+    # a factor and a solve add the per-column below_diagonal tables (a
+    # tuple per column, 80 B per L block) and the width-1 row table (8 B
+    # per L-panel row of a width-1 column, 8 B per column)
+    lu = sstar_factor(om.A, sym=art.sym, part=art.part, bstruct=art.bstruct)
+    lu.solve(np.ones(A.nrows))
+    N = art.part.N
+    w1_rows = sum(plan.lpanel_shape(K)[0] - 1
+                  for K in range(N) if art.part.size(K) == 1)
+    # built by the first width-1 column a solve meets, if any
+    assert (0 if plan._w1_rows is None else plan._w1_rows.size) == w1_rows
+    assert plan.nbytes <= bound + 64 * N + 80 * nblocks + 8 * (w1_rows + N + 1)
     # the plan rides on the cached structure, uncharged (like the task
     # graph memo): AnalysisCache.max_bytes does not see it
     assert art.nbytes == accounted

@@ -116,6 +116,19 @@ PAPER_NOTES = {
         "fill are the same on both trees or the bench script refuses to write "
         "(`python benchmarks/bench_ordering_host.py`).",
     ),
+    "numeric_kernels": (
+        "Numeric kernels — host seconds by supernode shape",
+        "Paper (Sections 3-4, Theorem 1): dense U subcolumns make the "
+        "updates DGEMM; no host time is reported.  On the benchmark patterns "
+        "most block columns are one wide and a call costs more than its "
+        "flops.  Rows compare the commit before the kernels were dispatched "
+        "on shape (`parent_*`) with this tree: the sequential Factor/Update "
+        "sweep split by column width (`w1` one wide, `wide` wider), one "
+        "`(n, 3)` block solve, and the update's kernel calls; best repeat of "
+        "the best of three alternating processes.  Arena, pivot and solution "
+        "digests are the same on both trees or the bench script refuses to "
+        "write (`python benchmarks/bench_numeric_kernels.py`).",
+    ),
     "trisolve": (
         "Triangular solves vs factorization",
         "Paper (Section 2): the triangular solvers are much less time "
@@ -134,7 +147,7 @@ ORDER = [
     "table5", "table6", "fig17", "fig18", "table7", "eq4",
     "ablation_ordering", "ablation_grid", "ablation_blocksize",
     "ablation_network", "memory_scalability", "storage_backends",
-    "ordering_host", "trisolve", "tune_gain",
+    "ordering_host", "numeric_kernels", "trisolve", "tune_gain",
 ]
 
 
