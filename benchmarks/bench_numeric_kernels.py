@@ -6,21 +6,25 @@ per *call*, which is what a warm refactor on the benchmark patterns is
 bound by (``service_warm`` in ``benchmarks/e2e``).  It runs the sequential
 ``Factor(K)`` / ``Update(K, ·)`` sweep and one block solve on the four
 ``service_warm`` patterns and the two ``cold_solve`` generators, on **two
-source trees** — the commit before the kernels were dispatched on
-supernode shape, and this checkout — and splits the sweep's host seconds
-between block columns one wide and wider ones.
+source trees** — the commit before every ``L_KK^{-1}`` became one product
+with an inverted unit triangle, and this checkout — and splits the sweep's
+host seconds between block columns one wide and wider ones.
 
 One command, from the repo root (needs the git history for the parent)::
 
     python benchmarks/bench_numeric_kernels.py
-    python benchmarks/bench_numeric_kernels.py --parent-src /path/to/aac34d0/src
+    python benchmarks/bench_numeric_kernels.py --parent-src /path/to/8d884b5/src
 
 Each tree is measured in child processes of its own (``--measure SRC``),
 alternating parent / this tree; a time is the best repeat of the best
 process.  A separate, untimed pass counts the kernel calls (block products,
-target subtracts, ``unit_lower_solve`` calls and how many of them were on
-a ``1 x 1`` triangle).  The script refuses to write if the arena, the
-pivots or the solution of any case differ between the trees; rows land in
+target subtracts, applications of a unit lower triangle in ``Update`` —
+``unit_lower_solve``'s row loop in the parent, ``unit_lower_apply``'s
+product here — and triangle inversions).  The script refuses to write if
+the pivots of any case differ between the trees or any digest differs
+between two processes of one tree; whether the arena and solution bytes
+are the parent's is recorded per case (``same_bits``: the inverted
+triangle moves them on purpose).  Rows land in
 ``benchmarks/results/BENCH_numeric_kernels.json``.
 """
 
@@ -38,7 +42,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULT = ROOT / "benchmarks" / "results" / "BENCH_numeric_kernels.json"
-PARENT_COMMIT = "aac34d0"
+PARENT_COMMIT = "8d884b5"
 PROCESSES = 3  # child processes per tree, alternating
 REPEATS = 5  # sweeps per case per process
 
@@ -56,7 +60,7 @@ CASES = {
 }
 
 TIMES = ("factor_w1_s", "factor_wide_s", "update_w1_s", "update_wide_s", "solve_s")
-COUNTS = ("products", "subtracts", "unit_lower_solve", "unit_lower_solve_1x1")
+COUNTS = ("products", "subtracts", "triangle_applications", "triangle_inversions")
 
 
 def _digest(*chunks) -> str:
@@ -75,8 +79,12 @@ def measure(src: str) -> list:
     from repro.numfact import (
         BlockLUMatrix, KernelCounter, LUFactorization, PivotMonitor, matrix_maxnorm,
     )
-    from repro.numfact import tasks
+    from repro.numfact import blocks, tasks
     from repro.pipeline import analyze
+
+    # the triangle kernel of whichever tree this is
+    apply_name = ("unit_lower_apply" if hasattr(tasks, "unit_lower_apply")
+                  else "unit_lower_solve")
 
     def sweep(om, art, times=None):
         """The sequential driver's loop (what ``sstar_factor`` runs for a
@@ -101,16 +109,20 @@ def measure(src: str) -> list:
     def counted(om, art):
         """One untimed sweep with the update's kernels wrapped."""
         calls = Counter()
-        product, solve = tasks.block_product, tasks.unit_lower_solve
+        product, apply = tasks.block_product, getattr(tasks, apply_name)
+        invert = getattr(blocks, "unit_lower_inverse", None)
 
         def count_product(A, B, out):
             calls["products"] += 1
             return product(A, B, out)
 
-        def count_solve(L, B, *args, **kwargs):
-            calls["unit_lower_solve"] += 1
-            calls["unit_lower_solve_1x1"] += L.shape[0] == 1
-            return solve(L, B, *args, **kwargs)
+        def count_apply(*args, **kwargs):
+            calls["triangle_applications"] += 1
+            return apply(*args, **kwargs)
+
+        def count_invert(*args, **kwargs):
+            calls["triangle_inversions"] += 1
+            return invert(*args, **kwargs)
 
         class CountingNumpy:
             """``tasks.np`` with ``subtract`` counted (the update binds it
@@ -133,13 +145,19 @@ def measure(src: str) -> list:
             finally:
                 tasks.np = np
 
-        tasks.block_product, tasks.unit_lower_solve = count_product, count_solve
+        tasks.block_product = count_product
+        setattr(tasks, apply_name, count_apply)
         tasks.update_block_columns = update_counting
+        if invert is not None:
+            blocks.unit_lower_inverse = count_invert
         try:
             sweep(om, art)
         finally:
-            tasks.block_product, tasks.unit_lower_solve = product, solve
+            tasks.block_product = product
+            setattr(tasks, apply_name, apply)
             tasks.update_block_columns = update
+            if invert is not None:
+                blocks.unit_lower_inverse = invert
         return {key: calls[key] for key in COUNTS}
 
     rows = []
@@ -211,10 +229,14 @@ def main() -> None:
         old = [run[i] for run in runs["parent"]]
         new = [run[i] for run in runs["this"]]
         for key in ("arena_digest", "pivot_digest", "solution_digest"):
-            seen = {r[key] for r in old + new}
-            if len(seen) != 1:
-                sys.exit(f"{name}: {key} differs between the trees: {sorted(seen)}")
+            for side, runs_ in (("parent", old), ("this tree", new)):
+                if len({r[key] for r in runs_}) != 1:
+                    sys.exit(f"{name}: {key} differs between {side}'s processes")
+        if old[0]["pivot_digest"] != new[0]["pivot_digest"]:
+            sys.exit(f"{name}: the pivots differ between the trees")
         row = {k: new[0][k] for k in ("case", "n", "N", "width1_columns")}
+        row["same_bits"] = all(old[0][k] == new[0][k]
+                               for k in ("arena_digest", "solution_digest"))
         for key in TIMES + COUNTS:
             row[f"parent_{key}"] = min(r[key] for r in old) if key in TIMES else old[0][key]
             row[key] = min(r[key] for r in new) if key in TIMES else new[0][key]
@@ -224,8 +246,9 @@ def main() -> None:
         sweep_new = sum(row[k] for k in TIMES[:4])
         print(f"{name:28s} sweep {sweep_old:.4f} -> {sweep_new:.4f} s   solve "
               f"{row['parent_solve_s']:.4f} -> {row['solve_s']:.4f} s   products "
-              f"{row['parent_products']} -> {row['products']}   1x1 solves "
-              f"{row['parent_unit_lower_solve_1x1']} -> {row['unit_lower_solve_1x1']}")
+              f"{row['parent_products']} -> {row['products']}   triangles applied "
+              f"{row['parent_triangle_applications']} -> {row['triangle_applications']}"
+              f", inverted {row['triangle_inversions']}   same bits {row['same_bits']}")
     RESULT.write_text(json.dumps(
         {"scale": f"host seconds, parent = {PARENT_COMMIT}", "rows": rows}, indent=2))
     print(f"wrote {RESULT}")

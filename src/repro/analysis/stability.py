@@ -58,11 +58,13 @@ def iterative_refinement(
     ``solve`` is any function mapping a right-hand side to a solution using
     the (fixed) factorization, e.g. ``SStarSolver.solve``.  Returns
     ``(x, history)`` where ``history`` is the backward error per iteration.
+    A non-finite backward error ends the iteration: its residual is no
+    right-hand side a solve accepts.
     """
     x = solve(b)
     history = [backward_error(A, x, b)]
     for _ in range(max_iters):
-        if history[-1] <= tol:
+        if history[-1] <= tol or not np.isfinite(history[-1]):
             break
         r = b - csr_matvec(A, x)
         x = x + solve(r)

@@ -3,7 +3,8 @@ the sequential S* driver and triangular solvers (Section 4, Figs. 6-8)."""
 
 from .counter import KernelCounter
 from .kernels import (
-    unit_lower_solve,
+    unit_lower_apply,
+    unit_lower_inverse,
     upper_solve,
     FLOP_TRSM,
 )
@@ -40,7 +41,8 @@ from .abft import (
 
 __all__ = [
     "KernelCounter",
-    "unit_lower_solve",
+    "unit_lower_apply",
+    "unit_lower_inverse",
     "upper_solve",
     "FLOP_TRSM",
     "BlockLUMatrix",

@@ -112,13 +112,14 @@ class AbftLedger:
         e2[0] -= delta
         e1[1][o1], e2[1][o2] = e2[1][o2], e1[1][o1]
 
-    def pre_solve(self, K, J, diag) -> None:
-        """Predict ``rs(L^{-1} U_KJ)`` before the in-place solve runs."""
+    def pre_solve(self, K, J, linv) -> None:
+        """Predict ``rs(L^{-1} U_KJ)`` before the in-place solve runs
+        (``linv`` is ``L_KK^{-1}``, None for a column one wide)."""
         entry = self.sums.get((K, J))
         if entry is None:
             return
         self._rs_pred[(K, J)] = checksum_carry_solve(
-            diag, entry[1].copy(), counter=self.counter
+            linv, entry[1].copy(), counter=self.counter
         )
 
     def post_solve(self, K, J, ukj) -> None:

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..sparse import CSRMatrix
 from ..supernodes import BlockPartition, BlockStructure
+from .kernels import unit_lower_inverse
 
 
 class StructureViolation(RuntimeError):
@@ -110,6 +111,9 @@ class NumericPlan:
         self.col_srows = (
             np.add.reduceat(self.blk_srows, first) if N else self.blk_srows
         )
+        # the side arena of inverted unit diagonal triangles: one size(K)^2
+        # slot per block column, back to back
+        self.inv_off = np.concatenate(([0], np.cumsum(sizes * sizes)))
         self._below = {}  # K -> below_diagonal(K), built on first use
         self._w1_rows = self._w1_ptr = None  # width1_rows, built on first use
         self._pattern = None  # digest of the CSR pattern _scatter is for
@@ -133,7 +137,7 @@ class NumericPlan:
         """Bytes the plan holds, the cached scatter included."""
         arrays = (self.blk_I, self.blk_row0, self.blk_srows, self.sizes,
                   self.col_ptr, self.col_diag, self.col_off, self.lpanel_off,
-                  self.col_srows)
+                  self.col_srows, self.inv_off)
         b = sum(a.nbytes for a in arrays) + 8 * len(self.keys)
         # a built below_diagonal table: a tuple of one 4-tuple per L block
         b += sum(64 + 80 * len(t) for t in self._below.values())
@@ -288,16 +292,29 @@ class BlockLUMatrix:
 
     A matrix exposing only some block columns of an arena — a 1D rank's
     local storage — comes from :meth:`column_subset`.
+
+    Beside the arena, one float64 side arena holds ``L_KK^{-1}``, the
+    inverted unit lower triangle of every factored diagonal block
+    (:meth:`diag_inverse`): the factorization builds it with ``Factor(K)``
+    and the triangular solves multiply with it.  The flag ``inv_ready[K]``
+    says whether slot ``K`` holds the inverse of the current diagonal;
+    a matrix whose factors arrived some other way (a 2D run, a checkpoint
+    copy, a loaded file) builds it on first use.
     """
 
     def __init__(self, part: BlockPartition, bstruct: BlockStructure,
-                 arena: np.ndarray = None, _views: dict = None):
+                 arena: np.ndarray = None, _views: dict = None,
+                 _inverses: tuple = None):
         self.part = part
         self.bstruct = bstruct
         self.plan = NumericPlan.of(bstruct)
         self.arena = np.zeros(self.plan.size) if arena is None else arena
         #: ``(I, J) -> ndarray`` view; missing keys are structural zeros
         self.blocks = self.plan.views(self.arena) if _views is None else _views
+        if _inverses is None:
+            _inverses = (np.empty(int(self.plan.inv_off[-1])),
+                         np.zeros(part.N, dtype=bool))
+        self.inv_arena, self.inv_ready = _inverses
         self.n = part.n
         self.pivot_seq = [None] * part.N  # per block column: list of (m, t)
         self.abft = None  # optional repro.numfact.abft.AbftLedger
@@ -322,12 +339,39 @@ class BlockLUMatrix:
         views = {key: mine[key]
                  for J in columns for key in keys[ptr[J] : ptr[J + 1]]}
         return BlockLUMatrix(self.part, self.bstruct, arena=self.arena,
-                             _views=views)
+                             _views=views,
+                             _inverses=(self.inv_arena, self.inv_ready))
 
     def lpanel(self, K: int) -> np.ndarray:
         """The stacked L panel of block column ``K`` (diagonal block
         first): the rows ``Factor(K)`` searches, swaps and eliminates."""
         return self.plan.lpanel(self.arena, K)
+
+    def _inverse_slot(self, K: int) -> np.ndarray:
+        off = self.plan.inv_off
+        k = self.part.size(K)
+        return self.inv_arena[off[K] : off[K + 1]].reshape(k, k)
+
+    def invert_diagonal(self, K: int) -> np.ndarray:
+        """Build ``L_KK^{-1}`` from the current diagonal block into its
+        slot of the side arena and return that ``size(K)^2`` view — what
+        ``Factor(K)`` calls once its panel is final."""
+        slot = unit_lower_inverse(self.blocks[(K, K)], out=self._inverse_slot(K))
+        self.inv_ready[K] = True
+        return slot
+
+    def diag_inverse(self, K: int) -> np.ndarray:
+        """``L_KK^{-1}`` of factored block column ``K``, as a view of the
+        side arena, built on first use if ``Factor(K)`` did not build it."""
+        if not self.inv_ready[K]:
+            return self.invert_diagonal(K)
+        return self._inverse_slot(K)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the factor storage: the arena and the side arena of
+        diagonal inverses with its flags (views and the plan excluded)."""
+        return self.arena.nbytes + self.inv_arena.nbytes + self.inv_ready.nbytes
 
     # -- queries -----------------------------------------------------------
 

@@ -79,16 +79,44 @@ def block_product(A, B, out):
     return out
 
 
-def unit_lower_solve(L, B, counter: KernelCounter = None, ncols_structural=None):
-    """In-place solve ``L X = B`` with ``L`` unit lower triangular
-    (only the strictly-lower part of ``L`` is referenced)."""
+def unit_lower_inverse(L, out=None):
+    """``L^{-1}`` for the unit lower triangle of ``L`` (its strictly-lower
+    part; the diagonal and upper part are not read), into ``out`` when
+    given.  Every ``L_KK^{-1}`` of the factorization and of the solves is
+    one product with this matrix (:func:`unit_lower_apply`), so every
+    driver that inverts the same diagonal bits applies the same inverse.
+
+    Forward substitution on the identity, one row at a time: row ``i`` is
+    ``-L[i, :i] @ X[:i, :i]`` (the multipliers negated once; negation is
+    exact, so this is the same sum negated).  The result is exactly unit
+    lower triangular — zeros above the diagonal stay exact zeros, which
+    LAPACK's pivoting ``inv`` does not guarantee once a multiplier exceeds
+    one (threshold pivoting, perturbed pivots) — and carries the
+    componentwise error bound of the substitution it replaces."""
     k = L.shape[0]
-    if B.ndim == 1:
-        for i in range(1, k):
-            B[i] -= L[i, :i] @ B[:i]
-    else:
-        for i in range(1, k):
-            B[i, :] -= L[i, :i] @ B[:i, :]
+    X = np.empty((k, k)) if out is None else out
+    X[...] = 0.0
+    X.flat[:: k + 1] = 1.0
+    neg = np.negative(L, out=scratch_buffer("lower-inverse", k, k))
+    dot = np.dot
+    for i in range(1, k):
+        dot(neg[i, :i], X[:i, :i], out=X[i, :i])
+    return X
+
+
+def unit_lower_apply(Linv, B, counter: KernelCounter = None, ncols_structural=None):
+    """In place ``B <- L^{-1} B`` for a unit lower ``L`` whose inverse
+    (:func:`unit_lower_inverse`) is ``Linv``: one :func:`block_product`.
+    A ``1 x 1`` triangle is the identity and ``Linv`` is not read.
+
+    The charge is the triangular solve's (``FLOP_TRSM``, DGEMM when two or
+    more columns are structurally nonzero): the modelled algorithm is the
+    paper's TRSM, the product is how the host computes it."""
+    k = B.shape[0]
+    if k > 1:
+        prod = scratch_buffer("lower-apply", k, None if B.ndim == 1 else B.shape[1])
+        block_product(Linv, B, prod)
+        B[...] = prod
     if counter is not None:
         ncols = (1 if B.ndim == 1 else B.shape[1]) if ncols_structural is None else ncols_structural
         kernel = DGEMM if ncols >= 2 else DGEMV
@@ -172,11 +200,13 @@ def checksum_carry_gemm(cs, rs, A, B, cs_a=None, rs_b=None,
     return cs, rs
 
 
-def checksum_carry_solve(L, rs, counter: KernelCounter = None):
-    """Advance a row-sum checksum across ``X = L^{-1} B`` (unit lower L).
+def checksum_carry_solve(Linv, rs, counter: KernelCounter = None):
+    """Advance a row-sum checksum across ``X = L^{-1} B`` (unit lower L,
+    ``Linv`` its :func:`unit_lower_inverse`): the same product the solve
+    itself is, so the carried sums round like the data.
 
     Returns the predicted ``rs(X)`` given ``rs = rs(B)``; in place."""
-    unit_lower_solve(L, rs)
+    unit_lower_apply(Linv, rs)
     if counter is not None:
-        counter.add(DGEMV, FLOP_TRSM(L.shape[0], 1))
+        counter.add(DGEMV, FLOP_TRSM(rs.shape[0], 1))
     return rs

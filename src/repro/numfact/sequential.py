@@ -22,7 +22,7 @@ from ..symbolic import static_symbolic_factorization, SymbolicFactorization
 from .abft import AbftLedger, recover_block_column
 from .blocks import BlockLUMatrix
 from .counter import KernelCounter
-from .kernels import block_product, scratch_buffer, unit_lower_solve, upper_solve
+from .kernels import block_product, scratch_buffer, unit_lower_apply, upper_solve
 from .robust import PivotMonitor, SilentCorruptionError
 from .tasks import factor_block_column, update_block_columns
 
@@ -102,7 +102,9 @@ class LUFactorization:
         the L panel and subtracts them at the panel's global rows
         (:meth:`repro.numfact.NumericPlan.width1_rows`); the backward sweep
         divides by its ``1 x 1`` diagonal.  Wider columns keep one product
-        per block (same bits: see :func:`repro.numfact.kernels.block_product`).
+        per block (same bits: see :func:`repro.numfact.kernels.block_product`)
+        and apply ``L_KK^{-1}`` as one product with the inverse the
+        factorization kept (:meth:`repro.numfact.BlockLUMatrix.diag_inverse`).
         """
         self.verify_abft()
         m = self.matrix
@@ -127,7 +129,7 @@ class LUFactorization:
                     xs[rows] -= prod
                 continue
             xk = x[lo:hi]
-            unit_lower_solve(blocks[(K, K)], xk)
+            unit_lower_apply(m.diag_inverse(K), xk)
             for I in self.bstruct.l_block_rows(K):
                 if I > K:
                     x[bounds[I] : bounds[I + 1]] -= blocks[(I, K)] @ xk
@@ -149,7 +151,8 @@ class LUFactorization:
         stage-wise (each ``M_K`` is the unit-lower elimination of block
         column K), so ``A^T x = b`` is solved by ``U^T y = b`` (a forward
         substitution on the lower-triangular ``U^T``) followed by applying
-        ``M_K^{-T}`` and the *reversed* pivot swaps for K descending.
+        ``M_K^{-T}`` and the *reversed* pivot swaps for K descending
+        (``L_KK^{-T}`` as one product with the transposed inverse).
         """
         self.verify_abft()
         m = self.matrix
@@ -174,11 +177,8 @@ class LUFactorization:
             for I in self.bstruct.l_block_rows(K):
                 if I > K:
                     xk -= m.blocks[(I, K)].T @ x[bounds[I] : bounds[I + 1]]
-            lkk = m.blocks[(K, K)]
-            bs = part.size(K)
-            for i in range(bs - 1, -1, -1):
-                if i + 1 < bs:
-                    xk[i] -= lkk[i + 1 :, i] @ xk[i + 1 :]
+            if part.size(K) > 1:
+                unit_lower_apply(m.diag_inverse(K).T, xk)
             for r1, r2 in reversed(m.pivot_seq[K]):
                 if r1 != r2:
                     tmp = x[r1].copy() if x.ndim == 2 else x[r1]

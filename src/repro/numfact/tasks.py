@@ -10,18 +10,22 @@
 
 ``Update(K, J)``
     Replays block ``K``'s pivot sequence on block column ``J``, computes
-    ``U_KJ <- L_KK^{-1} U_KJ`` and then ``A_IJ -= L_IK U_KJ`` for every
-    nonzero ``L_IK`` — the BLAS-3 DGEMM payload that Theorem 1's dense
-    subcolumns make possible.
+    ``U_KJ <- L_KK^{-1} U_KJ`` (one product with the column's inverted
+    unit triangle, built once per column) and then ``A_IJ -= L_IK U_KJ``
+    for every nonzero ``L_IK`` — the BLAS-3 DGEMM payload that Theorem 1's
+    dense subcolumns make possible.
 
 ``Factor(K)`` eliminates in place on the contiguous L-panel view of the
 arena (:mod:`repro.numfact.blocks`): no pack, no scatter-back.  Updates
 consume a :class:`FactoredColumn` — the self-contained result of
-``Factor(K)``: the pivot sequence and **one panel**, the diagonal block
-with the L blocks stacked below it in ascending block row.  On the owner
-the panel is a view of the arena; in the 1D parallel code one copy of it
-*is* the message the owner of column ``K`` multicasts, and every receiver
-wraps that same buffer with :meth:`FactoredColumn.from_message`.  Where
+``Factor(K)``: the pivot sequence, **one panel** (the diagonal block with
+the L blocks stacked below it in ascending block row) and, for a column
+two or more wide, ``L_KK^{-1}``.  On the owner the panel is a view of the
+arena and the inverse one of the side arena; in the 1D parallel code one
+copy of the panel *is* the message the owner of column ``K`` multicasts,
+and every receiver that updates with it checks it
+(:meth:`FactoredColumn.check_message`) and wraps that same buffer,
+inverting its diagonal triangle once for all its updates.  Where
 each L block lies inside the panel is not part of the column: it is read
 from the consumer's own :class:`repro.numfact.blocks.NumericPlan`
 (``below_diagonal(K)``), compiled once per pattern.
@@ -44,14 +48,27 @@ from .blocks import (
     StructureViolation,
 )
 from .counter import KernelCounter, DGEMM, DGEMV, BLAS1
-from .kernels import block_product, scratch_buffer, unit_lower_solve
+from .kernels import (
+    block_product,
+    scratch_buffer,
+    unit_lower_apply,
+    unit_lower_inverse,
+)
 
 class FactoredColumn:
-    """Everything ``Update(*, J)`` needs from a factored block column K."""
+    """Everything ``Update(*, J)`` needs from a factored block column K.
 
-    __slots__ = ("K", "pivots", "panel", "diag", "lpanel")
+    ``linv`` is ``L_KK^{-1}`` (None for a column one wide, whose triangle
+    is the identity).  It is built once, here, unless the caller already
+    holds it — the owner's comes from the side arena ``Factor(K)`` filled
+    — and only for a column that will update: a received column that is
+    merely drained is checked with :meth:`check_message` and never
+    wrapped."""
 
-    def __init__(self, K: int, pivots: list, panel: np.ndarray):
+    __slots__ = ("K", "pivots", "panel", "diag", "lpanel", "linv")
+
+    def __init__(self, K: int, pivots: list, panel: np.ndarray,
+                 linv: np.ndarray = None):
         bs = panel.shape[1]
         self.K = K
         self.pivots = pivots  # [(m_pos, t_pos), ...] global position pairs
@@ -60,13 +77,22 @@ class FactoredColumn:
         self.panel = panel
         self.diag = panel[:bs]  # the diagonal block (unit-lower L + upper U)
         self.lpanel = panel[bs:]  # the L blocks, stacked in ascending I
+        if linv is None and bs > 1:
+            linv = unit_lower_inverse(self.diag)
+        self.linv = linv
 
     @classmethod
     def from_message(cls, payload: dict, plan: NumericPlan) -> "FactoredColumn":
         """The column a ``("col", K)`` message carries, as views of the
-        received panel.  The panel must be exactly the ``lpanel(K)`` of the
-        receiver's own ``plan`` — anything else is a
-        :class:`StructureViolation`, never a mis-sliced update."""
+        received panel (:meth:`check_message` first)."""
+        cls.check_message(payload, plan)
+        return cls(payload["K"], payload["pivots"], payload["panel"])
+
+    @staticmethod
+    def check_message(payload: dict, plan: NumericPlan) -> None:
+        """The panel must be exactly the ``lpanel(K)`` of the receiver's
+        own ``plan`` — anything else is a :class:`StructureViolation`,
+        never a mis-sliced update."""
         K, panel = payload["K"], payload["panel"]
         if not (isinstance(K, int) and 0 <= K < plan.part.N):
             raise StructureViolation(f"column message for block column {K!r}")
@@ -78,7 +104,6 @@ class FactoredColumn:
                 f"{getattr(panel, 'shape', None)}, this pattern's L panel "
                 f"is float64 {shape}"
             )
-        return cls(K, payload["pivots"], panel)
 
 
 def _panel_position(m: BlockLUMatrix, K: int, r: int) -> int:
@@ -88,6 +113,21 @@ def _panel_position(m: BlockLUMatrix, K: int, r: int) -> int:
         if r < hi:
             return m.part.start(I) + r - lo
     raise IndexError(f"row {r} is outside the L panel of column {K}")
+
+
+def pivot_error(gcol: int, best: float) -> SingularMatrixError:
+    """What every driver raises when the largest pivot candidate of global
+    column ``gcol`` is unusable: non-finite (checked first, so a NaN or Inf
+    column is never perturbed) or zero."""
+    if not isfinite(best):
+        return SingularMatrixError(
+            f"non-finite pivot candidate for global column {gcol} "
+            "(a non-finite matrix value, or an earlier tiny pivot "
+            "overflowed; enable perturbation or loosen pivot_threshold)",
+            pivot_index=gcol,
+        )
+    return SingularMatrixError(
+        f"no nonzero pivot for global column {gcol}", pivot_index=gcol)
 
 
 def factor_block_column(
@@ -141,18 +181,10 @@ def factor_block_column(
         t = int(ab.argmax()) + c
         best = float(panel[t, c])  # one read, a Python float from here on
         if not isfinite(best):
-            raise SingularMatrixError(
-                f"non-finite pivot candidate for global column {gcol} "
-                "(earlier tiny pivot overflowed; enable perturbation or "
-                "loosen pivot_threshold)",
-                pivot_index=gcol,
-            )
+            raise pivot_error(gcol, best)
         if best == 0.0:
             if monitor is None or not monitor.perturb:
-                raise SingularMatrixError(
-                    f"no nonzero pivot for global column {gcol}",
-                    pivot_index=gcol,
-                )
+                raise pivot_error(gcol, best)
             t = c  # numerically dead column: perturb the diagonal below
         elif pivot_threshold < 1.0:
             diag = float(panel[c, c])
@@ -196,14 +228,16 @@ def factor_block_column(
     if m.abft is not None:
         # the panel kernels are elementwise; re-anchor rather than carry
         m.abft.anchor_column(m, K)
-    return FactoredColumn(K, pivots, panel)
+    return FactoredColumn(K, pivots, panel,
+                          m.invert_diagonal(K) if bs > 1 else None)
 
 
 def factored_column_of(m: BlockLUMatrix, K: int) -> FactoredColumn:
     """Re-wrap an already factored local column (views, no copies)."""
     if m.pivot_seq[K] is None:
         raise RuntimeError(f"Factor({K}) has not run yet")
-    return FactoredColumn(K, m.pivot_seq[K], m.lpanel(K))
+    return FactoredColumn(K, m.pivot_seq[K], m.lpanel(K),
+                          m.diag_inverse(K) if m.part.size(K) > 1 else None)
 
 
 def apply_pivots_to_column(m: BlockLUMatrix, pivots, J: int) -> None:
@@ -243,10 +277,12 @@ def update_block_columns(
     The flops of one ``Update(K, J)`` are charged in at most two
     ``KernelCounter.add`` calls (every charge is an integer-valued float
     far below 2**53, so the per-key sums, the first-touch key order and
-    hence the virtual times equal those of one charge per block).  A
-    column one wide runs no triangular solve (its unit triangle is the
-    identity; the solve's charge is still added) and forms its products in
-    one stacked outer product over the panel
+    hence the virtual times equal those of one charge per block).  The
+    triangular solve is one product with ``fc.linv``
+    (:func:`repro.numfact.kernels.unit_lower_apply`, charged as the TRSM
+    it stands for).  A column one wide runs no solve (its unit triangle is
+    the identity; the solve's charge is still added) and forms its
+    products in one stacked outer product over the panel
     (:func:`repro.numfact.kernels.block_product`; DESIGN.md "Host
     performance" has why outer products may be stacked and GEMMs may not);
     a wider column's per-block GEMMs read their L block as a row slice of
@@ -256,9 +292,9 @@ def update_block_columns(
     blocks = m.blocks
     abft = m.abft
     udense_cols = m.bstruct.udense_cols
-    diag = fc.diag
+    linv = fc.linv
     lpanel = fc.lpanel
-    lk = diag.shape[0]
+    lk = fc.diag.shape[0]
     swaps = ()
     if apply_pivots:
         swaps = [m.locate_rows(r1, r2) for r1, r2 in fc.pivots if r1 != r2]
@@ -282,12 +318,12 @@ def update_block_columns(
         ncols = len(udense_cols[(K, J)])
 
         if abft is not None:
-            abft.pre_solve(K, J, diag)
+            abft.pre_solve(K, J, linv)
         if not stacked:
-            unit_lower_solve(diag, ukj, counter=counter, ncols_structural=ncols)
+            unit_lower_apply(linv, ukj, counter=counter, ncols_structural=ncols)
         elif cadd is not None:
             # a 1x1 unit triangle is the identity: only the charge
-            # unit_lower_solve adds for it (FLOP_TRSM(1, ncols), gran 1)
+            # unit_lower_apply adds for it (FLOP_TRSM(1, ncols), gran 1)
             cadd(DGEMM if ncols >= 2 else DGEMV, float(ncols), gran=1)
         if abft is not None:
             abft.post_solve(K, J, ukj)

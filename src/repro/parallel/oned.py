@@ -109,14 +109,22 @@ def _mapping(tg: TaskGraph, method: str, nprocs: int, spec: MachineSpec):
     return entry
 
 
-def _receive_column(payload, plan, abft, metrics) -> FactoredColumn:
-    """Wrap (and with ABFT verify, block by block) a received column."""
-    fc = FactoredColumn.from_message(payload, plan)
+def _check_column(payload, plan, abft, metrics) -> None:
+    """Check a received column's shape (and with ABFT verify it, block by
+    block) without wrapping it: what a drained column gets."""
+    FactoredColumn.check_message(payload, plan)
     if abft:  # against the per-block leaves the sender checksummed
+        K = payload["K"]
         verify_payload(
             {**column_leaves(payload, plan), "abft": payload.get("abft")},
-            where=f"payload:col({fc.K})", column=fc.K, metrics=metrics)
-    return fc
+            where=f"payload:col({K})", column=K, metrics=metrics)
+
+
+def _receive_column(payload, plan, abft, metrics) -> FactoredColumn:
+    """Check, then wrap a received column for the updates that consume it
+    (wrapping inverts its diagonal triangle)."""
+    _check_column(payload, plan, abft, metrics)
+    return FactoredColumn(payload["K"], payload["pivots"], payload["panel"])
 
 
 def _rank_program(env, ctx):
@@ -137,7 +145,7 @@ def _rank_program(env, ctx):
     k0, k1 = ctx["stage_range"]
     received = {}
     seen = set()  # every column ever received (incl. later-freed buffers)
-    local_fc = {}  # my own factored columns, re-wrapped once per k
+    local_fc = {}  # my own factored columns: Factor(k)'s, or re-wrapped
     buffer_bytes = 0
     high_water = 0
 
@@ -160,6 +168,7 @@ def _rank_program(env, ctx):
             )
             env.end_counted(win)
             env.span(f"F{k}", t0)
+            local_fc[k] = fc
             # the message is one fresh copy of the column's L panel: fc
             # holds views into the local storage ``m``, which later
             # Factor/Update tasks keep mutating while the posted payload is
@@ -204,7 +213,7 @@ def _rank_program(env, ctx):
         for k in range(k0, k1):
             if owner[k] != rank and k not in seen:
                 payload = yield env.recv(("col", k))
-                _receive_column(payload, plan, abft, env.metrics)
+                _check_column(payload, plan, abft, env.metrics)
     return {"pivot_seq": m.pivot_seq, "high_water": high_water}
 
 

@@ -12,9 +12,10 @@ holds block ``(I, J)``, and which ranks must see a finalised ``x_K``.
 * the solution vector is distributed by block, ``x_K`` living with
   ``seg_owner(K)`` (the diagonal block's owner);
 * **forward** (ascending ``K``): segment owners exchange the scalars a
-  pivot swap of block ``K`` touches, the owner solves with the unit-lower
-  diagonal block and multicasts ``x_K`` to ``col_group(K)`` — exactly where
-  every ``L_IK`` lives (under the 1D mapping that is the owner alone, and
+  pivot swap of block ``K`` touches, the owner applies the unit-lower
+  diagonal block's inverse (one product, as the sequential sweep does) and
+  multicasts ``x_K`` to ``col_group(K)`` — exactly where every ``L_IK``
+  lives (under the 1D mapping that is the owner alone, and
   nothing is sent); each ``L_IK`` owner ships its product to segment ``I``'s
   owner, which absorbs contributions in ascending ``(K, I)`` order;
 * **backward** (descending ``K``): each finalised ``x_J`` is multicast to
@@ -38,7 +39,7 @@ import numpy as np
 
 from ..machine import Simulator, MachineSpec
 from ..numfact import LUFactorization
-from ..numfact.kernels import unit_lower_solve, upper_solve
+from ..numfact.kernels import unit_lower_apply, upper_solve
 from ..sparse import rhs_array
 from .mapping import ColumnMapping, Grid2D
 
@@ -120,6 +121,7 @@ def _solve_program(env, ctx):
     u_mult = ctx["u_mult"][me]
     u_from = ctx["u_from"]
     psize = part.size
+    diag_inverse = lu.matrix.diag_inverse
 
     def row_payload(seg_k, i):
         # a scalar for vector solves (historic wire format), a row copy for
@@ -154,7 +156,8 @@ def _solve_program(env, ctx):
         if seg[K] == me:
             xk = x[K]
             win = env.begin_counted()
-            unit_lower_solve(blocks[(K, K)], xk, counter=env.counter)
+            unit_lower_apply(diag_inverse(K) if psize(K) > 1 else None, xk,
+                             counter=env.counter)
             env.end_counted(win)
             if group[K] is not None:
                 env.multicast(group[K], ("xk", K), xk.copy())

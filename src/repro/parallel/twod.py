@@ -10,7 +10,9 @@ Blocks map to a ``p_r x p_c`` grid: ``A_IJ`` lives on rank
   processor *row*;
 * ``ScaleSwap(K)`` (Fig. 14) performs the delayed row interchanges inside
   each processor column (pairwise subrow exchanges), the owners of block
-  row ``K`` scale ``U_K,*`` by ``L_KK^{-1}`` and multicast the scaled row
+  row ``K`` scale ``U_K,*`` by ``L_KK^{-1}`` (each inverts the unit
+  triangle once per stage; the diagonal's owner keeps it in the factor's
+  side arena for the triangular solves) and multicast the scaled row
   panel along their processor *columns*;
 * ``Update_2D(K, J)`` (Fig. 15) is the embarrassingly block-parallel GEMM
   sweep;
@@ -28,13 +30,20 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
 from ..machine import Simulator, MachineSpec
-from ..numfact import BlockLUMatrix, SingularMatrixError, StructureViolation
+from ..numfact import BlockLUMatrix, StructureViolation
 from ..numfact.abft import payload_checksums, verify_payload
-from ..numfact.kernels import block_product, scratch_buffer, unit_lower_solve
+from ..numfact.tasks import pivot_error
+from ..numfact.kernels import (
+    block_product,
+    scratch_buffer,
+    unit_lower_apply,
+    unit_lower_inverse,
+)
 from ..sparse import CSRMatrix
 from ..supernodes import BlockPartition, BlockStructure
 from .mapping import Grid2D
@@ -148,6 +157,7 @@ def _rank_program_2d(env, ctx):
     monitor = ctx.get("monitor")
     abft = bool(ctx.get("abft"))
     block_of = ctx["block_of"]
+    invert_diagonal = ctx["invert_diagonal"]
     r, c = grid.coords(env.rank)
     pr, pc = grid.pr, grid.pc
     N = part.N
@@ -186,7 +196,9 @@ def _rank_program_2d(env, ctx):
         pivots = []
         for m in range(bs):
             gm = k0 + m
-            # local best candidate (position >= gm), ties -> smallest position
+            # local best candidate (position >= gm), ties -> smallest
+            # position; a NaN (which argmax returns first) wins and stays,
+            # as in the sequential search
             best_abs, best_pos, best_row = -1.0, -1, None
             ncand = 0
             for s0, blk, _srows in panel:
@@ -202,7 +214,7 @@ def _rank_program_2d(env, ctx):
                 np.abs(sub, out=ab)
                 t = int(np.argmax(ab))
                 v = float(ab[t])
-                if v > best_abs:
+                if v > best_abs or v != v:
                     best_abs, best_pos = v, s0 + lo + t
                     best_row = blk[lo + t]
             compute("blas1", ncand)
@@ -221,13 +233,14 @@ def _rank_program_2d(env, ctx):
                     if rr == diag_r:
                         continue
                     a, p, row = yield env.recv(("pmax", K, m, rr))
-                    if a > g_abs or (a == g_abs and p != -1 and (g_pos == -1 or p < g_pos)):
+                    if (a > g_abs or a != a
+                            or (a == g_abs and p != -1 and (g_pos == -1 or p < g_pos))):
                         g_abs, g_pos, g_row = a, p, row
+                if not isfinite(g_abs):
+                    raise pivot_error(gm, g_abs)
                 if g_pos == -1 or g_abs == 0.0:
                     if monitor is None or not monitor.perturb:
-                        raise SingularMatrixError(
-                            f"no nonzero pivot for column {gm}", pivot_index=gm
-                        )
+                        raise pivot_error(gm, 0.0)
                     # numerically dead column: keep the diagonal position and
                     # let the monitor perturb its value below
                     g_pos = gm
@@ -353,14 +366,18 @@ def _rank_program_2d(env, ctx):
         # scaling of the U row panel by the owners of block row K
         if r == K % pr:
             diag = info["diag"]
+            linv = None
             scaled = {}
             udense = bstruct.udense_cols
             for J in cols_after:
                 ukj = blocks.get((K, J))
                 if ukj is not None:
+                    if linv is None and part.size(K) > 1:
+                        linv = (invert_diagonal(K) if c == K % pc
+                                else unit_lower_inverse(diag))
                     win = env.begin_counted()
-                    unit_lower_solve(
-                        diag,
+                    unit_lower_apply(
+                        linv,
                         ukj,
                         counter=env.counter,
                         ncols_structural=len(udense[(K, J)]),
@@ -525,6 +542,9 @@ def run_2d(
         # ranks: the pivot-swap loops hit this per pivot, and indexing the
         # numpy array there costs an int() boxing per lookup
         "block_of": part.block_of.tolist(),
+        # the diagonal owner's L_KK^{-1} goes to the merged factor's side
+        # arena, a view of its own diagonal block like its local dict's
+        "invert_diagonal": merged.invert_diagonal,
     }
     if stage_range is not None:
         ctx["stage_range"] = stage_range

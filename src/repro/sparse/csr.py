@@ -30,11 +30,16 @@ def real_array(values, what: str = "values") -> np.ndarray:
 
 def rhs_array(b, n: int) -> np.ndarray:
     """A right-hand side of an ``n x n`` system: :func:`real_array` of
-    ``b``, which must have shape ``(n,)`` or ``(n, k)`` (``ValueError``
-    otherwise)."""
+    ``b``, which must have shape ``(n,)`` or ``(n, k)`` and finite entries
+    (``ValueError`` otherwise, naming the first NaN or Inf: the solves
+    would return a NaN ``x`` without a word)."""
     b = real_array(b, "rhs")
     if b.ndim not in (1, 2) or b.shape[0] != n:
         raise ValueError(f"rhs must have shape ({n},) or ({n}, k); got {b.shape}")
+    if not np.isfinite(b).all():
+        first = tuple(np.argwhere(~np.isfinite(b))[0].tolist())
+        where = ", ".join(map(str, first))
+        raise ValueError(f"rhs must be finite; rhs[{where}] is {b[first]}")
     return b
 
 

@@ -2,7 +2,9 @@
 before any work, what a float64 cast would corrupt: a complex or
 non-numeric dtype is a ``TypeError`` naming it (never a ``ComplexWarning``
 and a truncated answer), a wrong shape or ndim is a ``ValueError`` (never a
-bare ``IndexError``)."""
+bare ``IndexError``), and so is a NaN or Inf right-hand side (never a
+silent NaN ``x``).  A NaN in the matrix values is met by the pivot search,
+which every driver reports with the same error."""
 
 import numpy as np
 import pytest
@@ -10,8 +12,8 @@ import pytest
 from repro.api import SStarSolver
 from repro.machine import T3E
 from repro.matrices import generators as g
-from repro.numfact import sstar_factor
-from repro.parallel import run_1d, run_1d_trisolve, run_2d_trisolve
+from repro.numfact import PivotMonitor, SingularMatrixError, sstar_factor
+from repro.parallel import DRIVERS, factorize, run_1d, run_1d_trisolve, run_2d_trisolve
 from repro.service import AnalysisCache, SolveService, analyze
 from repro.sparse import CSRMatrix, coo_to_csr, csr_to_dense, dense_to_csr
 
@@ -73,6 +75,11 @@ BAD_RHS = {
     "python-scalar": (lambda n: 3.0, ValueError, r"got \(\)"),
     "3-d": (lambda n: np.ones((n, 2, 2)), ValueError, r"got \(40, 2, 2\)"),
     "wrong-length": (lambda n: np.ones(n + 1), ValueError, r"got \(41,\)"),
+    "nan": (lambda n: np.r_[np.ones(n - 3), np.nan, np.inf, 1.0], ValueError,
+            r"rhs must be finite; rhs\[37\] is nan"),
+    "inf-in-block": (lambda n: np.where(np.arange(2 * n).reshape(n, 2) == 9,
+                                        -np.inf, 1.0),
+                     ValueError, r"rhs must be finite; rhs\[4, 1\] is -inf"),
 }
 
 
@@ -125,3 +132,38 @@ def test_complex_job_is_refused_not_truncated(A):
         svc.submit(A, 1j * np.ones(N))
     x = svc.result(svc.submit(A, np.ones(N)))
     assert np.allclose(csr_to_dense(A) @ x, 1.0)
+
+
+def test_non_finite_rhs_job_is_refused_not_solved(A):
+    """The motivating case: a NaN in ``b`` used to finish as ``"done"``
+    with an all-NaN ``x``."""
+    svc = SolveService(workers=1, cache=AnalysisCache())
+    b = np.ones(N)
+    b[5] = np.nan
+    with pytest.raises(ValueError, match=r"rhs\[5\] is nan"):
+        svc.submit(A, b)
+    with pytest.raises(ValueError, match=r"rhs\[5\] is nan"):
+        SStarSolver().factor(A).solve(b)
+
+
+@pytest.mark.parametrize("perturb", [False, True], ids=["plain", "perturb"])
+@pytest.mark.parametrize("method", ["sequential", *DRIVERS])
+def test_non_finite_pivot_is_named_alike_by_every_driver(method, perturb, A):
+    """A column of NaNs reaches its pivot search unchanged (NaNs stay in
+    their column through the earlier updates); every driver then raises
+    the sequential code's error for that column — the 2D search used to
+    skip the NaN and report "no nonzero pivot" — and the perturbing
+    monitor leaves the column alone (it perturbs zeros, not NaNs)."""
+    art, om = analyze(A)
+    col = N // 2
+    Ab = om.A.with_values(np.where(om.A.indices == col, np.nan, om.A.data))
+    monitor = PivotMonitor(1.0, perturb=True) if perturb else None
+    with pytest.raises(SingularMatrixError, match="non-finite pivot candidate") as err:
+        if method == "sequential":
+            sstar_factor(Ab, sym=art.sym, part=art.part, bstruct=art.bstruct,
+                         monitor=monitor)
+        else:
+            factorize(method, Ab, art.part, art.bstruct, 4, T3E, monitor=monitor)
+    assert err.value.pivot_index == col
+    assert str(err.value).startswith(f"non-finite pivot candidate for global column {col} ")
+    assert perturb is False or not monitor.perturbations

@@ -35,9 +35,15 @@ the last commit with one rank program per mapping (``parallel/trisolve.py``
 and ``parallel/trisolve2d.py``), so the one program over a mapping that
 replaced them is compared with both originals' recorded output.
 
-``recorded_from`` names the commit per section: the ``cases`` came out of
-the 2684ecc re-recording byte for byte as first recorded at 61bceec and
-keep that provenance.
+``recorded_from`` names the commit per section.  ``cases`` and
+``trisolve`` were re-recorded on purpose when every ``L_KK^{-1}`` became
+one product with an inverted unit triangle (``8d884b5+inverted-diagonal``:
+the tree on top of 8d884b5 that made the change).  That change moved the
+bytes of factor blocks and solutions only — the re-recording left every
+pivot sequence, interchange count, ``by_gran`` entry and its order,
+``parallel_seconds``, message and byte count, per-rank clock and
+``width1_sweep`` (width-1 columns run no triangle) as they were, which is
+the protocol of DESIGN.md "Moving bits on purpose".
 
 Re-record (only when a numeric output is *meant* to change) every section,
 or only the named ones (the others keep their bytes and provenance)::

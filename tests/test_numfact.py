@@ -12,7 +12,8 @@ from repro.numfact import (
     StructureViolation,
     factor_block_column,
     sstar_factor,
-    unit_lower_solve,
+    unit_lower_apply,
+    unit_lower_inverse,
     upper_solve,
 )
 from repro.ordering import prepare_matrix
@@ -37,18 +38,18 @@ def residual(D, x, b):
 
 
 class TestKernels:
-    def test_unit_lower_solve_matches_numpy(self, rng):
+    def test_unit_lower_apply_matches_numpy(self, rng):
         L = np.tril(rng.uniform(-1, 1, (9, 9)), -1) + np.eye(9)
         B = rng.uniform(-1, 1, (9, 4))
         X = B.copy()
-        unit_lower_solve(L, X)
+        unit_lower_apply(unit_lower_inverse(L), X)
         assert np.allclose(L @ X, B)
 
-    def test_unit_lower_solve_vector(self, rng):
+    def test_unit_lower_apply_vector(self, rng):
         L = np.tril(rng.uniform(-1, 1, (7, 7)), -1) + np.eye(7)
         b = rng.uniform(-1, 1, 7)
         x = b.copy()
-        unit_lower_solve(L, x)
+        unit_lower_apply(unit_lower_inverse(L), x)
         assert np.allclose(L @ x, b)
 
     def test_upper_solve_matches_numpy(self, rng):
@@ -62,7 +63,7 @@ class TestKernels:
         c = KernelCounter()
         L = np.tril(rng.uniform(-1, 1, (6, 6)), -1) + np.eye(6)
         B = rng.uniform(-1, 1, (6, 5))
-        unit_lower_solve(L, B, counter=c)
+        unit_lower_apply(unit_lower_inverse(L), B, counter=c)
         assert c.flops.get("dgemm", 0) > 0
 
     def test_kernel_fraction(self):

@@ -121,13 +121,31 @@ PAPER_NOTES = {
         "Paper (Sections 3-4, Theorem 1): dense U subcolumns make the "
         "updates DGEMM; no host time is reported.  On the benchmark patterns "
         "most block columns are one wide and a call costs more than its "
-        "flops.  Rows compare the commit before the kernels were dispatched "
-        "on shape (`parent_*`) with this tree: the sequential Factor/Update "
-        "sweep split by column width (`w1` one wide, `wide` wider), one "
-        "`(n, 3)` block solve, and the update's kernel calls; best repeat of "
-        "the best of three alternating processes.  Arena, pivot and solution "
-        "digests are the same on both trees or the bench script refuses to "
-        "write (`python benchmarks/bench_numeric_kernels.py`).",
+        "flops.  Rows compare the commit before every L_KK^-1 became one "
+        "product with an inverted unit triangle (`parent_*`) with this tree: "
+        "the sequential Factor/Update sweep split by column width (`w1` one "
+        "wide, `wide` wider), one `(n, 3)` block solve, and the update's "
+        "kernel calls (triangles applied in Update, triangles inverted); best "
+        "repeat of the best of three alternating processes.  Pivots are the "
+        "same on both trees or the bench script refuses to write; "
+        "`same_bits` says whether the arena and solution bytes are too (the "
+        "inverted triangle moves them on purpose; "
+        "`python benchmarks/bench_numeric_kernels.py`).",
+    ),
+    "oracle_splu": (
+        "Oracle — S* against SuperLU (scipy's splu)",
+        "Paper (Section 6, Table 2): S* is compared with SuperLU on time "
+        "and fill.  Here SuperLU is the accuracy oracle, with the metrics of "
+        "Li & Liu's survey: componentwise (Oettli-Prager) backward error "
+        "`omega`, normwise `eta`, pivot growth `rho = max|U| / max|A|` and "
+        "fill `nnz(L+U)` against splu's, on the small suite, the benchmark "
+        "workloads' patterns and an adversarial corpus, for the parent "
+        "commit (`parent_*`) and this tree.  A case passes when "
+        "`eta <= 3 n eps rho`, `omega` meets the same bound (or stays "
+        "within 10x of splu's where splu's does not), the static fill is "
+        "within 4x of splu's, and a singular case raises its named error "
+        "(`tests/test_oracle_splu.py`; the table comes from "
+        "`PYTHONPATH=src python tests/test_oracle_splu.py`).",
     ),
     "trisolve": (
         "Triangular solves vs factorization",
@@ -147,7 +165,7 @@ ORDER = [
     "table5", "table6", "fig17", "fig18", "table7", "eq4",
     "ablation_ordering", "ablation_grid", "ablation_blocksize",
     "ablation_network", "memory_scalability", "storage_backends",
-    "ordering_host", "numeric_kernels", "trisolve", "tune_gain",
+    "ordering_host", "numeric_kernels", "oracle_splu", "trisolve", "tune_gain",
 ]
 
 
