@@ -34,16 +34,6 @@ class CommReport:
         return max(self.per_rank_bytes) / mean if mean else 1.0
 
 
-def comm_report(sim_result) -> CommReport:
-    """Build a :class:`CommReport` from a ``SimResult``."""
-    return CommReport(
-        messages=sim_result.messages,
-        bytes_total=sim_result.bytes_sent,
-        per_rank_messages=[0] * sim_result.nprocs,  # refined below if envs kept
-        per_rank_bytes=[0] * sim_result.nprocs,
-    )
-
-
 def comm_report_from_envs(envs) -> CommReport:
     """Per-rank-resolved report straight from the simulator's Env objects."""
     return CommReport(

@@ -364,12 +364,11 @@ class ReliableDelivery:
 
 @dataclass
 class FaultStats:
-    """Per-run tally of injected faults and protocol activity."""
+    """Per-run record of injected faults and protocol activity.
 
-    dropped: int = 0
-    duplicated: int = 0
-    delayed: int = 0
-    corrupted: int = 0
+    The per-kind fault counts are read from ``injected``; ``retransmits``
+    is counted where the simulator makes each retransmission's record."""
+
     retransmits: int = 0
     crashes: list = field(default_factory=list)  # (rank, at_clock)
     #: every message fault that actually fired, as replayable
@@ -377,8 +376,27 @@ class FaultStats:
     #: turns a probabilistic failing run into an explicit schedule from
     injected: list = field(default_factory=list)
 
+    def _count(self, action: str) -> int:
+        return sum(1 for e in self.injected if e.action == action)
+
+    @property
+    def dropped(self) -> int:
+        return self._count(DROP)
+
+    @property
+    def duplicated(self) -> int:
+        return self._count(DUPLICATE)
+
+    @property
+    def delayed(self) -> int:
+        return self._count(DELAY)
+
+    @property
+    def corrupted(self) -> int:
+        return self._count(CORRUPT)
+
     def total_injected(self) -> int:
-        return self.dropped + self.duplicated + self.delayed + self.corrupted
+        return len(self.injected)
 
     def injected_events(self) -> list:
         """The realised faults as a canonically ordered event list."""

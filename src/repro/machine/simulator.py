@@ -22,9 +22,10 @@ Semantics (matching the shmem/RMA style the paper's codes rely on):
   parallel codes in :mod:`repro.parallel` follow this discipline;
 * ``barrier`` synchronises all ranks at ``max(clocks) + barrier cost``.
 
-The simulator records per-rank busy time, message counts/bytes, and labeled
-task spans (used for Gantt charts, load-balance factors and the Theorem 2
-overlap-degree measurements).
+The simulator records per-rank busy time, labeled task spans (used for
+Gantt charts, load-balance factors and the Theorem 2 overlap-degree
+measurements) and one :class:`MessageRecord` per transmission attempt.
+Every message count the run reports is taken where its record is made.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 
 from ..numfact.counter import KernelCounter
 from ..obs import tracer as _obs
+from ..obs.tracer import MessageRecord
 from .faults import (
     CORRUPT,
     DELAY,
@@ -158,34 +160,10 @@ class DeadlockError(RuntimeError):
 
 
 @dataclass
-class MessageRecord:
-    """One transmission attempt in a :class:`SimTrace` (send-ordered).
-
-    ``logical`` identifies the logical transfer: retransmissions and
-    fault-injected duplicates of one ``send`` share it, which is how the
-    trace checker distinguishes them from genuine tag reuse.
-    """
-
-    seq: int
-    src: int
-    dest: int
-    tag: object
-    send_clock: float  # sender clock when the send was issued
-    arrival: float  # when the payload lands in the destination mailbox
-    nbytes: int
-    recv_time: float = None  # receiver clock at consumption (None = never)
-    consumed: bool = False
-    logical: int = None  # logical transfer id (seq of the first attempt)
-    attempt: int = 0  # 0 = first transmission, >0 = retransmit
-    dropped: bool = False  # lost to fault injection (never deposited)
-    duplicate: bool = False  # fault-injected extra copy
-    corrupted: bool = False  # payload corrupted in flight
-    mutated: bool = False  # sender wrote to the payload after posting it
-
-
-@dataclass
 class SimTrace:
-    """Message-level trace of one simulated run (``Simulator(trace=True)``)."""
+    """Every transmission attempt of one simulated run, as
+    :class:`MessageRecord` objects in send order (``Simulator(trace=True)``,
+    or a run whose network can lose messages)."""
 
     records: list = field(default_factory=list)
 
@@ -202,7 +180,7 @@ class SimTrace:
         return out
 
 
-# rank scheduling states (module-level so _deposit can test for _RECV)
+# rank scheduling states (module-level so _post can test for _RECV)
 _READY, _RECV, _BARRIER, _DONE, _CRASHED = 0, 1, 2, 3, 4
 
 
@@ -299,15 +277,11 @@ class _SanitizeGuard:
     (not the simulator's defensive copy) plus its content hash.  Re-hashing
     the original later detects any write the sender made after posting."""
 
-    __slots__ = ("payload", "digest", "src", "dest", "tag", "send_clock")
+    __slots__ = ("payload", "digest")
 
-    def __init__(self, payload, src, dest, tag, send_clock):
+    def __init__(self, payload):
         self.payload = payload
         self.digest = _payload_digest(payload)
-        self.src = src
-        self.dest = dest
-        self.tag = tag
-        self.send_clock = send_clock
 
 
 def _corrupt_payload(payload):
@@ -345,6 +319,7 @@ class Env:
         self.clock = 0.0
         self.busy = 0.0
         self.counter = KernelCounter()
+        # transmission attempts this rank paid for (counted by _wire)
         self.sent_messages = 0
         self.sent_bytes = 0
         self.spans = []
@@ -428,12 +403,14 @@ class Env:
     def send(self, dest: int, tag, payload, nbytes: int = None) -> None:
         """One-sided put to ``dest``; sender pays the overhead.
 
-        Under a :class:`FaultPlan` the transmission may be dropped,
-        duplicated, delayed or corrupted; with :class:`ReliableDelivery`
-        enabled a failed attempt is retried (ack/timeout/exponential
-        backoff) up to ``max_attempts`` times, after which a typed
-        :class:`DeliveryError` is raised.  A ``dest`` that is not a rank
-        is a :class:`ValueError` here, at the send.
+        Each attempt is one :class:`MessageRecord`.  Under a
+        :class:`FaultPlan` the transmission may be dropped, duplicated,
+        delayed or corrupted; with :class:`ReliableDelivery` enabled a
+        failed attempt is retried (ack/timeout/exponential backoff) up to
+        ``max_attempts`` times, after which a typed :class:`DeliveryError`
+        is raised — both are the run's network stage
+        (:class:`_FaultyNetwork`), absent on a perfect network.  A ``dest``
+        that is not a rank is a :class:`ValueError` here, at the send.
         """
         sim = self._sim
         if not 0 <= dest < sim.nprocs:
@@ -441,171 +418,39 @@ class Env:
                 f"rank {self.rank} sends tag {tag!r} to rank {dest}: "
                 f"not a rank of this {sim.nprocs}-rank run"
             )
-        if sim._fast_send and dest != self.rank:
-            # hot path: no faults, no reliable transport, no tracer, no
-            # sanitize guard — same arithmetic as the general path below
-            spec = sim.spec
-            t_send = self.clock
-            self.clock = t_send + spec.latency_s
-            if nbytes is None:
-                nbytes = _payload_nbytes(payload)
-            arrival = self.clock + nbytes / spec.bandwidth_bps
-            self.sent_messages += 1
-            self.sent_bytes += nbytes
-            sim._deposit(
-                dest, tag, arrival, self.rank,
-                payload if sim.zero_copy else _copy_payload(payload),
-                nbytes=nbytes, send_clock=t_send,
-            )
-            return
-        tr = sim.tracer
-        guard = (
-            _SanitizeGuard(payload, self.rank, dest, tag, self.clock)
-            if sim.sanitize else None
-        )
+        # the sanitizer hashes the sender's own object; the receiver gets
+        # a copy unless the lint certificate proved it unnecessary
+        guard = _SanitizeGuard(payload) if sim.sanitize else None
+        if not sim.zero_copy:
+            payload = _copy_payload(payload)
         if dest == self.rank:
             # local deposit: no network cost, no faults
-            sim._deposit(
-                dest, tag, self.clock, self.rank,
-                payload if sim.zero_copy else _copy_payload(payload),
-                nbytes=0, send_clock=self.clock, guard=guard,
-            )
+            sim._post(MessageRecord(self.rank, dest, tag, self.clock,
+                                    self.clock), payload, guard)
             return
-        nbytes = _payload_nbytes(payload) if nbytes is None else nbytes
-        spec = sim.spec
-        plan = sim.faults
-        rel = sim.reliable
-        attempts = rel.max_attempts if rel is not None else 1
-        logical = None
-        for attempt in range(attempts):
-            t_send = self.clock
-            self.clock += spec.latency_s
-            arrival = self.clock + nbytes / spec.bandwidth_bps
-            self.sent_messages += 1
-            self.sent_bytes += nbytes
-            if attempt > 0:
-                sim.fault_stats.retransmits += 1
-            if tr is not None:
-                sim._m_messages.inc()
-                sim._m_bytes.inc(nbytes)
-                if attempt > 0:
-                    sim._m_retransmits.inc()
+        rec = self._wire(
+            dest, tag, _payload_nbytes(payload) if nbytes is None else nbytes)
+        if sim._network is not None:
+            sim._network.deliver(self, rec, payload, guard)
+            return
+        sim._post(rec, payload, guard)
+        if sim.tracer is not None:
+            sim._trace_send(rec, self.clock)
 
-            rule = (
-                plan.message_fault(self.rank, dest, tag, attempt)
-                if plan is not None
-                else None
-            )
-            action = rule.action if rule is not None else None
-            # zero-copy delivery shares the (certified-frozen) payload; a
-            # corruption fault still works on a private copy so the bit
-            # flip never reaches the sender's memory
-            if sim.zero_copy and action != CORRUPT:
-                pay = payload
-            else:
-                pay = _copy_payload(payload)
-            corrupted = False
-            if action == CORRUPT:
-                corrupted = _corrupt_payload(pay)
-                if corrupted:
-                    sim.fault_stats.corrupted += 1
-                    if tr is not None:
-                        tr.metrics.counter("sim.faults.corrupted").inc()
-                else:
-                    action = None  # nothing numeric to flip: no fault fired
-            if action == DELAY:
-                arrival += rule.delay_s
-                sim.fault_stats.delayed += 1
-                if tr is not None:
-                    tr.metrics.counter("sim.faults.delayed").inc()
-            dropped = action == DROP
-            # with checksums, a corrupted frame is discarded at the
-            # receiver's NIC — it behaves like a drop and gets retried
-            failed = dropped or (corrupted and rel is not None and rel.checksum)
-            if dropped:
-                sim.fault_stats.dropped += 1
-                if tr is not None:
-                    tr.metrics.counter("sim.faults.dropped").inc()
-            if action is not None:
-                # materialise the realised fault as a replayable event
-                # (the chaos shrinker minimises this list)
-                sim.fault_stats.injected.append(
-                    FaultEvent(
-                        action, self.rank, int(dest), tag, attempt,
-                        delay_s=rule.delay_s if action == DELAY else 0.0,
-                    )
-                )
-
-            if not failed:
-                rec = sim._deposit(
-                    dest, tag, arrival, self.rank, pay,
-                    nbytes=nbytes, send_clock=t_send,
-                    logical=logical, attempt=attempt, corrupted=corrupted,
-                    guard=guard,
-                )
-                if rec is not None and logical is None:
-                    logical = rec.seq
-                if action == DUPLICATE:
-                    sim.fault_stats.duplicated += 1
-                    if tr is not None:
-                        tr.metrics.counter("sim.faults.duplicated").inc()
-                    dup_arrival = arrival + spec.latency_s
-                    sim._deposit(
-                        dest, tag, dup_arrival, self.rank,
-                        pay if sim.zero_copy else _copy_payload(pay),
-                        nbytes=nbytes, send_clock=t_send,
-                        logical=logical, attempt=attempt, duplicate=True,
-                        guard=guard,
-                    )
-                if rel is not None:
-                    # block until the ack returns
-                    self.clock = max(self.clock, arrival + rel.ack(spec))
-                if tr is not None:
-                    tr.span(
-                        self.rank, f"send {_obs.tag_label(tag)}", _obs.SEND,
-                        t_send, self.clock,
-                        {"dest": int(dest), "nbytes": int(nbytes),
-                         "attempt": int(attempt)},
-                    )
-                return
-
-            # failed attempt: record it (dropped, never deposited)
-            rec = sim._deposit(
-                dest, tag, arrival, self.rank, None,
-                nbytes=nbytes, send_clock=t_send,
-                logical=logical, attempt=attempt, corrupted=corrupted,
-                dropped=True,
-            )
-            if rec is not None and logical is None:
-                logical = rec.seq
-            if tr is not None:
-                tr.span(
-                    self.rank, f"send {_obs.tag_label(tag)}", _obs.SEND,
-                    t_send, self.clock,
-                    {"dest": int(dest), "nbytes": int(nbytes),
-                     "attempt": int(attempt), "lost": True},
-                )
-            if rel is None:
-                # one-sided put: the sender never learns the message died;
-                # remember the loss so a blocked receiver gets a typed
-                # MessageLostError instead of a bare DeadlockError
-                sim._note_lost(dest, tag, self.rank)
-                return
-            if attempt + 1 < attempts:
-                # retransmission timeout with exponential backoff
-                t_back = self.clock
-                self.clock += rel.rto(spec) * (2.0 ** attempt)
-                if tr is not None:
-                    tr.span(
-                        self.rank, f"rto {_obs.tag_label(tag)}",
-                        _obs.RETRANSMIT, t_back, self.clock,
-                        {"dest": int(dest), "attempt": int(attempt)},
-                    )
-        raise DeliveryError(
-            f"rank {self.rank} -> {dest} tag {tag!r}: all {attempts} "
-            "transmission attempts lost",
-            src=self.rank, dest=dest, tag=tag, attempts=attempts,
-        )
+    def _wire(self, dest, tag, nbytes):
+        """Charge this rank one transmission attempt — its overhead and
+        its count — and return its record, stamped with the arrival the
+        latency/bandwidth model gives.  Every attempt a sender pays for,
+        lost ones and retransmissions included, is made here; local
+        deposits and injected duplicate copies are not."""
+        spec = self._sim.spec
+        t_send = self.clock
+        self.clock = t_send + spec.latency_s
+        self.sent_messages += 1
+        self.sent_bytes += nbytes
+        # positional: keyword arguments would double the record's cost
+        return MessageRecord(self.rank, dest, tag, t_send,
+                             self.clock + nbytes / spec.bandwidth_bps, nbytes)
 
     def multicast(self, dests, tag, payload, nbytes: int = None) -> None:
         """Sequential puts to each destination (shmem-style multicast)."""
@@ -635,11 +480,96 @@ class Env:
     def span(self, label: str, start: float, end: float = None) -> None:
         """Record a labeled task interval ending at the current clock."""
         end = self.clock if end is None else end
-        self.spans.append(_obs.Span(self.rank, label, _obs.TASK, start, end))
+        s = _obs.Span(self.rank, label, _obs.TASK, start, end)
+        self.spans.append(s)
         tr = self._sim.tracer
         if tr is not None:
-            # its own record: an OffsetTracer (restart rounds) shifts it
-            tr.span(self.rank, label, _obs.TASK, start, end)
+            # the same object; an OffsetTracer (restart rounds) keeps a
+            # shifted copy instead
+            tr.add_span(s)
+
+
+class _FaultyNetwork:
+    """The network stage of a run with a :class:`FaultPlan` or
+    :class:`ReliableDelivery`: fault injection on each attempt, and the
+    ack/timeout/backoff loop around it.  A run with neither has no stage,
+    and its sends post straight to the destination mailbox."""
+
+    def __init__(self, sim: "Simulator"):
+        self.sim = sim
+
+    def deliver(self, env, rec, payload, guard) -> None:
+        sim = self.sim
+        spec, plan, rel, tr = sim.spec, sim.faults, sim.reliable, sim.tracer
+        attempts = rel.max_attempts if rel is not None else 1
+        while True:
+            attempt = rec.attempt
+            rule = (
+                plan.message_fault(rec.src, rec.dest, rec.tag, attempt)
+                if plan is not None else None
+            )
+            action = rule.action if rule is not None else None
+            pay = payload
+            if action == CORRUPT:
+                # a private copy, so the bit flip reaches neither the
+                # sender's memory (zero-copy) nor the next attempt
+                pay = _copy_payload(payload)
+                rec.corrupted = _corrupt_payload(pay)
+                if not rec.corrupted:
+                    action = None  # nothing numeric to flip: no fault fired
+            elif action == DELAY:
+                rec.arrival += rule.delay_s
+            if action is not None:
+                # the realised fault as a replayable event (the chaos
+                # shrinker minimises this list; FaultStats counts it)
+                sim.fault_stats.injected.append(FaultEvent(
+                    action, rec.src, int(rec.dest), rec.tag, attempt,
+                    delay_s=rule.delay_s if action == DELAY else 0.0,
+                ))
+            # with checksums, a corrupted frame is discarded at the
+            # receiver's NIC — it behaves like a drop and gets retried
+            rec.dropped = action == DROP or (
+                rec.corrupted and rel is not None and rel.checksum)
+            sim._post(rec, pay, guard)
+            if not rec.dropped:
+                if action == DUPLICATE:
+                    sim._post(MessageRecord(
+                        rec.src, rec.dest, rec.tag, rec.t_send,
+                        rec.arrival + spec.latency_s, rec.nbytes,
+                        logical=rec.logical, attempt=attempt, duplicate=True,
+                    ), pay if sim.zero_copy else _copy_payload(pay), guard)
+                if rel is not None:
+                    # block until the ack returns
+                    env.clock = max(env.clock, rec.arrival + rel.ack(spec))
+                if tr is not None:
+                    sim._trace_send(rec, env.clock)
+                return
+            if tr is not None:
+                sim._trace_send(rec, env.clock, lost=True)
+            if rel is None:
+                # one-sided put: the sender never learns the message died
+                # (a receiver blocked on it gets a MessageLostError)
+                return
+            if attempt + 1 == attempts:
+                raise DeliveryError(
+                    f"rank {rec.src} -> {rec.dest} tag {rec.tag!r}: all "
+                    f"{attempts} transmission attempts lost",
+                    src=rec.src, dest=rec.dest, tag=rec.tag,
+                    attempts=attempts,
+                )
+            # retransmission timeout with exponential backoff
+            t_back = env.clock
+            env.clock += rel.rto(spec) * (2.0 ** attempt)
+            if tr is not None:
+                tr.span(
+                    rec.src, f"rto {_obs.tag_label(rec.tag)}",
+                    _obs.RETRANSMIT, t_back, env.clock,
+                    {"dest": int(rec.dest), "attempt": int(attempt)},
+                )
+            logical = rec.logical
+            rec = env._wire(rec.dest, rec.tag, rec.nbytes)
+            rec.attempt, rec.logical = attempt + 1, logical
+            sim.fault_stats.retransmits += 1
 
 
 @dataclass
@@ -654,7 +584,7 @@ class SimResult:
     messages: int
     bytes_sent: int
     returns: list  # per-rank program return values
-    trace: SimTrace = None  # message trace (only when Simulator(trace=True))
+    trace: SimTrace = None  # the kept message records (see Simulator)
     crashed: list = field(default_factory=list)  # ranks dead at exit
     fault_stats: FaultStats = field(default_factory=FaultStats)
     zero_copy: bool = False  # payloads were delivered without a deep copy
@@ -701,9 +631,13 @@ class Simulator:
         """``program(env, *args)`` must return a generator (it may also be a
         plain function for compute-only ranks).
 
-        ``trace=True`` records a :class:`SimTrace` of every message (attached
-        to the result as ``SimResult.trace``) for the :mod:`repro.verify`
-        checkers.  ``host_order`` is a permutation of ``range(nprocs)`` that
+        Every transmission attempt is one :class:`MessageRecord`, and
+        every message count is taken where its record is made.
+        ``trace=True`` keeps them all, as the :class:`SimTrace` attached to
+        the result as ``SimResult.trace``, for the :mod:`repro.verify`
+        checkers; so does a run with ``faults`` or ``reliable`` (its
+        :class:`MessageLostError` looks the lost attempt up there).
+        ``host_order`` is a permutation of ``range(nprocs)`` that
         perturbs the *host* scheduling order (which runnable rank the event
         loop advances first); simulated semantics must not depend on it —
         the replay checker asserts exactly that.
@@ -724,9 +658,9 @@ class Simulator:
         ``tracer`` is an optional :class:`repro.obs.Tracer`; when set, the
         simulator emits virtual-time spans (compute/send/recv_wait/
         retransmit_backoff/barrier_wait + the programs' task spans) and
-        matched send→recv messages into it.  When ``None`` (the default)
-        every instrumentation site is skipped — tracing has zero cost
-        when disabled.
+        the record of each consumed message into it, and adds the run's
+        ``sim.*`` counts to its metrics when the run ends.  When ``None``
+        (the default) every instrumentation site is skipped.
 
         ``zero_copy`` skips the defensive deep copy at send time — true
         one-sided-put semantics.  That is only sound when the program never
@@ -750,28 +684,29 @@ class Simulator:
         self.spec = spec
         self.sanitize = bool(sanitize)
         self.tracer = tracer
-        if tracer is not None:
-            # pre-resolved hot-path counters (one inc per send attempt)
-            self._m_messages = tracer.metrics.counter("sim.messages")
-            self._m_bytes = tracer.metrics.counter("sim.bytes")
-            self._m_retransmits = tracer.metrics.counter("sim.retransmits")
-        self._mailboxes = {}  # (dest, tag) -> heap of (arrival, seq, payload)
+        # (dest, tag) -> heap of (arrival, seq, payload, record, guard)
+        self._mailboxes = {}
         self._seq = 0
         self.faults = faults
         self.reliable = (
             ReliableDelivery() if reliable is True else (reliable or None)
         )
+        self._network = (
+            _FaultyNetwork(self)
+            if faults is not None or self.reliable is not None else None
+        )
         self.heartbeat_s = (
             heartbeat_s if heartbeat_s is not None else 100.0 * spec.latency_s
         )
         self.fault_stats = FaultStats()
-        self._lost = {}  # (dest, hashable tag) -> [src, ...] dropped, no retry
         self._crash_time = {}
         if faults is not None:
             for c in faults.crashes:
                 if 0 <= c.rank < nprocs:
                     self._crash_time[c.rank] = c.at_time
-        self.trace = SimTrace() if trace else None
+        self.trace = (
+            SimTrace() if trace or self._network is not None else None
+        )
         if host_order is None:
             self._order = list(range(nprocs))
         else:
@@ -796,8 +731,7 @@ class Simulator:
         self._zc_certified = self._zc_requested and self._zc_declined is None
         self.zero_copy = False  # effective flag, finalised at run()
         self.zero_copy_reason = None  # why a requested zero-copy is off
-        self._fast_send = False  # finalised at run()
-        # wake set + run-state views (populated by run(); _deposit consults
+        # wake set + run-state views (populated by run(); _post consults
         # them to wake a rank blocked on the landed tag)
         self._wake = None
         self._state = None
@@ -818,32 +752,26 @@ class Simulator:
                 f"zero-copy delivery requested but not certified "
                 f"({self.zero_copy_reason}); payloads are deep-copied — "
                 "regenerate the certificate with `repro lint --certify`",
-                RuntimeWarning, stacklevel=3,
+                RuntimeWarning, stacklevel=4,
             )
 
     # -- mailbox -----------------------------------------------------------
 
-    def _deposit(self, dest, tag, arrival, src, payload, nbytes=0, send_clock=0.0,
-                 logical=None, attempt=0, duplicate=False, corrupted=False,
-                 guard=None, dropped=False):
-        """Number and trace one transmission attempt and, unless the
-        network ``dropped`` it, park the payload in ``dest``'s mailbox."""
+    def _post(self, rec, payload, guard=None) -> None:
+        """File one transmission attempt: number it, keep its record when
+        the run keeps records and, unless the network dropped it, park the
+        payload in the destination's mailbox."""
         self._seq += 1
-        record = None
+        rec.seq = self._seq
+        if rec.logical is None:
+            rec.logical = rec.seq
         if self.trace is not None:
-            record = MessageRecord(
-                seq=self._seq, src=src, dest=dest, tag=tag,
-                send_clock=send_clock, arrival=arrival, nbytes=nbytes,
-                logical=self._seq if logical is None else logical,
-                attempt=attempt, duplicate=duplicate, corrupted=corrupted,
-                dropped=dropped,
-            )
-            self.trace.records.append(record)
-        if dropped:
-            return record
-        key = (dest, tag)
-        entry = (arrival, self._seq, payload, src, record, guard,
-                 send_clock, nbytes)
+            self.trace.records.append(rec)
+        if rec.dropped:
+            return
+        dest = rec.dest
+        key = (dest, rec.tag)
+        entry = (rec.arrival, rec.seq, payload, rec, guard)
         box = self._mailboxes.get(key)
         if box is None:
             # the unique-tag discipline makes one-message boxes the
@@ -856,22 +784,28 @@ class Simulator:
             # run() has started (plain-function ranks send at construction)
             self._wake is not None
             and self._state[dest] == _RECV
-            and self._waiting_tag[dest] == tag
+            and self._waiting_tag[dest] == rec.tag
         ):
             # the landed message is exactly what the destination's recv
             # awaits — wake it
             self._wake.add(dest)
-        return record
 
-    def _note_lost(self, dest, tag, src):
-        self._lost.setdefault((dest, repr(tag)), []).append(src)
+    def _trace_send(self, rec, t_end, **extra) -> None:
+        """The sender's ``send`` span of one attempt, issue to ``t_end``."""
+        self.tracer.span(
+            rec.src, f"send {_obs.tag_label(rec.tag)}", _obs.SEND,
+            rec.t_send, t_end,
+            {"dest": int(rec.dest), "nbytes": int(rec.nbytes),
+             "attempt": int(rec.attempt), **extra},
+        )
 
     def _pending_by_rank(self) -> dict:
         """Undelivered mailbox contents, grouped per destination rank."""
         pending = {}
         for (dest, tag), box in self._mailboxes.items():
             for entry in sorted(box, key=lambda e: e[:2]):
-                pending.setdefault(dest, []).append((tag, entry[0], entry[3]))
+                pending.setdefault(dest, []).append(
+                    (tag, entry[0], entry[3].src))
         return pending
 
     # -- sanitize mode -------------------------------------------------------
@@ -884,21 +818,20 @@ class Simulator:
                 label = s.name  # keep the last (innermost) match
         return label
 
-    def _check_guard(self, guard, record=None, when="it was consumed"):
+    def _check_guard(self, guard, rec, when="it was consumed"):
         """Re-verify a posted payload's content hash; raise on mutation."""
         if guard is None or _payload_digest(guard.payload) == guard.digest:
             return
-        if record is not None:
-            record.mutated = True
-        span = self._sending_span(guard.src, guard.send_clock)
+        rec.mutated = True
+        span = self._sending_span(rec.src, rec.t_send)
         where = f" during span {span!r}" if span is not None else ""
         raise PayloadMutationError(
-            f"rank {guard.src} posted tag {guard.tag!r} to rank "
-            f"{guard.dest} at t={guard.send_clock:.3g}{where}, then mutated "
+            f"rank {rec.src} posted tag {rec.tag!r} to rank "
+            f"{rec.dest} at t={rec.t_send:.3g}{where}, then mutated "
             f"the payload before {when}; zero-copy put semantics forbid "
             "write-after-send (post a defensive .copy())",
-            src=guard.src, dest=guard.dest, tag=guard.tag,
-            send_clock=guard.send_clock, span=span,
+            src=rec.src, dest=rec.dest, tag=rec.tag,
+            send_clock=rec.t_send, span=span,
         )
 
     def _deadlock_error(self, blocked, state, waiting_tag, RECV) -> DeadlockError:
@@ -956,23 +889,50 @@ class Simulator:
         )
 
     def _lost_message_error(self, blocked, state, waiting_tag, RECV):
-        """A blocked receiver's awaited message was provably dropped."""
+        """A blocked receiver's awaited message was provably dropped: the
+        records show a lost attempt and no retransmission will come (a run
+        that can lose one keeps its records)."""
+        if self.reliable is not None or self.trace is None:
+            return None  # a lost send was retried, or raised DeliveryError
         for r in blocked:
             if state[r] != RECV:
                 continue
-            srcs = self._lost.get((r, repr(waiting_tag[r])))
-            if srcs:
-                return MessageLostError(
-                    f"rank {r} waits on tag {waiting_tag[r]!r}, but the "
-                    f"network dropped that message from rank {srcs[0]} and "
-                    "reliable delivery is off (no retransmission will come)",
-                    src=srcs[0], dest=r, tag=waiting_tag[r], attempts=1,
-                )
+            want = repr(waiting_tag[r])
+            for rec in self.trace.records:
+                if rec.dropped and rec.dest == r and repr(rec.tag) == want:
+                    return MessageLostError(
+                        f"rank {r} waits on tag {waiting_tag[r]!r}, but the "
+                        f"network dropped that message from rank {rec.src} "
+                        "and reliable delivery is off (no retransmission "
+                        "will come)",
+                        src=rec.src, dest=r, tag=waiting_tag[r], attempts=1,
+                    )
         return None
+
+    def _publish_metrics(self) -> None:
+        """Add the run's message, retransmit and fault counts to the
+        tracer's metrics."""
+        m = self.tracer.metrics
+        m.counter("sim.messages").inc(sum(e.sent_messages for e in self.envs))
+        m.counter("sim.bytes").inc(sum(e.sent_bytes for e in self.envs))
+        m.counter("sim.retransmits").inc(self.fault_stats.retransmits)
+        for kind in ("dropped", "duplicated", "delayed", "corrupted"):
+            n = getattr(self.fault_stats, kind)
+            if n:
+                m.counter(f"sim.faults.{kind}").inc(n)
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SimResult:
+        try:
+            return self._run()
+        finally:
+            # once, however the run ends: a run that raised still
+            # reports what it sent
+            if self.tracer is not None:
+                self._publish_metrics()
+
+    def _run(self) -> SimResult:
         READY, RECV, BARRIER, DONE, CRASHED = (
             _READY, _RECV, _BARRIER, _DONE, _CRASHED)
         state = self._state = [READY] * self.nprocs
@@ -991,12 +951,6 @@ class Simulator:
             self._note_zero_copy_fallback()
         elif self._zc_requested and self.sanitize:
             self.zero_copy_reason = "sanitize"
-        self._fast_send = (
-            self.faults is None
-            and self.reliable is None
-            and self.tracer is None
-            and not self.sanitize
-        )
         wake = self._wake = set()
         order = self._order
         nord = len(order)
@@ -1103,30 +1057,25 @@ class Simulator:
                     # leave it undelivered
                     crash(r, at=ct)
                     return True
-            # single-entry boxes dominate (see _deposit)
+            # single-entry boxes dominate (see _post)
             if len(box) == 1:
-                (arrival, _, payload, src, record, guard,
-                 send_clock, nbytes) = box[0]
+                arrival, _, payload, rec, guard = box[0]
                 del mailboxes[key]
             else:
-                (arrival, _, payload, src, record, guard,
-                 send_clock, nbytes) = heapq.heappop(box)
+                arrival, _, payload, rec, guard = heapq.heappop(box)
             if guard is not None:
-                self._check_guard(guard, record)
+                self._check_guard(guard, rec)
             if arrival > env.clock:
                 env.clock = arrival
-            if record is not None:
-                record.consumed = True
-                record.recv_time = env.clock
+            rec.t_recv = env.clock
             if tr is not None:
                 if env.clock > blocked_at[r]:
                     tr.span(
                         r, f"recv {_obs.tag_label(tag)}",
                         _obs.RECV_WAIT, blocked_at[r], env.clock,
-                        {"src": int(src)},
+                        {"src": int(rec.src)},
                     )
-                tr.message(src, r, tag, send_clock, env.clock,
-                           nbytes, arrival)
+                tr.message(rec)
             state[r] = READY
             waiting_tag[r] = None
             waiting_deadline[r] = None
@@ -1240,7 +1189,7 @@ class Simulator:
             # hands off the posted buffers until the end of the run
             for box in self._mailboxes.values():
                 for entry in box:
-                    self._check_guard(entry[5], entry[4],
+                    self._check_guard(entry[4], entry[3],
                                       when="the run ended")
         spans = []
         for env in self.envs:

@@ -30,10 +30,10 @@ from .tracer import (
     RETRANSMIT,
     SEND,
     TASK,
+    MessageRecord,
     OffsetTracer,
     PhaseClock,
     Span,
-    TraceMessage,
     Tracer,
     analyze_phase_spans,
     as_tracer,
@@ -64,6 +64,7 @@ __all__ = [
     "Histogram",
     "JOB",
     "MARK",
+    "MessageRecord",
     "MetricsRegistry",
     "OffsetTracer",
     "PHASE",
@@ -77,7 +78,6 @@ __all__ = [
     "SEND",
     "Span",
     "TASK",
-    "TraceMessage",
     "TraceProfile",
     "Tracer",
     "analyze_phase_spans",

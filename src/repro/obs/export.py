@@ -22,7 +22,7 @@ emitted files.
 
 from __future__ import annotations
 
-from .tracer import Span, TraceMessage, Tracer, tag_label
+from .tracer import MessageRecord, Span, Tracer, tag_label
 
 #: pid offset for non-rank (string-track) processes
 _AUX_PID_BASE = 1000
@@ -176,7 +176,7 @@ def from_chrome_trace(doc: dict):
             continue
         s, f = pair["s"], pair["f"]
         args = s.get("args", {})
-        messages.append(TraceMessage(
+        messages.append(MessageRecord(
             src=track_of(s["pid"], s["tid"]),
             dest=track_of(f["pid"], f["tid"]),
             tag=args.get("tag", s.get("name", "")),

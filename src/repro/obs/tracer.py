@@ -1,9 +1,10 @@
 """Span tracer: labeled virtual-time intervals across the whole stack.
 
 A :class:`Tracer` collects :class:`Span` records (a named interval on a
-*track*) and :class:`TraceMessage` records (a matched send→recv pair), all
-stamped in **virtual time** — the discrete-event clocks of the simulator
-and the modeled phase costs of the sequential pipeline — so traces are
+*track*) and the simulator's :class:`MessageRecord` of every consumed
+message (a matched send→recv pair), all stamped in **virtual time** — the
+discrete-event clocks of the simulator and the modeled phase costs of the
+sequential pipeline — so traces are
 bit-reproducible across host scheduling orders (asserted by the replay
 tests).
 
@@ -19,7 +20,8 @@ Tracks
 
 Zero overhead when disabled: every instrumentation site in the simulator,
 solver and service is guarded by ``if tracer is not None`` — no tracer, no
-object construction, no appends.  What it costs when enabled is the
+spans, no appends (the simulator's message records exist either way: they
+are the run's own accounting).  What it costs when enabled is the
 benchmark's ``obs.tracer_overhead_ratio`` (traced over untraced host time
 of the same simulated runs; 1.54 on ``python3 benchmarks/e2e/run.py
 --workload sim_2d --trace 1``, the workload with the most spans per
@@ -34,7 +36,7 @@ and the profiler can classify spans without string parsing.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .metrics import MetricsRegistry
 
@@ -106,16 +108,39 @@ class Span:
 
 
 @dataclass(**_SLOTS)
-class TraceMessage:
-    """One matched send→recv transfer (rendered as a Perfetto flow arrow)."""
+class MessageRecord:
+    """One transmission attempt, and once consumed, one matched send→recv
+    transfer.
+
+    The simulator writes exactly one record per attempt, and the same
+    object serves two views: :class:`repro.machine.SimTrace` keeps every
+    attempt in send order, dropped and duplicate ones included, for
+    :mod:`repro.verify`; a :class:`Tracer` keeps the consumed ones in
+    consumption order and renders them as Perfetto flow arrows.
+
+    ``logical`` identifies the logical transfer: retransmissions and
+    fault-injected duplicates of one ``send`` share it, which is how the
+    trace checker tells them apart from genuine tag reuse.
+    """
 
     src: object
     dest: object
     tag: object
-    t_send: float  # sender clock when the send was issued
-    t_recv: float  # receiver clock at consumption
+    t_send: float  # sender clock when the attempt was issued
+    arrival: float = None  # when the payload lands in the destination mailbox
     nbytes: int = 0
-    arrival: float = None  # mailbox deposit time (== t_recv when it bound)
+    t_recv: float = None  # receiver clock at consumption (None = never)
+    seq: int = 0  # simulator-wide attempt number
+    logical: int = None  # logical transfer id (seq of the first attempt)
+    attempt: int = 0  # 0 = first transmission, >0 = retransmit
+    dropped: bool = False  # lost in the network (never deposited)
+    duplicate: bool = False  # fault-injected extra copy
+    corrupted: bool = False  # payload corrupted in flight
+    mutated: bool = False  # sender wrote to the payload after posting it
+
+    @property
+    def consumed(self) -> bool:
+        return self.t_recv is not None
 
     def key(self) -> tuple:
         return (repr(self.src), repr(self.dest), tag_label(self.tag),
@@ -145,12 +170,16 @@ class Tracer:
     def instant(self, track, name, cat=MARK, t=0.0, args=None) -> Span:
         return self.span(track, name, cat, t, t, args)
 
-    def message(self, src, dest, tag, t_send, t_recv, nbytes=0,
-                arrival=None) -> TraceMessage:
-        m = TraceMessage(src, dest, tag, float(t_send), float(t_recv),
-                         int(nbytes), arrival)
-        self.messages.append(m)
-        return m
+    def add_span(self, s: Span) -> Span:
+        """Keep a span another layer recorded (the simulator's task spans):
+        one object, shared."""
+        self.spans.append(s)
+        return s
+
+    def message(self, rec: MessageRecord) -> MessageRecord:
+        """Keep a consumed :class:`MessageRecord` (the simulator's own)."""
+        self.messages.append(rec)
+        return rec
 
     # -- queries -------------------------------------------------------
 
@@ -215,12 +244,17 @@ class OffsetTracer:
         return self._base.instant(track, name, cat, t + self._dt,
                                   self._merge(args))
 
-    def message(self, src, dest, tag, t_send, t_recv, nbytes=0,
-                arrival=None) -> TraceMessage:
-        return self._base.message(
-            src, dest, tag, t_send + self._dt, t_recv + self._dt, nbytes,
-            None if arrival is None else arrival + self._dt,
-        )
+    def add_span(self, s: Span) -> Span:
+        return self.span(s.track, s.name, s.cat, s.start, s.end, s.args)
+
+    def message(self, rec: MessageRecord) -> MessageRecord:
+        # the shifted copy lives on the spliced timeline; the original stays
+        # in its own run's virtual time, in that run's SimTrace
+        dt = self._dt
+        return self._base.message(replace(
+            rec, t_send=rec.t_send + dt, t_recv=rec.t_recv + dt,
+            arrival=None if rec.arrival is None else rec.arrival + dt,
+        ))
 
     def track_end(self, track) -> float:
         return self._base.track_end(track)

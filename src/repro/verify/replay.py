@@ -78,8 +78,7 @@ def _trace_key(trace):
         return None
     return {
         src: [
-            (r.dest, repr(r.tag), r.send_clock, r.arrival, r.nbytes,
-             r.recv_time, r.consumed)
+            (r.dest, repr(r.tag), r.t_send, r.arrival, r.nbytes, r.t_recv)
             for r in records
         ]
         for src, records in trace.by_src().items()

@@ -1,7 +1,7 @@
 """Dynamic trace checking of simulated SPMD runs.
 
-Consumes the message trace a ``Simulator(trace=True)`` run records (see
-:class:`repro.machine.SimTrace`) and verifies the protocol discipline the
+Consumes the message records a ``Simulator(trace=True)`` run hands to its
+result (see :class:`repro.machine.SimTrace`) and verifies the protocol discipline the
 simulator documents but cannot enforce cheaply during execution:
 
 * **UNIQUE** — a ``(dest, tag)`` pair identifies at most one logical
@@ -107,13 +107,13 @@ def check_messages(trace, spec=None, crashed=()) -> list:
             violations.append(Violation(
                 "UNIQUE",
                 f"tag collision on (dest={r.dest}, tag={r.tag!r}): sent by "
-                f"rank {first.src} at t={first.send_clock:.3g} and again by "
-                f"rank {r.src} at t={r.send_clock:.3g}",
+                f"rank {first.src} at t={first.t_send:.3g} and again by "
+                f"rank {r.src} at t={r.t_send:.3g}",
             ))
         else:
             seen[key] = r
     for r in trace.undelivered():
-        if getattr(r, "dropped", False) or getattr(r, "duplicate", False):
+        if r.dropped or r.duplicate:
             continue  # never deposited / extra copy the receiver ignores
         if r.dest in crashed:
             continue  # the receiver died; nobody is left to consume it
@@ -126,24 +126,24 @@ def check_messages(trace, spec=None, crashed=()) -> list:
     for r in trace.records:
         eps = 1e-12 * max(1.0, abs(r.arrival))
         if r.src != r.dest and spec is not None:
-            floor = r.send_clock + spec.latency_s + r.nbytes / spec.bandwidth_bps
+            floor = r.t_send + spec.latency_s + r.nbytes / spec.bandwidth_bps
             if r.arrival < floor - eps:
                 violations.append(Violation(
                     "CAUSAL",
                     f"message (dest={r.dest}, tag={r.tag!r}) arrived at "
                     f"t={r.arrival:.6g} before the model floor {floor:.6g}",
                 ))
-        if r.consumed and r.recv_time is not None and r.recv_time < r.arrival - eps:
+        if r.consumed and r.t_recv < r.arrival - eps:
             violations.append(Violation(
                 "CAUSAL",
-                f"rank {r.dest} consumed tag {r.tag!r} at t={r.recv_time:.6g} "
+                f"rank {r.dest} consumed tag {r.tag!r} at t={r.t_recv:.6g} "
                 f"before its arrival t={r.arrival:.6g}",
             ))
-        if getattr(r, "mutated", False):
+        if r.mutated:
             violations.append(Violation(
                 "MUTATE",
                 f"rank {r.src} mutated the payload of tag {r.tag!r} "
-                f"(posted to rank {r.dest} at t={r.send_clock:.3g}) after "
+                f"(posted to rank {r.dest} at t={r.t_send:.3g}) after "
                 "sending it: write-after-send under zero-copy put semantics",
             ))
     return violations

@@ -28,6 +28,7 @@ from repro.obs import (
     Counter,
     Gauge,
     Histogram,
+    MessageRecord,
     MetricsRegistry,
     Tracer,
     analyze_phase_spans,
@@ -139,9 +140,13 @@ class TestTracer:
         tr = Tracer()
         off = tr.offset(10.0)
         off.span(0, "k", COMPUTE, 0.0, 1.0)
-        off.message(0, 1, ("t",), 0.5, 0.8, 64)
+        rec = MessageRecord(0, 1, ("t",), 0.5, arrival=0.6, nbytes=64,
+                            t_recv=0.8)
+        off.message(rec)
         assert tr.spans[-1].start == 10.0 and tr.spans[-1].end == 11.0
         assert tr.messages[-1].t_send == 10.5
+        assert tr.messages[-1].t_recv == 10.8
+        assert rec.t_send == 0.5  # the run's own record is not shifted
         off.metrics.counter("x").inc()
         assert tr.metrics.value("x") == 1
         # nested offsets compose

@@ -207,8 +207,8 @@ class TestTraceCheck:
     def test_causality_violation_detected(self):
         # fabricate a record arriving before the latency/bandwidth floor
         trace = SimTrace(records=[MessageRecord(
-            seq=1, src=0, dest=1, tag=("t", 0), send_clock=1.0,
-            arrival=1.0, nbytes=8_000_000, recv_time=1.0, consumed=True,
+            seq=1, src=0, dest=1, tag=("t", 0), t_send=1.0,
+            arrival=1.0, nbytes=8_000_000, t_recv=1.0,
         )])
         vs = check_messages(trace, spec=GENERIC)
         assert any(v.rule == "CAUSAL" for v in vs)
@@ -291,12 +291,12 @@ class TestRetransmitAwareness:
 
     def _rec(self, seq, logical, consumed=True, **kw):
         fields = dict(
-            seq=seq, src=0, dest=1, tag=("t", 0), send_clock=0.0,
-            arrival=1.0, nbytes=8, consumed=consumed, logical=logical,
+            seq=seq, src=0, dest=1, tag=("t", 0), t_send=0.0,
+            arrival=1.0, nbytes=8, logical=logical,
         )
         fields.update(kw)
-        if consumed and "recv_time" not in kw:
-            fields["recv_time"] = fields["arrival"]
+        if consumed and "t_recv" not in kw:
+            fields["t_recv"] = fields["arrival"]
         return MessageRecord(**fields)
 
     def test_retransmit_copies_are_not_a_collision(self):
@@ -313,7 +313,7 @@ class TestRetransmitAwareness:
         # collision that retransmission-awareness must not excuse
         trace = SimTrace(records=[
             self._rec(1, logical=1),
-            self._rec(2, logical=2, send_clock=0.5, arrival=1.5),
+            self._rec(2, logical=2, t_send=0.5, arrival=1.5),
         ])
         vs = check_messages(trace, spec=GENERIC)
         assert [v.rule for v in vs] == ["UNIQUE"]
@@ -323,7 +323,7 @@ class TestRetransmitAwareness:
         # the old per-record semantics
         trace = SimTrace(records=[
             self._rec(1, logical=None),
-            self._rec(2, logical=None, send_clock=0.5, arrival=1.5),
+            self._rec(2, logical=None, t_send=0.5, arrival=1.5),
         ])
         vs = check_messages(trace, spec=GENERIC)
         assert [v.rule for v in vs] == ["UNIQUE"]
@@ -332,10 +332,10 @@ class TestRetransmitAwareness:
         trace = SimTrace(records=[
             self._rec(1, logical=1, consumed=False, dropped=True),
             self._rec(2, logical=1, attempt=1),
-            self._rec(3, logical=2, tag=("u", 0), send_clock=2.0,
-                      arrival=3.0, recv_time=3.0),
+            self._rec(3, logical=2, tag=("u", 0), t_send=2.0,
+                      arrival=3.0, t_recv=3.0),
             self._rec(4, logical=2, tag=("u", 0), consumed=False,
-                      duplicate=True, send_clock=2.0, arrival=3.1),
+                      duplicate=True, t_send=2.0, arrival=3.1),
         ])
         assert check_messages(trace, spec=GENERIC) == []
 
