@@ -19,7 +19,7 @@ import pytest
 
 from conftest import print_table, save_results
 from repro.machine import T3E, FaultPlan
-from repro.parallel import run_1d, run_1d_resilient
+from repro.parallel import factorize, run_1d
 from repro.verify.checks import check_bit_identical
 
 MATRICES = ["sherman5", "lnsp3937", "orsreg1"]
@@ -40,8 +40,7 @@ def overhead_rows(ctx_cache):
         acked = run_1d(*args, method="ca", sim_opts={"reliable": True})
         retry = run_1d(*args, method="ca",
                        sim_opts={"faults": DROP_PLAN, "reliable": True})
-        ckpt = run_1d_resilient(*args, method="ca",
-                                ckpt_interval=CKPT_INTERVAL, reliable=None)
+        ckpt = factorize("1d-ca", *args, ckpt_interval=CKPT_INTERVAL)
 
         assert check_bit_identical(base.factor, acked.factor).ok
         assert check_bit_identical(base.factor, retry.factor).ok

@@ -1,7 +1,7 @@
 """Performance analysis: MFLOPS reporting, load balance, the Eq. (1)-(4)
 sequential model, and Theorem 2 overlap checks."""
 
-from .mflops import achieved_mflops, operation_count
+from .mflops import achieved_mflops
 from .loadbalance import load_balance_factor
 from .model import (
     PlanTimeModel,
@@ -27,7 +27,6 @@ from .comm import CommReport, comm_report_from_envs, predicted_1d_volume
 
 __all__ = [
     "achieved_mflops",
-    "operation_count",
     "load_balance_factor",
     "sequential_time_model",
     "SequentialModel",

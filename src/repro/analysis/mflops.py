@@ -12,14 +12,6 @@ denominator is S*'s (simulated) runtime.
 
 from __future__ import annotations
 
-from ..baselines import DynamicLU
-
-
-def operation_count(dyn: DynamicLU) -> float:
-    """The SuperLU-style operation count for a matrix (the numerator)."""
-    return dyn.flops
-
-
 def achieved_mflops(superlu_flops: float, parallel_seconds: float) -> float:
     """Achieved MFLOPS per the paper's formula."""
     if parallel_seconds <= 0:

@@ -180,7 +180,9 @@ class SStarSolver:
         tune_seed: int = 0,
         tune_opts: dict = None,
     ):
-        check_run_options(method, nprocs, ckpt_interval, grid)
+        check_run_options(method, nprocs, ckpt_interval, grid,
+                          pivot_threshold=pivot_threshold,
+                          block_size=block_size, amalgamation=amalgamation)
         self.block_size = block_size
         self.amalgamation = amalgamation
         self.nprocs = nprocs

@@ -20,7 +20,6 @@ Commands
 ``chaos``      seeded fault-injection campaign over the 1D/2D/resilient
                solvers and the service, with oracle checks and optional
                failing-schedule shrinking to a JSON repro artifact
-``bench-service`` cold factor vs cached refactor vs batched-RHS timings
 ``tune``       model-guided autotuning: prune the block-size/grid/layout
                space with the Eq. (4) model, rank survivors with budgeted
                successive-halving simulator probes
@@ -575,52 +574,6 @@ def cmd_serve_demo(args) -> int:
     return 0 if m.jobs_failed == 0 else 1
 
 
-def cmd_bench_service(args) -> int:
-    import time
-
-    from .api import SStarSolver
-    from .matrices import get_matrix
-    from .service import AnalysisCache
-
-    A = _load(args.matrix) if args.matrix else get_matrix(args.name, "small")
-    rng = np.random.default_rng(args.seed)
-    cache = AnalysisCache()
-    SStarSolver(analysis_cache=cache).factor(A)  # prime the cache
-
-    t_cold = t_warm = 0.0
-    for _ in range(args.repeats):
-        Ai = _perturbed(A, rng)
-        t0 = time.perf_counter()
-        SStarSolver().factor(Ai)
-        t_cold += time.perf_counter() - t0
-        t0 = time.perf_counter()
-        warm = SStarSolver(analysis_cache=cache).refactor(Ai)
-        t_warm += time.perf_counter() - t0
-        assert warm.report.analysis_reused
-    t_cold /= args.repeats
-    t_warm /= args.repeats
-
-    solver = SStarSolver(analysis_cache=cache).refactor(_perturbed(A, rng))
-    B = rng.uniform(-1, 1, (A.nrows, args.nrhs))
-    t0 = time.perf_counter()
-    for j in range(args.nrhs):
-        solver.solve(B[:, j])
-    t_seq = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    solver.solve(B)
-    t_batch = time.perf_counter() - t0
-
-    print(f"matrix              : n={A.nrows} nnz={A.nnz} "
-          f"(mean of {args.repeats} run(s))")
-    print(f"cold factor         : {t_cold * 1e3:.2f} ms (full analyze phase)")
-    print(f"cached refactor     : {t_warm * 1e3:.2f} ms (numeric only)")
-    print(f"analyze amortization: {t_cold / t_warm:.1f}x")
-    print(f"{args.nrhs} sequential solves: {t_seq * 1e3:.2f} ms")
-    print(f"one ({A.nrows},{args.nrhs}) block solve : {t_batch * 1e3:.2f} ms")
-    print(f"multi-RHS speedup   : {t_seq / t_batch:.1f}x")
-    return 0
-
-
 def cmd_tune(args) -> int:
     import json as _json
 
@@ -632,13 +585,8 @@ def cmd_tune(args) -> int:
         A = get_matrix(args.matrix, args.scale)
     else:
         A = _load(args.matrix)
-    budget = args.budget
-    if budget == "none":
-        budget = None
-    elif budget != "auto":
-        budget = float(budget)
     tuner = Tuner(spec=spec_by_name(args.machine), nprocs=args.nprocs,
-                  budget=budget, seed=args.seed)
+                  budget=args.budget, seed=args.seed)
     res = tuner.tune(A)
 
     # price the static hand-configured default for the gain headline
@@ -781,10 +729,19 @@ def cmd_suite(args) -> int:
 
 
 def _count(text: str) -> int:
-    """argparse type of ``--nprocs`` / ``--ckpt-interval``: an int >= 1."""
+    """argparse type of every count flag (``--nprocs``, ``--jobs``,
+    ``--block-size``, ...): an int >= 1."""
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
+    return value
+
+
+def _nonnegative(text: str) -> int:
+    """argparse type of ``--amalgamation``: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0")
     return value
 
 
@@ -793,6 +750,27 @@ def _rate(text: str) -> float:
     value = float(text)
     if not 0.0 <= value < 1.0:
         raise argparse.ArgumentTypeError("must lie in [0, 1)")
+    return value
+
+
+def _threshold(text: str) -> float:
+    """argparse type of ``--threshold``: a pivot threshold in (0, 1]."""
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError("must lie in (0, 1]")
+    return value
+
+
+def _budget(text: str):
+    """argparse type of ``tune --budget``: virtual seconds >= 0, ``auto``
+    or ``none`` (no cap, returned as ``None``)."""
+    if text == "none":
+        return None
+    if text == "auto":
+        return text
+    value = float(text)
+    if not value >= 0.0:
+        raise argparse.ArgumentTypeError("must be >= 0, 'auto' or 'none'")
     return value
 
 
@@ -823,16 +801,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("factor", help="run the S* factorization")
     f.add_argument("matrix")
-    f.add_argument("--block-size", type=int, default=25)
-    f.add_argument("--amalgamation", type=int, default=4)
-    f.add_argument("--threshold", type=float, default=1.0)
+    f.add_argument("--block-size", type=_count, default=25)
+    f.add_argument("--amalgamation", type=_nonnegative, default=4)
+    f.add_argument("--threshold", type=_threshold, default=1.0)
     f.set_defaults(func=cmd_factor)
 
     s = sub.add_parser("solve", help="factor and solve A x = b")
     s.add_argument("matrix")
     s.add_argument("--rhs", help="text file with the right-hand side")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threshold", type=float, default=1.0)
+    s.add_argument("--threshold", type=_threshold, default=1.0)
     s.add_argument("--refine", action="store_true",
                    help="apply iterative refinement")
     s.add_argument("--nprocs", type=_count, default=1)
@@ -911,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--n", type=int, default=90,
                     help="order of the random test matrix")
     vc.add_argument("--seed", type=int, default=31)
-    vc.add_argument("--block-size", type=int, default=6)
+    vc.add_argument("--block-size", type=_count, default=6)
     vc.add_argument("--nprocs", type=_count, default=4)
     vc.add_argument("--machine", default="T3E", choices=machines)
     vc.add_argument("--codes",
@@ -922,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--static-only", action="store_true",
                     help="run only the AST lint, skip simulations")
     vc.add_argument("--skip-replay", action="store_true")
-    vc.add_argument("--replays", type=int, default=3,
+    vc.add_argument("--replays", type=_count, default=3,
                     help="number of perturbed host orders per code")
     vc.add_argument("--fault-rate", type=_rate, default=0.0,
                     help="drop this fraction of messages (reliable retry on) "
@@ -973,32 +951,20 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-demo",
         help="run a synthetic same-structure workload through SolveService",
     )
-    sd.add_argument("--jobs", type=int, default=12)
-    sd.add_argument("--workers", type=int, default=3)
+    sd.add_argument("--jobs", type=_count, default=12)
+    sd.add_argument("--workers", type=_count, default=3)
     sd.add_argument("--patterns", type=int, default=2, choices=[1, 2, 3],
                     help="distinct matrix structures in the workload")
-    sd.add_argument("--nrhs", type=int, default=1,
+    sd.add_argument("--nrhs", type=_count, default=1,
                     help="right-hand sides per job")
-    sd.add_argument("--burst", type=int, default=3,
+    sd.add_argument("--burst", type=_count, default=3,
                     help="adjacent jobs sharing one system (batchable)")
-    sd.add_argument("--max-queue", type=int, default=8)
-    sd.add_argument("--max-batch", type=int, default=4)
+    sd.add_argument("--max-queue", type=_count, default=8)
+    sd.add_argument("--max-batch", type=_count, default=4)
     sd.add_argument("--inter-arrival", type=float, default=0.0,
                     help="virtual seconds between submissions")
     sd.add_argument("--seed", type=int, default=0)
     sd.set_defaults(func=cmd_serve_demo)
-
-    bs = sub.add_parser(
-        "bench-service",
-        help="wall-clock: cold factor vs cached refactor vs batched-RHS solve",
-    )
-    bs.add_argument("--matrix", help="MatrixMarket file (default: suite matrix)")
-    bs.add_argument("--name", default="sherman5",
-                    help="suite matrix when no --matrix is given")
-    bs.add_argument("--repeats", type=int, default=3)
-    bs.add_argument("--nrhs", type=int, default=8)
-    bs.add_argument("--seed", type=int, default=0)
-    bs.set_defaults(func=cmd_bench_service)
 
     tn = sub.add_parser(
         "tune",
@@ -1014,7 +980,7 @@ def build_parser() -> argparse.ArgumentParser:
     tn.add_argument("--nprocs", type=_count, default=8)
     tn.add_argument("--machine", default="T3E",
                     choices=machines)
-    tn.add_argument("--budget", default="auto",
+    tn.add_argument("--budget", type=_budget, default="auto",
                     help="virtual-second cap on simulator probes: a float, "
                          "'auto' (~10 factorizations) or 'none'")
     tn.add_argument("--seed", type=int, default=0,

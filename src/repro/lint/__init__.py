@@ -38,7 +38,6 @@ from .core import (
     RuleInfo,
     lint_paths,
     lint_source,
-    lint_file,
     iter_python_files,
     render_text,
     render_json,
@@ -68,7 +67,6 @@ __all__ = [
     "RuleInfo",
     "lint_paths",
     "lint_source",
-    "lint_file",
     "iter_python_files",
     "render_text",
     "render_json",

@@ -209,11 +209,6 @@ def lint_source(source: str, path: str = "<string>", env_names=("env",),
     return findings
 
 
-def lint_file(path, env_names=("env",), select=None) -> list:
-    """Lint a single file (convenience wrapper over :func:`lint_paths`)."""
-    return lint_paths([path], env_names=env_names, select=select)
-
-
 def _run_passes(module: ModuleUnderLint, summaries) -> list:
     out = []
     for _, run in PASSES:

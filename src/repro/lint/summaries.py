@@ -219,13 +219,6 @@ class ProjectSummaries:
                 f"{self.module_name.get(path, '<module>')}.{parts[0]}")
         return None
 
-    def lookup_call(self, func_expr, path: str):
-        """FunctionSummary for a call target, or None if unresolved."""
-        qual = self.resolve_qualname(func_expr, path)
-        if qual is None:
-            return None
-        return self.functions.get(qual)
-
 
 # -- the value lattice -------------------------------------------------------
 

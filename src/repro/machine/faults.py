@@ -397,7 +397,3 @@ class FaultStats:
 
     def total_injected(self) -> int:
         return len(self.injected)
-
-    def injected_events(self) -> list:
-        """The realised faults as a canonically ordered event list."""
-        return sorted(self.injected, key=lambda e: e.key())

@@ -18,11 +18,10 @@ from .tasks import (
     factor_block_column,
     update_block_column,
     update_block_columns,
-    apply_pivots_to_column,
     factored_column_of,
     FactoredColumn,
 )
-from .sequential import sstar_factor, sstar_refactor, LUFactorization
+from .sequential import sstar_factor, LUFactorization
 from .serialize import save_factorization, load_factorization
 from .robust import (
     NumericalError,
@@ -52,11 +51,9 @@ __all__ = [
     "factor_block_column",
     "update_block_column",
     "update_block_columns",
-    "apply_pivots_to_column",
     "factored_column_of",
     "FactoredColumn",
     "sstar_factor",
-    "sstar_refactor",
     "LUFactorization",
     "save_factorization",
     "load_factorization",

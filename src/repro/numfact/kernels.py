@@ -8,36 +8,29 @@ T3D/T3E rates.
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
 from .counter import KernelCounter, DGEMM, DGEMV
 
 
-#: per-thread scratch buffers, keyed by use site.  The simulator runs every
-#: rank cooperatively on one host thread, and each use site fully writes its
+#: scratch buffers, keyed by use site.  The simulator runs every rank
+#: cooperatively on one host thread, and each use site fully writes its
 #: scratch before reading it inside a single yield-free window, so reusing
-#: (even clobbering) a slot across calls and ranks is safe; the thread
-#: backend (:mod:`repro.parallel.shared_memory`) runs updates concurrently,
-#: hence one pool per thread.  Growing in place (never shrinking) keeps the
-#: hot paths free of large per-call ``np.empty`` allocations, whose mmap +
-#: first-touch page faults dominate at bench scale.
-_SCRATCH = threading.local()
+#: (even clobbering) a slot across calls and ranks is safe.  Growing in
+#: place (never shrinking) keeps the hot paths free of large per-call
+#: ``np.empty`` allocations, whose mmap + first-touch page faults dominate
+#: at bench scale.
+_SCRATCH = {}
 
 
 def scratch_buffer(slot: str, nrows: int, ncols: int = None) -> np.ndarray:
     """An uninitialised float64 scratch of the requested shape, recycled
-    per ``slot`` and thread (see :data:`_SCRATCH` for the safety argument)."""
+    per ``slot`` (see :data:`_SCRATCH` for the safety argument)."""
     need = nrows if ncols is None else nrows * ncols
-    try:
-        pool = _SCRATCH.pool
-    except AttributeError:
-        pool = _SCRATCH.pool = {}
-    buf = pool.get(slot)
+    buf = _SCRATCH.get(slot)
     if buf is None or buf.size < need:
         size = need if buf is None else max(need, 2 * buf.size)
-        buf = pool[slot] = np.empty(size)
+        buf = _SCRATCH[slot] = np.empty(size)
     flat = buf[:need]
     return flat if ncols is None else flat.reshape(nrows, ncols)
 

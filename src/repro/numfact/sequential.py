@@ -24,7 +24,11 @@ from .blocks import BlockLUMatrix
 from .counter import KernelCounter
 from .kernels import block_product, scratch_buffer, unit_lower_apply, upper_solve
 from .robust import PivotMonitor, SilentCorruptionError
-from .tasks import factor_block_column, update_block_columns
+from .tasks import (
+    check_pivot_threshold,
+    factor_block_column,
+    update_block_columns,
+)
 
 
 @dataclass
@@ -230,6 +234,7 @@ def sstar_factor(
     can be recomputed in place (during the sweep here, or later via
     :meth:`LUFactorization.verify_abft` before the triangular solves).
     """
+    check_pivot_threshold(pivot_threshold)
     if sym is None:
         sym = static_symbolic_factorization(A)
     if part is None:
@@ -274,33 +279,3 @@ def sstar_factor(
     return LUFactorization(m, sym, part, bstruct, counter,
                            pristine=pristine, monitor_cfg=monitor_cfg)
 
-
-def sstar_refactor(
-    A: CSRMatrix,
-    previous: LUFactorization,
-    counter: KernelCounter = None,
-    pivot_threshold: float = 1.0,
-    monitor=None,
-    abft: bool = False,
-) -> LUFactorization:
-    """Numerically re-factor a matrix with the *same nonzero pattern* as a
-    previous factorization, reusing its symbolic state.
-
-    George–Ng static symbolic factorization depends only on the pattern and
-    upper-bounds the fill of any pivot sequence, so ``previous.sym``,
-    ``previous.part`` and ``previous.bstruct`` remain exactly valid for any
-    ``A`` sharing the pattern — the whole analyze phase is skipped and the
-    call goes straight to the Factor/Update sweep.  The caller is
-    responsible for the pattern actually matching (the structure cache in
-    :mod:`repro.service` verifies it by hash).
-    """
-    return sstar_factor(
-        A,
-        sym=previous.sym,
-        part=previous.part,
-        bstruct=previous.bstruct,
-        counter=counter,
-        pivot_threshold=pivot_threshold,
-        monitor=monitor,
-        abft=abft,
-    )

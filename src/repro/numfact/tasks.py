@@ -115,19 +115,44 @@ def _panel_position(m: BlockLUMatrix, K: int, r: int) -> int:
     raise IndexError(f"row {r} is outside the L panel of column {K}")
 
 
-def pivot_error(gcol: int, best: float) -> SingularMatrixError:
-    """What every driver raises when the largest pivot candidate of global
-    column ``gcol`` is unusable: non-finite (checked first, so a NaN or Inf
-    column is never perturbed) or zero."""
-    if not isfinite(best):
-        return SingularMatrixError(
+def check_pivot_threshold(pivot_threshold: float) -> None:
+    """``ValueError`` unless ``pivot_threshold`` lies in (0, 1]: at 0 (or
+    NaN) every nonzero diagonal would pass the threshold test and pivoting
+    would silently stop."""
+    if not 0.0 < pivot_threshold <= 1.0:
+        raise ValueError(
+            f"pivot_threshold must be in (0, 1], got {pivot_threshold!r}")
+
+
+def choose_pivot(gcol: int, best_abs: float, best_pos: int, diag: float,
+                 pivot_threshold: float, monitor) -> int:
+    """The pivot rule of both ``Factor(K)`` kernels (sequential/1D here,
+    2D in :mod:`repro.parallel.twod`): the global row that pivots global
+    column ``gcol``, given the winning candidate's ``|value|`` and global
+    row ``best_pos`` and the diagonal value ``diag`` (only ``|diag|`` is
+    read).
+
+    A non-finite winner (a NaN wins the search) raises first, so a NaN or
+    Inf column is never perturbed.  A zero winner (or none: 2D's ``-1``)
+    raises unless ``monitor`` perturbs, which keeps the diagonal for
+    :class:`repro.numfact.PivotMonitor` to replace.  Threshold pivoting
+    keeps a nonzero diagonal with ``|diag| >= u * best_abs``."""
+    if not isfinite(best_abs):
+        raise SingularMatrixError(
             f"non-finite pivot candidate for global column {gcol} "
             "(a non-finite matrix value, or an earlier tiny pivot "
             "overflowed; enable perturbation or loosen pivot_threshold)",
             pivot_index=gcol,
         )
-    return SingularMatrixError(
-        f"no nonzero pivot for global column {gcol}", pivot_index=gcol)
+    if best_abs <= 0.0:
+        if monitor is None or not monitor.perturb:
+            raise SingularMatrixError(
+                f"no nonzero pivot for global column {gcol}", pivot_index=gcol)
+        return gcol  # numerically dead column: perturb the diagonal
+    if (pivot_threshold < 1.0 and abs(diag) >= pivot_threshold * best_abs
+            and diag != 0.0):
+        return gcol  # keep the diagonal: threshold pivoting
+    return best_pos
 
 
 def factor_block_column(
@@ -148,14 +173,13 @@ def factor_block_column(
     ``u``: the diagonal is kept whenever ``|a_cc| >= u * max_i |a_ic|``.
     ``u = 1.0`` is pure partial pivoting (the paper's setting); smaller
     values trade a bounded growth-factor increase for fewer interchanges
-    (and fewer swap messages in the parallel codes).
+    (and fewer swap messages in the parallel codes).  Entry points check
+    it once per run (:func:`check_pivot_threshold`), not per column.
 
     ``monitor`` is an optional :class:`repro.numfact.PivotMonitor`: it
     tracks pivot growth and, when enabled, replaces tiny pivots by
     ``±sqrt(eps)*||A||`` (SuperLU_DIST-style static perturbation) instead
     of letting the elimination divide by them."""
-    if not 0.0 < pivot_threshold <= 1.0:
-        raise ValueError("pivot_threshold must be in (0, 1]")
     part = m.part
     bs = part.size(K)
     if m.abft is not None:
@@ -178,21 +202,13 @@ def factor_block_column(
         col = panel[c:, c]
         ab = abs_col[: nrows - c]
         np.abs(col, out=ab)
-        t = int(ab.argmax()) + c
-        best = float(panel[t, c])  # one read, a Python float from here on
-        if not isfinite(best):
-            raise pivot_error(gcol, best)
-        if best == 0.0:
-            if monitor is None or not monitor.perturb:
-                raise pivot_error(gcol, best)
-            t = c  # numerically dead column: perturb the diagonal below
-        elif pivot_threshold < 1.0:
-            diag = float(panel[c, c])
-            if abs(diag) >= pivot_threshold * abs(best) and diag != 0.0:
-                t = c  # keep the diagonal: threshold pivoting
-        pivots.append(
-            (gcol, start_K + t if t < bs else _panel_position(m, K, t - bs))
-        )
+        t = int(ab.argmax())
+        pos = choose_pivot(
+            gcol, float(ab[t]),
+            start_K + c + t if c + t < bs else _panel_position(m, K, c + t - bs),
+            float(ab[0]), pivot_threshold, monitor)
+        t = c if pos == gcol else c + t
+        pivots.append((gcol, pos))
         if t != c:
             tmp = scratch[0, :]
             tmp[:] = panel[c, :]
@@ -238,12 +254,6 @@ def factored_column_of(m: BlockLUMatrix, K: int) -> FactoredColumn:
         raise RuntimeError(f"Factor({K}) has not run yet")
     return FactoredColumn(K, m.pivot_seq[K], m.lpanel(K),
                           m.diag_inverse(K) if m.part.size(K) > 1 else None)
-
-
-def apply_pivots_to_column(m: BlockLUMatrix, pivots, J: int) -> None:
-    """Replay a pivot sequence (delayed row interchanges) on block column J."""
-    for r1, r2 in pivots:
-        m.swap_rows_in_block_column(J, r1, r2)
 
 
 def update_block_column(

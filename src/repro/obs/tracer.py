@@ -193,9 +193,6 @@ class Tracer:
         strs = sorted(t for t in seen if not isinstance(t, int))
         return ints + strs
 
-    def track_spans(self, track) -> list:
-        return [s for s in self.spans if s.track == track]
-
     def track_end(self, track) -> float:
         """Latest span end on ``track`` (0.0 when the track is empty)."""
         return max((s.end for s in self.spans if s.track == track),

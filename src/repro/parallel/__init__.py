@@ -15,23 +15,16 @@
   point every caller outside this package uses to start a run.
 """
 
-from .mapping import Grid2D, cyclic_owner
+from .mapping import Grid2D
 from .oned import run_1d, OneDResult
 from .twod import run_2d, TwoDResult
 from .buffers import buffer_requirements, BufferReport
 from .trisolve import run_1d_trisolve, run_2d_trisolve, TriSolveResult
-from .shared_memory import sstar_factor_threads
-from .resilience import (
-    run_1d_resilient,
-    run_2d_resilient,
-    ResilientResult,
-    RoundInfo,
-)
+from .resilience import ResilientResult, RoundInfo
 from .drivers import DRIVERS, METHODS, Driver, check_run_options, factorize
 
 __all__ = [
     "Grid2D",
-    "cyclic_owner",
     "run_1d",
     "OneDResult",
     "run_2d",
@@ -41,9 +34,6 @@ __all__ = [
     "run_1d_trisolve",
     "run_2d_trisolve",
     "TriSolveResult",
-    "sstar_factor_threads",
-    "run_1d_resilient",
-    "run_2d_resilient",
     "ResilientResult",
     "RoundInfo",
     "DRIVERS",

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from ..numfact.tasks import check_pivot_threshold
 from .oned import run_1d
 from .resilience import run_checkpointed
 from .twod import run_2d
@@ -41,10 +42,12 @@ METHODS = ("sequential", *DRIVERS)
 
 
 def check_run_options(method, nprocs, ckpt_interval=None, grid=None,
-                      methods=METHODS) -> None:
+                      methods=METHODS, pivot_threshold=1.0, block_size=1,
+                      amalgamation=0) -> None:
     """``ValueError`` for run options no run can honour, raised before any
     analysis or simulator exists (by :func:`factorize` and by
-    ``SStarSolver.__init__``) instead of a hang or an ``IndexError``."""
+    ``SStarSolver.__init__``) instead of a hang, an ``IndexError`` or a
+    run that silently stops pivoting."""
     if method not in methods:
         raise ValueError(f"unknown method {method!r}: expected one of {methods}")
     if nprocs < 1:
@@ -53,6 +56,11 @@ def check_run_options(method, nprocs, ckpt_interval=None, grid=None,
         raise ValueError(f"ckpt_interval must be >= 1, got {ckpt_interval}")
     if grid is not None:
         grid.check(None, nprocs)  # a grid's fit does not depend on N
+    check_pivot_threshold(pivot_threshold)
+    if block_size < 1:
+        raise ValueError(f"block_size must be >= 1, got {block_size}")
+    if amalgamation < 0:
+        raise ValueError(f"amalgamation must be >= 0, got {amalgamation}")
 
 
 def factorize(
@@ -74,7 +82,8 @@ def factorize(
     grid (while the run keeps its rank count), ``tg`` hands the 1D codes a
     prebuilt task graph.
     """
-    check_run_options(method, nprocs, ckpt_interval, grid, tuple(DRIVERS))
+    check_run_options(method, nprocs, ckpt_interval, grid, tuple(DRIVERS),
+                      pivot_threshold)
     layout, runner, fixed = DRIVERS[method]
     kwargs = dict(fixed, pivot_threshold=pivot_threshold, monitor=monitor,
                   abft=abft)

@@ -17,13 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-
-def cyclic_owner(N: int, nprocs: int) -> np.ndarray:
-    """1D block-cyclic column ownership."""
-    return np.arange(N, dtype=np.int64) % nprocs
-
 
 class ColumnMapping:
     """The 1D mapping: block column ``J``, and ``x_J`` with it, on ``owner[J]``."""

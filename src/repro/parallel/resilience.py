@@ -34,8 +34,6 @@ from dataclasses import dataclass, field
 from ..machine import FaultPlan, RankCrashedError
 from ..numfact import BlockLUMatrix, SilentCorruptionError
 from ..obs import CHECKPOINT
-from .oned import run_1d
-from .twod import run_2d
 
 
 @dataclass
@@ -218,56 +216,3 @@ def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
     out.nprocs_final = nprocs
     return out
 
-
-def run_1d_resilient(
-    A, part, bstruct, nprocs, spec,
-    method: str = "ca",
-    ckpt_interval: int = 4,
-    faults: FaultPlan = None,
-    reliable=True,
-    sim_opts: dict = None,
-    max_restarts: int = None,
-    pivot_threshold: float = 1.0,
-    monitor=None,
-    abft: bool = False,
-) -> ResilientResult:
-    """1D factorization with panel-boundary checkpoints and crash restart.
-
-    ``abft=True`` additionally checksums multicast payloads; a detected
-    silent corruption discards the round and replays the window from the
-    checkpoint (counted in ``abft.recovered``)."""
-    return run_checkpointed(
-        run_1d, A, part, bstruct, nprocs, spec,
-        ckpt_interval=ckpt_interval, faults=faults, reliable=reliable,
-        sim_opts=sim_opts, max_restarts=max_restarts,
-        method=method, pivot_threshold=pivot_threshold, monitor=monitor,
-        abft=abft,
-    )
-
-
-def run_2d_resilient(
-    A, part, bstruct, nprocs, spec,
-    synchronous: bool = False,
-    ckpt_interval: int = 4,
-    faults: FaultPlan = None,
-    reliable=True,
-    sim_opts: dict = None,
-    max_restarts: int = None,
-    pivot_threshold: float = 1.0,
-    monitor=None,
-    abft: bool = False,
-) -> ResilientResult:
-    """2D factorization with panel-boundary checkpoints and crash restart.
-
-    On a crash the grid is re-shaped for the surviving rank count
-    (``Grid2D.preferred``) and the blocks are redistributed from the
-    checkpoint — the 2D analogue of shrinking the process grid.  ``abft``
-    behaves as in :func:`run_1d_resilient`.
-    """
-    return run_checkpointed(
-        run_2d, A, part, bstruct, nprocs, spec,
-        ckpt_interval=ckpt_interval, faults=faults, reliable=reliable,
-        sim_opts=sim_opts, max_restarts=max_restarts,
-        synchronous=synchronous, pivot_threshold=pivot_threshold,
-        monitor=monitor, abft=abft,
-    )

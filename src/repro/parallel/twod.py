@@ -30,14 +30,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
 from ..machine import Simulator, MachineSpec
 from ..numfact import BlockLUMatrix, StructureViolation
 from ..numfact.abft import payload_checksums, verify_payload
-from ..numfact.tasks import pivot_error
+from ..numfact.tasks import choose_pivot
 from ..numfact.kernels import (
     block_product,
     scratch_buffer,
@@ -236,25 +235,10 @@ def _rank_program_2d(env, ctx):
                     if (a > g_abs or a != a
                             or (a == g_abs and p != -1 and (g_pos == -1 or p < g_pos))):
                         g_abs, g_pos, g_row = a, p, row
-                if not isfinite(g_abs):
-                    raise pivot_error(gm, g_abs)
-                if g_pos == -1 or g_abs == 0.0:
-                    if monitor is None or not monitor.perturb:
-                        raise pivot_error(gm, 0.0)
-                    # numerically dead column: keep the diagonal position and
-                    # let the monitor perturb its value below
-                    g_pos = gm
+                t_pos = choose_pivot(gm, g_abs, g_pos, blocks[(K, K)][m, m],
+                                     pivot_threshold, monitor)
+                if t_pos == gm:
                     g_row = blocks[(K, K)][m]
-                dval = blocks[(K, K)][m, m]
-                if (
-                    pivot_threshold < 1.0
-                    and abs(dval) >= pivot_threshold * g_abs
-                    and dval != 0.0
-                ):
-                    # threshold pivoting: keep the diagonal
-                    g_pos = gm
-                    g_row = blocks[(K, K)][m]
-                t_pos = g_pos
                 piv_row = np.array(g_row, copy=True)
                 if monitor is not None:
                     new = monitor.consider(gm, float(piv_row[m]))

@@ -186,9 +186,5 @@ class CSRMatrix:
         vals = self.data[src]
         return coo_to_csr(self.nrows, self.ncols, rows, cols, vals)
 
-    def pattern_rows(self) -> list:
-        """List of per-row column-index arrays (views)."""
-        return [self.row_indices(i) for i in range(self.nrows)]
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"CSRMatrix(shape={self.shape}, nnz={self.nnz})"

@@ -12,7 +12,7 @@ from .george_ng import (
     StructuralDiagonalError,
     SymbolicFactorization,
 )
-from .cholesky_bound import cholesky_ata_structure, elimination_tree
+from .cholesky_bound import cholesky_ata_structure
 from .stats import structure_stats, elementwise_ops, FillStats
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "StructuralDiagonalError",
     "SymbolicFactorization",
     "cholesky_ata_structure",
-    "elimination_tree",
     "structure_stats",
     "elementwise_ops",
     "FillStats",

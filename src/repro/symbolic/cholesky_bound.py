@@ -5,9 +5,10 @@ Table 1 compares three structure predictions; this module provides the
 :math:`A^T A` pattern, whose structure upper-bounds L and U for any pivot
 sequence (George & Ng) but usually overshoots badly.
 
-Implementation: the standard column-merge symbolic Cholesky driven by the
-elimination tree — column ``j``'s structure is its own lower pattern merged
-into its etree parent, giving O(|L_c|) total work.
+Implementation: the standard column-merge symbolic Cholesky — column
+``j``'s structure is its own lower pattern merged into its parent, the
+smallest row below the diagonal (the elimination tree is never built as an
+array), giving O(|L_c|) total work.
 """
 
 from __future__ import annotations
@@ -15,36 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..sparse import CSRMatrix
-
-
-def elimination_tree(pattern: CSRMatrix) -> np.ndarray:
-    """Elimination tree of a symmetric pattern (diagonal assumed present).
-
-    Returns ``parent`` with ``parent[j] = -1`` for roots.  Uses the Liu
-    path-compression algorithm on the lower triangle.
-    """
-    n = pattern.nrows
-    parent = np.full(n, -1, dtype=np.int64)
-    ancestor = np.full(n, -1, dtype=np.int64)
-    for j in range(n):
-        for i in pattern.row_indices(j):
-            # traverse from each below-diagonal entry of column j: symmetric
-            # pattern means row j's entries < j are column j's entries < j.
-            i = int(i)
-            if i >= j:
-                continue
-            # climb from i to the root of its current subtree
-            while True:
-                a = ancestor[i]
-                ancestor[i] = j  # path compression
-                if a == -1:
-                    if parent[i] == -1 and i != j:
-                        parent[i] = j
-                    break
-                if a == j:
-                    break
-                i = a
-    return parent
 
 
 def cholesky_ata_structure(pattern: CSRMatrix) -> list:

@@ -47,12 +47,6 @@ class TaskGraph:
         kernel, fl, gran = self.comp[task]
         return spec.compute_seconds(kernel, fl, gran)
 
-    def total_flops(self) -> float:
-        return sum(fl for _, fl, _ in self.comp.values())
-
-    def updates_of_column(self, j: int) -> list:
-        return [t for t in self.tasks if t[0] == UPDATE and t[2] == j]
-
     def b_levels(self, spec, include_comm: bool = True) -> dict:
         """Bottom levels (critical-path-to-exit lengths) per task."""
         bl = {}

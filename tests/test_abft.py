@@ -26,7 +26,7 @@ from repro.matrices import random_nonsymmetric
 from repro.numfact import SilentCorruptionError, sstar_factor
 from repro.obs import Tracer
 from repro.ordering import prepare_matrix
-from repro.parallel import run_1d, run_1d_resilient, run_2d, run_2d_resilient
+from repro.parallel import factorize, run_1d, run_2d
 from repro.supernodes import build_block_structure, build_partition
 from repro.symbolic import static_symbolic_factorization
 
@@ -217,14 +217,15 @@ class TestParallelAbft:
 
 
 class TestResilientAbft:
-    @pytest.mark.parametrize("runner", [run_1d_resilient, run_2d_resilient])
-    def test_corruption_discards_round_and_recovers(self, p, runner):
+    @pytest.mark.parametrize("method", ["1d-ca", "2d"])
+    def test_corruption_discards_round_and_recovers(self, p, method):
         plan = FaultPlan(
             rules=[MessageFaultRule(CORRUPT, rate=0.25)], seed=4)
         tr = Tracer()
-        res = runner(p["om"].A, p["part"], p["bstruct"], 4, GENERIC,
-                     faults=plan, reliable=ReliableDelivery(checksum=False),
-                     abft=True, sim_opts={"tracer": tr})
+        res = factorize(method, p["om"].A, p["part"], p["bstruct"], 4,
+                        GENERIC, ckpt_interval=4, faults=plan,
+                        reliable=ReliableDelivery(checksum=False),
+                        abft=True, sim_opts={"tracer": tr})
         assert _bitwise_equal(res.factor, p["seq"].matrix)
         aborted = [r for r in res.rounds if not r.ok and r.corrupted]
         assert aborted, "no round was discarded for corruption"

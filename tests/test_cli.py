@@ -15,6 +15,37 @@ def mtx_path(tmp_path_factory):
     return str(p)
 
 
+BAD_VALUES = [
+    ["serve-demo", "--burst", "0"],
+    ["serve-demo", "--workers", "0"],
+    ["serve-demo", "--jobs", "-1"],
+    ["serve-demo", "--nrhs", "0"],
+    ["serve-demo", "--max-queue", "0"],
+    ["serve-demo", "--max-batch", "0"],
+    ["factor", "M", "--threshold", "0"],
+    ["factor", "M", "--threshold", "1.5"],
+    ["factor", "M", "--threshold", "nan"],
+    ["factor", "M", "--block-size", "-3"],
+    ["factor", "M", "--amalgamation", "-1"],
+    ["solve", "M", "--threshold", "-1"],
+    ["tune", "sherman5", "--budget", "abc"],
+    ["tune", "sherman5", "--budget", "-1"],
+    ["verify-comm", "--replays", "-1"],
+    ["verify-comm", "--block-size", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_VALUES, ids=" ".join)
+def test_bad_value_is_a_usage_error(argv, mtx_path, capsys):
+    """A count, threshold or budget no run can honour exits 2 with a usage
+    message naming the flag, before any work and without a traceback."""
+    argv = [mtx_path if a == "M" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_writes_file(self, tmp_path, capsys):
         out = tmp_path / "g.mtx"
@@ -131,17 +162,6 @@ class TestServeDemo:
             ["serve-demo", "--jobs", "4", "--patterns", "1", "--nrhs", "2"]
         ) == 0
         assert "completed" in capsys.readouterr().out
-
-
-class TestBenchService:
-    def test_reports_amortization(self, capsys):
-        assert main(
-            ["bench-service", "--name", "jpwh991", "--repeats", "1",
-             "--nrhs", "4"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "analyze amortization" in out
-        assert "multi-RHS" in out
 
 
 class TestVerifyComm:

@@ -37,12 +37,12 @@ from repro.numfact import sstar_factor
 from repro.numfact.kernels import scratch_buffer
 from repro.obs import Tracer, to_chrome_trace
 from repro.parallel import (
+    factorize,
     run_1d,
     run_1d_trisolve,
     run_2d,
     run_2d_trisolve,
 )
-from repro.parallel.resilience import run_1d_resilient
 
 
 @pytest.fixture(scope="module")
@@ -124,9 +124,9 @@ class TestZeroCopyDelivery:
         args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
         probe = run_1d(*args, method="ca")
         plan = FaultPlan(crashes=[CrashFault(2, probe.sim.total_time * 0.4)])
-        kw = dict(method="ca", ckpt_interval=3, reliable=True)
-        zc = run_1d_resilient(*args, faults=plan, sim_opts={"zero_copy": True}, **kw)
-        cp = run_1d_resilient(*args, faults=plan, sim_opts={"zero_copy": False}, **kw)
+        kw = dict(ckpt_interval=3, reliable=True, faults=plan)
+        zc = factorize("1d-ca", *args, sim_opts={"zero_copy": True}, **kw)
+        cp = factorize("1d-ca", *args, sim_opts={"zero_copy": False}, **kw)
         assert zc.crashes == cp.crashes == [2]
         _assert_factor_identical(zc.factor, cp.factor)
         assert zc.total_time == cp.total_time

@@ -472,6 +472,50 @@ class TestCodebaseClean:
                if Severity.rank(f.severity) >= Severity.rank(Severity.WARNING)]
         assert bad == [], "\n".join(str(f) for f in bad)
 
+    def test_every_definition_is_used(self):
+        """Every top-level function and class of ``src/repro``, and every
+        method, is named somewhere besides its own definition and a package
+        ``__init__`` re-export: in ``src``, ``tests``, ``benchmarks``,
+        ``tools`` or ``examples``.  A plain name scan, so a call through
+        ``getattr`` or a docstring mention keeps a name alive; dunder
+        methods and the CLI entry point are exempt."""
+        import ast
+        import re
+        from collections import Counter
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        exempt = {"main"}  # ``python -m repro`` reaches it by convention
+        defs = Counter()
+        for path in (root / "src" / "repro").rglob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                defs[node.name] += 1
+                if isinstance(node, ast.ClassDef):
+                    defs.update(m.name for m in node.body
+                                if isinstance(m, ast.FunctionDef))
+        words = Counter()
+        for top in ("src", "tests", "benchmarks", "tools", "examples"):
+            for path in (root / top).rglob("*.py"):
+                text = path.read_text()
+                if path.name == "__init__.py":
+                    # a re-export names a definition without using it
+                    lines = text.splitlines()
+                    for node in ast.parse(text).body:
+                        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                                isinstance(node, ast.Assign)
+                                and ast.unparse(node.targets[0]) == "__all__"):
+                            for i in range(node.lineno - 1, node.end_lineno):
+                                lines[i] = ""
+                    text = "\n".join(lines)
+                words.update(re.findall(r"\w+", text))
+        unused = sorted(
+            name for name, n in defs.items()
+            if words[name] <= n and name not in exempt
+            and not (name.startswith("__") and name.endswith("__")))
+        assert unused == []
+
 
 # ---------------------------------------------------------------------------
 # dynamic sanitizer: Simulator(sanitize=True)

@@ -36,12 +36,7 @@ from repro.numfact import (
     sstar_factor,
 )
 from repro.ordering import prepare_matrix
-from repro.parallel import (
-    run_1d,
-    run_1d_resilient,
-    run_2d,
-    run_2d_resilient,
-)
+from repro.parallel import factorize, run_1d, run_2d
 from repro.sparse import csr_matvec
 from repro.supernodes import build_block_structure, build_partition
 from repro.symbolic import static_symbolic_factorization
@@ -361,9 +356,9 @@ class TestCrashRecovery:
     def test_1d_checkpoint_restart_recovers(self, pipeline):
         p = pipeline
         base, plan = self._crash_plan(pipeline)
-        res = run_1d_resilient(p["om"].A, p["part"], p["bstruct"], 4, GENERIC,
-                               method="ca", ckpt_interval=3, faults=plan,
-                               sim_opts={"trace": True})
+        res = factorize("1d-ca", p["om"].A, p["part"], p["bstruct"], 4,
+                        GENERIC, ckpt_interval=3, faults=plan, reliable=True,
+                        sim_opts={"trace": True})
         assert res.nprocs_final == 3
         failed = [r for r in res.rounds if not r.ok]
         assert len(failed) == 1 and failed[0].crashed == (3,)
@@ -380,9 +375,9 @@ class TestCrashRecovery:
         p = pipeline
         base, plan = self._crash_plan(pipeline)
         plan = FaultPlan(DROP_PLAN.rules, plan.crashes, seed=DROP_PLAN.seed)
-        res = run_1d_resilient(p["om"].A, p["part"], p["bstruct"], 4, GENERIC,
-                               method="ca", ckpt_interval=3, faults=plan,
-                               reliable=True, sim_opts={"trace": True})
+        res = factorize("1d-ca", p["om"].A, p["part"], p["bstruct"], 4,
+                        GENERIC, ckpt_interval=3, faults=plan, reliable=True,
+                        sim_opts={"trace": True})
         assert _bitwise_equal(base.factor, res.factor)
         assert res.results  # committed rounds carry their SimResults
         for sim in res.results:
@@ -393,8 +388,8 @@ class TestCrashRecovery:
         p = pipeline
         base = run_2d(p["om"].A, p["part"], p["bstruct"], 4, GENERIC)
         plan = FaultPlan().with_crash(2, 0.4 * base.sim.total_time)
-        res = run_2d_resilient(p["om"].A, p["part"], p["bstruct"], 4, GENERIC,
-                               ckpt_interval=3, faults=plan)
+        res = factorize("2d", p["om"].A, p["part"], p["bstruct"], 4, GENERIC,
+                        ckpt_interval=3, faults=plan, reliable=True)
         assert res.nprocs_final == 3
         assert any(not r.ok for r in res.rounds)
         assert _bitwise_equal(base.factor, res.factor)
@@ -406,8 +401,8 @@ class TestCrashRecovery:
         p = pipeline
         base = run_1d(p["om"].A, p["part"], p["bstruct"], 4, GENERIC,
                       method="ca")
-        res = run_1d_resilient(p["om"].A, p["part"], p["bstruct"], 4, GENERIC,
-                               method="ca", ckpt_interval=4)
+        res = factorize("1d-ca", p["om"].A, p["part"], p["bstruct"], 4,
+                        GENERIC, ckpt_interval=4, reliable=True)
         assert all(r.ok for r in res.rounds)
         assert _bitwise_equal(base.factor, res.factor)
 

@@ -26,8 +26,9 @@ from repro.machine import (
     MACHINES, CrashFault, FaultPlan, RankCrashedError, T3E, spec_by_name,
 )
 from repro.parallel import (
-    DRIVERS, Grid2D, factorize, run_1d, run_1d_resilient, run_2d,
+    DRIVERS, Grid2D, factorize, run_1d, run_2d,
 )
+from repro.parallel.resilience import run_checkpointed
 from repro.pipeline import PatternLRU, analyze
 from repro.service import AnalysisCache
 from repro.tune import PlanCache, TuningPlan
@@ -35,7 +36,7 @@ from repro.tune.space import enumerate_plans
 
 SRC = pathlib.Path(repro.__file__).parent
 DATA = pathlib.Path(__file__).parent / "data"
-RUNNERS = {"run_1d", "run_2d", "run_1d_resilient", "run_2d_resilient"}
+RUNNERS = {"run_1d", "run_2d", "run_checkpointed"}
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +139,7 @@ def test_factorize_is_the_direct_call(method, run_args):
 
 def test_every_factorize_keyword_is_one_a_driver_already_takes():
     taken = set()
-    for fn in (run_1d, run_2d, run_1d_resilient):
+    for fn in (run_1d, run_2d, run_checkpointed):
         taken |= set(inspect.signature(fn).parameters)
     own = set(inspect.signature(factorize).parameters)
     assert own - taken == set()
@@ -153,6 +154,11 @@ HOSTILE = [
     ({"nprocs": 0}, "nprocs"),
     ({"method": "1d-rapd"}, "unknown method"),
     ({"method": "2d", "grid": Grid2D(2, 4)}, "grid 2x4 has 8 ranks"),
+    # u = 0 (or NaN) keeps every nonzero diagonal: pivoting silently stops
+    ({"method": "2d", "pivot_threshold": 0.0}, "pivot_threshold"),
+    ({"method": "2d", "pivot_threshold": float("nan")}, "pivot_threshold"),
+    ({"method": "2d-sync", "pivot_threshold": -1.0}, "pivot_threshold"),
+    ({"pivot_threshold": 2.0}, "pivot_threshold"),
 ]
 
 
@@ -182,10 +188,16 @@ class TestHostileRunOptions:
     @pytest.mark.parametrize("interval", [0, -1])
     def test_the_checkpoint_drivers_themselves(self, interval, run_args):
         with pytest.raises(ValueError, match="ckpt_interval"):
-            run_1d_resilient(*run_args, ckpt_interval=interval)
+            run_checkpointed(run_1d, *run_args, ckpt_interval=interval,
+                             faults=None, reliable=None, sim_opts=None,
+                             max_restarts=None)
 
     @pytest.mark.parametrize("opts, message", HOSTILE + [
         ({"machine": "cray"}, "unknown machine 'cray'.*T3D.*T3E.*GENERIC"),
+        ({"method": "sequential", "pivot_threshold": 0.0}, "pivot_threshold"),
+        ({"block_size": -3}, "block_size"),
+        ({"block_size": 0}, "block_size"),
+        ({"amalgamation": -1}, "amalgamation"),
     ])
     def test_solver_construction(self, opts, message, monkeypatch):
         from repro.api import solver

@@ -1,5 +1,5 @@
 """Extended solver features: transpose solve, multi-RHS, condition
-estimation, serialization, shared-memory threads."""
+estimation, serialization."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,6 @@ from repro.numfact import (
     sstar_factor,
 )
 from repro.ordering import prepare_matrix
-from repro.parallel import sstar_factor_threads
 from repro.sparse import csr_to_dense, dense_to_csr
 
 
@@ -131,33 +130,6 @@ class TestSerialization:
         assert not np.array_equal(lu2.matrix.blocks[key], lu.matrix.blocks[key]) or (
             not np.any(lu.matrix.blocks[key])
         )
-
-
-class TestSharedMemoryThreads:
-    @pytest.mark.parametrize("nthreads", [1, 2, 4])
-    def test_bitwise_equal_to_sequential(self, nthreads):
-        A = random_nonsymmetric(70, density=0.08, seed=93)
-        om = prepare_matrix(A)
-        seq = sstar_factor(om.A)
-        par = sstar_factor_threads(om.A, nthreads=nthreads)
-        for key, blk in seq.matrix.blocks.items():
-            assert np.array_equal(blk, par.matrix.blocks[key])
-        assert seq.matrix.pivot_seq == par.matrix.pivot_seq
-
-    def test_counters_complete(self):
-        A = random_nonsymmetric(60, density=0.1, seed=94)
-        om = prepare_matrix(A)
-        seq = sstar_factor(om.A)
-        par = sstar_factor_threads(om.A, nthreads=3)
-        assert par.counter.total == pytest.approx(seq.counter.total)
-
-    def test_threshold_supported(self):
-        A = random_nonsymmetric(50, density=0.1, seed=95)
-        om = prepare_matrix(A)
-        seq = sstar_factor(om.A, pivot_threshold=0.2)
-        par = sstar_factor_threads(om.A, nthreads=2, pivot_threshold=0.2)
-        b = np.ones(50)
-        assert np.array_equal(seq.solve(b), par.solve(b))
 
 
 class TestTimeline:

@@ -1,6 +1,5 @@
 """Additional symbolic-layer behaviours: density growth, sharing, bounds."""
 
-import numpy as np
 import pytest
 
 from repro.matrices import (
@@ -10,40 +9,13 @@ from repro.matrices import (
     stencil_2d,
 )
 from repro.ordering import prepare_matrix
-from repro.sparse import ata_pattern, coo_to_csr
+from repro.sparse import ata_pattern
 from repro.symbolic import (
     cholesky_ata_structure,
-    elimination_tree,
     static_symbolic_factorization,
     elementwise_ops,
 )
 from repro.symbolic.cholesky_bound import cholesky_factor_entries
-
-
-class TestEliminationTree:
-    def test_matches_bruteforce_on_random(self):
-        """etree parent = min row index below diagonal of the Cholesky
-        factor's column — check against the symbolic factor itself."""
-        A = random_nonsymmetric(25, density=0.15, seed=3)
-        pattern = ata_pattern(A)
-        parent = elimination_tree(pattern)
-        lcol = cholesky_ata_structure(pattern)
-        for j in range(25):
-            below = [int(i) for i in lcol[j] if i > j]
-            expect = min(below) if below else -1
-            assert parent[j] == expect, f"column {j}"
-
-    def test_forest_structure(self):
-        A = random_nonsymmetric(30, density=0.1, seed=5)
-        parent = elimination_tree(ata_pattern(A))
-        # parents always point forward (or are roots)
-        for j, p in enumerate(parent):
-            assert p == -1 or p > j
-
-    def test_diagonal_matrix_all_roots(self):
-        A = coo_to_csr(5, 5, range(5), range(5), np.ones(5))
-        parent = elimination_tree(ata_pattern(A))
-        assert all(p == -1 for p in parent)
 
 
 class TestPathologies:
