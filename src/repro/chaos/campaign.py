@@ -13,7 +13,7 @@ Observability: the campaign counts ``chaos.runs`` / ``chaos.failures``
 in its :class:`repro.obs.MetricsRegistry`, merges every run's own
 counters (``sim.faults.*``, ``abft.*``, ...) into it, and lays each
 run out as a PHASE span on a ``chaos/<scenario>`` track of its tracer,
-so ``repro trace`` renders a campaign like any other run.
+so a campaign exports and profiles like any other traced run.
 """
 
 from __future__ import annotations
@@ -144,23 +144,18 @@ class ChaosContext:
 
 
 def build_context(n: int = 60, density: float = 0.08, mseed: int = 11,
-                  block: int = 5, amalg: int = 3, spec=GENERIC,
-                  A=None) -> ChaosContext:
-    """Build the shared pipeline for a campaign on one random matrix, or
-    on ``A`` (whose ``config`` names no generator a replay could rerun)."""
+                  block: int = 5, amalg: int = 3) -> ChaosContext:
+    """Build the shared pipeline for a campaign on one random matrix."""
     config = {"n": n, "density": density, "mseed": mseed,
               "block": block, "amalg": amalg}
-    if A is None:
-        A = random_nonsymmetric(n, density=density, seed=mseed)
-    else:
-        config = {"n": A.nrows, "block": block, "amalg": amalg}
+    A = random_nonsymmetric(n, density=density, seed=mseed)
     art, om = analyze(A, block, amalg)
     seq = sstar_factor(om.A, sym=art.sym, part=art.part)
     b = np.arange(float(A.nrows))
     x_ref = seq.solve(b)
-    base = factorize("1d-ca", om.A, art.part, art.bstruct, 4, spec)
+    base = factorize("1d-ca", om.A, art.part, art.bstruct, 4, GENERIC)
     return ChaosContext(
-        A=A, art=art, om=om, spec=spec,
+        A=A, art=art, om=om, spec=GENERIC,
         seq=seq, b=b, x_ref=x_ref, tscale=base.sim.total_time,
         config=config,
     )

@@ -5,15 +5,17 @@ Commands
 ``generate``   write a synthetic suite matrix as a MatrixMarket file
 ``info``       structural statistics of a matrix (order, nnz, symmetry,
                predicted fill vs dynamic fill)
-``factor``     run the S* factorization and print the report
+``factor``     run the S* factorization — sequentially or as one of the
+               parallel codes on the simulated T3D/T3E — and print the report
 ``solve``      factor and solve ``A x = b`` (random or file rhs)
-``simulate``   run a parallel factorization on the simulated T3D/T3E
-``trace``      run a traced factorization and write a Chrome/Perfetto
+``trace``      run a traced factor+solve (or ``--load`` a saved trace):
+               summary, per-rank busy/comm/idle profile, critical path and
+               model-vs-observed drift; ``--out`` writes the Chrome/Perfetto
                trace_event JSON (per-rank spans + send→recv flow arrows)
-``profile``    per-rank busy/comm/idle breakdown, critical path and
-               model-vs-observed drift from a traced run (or a saved trace)
 ``validate``   run the full invariant battery on a matrix
-``verify-comm`` static + dynamic + replay communication-protocol analyses
+``verify-comm`` dynamic trace check + host-order replay of every parallel
+               code (the static protocol rules are ``repro lint --select
+               Y01,T01,T02,T03``; the fault cases are ``repro chaos``)
 ``lint``       static analysis: determinism (D1xx), zero-copy aliasing
                (Z2xx) and comm-protocol (Y01/T0x) rules over the codebase
 ``serve-demo`` run a synthetic workload through the SolveService front end
@@ -24,20 +26,38 @@ Commands
                space with the Eq. (4) model, rank survivors with budgeted
                successive-halving simulator probes
 ``suite``      list the built-in suite matrices
+
+Every input file goes through one reader: an unreadable or malformed file
+ends the verb with ``repro <verb>: error: <path>: <reason>`` and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 
-def _load(path):
+def _error(args, message) -> int:
+    """Print ``repro <verb>: error: message`` (argparse's form of a usage
+    error) and return its exit code, 2."""
+    print(f"repro {args.command}: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _read(args, path, reader=None):
+    """Read the input file ``path`` with ``reader`` (default: a MatrixMarket
+    matrix); a file that cannot be opened or parsed ends the verb with exit
+    2, not a traceback."""
     from .sparse import read_matrix_market
 
-    return read_matrix_market(path)
+    try:
+        return (reader or read_matrix_market)(path)
+    except (OSError, ValueError) as e:
+        reason = e.strerror if isinstance(e, OSError) and e.strerror else e
+        raise SystemExit(_error(args, f"{path}: {reason}")) from None
 
 
 def cmd_generate(args) -> int:
@@ -45,9 +65,7 @@ def cmd_generate(args) -> int:
     from .sparse import write_matrix_market
 
     if args.name not in SUITE:
-        print(f"unknown matrix {args.name!r}; see `python -m repro suite`",
-              file=sys.stderr)
-        return 2
+        return _error(args, f"unknown matrix {args.name!r}; see `repro suite`")
     A = get_matrix(args.name, args.scale)
     write_matrix_market(args.output, A, comment=f"repro suite {args.name} ({args.scale})")
     print(f"wrote {args.output}: n={A.nrows}, nnz={A.nnz}")
@@ -60,7 +78,7 @@ def cmd_info(args) -> int:
     from .sparse import structural_symmetry
     from .symbolic import static_symbolic_factorization
 
-    A = _load(args.matrix)
+    A = _read(args, args.matrix)
     print(f"matrix   : {args.matrix}")
     print(f"order    : {A.nrows} x {A.ncols}")
     print(f"nnz      : {A.nnz}")
@@ -76,88 +94,40 @@ def cmd_info(args) -> int:
     return 0
 
 
-def cmd_factor(args) -> int:
+def _solver(args, reliable, **opts):
+    """The ``SStarSolver`` ``factor`` and ``solve`` run, from their flags,
+    the verb's choice of ``reliable`` delivery and its own keywords."""
     from . import SStarSolver
+    from .machine import FaultPlan
 
-    A = _load(args.matrix)
-    solver = SStarSolver(
-        block_size=args.block_size,
-        amalgamation=args.amalgamation,
-        pivot_threshold=args.threshold,
-    ).factor(A)
+    faults = _read(args, args.faults, FaultPlan.from_json) if args.faults else None
+    method, nprocs = args.method, args.nprocs
+    if method == "sequential" and (faults is not None or reliable):
+        # fault injection needs the simulated machine; retry what it drops
+        method, nprocs, reliable = "1d-ca", max(nprocs, 4), True
+    return SStarSolver(
+        pivot_threshold=args.threshold, nprocs=nprocs, method=method,
+        machine=args.machine, faults=faults,
+        reliable=True if reliable else None,
+        ckpt_interval=args.ckpt_interval, **opts,
+    )
+
+
+def _print_report(solver) -> None:
+    """The factorization report, plus the simulated machine's lines when
+    the run was parallel."""
     r = solver.report
     print(f"n={r.n} nnz={r.nnz} blocks={r.supernode_blocks}")
     print(f"factor entries : {r.factor_entries}")
     print(f"flops          : {r.flops:.6g}")
     print(f"dgemm fraction : {r.dgemm_fraction:.3f}")
     print(f"interchanges   : {solver.factorization.num_interchanges()}")
-    return 0
-
-
-def cmd_solve(args) -> int:
-    from . import SStarSolver
-    from .analysis import backward_error, iterative_refinement
-    from .machine import FaultPlan
-    from .sparse import csr_matvec
-
-    A = _load(args.matrix)
-    if args.rhs:
-        b = np.loadtxt(args.rhs)
-    else:
-        rng = np.random.default_rng(args.seed)
-        b = rng.uniform(-1, 1, A.nrows)
-    faults = FaultPlan.from_json(args.faults) if args.faults else None
-    method, nprocs = args.method, args.nprocs
-    if faults is not None and method == "sequential":
-        # fault injection needs the simulated machine
-        method, nprocs = "1d-ca", max(nprocs, 4)
-    solver = SStarSolver(
-        pivot_threshold=args.threshold,
-        nprocs=nprocs,
-        method=method,
-        machine=args.machine,
-        perturb=args.perturb,
-        # the explicit --refine path below does its own refinement; keep the
-        # solver's automatic escalation out of its way
-        refine="never" if args.refine else "auto",
-        faults=faults,
-        reliable=True if faults is not None else None,
-        ckpt_interval=args.ckpt_interval,
-    ).factor(A)
-    if solver.report.perturbed_pivots:
-        print(f"perturbed pivots  : {solver.report.perturbed_pivots} "
-              f"(growth {solver.report.growth_factor:.3g})")
-    if solver.report.restarts:
-        print(f"crash restarts    : {solver.report.restarts} "
-              f"(finished on {solver.resilient_result.nprocs_final} ranks)")
-    if args.refine:
-        x, history = iterative_refinement(A, solver.solve, b)
-        print("refinement backward errors: "
-              + " -> ".join(f"{h:.2e}" for h in history))
-    else:
-        x = solver.solve(b)
-    resid = np.linalg.norm(csr_matvec(A, x) - b) / max(np.linalg.norm(b), 1e-300)
-    print(f"relative residual : {resid:.3e}")
-    print(f"backward error    : {backward_error(A, x, b):.3e}")
-    if args.output:
-        np.savetxt(args.output, x)
-        print(f"solution written to {args.output}")
-    return 0
-
-
-def cmd_simulate(args) -> int:
-    from . import SStarSolver
-    from .machine import FaultPlan
-
-    A = _load(args.matrix)
-    solver = SStarSolver(
-        nprocs=args.nprocs, method=args.method, machine=args.machine,
-        faults=FaultPlan.from_json(args.faults) if args.faults else None,
-        reliable=True if args.reliable else None,
-        ckpt_interval=args.ckpt_interval,
-    ).factor(A)
-    r = solver.report
-    print(f"method={args.method} machine={args.machine} P={args.nprocs}")
+    if r.perturbed_pivots:
+        print(f"perturbed pivots : {r.perturbed_pivots} "
+              f"(growth {r.growth_factor:.3g})")
+    if r.parallel_seconds is None:
+        return
+    print(f"method={solver.method} machine={solver.spec.name} P={solver.nprocs}")
     print(f"modeled parallel time : {r.parallel_seconds:.6f} s")
     print(f"messages / bytes      : {r.messages} / {r.bytes_sent}")
     print(f"achieved MFLOPS (S* flops basis): "
@@ -173,41 +143,94 @@ def cmd_simulate(args) -> int:
         print(f"checkpoint rounds     : {len(res.rounds)} "
               f"({r.restarts} restarted after crashes; finished on "
               f"{res.nprocs_final} ranks)")
+
+
+def cmd_factor(args) -> int:
+    A = _read(args, args.matrix)
+    solver = _solver(args, args.reliable, block_size=args.block_size,
+                     amalgamation=args.amalgamation).factor(A)
+    _print_report(solver)
     return 0
 
 
-#: ``repro trace``/``repro profile`` shorthand: ``--mode 1d`` is 1D RAPID
-_TRACE_MODES = {"1d": "1d-rapid"}
+def cmd_solve(args) -> int:
+    from .analysis import backward_error, iterative_refinement
+    from .sparse import csr_matvec
 
-
-def _traced_run(args):
-    """Factor (and solve once) with a fresh tracer; returns the solver."""
-    from . import SStarSolver
-    from .obs import Tracer
-
-    method = _TRACE_MODES.get(args.mode, args.mode)
-    A = _load(args.matrix)
-    solver = SStarSolver(
-        nprocs=args.nprocs, method=method, machine=args.machine,
-        trace=Tracer(),
-    ).factor(A)
-    solver.solve(np.ones(A.nrows))  # cover the trisolve phase too
-    return solver
+    A = _read(args, args.matrix)
+    if args.rhs:
+        b = _read(args, args.rhs, np.loadtxt)
+    else:
+        rng = np.random.default_rng(args.seed)
+        b = rng.uniform(-1, 1, A.nrows)
+    # solve has no --reliable: it retries whenever it injects faults. The
+    # explicit --refine path below does its own refinement; keep the
+    # solver's automatic escalation out of its way
+    solver = _solver(args, args.faults is not None, perturb=args.perturb,
+                     refine="never" if args.refine else "auto").factor(A)
+    _print_report(solver)
+    if args.refine:
+        x, history = iterative_refinement(A, solver.solve, b)
+        print("refinement backward errors: "
+              + " -> ".join(f"{h:.2e}" for h in history))
+    else:
+        x = solver.solve(b)
+    resid = np.linalg.norm(csr_matvec(A, x) - b) / max(np.linalg.norm(b), 1e-300)
+    print(f"relative residual : {resid:.3e}")
+    print(f"backward error    : {backward_error(A, x, b):.3e}")
+    if args.output:
+        np.savetxt(args.output, x)
+        print(f"solution written to {args.output}")
+    return 0
 
 
 def cmd_trace(args) -> int:
+    """Profile a traced factor+solve of ``matrix``, or a saved trace."""
     import json
+    from pathlib import Path
 
-    from .obs import render_summary, to_chrome_trace, validate_trace
+    from . import SStarSolver
+    from .obs import (
+        Tracer,
+        from_chrome_trace,
+        profile_trace,
+        reconcile,
+        render_summary,
+        to_chrome_trace,
+        validate_trace,
+    )
 
-    solver = _traced_run(args)
-    tracer = solver.tracer
-    doc = to_chrome_trace(tracer)
-    with open(args.out, "w") as f:
-        json.dump(doc, f)
-    print(f"wrote {args.out}: {len(doc['traceEvents'])} events "
-          f"({len(tracer.spans)} spans, {len(tracer.messages)} messages)")
-    print(render_summary(tracer))
+    if (args.matrix is None) == (args.load is None):
+        return _error(args, "give a matrix to run or --load a saved trace")
+    if args.load:
+        doc = _read(args, args.load, lambda p: json.loads(Path(p).read_text()))
+        prof = profile_trace(*_read(args, args.load, lambda _: from_chrome_trace(doc)))
+        print(f"trace    : {args.load}")
+        print(prof.render(args.top))
+    else:
+        A = _read(args, args.matrix)
+        solver = SStarSolver(
+            nprocs=args.nprocs, method=args.method, machine=args.machine,
+            trace=Tracer(),
+        ).factor(A)
+        solver.solve(np.ones(A.nrows))  # cover the trisolve phase too
+        tracer, sim = solver.tracer, solver.sim_result
+        doc = to_chrome_trace(tracer)
+        if args.out:
+            with open(args.out, "w") as f:
+                json.dump(doc, f)
+            print(f"wrote {args.out}: {len(doc['traceEvents'])} events "
+                  f"({len(tracer.spans)} spans, {len(tracer.messages)} messages)")
+        print(render_summary(tracer))
+        prof = profile_trace(tracer, total_time=None if sim is None else sim.total_time)
+        print(prof.render(args.top))
+        if sim is not None:
+            rec = reconcile(prof, solver._artifacts.task_graph, solver.spec)
+            print(f"model critical path : "
+                  f"{rec['model_critical_path_seconds']:.6e} s")
+            print(f"model-vs-observed drift: {rec['drift'] * 100.0:+.1f}%")
+            err = abs(prof.critical_path_seconds - sim.total_time)
+            print(f"critical path vs simulator total: |diff| = {err:.3e} s")
     if args.check:
         problems = validate_trace(doc)
         if problems:
@@ -218,46 +241,10 @@ def cmd_trace(args) -> int:
     return 0
 
 
-def cmd_profile(args) -> int:
-    from .obs import from_chrome_trace, profile_trace, reconcile
-
-    if args.trace:
-        import json
-
-        with open(args.trace) as f:
-            doc = json.load(f)
-        spans, messages = from_chrome_trace(doc)
-        prof = profile_trace(spans, messages)
-        print(f"trace    : {args.trace}")
-        print(prof.render(args.top))
-        return 0
-    if not args.matrix:
-        print("profile: give a matrix to run, or --trace FILE to load",
-              file=sys.stderr)
-        return 2
-    solver = _traced_run(args)
-    total = (
-        solver.sim_result.total_time
-        if solver.sim_result is not None else None
-    )
-    prof = profile_trace(solver.tracer, total_time=total)
-    print(f"matrix   : {args.matrix}  mode={args.mode} P={args.nprocs} "
-          f"machine={args.machine}")
-    print(prof.render(args.top))
-    if solver.sim_result is not None:
-        rec = reconcile(prof, solver._artifacts.task_graph, solver.spec)
-        print(f"model critical path : "
-              f"{rec['model_critical_path_seconds']:.6e} s")
-        print(f"model-vs-observed drift: {rec['drift'] * 100.0:+.1f}%")
-        err = abs(prof.critical_path_seconds - total)
-        print(f"critical path vs simulator total: |diff| = {err:.3e} s")
-    return 0
-
-
 def cmd_validate(args) -> int:
     from .api import format_report, validate_matrix
 
-    A = _load(args.matrix)
+    A = _read(args, args.matrix)
     results = validate_matrix(A, nprocs=args.nprocs,
                               check_parallel=not args.skip_parallel)
     print(format_report(results))
@@ -267,96 +254,28 @@ def cmd_validate(args) -> int:
 def cmd_verify_comm(args) -> int:
     import functools
     import json
-    from pathlib import Path
 
-    from .lint import PROTOCOL_RULES, count_at_or_above, iter_python_files, lint_paths
     from .machine import spec_by_name
-    from .verify import replay_check
-    from .verify.checks import check_completed, check_trace
-
-    spec = spec_by_name(args.machine)
-    counts = {"note": 0, "warning": 0, "error": 0}
-    doc = {"static": {}, "dynamic": [], "replay": [], "faults": {}}
-    out = (lambda *a, **k: None) if args.json else print
-
-    def finish() -> int:
-        failures = sum(counts.values())
-        # every dynamic violation is an error; lower severities are static
-        failing = args.fail_on != "never" and (
-            counts["error"] or count_at_or_above(static, args.fail_on))
-        code = 1 if failing else 0
-        if args.json:
-            doc["counts"] = dict(counts)
-            doc["fail_on"] = args.fail_on
-            doc["ok"] = code == 0
-            print(json.dumps(doc, indent=2, sort_keys=True, default=str))
-        else:
-            print(f"\n{'PASS' if code == 0 else 'FAIL'}: "
-                  f"{failures} violation(s)")
-        return code
-
-    def violations(entry, checks) -> dict:
-        """Print and count the failed ``checks``: ``entry``'s violations."""
-        bad = [c for c in checks if not c.ok]
-        for c in bad:
-            out(f"  {c}")
-        counts["error"] += len(bad)
-        entry["violations"] = [{"rule": c.name, "message": c.detail}
-                               for c in bad]
-        return entry
-
-    def replayed(label, runner) -> dict:
-        rep = replay_check(runner, P, n_orders=args.replays)
-        out(f"{label}: {rep.summary()}")
-        for m in rep.mismatches:
-            out(f"  {m}")
-        counts["error"] += len(rep.mismatches)
-        return {"summary": rep.summary(),
-                "mismatches": [str(m) for m in rep.mismatches]}
-
-    # -- 1. static comm-lint ----------------------------------------------
-    out("== static comm-lint ==")
-    missing = [m for m in args.module or () if not Path(m).is_file()]
-    if missing:
-        print(f"cannot read module: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    files = iter_python_files(args.module or [Path(__file__).parent / "parallel"])
-    static = lint_paths(files, select=PROTOCOL_RULES)
-    for path in files:
-        name = path.name
-        findings = [f for f in static if f.path == str(path)]
-        doc["static"][name] = [f.as_dict() for f in findings]
-        out(f"{name}: {len(findings)} finding(s)" if findings else f"{name}: OK")
-        for f in findings:
-            counts[f.severity] += 1
-            out(f"  {f}")
-
-    if args.static_only:
-        return finish()
-
-    # -- 2+3. dynamic trace check and determinism replay -------------------
     from .matrices import random_nonsymmetric
     from .numfact import LUFactorization
     from .parallel import DRIVERS, factorize, run_1d_trisolve, run_2d_trisolve
     from .pipeline import analyze
-    from .sparse import read_matrix_market
+    from .verify import replay_check
+    from .verify.checks import check_completed, check_trace
+
+    spec = spec_by_name(args.machine)
+    doc = {"dynamic": [], "replay": []}
+    failures = 0
+    out = (lambda *a, **k: None) if args.json else print
 
     if args.matrix:
-        A = read_matrix_market(args.matrix)
+        A = _read(args, args.matrix)
     else:
-        if args.n < 10:
-            print("--n must be at least 10 (need a nontrivial block "
-                  "structure to exercise the protocols)", file=sys.stderr)
-            return 2
         A = random_nonsymmetric(args.n, density=0.06, seed=args.seed)
     art, om = analyze(A, args.block_size)
     P = args.nprocs
     run_args = (om.A, art.part, art.bstruct, P, spec)
     b = np.arange(float(om.A.nrows))
-
-    def driver_runner(method, **kw):
-        return lambda sim_opts: factorize(method, *run_args,
-                                          sim_opts=sim_opts, **kw)
 
     @functools.lru_cache(maxsize=None)
     def rapid():
@@ -365,9 +284,11 @@ def cmd_verify_comm(args) -> int:
         lu = LUFactorization(res.factor, art.sym, art.part, art.bstruct, None)
         return lu, res.schedule.owner
 
+    def driver(method):
+        return lambda sim_opts: factorize(method, *run_args, sim_opts=sim_opts)
+
     # (code, runner, check against the task graph and schedule: the 1D codes)
-    targets = [(m, driver_runner(m), d.layout == "1d")
-               for m, d in DRIVERS.items()]
+    targets = [(m, driver(m), d.layout == "1d") for m, d in DRIVERS.items()]
     targets += [
         ("trisolve-1d", lambda sim_opts: run_1d_trisolve(
             *rapid(), b, P, spec, sim_opts=sim_opts), False),
@@ -378,12 +299,10 @@ def cmd_verify_comm(args) -> int:
         wanted = set(args.codes.split(","))
         unknown = wanted - {t[0] for t in targets}
         if unknown:
-            print(f"unknown codes: {sorted(unknown)}", file=sys.stderr)
-            return 2
+            return _error(args, f"unknown codes: {sorted(unknown)}")
         targets = [t for t in targets if t[0] in wanted]
 
-    out(f"\n== dynamic trace check (P={P}, {args.machine}, "
-        f"n={om.A.nrows}) ==")
+    out(f"== dynamic trace check (P={P}, {args.machine}, n={om.A.nrows}) ==")
     completed = []
     for name, runner, with_dag in targets:
         try:
@@ -395,55 +314,32 @@ def cmd_verify_comm(args) -> int:
             tg, schedule = (art.task_graph, res.schedule) if with_dag else (None, None)
             check = check_trace(res.sim, spec, tg, schedule)
         out(f"{name:12s}: {check.detail}")
-        doc["dynamic"].append(violations(
-            {"target": name, "summary": check.detail}, [check]))
+        if not check.ok:
+            out(f"  {check}")
+        failures += not check.ok
+        doc["dynamic"].append({
+            "target": name, "summary": check.detail,
+            "violations": [] if check.ok else [
+                {"rule": check.name, "message": check.detail}]})
 
     if not args.skip_replay:
         out(f"\n== determinism replay ({args.replays} host orders) ==")
         for name, runner in completed:
-            doc["replay"].append(
-                {"target": name, **replayed(f"{name:12s}", runner)})
+            rep = replay_check(runner, P, n_orders=args.replays)
+            out(f"{name:12s}: {rep.summary()}")
+            for m in rep.mismatches:
+                out(f"  {m}")
+            failures += len(rep.mismatches)
+            doc["replay"].append({"target": name, "summary": rep.summary(),
+                                  "mismatches": [str(m) for m in rep.mismatches]})
 
-    # -- 4. fault injection: two chaos cases, every check must pass (once
-    # the fault-free runs complete: else there is nothing to recover to)
-    if (args.fault_rate > 0 or args.crash_recovery) and len(completed) == len(targets):
-        from .chaos import Scenario, build_context, run_case
-        from .machine import FaultPlan
-
-        out(f"\n== fault-injection checks "
-            f"(drop rate {args.fault_rate}, seed {args.fault_seed}) ==")
-        ctx = build_context(block=args.block_size, amalg=4, spec=spec, A=A)
-        plan = FaultPlan.drops(args.fault_rate, seed=args.fault_seed)
-        cases = {}
-        if args.fault_rate > 0:
-            cases["drops"] = Scenario("1d-ca+drops", "1d", nprocs=P), plan
-        if args.crash_recovery:
-            # crash a rank mid-factorization, recover via checkpoint/restart
-            cases["crash_recovery"] = (
-                Scenario("1d-ca+crash", "resilient-1d", nprocs=P),
-                plan.with_crash(P - 1, 0.4 * ctx.tscale))
-        for key, (scenario, case_plan) in cases.items():
-            o = run_case(ctx, scenario, case_plan)
-            checks = {c.name: c for c in o.oracles}
-            entry = {"checks": {name: c.ok for name, c in checks.items()}}
-            if o.sim is not None:
-                fs = o.sim.fault_stats
-                entry.update(summary=checks["tracecheck"].detail,
-                             dropped=fs.dropped, retransmits=fs.retransmits)
-            if o.resilient is not None:
-                entry.update(rounds=len(o.resilient.rounds),
-                             restarted=sum(not r.ok for r in o.resilient.rounds),
-                             recovered_ok=checks["bit_identical"].ok)
-            out(f"{scenario.name}: {sum(entry['checks'].values())}/{len(checks)} "
-                "checks ok" + "".join(f"; {k} {v}" for k, v in entry.items()
-                                      if k != "checks"))
-            doc["faults"][key] = violations(entry, o.oracles)
-            if key == "drops" and o.error is None and not args.skip_replay:
-                doc["faults"]["drops_replay"] = replayed(
-                    "faulty replay",
-                    driver_runner("1d-ca", faults=case_plan, reliable=True))
-
-    return finish()
+    if args.json:
+        doc["failures"] = failures
+        doc["ok"] = failures == 0
+        print(json.dumps(doc, indent=2, sort_keys=True, default=str))
+    else:
+        print(f"\n{'PASS' if failures == 0 else 'FAIL'}: {failures} violation(s)")
+    return 1 if failures else 0
 
 
 def cmd_lint(args) -> int:
@@ -456,7 +352,8 @@ def cmd_lint(args) -> int:
     env_names = tuple(args.env_name) if args.env_name else ("env",)
 
     if args.certify is not None or args.certify_check:
-        from .lint.certify import build_certificate, default_certificate_path
+        from .lint.certify import (
+            ZeroCopyCertificate, build_certificate, default_certificate_path)
 
         cert = build_certificate(
             args.paths or None, env_names=env_names
@@ -464,8 +361,6 @@ def cmd_lint(args) -> int:
         if args.certify_check:
             path = default_certificate_path()
             try:
-                from .lint.certify import ZeroCopyCertificate
-
                 committed = ZeroCopyCertificate.load(path)
             except (OSError, ValueError):
                 print(f"certificate missing or unreadable: {path}")
@@ -498,14 +393,12 @@ def cmd_lint(args) -> int:
         return 0
 
     findings = lint_paths(paths, env_names=env_names, select=select)
+    fail_on = None if args.fail_on == "never" else args.fail_on
     if args.json:
-        fail_on = None if args.fail_on == "never" else args.fail_on
         print(render_json(findings, fail_on=fail_on))
     else:
         print(render_text(findings))
-    if args.fail_on == "never":
-        return 0
-    return 1 if count_at_or_above(findings, args.fail_on) else 0
+    return 1 if fail_on and count_at_or_above(findings, fail_on) else 0
 
 
 def _perturbed(A, rng, rel=0.05):
@@ -576,6 +469,7 @@ def cmd_serve_demo(args) -> int:
 
 def cmd_tune(args) -> int:
     import json as _json
+    from collections import Counter
 
     from .machine import spec_by_name
     from .matrices import SUITE, get_matrix
@@ -584,7 +478,7 @@ def cmd_tune(args) -> int:
     if args.matrix in SUITE:
         A = get_matrix(args.matrix, args.scale)
     else:
-        A = _load(args.matrix)
+        A = _read(args, args.matrix)
     tuner = Tuner(spec=spec_by_name(args.machine), nprocs=args.nprocs,
                   budget=args.budget, seed=args.seed)
     res = tuner.tune(A)
@@ -604,9 +498,7 @@ def cmd_tune(args) -> int:
         print(_json.dumps(out, indent=2, sort_keys=True))
         return 0
 
-    by_status = {}
-    for r in res.records:
-        by_status[r.status] = by_status.get(r.status, 0) + 1
+    by_status = Counter(r.status for r in res.records)
     print(f"pattern {res.pattern[:16]}…  machine={res.machine} "
           f"P={res.nprocs}  seed={res.seed}")
     print(f"search budget  : "
@@ -650,9 +542,8 @@ def cmd_chaos(args) -> int:
         families = tuple(f.strip() for f in args.campaign.split(","))
         unknown = set(families) - set(FAMILIES)
         if unknown:
-            print(f"unknown families: {sorted(unknown)} "
-                  f"(known: {list(FAMILIES)})", file=sys.stderr)
-            return 2
+            return _error(args, f"unknown families: {sorted(unknown)} "
+                                f"(known: {list(FAMILIES)})")
     scenarios = DEFAULT_SCENARIOS
     if args.abft:
         scenarios = tuple(s for s in DEFAULT_SCENARIOS if s.abft)
@@ -728,29 +619,20 @@ def cmd_suite(args) -> int:
     return 0
 
 
-def _count(text: str) -> int:
-    """argparse type of every count flag (``--nprocs``, ``--jobs``,
-    ``--block-size``, ...): an int >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
+def _minimum(low, kind=int):
+    """argparse type: a finite ``kind`` value >= ``low``.  Every count flag
+    (``--nprocs``, ``--jobs``, ``--block-size``, ...) is ``_minimum(1)``."""
+    def parse(text):
+        value = kind(text)
+        if not (math.isfinite(value) and value >= low):
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid ... value"
+    return parse
 
 
-def _nonnegative(text: str) -> int:
-    """argparse type of ``--amalgamation``: an int >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return value
-
-
-def _rate(text: str) -> float:
-    """argparse type of ``--fault-rate``: a probability in [0, 1)."""
-    value = float(text)
-    if not 0.0 <= value < 1.0:
-        raise argparse.ArgumentTypeError("must lie in [0, 1)")
-    return value
+_count = _minimum(1)
 
 
 def _threshold(text: str) -> float:
@@ -774,12 +656,40 @@ def _budget(text: str):
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from .api import METHODS
+def _flags(method=None, nprocs=None, machine=False, run=False, json=False,
+           methods=None):
+    """A parent parser with the flags several verbs share, each defined
+    once here; a verb picks its flags, its defaults and its ``methods``."""
     from .machine import MACHINES
+    from .parallel import METHODS
 
-    machines = list(MACHINES)
-    modes = [*_TRACE_MODES, *METHODS[1:]]
+    p = argparse.ArgumentParser(add_help=False)
+    if method is not None:
+        p.add_argument("--method", default=method, choices=methods or METHODS,
+                       help="the code to run; parallel codes run on the "
+                            "simulated machine")
+    if nprocs is not None:
+        p.add_argument("--nprocs", type=_count, default=nprocs)
+    if machine:
+        p.add_argument("--machine", default="T3E", choices=list(MACHINES))
+    if run:
+        p.add_argument("--threshold", type=_threshold, default=1.0)
+        p.add_argument("--faults",
+                       help="FaultPlan JSON file: inject message/crash faults "
+                            "into the simulated run (a sequential run becomes "
+                            "1d-ca on at least 4 ranks, with retries)")
+        p.add_argument("--ckpt-interval", type=_count, default=None,
+                       help="stages per checkpoint round (enables the "
+                            "checkpoint/restart driver)")
+    if json:
+        p.add_argument("--json", action="store_true",
+                       help="print the report as JSON instead of text")
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    from .parallel import DRIVERS
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="S* sparse LU with partial pivoting (paper reproduction)",
@@ -799,129 +709,78 @@ def build_parser() -> argparse.ArgumentParser:
     i.add_argument("--skip-dynamic", action="store_true")
     i.set_defaults(func=cmd_info)
 
-    f = sub.add_parser("factor", help="run the S* factorization")
+    f = sub.add_parser(
+        "factor", help="run the S* factorization, sequential or parallel",
+        parents=[_flags("sequential", 8, machine=True, run=True)])
     f.add_argument("matrix")
     f.add_argument("--block-size", type=_count, default=25)
-    f.add_argument("--amalgamation", type=_nonnegative, default=4)
-    f.add_argument("--threshold", type=_threshold, default=1.0)
+    f.add_argument("--amalgamation", type=_minimum(0), default=4)
+    f.add_argument("--reliable", action="store_true",
+                   help="enable the ack/retry transport")
     f.set_defaults(func=cmd_factor)
 
-    s = sub.add_parser("solve", help="factor and solve A x = b")
+    s = sub.add_parser(
+        "solve", help="factor and solve A x = b",
+        parents=[_flags("sequential", 1, machine=True, run=True)])
     s.add_argument("matrix")
     s.add_argument("--rhs", help="text file with the right-hand side")
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threshold", type=_threshold, default=1.0)
     s.add_argument("--refine", action="store_true",
                    help="apply iterative refinement")
-    s.add_argument("--nprocs", type=_count, default=1)
-    s.add_argument("--method", default="sequential", choices=METHODS)
-    s.add_argument("--machine", default="T3E", choices=machines)
     s.add_argument("--perturb", action="store_true",
                    help="replace tiny pivots by sqrt(eps)*||A|| instead of "
                         "failing (recover via --refine)")
-    s.add_argument("--faults",
-                   help="FaultPlan JSON file: inject message/crash faults "
-                        "into the simulated parallel run (implies 1d-ca on "
-                        "4 ranks unless --method/--nprocs are given)")
-    s.add_argument("--ckpt-interval", type=_count, default=None,
-                   help="stages per checkpoint round (crash recovery)")
     s.add_argument("-o", "--output")
     s.set_defaults(func=cmd_solve)
 
-    m = sub.add_parser("simulate", help="parallel run on the simulated machine")
-    m.add_argument("matrix")
-    m.add_argument("--nprocs", type=_count, default=8)
-    m.add_argument("--method", default="2d", choices=METHODS[1:])
-    m.add_argument("--machine", default="T3E", choices=machines)
-    m.add_argument("--faults", help="FaultPlan JSON file to inject")
-    m.add_argument("--reliable", action="store_true",
-                   help="enable the ack/retry transport")
-    m.add_argument("--ckpt-interval", type=_count, default=None,
-                   help="stages per checkpoint round (enables the "
-                        "checkpoint/restart driver)")
-    m.set_defaults(func=cmd_simulate)
-
     tr = sub.add_parser(
         "trace",
-        help="traced factorization -> Chrome/Perfetto trace_event JSON",
-    )
-    tr.add_argument("matrix")
-    tr.add_argument("--mode", default="2d",
-                    choices=modes,
-                    help="1d is shorthand for 1d-rapid")
-    tr.add_argument("--nprocs", type=_count, default=8)
-    tr.add_argument("--machine", default="T3E",
-                    choices=machines)
-    tr.add_argument("--out", default="trace.json",
-                    help="output trace file (load in ui.perfetto.dev)")
+        help="traced factor+solve (or a saved trace): summary, busy/comm/"
+             "idle profile, critical path, model drift",
+        parents=[_flags("2d", 8, machine=True, methods=tuple(DRIVERS))])
+    tr.add_argument("matrix", nargs="?",
+                    help="matrix to run (omit with --load)")
+    tr.add_argument("--load", metavar="FILE",
+                    help="profile a saved trace JSON instead of running")
+    tr.add_argument("--out",
+                    help="write the Chrome/Perfetto trace JSON here (load it "
+                         "in ui.perfetto.dev)")
     tr.add_argument("--check", action="store_true",
-                    help="validate the emitted JSON against the trace "
-                         "schema; nonzero exit on problems")
+                    help="validate the trace JSON against the trace schema; "
+                         "nonzero exit on problems")
+    tr.add_argument("--top", type=_minimum(0), default=5,
+                    help="how many longest spans to list")
     tr.set_defaults(func=cmd_trace)
 
-    pf = sub.add_parser(
-        "profile",
-        help="busy/comm/idle breakdown + critical path of a traced run",
-    )
-    pf.add_argument("matrix", nargs="?",
-                    help="matrix to run (omit when loading --trace)")
-    pf.add_argument("--trace", help="profile a saved trace JSON instead")
-    pf.add_argument("--mode", default="2d",
-                    choices=modes)
-    pf.add_argument("--nprocs", type=_count, default=8)
-    pf.add_argument("--machine", default="T3E",
-                    choices=machines)
-    pf.add_argument("--top", type=int, default=5,
-                    help="how many longest spans to list")
-    pf.set_defaults(func=cmd_profile)
-
-    v = sub.add_parser("validate", help="run the invariant battery on a matrix")
+    v = sub.add_parser("validate", help="run the invariant battery on a matrix",
+                       parents=[_flags(nprocs=4)])
     v.add_argument("matrix")
-    v.add_argument("--nprocs", type=_count, default=4)
     v.add_argument("--skip-parallel", action="store_true")
     v.set_defaults(func=cmd_validate)
 
     vc = sub.add_parser(
         "verify-comm",
-        help="communication-protocol analyses: static lint, trace check, replay",
-    )
+        help="dynamic trace check and host-order replay of the parallel codes",
+        parents=[_flags(nprocs=4, machine=True, json=True)])
     vc.add_argument("--matrix", help="MatrixMarket file (default: random test matrix)")
-    vc.add_argument("--n", type=int, default=90,
-                    help="order of the random test matrix")
+    vc.add_argument("--n", type=_minimum(10), default=90,
+                    help="order of the random test matrix (>= 10, for a "
+                         "nontrivial block structure)")
     vc.add_argument("--seed", type=int, default=31)
     vc.add_argument("--block-size", type=_count, default=6)
-    vc.add_argument("--nprocs", type=_count, default=4)
-    vc.add_argument("--machine", default="T3E", choices=machines)
     vc.add_argument("--codes",
-                    help="comma list of SPMD codes to check dynamically "
-                         f"({','.join(METHODS[1:])},trisolve-1d,trisolve-2d)")
-    vc.add_argument("--module", action="append",
-                    help="lint this source file instead of repro.parallel")
-    vc.add_argument("--static-only", action="store_true",
-                    help="run only the AST lint, skip simulations")
+                    help="comma list of SPMD codes to check "
+                         f"({','.join(DRIVERS)},trisolve-1d,trisolve-2d)")
     vc.add_argument("--skip-replay", action="store_true")
     vc.add_argument("--replays", type=_count, default=3,
                     help="number of perturbed host orders per code")
-    vc.add_argument("--fault-rate", type=_rate, default=0.0,
-                    help="drop this fraction of messages (reliable retry on) "
-                         "and trace-check the recovered run")
-    vc.add_argument("--fault-seed", type=int, default=7)
-    vc.add_argument("--crash-recovery", action="store_true",
-                    help="crash a rank mid-run, recover via checkpoint/"
-                         "restart and trace-check every committed round")
-    vc.add_argument("--json", action="store_true",
-                    help="emit a machine-readable JSON report instead of text")
-    vc.add_argument("--fail-on", default="warning",
-                    choices=["note", "warning", "error", "never"],
-                    help="exit nonzero when a finding at or above this "
-                         "severity exists (default: warning)")
     vc.set_defaults(func=cmd_verify_comm)
 
     ln = sub.add_parser(
         "lint",
         help="static analysis: determinism (D1xx), zero-copy aliasing "
              "(Z2xx) and comm-protocol (Y01/T0x) rules",
-    )
+        parents=[_flags(json=True)])
     ln.add_argument("paths", nargs="*",
                     help="files or directories to lint (default: the "
                          "installed repro package)")
@@ -929,8 +788,6 @@ def build_parser() -> argparse.ArgumentParser:
                     choices=["note", "warning", "error", "never"],
                     help="exit nonzero when a finding at or above this "
                          "severity exists (default: warning)")
-    ln.add_argument("--json", action="store_true",
-                    help="emit a machine-readable JSON report instead of text")
     ln.add_argument("--select",
                     help="comma-separated rule ids to report (e.g. D101,Z201)")
     ln.add_argument("--env-name", action="append",
@@ -961,7 +818,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="adjacent jobs sharing one system (batchable)")
     sd.add_argument("--max-queue", type=_count, default=8)
     sd.add_argument("--max-batch", type=_count, default=4)
-    sd.add_argument("--inter-arrival", type=float, default=0.0,
+    sd.add_argument("--inter-arrival", type=_minimum(0.0, float), default=0.0,
                     help="virtual seconds between submissions")
     sd.add_argument("--seed", type=int, default=0)
     sd.set_defaults(func=cmd_serve_demo)
@@ -970,35 +827,30 @@ def build_parser() -> argparse.ArgumentParser:
         "tune",
         help="model-guided autotuning: search block size / grid / layout "
              "for one matrix pattern",
-    )
+        parents=[_flags(nprocs=8, machine=True, json=True)])
     tn.add_argument("matrix",
                     help="MatrixMarket file or a built-in suite name "
                          "(see `python -m repro suite`)")
     tn.add_argument("--scale", default="small",
                     choices=["small", "bench"],
                     help="suite-matrix scale when `matrix` is a suite name")
-    tn.add_argument("--nprocs", type=_count, default=8)
-    tn.add_argument("--machine", default="T3E",
-                    choices=machines)
     tn.add_argument("--budget", type=_budget, default="auto",
                     help="virtual-second cap on simulator probes: a float, "
                          "'auto' (~10 factorizations) or 'none'")
     tn.add_argument("--seed", type=int, default=0,
                     help="deterministic tie-break seed (same seed+budget "
                          "=> bit-identical search)")
-    tn.add_argument("--json", action="store_true",
-                    help="emit the winning plan + full search trace as JSON")
     tn.set_defaults(func=cmd_tune)
 
     ch = sub.add_parser(
         "chaos",
         help="seeded fault-injection campaign with oracle checks and "
              "failing-schedule shrinking",
-    )
+        parents=[_flags(json=True)])
     ch.add_argument("--campaign", default="all",
                     help="comma-separated fault families "
                          "(drop,dup,delay,corrupt,crash) or 'all'")
-    ch.add_argument("--budget", type=int, default=60,
+    ch.add_argument("--budget", type=_minimum(0), default=60,
                     help="number of campaign runs")
     ch.add_argument("--seed", type=int, default=0)
     ch.add_argument("--n", type=int, default=60,
@@ -1009,8 +861,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="shrink a failing run (or a built-in unprotected-"
                          "corruption demo) to a minimal schedule; write the "
                          "JSON repro artifact to PATH and replay-verify it")
-    ch.add_argument("--json", action="store_true",
-                    help="print the report as JSON")
     ch.add_argument("--fail-on", default="none", choices=["none", "failure"],
                     help="exit nonzero when any campaign run fails an oracle")
     ch.set_defaults(func=cmd_chaos)

@@ -298,22 +298,27 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FaultPlan":
-        rules = [
-            MessageFaultRule(
-                r["action"],
-                rate=r.get("rate", 1.0),
-                src=r.get("src"),
-                dest=r.get("dest"),
-                tag_prefix=tuple(r["tag_prefix"]) if r.get("tag_prefix") else None,
-                delay_s=r.get("delay_s", 0.0),
-            )
-            for r in d.get("rules", ())
-        ]
-        crashes = [
-            CrashFault(c["rank"], c["at_time"]) for c in d.get("crashes", ())
-        ]
-        events = [FaultEvent.from_dict(e) for e in d.get("events", ())]
-        return cls(rules, crashes, seed=d.get("seed", 0), events=events)
+        """A plan from its ``to_dict`` form; a document of the wrong
+        shape raises ``ValueError``."""
+        try:
+            rules = [
+                MessageFaultRule(
+                    r["action"],
+                    rate=r.get("rate", 1.0),
+                    src=r.get("src"),
+                    dest=r.get("dest"),
+                    tag_prefix=tuple(r["tag_prefix"]) if r.get("tag_prefix") else None,
+                    delay_s=r.get("delay_s", 0.0),
+                )
+                for r in d.get("rules", ())
+            ]
+            crashes = [
+                CrashFault(c["rank"], c["at_time"]) for c in d.get("crashes", ())
+            ]
+            events = [FaultEvent.from_dict(e) for e in d.get("events", ())]
+            return cls(rules, crashes, seed=d.get("seed", 0), events=events)
+        except (AttributeError, KeyError, TypeError) as e:
+            raise ValueError(f"not a fault plan: {e!r}") from None
 
     def to_json(self, path=None) -> str:
         text = json.dumps(self.to_dict(), indent=2)

@@ -15,8 +15,8 @@ The JSON document follows the Trace Event Format used by Chrome's
 
 ``from_chrome_trace`` inverts ``to_chrome_trace`` (modulo the µs float
 round-trip, exact for the magnitudes the simulator produces), so traces
-can be saved by ``repro trace`` and profiled later by ``repro profile
---trace``.  ``validate_trace`` is the schema check the CI job runs on
+can be saved by ``repro trace --out`` and profiled later by ``repro trace
+--load``.  ``validate_trace`` is the schema check the CI job runs on
 emitted files.
 """
 
@@ -136,8 +136,17 @@ def to_chrome_trace(spans, messages=(), metrics=None) -> dict:
 
 
 def from_chrome_trace(doc: dict):
-    """Reconstruct ``(spans, messages)`` from a trace document."""
-    events = doc.get("traceEvents", [])
+    """Reconstruct ``(spans, messages)`` from a trace document; one of the
+    wrong shape raises ``ValueError``."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("traceEvents"), list):
+        raise ValueError("not a trace document: no traceEvents list")
+    try:
+        return _records(doc["traceEvents"])
+    except (AttributeError, KeyError, TypeError) as e:
+        raise ValueError(f"malformed trace event: {e!r}") from None
+
+
+def _records(events: list):
     proc_names = {}
     for ev in events:
         if ev.get("ph") == "M" and ev.get("name") == "process_name":

@@ -14,7 +14,7 @@ for, the walk jumps to the *sender* at its send time (the wait was caused
 by the peer, not by local work).  Because the simulator's instrumentation
 covers every clock advance with a span, the summed segment durations
 reproduce the run's total virtual time exactly (asserted within 1e-9 in
-tests and by ``repro profile``).
+tests and by ``repro trace``).
 """
 
 from __future__ import annotations

@@ -33,6 +33,7 @@ Mechanics:
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
@@ -143,19 +144,17 @@ class SolveService:
     solver_opts:
         Keyword arguments forwarded to every :class:`SStarSolver` (e.g.
         ``method``, ``nprocs``, ``machine``, ``faults``, ``reliable``).
+        With ``"tune": True`` (:mod:`repro.tune`) every factorization
+        resolves a pattern-keyed :class:`TuningPlan` from one shared
+        ``plan_cache`` (the service creates it unless ``solver_opts``
+        names one), running the model-guided search only on the *first*
+        job of each new pattern — repeated-pattern traffic is served with
+        zero additional tuning probes (the ``tune.probes`` counter and the
+        plan cache's hit statistics make that assertable).  The service's
+        metrics registry is injected into ``tune_opts`` so all ``tune.*``
+        counters land in :meth:`metrics`' registry.
     cache:
         Shared :class:`AnalysisCache` (one is created if not given).
-    tune, plan_cache, tune_budget, tune_seed, tune_opts:
-        Autotuning (:mod:`repro.tune`): with ``tune=True`` every
-        factorization resolves a pattern-keyed :class:`TuningPlan` from
-        the shared ``plan_cache`` (one is created if not given), running
-        the model-guided search only on the *first* job of each new
-        pattern — repeated-pattern traffic is served with zero additional
-        tuning probes (the ``tune.probes`` counter and the plan cache's
-        hit statistics make that assertable).  ``tune_budget`` /
-        ``tune_seed`` / ``tune_opts`` are forwarded to the solver's
-        tuner; the service's metrics registry is always injected so all
-        ``tune.*`` counters land in :meth:`metrics`' registry.
     tracer:
         Observability: ``True`` or a :class:`repro.obs.Tracer` records the
         job lifecycle as spans — ``queued`` on ``svc/job<N>`` from arrival
@@ -177,11 +176,6 @@ class SolveService:
         inter_arrival: float = 0.0,
         solver_opts: dict = None,
         cache: AnalysisCache = None,
-        tune: bool = False,
-        plan_cache=None,
-        tune_budget="auto",
-        tune_seed: int = 0,
-        tune_opts: dict = None,
         tracer=None,
         metrics: MetricsRegistry = None,
     ):
@@ -189,6 +183,12 @@ class SolveService:
             raise ValueError("workers must be >= 1")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if max_retries < 0:
+            raise ValueError("max_retries must be >= 0")
+        if not (math.isfinite(inter_arrival) and inter_arrival >= 0):
+            raise ValueError("inter_arrival must be finite and >= 0")
         self.workers = workers
         self.max_queue = max_queue
         self.max_batch = max_batch
@@ -205,18 +205,18 @@ class SolveService:
             self.metrics_registry = MetricsRegistry()
         if self.cache.metrics is None:
             self.cache.metrics = self.metrics_registry
-        self.tune = tune
-        self.tune_budget = tune_budget
-        self.tune_seed = tune_seed
-        self.tune_opts = dict(tune_opts or {})
-        if tune:
+        if self.solver_opts.get("tune"):
             from ..tune import PlanCache
 
-            self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-            if self.plan_cache.metrics is None:
-                self.plan_cache.metrics = self.metrics_registry
-        else:
-            self.plan_cache = plan_cache
+            if self.solver_opts.get("plan_cache") is None:
+                self.solver_opts["plan_cache"] = PlanCache()
+            if self.solver_opts["plan_cache"].metrics is None:
+                self.solver_opts["plan_cache"].metrics = self.metrics_registry
+            # every tune.* counter (searches, probes, pruned) lands in the
+            # service's registry so metrics() sees the whole story
+            self.solver_opts["tune_opts"] = {
+                "metrics": self.metrics_registry,
+                **(self.solver_opts.get("tune_opts") or {})}
         self._queue: deque = deque()
         self._jobs: dict = {}
         self._worker_clock = [0.0] * workers
@@ -323,17 +323,6 @@ class SolveService:
         if strip_faults:
             opts = dict(opts)
             opts.pop("faults", None)
-        if self.tune:
-            opts = dict(opts)
-            opts.setdefault("tune", True)
-            opts.setdefault("plan_cache", self.plan_cache)
-            opts.setdefault("tune_budget", self.tune_budget)
-            opts.setdefault("tune_seed", self.tune_seed)
-            tune_opts = dict(self.tune_opts)
-            # every tune.* counter (searches, probes, pruned) lands in the
-            # service's registry so metrics() sees the whole story
-            tune_opts.setdefault("metrics", self.metrics_registry)
-            opts.setdefault("tune_opts", tune_opts)
         solver = SStarSolver(analysis_cache=self.cache, **opts)
         return solver.refactor(A)
 

@@ -21,7 +21,7 @@ send/recv tag-shape mismatches) is the protocol pass of :mod:`repro.lint`
   invariant, composed by the chaos campaign, ``verify-comm`` and
   ``validate_matrix``.
 
-``python -m repro verify-comm`` wires the lint pass and all three together;
+``python -m repro verify-comm`` runs the trace checker and the replay;
 :mod:`pytest_support` patches trace checking into existing simulator tests.
 """
 

@@ -86,10 +86,11 @@ class TestParallelMethods:
 
         sub = build_parser()._subparsers._group_actions[0].choices
         choices = {
-            name: a.choices for name in ("solve", "simulate")
+            name: a.choices for name in ("factor", "solve", "trace")
             for a in sub[name]._actions if a.dest == "method"
         }
-        assert choices == {"solve": METHODS, "simulate": METHODS[1:]}
+        assert choices == {"factor": METHODS, "solve": METHODS,
+                           "trace": METHODS[1:]}
 
     def test_storage_backend_selector_is_gone(self):
         with pytest.raises(TypeError, match="backend"):

@@ -22,6 +22,8 @@ BAD_VALUES = [
     ["serve-demo", "--nrhs", "0"],
     ["serve-demo", "--max-queue", "0"],
     ["serve-demo", "--max-batch", "0"],
+    ["serve-demo", "--inter-arrival", "-1"],
+    ["serve-demo", "--inter-arrival", "nan"],
     ["factor", "M", "--threshold", "0"],
     ["factor", "M", "--threshold", "1.5"],
     ["factor", "M", "--threshold", "nan"],
@@ -32,6 +34,9 @@ BAD_VALUES = [
     ["tune", "sherman5", "--budget", "-1"],
     ["verify-comm", "--replays", "-1"],
     ["verify-comm", "--block-size", "0"],
+    ["verify-comm", "--n", "9"],
+    ["chaos", "--budget", "-3"],
+    ["trace", "M", "--top", "-1"],
 ]
 
 
@@ -44,6 +49,42 @@ def test_bad_value_is_a_usage_error(argv, mtx_path, capsys):
         main(argv)
     assert exc.value.code == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.fixture
+def bad_inputs(tmp_path, mtx_path):
+    (tmp_path / "bad.json").write_text("{not json")
+    (tmp_path / "bad.mtx").write_text("hello\n")
+    (tmp_path / "bad.txt").write_text("1 2\nthree\n")
+    (tmp_path / "list.json").write_text("[]")
+    (tmp_path / "empty.json").write_text("{}")
+    (tmp_path / "rule.json").write_text('{"rules": [{}]}')
+    return {"MISSING": str(tmp_path / "nonexist.mtx"), "BADMTX": str(tmp_path / "bad.mtx"),
+            "BADRHS": str(tmp_path / "bad.txt"), "BADJSON": str(tmp_path / "bad.json"),
+            "LIST": str(tmp_path / "list.json"), "EMPTY": str(tmp_path / "empty.json"),
+            "RULE": str(tmp_path / "rule.json"), "M": mtx_path}
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "MISSING"],
+    ["info", "BADMTX"],
+    ["solve", "M", "--rhs", "BADRHS"],
+    ["factor", "M", "--faults", "BADJSON"],
+    ["trace", "--load", "BADJSON"],
+    # JSON of the wrong shape
+    ["factor", "M", "--faults", "LIST"],
+    ["factor", "M", "--faults", "RULE"],
+    ["trace", "--load", "LIST"],
+    ["trace", "--load", "EMPTY"],
+], ids=" ".join)
+def test_bad_input_file_is_a_usage_error(argv, bad_inputs, capsys):
+    """A file that cannot be opened or parsed ends the verb with exit 2 and
+    ``repro <verb>: error: <path>: <reason>``, not a traceback."""
+    argv = [bad_inputs.get(a, a) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith(f"repro {argv[0]}: error: {argv[-1]}: ")
 
 
 class TestGenerate:
@@ -78,9 +119,33 @@ class TestFactor:
         out = capsys.readouterr().out
         assert "dgemm fraction" in out
         assert "interchanges" in out
+        assert "modeled parallel time" not in out
 
     def test_threshold_flag(self, mtx_path, capsys):
         assert main(["factor", mtx_path, "--threshold", "0.5"]) == 0
+
+    @pytest.mark.parametrize("method", ["1d-rapid", "2d"])
+    def test_parallel_method(self, mtx_path, method, capsys):
+        assert main(["factor", mtx_path, "--nprocs", "4", "--method", method]) == 0
+        out = capsys.readouterr().out
+        assert f"method={method} machine=T3E P=4" in out
+        assert "modeled parallel time" in out and "interchanges" in out
+
+    @pytest.mark.parametrize("extra", [[], ["--reliable"]])
+    def test_sequential_with_faults_runs_on_the_simulated_machine(
+            self, mtx_path, tmp_path, capsys, extra):
+        """Faults need the simulated machine: a sequential ``factor --faults``
+        runs 1d-ca on at least 4 ranks with retries (as ``solve`` does),
+        with or without ``--reliable``, instead of raising."""
+        from repro.machine import FaultPlan
+
+        plan = tmp_path / "plan.json"
+        FaultPlan.drops(0.05, seed=3).to_json(plan)
+        assert main(["factor", mtx_path, "--faults", str(plan),
+                     "--nprocs", "2", *extra]) == 0
+        out = capsys.readouterr().out
+        assert "method=1d-ca machine=T3E P=4" in out
+        assert "faults injected" in out and "retransmits" in out
 
 
 class TestSolve:
@@ -101,14 +166,6 @@ class TestSolve:
     def test_refinement(self, mtx_path, capsys):
         assert main(["solve", mtx_path, "--refine"]) == 0
         assert "refinement backward errors" in capsys.readouterr().out
-
-
-class TestSimulate:
-    @pytest.mark.parametrize("method", ["1d-rapid", "2d"])
-    def test_runs(self, mtx_path, method, capsys):
-        assert main(["simulate", mtx_path, "--nprocs", "4", "--method", method]) == 0
-        out = capsys.readouterr().out
-        assert "modeled parallel time" in out
 
 
 class TestSuite:
@@ -165,12 +222,6 @@ class TestServeDemo:
 
 
 class TestVerifyComm:
-    def test_static_only_all_modules(self, capsys):
-        assert main(["verify-comm", "--static-only"]) == 0
-        out = capsys.readouterr().out
-        assert "static comm-lint" in out
-        assert "PASS" in out
-
     def test_full_small_run(self, capsys):
         assert main(
             [
@@ -189,44 +240,18 @@ class TestVerifyComm:
     def test_unknown_code_rejected(self, capsys):
         assert main(["verify-comm", "--codes", "nosuch", "--n", "40"]) == 2
 
-    @pytest.mark.parametrize("rate", ["1.0", "-0.5", "nan", "many"])
-    def test_fault_rate_outside_unit_interval_rejected(self, rate, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["verify-comm", "--n", "40", "--fault-rate", rate])
-        assert exc.value.code == 2
-        assert "--fault-rate" in capsys.readouterr().err
 
-    def test_fault_stages_run_every_check(self, capsys):
-        """The drop case and the crash-recovery case are chaos cases: every
-        check of both passes, next to the counts the stage always reported."""
+class TestChaos:
+    def test_drop_and_crash_campaign(self, capsys):
+        """The fault cases ``verify-comm`` used to run are ``repro chaos``
+        runs: seeded drops under reliable delivery and crash recovery, every
+        check of every run green."""
         import json
 
-        assert main(["verify-comm", "--n", "40", "--codes", "1d-ca",
-                     "--skip-replay", "--fault-rate", "0.08",
-                     "--crash-recovery", "--json"]) == 0
-        faults = json.loads(capsys.readouterr().out)["faults"]
-        drops, crash = faults["drops"], faults["crash_recovery"]
-        assert set(drops["checks"]) == {
-            "completed", "bit_identical", "solve_identical", "tracecheck",
-            "span_tiling", "metrics_consistent"}
-        assert set(crash["checks"]) == {
-            "completed", "bit_identical", "solve_identical", "recovery",
-            "tracecheck"}
-        assert all(drops["checks"].values()) and all(crash["checks"].values())
-        assert drops["dropped"] > 0 and drops["retransmits"] == drops["dropped"]
-        assert drops["summary"].startswith("OK (")
-        assert crash["restarted"] >= 1 and crash["recovered_ok"]
-        assert drops["violations"] == crash["violations"] == []
-
-    def test_run_that_raises_is_a_failed_check(self, capsys):
-        """A typed error inside a run (every retransmission lost) fails the
-        ``completed`` check with exit 1 instead of a traceback."""
-        import json
-
-        assert main(["verify-comm", "--n", "40", "--codes", "1d-ca",
-                     "--fault-rate", "0.99", "--json"]) == 1
+        assert main(["chaos", "--campaign", "drop,crash", "--budget", "12",
+                     "--seed", "42", "--fail-on", "failure", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
-        [violation] = doc["faults"]["drops"]["violations"]
-        assert violation["rule"] == "completed"
-        assert "DeliveryError" in violation["message"]
-        assert "drops_replay" not in doc["faults"]
+        assert doc["ok"] and doc["runs"] == 12 and doc["failures"] == []
+        cov = doc["coverage"]
+        assert set(cov["families"]) == {"drop", "crash"}
+        assert cov["actions"].get("drop", 0) > 0 and cov["crashes"] >= 1

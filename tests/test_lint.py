@@ -664,31 +664,33 @@ class TestCli:
         assert main(["lint", str(p)]) == 0
         assert "0 findings" in capsys.readouterr().out
 
-    def test_verify_comm_static_json(self, capsys):
-        rc = main(["verify-comm", "--static-only", "--json"])
+    PROTOCOL = ["--select", "Y01,T01,T02,T03"]
+
+    def test_protocol_pass_over_the_parallel_codes(self, capsys):
+        import repro.parallel
+
+        rc = main(["lint", repro.parallel.__path__[0], *self.PROTOCOL, "--json"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 0
-        assert doc["ok"] is True
-        assert "oned.py" in doc["static"]
+        assert doc["failures"] == 0
 
-    def test_verify_comm_fail_on_threshold(self, tmp_path, capsys):
+    def test_protocol_fail_on_threshold(self, tmp_path, capsys):
         bad = tmp_path / "badmod.py"
         bad.write_text(
             "def prog(env):\n"
             "    env.recv(('x', 0))\n"   # Y01: recv not yielded (error)
             "    yield env.barrier()\n"
         )
-        rc = main(["verify-comm", "--module", str(bad), "--static-only"])
+        rc = main(["lint", str(bad), *self.PROTOCOL])
         assert rc == 1
         assert "Y01" in capsys.readouterr().out
-        rc = main(["verify-comm", "--module", str(bad), "--static-only",
-                   "--fail-on=never"])
+        rc = main(["lint", str(bad), *self.PROTOCOL, "--fail-on=never"])
         assert rc == 0
 
-    def test_verify_comm_fails_on_a_module_it_cannot_parse(self, tmp_path, capsys):
+    def test_protocol_pass_fails_on_a_module_it_cannot_parse(self, tmp_path, capsys):
         bad = tmp_path / "badmod.py"
         bad.write_text("def prog(env:\n    yield env.barrier()\n")
-        rc = main(["verify-comm", "--module", str(bad), "--static-only", "--json"])
+        rc = main(["lint", str(bad), *self.PROTOCOL, "--json"])
         doc = json.loads(capsys.readouterr().out)
-        assert rc == 1 and doc["ok"] is False
-        assert [f["rule"] for f in doc["static"]["badmod.py"]] == ["PARSE"]
+        assert rc == 1 and doc["failures"] == 1
+        assert [f["rule"] for f in doc["findings"]] == ["PARSE"]

@@ -7,7 +7,7 @@ passes schema validation; the critical path recovered from the span +
 message graph matches the simulator's total virtual time to 1e-9 on both
 the 1D and 2D codes and reconciles against the task-graph model; the
 metrics registry mirrors simulator/service/cache accounting; and the
-``repro trace`` / ``repro profile`` CLI verbs run end to end.
+``repro trace`` CLI verb runs end to end.
 """
 
 import json
@@ -365,7 +365,7 @@ class TestServiceObservability:
 
 
 class TestCLI:
-    def test_trace_and_profile_verbs(self, tmp_path, capsys):
+    def test_trace_verb(self, tmp_path, capsys):
         from repro.cli import main
         from repro.matrices import get_matrix
         from repro.sparse import write_matrix_market
@@ -373,27 +373,32 @@ class TestCLI:
         mtx = tmp_path / "m.mtx"
         write_matrix_market(str(mtx), get_matrix(MATRIX, "small"))
         out = tmp_path / "trace.json"
-        rc = main(["trace", str(mtx), "--mode", "2d", "--nprocs", "4",
+        rc = main(["trace", str(mtx), "--method", "2d", "--nprocs", "4",
                    "--out", str(out), "--check"])
         assert rc == 0
         doc = json.loads(out.read_text())
         assert validate_trace(doc) == []
         assert capsys.readouterr().out.count("schema: OK") == 1
 
-        rc = main(["profile", str(mtx), "--mode", "1d", "--nprocs", "4"])
+        # without --out nothing is written; the profile and drift still print
+        rc = main(["trace", str(mtx), "--method", "1d-rapid", "--nprocs", "4"])
         assert rc == 0
         text = capsys.readouterr().out
+        assert "wrote" not in text
         assert "|diff| = 0.000e+00" in text
         assert "busy" in text
 
-        rc = main(["profile", "--trace", str(out)])
+        rc = main(["trace", "--load", str(out), "--check"])
         assert rc == 0
-        assert "critical path" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert "critical path" in text and "schema: OK" in text
 
-    def test_profile_needs_input(self, capsys):
+    @pytest.mark.parametrize("argv", [[], ["m.mtx", "--load", "t.json"]])
+    def test_trace_needs_one_input(self, argv, capsys):
         from repro.cli import main
 
-        assert main(["profile"]) == 2
+        assert main(["trace", *argv]) == 2
+        assert "repro trace: error:" in capsys.readouterr().err
 
 
 class TestZeroOverheadDisabled:

@@ -6,8 +6,8 @@ complete with the retry transport on and produce **bit-identical** factors
 to the fault-free run; the same plan with retries off must raise a *typed*
 delivery error (never ``DeadlockError``); a mid-factorization rank crash
 must recover via checkpoint/restart with a residual within 10x of the
-fault-free run, and the recovered traces must pass ``repro verify-comm``'s
-checks (retransmits recognized, no leaks).
+fault-free run, and the recovered traces must pass the trace checks of
+``repro.verify`` (retransmits recognized, no leaks).
 """
 
 import numpy as np

@@ -106,14 +106,13 @@ def _choices(parser, verb, flag):
 
 def test_cli_choices_are_derived_from_the_tables():
     parser = cli.build_parser()
-    assert tuple(_choices(parser, "solve", "--method").choices) == api.METHODS
-    assert tuple(_choices(parser, "simulate", "--method").choices) == tuple(DRIVERS)
-    for verb in ("trace", "profile"):
-        modes = _choices(parser, verb, "--mode").choices
-        assert {cli._TRACE_MODES.get(m, m) for m in modes} == set(DRIVERS)
+    for verb in ("factor", "solve"):
+        assert tuple(_choices(parser, verb, "--method").choices) == api.METHODS
+    # a sequential run has no rank tracks to profile
+    assert tuple(_choices(parser, "trace", "--method").choices) == tuple(DRIVERS)
     codes = _choices(parser, "verify-comm", "--codes").help
     assert ",".join(DRIVERS) + ",trisolve-" in codes
-    for verb in ("solve", "simulate", "trace", "profile", "verify-comm", "tune"):
+    for verb in ("factor", "solve", "trace", "verify-comm", "tune"):
         assert _choices(parser, verb, "--machine").choices == list(MACHINES)
 
 
@@ -206,7 +205,7 @@ class TestHostileRunOptions:
         with pytest.raises(ValueError, match=message):
             SStarSolver(**{"method": "1d-ca", "nprocs": 4, **opts})
 
-    @pytest.mark.parametrize("verb", ["solve", "simulate"])
+    @pytest.mark.parametrize("verb", ["solve", "factor"])
     @pytest.mark.parametrize("flags", [
         ["--ckpt-interval", "0"], ["--ckpt-interval", "-1"], ["--nprocs", "0"],
     ])

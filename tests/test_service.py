@@ -300,6 +300,19 @@ class TestSolveService:
             out.append((Ai, b))
         return out
 
+    @pytest.mark.parametrize("opts, message", [
+        ({"workers": 0}, "workers"),
+        ({"max_queue": 0}, "max_queue"),
+        ({"max_batch": 0}, "max_batch"),
+        ({"max_retries": -1}, "max_retries"),
+        ({"inter_arrival": -1.0}, "inter_arrival"),
+        ({"inter_arrival": float("nan")}, "inter_arrival"),
+        ({"inter_arrival": float("inf")}, "inter_arrival"),
+    ])
+    def test_constructor_rejects_hostile_values(self, opts, message):
+        with pytest.raises(ValueError, match=message):
+            SolveService(**opts)
+
     def test_submit_poll_result(self, A):
         svc = SolveService(workers=2, max_queue=8)
         jid = svc.submit(A, np.ones(A.nrows))

@@ -293,7 +293,7 @@ def test_solver_plan_cache_skips_second_search(sherman5):
 
 
 def test_service_repeated_pattern_tunes_once(sherman5):
-    svc = SolveService(tune=True, solver_opts={"nprocs": 4})
+    svc = SolveService(solver_opts={"nprocs": 4, "tune": True})
     rng = np.random.default_rng(11)
     n = sherman5.nrows
     for _ in range(3):

@@ -540,16 +540,21 @@ class TestRealCodesVerifyClean:
         assert report.ok, [str(v) for v in report.violations]
 
     def test_1d_replay_deterministic(self, pipeline):
-        from repro.machine import T3E
+        """Host order changes nothing, on a perfect network and on a lossy
+        one with reliable retry."""
+        from repro.machine import T3E, FaultPlan
         from repro.parallel import run_1d
 
         om, part, bstruct, tg = pipeline
-        rep = replay_check(
-            lambda so: run_1d(om.A, part, bstruct, 3, T3E, method="ca",
-                              tg=tg, sim_opts=so),
-            3, n_orders=3,
-        )
-        assert rep.ok, rep.mismatches
+        lossy = {"faults": FaultPlan.drops(0.08, seed=42), "reliable": True}
+        for extra in ({}, lossy):
+            rep = replay_check(
+                lambda so, extra=extra: run_1d(
+                    om.A, part, bstruct, 3, T3E, method="ca", tg=tg,
+                    sim_opts={**so, **extra}),
+                3, n_orders=3,
+            )
+            assert rep.ok, (extra, rep.mismatches)
 
     def test_trisolve_trace_clean(self, pipeline):
         from repro.machine import T3E
