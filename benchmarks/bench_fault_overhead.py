@@ -52,7 +52,7 @@ def overhead_rows(ctx_cache):
             "baseline_s": t0,
             "ack_overhead": acked.sim.total_time / t0 - 1.0,
             "retry_overhead": retry.sim.total_time / t0 - 1.0,
-            "ckpt_overhead": ckpt.total_time / t0 - 1.0,
+            "ckpt_overhead": ckpt.parallel_seconds / t0 - 1.0,
             "retransmits": retry.sim.fault_stats.retransmits,
             "dropped": retry.sim.fault_stats.dropped,
             "rounds": len(ckpt.rounds),

@@ -20,8 +20,9 @@ def onenorm(A: CSRMatrix) -> float:
     return float(sums.max()) if A.ncols else 0.0
 
 
-def onenormest_inverse(solve, solve_transpose, n: int, maxiter: int = 8) -> float:
-    """Estimate ``||A^{-1}||_1`` from solve oracles (Hager's iteration).
+def onenormest_inverse(solve, solve_transpose, n: int) -> float:
+    """Estimate ``||A^{-1}||_1`` from solve oracles (Hager's iteration, at
+    most 8 steps).
 
     ``solve(b)`` must return ``A^{-1} b`` and ``solve_transpose(b)``
     ``A^{-T} b``.  The estimate is a lower bound, almost always within a
@@ -29,7 +30,7 @@ def onenormest_inverse(solve, solve_transpose, n: int, maxiter: int = 8) -> floa
     """
     x = np.full(n, 1.0 / n)
     best = 0.0
-    for _ in range(maxiter):
+    for _ in range(8):
         y = solve(x)
         est = float(np.abs(y).sum())
         best = max(best, est)

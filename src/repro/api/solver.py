@@ -219,8 +219,7 @@ class SStarSolver:
         self._artifacts = None  # AnalysisArtifacts of the last analyze phase
         self.monitor: PivotMonitor = None
         self.report: FactorizationReport = None
-        self.sim_result = None
-        self.resilient_result = None
+        self.run_result = None  # RunResult of the last parallel factor
         self.refine_history = None
 
     # -- pipeline ------------------------------------------------------
@@ -332,6 +331,7 @@ class SStarSolver:
         parallel_seconds = zero_copy = None
         messages = bytes_sent = 0
         restarts = 0
+        self.run_result = None
         if sequential:
             lu = sstar_factor(
                 om.A, sym=sym, part=part, bstruct=bstruct,
@@ -344,7 +344,7 @@ class SStarSolver:
             ckpt_interval = self.ckpt_interval
             if ckpt_interval is None and self.faults is not None and self.faults.crashes:
                 ckpt_interval = 4
-            res = factorize(
+            res = self.run_result = factorize(
                 self.method, om.A, part, bstruct, self.nprocs, self.spec,
                 grid=self.grid,
                 pivot_threshold=self.pivot_threshold,
@@ -355,19 +355,11 @@ class SStarSolver:
                 reliable=self.reliable,
                 ckpt_interval=ckpt_interval,
             )
-            if ckpt_interval is not None:
-                # totals live on the ResilientResult, one SimResult per
-                # committed round
-                self.resilient_result = totals = res
-                sims = res.results
-                restarts = sum(1 for r in res.rounds if not r.ok)
-            else:
-                self.sim_result = totals = res.sim
-                sims = [res.sim]
-            lu = LUFactorization(res.factor, sym, part, bstruct, totals.total_counter())
+            lu = LUFactorization(res.factor, sym, part, bstruct, res.total_counter())
             parallel_seconds = res.parallel_seconds
-            messages, bytes_sent = totals.messages, totals.bytes_sent
-            zero_copy = all(sim.zero_copy for sim in sims)
+            messages, bytes_sent = res.messages, res.bytes_sent
+            zero_copy = res.zero_copy
+            restarts = sum(1 for r in res.rounds if not r.ok)
         counter = lu.counter
 
         if self.tracer is not None:
@@ -504,6 +496,13 @@ class SStarSolver:
     def factorization(self) -> LUFactorization:
         """The underlying factor object (permuted coordinates)."""
         return self._lu
+
+    @property
+    def sim_result(self):
+        """The simulation of the last parallel factor when it ran as one
+        round (``None`` otherwise); :attr:`run_result` holds every round."""
+        run = self.run_result
+        return run.sim if run is not None and len(run.sims) == 1 else None
 
     @property
     def ordering(self):

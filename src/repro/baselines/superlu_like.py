@@ -47,25 +47,16 @@ class DynamicLU:
             len(c) for c in self.ucols_pos
         ) + self.n
 
-    def l_column_structures(self, space: str = "swapped") -> list:
+    def l_column_structures(self) -> list:
         """L structure per column, diagonal included.
 
-        ``space="swapped"`` (default) reports the storage positions under
-        LAPACK swap semantics — at each step the pivot row is interchanged
-        into the diagonal position — which is the coordinate system the
-        George-Ng static prediction models (and what the S* block code
-        physically does).  ``space="original"`` reports original row ids
-        (GP never moves rows physically).
+        It reports the storage positions under LAPACK swap semantics — at
+        each step the pivot row is interchanged into the diagonal position
+        — which is the coordinate system the George-Ng static prediction
+        models (and what the S* block code physically does).
         """
         inv = np.empty(self.n, dtype=np.int64)
         inv[self.perm_r] = np.arange(self.n)  # pivot position -> original row
-        if space == "original":
-            return [
-                np.sort(np.concatenate([[inv[j]], self.lcols_rows[j]]))
-                for j in range(self.n)
-            ]
-        if space != "swapped":
-            raise ValueError(f"unknown space {space!r}")
         pos_of = np.arange(self.n, dtype=np.int64)  # original row -> position
         occupant = np.arange(self.n, dtype=np.int64)  # position -> original row
         out = []

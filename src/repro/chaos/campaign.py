@@ -175,15 +175,12 @@ class RunOutcome:
     index: int
     plan: object
     error: Exception = None
-    factor: object = None
-    sim: object = None        # SimResult (direct 1D/2D runs)
-    resilient: object = None  # ResilientResult
-    schedule: object = None
+    run: object = None        # RunResult (every run but the service's)
     tracer: Tracer = None
     x: np.ndarray = None      # service runs
     seconds: float = 0.0
     injected: tuple = ()      # realised FaultEvents, canonically ordered
-    crashes: tuple = ()       # realised (rank, time) crashes
+    crashes: tuple = ()       # ranks that crashed
     oracles: tuple = ()
 
     @property
@@ -263,17 +260,11 @@ def execute_case(ctx: ChaosContext, scenario: Scenario, plan) -> RunOutcome:
                 faults=use_plan, reliable=rel,
                 ckpt_interval=scenario.ckpt_interval if scenario.resilient else None,
             )
-            out.factor = res.factor
+            out.run = res
             out.seconds = res.parallel_seconds
-            if scenario.resilient:
-                out.resilient = res
-                out.crashes = tuple(res.crashes)
-                fired = [e for sim in res.results for e in sim.fault_stats.injected]
-                out.injected = tuple(sorted(fired, key=lambda e: e.key()))
-            else:
-                out.sim = res.sim
-                out.schedule = getattr(res, "schedule", None)  # 1D runs
-                out.crashes = tuple(res.sim.fault_stats.crashes)
+            out.crashes = tuple(res.crashes)
+            out.injected = tuple(sorted(res.fault_stats.injected,
+                                        key=lambda e: e.key()))
     except Exception as e:  # the oracles decide what failure means
         out.error = e
     if isinstance(use_plan, RecordingPlan):
@@ -291,18 +282,18 @@ def evaluate(ctx: ChaosContext, scenario: Scenario, outcome) -> list:
         return checks + [check_solve_identical(
             outcome.x, ctx.service_x_ref(), "service_result")]
     art = ctx.art
-    lu = LUFactorization(outcome.factor, art.sym, art.part, art.bstruct, None)
-    checks += [check_bit_identical(outcome.factor, ctx.seq),
+    run = outcome.run
+    lu = LUFactorization(run.factor, art.sym, art.part, art.bstruct, None)
+    checks += [check_bit_identical(run.factor, ctx.seq),
                check_solve_identical(lu.solve(ctx.b), ctx.x_ref)]
-    if outcome.sim is not None:  # direct single-simulator run
-        tg = art.task_graph if outcome.schedule is not None else None
-        checks += [check_trace(outcome.sim, ctx.spec, tg=tg,
-                               schedule=outcome.schedule),
-                   check_span_tiling(outcome.tracer, outcome.sim),
-                   check_metrics_consistent(outcome.tracer, outcome.sim)]
-    if outcome.resilient is not None:
-        checks += check_rounds(outcome.resilient, art.part.N, ctx.spec)
-    return checks
+    if scenario.resilient:
+        return checks + check_rounds(run, art.part.N, ctx.spec)
+    tg = art.task_graph if run.schedule is not None else None
+    return checks + [
+        check_trace(run.sim, ctx.spec, tg=tg, schedule=run.schedule),
+        check_span_tiling(outcome.tracer, run.sim),
+        check_metrics_consistent(outcome.tracer, run.sim),
+    ]
 
 
 def run_case(ctx: ChaosContext, scenario: Scenario, plan,

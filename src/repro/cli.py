@@ -132,17 +132,16 @@ def _print_report(solver) -> None:
     print(f"messages / bytes      : {r.messages} / {r.bytes_sent}")
     print(f"achieved MFLOPS (S* flops basis): "
           f"{r.flops / r.parallel_seconds / 1e6:.1f}")
-    if solver.sim_result is not None and solver.sim_result.fault_stats is not None:
-        fs = solver.sim_result.fault_stats
-        if fs.total_injected() or fs.retransmits:
-            print(f"faults injected       : {fs.dropped} dropped, "
-                  f"{fs.duplicated} duplicated, {fs.delayed} delayed, "
-                  f"{fs.corrupted} corrupted; {fs.retransmits} retransmits")
-    if solver.resilient_result is not None:
-        res = solver.resilient_result
-        print(f"checkpoint rounds     : {len(res.rounds)} "
+    run = solver.run_result
+    fs = run.fault_stats
+    if fs.total_injected() or fs.retransmits:
+        print(f"faults injected       : {fs.dropped} dropped, "
+              f"{fs.duplicated} duplicated, {fs.delayed} delayed, "
+              f"{fs.corrupted} corrupted; {fs.retransmits} retransmits")
+    if len(run.rounds) > 1:
+        print(f"checkpoint rounds     : {len(run.rounds)} "
               f"({r.restarts} restarted after crashes; finished on "
-              f"{res.nprocs_final} ranks)")
+              f"{run.nprocs_final} ranks)")
 
 
 def cmd_factor(args) -> int:
@@ -214,7 +213,7 @@ def cmd_trace(args) -> int:
             trace=Tracer(),
         ).factor(A)
         solver.solve(np.ones(A.nrows))  # cover the trisolve phase too
-        tracer, sim = solver.tracer, solver.sim_result
+        tracer, total = solver.tracer, solver.report.parallel_seconds
         doc = to_chrome_trace(tracer)
         if args.out:
             with open(args.out, "w") as f:
@@ -222,14 +221,14 @@ def cmd_trace(args) -> int:
             print(f"wrote {args.out}: {len(doc['traceEvents'])} events "
                   f"({len(tracer.spans)} spans, {len(tracer.messages)} messages)")
         print(render_summary(tracer))
-        prof = profile_trace(tracer, total_time=None if sim is None else sim.total_time)
+        prof = profile_trace(tracer, total_time=total)
         print(prof.render(args.top))
-        if sim is not None:
+        if total is not None:  # a parallel run
             rec = reconcile(prof, solver._artifacts.task_graph, solver.spec)
             print(f"model critical path : "
                   f"{rec['model_critical_path_seconds']:.6e} s")
             print(f"model-vs-observed drift: {rec['drift'] * 100.0:+.1f}%")
-            err = abs(prof.critical_path_seconds - sim.total_time)
+            err = abs(prof.critical_path_seconds - total)
             print(f"critical path vs simulator total: |diff| = {err:.3e} s")
     if args.check:
         problems = validate_trace(doc)
@@ -325,7 +324,8 @@ def cmd_verify_comm(args) -> int:
     if not args.skip_replay:
         out(f"\n== determinism replay ({args.replays} host orders) ==")
         for name, runner in completed:
-            rep = replay_check(runner, P, n_orders=args.replays)
+            rep = replay_check(lambda so, run=runner: run(so).sim, P,
+                               n_orders=args.replays)
             out(f"{name:12s}: {rep.summary()}")
             for m in rep.mismatches:
                 out(f"  {m}")

@@ -623,7 +623,6 @@ class Simulator:
         host_order=None,
         faults=None,
         reliable=None,
-        heartbeat_s: float = None,
         sanitize: bool = False,
         tracer=None,
         zero_copy=False,
@@ -644,9 +643,9 @@ class Simulator:
 
         ``faults`` is an optional :class:`repro.machine.FaultPlan`;
         ``reliable`` enables the ack/retry transport (pass ``True`` for the
-        defaults or a :class:`ReliableDelivery` config).  ``heartbeat_s`` is
-        the virtual-time heartbeat timeout after which survivors declare a
-        silent rank dead (default: 100x the network latency).
+        defaults or a :class:`ReliableDelivery` config).  Survivors declare
+        a silent rank dead after a virtual-time heartbeat timeout of 100x
+        the network latency.
 
         ``sanitize=True`` enables the zero-copy write-after-send checker:
         every payload is content-hashed when posted and re-verified when
@@ -694,9 +693,6 @@ class Simulator:
         self._network = (
             _FaultyNetwork(self)
             if faults is not None or self.reliable is not None else None
-        )
-        self.heartbeat_s = (
-            heartbeat_s if heartbeat_s is not None else 100.0 * spec.latency_s
         )
         self.fault_stats = FaultStats()
         self._crash_time = {}
@@ -872,7 +868,7 @@ class Simulator:
             for r in blocked
         ]
         t_block = max((self.envs[r].clock for r in blocked), default=0.0)
-        detected_at = t_block + self.heartbeat_s
+        detected_at = t_block + 100.0 * self.spec.latency_s  # heartbeat
         names = ", ".join(
             f"rank {r} (died at t={crash_times.get(r, 0.0):.3g})" for r in crashed
         )

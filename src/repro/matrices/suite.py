@@ -141,12 +141,9 @@ SUITE = {
 }
 
 
-def suite_names(include_dense: bool = True) -> list:
+def suite_names() -> list:
     """Suite matrix names in Table 1 order."""
-    names = list(SUITE)
-    if not include_dense:
-        names = [n for n in names if SUITE[n].kind != "dense"]
-    return names
+    return list(SUITE)
 
 
 def get_matrix(name: str, scale: str = "small") -> CSRMatrix:

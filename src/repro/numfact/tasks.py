@@ -261,12 +261,10 @@ def update_block_column(
     fc: FactoredColumn,
     J: int,
     counter: KernelCounter = None,
-    apply_pivots: bool = True,
 ) -> None:
     """Run ``Update(K, J)`` for one ``J > K``: :func:`update_block_columns`
     over a single block column."""
-    update_block_columns(m, fc, (J,), counter=counter,
-                         apply_pivots=apply_pivots)
+    update_block_columns(m, fc, (J,), counter=counter)
 
 
 def update_block_columns(
@@ -274,7 +272,6 @@ def update_block_columns(
     fc: FactoredColumn,
     columns,
     counter: KernelCounter = None,
-    apply_pivots: bool = True,
 ) -> None:
     """Run ``Update(K, J)`` (Fig. 8) for every ``J`` in ``columns`` against
     local storage ``m`` using the factored column ``fc`` (local views or a
@@ -305,9 +302,7 @@ def update_block_columns(
     linv = fc.linv
     lpanel = fc.lpanel
     lk = fc.diag.shape[0]
-    swaps = ()
-    if apply_pivots:
-        swaps = [m.locate_rows(r1, r2) for r1, r2 in fc.pivots if r1 != r2]
+    swaps = [m.locate_rows(r1, r2) for r1, r2 in fc.pivots if r1 != r2]
     below = m.plan.below_diagonal(K)
     lrows = below[-1][2] if below else 0
     stacked = lk == 1

@@ -198,20 +198,19 @@ class Tracer:
         return max((s.end for s in self.spans if s.track == track),
                    default=0.0)
 
-    def offset(self, dt: float, extra_args: dict = None) -> "OffsetTracer":
+    def offset(self, dt: float) -> "OffsetTracer":
         """A recording proxy that shifts every timestamp by ``dt`` —
         used by checkpoint/restart to splice per-round simulations (each
         starting at virtual 0) onto one continuous timeline."""
-        return OffsetTracer(self, dt, extra_args)
+        return OffsetTracer(self, dt)
 
 
 class OffsetTracer:
     """Forwarding proxy: same span/message API, timestamps shifted."""
 
-    def __init__(self, base: Tracer, dt: float, extra_args: dict = None):
+    def __init__(self, base: Tracer, dt: float):
         self._base = base
         self._dt = float(dt)
-        self._extra = extra_args
 
     @property
     def metrics(self) -> MetricsRegistry:
@@ -225,21 +224,12 @@ class OffsetTracer:
     def messages(self) -> list:
         return self._base.messages
 
-    def _merge(self, args):
-        if self._extra is None:
-            return args
-        out = dict(self._extra)
-        if args:
-            out.update(args)
-        return out
-
     def span(self, track, name, cat, start, end, args=None) -> Span:
         return self._base.span(track, name, cat, start + self._dt,
-                               end + self._dt, self._merge(args))
+                               end + self._dt, args)
 
     def instant(self, track, name, cat=MARK, t=0.0, args=None) -> Span:
-        return self._base.instant(track, name, cat, t + self._dt,
-                                  self._merge(args))
+        return self._base.instant(track, name, cat, t + self._dt, args)
 
     def add_span(self, s: Span) -> Span:
         return self.span(s.track, s.name, s.cat, s.start, s.end, s.args)
@@ -256,10 +246,8 @@ class OffsetTracer:
     def track_end(self, track) -> float:
         return self._base.track_end(track)
 
-    def offset(self, dt: float, extra_args: dict = None) -> "OffsetTracer":
-        merged = dict(self._extra or {})
-        merged.update(extra_args or {})
-        return OffsetTracer(self._base, self._dt + dt, merged or None)
+    def offset(self, dt: float) -> "OffsetTracer":
+        return OffsetTracer(self._base, self._dt + dt)
 
 
 def as_tracer(trace) -> Tracer:

@@ -9,33 +9,32 @@
 * :mod:`trisolve` — the distributed triangular solves: one SPMD program
   over either mapping;
 * :mod:`buffers` — communication-buffer accounting for Theorem 2;
-* :mod:`resilience` — checkpoint/restart rounds over either code;
+* :mod:`resilience` — :class:`RunResult`, the one record of a run, the
+  launcher both layouts share, and checkpoint/restart rounds over either;
 * :mod:`drivers` — the run layer: the :data:`DRIVERS` table (method name ->
   layout, runner, fixed keywords) and :func:`factorize`, the one entry
   point every caller outside this package uses to start a run.
 """
 
 from .mapping import Grid2D
-from .oned import run_1d, OneDResult
-from .twod import run_2d, TwoDResult
+from .oned import run_1d
+from .twod import run_2d
 from .buffers import buffer_requirements, BufferReport
 from .trisolve import run_1d_trisolve, run_2d_trisolve, TriSolveResult
-from .resilience import ResilientResult, RoundInfo
+from .resilience import RoundInfo, RunResult
 from .drivers import DRIVERS, METHODS, Driver, check_run_options, factorize
 
 __all__ = [
     "Grid2D",
     "run_1d",
-    "OneDResult",
     "run_2d",
-    "TwoDResult",
     "buffer_requirements",
     "BufferReport",
     "run_1d_trisolve",
     "run_2d_trisolve",
     "TriSolveResult",
-    "ResilientResult",
     "RoundInfo",
+    "RunResult",
     "DRIVERS",
     "METHODS",
     "Driver",

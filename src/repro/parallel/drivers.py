@@ -11,6 +11,7 @@ battery call it instead of choosing between :func:`run_1d` and
 
 from __future__ import annotations
 
+import numbers
 from typing import NamedTuple
 
 from ..numfact.tasks import check_pivot_threshold
@@ -70,15 +71,15 @@ def factorize(
     ckpt_interval=None, max_restarts=None,
 ):
     """Run the parallel code ``method`` (a key of :data:`DRIVERS`) on the
-    ordered matrix ``A``; returns what the driver returns.
+    ordered matrix ``A``; returns its :class:`RunResult`.
 
     Without ``ckpt_interval`` that is one :func:`run_1d` / :func:`run_2d`
-    execution (``faults`` / ``reliable`` join ``sim_opts``; ``stage_range``
-    restricts it to a window of stages) and its ``OneDResult`` /
-    ``TwoDResult``.  With it the same code runs in checkpointed rounds of
-    that many stages, restarting on the survivors when a rank crashes
-    (``max_restarts``, default ``nprocs``) — a :class:`ResilientResult`.
-    The keywords mean the same on both paths: ``grid`` fixes the 2D process
+    execution, one round (``faults`` / ``reliable`` join ``sim_opts``;
+    ``stage_range=(k0, k1)``, integers with ``0 <= k0 < k1 <= part.N``,
+    restricts it to a window of stages).  With it the same code runs in
+    checkpointed rounds of that many stages, restarting on the survivors
+    when a rank crashes (``max_restarts``, default ``nprocs``).  The
+    keywords mean the same on both paths: ``grid`` fixes the 2D process
     grid (while the run keeps its rank count), ``tg`` hands the 1D codes a
     prebuilt task graph.
     """
@@ -100,6 +101,12 @@ def factorize(
             ckpt_interval=ckpt_interval, faults=faults, reliable=reliable,
             sim_opts=sim_opts, max_restarts=max_restarts, **kwargs,
         )
+    if stage_range is not None:
+        k0, k1 = stage_range
+        if not (all(isinstance(k, numbers.Integral) for k in stage_range)
+                and 0 <= k0 < k1 <= part.N):
+            raise ValueError(f"stage_range must be integers 0 <= k0 < k1 <= "
+                             f"{part.N}, got {stage_range!r}")
     opts = dict(sim_opts or {})
     if faults is not None:
         opts["faults"] = faults

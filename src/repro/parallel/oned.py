@@ -16,9 +16,7 @@ extra-memory statistic behind the paper's 1D-memory-pressure discussion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ..machine import Simulator, MachineSpec
+from ..machine import MachineSpec
 from ..numfact import (
     AbftLedger,
     BlockLUMatrix,
@@ -34,20 +32,7 @@ from ..scheduling import Schedule, graph_schedule, compute_ahead_schedule
 from ..supernodes import BlockPartition, BlockStructure
 from ..taskgraph import TaskGraph, task_graph_of, FACTOR, UPDATE
 from ..sparse import CSRMatrix
-
-
-@dataclass
-class OneDResult:
-    """Outcome of a 1D parallel factorization run."""
-
-    sim: object  # SimResult
-    schedule: Schedule
-    factor: object  # merged LUFactorization-compatible storage
-    buffer_high_water: list  # per-rank peak bytes of cached remote columns
-
-    @property
-    def parallel_seconds(self) -> float:
-        return self.sim.total_time
+from .resilience import RunResult, launch
 
 
 def _distribute_1d(
@@ -231,28 +216,17 @@ def run_1d(
     start_from: BlockLUMatrix = None,
     monitor=None,
     abft: bool = False,
-) -> OneDResult:
+) -> RunResult:
     """Run the 1D parallel factorization of an ordered matrix ``A``.
 
     ``method`` is ``"rapid"`` (graph scheduling + consumer multicast) or
-    ``"ca"`` (cyclic mapping, Fig. 10 order, broadcast).  ``sim_opts`` are
-    forwarded to :class:`repro.machine.Simulator` (e.g. ``trace=True``,
-    ``host_order=...``, ``faults=...`` or ``reliable=...``).
-
-    Checkpoint/restart (:mod:`repro.parallel.resilience`) passes
-    ``stage_range=(k0, k1)`` to execute only elimination stages in the
-    window and ``start_from`` (a partially factored merged matrix) to
-    resume from a checkpoint instead of the original ``A``.  ``monitor``
-    is an optional :class:`repro.numfact.PivotMonitor` shared by all
-    ranks for pivot-growth tracking and tiny-pivot perturbation.
-
-    ``abft=True`` turns on algorithm-based fault tolerance: every rank's
-    local blocks carry checksums through the kernels
-    (:class:`repro.numfact.AbftLedger`), multicast column payloads carry a
-    mirror checksum record, and receivers verify payloads at consumption —
-    a delivered-but-corrupted message raises
-    :class:`repro.numfact.SilentCorruptionError` instead of silently
-    poisoning the factorization.
+    ``"ca"`` (cyclic mapping, Fig. 10 order, broadcast); ``tg`` is a
+    prebuilt task graph.  ``sim_opts``, ``stage_range``, ``start_from``,
+    ``monitor`` and ``abft`` mean what they mean for both layouts
+    (:func:`repro.parallel.resilience.launch`); with ABFT every rank's
+    local blocks also carry checksums through the kernels
+    (:class:`repro.numfact.AbftLedger`).  The :class:`RunResult` carries
+    the ``schedule`` and each rank's receive-buffer ``high_water``.
     """
     if tg is None:
         tg = task_graph_of(bstruct)
@@ -271,22 +245,6 @@ def run_1d(
         "pivot_threshold": pivot_threshold,
         "monitor": monitor,
         "abft": abft,
-        "stage_range": (0, part.N) if stage_range is None else stage_range,
     }
-    opts = dict(sim_opts or {})
-    # zero-copy delivery by default: this module is Z-rule certified
-    # (repro lint --certify); the simulator falls back to copying if the
-    # certificate is stale/absent or sanitize mode is on
-    opts.setdefault("zero_copy", True)
-    sim = Simulator(nprocs, spec, _rank_program, args=(ctx,), **opts).run()
-
-    # the ranks factored their columns of the shared arena in place: the
-    # full matrix is the merged factor once it knows the pivot sequences
-    for ret in sim.returns:
-        if ret is None:  # rank crashed; its state is on the restart path
-            continue
-        for K, seq in enumerate(ret["pivot_seq"]):
-            if seq is not None:
-                merged.pivot_seq[K] = seq
-    high = [ret["high_water"] if ret is not None else 0 for ret in sim.returns]
-    return OneDResult(sim=sim, schedule=schedule, factor=merged, buffer_high_water=high)
+    return launch(_rank_program, ctx, merged, nprocs, spec, sim_opts,
+                  stage_range, schedule=schedule)

@@ -1,7 +1,11 @@
-"""Checkpoint/restart for the parallel factorizations.
+"""The one record of a parallel run, the launcher both layouts share, and
+checkpoint/restart over either.
 
-The paper's S* codes assume every PE survives the whole factorization.
-This driver removes that assumption with a classic round-based scheme:
+Every run returns a :class:`RunResult`; a plain run is one round, and
+every total is read from the rounds, so no caller asks which kind of run
+it got.  The paper's S* codes assume every PE survives the whole
+factorization.  :func:`run_checkpointed` removes that assumption with a
+classic round-based scheme:
 
 * the elimination is cut into **rounds** of ``ckpt_interval`` stages; each
   round runs as its own :class:`repro.machine.Simulator` execution over a
@@ -22,7 +26,7 @@ per-element order as an uninterrupted run, the recovered factorization is
 numerically identical to the fault-free one up to the process count's
 (nonexistent) influence on the numerics — the tests assert bit-identity.
 
-Virtual-time accounting: the reported ``total_time`` sums every round's
+Virtual-time accounting: ``parallel_seconds`` sums every round's
 simulated makespan, including the heartbeat detection latency and the
 wasted work of rounds that crashed — the price of the recovery.
 """
@@ -31,14 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..machine import FaultPlan, RankCrashedError
+from ..machine import FaultPlan, FaultStats, RankCrashedError, Simulator
 from ..numfact import BlockLUMatrix, SilentCorruptionError
 from ..obs import CHECKPOINT
 
 
 @dataclass
 class RoundInfo:
-    """One executed round (successful or crashed-and-discarded)."""
+    """One executed round: committed (``ok``) or crashed and discarded."""
 
     window: tuple  # (k0, k1) stage window
     nprocs: int
@@ -46,48 +50,125 @@ class RoundInfo:
     crashed: tuple = ()
     seconds: float = 0.0
     corrupted: tuple = None  # block coords when ABFT aborted the round
+    sim: object = None  # SimResult of a committed round
 
 
 @dataclass
-class ResilientResult:
-    """Outcome of a checkpoint/restart factorization."""
+class RunResult:
+    """Outcome of a parallel factorization: the merged (solvable)
+    ``factor``, every executed round and the last round's mapping,
+    ``schedule`` (1D codes) or ``grid`` (2D codes).  Totals cover the
+    committed rounds; ``parallel_seconds`` also charges discarded ones."""
 
     factor: BlockLUMatrix
     rounds: list = field(default_factory=list)
-    results: list = field(default_factory=list)  # SimResult per good round
-    total_time: float = 0.0
-    nprocs_final: int = 0
+    schedule: object = None
+    grid: object = None
+
+    @property
+    def sims(self) -> list:
+        return [r.sim for r in self.rounds if r.ok]
+
+    @property
+    def sim(self):
+        """The ``SimResult`` of a one-round run (``ValueError`` when more
+        rounds committed: read :attr:`sims`)."""
+        (sim,) = self.sims
+        return sim
 
     @property
     def parallel_seconds(self) -> float:
-        return self.total_time
-
-    @property
-    def crashes(self) -> list:
-        out = []
-        for r in self.rounds:
-            out.extend(r.crashed)
-        return out
+        return sum(r.seconds for r in self.rounds)
 
     @property
     def messages(self) -> int:
-        return sum(r.messages for r in self.results)
+        return sum(sim.messages for sim in self.sims)
 
     @property
     def bytes_sent(self) -> int:
-        return sum(r.bytes_sent for r in self.results)
+        return sum(sim.bytes_sent for sim in self.sims)
 
     def total_counter(self):
-        """Kernel counter summed over the *successful* rounds (the work the
+        """Kernel counter summed over the *committed* rounds (the work the
         surviving factorization actually consists of)."""
-        agg = None
-        for res in self.results:
-            c = res.total_counter()
-            if agg is None:
-                agg = c
-            else:
-                agg.merge(c)
-        return agg
+        total, *rest = [sim.total_counter() for sim in self.sims]
+        for c in rest:
+            total.merge(c)
+        return total
+
+    @property
+    def fault_stats(self) -> FaultStats:
+        stats = [sim.fault_stats for sim in self.sims]
+        return FaultStats(sum(fs.retransmits for fs in stats),
+                          [c for fs in stats for c in fs.crashes],
+                          [e for fs in stats for e in fs.injected])
+
+    @property
+    def crashes(self) -> list:
+        return [rank for r in self.rounds for rank in r.crashed]
+
+    @property
+    def nprocs_final(self) -> int:
+        return self.rounds[-1].nprocs
+
+    @property
+    def zero_copy(self) -> bool:
+        return all(sim.zero_copy for sim in self.sims)
+
+    @property
+    def buffer_high_water(self) -> list:
+        """1D codes: each rank's peak bytes of cached remote columns."""
+        return [0 if ret is None else ret["high_water"]
+                for ret in self.sim.returns]
+
+    def overlap_degree(self) -> int:
+        """Measured stage-overlap degree of Update_2D tasks (Theorem 2):
+        max |k' - k| over concurrent ``U2D{K}`` task spans of a round."""
+        best = 0
+        for sim in self.sims:
+            spans = sorted(((s.start, s.end, int(s.name[3:])) for s in sim.spans
+                            if s.name.startswith("U2D")), key=lambda s: s[0])
+            for i, (s1, e1, k1) in enumerate(spans):
+                for s2, e2, k2 in spans[i + 1:]:
+                    if s2 >= e1:
+                        break
+                    if min(e1, e2) > max(s1, s2):
+                        best = max(best, abs(k2 - k1))
+        return best
+
+
+def launch(rank_program, ctx, merged, nprocs, spec, sim_opts, stage_range,
+           **mapping) -> RunResult:
+    """One simulated run of ``rank_program(env, ctx)``, shared by
+    :func:`repro.parallel.run_1d` and :func:`repro.parallel.run_2d`, whose
+    common keywords mean the same in both: ``sim_opts`` go to
+    :class:`repro.machine.Simulator` (``trace``, ``host_order``,
+    ``faults``, ``reliable``, ``tracer``); ``stage_range=(k0, k1)`` runs
+    only that window of stages and ``start_from`` resumes from a partially
+    factored checkpoint instead of ``A``; ``monitor`` is a shared
+    :class:`repro.numfact.PivotMonitor`; ``abft=True`` checksums the block
+    payloads, and receivers raise :class:`repro.numfact.SilentCorruptionError`
+    on a mismatch.  The ranks factor ``merged``'s arena in place; their
+    pivot sequences, merged here, complete the factor.  ``mapping`` is the
+    layout's ``schedule=`` or ``grid=``.
+    """
+    ctx["stage_range"] = window = (
+        (0, merged.part.N) if stage_range is None else tuple(stage_range))
+    opts = dict(sim_opts or {})
+    # zero-copy delivery by default: both rank programs are Z-rule
+    # certified (repro lint --certify); the simulator falls back to
+    # copying if the certificate is stale/absent or sanitize mode is on
+    opts.setdefault("zero_copy", True)
+    sim = Simulator(nprocs, spec, rank_program, args=(ctx,), **opts).run()
+    for ret in sim.returns:
+        if ret is None:  # rank crashed; its state is on the restart path
+            continue
+        for K, seq in enumerate(ret["pivot_seq"]):
+            if seq is not None:
+                merged.pivot_seq[K] = seq
+    rnd = RoundInfo(window, nprocs, True, tuple(sim.crashed), sim.total_time,
+                    sim=sim)
+    return RunResult(merged, [rnd], **mapping)
 
 
 def _copy_state(m: BlockLUMatrix) -> BlockLUMatrix:
@@ -99,7 +180,7 @@ def _copy_state(m: BlockLUMatrix) -> BlockLUMatrix:
 
 def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
                      ckpt_interval, faults, reliable, sim_opts,
-                     max_restarts, **runner_kwargs):
+                     max_restarts, **runner_kwargs) -> RunResult:
     """The checkpoint/restart loop over ``runner`` (:func:`run_1d` or
     :func:`run_2d`, with ``runner_kwargs``); see the module docstring.
     Reached through :func:`repro.parallel.factorize`."""
@@ -113,23 +194,19 @@ def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
     # splices the rounds onto the caller's one continuous trace timeline
     tracer = (sim_opts or {}).get("tracer")
 
-    def close_round(ok, seconds=0.0, crashed=(), corrupted=None):
-        """Record the round that just ran and charge its virtual time."""
-        out.rounds.append(RoundInfo(
-            window, nprocs, ok=ok, crashed=tuple(crashed), seconds=seconds,
-            corrupted=corrupted,
-        ))
-        out.total_time += seconds
+    def close_round(rnd: RoundInfo):
+        """Record the round that just ran, which charges its virtual time."""
+        out.rounds.append(rnd)
         if tracer is None:
             return
         tracer.span(
             "ckpt/rounds", f"round {window[0]}:{window[1]}", CHECKPOINT,
-            round_start, round_start + seconds,
-            {"ok": ok, "nprocs": int(nprocs),
-             "crashed": [int(c) for c in crashed]},
+            round_start, round_start + rnd.seconds,
+            {"ok": rnd.ok, "nprocs": int(rnd.nprocs),
+             "crashed": [int(c) for c in rnd.crashed]},
         )
         tracer.metrics.counter("ckpt.rounds").inc()
-        if not ok:
+        if not rnd.ok:
             tracer.metrics.counter("ckpt.restarts").inc()
 
     def discard_crashed_round(err: RankCrashedError):
@@ -143,7 +220,9 @@ def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
         restarts += 1
         if restarts > max_restarts:
             raise err
-        close_round(False, err.detected_at, crashed=err.ranks)
+        close_round(RoundInfo(window, nprocs, ok=False,
+                              crashed=tuple(err.ranks),
+                              seconds=err.detected_at))
         # drop the dead ranks, highest first so the renumbering in
         # after_crash stays consistent; the elapsed shift applies once,
         # not per dead rank
@@ -158,20 +237,20 @@ def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
         # Grid2D.preferred for the surviving rank count
         runner_kwargs.pop("grid", None)
 
-    checkpoint = None  # None = start from A itself
-    out = ResilientResult(factor=None, nprocs_final=nprocs)
+    # out.factor is the last checkpoint (None = start from A itself)
+    out = RunResult(factor=None)
     restarts = 0
     k = 0
     while k < N:
         window = (k, min(k + int(ckpt_interval), N))
-        round_start = out.total_time
+        round_start = out.parallel_seconds
         base_opts = dict(sim_opts or {})
         base_opts["faults"] = plan
         if reliable is not None:
             base_opts["reliable"] = reliable
         if tracer is not None:
             base_opts["tracer"] = tracer.offset(round_start)
-        start = _copy_state(checkpoint) if checkpoint is not None else None
+        start = _copy_state(out.factor) if out.factor is not None else None
         try:
             res = runner(
                 A, part, bstruct, nprocs, spec,
@@ -190,7 +269,8 @@ def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
             restarts += 1
             if restarts > max_restarts:
                 raise
-            close_round(False, corrupted=e.block)
+            close_round(RoundInfo(window, nprocs, ok=False,
+                                  corrupted=e.block))
             if tracer is not None:
                 tracer.metrics.counter("abft.recovered").inc()
             plan = plan.without_corrupt()
@@ -198,21 +278,18 @@ def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
         except RankCrashedError as e:
             discard_crashed_round(e)
             continue  # re-run the same window on the survivors
-        if res.sim.crashed:
+        (rnd,) = res.rounds
+        if rnd.crashed:
             discard_crashed_round(RankCrashedError(
                 "rank(s) crashed with work outstanding",
-                ranks=res.sim.crashed,
-                crash_times=dict(res.sim.fault_stats.crashes),
-                detected_at=res.sim.total_time,
+                ranks=list(rnd.crashed),
+                crash_times=dict(rnd.sim.fault_stats.crashes),
+                detected_at=rnd.seconds,
             ))
             continue
         # the round committed: its merged state is the new checkpoint
-        checkpoint = res.factor
-        close_round(True, res.sim.total_time)
-        out.results.append(res.sim)
-        plan = plan.shifted(res.sim.total_time)
+        out.factor, out.schedule, out.grid = res.factor, res.schedule, res.grid
+        close_round(rnd)
+        plan = plan.shifted(rnd.seconds)
         k = window[1]
-    out.factor = checkpoint
-    out.nprocs_final = nprocs
     return out
-

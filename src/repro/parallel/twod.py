@@ -29,11 +29,10 @@ operations in the same order per matrix element — which the tests assert.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..machine import Simulator, MachineSpec
+from ..machine import MachineSpec
 from ..numfact import BlockLUMatrix, StructureViolation
 from ..numfact.abft import payload_checksums, verify_payload
 from ..numfact.tasks import choose_pivot
@@ -46,33 +45,7 @@ from ..numfact.kernels import (
 from ..sparse import CSRMatrix
 from ..supernodes import BlockPartition, BlockStructure
 from .mapping import Grid2D
-
-
-@dataclass
-class TwoDResult:
-    """Outcome of a 2D parallel factorization run."""
-
-    sim: object  # SimResult
-    grid: Grid2D
-    factor: BlockLUMatrix  # merged storage (solvable)
-    update_spans: list  # (rank, K, start, end) intervals of Update_2D stages
-
-    @property
-    def parallel_seconds(self) -> float:
-        return self.sim.total_time
-
-    def overlap_degree(self) -> int:
-        """Measured stage-overlap degree of Update_2D tasks (Theorem 2):
-        max |k' - k| over concurrently executing Update_2D stages."""
-        spans = sorted(self.update_spans, key=lambda s: s[2])
-        best = 0
-        for i, (_, k1, s1, e1) in enumerate(spans):
-            for _, k2, s2, e2 in spans[i + 1 :]:
-                if s2 >= e1:
-                    break
-                if min(e1, e2) > max(s1, s2):
-                    best = max(best, abs(k2 - k1))
-        return best
+from .resilience import RunResult, launch
 
 
 def _distribute_2d(A, part, bstruct, grid: Grid2D, full: BlockLUMatrix = None):
@@ -160,7 +133,6 @@ def _rank_program_2d(env, ctx):
     r, c = grid.coords(env.rank)
     pr, pc = grid.pr, grid.pc
     N = part.N
-    update_spans = []
     pivseqs = [None] * N
     lcol_cache = {}  # K -> {"pivots", "diag", "lblocks"} for my block rows
     urow_cache = {}  # K -> {J: scaled U_KJ} for my block columns
@@ -432,13 +404,12 @@ def _rank_program_2d(env, ctx):
                 else:
                     compute("dgemv", 2.0 * srows * lk * ncols, gran=lk)
             if env.clock > t0:
-                update_spans.append((env.rank, K, t0, env.clock))
                 env.span(f"U2D{K}", t0)
 
     # ---- main loop (Fig. 12) ---------------------------------------------
     # checkpoint/restart runs a window of elimination stages [k_lo, k_hi)
     # per round; the full run is the single window [0, N)
-    k_lo, k_hi = ctx.get("stage_range", (0, N))
+    k_lo, k_hi = ctx["stage_range"]
     if synchronous:
         for k in range(k_lo, k_hi):
             if c == k % pc:
@@ -473,10 +444,7 @@ def _rank_program_2d(env, ctx):
                 verify_payload(last, where=f"payload:lcol({N - 1})",
                                column=N - 1, metrics=env.metrics)
             lcol_cache[N - 1] = last
-    return {
-        "pivot_seq": pivseqs,
-        "update_spans": update_spans,
-    }
+    return {"pivot_seq": pivseqs}
 
 
 def run_2d(
@@ -493,21 +461,18 @@ def run_2d(
     start_from: BlockLUMatrix = None,
     monitor=None,
     abft: bool = False,
-) -> TwoDResult:
+) -> RunResult:
     """Run the 2D parallel factorization of an ordered matrix ``A``.
 
-    ``sim_opts`` are forwarded to :class:`repro.machine.Simulator` (e.g.
-    ``trace=True`` / ``host_order=...`` / ``faults=...`` /
-    ``reliable=...``).  Checkpoint/restart passes ``stage_range=(k0, k1)``
-    and ``start_from`` (a partially factored merged matrix); ``monitor``
-    is an optional :class:`repro.numfact.PivotMonitor`.
-
-    ``abft=True`` adds checksum records to the block-carrying payloads
-    (``lcol`` L panels, ``urow`` scaled row panels, ``swap`` row
-    exchanges); receivers verify them at consumption and raise
-    :class:`repro.numfact.SilentCorruptionError` on a mismatch.  The
-    O(b)-word pivot-reduction messages (``pmax``/``pbest``) are not
-    checksummed — see DESIGN.
+    ``synchronous`` selects the Table 7 baseline (a barrier per stage, no
+    compute-ahead); ``grid`` fixes the process grid (default
+    :meth:`Grid2D.preferred`).  ``sim_opts``, ``stage_range``,
+    ``start_from``, ``monitor`` and ``abft`` mean what they mean for both
+    layouts (:func:`repro.parallel.resilience.launch`).  ABFT checksums
+    the block-carrying payloads (``lcol`` L panels, ``urow`` scaled row
+    panels, ``swap`` row exchanges); the O(b)-word pivot-reduction
+    messages (``pmax``/``pbest``) are not checksummed — see DESIGN.  The
+    :class:`RunResult` carries the ``grid``.
     """
     if grid is None:
         grid = Grid2D.preferred(nprocs)
@@ -530,25 +495,5 @@ def run_2d(
         # arena, a view of its own diagonal block like its local dict's
         "invert_diagonal": merged.invert_diagonal,
     }
-    if stage_range is not None:
-        ctx["stage_range"] = stage_range
-    opts = dict(sim_opts or {})
-    # zero-copy delivery by default: this module is Z-rule certified
-    # (repro lint --certify); the simulator falls back to copying if the
-    # certificate is stale/absent or sanitize mode is on
-    opts.setdefault("zero_copy", True)
-    sim = Simulator(
-        grid.nprocs, spec, _rank_program_2d, args=(ctx,), **opts
-    ).run()
-
-    # the ranks' dicts hold views of the one arena, factored in place: the
-    # full matrix is the merged factor once it knows the pivot sequences
-    spans = []
-    for ret in sim.returns:
-        if ret is None:  # rank crashed; its state is on the restart path
-            continue
-        spans.extend(ret["update_spans"])
-        for K, seq in enumerate(ret["pivot_seq"]):
-            if seq is not None:
-                merged.pivot_seq[K] = seq
-    return TwoDResult(sim=sim, grid=grid, factor=merged, update_spans=spans)
+    return launch(_rank_program_2d, ctx, merged, grid.nprocs, spec, sim_opts,
+                  stage_range, grid=grid)

@@ -47,15 +47,16 @@ class TaskGraph:
         kernel, fl, gran = self.comp[task]
         return spec.compute_seconds(kernel, fl, gran)
 
-    def b_levels(self, spec, include_comm: bool = True) -> dict:
-        """Bottom levels (critical-path-to-exit lengths) per task."""
+    def b_levels(self, spec) -> dict:
+        """Bottom levels (critical-path-to-exit lengths) per task, a
+        Factor's column message included."""
         bl = {}
         for t in reversed(self.tasks):  # self.tasks is topologically ordered
             w = self.seconds(t, spec)
             best = 0.0
             for s in self.succ.get(t, ()):
                 c = 0.0
-                if include_comm and t[0] == FACTOR:
+                if t[0] == FACTOR:
                     c = spec.message_seconds(self.col_bytes[t[1]])
                 best = max(best, bl[s] + c)
             bl[t] = w + best

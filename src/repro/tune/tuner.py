@@ -312,7 +312,7 @@ class Tuner:
             stage_range=None if cap is None else (0, cap),
         )
         self._count("probes")
-        attr = profile_trace(tracer, total_time=res.sim.total_time).attribution()
+        attr = profile_trace(tracer, total_time=res.parallel_seconds).attribution()
         return dict(
             attr,
             seconds=res.parallel_seconds,

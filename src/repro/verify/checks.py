@@ -94,12 +94,12 @@ def check_trace(sim_result, spec, tg=None, schedule=None) -> Check:
     return Check("tracecheck", report.ok, detail)
 
 
-def check_rounds(resilient_result, n_stages: int, spec) -> list:
+def check_rounds(run, n_stages: int, spec) -> list:
     """``recovery`` and ``tracecheck`` of a checkpointed run: committed
     rounds cover ``[0, n_stages)`` in order on surviving ranks, and every
     round's trace passes."""
     k, gap = 0, None
-    for rnd in resilient_result.rounds:
+    for rnd in run.rounds:
         if not rnd.ok:
             continue
         if rnd.window[0] != k:
@@ -109,10 +109,10 @@ def check_rounds(resilient_result, n_stages: int, spec) -> list:
     else:
         if k != n_stages:
             gap = f"rounds cover [0, {k}), need [0, {n_stages})"
-        elif resilient_result.nprocs_final < 1:
+        elif run.nprocs_final < 1:
             gap = "no surviving ranks"
     trace = Check("tracecheck", True)
-    for i, round_sim in enumerate(resilient_result.results):
+    for i, round_sim in enumerate(run.sims):
         c = check_trace(round_sim, spec)
         if not c.ok:
             trace = Check("tracecheck", False, f"round {i}: {c.detail}")

@@ -27,11 +27,9 @@ from .tracecheck import check_messages, ProtocolViolationError
 
 
 @contextmanager
-def trace_checked_simulations(check_leaks: bool = True, sanitize: bool = True):
-    """Patch ``Simulator.run`` to verify the message protocol of each run.
-
-    ``sanitize=True`` (the default) additionally turns on the simulator's
-    zero-copy write-after-send checker for every run in the context, so a
+def trace_checked_simulations():
+    """Patch ``Simulator.run`` to verify the message protocol of each run
+    and to turn on the simulator's zero-copy write-after-send checker, so a
     rank program that mutates a posted payload fails the test with a typed
     :class:`repro.machine.PayloadMutationError` even though the simulator's
     defensive copy would have hidden the bug.
@@ -41,14 +39,11 @@ def trace_checked_simulations(check_leaks: bool = True, sanitize: bool = True):
     def checked_run(self):
         if self.trace is None:
             self.trace = SimTrace()
-        if sanitize:
-            self.sanitize = True
+        self.sanitize = True
         result = orig_run(self)
         violations = check_messages(
             self.trace, spec=self.spec, crashed=getattr(result, "crashed", ())
         )
-        if not check_leaks:
-            violations = [v for v in violations if v.rule != "LEAK"]
         if violations:
             raise ProtocolViolationError(violations)
         return result

@@ -114,14 +114,13 @@ def replay_check(runner, nprocs: int, n_orders: int = 3, seed: int = 12345):
     ``runner`` must build a **fresh** simulation each call (state mutated by
     a previous run must not leak into the next) and forward ``sim_opts`` as
     keyword arguments to :class:`repro.machine.Simulator` — the ``run_*``
-    entry points in :mod:`repro.parallel` all accept ``sim_opts=``.  It may
-    return either a ``SimResult`` or any object with a ``.sim`` attribute.
+    entry points in :mod:`repro.parallel` all accept ``sim_opts=``.  It
+    returns the run's ``SimResult`` (a run result's ``.sim``).
     """
     report = ReplayReport()
     base = None
     for order in host_orders(nprocs, n_orders, seed):
         outcome = runner({"trace": True, "host_order": order})
-        outcome = outcome.sim if hasattr(outcome, "sim") else outcome
         report.runs += 1
         if base is None:
             base = outcome

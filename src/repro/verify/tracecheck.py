@@ -166,18 +166,18 @@ def parse_span_label(label: str):
     return (UPDATE, int(m.group(2)), int(m.group(3)))
 
 
-def check_spans_against_dag(spans, tg, schedule=None, parse=parse_span_label) -> list:
+def check_spans_against_dag(spans, tg, schedule=None) -> list:
     """Verify executed spans cover and linearize the task graph.
 
     ``spans`` are ``SimResult.spans`` (per-rank execution order is their
-    recorded order).  A span whose name ``parse`` cannot interpret is
-    ignored, so auxiliary spans coexist with the check.
+    recorded order).  A span whose name :func:`parse_span_label` cannot
+    interpret is ignored, so auxiliary spans coexist with the check.
     """
     violations = []
     where = {}  # task -> (rank, per-rank index, start, end)
     per_rank_idx = {}
     for s in spans:
-        task = parse(s.name)
+        task = parse_span_label(s.name)
         if task is None:
             continue
         idx = per_rank_idx.get(s.track, 0)

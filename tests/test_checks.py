@@ -72,9 +72,9 @@ def perturbed_solution(ctx, defect):
 def consumed_before_arrival(ctx, defect):
     out = _green_1d(ctx)
     if defect:
-        rec = next(r for r in out.sim.trace.records if r.t_recv is not None)
+        rec = next(r for r in out.run.sim.trace.records if r.t_recv is not None)
         rec.t_recv = rec.arrival - 1e-3
-    return check_trace(out.sim, ctx.spec)
+    return check_trace(out.run.sim, ctx.spec)
 
 
 def shifted_span(ctx, defect):
@@ -83,19 +83,19 @@ def shifted_span(ctx, defect):
         span = next(s for s in out.tracer.spans if s.track == 0 and s.cat != TASK)
         span.start += 1e-6
         span.end += 1e-6
-    return check_span_tiling(out.tracer, out.sim)
+    return check_span_tiling(out.tracer, out.run.sim)
 
 
 def counter_off_by_one(ctx, defect):
     out = _green_1d(ctx)
     if defect:
         out.tracer.metrics.counter("sim.messages").inc()
-    return check_metrics_consistent(out.tracer, out.sim)
+    return check_metrics_consistent(out.tracer, out.run.sim)
 
 
-def _rounds(windows, results=(), nprocs_final=4):
+def _rounds(windows, sims=(), nprocs_final=4):
     rounds = [SimpleNamespace(ok=True, window=w) for w in windows]
-    return SimpleNamespace(rounds=rounds, results=list(results),
+    return SimpleNamespace(rounds=rounds, sims=list(sims),
                            nprocs_final=nprocs_final)
 
 
@@ -118,10 +118,10 @@ def no_surviving_ranks(ctx, defect):
 
 
 def round_without_trace(ctx, defect):
-    sim = _green_1d(ctx).sim
+    sim = _green_1d(ctx).run.sim
     if defect:
         sim = SimpleNamespace(trace=None)
-    _, trace = check_rounds(_rounds([(0, 8)], results=[sim]), 8, ctx.spec)
+    _, trace = check_rounds(_rounds([(0, 8)], sims=[sim]), 8, ctx.spec)
     return trace
 
 

@@ -131,12 +131,14 @@ class TestFactor:
         assert f"method={method} machine=T3E P=4" in out
         assert "modeled parallel time" in out and "interchanges" in out
 
-    @pytest.mark.parametrize("extra", [[], ["--reliable"]])
+    @pytest.mark.parametrize("extra", [
+        [], ["--reliable"], ["--reliable", "--ckpt-interval", "4"]])
     def test_sequential_with_faults_runs_on_the_simulated_machine(
             self, mtx_path, tmp_path, capsys, extra):
         """Faults need the simulated machine: a sequential ``factor --faults``
         runs 1d-ca on at least 4 ranks with retries (as ``solve`` does),
-        with or without ``--reliable``, instead of raising."""
+        with or without ``--reliable``, instead of raising.  A checkpointed
+        run reports the faults of its committed rounds."""
         from repro.machine import FaultPlan
 
         plan = tmp_path / "plan.json"

@@ -129,7 +129,7 @@ class TestZeroCopyDelivery:
         cp = factorize("1d-ca", *args, sim_opts={"zero_copy": False}, **kw)
         assert zc.crashes == cp.crashes == [2]
         _assert_factor_identical(zc.factor, cp.factor)
-        assert zc.total_time == cp.total_time
+        assert zc.parallel_seconds == cp.parallel_seconds
         assert [(r.window, r.ok) for r in zc.rounds] == \
                [(r.window, r.ok) for r in cp.rounds]
 

@@ -164,15 +164,20 @@ HOSTILE = [
 class TestHostileRunOptions:
     @pytest.fixture(autouse=True)
     def no_simulator_may_exist(self, monkeypatch):
-        from repro.parallel import oned, trisolve, twod
+        from repro.parallel import resilience, trisolve
 
         def boom(*a, **k):
             raise AssertionError("the simulator was built")
 
-        for mod in (oned, twod, trisolve):
+        for mod in (resilience, trisolve):
             monkeypatch.setattr(mod, "Simulator", boom)
 
-    @pytest.mark.parametrize("opts, message", HOSTILE)
+    @pytest.mark.parametrize("opts, message", HOSTILE + [
+        # the solver has no stage_range; sherman5 has N = 59 stages here
+        ({"method": method, "stage_range": window}, "stage_range")
+        for method in DRIVERS
+        for window in [(3, 2), (2, 2), (0, 62), (-2, 3)]
+    ])
     def test_factorize(self, opts, message, run_args):
         opts = {"method": "1d-ca", "nprocs": 4, **opts}
         A, part, bstruct, _, spec = run_args
@@ -270,6 +275,16 @@ def test_checkpointed_2d_keeps_the_callers_grid(run_args):
     plain = factorize("2d", *run_args, grid=grid)
     rounds = factorize("2d", *run_args, grid=grid, ckpt_interval=1000)
     assert rounds.messages == plain.sim.messages
+    # one record for both: each total is its sum over the rounds
+    short = factorize("2d", *run_args, grid=grid, ckpt_interval=4)
+    for res in (plain, rounds, short):
+        assert type(res) is type(plain)
+        assert res.parallel_seconds == sum(r.seconds for r in res.rounds)
+        assert res.messages == sum(r.sim.messages for r in res.rounds)
+        assert res.bytes_sent == sum(r.sim.bytes_sent for r in res.rounds)
+        assert res.total_counter().total == sum(
+            r.sim.total_counter().total for r in res.rounds)
+    assert len(plain.rounds) == 1 and len(short.rounds) > 1
     assert rounds.messages != factorize("2d", *run_args).sim.messages
     assert _same_factor(rounds.factor, plain.factor)
 

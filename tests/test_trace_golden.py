@@ -76,10 +76,10 @@ def _run_crash_restart(args, abft: bool) -> dict:
     )
     return {
         "trace": _trace_digest(tracer),
-        "parallel_seconds": float(res.total_time).hex(),
+        "parallel_seconds": float(res.parallel_seconds).hex(),
         "crashes": list(res.crashes),
         "rounds": [[list(r.window), r.nprocs, r.ok] for r in res.rounds],
-        "good_rounds": [_sim_record(sim) for sim in res.results],
+        "good_rounds": [_sim_record(sim) for sim in res.sims],
     }
 
 

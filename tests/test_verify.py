@@ -551,7 +551,7 @@ class TestRealCodesVerifyClean:
             rep = replay_check(
                 lambda so, extra=extra: run_1d(
                     om.A, part, bstruct, 3, T3E, method="ca", tg=tg,
-                    sim_opts={**so, **extra}),
+                    sim_opts={**so, **extra}).sim,
                 3, n_orders=3,
             )
             assert rep.ok, (extra, rep.mismatches)
