@@ -350,9 +350,8 @@ class SStarSolver:
                 pivot_threshold=self.pivot_threshold,
                 monitor=monitor,
                 abft=self.abft,
-                sim_opts=None if self.tracer is None else {"tracer": self.tracer},
-                faults=self.faults,
-                reliable=self.reliable,
+                sim_opts={"tracer": self.tracer, "faults": self.faults,
+                          "reliable": self.reliable},
                 ckpt_interval=ckpt_interval,
             )
             lu = LUFactorization(res.factor, sym, part, bstruct, res.total_counter())

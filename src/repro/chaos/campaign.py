@@ -7,7 +7,10 @@ every run against the invariants of :mod:`repro.verify.checks`.
 Families are only paired with scenarios whose capabilities make their
 faults recoverable, so every campaign run is *expected* green: a single
 red oracle is a real robustness bug, and the failing run's realised
-fault events are the shrinker's (:mod:`repro.chaos.shrink`) input.
+fault events are the shrinker's (:mod:`repro.chaos.shrink`) input.  The
+plan reaches a run as ``sim_opts["faults"]`` and its realised events
+come back as :class:`repro.machine.FaultStats` ``injected`` — on the
+result, or on the error a failed run raises.
 
 Observability: the campaign counts ``chaos.runs`` / ``chaos.failures``
 in its :class:`repro.obs.MetricsRegistry`, merges every run's own
@@ -204,41 +207,16 @@ class RunOutcome:
         return ["oracle"] + bad if bad else None
 
 
-class RecordingPlan:
-    """FaultPlan proxy that records every fired decision as a FaultEvent.
-
-    The simulator materialises realised faults in ``fault_stats.injected``,
-    but when a run *raises* (the exact runs the shrinker cares about) the
-    SimResult never escapes — this wrapper captures the same events on
-    the way through, exception or not.
-    """
-
-    def __init__(self, plan):
-        self._plan = plan
-        self.fired = []
-
-    def __getattr__(self, name):  # crashes, crash_time: the plan's own
-        return getattr(self._plan, name)
-
-    def message_fault(self, src, dest, tag, attempt: int = 0):
-        from ..machine.faults import DELAY, FaultEvent
-        hit = self._plan.message_fault(src, dest, tag, attempt)
-        if hit is not None:
-            self.fired.append(FaultEvent(
-                hit.action, int(src), int(dest), tag, attempt=attempt,
-                delay_s=hit.delay_s if hit.action == DELAY else 0.0,
-            ))
-        return hit
-
-
 def execute_case(ctx: ChaosContext, scenario: Scenario, plan) -> RunOutcome:
-    """Run one (scenario, plan) case; never raises — errors are captured."""
+    """Run one (scenario, plan) case; never raises — errors are captured.
+
+    ``out.injected`` is the run's realised fault events, sorted: its
+    ``fault_stats.injected``, or, when a one-round run raised, that of
+    the error (the failing runs are the shrinker's input)."""
     out = RunOutcome(scenario=scenario, family="?", index=0, plan=plan)
     tracer = Tracer()
     out.tracer = tracer
     rel = ReliableDelivery(checksum=scenario.checksum) if scenario.reliable else None
-    direct = scenario.mode in ("1d", "2d")
-    use_plan = RecordingPlan(plan) if direct else plan
     try:
         if scenario.mode == "service":
             from ..service import SolveService
@@ -256,20 +234,23 @@ def execute_case(ctx: ChaosContext, scenario: Scenario, plan) -> RunOutcome:
             res = factorize(
                 scenario.driver, ctx.om.A, ctx.art.part, ctx.art.bstruct,
                 scenario.nprocs, ctx.spec, abft=scenario.abft,
-                sim_opts={"tracer": tracer, "trace": True},
-                faults=use_plan, reliable=rel,
+                sim_opts={"tracer": tracer, "trace": True, "faults": plan,
+                          "reliable": rel},
                 ckpt_interval=scenario.ckpt_interval if scenario.resilient else None,
             )
             out.run = res
             out.seconds = res.parallel_seconds
+            out.injected = _sorted_events(res.fault_stats.injected)
             out.crashes = tuple(res.crashes)
-            out.injected = tuple(sorted(res.fault_stats.injected,
-                                        key=lambda e: e.key()))
     except Exception as e:  # the oracles decide what failure means
         out.error = e
-    if isinstance(use_plan, RecordingPlan):
-        out.injected = tuple(sorted(use_plan.fired, key=lambda e: e.key()))
+        if scenario.mode in ("1d", "2d") and hasattr(e, "fault_stats"):
+            out.injected = _sorted_events(e.fault_stats.injected)
     return out
+
+
+def _sorted_events(events) -> tuple:
+    return tuple(sorted(events, key=lambda e: e.key()))
 
 
 def evaluate(ctx: ChaosContext, scenario: Scenario, outcome) -> list:

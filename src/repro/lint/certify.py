@@ -80,7 +80,7 @@ class ZeroCopyCertificate:
 
     ``modules`` maps a dotted module name to::
 
-        {"path": str, "sha256": hex, "clean": bool, "findings": [str, ...]}
+        {"sha256": hex, "clean": bool, "findings": [str, ...]}
 
     ``covers(name)`` is the authorisation check the simulator uses: the
     module must be present, Z-rule clean, and its installed source must
@@ -173,7 +173,6 @@ def build_certificate(paths=None, env_names=("env",)) -> ZeroCopyCertificate:
             continue
         hits = by_path.get(str(Path(fp).resolve()), [])
         modules[name] = {
-            "path": str(fp),
             "sha256": _sha256_file(fp),
             "clean": not hits,
             "findings": [

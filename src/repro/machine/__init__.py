@@ -32,8 +32,6 @@ from .simulator import (
     MessageLostError,
     PayloadMutationError,
     RankCrashedError,
-    Timeout,
-    TIMEOUT,
 )
 
 __all__ = [
@@ -58,6 +56,4 @@ __all__ = [
     "MessageLostError",
     "PayloadMutationError",
     "RankCrashedError",
-    "Timeout",
-    "TIMEOUT",
 ]

@@ -102,12 +102,13 @@ class MessageLostError(DeliveryError):
 
 
 class RankCrashedError(RuntimeError):
-    """A crashed rank left the surviving ranks unable to progress.
+    """A rank crashed before the run finished.
 
     Structured attributes: ``ranks`` (the crashed ranks), ``crash_times``
     (``{rank: virtual clock at death}``), ``detected_at`` (the virtual time
     at which the survivors' heartbeat timeout detected the failure), and
-    ``blocked`` as for :class:`DeadlockError`.
+    ``blocked`` as for :class:`DeadlockError` — empty when the survivors
+    finished without the dead rank.
     """
 
     def __init__(self, message, ranks=(), crash_times=None, detected_at=0.0,
@@ -117,27 +118,6 @@ class RankCrashedError(RuntimeError):
         self.crash_times = dict(crash_times or {})
         self.detected_at = detected_at
         self.blocked = blocked or []
-
-
-class Timeout:
-    """Sentinel returned by ``recv(tag, timeout=...)`` when the deadline
-    passes without a matching message.  Falsy, singleton (``TIMEOUT``)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __bool__(self):
-        return False
-
-    def __repr__(self):
-        return "TIMEOUT"
-
-
-TIMEOUT = Timeout()
 
 
 class DeadlockError(RuntimeError):
@@ -185,11 +165,10 @@ _READY, _RECV, _BARRIER, _DONE, _CRASHED = 0, 1, 2, 3, 4
 
 
 class _RecvRequest:
-    __slots__ = ("tag", "deadline")
+    __slots__ = ("tag",)
 
-    def __init__(self, tag, deadline=None):
+    def __init__(self, tag):
         self.tag = tag
-        self.deadline = deadline
 
 
 class _BarrierRequest:
@@ -461,15 +440,10 @@ class Env:
             if d != self.rank:
                 self.send(d, tag, payload, nbytes=nbytes)
 
-    def recv(self, tag, timeout: float = None):
+    def recv(self, tag):
         """Yieldable: block until a message tagged ``tag`` is available.
-
-        With ``timeout`` (virtual seconds) the yield resumes with the
-        :data:`TIMEOUT` sentinel once the deadline passes and no matching
-        message can arrive — it never raises :class:`DeadlockError`.
-        """
-        deadline = None if timeout is None else self.clock + float(timeout)
-        return _RecvRequest(tag, deadline)
+        A wait no message can end raises from :meth:`Simulator.run`."""
+        return _RecvRequest(tag)
 
     def barrier(self):
         """Yieldable: global barrier."""
@@ -645,7 +619,9 @@ class Simulator:
         ``reliable`` enables the ack/retry transport (pass ``True`` for the
         defaults or a :class:`ReliableDelivery` config).  Survivors declare
         a silent rank dead after a virtual-time heartbeat timeout of 100x
-        the network latency.
+        the network latency.  The run's :class:`FaultStats` is
+        ``SimResult.fault_stats``, or the ``fault_stats`` attribute of the
+        exception a failed run raises.
 
         ``sanitize=True`` enables the zero-copy write-after-send checker:
         every payload is content-hashed when posted and re-verified when
@@ -922,6 +898,11 @@ class Simulator:
     def run(self) -> SimResult:
         try:
             return self._run()
+        except Exception as e:
+            # the faults that fired before the run failed (the chaos
+            # shrinker's input) leave with the error
+            e.fault_stats = self.fault_stats
+            raise
         finally:
             # once, however the run ends: a run that raised still
             # reports what it sent
@@ -933,7 +914,6 @@ class Simulator:
             _READY, _RECV, _BARRIER, _DONE, _CRASHED)
         state = self._state = [READY] * self.nprocs
         waiting_tag = self._waiting_tag = [None] * self.nprocs
-        waiting_deadline = [None] * self.nprocs
         blocked_at = [0.0] * self.nprocs  # clock when a rank last blocked
         returns = [None] * self.nprocs
         crash_time = dict(self._crash_time)
@@ -972,7 +952,6 @@ class Simulator:
                             blocked_at[r], env.clock, {"crashed": True})
             state[r] = CRASHED
             waiting_tag[r] = None
-            waiting_deadline[r] = None
             wake.discard(r)
             crash_time.pop(r, None)
             self.fault_stats.crashes.append((r, env.clock))
@@ -1013,7 +992,6 @@ class Simulator:
             if isinstance(req, _RecvRequest):
                 state[r] = RECV
                 waiting_tag[r] = req.tag
-                waiting_deadline[r] = req.deadline
                 blocked_at[r] = envs[r].clock
                 if (r, req.tag) in mailboxes:
                     # the awaited message already landed: wake immediately
@@ -1037,18 +1015,9 @@ class Simulator:
             if not box:
                 return False
             env = envs[r]
-            arrival = box[0][0]
-            if (
-                waiting_deadline[r] is not None
-                and arrival > waiting_deadline[r]
-            ):
-                # cannot be satisfied in time; the timeout fires at
-                # the quiescent point below (another sender may yet
-                # deposit an earlier message)
-                return False
             if crash_time:
                 ct = crash_time.get(r)
-                if ct is not None and max(env.clock, arrival) >= ct:
+                if ct is not None and max(env.clock, box[0][0]) >= ct:
                     # the rank dies before it could process the message;
                     # leave it undelivered
                     crash(r, at=ct)
@@ -1074,7 +1043,6 @@ class Simulator:
                 tr.message(rec)
             state[r] = READY
             waiting_tag[r] = None
-            waiting_deadline[r] = None
             resume(r, payload)
             return True
 
@@ -1090,7 +1058,7 @@ class Simulator:
             # ``tracer.messages`` and so the Chrome-trace flow ids that
             # ``tests/data/trace_golden.json`` pins.  While a rank is
             # blocked every input of service_recv's checks is frozen (its
-            # clock, the box head, deadline, crash time), so nothing is
+            # clock, the box head, crash time), so nothing is
             # missed by not looking at it between deposits.
             if len(wake) == 1:
                 # overwhelmingly common: a single woken rank.  Servicing it
@@ -1142,33 +1110,13 @@ class Simulator:
             blocked = [r for r in live if state[r] in (RECV, BARRIER)]
             if len(blocked) == len(live):
                 # quiescent: no rank can advance on its own.  Fire the
-                # earliest virtual-time event — a recv timeout or a
-                # scheduled crash of a blocked rank — before declaring
-                # failure.  The choice is a min over (time, rank): host
-                # scheduling order never matters.
-                events = []
-                for r in blocked:
-                    if state[r] == RECV and waiting_deadline[r] is not None:
-                        events.append((waiting_deadline[r], 0, r))
-                    if crash_time.get(r) is not None:
-                        events.append((crash_time[r], 1, r))
-                if events:
-                    t, kind, r = min(events)
-                    if kind == 1:
-                        crash(r, at=t)
-                    else:
-                        env = self.envs[r]
-                        env.clock = max(env.clock, t)
-                        if tr is not None and env.clock > blocked_at[r]:
-                            tr.span(
-                                r, f"recv {_obs.tag_label(waiting_tag[r])}",
-                                _obs.RECV_WAIT, blocked_at[r], env.clock,
-                                {"timeout": True},
-                            )
-                        state[r] = READY
-                        waiting_tag[r] = None
-                        waiting_deadline[r] = None
-                        resume(r, TIMEOUT)
+                # earliest scheduled crash of a blocked rank before
+                # declaring failure.  The choice is a min over (time,
+                # rank): host scheduling order never matters.
+                due = [(crash_time[r], r) for r in blocked if r in crash_time]
+                if due:
+                    t, r = min(due)
+                    crash(r, at=t)
                     continue
                 if crashed:
                     raise self._crashed_error(crashed, blocked, state,

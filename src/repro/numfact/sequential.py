@@ -94,6 +94,13 @@ class LUFactorization:
             metrics.counter("abft.recovered").inc(len(cols))
         return len(cols)
 
+    def _check_factored(self) -> None:
+        """A solve needs every stage: a partial (``stage_range``) factor
+        is a ``RuntimeError`` naming its first unfactored block column."""
+        seqs = self.matrix.pivot_seq
+        if None in seqs:
+            raise RuntimeError(f"Factor({seqs.index(None)}) has not run yet")
+
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for the *permuted* matrix this was built from.
 
@@ -110,6 +117,7 @@ class LUFactorization:
         and apply ``L_KK^{-1}`` as one product with the inverse the
         factorization kept (:meth:`repro.numfact.BlockLUMatrix.diag_inverse`).
         """
+        self._check_factored()
         self.verify_abft()
         m = self.matrix
         plan = m.plan
@@ -158,6 +166,7 @@ class LUFactorization:
         ``M_K^{-T}`` and the *reversed* pivot swaps for K descending
         (``L_KK^{-T}`` as one product with the transposed inverse).
         """
+        self._check_factored()
         self.verify_abft()
         m = self.matrix
         part = self.part

@@ -67,21 +67,22 @@ def check_run_options(method, nprocs, ckpt_interval=None, grid=None,
 def factorize(
     method, A, part, bstruct, nprocs, spec, *,
     grid=None, tg=None, pivot_threshold=1.0, monitor=None, abft=False,
-    sim_opts=None, stage_range=None, faults=None, reliable=None,
-    ckpt_interval=None, max_restarts=None,
+    sim_opts=None, stage_range=None, ckpt_interval=None, max_restarts=None,
 ):
     """Run the parallel code ``method`` (a key of :data:`DRIVERS`) on the
     ordered matrix ``A``; returns its :class:`RunResult`.
 
     Without ``ckpt_interval`` that is one :func:`run_1d` / :func:`run_2d`
-    execution, one round (``faults`` / ``reliable`` join ``sim_opts``;
-    ``stage_range=(k0, k1)``, integers with ``0 <= k0 < k1 <= part.N``,
-    restricts it to a window of stages).  With it the same code runs in
-    checkpointed rounds of that many stages, restarting on the survivors
-    when a rank crashes (``max_restarts``, default ``nprocs``).  The
-    keywords mean the same on both paths: ``grid`` fixes the 2D process
-    grid (while the run keeps its rank count), ``tg`` hands the 1D codes a
-    prebuilt task graph.
+    execution, one round (``stage_range=(k0, k1)``, integers with
+    ``0 <= k0 < k1 <= part.N``, restricts it to a window of stages); a
+    rank crash ends it as :class:`repro.machine.RankCrashedError`.  With
+    it the same code runs in checkpointed rounds of that many stages,
+    restarting on the survivors when a rank crashes (``max_restarts``,
+    default ``nprocs``).  The keywords mean the same on both paths:
+    ``sim_opts`` go to every :class:`repro.machine.Simulator`, the fault
+    plan and retry transport included (``"faults"``, ``"reliable"``);
+    ``grid`` fixes the 2D process grid (while the run keeps its rank
+    count), ``tg`` hands the 1D codes a prebuilt task graph.
     """
     check_run_options(method, nprocs, ckpt_interval, grid, tuple(DRIVERS),
                       pivot_threshold)
@@ -98,8 +99,8 @@ def factorize(
                              "the checkpoint rounds are the stage windows")
         return run_checkpointed(
             runner, A, part, bstruct, nprocs, spec,
-            ckpt_interval=ckpt_interval, faults=faults, reliable=reliable,
-            sim_opts=sim_opts, max_restarts=max_restarts, **kwargs,
+            ckpt_interval=ckpt_interval, sim_opts=sim_opts,
+            max_restarts=max_restarts, **kwargs,
         )
     if stage_range is not None:
         k0, k1 = stage_range
@@ -107,10 +108,5 @@ def factorize(
                 and 0 <= k0 < k1 <= part.N):
             raise ValueError(f"stage_range must be integers 0 <= k0 < k1 <= "
                              f"{part.N}, got {stage_range!r}")
-    opts = dict(sim_opts or {})
-    if faults is not None:
-        opts["faults"] = faults
-    if reliable is not None:
-        opts["reliable"] = reliable
-    return runner(A, part, bstruct, nprocs, spec, sim_opts=opts,
+    return runner(A, part, bstruct, nprocs, spec, sim_opts=sim_opts,
                   stage_range=stage_range, **kwargs)

@@ -118,8 +118,7 @@ class RunResult:
     @property
     def buffer_high_water(self) -> list:
         """1D codes: each rank's peak bytes of cached remote columns."""
-        return [0 if ret is None else ret["high_water"]
-                for ret in self.sim.returns]
+        return [ret["high_water"] for ret in self.sim.returns]
 
     def overlap_degree(self) -> int:
         """Measured stage-overlap degree of Update_2D tasks (Theorem 2):
@@ -150,7 +149,10 @@ def launch(rank_program, ctx, merged, nprocs, spec, sim_opts, stage_range,
     payloads, and receivers raise :class:`repro.numfact.SilentCorruptionError`
     on a mismatch.  The ranks factor ``merged``'s arena in place; their
     pivot sequences, merged here, complete the factor.  ``mapping`` is the
-    layout's ``schedule=`` or ``grid=``.
+    layout's ``schedule=`` or ``grid=``.  A run in which any rank crashed
+    raises :class:`repro.machine.RankCrashedError`, whether or not the
+    survivors finished; every error leaving the run carries its
+    ``fault_stats``.
     """
     ctx["stage_range"] = window = (
         (0, merged.part.N) if stage_range is None else tuple(stage_range))
@@ -160,14 +162,19 @@ def launch(rank_program, ctx, merged, nprocs, spec, sim_opts, stage_range,
     # copying if the certificate is stale/absent or sanitize mode is on
     opts.setdefault("zero_copy", True)
     sim = Simulator(nprocs, spec, rank_program, args=(ctx,), **opts).run()
+    if sim.crashed:
+        # the survivors finished, but the dead ranks' work may be missing
+        err = RankCrashedError(
+            "rank(s) crashed with work outstanding", ranks=sim.crashed,
+            crash_times=dict(sim.fault_stats.crashes),
+            detected_at=sim.total_time)
+        err.fault_stats = sim.fault_stats
+        raise err
     for ret in sim.returns:
-        if ret is None:  # rank crashed; its state is on the restart path
-            continue
         for K, seq in enumerate(ret["pivot_seq"]):
             if seq is not None:
                 merged.pivot_seq[K] = seq
-    rnd = RoundInfo(window, nprocs, True, tuple(sim.crashed), sim.total_time,
-                    sim=sim)
+    rnd = RoundInfo(window, nprocs, True, seconds=sim.total_time, sim=sim)
     return RunResult(merged, [rnd], **mapping)
 
 
@@ -179,20 +186,23 @@ def _copy_state(m: BlockLUMatrix) -> BlockLUMatrix:
 
 
 def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
-                     ckpt_interval, faults, reliable, sim_opts,
-                     max_restarts, **runner_kwargs) -> RunResult:
+                     ckpt_interval, sim_opts, max_restarts,
+                     **runner_kwargs) -> RunResult:
     """The checkpoint/restart loop over ``runner`` (:func:`run_1d` or
     :func:`run_2d`, with ``runner_kwargs``); see the module docstring.
+    The fault plan is ``sim_opts["faults"]``; each round runs on what is
+    left of it (``after_crash`` / ``shifted`` / ``without_corrupt``).
     Reached through :func:`repro.parallel.factorize`."""
     if ckpt_interval < 1:  # the window would never advance
         raise ValueError(f"ckpt_interval must be >= 1, got {ckpt_interval}")
     if max_restarts is None:
         max_restarts = nprocs
     N = part.N
-    plan = faults if faults is not None else FaultPlan()
+    opts = dict(sim_opts or {})
+    plan = opts.get("faults") or FaultPlan()
     # each round's Simulator restarts virtual time at 0; an offset proxy
     # splices the rounds onto the caller's one continuous trace timeline
-    tracer = (sim_opts or {}).get("tracer")
+    tracer = opts.get("tracer")
 
     def close_round(rnd: RoundInfo):
         """Record the round that just ran, which charges its virtual time."""
@@ -210,12 +220,10 @@ def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
             tracer.metrics.counter("ckpt.restarts").inc()
 
     def discard_crashed_round(err: RankCrashedError):
-        """Ranks died in this round — the simulator raised ``err`` because
-        the survivors were blocked, or the round "completed" for them with
-        the dead ranks' in-window tasks possibly missing.  Either way the
-        round state is not a checkpoint: record it, charge its time and
-        shrink the run to the survivors; ``err`` propagates when the
-        restart budget is spent or nobody is left."""
+        """Ranks died in this round, so its state is not a checkpoint:
+        record it, charge its time and shrink the run to the survivors;
+        ``err`` propagates when the restart budget is spent or nobody is
+        left."""
         nonlocal restarts, plan, nprocs
         restarts += 1
         if restarts > max_restarts:
@@ -244,17 +252,14 @@ def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
     while k < N:
         window = (k, min(k + int(ckpt_interval), N))
         round_start = out.parallel_seconds
-        base_opts = dict(sim_opts or {})
-        base_opts["faults"] = plan
-        if reliable is not None:
-            base_opts["reliable"] = reliable
+        opts["faults"] = plan
         if tracer is not None:
-            base_opts["tracer"] = tracer.offset(round_start)
+            opts["tracer"] = tracer.offset(round_start)
         start = _copy_state(out.factor) if out.factor is not None else None
         try:
             res = runner(
                 A, part, bstruct, nprocs, spec,
-                sim_opts=base_opts,
+                sim_opts=opts,
                 stage_range=window,
                 start_from=start,
                 **runner_kwargs,
@@ -279,14 +284,6 @@ def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
             discard_crashed_round(e)
             continue  # re-run the same window on the survivors
         (rnd,) = res.rounds
-        if rnd.crashed:
-            discard_crashed_round(RankCrashedError(
-                "rank(s) crashed with work outstanding",
-                ranks=list(rnd.crashed),
-                crash_times=dict(rnd.sim.fault_stats.crashes),
-                detected_at=rnd.seconds,
-            ))
-            continue
         # the round committed: its merged state is the new checkpoint
         out.factor, out.schedule, out.grid = res.factor, res.schedule, res.grid
         close_round(rnd)

@@ -223,9 +223,9 @@ class TestResilientAbft:
             rules=[MessageFaultRule(CORRUPT, rate=0.25)], seed=4)
         tr = Tracer()
         res = factorize(method, p["om"].A, p["part"], p["bstruct"], 4,
-                        GENERIC, ckpt_interval=4, faults=plan,
-                        reliable=ReliableDelivery(checksum=False),
-                        abft=True, sim_opts={"tracer": tr})
+                        GENERIC, ckpt_interval=4, abft=True,
+                        sim_opts={"tracer": tr, "faults": plan,
+                                  "reliable": ReliableDelivery(checksum=False)})
         assert _bitwise_equal(res.factor, p["seq"].matrix)
         aborted = [r for r in res.rounds if not r.ok and r.corrupted]
         assert aborted, "no round was discarded for corruption"

@@ -124,9 +124,11 @@ class TestZeroCopyDelivery:
         args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
         probe = run_1d(*args, method="ca")
         plan = FaultPlan(crashes=[CrashFault(2, probe.sim.total_time * 0.4)])
-        kw = dict(ckpt_interval=3, reliable=True, faults=plan)
-        zc = factorize("1d-ca", *args, sim_opts={"zero_copy": True}, **kw)
-        cp = factorize("1d-ca", *args, sim_opts={"zero_copy": False}, **kw)
+        opts = {"faults": plan, "reliable": True}
+        zc = factorize("1d-ca", *args, ckpt_interval=3,
+                       sim_opts={"zero_copy": True, **opts})
+        cp = factorize("1d-ca", *args, ckpt_interval=3,
+                       sim_opts={"zero_copy": False, **opts})
         assert zc.crashes == cp.crashes == [2]
         _assert_factor_identical(zc.factor, cp.factor)
         assert zc.parallel_seconds == cp.parallel_seconds
@@ -229,7 +231,7 @@ class TestCertificate:
     def test_stale_hash_declines(self):
         cert = ZeroCopyCertificate({
             "repro.parallel.oned": {
-                "path": "x", "sha256": "0" * 64, "clean": True,
+                "sha256": "0" * 64, "clean": True,
                 "findings": [],
             },
         })
@@ -238,7 +240,7 @@ class TestCertificate:
     def test_dirty_module_declines(self):
         cert = ZeroCopyCertificate({
             "repro.parallel.oned": {
-                "path": "x", "sha256": "0" * 64, "clean": False,
+                "sha256": "0" * 64, "clean": False,
                 "findings": ["Z201 oned.py:1:1 boom"],
             },
         })

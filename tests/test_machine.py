@@ -242,7 +242,7 @@ def _cert_for(module, clean=True, sha256="0" * 64):
     from repro.lint.certify import ZeroCopyCertificate
 
     return ZeroCopyCertificate({module: {
-        "path": "x", "sha256": sha256, "clean": clean, "findings": [],
+        "sha256": sha256, "clean": clean, "findings": [],
     }})
 
 

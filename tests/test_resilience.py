@@ -24,7 +24,6 @@ from repro.machine import (
     RankCrashedError,
     ReliableDelivery,
     Simulator,
-    TIMEOUT,
 )
 from repro.machine.faults import CORRUPT, DELAY, DROP, DUPLICATE
 from repro.matrices import random_nonsymmetric
@@ -253,34 +252,14 @@ class TestReliableDelivery:
 
 
 # ---------------------------------------------------------------------------
-# recv timeouts and deadlock diagnostics (satellite)
+# deadlock diagnostics (satellite)
 # ---------------------------------------------------------------------------
 
 
 class TestTimeouts:
-    def test_timeout_returns_sentinel_not_deadlock(self):
-        def prog(env):
-            got = yield env.recv(("never",), timeout=1e-3)
-            return got
-
-        res = Simulator(2, GENERIC, prog).run()
-        assert res.returns == [TIMEOUT, TIMEOUT]
-        assert not TIMEOUT  # falsy sentinel
-
-    def test_timeout_still_receives_early_message(self):
-        def prog(env):
-            if env.rank == 0:
-                env.send(1, ("x",), 42)
-                return None
-            got = yield env.recv(("x",), timeout=1.0)
-            return got
-
-        res = Simulator(2, GENERIC, prog).run()
-        assert res.returns[1] == 42
-
     def test_deadlock_diagnostics_survive(self):
-        """The no-timeout path still raises DeadlockError with the per-rank
-        awaited tag and the undelivered-mailbox contents."""
+        """A deadlock raises DeadlockError with the per-rank awaited tag
+        and the undelivered-mailbox contents."""
 
         def prog(env):
             if env.rank == 0:
@@ -297,19 +276,6 @@ class TestTimeouts:
         inbox = e.pending.get(1, [])
         assert any(tag == ("unexpected", 9) for tag, _, _ in inbox)
         assert "undelivered" in str(e)
-
-    def test_mixed_timeout_and_blocking_recv(self):
-        """A rank with a timeout never converts the others' genuine deadlock
-        into a timeout: it times out, they deadlock."""
-
-        def prog(env):
-            if env.rank == 0:
-                got = yield env.recv(("maybe",), timeout=1e-4)
-                return got
-            yield env.recv(("never",))
-
-        with pytest.raises(DeadlockError):
-            Simulator(2, GENERIC, prog).run()
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +323,9 @@ class TestCrashRecovery:
         p = pipeline
         base, plan = self._crash_plan(pipeline)
         res = factorize("1d-ca", p["om"].A, p["part"], p["bstruct"], 4,
-                        GENERIC, ckpt_interval=3, faults=plan, reliable=True,
-                        sim_opts={"trace": True})
+                        GENERIC, ckpt_interval=3,
+                        sim_opts={"trace": True, "faults": plan,
+                                  "reliable": True})
         assert res.nprocs_final == 3
         failed = [r for r in res.rounds if not r.ok]
         assert len(failed) == 1 and failed[0].crashed == (3,)
@@ -376,8 +343,9 @@ class TestCrashRecovery:
         base, plan = self._crash_plan(pipeline)
         plan = FaultPlan(DROP_PLAN.rules, plan.crashes, seed=DROP_PLAN.seed)
         res = factorize("1d-ca", p["om"].A, p["part"], p["bstruct"], 4,
-                        GENERIC, ckpt_interval=3, faults=plan, reliable=True,
-                        sim_opts={"trace": True})
+                        GENERIC, ckpt_interval=3,
+                        sim_opts={"trace": True, "faults": plan,
+                                  "reliable": True})
         assert _bitwise_equal(base.factor, res.factor)
         assert res.sims  # committed rounds carry their SimResults
         for sim in res.sims:
@@ -389,7 +357,8 @@ class TestCrashRecovery:
         base = run_2d(p["om"].A, p["part"], p["bstruct"], 4, GENERIC)
         plan = FaultPlan().with_crash(2, 0.4 * base.sim.total_time)
         res = factorize("2d", p["om"].A, p["part"], p["bstruct"], 4, GENERIC,
-                        ckpt_interval=3, faults=plan, reliable=True)
+                        ckpt_interval=3,
+                        sim_opts={"faults": plan, "reliable": True})
         assert res.nprocs_final == 3
         assert any(not r.ok for r in res.rounds)
         assert _bitwise_equal(base.factor, res.factor)
@@ -402,7 +371,7 @@ class TestCrashRecovery:
         base = run_1d(p["om"].A, p["part"], p["bstruct"], 4, GENERIC,
                       method="ca")
         res = factorize("1d-ca", p["om"].A, p["part"], p["bstruct"], 4,
-                        GENERIC, ckpt_interval=4, reliable=True)
+                        GENERIC, ckpt_interval=4, sim_opts={"reliable": True})
         assert all(r.ok for r in res.rounds)
         assert _bitwise_equal(base.factor, res.factor)
 

@@ -21,6 +21,7 @@ import repro
 from repro import api, chaos, cli, parallel
 from repro.api import SStarSolver
 from repro.api.fixtures import prepare_pipeline
+from repro.numfact import LUFactorization
 from repro.verify.checks import check_bit_identical
 from repro.machine import (
     MACHINES, CrashFault, FaultPlan, RankCrashedError, T3E, spec_by_name,
@@ -193,8 +194,7 @@ class TestHostileRunOptions:
     def test_the_checkpoint_drivers_themselves(self, interval, run_args):
         with pytest.raises(ValueError, match="ckpt_interval"):
             run_checkpointed(run_1d, *run_args, ckpt_interval=interval,
-                             faults=None, reliable=None, sim_opts=None,
-                             max_restarts=None)
+                             sim_opts=None, max_restarts=None)
 
     @pytest.mark.parametrize("opts, message", HOSTILE + [
         ({"machine": "cray"}, "unknown machine 'cray'.*T3D.*T3E.*GENERIC"),
@@ -231,36 +231,78 @@ def test_spec_by_name():
     assert [spec_by_name(n).name for n in MACHINES] == list(MACHINES)
 
 
+@pytest.mark.parametrize("solve", ["solve", "solve_transpose"])
+@pytest.mark.parametrize("method", ["1d-ca", "2d"])
+def test_solving_a_partial_factor_is_a_typed_error(method, solve, run_args):
+    """A ``stage_range`` run leaves a partial factor: solving it names the
+    first unfactored block column, never a bare ``TypeError``."""
+    sym = prepare_pipeline("sherman5")["sym"]
+    A, part, bstruct, _, _ = run_args
+    res = factorize(method, *run_args, stage_range=(0, 3))
+    lu = LUFactorization(res.factor, sym, part, bstruct, None)
+    with pytest.raises(RuntimeError, match=r"Factor\(3\) has not run yet"):
+        getattr(lu, solve)(np.ones(A.nrows))
+
+
+# -- faults: one way in, one way out ----------------------------------------
+
+
+def test_the_checkpointed_path_reads_the_plan_from_sim_opts(run_args):
+    opts = {"faults": FaultPlan.drops(0.1, seed=3), "reliable": True}
+    plain = factorize("1d-ca", *run_args, sim_opts=opts)
+    rounds = factorize("1d-ca", *run_args, sim_opts=opts, ckpt_interval=4)
+    assert len(rounds.rounds) > 1
+    for res in (plain, rounds):
+        assert len(res.fault_stats.injected) == 24
+        assert res.fault_stats.retransmits == 24
+
+
+def test_a_crash_ends_a_plain_run_as_the_typed_error(run_args):
+    """Rank 0 dies after its last message: the survivors finish, yet the
+    run raises instead of returning a factor with holes in it."""
+    base = factorize("1d-rapid", *run_args)
+    plan = FaultPlan(crashes=[CrashFault(0, 0.5 * base.sim.rank_clocks[0])])
+    with pytest.raises(RankCrashedError) as exc:
+        factorize("1d-rapid", *run_args,
+                  sim_opts={"faults": plan, "reliable": True})
+    assert exc.value.ranks == [0] and exc.value.blocked == []
+    assert exc.value.fault_stats.crashes[0][0] == 0
+
+
 # -- the restart budget, exhausted ------------------------------------------
 
 
 def test_exhausted_restart_budget_is_a_typed_error():
     """A rank that dies after its last message lets the survivors finish
-    the round; with no restart budget left that must surface as the typed
-    crash error, not a ``TypeError`` from building it."""
+    the round; the plain run still ends in the typed crash error (with
+    nobody blocked), and so does a checkpointed one with no restart budget
+    left, not a ``TypeError`` from building it."""
     p = prepare_pipeline("sherman5", block_size=8)
     args = (p["om"].A, p["part"], p["bstruct"], 4, T3E)
-    base = factorize("1d-rapid", *args, reliable=True)
+    base = factorize("1d-rapid", *args, sim_opts={"reliable": True})
     plan = None
     for step in range(1, 60):  # scan back from rank 0's finish time
         t = base.sim.rank_clocks[0] * (1.0 - step / 400.0)
         candidate = FaultPlan(crashes=[CrashFault(0, t)])
+        opts = {"faults": candidate, "reliable": True}
         try:
-            res = factorize("1d-rapid", *args, reliable=True, faults=candidate)
-        except RankCrashedError:
-            break  # earlier crashes block the survivors: a different path
-        if res.sim.crashed:
-            plan = candidate
+            factorize("1d-rapid", *args, sim_opts=opts)
+        except RankCrashedError as exc:
+            # a crash that blocks the survivors is a different path
+            if exc.blocked == []:
+                plan = candidate
+                assert exc.ranks == [0]
             break
     assert plan is not None, "no crash placement lets the survivors finish"
+    opts = {"faults": plan, "reliable": True}
     with pytest.raises(RankCrashedError) as exc:
-        factorize("1d-rapid", *args, reliable=True, faults=plan,
+        factorize("1d-rapid", *args, sim_opts=opts,
                   ckpt_interval=p["part"].N, max_restarts=0)
     assert exc.value.ranks == [0]
     assert list(exc.value.crash_times) == [0]  # {rank: clock at death}
     assert exc.value.crash_times[0] >= plan.crashes[0].at_time
     # with budget, the same placement restarts on the three survivors
-    res = factorize("1d-rapid", *args, reliable=True, faults=plan,
+    res = factorize("1d-rapid", *args, sim_opts=opts,
                     ckpt_interval=p["part"].N)
     assert res.crashes == [0] and res.nprocs_final == 3
     assert _same_factor(res.factor, base.factor)
@@ -296,8 +338,8 @@ def test_checkpointed_2d_keeps_the_callers_grid(run_args):
 def test_a_crash_drops_the_callers_grid_for_the_preferred_one(run_args):
     base = factorize("2d", *run_args)
     plan = FaultPlan(crashes=[CrashFault(3, 0.4 * base.sim.total_time)])
-    res = factorize("2d", *run_args, grid=Grid2D(1, 4), faults=plan,
-                    reliable=True, ckpt_interval=4)
+    res = factorize("2d", *run_args, grid=Grid2D(1, 4), ckpt_interval=4,
+                    sim_opts={"faults": plan, "reliable": True})
     assert res.crashes == [3] and res.nprocs_final == 3
     assert _same_factor(res.factor, base.factor)
 

@@ -56,10 +56,10 @@ def _sim_record(sim) -> dict:
     }
 
 
-def _run(args, driver, **extra) -> dict:
-    abft = extra.pop("abft", False)
+def _run(args, driver, abft=False, **sim_opts) -> dict:
     tracer = Tracer()
-    res = factorize(driver, *args, abft=abft, sim_opts={"tracer": tracer}, **extra)
+    res = factorize(driver, *args, abft=abft,
+                    sim_opts={"tracer": tracer, **sim_opts})
     out = _sim_record(res.sim)
     out["trace"] = _trace_digest(tracer)
     out["parallel_seconds"] = float(res.parallel_seconds).hex()
@@ -71,8 +71,8 @@ def _run_crash_restart(args, abft: bool) -> dict:
     plan = FaultPlan(crashes=[CrashFault(2, probe.sim.total_time * 0.4)])
     tracer = Tracer()
     res = factorize(
-        "1d-ca", *args, ckpt_interval=3, reliable=True, faults=plan,
-        abft=abft, sim_opts={"tracer": tracer},
+        "1d-ca", *args, ckpt_interval=3, abft=abft,
+        sim_opts={"tracer": tracer, "faults": plan, "reliable": True},
     )
     return {
         "trace": _trace_digest(tracer),
