@@ -9,7 +9,9 @@ the Theorem 2 buffer total is a small multiple of one panel.
 
 This module computes those footprints for concrete runs:
 
-* data bytes actually owned per rank under each mapping,
+* data bytes owned per rank, placed by the same mapping object
+  (:mod:`repro.parallel.mapping`) that places a run's blocks and its
+  triangular solve,
 * 1D: the measured high-water mark of received-column buffers,
 * 2D: the Theorem 2 buffer provisioning,
 
@@ -22,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..parallel.buffers import buffer_requirements
-from ..parallel.mapping import Grid2D
+from ..parallel.mapping import ColumnMapping, Grid2D
 from ..supernodes import BlockStructure
 
 
@@ -34,22 +36,14 @@ def sequential_storage_bytes(bstruct: BlockStructure) -> int:
     )
 
 
-def owned_bytes_1d(bstruct: BlockStructure, owner) -> list:
-    """Per-rank bytes of owned block columns under a 1D mapping."""
+def owned_bytes(bstruct: BlockStructure, mapping, nprocs: int) -> list:
+    """Per-rank bytes of the blocks a mapping places on each of ``nprocs``
+    ranks (a :class:`~repro.parallel.mapping.ColumnMapping` or
+    :class:`~repro.parallel.mapping.Grid2D`)."""
     part = bstruct.part
-    nprocs = int(max(owner)) + 1 if len(owner) else 1
     out = [0] * nprocs
     for (I, J) in bstruct.nonzero_blocks():
-        out[int(owner[J])] += 8 * part.size(I) * part.size(J)
-    return out
-
-
-def owned_bytes_2d(bstruct: BlockStructure, grid: Grid2D) -> list:
-    """Per-rank bytes of owned blocks under the 2D block-cyclic mapping."""
-    part = bstruct.part
-    out = [0] * grid.nprocs
-    for (I, J) in bstruct.nonzero_blocks():
-        out[grid.owner_of_block(I, J)] += 8 * part.size(I) * part.size(J)
+        out[mapping.block_owner(I, J)] += 8 * part.size(I) * part.size(J)
     return out
 
 
@@ -79,7 +73,8 @@ class MemoryFootprint:
 
 def footprint_1d(bstruct: BlockStructure, owner, buffer_high_water) -> MemoryFootprint:
     """Footprint of a 1D run (measured receive-buffer high water)."""
-    owned = owned_bytes_1d(bstruct, owner)
+    nprocs = int(max(owner)) + 1 if len(owner) else 1
+    owned = owned_bytes(bstruct, ColumnMapping(owner), nprocs)
     return MemoryFootprint(
         mapping="1d",
         nprocs=len(owned),
@@ -91,7 +86,7 @@ def footprint_1d(bstruct: BlockStructure, owner, buffer_high_water) -> MemoryFoo
 
 def footprint_2d(bstruct: BlockStructure, grid: Grid2D) -> MemoryFootprint:
     """Footprint of the 2D mapping (Theorem 2 buffer provisioning)."""
-    owned = owned_bytes_2d(bstruct, grid)
+    owned = owned_bytes(bstruct, grid, grid.nprocs)
     rep = buffer_requirements(bstruct, grid)
     return MemoryFootprint(
         mapping="2d",

@@ -20,6 +20,7 @@ entry lands is a function of the pattern alone and is compiled once into a
 
 from __future__ import annotations
 
+import copy
 import hashlib
 
 import numpy as np
@@ -290,8 +291,8 @@ class BlockLUMatrix:
         The float64 storage to view; a zeroed one is allocated by default.
         Passing another matrix's arena shares its memory.
 
-    A matrix exposing only some block columns of an arena — a 1D rank's
-    local storage — comes from :meth:`column_subset`.
+    A matrix exposing only some blocks of an arena — the local storage of
+    a rank of either parallel layout — comes from :meth:`split`.
 
     Beside the arena, one float64 side arena holds ``L_KK^{-1}``, the
     inverted unit lower triangle of every factored diagonal block
@@ -303,18 +304,15 @@ class BlockLUMatrix:
     """
 
     def __init__(self, part: BlockPartition, bstruct: BlockStructure,
-                 arena: np.ndarray = None, _views: dict = None,
-                 _inverses: tuple = None):
+                 arena: np.ndarray = None):
         self.part = part
         self.bstruct = bstruct
         self.plan = NumericPlan.of(bstruct)
         self.arena = np.zeros(self.plan.size) if arena is None else arena
         #: ``(I, J) -> ndarray`` view; missing keys are structural zeros
-        self.blocks = self.plan.views(self.arena) if _views is None else _views
-        if _inverses is None:
-            _inverses = (np.empty(int(self.plan.inv_off[-1])),
-                         np.zeros(part.N, dtype=bool))
-        self.inv_arena, self.inv_ready = _inverses
+        self.blocks = self.plan.views(self.arena)
+        self.inv_arena = np.empty(int(self.plan.inv_off[-1]))
+        self.inv_ready = np.zeros(part.N, dtype=bool)
         self.n = part.n
         self.pivot_seq = [None] * part.N  # per block column: list of (m, t)
         self.abft = None  # optional repro.numfact.abft.AbftLedger
@@ -331,16 +329,23 @@ class BlockLUMatrix:
         m.arena[positions] = A.data
         return m
 
-    def column_subset(self, columns) -> "BlockLUMatrix":
-        """A matrix over the same arena exposing only the given block
-        columns, with pivot sequences of its own — a 1D rank's local
-        storage.  The views are this matrix's, not sliced again."""
-        keys, ptr, mine = self.plan.keys, self.plan.col_ptr, self.blocks
-        views = {key: mine[key]
-                 for J in columns for key in keys[ptr[J] : ptr[J + 1]]}
-        return BlockLUMatrix(self.part, self.bstruct, arena=self.arena,
-                             _views=views,
-                             _inverses=(self.inv_arena, self.inv_ready))
+    def split(self, block_owner, nprocs: int) -> list:
+        """The local storage of a parallel run's ``nprocs`` ranks: rank
+        ``p`` gets this matrix's own views of the blocks with
+        ``block_owner(I, J) == p`` (in :attr:`blocks` order) over the same
+        arena and side arena, and a copy of :attr:`pivot_seq`.
+        ``block_owner`` is a mapping's (:mod:`repro.parallel.mapping`)."""
+        views = [{} for _ in range(nprocs)]
+        for (I, J), blk in self.blocks.items():
+            views[block_owner(I, J)][I, J] = blk
+        ranks = []
+        for mine in views:
+            m = copy.copy(self)  # the same part, plan, arena and side arena
+            m.blocks = mine
+            m.pivot_seq = list(self.pivot_seq)
+            m.abft = None
+            ranks.append(m)
+        return ranks
 
     def lpanel(self, K: int) -> np.ndarray:
         """The stacked L panel of block column ``K`` (diagonal block
@@ -388,12 +393,6 @@ class BlockLUMatrix:
         return D
 
     # -- row swapping ------------------------------------------------------
-
-    def swap_rows_in_block_column(self, J: int, r1: int, r2: int) -> None:
-        """Exchange the contents of global rows ``r1`` and ``r2`` inside
-        block column ``J`` (used to replay a pivot sequence)."""
-        if r1 != r2:
-            self.swap_block_rows(J, *self.locate_rows(r1, r2))
 
     def locate_rows(self, r1: int, r2: int) -> tuple:
         """``(I1, o1, I2, o2)``: the block row and the offset inside it of

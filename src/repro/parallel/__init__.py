@@ -5,7 +5,9 @@
   compute-ahead (CA) code (Section 5.1);
 * :mod:`twod` — the 2D block-cyclic codes: synchronous and asynchronous
   pipelined SPMD algorithms (Section 5.2, Figs. 12-15);
-* :mod:`mapping` — 1D cyclic and 2D grid data mappings;
+* :mod:`mapping` — the 1D column and 2D grid data mappings: where every
+  block lives, for both factorizations, the triangular solve and the
+  memory model;
 * :mod:`trisolve` — the distributed triangular solves: one SPMD program
   over either mapping;
 * :mod:`buffers` — communication-buffer accounting for Theorem 2;

@@ -11,12 +11,10 @@ battery call it instead of choosing between :func:`run_1d` and
 
 from __future__ import annotations
 
-import numbers
 from typing import NamedTuple
 
-from ..numfact.tasks import check_pivot_threshold
 from .oned import run_1d
-from .resilience import run_checkpointed
+from .resilience import check_run, run_checkpointed
 from .twod import run_2d
 
 
@@ -51,13 +49,11 @@ def check_run_options(method, nprocs, ckpt_interval=None, grid=None,
     run that silently stops pivoting."""
     if method not in methods:
         raise ValueError(f"unknown method {method!r}: expected one of {methods}")
-    if nprocs < 1:
-        raise ValueError(f"nprocs must be >= 1, got {nprocs}")
+    check_run(None, nprocs, None, pivot_threshold)
     if ckpt_interval is not None and ckpt_interval < 1:
         raise ValueError(f"ckpt_interval must be >= 1, got {ckpt_interval}")
     if grid is not None:
         grid.check(None, nprocs)  # a grid's fit does not depend on N
-    check_pivot_threshold(pivot_threshold)
     if block_size < 1:
         raise ValueError(f"block_size must be >= 1, got {block_size}")
     if amalgamation < 0:
@@ -102,11 +98,5 @@ def factorize(
             ckpt_interval=ckpt_interval, sim_opts=sim_opts,
             max_restarts=max_restarts, **kwargs,
         )
-    if stage_range is not None:
-        k0, k1 = stage_range
-        if not (all(isinstance(k, numbers.Integral) for k in stage_range)
-                and 0 <= k0 < k1 <= part.N):
-            raise ValueError(f"stage_range must be integers 0 <= k0 < k1 <= "
-                             f"{part.N}, got {stage_range!r}")
     return runner(A, part, bstruct, nprocs, spec, sim_opts=sim_opts,
                   stage_range=stage_range, **kwargs)

@@ -53,6 +53,10 @@ class Grid2D:
     pr: int
     pc: int
 
+    def __post_init__(self):
+        if self.pr < 1 or self.pc < 1:
+            raise ValueError(f"grid {self.pr}x{self.pc}: p_r, p_c must be >= 1")
+
     @property
     def nprocs(self) -> int:
         return self.pr * self.pc
@@ -63,10 +67,8 @@ class Grid2D:
     def coords(self, rank: int) -> tuple:
         return rank // self.pc, rank % self.pc
 
-    def owner_of_block(self, I: int, J: int) -> int:
+    def block_owner(self, I: int, J: int) -> int:
         return self.rank(I % self.pr, J % self.pc)
-
-    block_owner = owner_of_block
 
     def seg_owner(self, K: int) -> int:
         return self.rank(K % self.pr, K % self.pc)
@@ -94,6 +96,8 @@ class Grid2D:
     @classmethod
     def preferred(cls, nprocs: int) -> "Grid2D":
         """The paper's preferred shape: ``p_c / p_r ~ 2`` (e.g. 8 -> 2x4)."""
+        if nprocs < 1:
+            raise ValueError(f"nprocs must be >= 1, got {nprocs}")
         best = None
         for pr in range(1, nprocs + 1):
             if nprocs % pr:

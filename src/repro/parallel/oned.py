@@ -7,7 +7,9 @@ One generic schedule-driven executor realises both 1D variants:
 * **compute-ahead (CA)**: cyclic mapping, Fig. 10 ordering, and the paper's
   broadcast of each factored column block to every processor.
 
-Each rank holds the blocks of the column blocks it owns; ``Factor`` and
+Each rank holds the blocks of the column blocks it owns (a
+:class:`~repro.numfact.BlockLUMatrix` the launcher splits off the one
+arena by :class:`~repro.parallel.mapping.ColumnMapping`); ``Factor`` and
 ``Update`` reuse the sequential kernels, so the parallel numerics are
 bit-identical to the sequential ones (asserted in tests).  Received columns
 are cached in per-rank buffers; the high-water mark of that cache is the
@@ -32,30 +34,8 @@ from ..scheduling import Schedule, graph_schedule, compute_ahead_schedule
 from ..supernodes import BlockPartition, BlockStructure
 from ..taskgraph import TaskGraph, task_graph_of, FACTOR, UPDATE
 from ..sparse import CSRMatrix
-from .resilience import RunResult, launch
-
-
-def _distribute_1d(
-    A: CSRMatrix, part: BlockPartition, bstruct: BlockStructure, owner, nprocs: int,
-    full: BlockLUMatrix = None,
-):
-    """Build per-rank BlockLUMatrix holding only owned block columns;
-    returns ``(full, locals)``.  ``owner`` is a list of ranks.
-
-    ``full`` lets checkpoint/restart redistribute an existing (partially
-    factored) matrix instead of the original ``A``.
-    """
-    if full is None:
-        full = BlockLUMatrix.from_csr(A, part, bstruct)
-    owned = [[] for _ in range(nprocs)]
-    for J in range(part.N):
-        owned[owner[J]].append(J)
-    # every rank's storage is its own columns of the one shared arena
-    locals_ = [full.column_subset(cols) for cols in owned]
-    for K, seq in enumerate(full.pivot_seq):
-        if seq is not None:
-            locals_[owner[K]].pivot_seq[K] = seq
-    return full, locals_
+from .mapping import ColumnMapping
+from .resilience import RunResult, check_run, launch
 
 
 def _consumers(tg: TaskGraph, owner: list) -> list:
@@ -121,6 +101,8 @@ def _rank_program(env, ctx):
     pivot_threshold = ctx["pivot_threshold"]
     monitor = ctx["monitor"]
     abft = ctx["abft"]
+    if abft:  # my columns are written by no other rank
+        AbftLedger.attach(m)
     rank = env.rank
     counter = env.counter
     plan = m.plan
@@ -223,28 +205,18 @@ def run_1d(
     ``"ca"`` (cyclic mapping, Fig. 10 order, broadcast); ``tg`` is a
     prebuilt task graph.  ``sim_opts``, ``stage_range``, ``start_from``,
     ``monitor`` and ``abft`` mean what they mean for both layouts
-    (:func:`repro.parallel.resilience.launch`); with ABFT every rank's
-    local blocks also carry checksums through the kernels
-    (:class:`repro.numfact.AbftLedger`).  The :class:`RunResult` carries
-    the ``schedule`` and each rank's receive-buffer ``high_water``.
+    (:func:`repro.parallel.resilience.launch`, which places block column
+    ``J`` on the schedule's ``owner[J]`` through a :class:`ColumnMapping`);
+    with ABFT every rank's local blocks also carry checksums through the
+    kernels (:class:`repro.numfact.AbftLedger`).  The :class:`RunResult`
+    carries the ``schedule`` and each rank's receive-buffer ``high_water``.
     """
+    check_run(part.N, nprocs, stage_range, pivot_threshold)
     if tg is None:
         tg = task_graph_of(bstruct)
     schedule, owner, consumers = _mapping(tg, method, nprocs, spec)
-
-    merged, locals_ = _distribute_1d(
-        A, part, bstruct, owner, nprocs, full=start_from)
-    if abft:
-        for m in locals_:
-            AbftLedger.attach(m)
-    ctx = {
-        "schedule": schedule,
-        "owner": owner,
-        "consumers": consumers,
-        "locals": locals_,
-        "pivot_threshold": pivot_threshold,
-        "monitor": monitor,
-        "abft": abft,
-    }
-    return launch(_rank_program, ctx, merged, nprocs, spec, sim_opts,
-                  stage_range, schedule=schedule)
+    ctx = {"schedule": schedule, "owner": owner, "consumers": consumers}
+    return launch(_rank_program, ctx, A, part, bstruct, ColumnMapping(owner),
+                  nprocs, spec, sim_opts=sim_opts, stage_range=stage_range,
+                  start_from=start_from, pivot_threshold=pivot_threshold,
+                  monitor=monitor, abft=abft, schedule=schedule)

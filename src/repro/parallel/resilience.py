@@ -33,10 +33,12 @@ wasted work of rounds that crashed — the price of the recovery.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 from ..machine import FaultPlan, FaultStats, RankCrashedError, Simulator
 from ..numfact import BlockLUMatrix, SilentCorruptionError
+from ..numfact.tasks import check_pivot_threshold
 from ..obs import CHECKPOINT
 
 
@@ -136,8 +138,26 @@ class RunResult:
         return best
 
 
-def launch(rank_program, ctx, merged, nprocs, spec, sim_opts, stage_range,
-           **mapping) -> RunResult:
+def check_run(N, nprocs, stage_range, pivot_threshold) -> None:
+    """``ValueError`` for what neither layout can run — no ranks, a
+    threshold outside (0, 1], a ``stage_range`` that is not integers
+    ``0 <= k0 < k1 <= N`` — raised first by :func:`repro.parallel.run_1d`
+    and :func:`repro.parallel.run_2d`, so before any schedule or simulator
+    exists, and by ``check_run_options`` (with ``N`` unknown)."""
+    if nprocs < 1:
+        raise ValueError(f"nprocs must be >= 1, got {nprocs}")
+    check_pivot_threshold(pivot_threshold)
+    if stage_range is not None:
+        k0, k1 = stage_range
+        if not (all(isinstance(k, numbers.Integral) for k in stage_range)
+                and 0 <= k0 < k1 <= N):
+            raise ValueError(f"stage_range must be integers 0 <= k0 < k1 <= "
+                             f"{N}, got {stage_range!r}")
+
+
+def launch(rank_program, ctx, A, part, bstruct, mapping, nprocs, spec, *,
+           sim_opts, stage_range, start_from, pivot_threshold, monitor, abft,
+           **result) -> RunResult:
     """One simulated run of ``rank_program(env, ctx)``, shared by
     :func:`repro.parallel.run_1d` and :func:`repro.parallel.run_2d`, whose
     common keywords mean the same in both: ``sim_opts`` go to
@@ -147,15 +167,22 @@ def launch(rank_program, ctx, merged, nprocs, spec, sim_opts, stage_range,
     factored checkpoint instead of ``A``; ``monitor`` is a shared
     :class:`repro.numfact.PivotMonitor`; ``abft=True`` checksums the block
     payloads, and receivers raise :class:`repro.numfact.SilentCorruptionError`
-    on a mismatch.  The ranks factor ``merged``'s arena in place; their
-    pivot sequences, merged here, complete the factor.  ``mapping`` is the
-    layout's ``schedule=`` or ``grid=``.  A run in which any rank crashed
-    raises :class:`repro.machine.RankCrashedError`, whether or not the
-    survivors finished; every error leaving the run carries its
-    ``fault_stats``.
+    on a mismatch.  Every rank's storage is made here, alike for both
+    layouts: the one matrix split by the layout's ``mapping`` (checked
+    against the run), in ``ctx["locals"]`` beside the other keys every rank
+    reads.  The ranks factor its arena in place; their pivot sequences,
+    merged here, complete the factor.  ``result`` is the layout's
+    ``schedule=`` or ``grid=``.  A run in which any rank crashed raises
+    :class:`repro.machine.RankCrashedError`, whether or not the survivors
+    finished; every error leaving the run carries its ``fault_stats``.
     """
-    ctx["stage_range"] = window = (
-        (0, merged.part.N) if stage_range is None else tuple(stage_range))
+    mapping.check(part.N, nprocs)
+    merged = (BlockLUMatrix.from_csr(A, part, bstruct) if start_from is None
+              else start_from)
+    window = (0, part.N) if stage_range is None else tuple(stage_range)
+    ctx.update(locals=merged.split(mapping.block_owner, nprocs),
+               pivot_threshold=pivot_threshold, monitor=monitor, abft=abft,
+               stage_range=window)
     opts = dict(sim_opts or {})
     # zero-copy delivery by default: both rank programs are Z-rule
     # certified (repro lint --certify); the simulator falls back to
@@ -175,7 +202,7 @@ def launch(rank_program, ctx, merged, nprocs, spec, sim_opts, stage_range,
             if seq is not None:
                 merged.pivot_seq[K] = seq
     rnd = RoundInfo(window, nprocs, True, seconds=sim.total_time, sim=sim)
-    return RunResult(merged, [rnd], **mapping)
+    return RunResult(merged, [rnd], **result)
 
 
 def _copy_state(m: BlockLUMatrix) -> BlockLUMatrix:

@@ -1,7 +1,10 @@
 """The 2D block-cyclic parallel codes (Section 5.2, Figs. 12-15).
 
 Blocks map to a ``p_r x p_c`` grid: ``A_IJ`` lives on rank
-``(I mod p_r, J mod p_c)``.  The asynchronous algorithm follows Fig. 12:
+``(I mod p_r, J mod p_c)`` (:meth:`Grid2D.block_owner`, the rule the
+triangular solve and the memory model use), and each rank holds its
+blocks as a :class:`~repro.numfact.BlockLUMatrix` over the one arena, as a
+1D rank does.  The asynchronous algorithm follows Fig. 12:
 
 * ``Factor(K)`` (Fig. 13) runs on processor column ``K mod p_c`` with a
   per-column pivot reduction along the processor column (local maxima +
@@ -45,34 +48,7 @@ from ..numfact.kernels import (
 from ..sparse import CSRMatrix
 from ..supernodes import BlockPartition, BlockStructure
 from .mapping import Grid2D
-from .resilience import RunResult, launch
-
-
-def _distribute_2d(A, part, bstruct, grid: Grid2D, full: BlockLUMatrix = None):
-    if full is None:
-        full = BlockLUMatrix.from_csr(A, part, bstruct)
-    locals_ = [dict() for _ in range(grid.nprocs)]
-    for (I, J), blk in full.blocks.items():
-        locals_[grid.owner_of_block(I, J)][(I, J)] = blk
-    return full, locals_
-
-
-def _swap_local(blocks, part, J, r1, r2, bstruct):
-    """Swap rows r1, r2 of block column J when both live on this rank."""
-    I1, I2 = int(part.block_of[r1]), int(part.block_of[r2])
-    b1 = blocks.get((I1, J))
-    b2 = blocks.get((I2, J))
-    o1, o2 = r1 - part.start(I1), r2 - part.start(I2)
-    if b1 is not None and b2 is not None:
-        tmp = b1[o1].copy()
-        b1[o1] = b2[o2]
-        b2[o2] = tmp
-    elif b1 is None and b2 is not None:
-        if np.any(b2[o2]):
-            raise StructureViolation(f"2D swap into absent block ({I1},{J})")
-    elif b2 is None and b1 is not None:
-        if np.any(b1[o1]):
-            raise StructureViolation(f"2D swap into absent block ({I2},{J})")
+from .resilience import RunResult, check_run, launch
 
 
 def _pack_row(blocks, part, cols, pos):
@@ -121,19 +97,18 @@ def _store_row(blocks, part, cols, pos, incoming):
 
 def _rank_program_2d(env, ctx):
     grid: Grid2D = ctx["grid"]
-    part: BlockPartition = ctx["part"]
-    bstruct: BlockStructure = ctx["bstruct"]
-    blocks: dict = ctx["locals"][env.rank]
+    local: BlockLUMatrix = ctx["locals"][env.rank]
+    part: BlockPartition = local.part
+    bstruct: BlockStructure = local.bstruct
+    blocks = local.blocks
     synchronous: bool = ctx["synchronous"]
     pivot_threshold: float = ctx["pivot_threshold"]
-    monitor = ctx.get("monitor")
-    abft = bool(ctx.get("abft"))
+    monitor = ctx["monitor"]
+    abft = ctx["abft"]
     block_of = ctx["block_of"]
-    invert_diagonal = ctx["invert_diagonal"]
     r, c = grid.coords(env.rank)
     pr, pc = grid.pr, grid.pc
     N = part.N
-    pivseqs = [None] * N
     lcol_cache = {}  # K -> {"pivots", "diag", "lblocks"} for my block rows
     urow_cache = {}  # K -> {J: scaled U_KJ} for my block columns
     # per-rank update-sweep memo: K -> (sorted lblock items, tallest block).
@@ -262,7 +237,7 @@ def _rank_program_2d(env, ctx):
                 nrows += lrc if lrc < h else h
             compute("blas1", nrows)
             compute("dgemv", 2.0 * nrows * max(ntrail, 0), gran=bs)
-        pivseqs[K] = pivots
+        local.pivot_seq[K] = pivots
         # multicast pivots + my local L blocks along my processor row
         diag = blocks.get((K, K)) if diag_r == r else None
         lblocks = {I: blocks[(I, K)] for I in myI if I > K}
@@ -271,8 +246,7 @@ def _rank_program_2d(env, ctx):
         if abft:
             # column K is final after Factor(K): checksums taken from the
             # live views stay valid for the in-flight deep-copied payload
-            payload["abft"] = payload_checksums(
-                {key: v for key, v in payload.items()})
+            payload["abft"] = payload_checksums(payload)
         else:
             # exact _payload_nbytes of this payload shape, without the
             # generic recursion
@@ -303,16 +277,16 @@ def _rank_program_2d(env, ctx):
             r1 = block_of[gm] % pr
             r2 = block_of[t] % pr
             if r1 == r and r2 == r:
+                rows = local.locate_rows(gm, t)
                 for J in cols_after:
-                    _swap_local(blocks, part, J, gm, t, bstruct)
+                    local.swap_block_rows(J, *rows)
             elif r1 == r or r2 == r:
                 mine, theirs = (gm, t) if r1 == r else (t, gm)
                 peer = grid.rank(r2 if r1 == r else r1, c)
                 outrow = _pack_row(blocks, part, cols_after, mine)
                 nb = None if abft else _ndarray_dict_nbytes(outrow)
                 if abft:
-                    outrow["abft"] = payload_checksums(
-                        {key: v for key, v in outrow.items()})
+                    outrow["abft"] = payload_checksums(outrow)
                 env.send(peer, ("swap", K, step, r), outrow, nbytes=nb)
                 incoming = yield env.recv(("swap", K, step, (r2 if r1 == r else r1)))
                 if abft:
@@ -329,7 +303,7 @@ def _rank_program_2d(env, ctx):
                 ukj = blocks.get((K, J))
                 if ukj is not None:
                     if linv is None and part.size(K) > 1:
-                        linv = (invert_diagonal(K) if c == K % pc
+                        linv = (local.invert_diagonal(K) if c == K % pc
                                 else unit_lower_inverse(diag))
                     win = env.begin_counted()
                     unit_lower_apply(
@@ -343,8 +317,7 @@ def _rank_program_2d(env, ctx):
             nb = None if abft else _ndarray_dict_nbytes(scaled)
             if abft:
                 # block row K is final after the scaling; see lcol above
-                scaled["abft"] = payload_checksums(
-                    {key: v for key, v in scaled.items()})
+                scaled["abft"] = payload_checksums(scaled)
             urow_cache[K] = scaled
             env.multicast(grid.col_ranks(c), ("urow", K, c), scaled, nbytes=nb)
         else:
@@ -444,7 +417,7 @@ def _rank_program_2d(env, ctx):
                 verify_payload(last, where=f"payload:lcol({N - 1})",
                                column=N - 1, metrics=env.metrics)
             lcol_cache[N - 1] = last
-    return {"pivot_seq": pivseqs}
+    return {"pivot_seq": local.pivot_seq}
 
 
 def run_2d(
@@ -466,34 +439,27 @@ def run_2d(
 
     ``synchronous`` selects the Table 7 baseline (a barrier per stage, no
     compute-ahead); ``grid`` fixes the process grid (default
-    :meth:`Grid2D.preferred`).  ``sim_opts``, ``stage_range``,
-    ``start_from``, ``monitor`` and ``abft`` mean what they mean for both
-    layouts (:func:`repro.parallel.resilience.launch`).  ABFT checksums
+    :meth:`Grid2D.preferred`), which the launcher splits the blocks by.
+    ``sim_opts``, ``stage_range``, ``start_from``, ``monitor`` and
+    ``abft`` mean what they mean for both layouts
+    (:func:`repro.parallel.resilience.launch`).  ABFT checksums
     the block-carrying payloads (``lcol`` L panels, ``urow`` scaled row
     panels, ``swap`` row exchanges); the O(b)-word pivot-reduction
     messages (``pmax``/``pbest``) are not checksummed — see DESIGN.  The
     :class:`RunResult` carries the ``grid``.
     """
+    check_run(part.N, nprocs, stage_range, pivot_threshold)
     if grid is None:
         grid = Grid2D.preferred(nprocs)
-    grid.check(part.N, nprocs)
-    merged, locals_ = _distribute_2d(A, part, bstruct, grid, full=start_from)
     ctx = {
         "grid": grid,
-        "part": part,
-        "bstruct": bstruct,
-        "locals": locals_,
         "synchronous": synchronous,
-        "pivot_threshold": pivot_threshold,
-        "monitor": monitor,
-        "abft": abft,
         # row -> block index as plain Python ints, shared read-only by all
         # ranks: the pivot-swap loops hit this per pivot, and indexing the
         # numpy array there costs an int() boxing per lookup
         "block_of": part.block_of.tolist(),
-        # the diagonal owner's L_KK^{-1} goes to the merged factor's side
-        # arena, a view of its own diagonal block like its local dict's
-        "invert_diagonal": merged.invert_diagonal,
     }
-    return launch(_rank_program_2d, ctx, merged, grid.nprocs, spec, sim_opts,
-                  stage_range, grid=grid)
+    return launch(_rank_program_2d, ctx, A, part, bstruct, grid, nprocs, spec,
+                  sim_opts=sim_opts, stage_range=stage_range,
+                  start_from=start_from, pivot_threshold=pivot_threshold,
+                  monitor=monitor, abft=abft, grid=grid)

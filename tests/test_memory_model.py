@@ -7,11 +7,12 @@ from repro.analysis import (
     footprint_2d,
     sequential_storage_bytes,
 )
-from repro.analysis.memory import owned_bytes_1d, owned_bytes_2d
+from repro.analysis.memory import owned_bytes
 from repro.machine import T3E
 from repro.matrices import get_matrix
 from repro.ordering import prepare_matrix
 from repro.parallel import Grid2D, run_1d
+from repro.parallel.mapping import ColumnMapping
 from repro.supernodes import build_block_structure, build_partition
 from repro.symbolic import static_symbolic_factorization
 
@@ -31,9 +32,10 @@ class TestAccounting:
         om, sym, part, bstruct = pipeline
         s1 = sequential_storage_bytes(bstruct)
         grid = Grid2D(2, 4)
-        assert sum(owned_bytes_2d(bstruct, grid)) == s1
+        assert sum(owned_bytes(bstruct, grid, 8)) == s1
         res = run_1d(om.A, part, bstruct, 8, T3E, method="rapid")
-        assert sum(owned_bytes_1d(bstruct, res.schedule.owner)) == s1
+        owner = ColumnMapping(res.schedule.owner)
+        assert sum(owned_bytes(bstruct, owner, 8)) == s1
 
     def test_sequential_bytes_positive(self, pipeline):
         _, _, _, bstruct = pipeline

@@ -18,6 +18,8 @@ from repro.numfact import (
 )
 from repro.numfact.kernels import block_product
 from repro.ordering import prepare_matrix
+from repro.parallel import Grid2D
+from repro.parallel.mapping import ColumnMapping
 from repro.service import AnalysisCache, SolveService, analyze
 from repro.sparse import CSRMatrix, coo_to_csr, csr_to_dense
 from repro.supernodes import build_block_structure, build_partition
@@ -215,16 +217,33 @@ class TestArenaLayout:
             assert [b[3] for b in below] == [bstruct.l_rows_count(I, K) for I in Is]
             assert m.plan.col_srows[K] == bstruct.panel_rows_count(K)
 
-    def test_column_subset_shares_the_arena(self, fem):
+    @pytest.mark.parametrize("mapping", [
+        lambda N: ColumnMapping([J % 3 for J in range(N)]),
+        lambda N: Grid2D(2, 3),
+    ], ids=["columns", "grid"])
+    def test_split_shares_the_arena(self, fem, mapping):
         A, _, part, bstruct = fem
         full = BlockLUMatrix.from_csr(A, part, bstruct)
-        cols = list(range(0, part.N, 3))
-        local = full.column_subset(cols)
-        assert local.arena is full.arena
-        assert set(local.blocks) == {k for k in full.blocks if k[1] in cols}
-        for key, blk in local.blocks.items():
-            assert blk is full.blocks[key]
-        assert local.pivot_seq is not full.pivot_seq
+        full.pivot_seq[0] = [(0, 0)]
+        mapping = mapping(part.N)
+        ranks = full.split(mapping.block_owner, 6)
+        placed = [key for local in ranks for key in local.blocks]
+        assert sorted(placed) == sorted(full.blocks)  # each block once
+        for p, local in enumerate(ranks):
+            assert local.arena is full.arena
+            assert local.inv_arena is full.inv_arena
+            assert local.inv_ready is full.inv_ready
+            assert local.pivot_seq == full.pivot_seq
+            assert local.pivot_seq is not full.pivot_seq
+            for key, blk in local.blocks.items():
+                assert mapping.block_owner(*key) == p
+                assert blk is full.blocks[key]
+        # a write through a rank's view is the full matrix's
+        key, blk = next(iter(ranks[mapping.block_owner(0, 0)].blocks.items()))
+        blk[0, 0] = 7.5
+        assert full.blocks[key][0, 0] == 7.5
+        ranks[0].pivot_seq[1] = [(1, 1)]
+        assert full.pivot_seq[1] is None
 
     def test_factor_runs_in_place_on_the_panel(self, fem):
         A, _, part, bstruct = fem

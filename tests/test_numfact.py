@@ -115,7 +115,7 @@ class TestBlockStorage:
         r1 = part.start(rows[0])
         r2 = part.start(rows[0]) + part.size(rows[0]) - 1
         D0 = m.to_dense()
-        m.swap_rows_in_block_column(J, r1, r2)
+        m.swap_block_rows(J, *m.locate_rows(r1, r2))
         D1 = m.to_dense()
         c0, c1 = part.start(J), part.start(J) + part.size(J)
         assert np.array_equal(D1[r1, c0:c1], D0[r2, c0:c1])
@@ -133,7 +133,7 @@ class TestBlockStorage:
                 r_missing = part.start(missing[0])
                 blk = m.blocks[(present[0], J)]
                 blk[r_present - part.start(present[0])] = 0.0
-                m.swap_rows_in_block_column(J, r_present, r_missing)  # no raise
+                m.swap_block_rows(J, *m.locate_rows(r_present, r_missing))  # no raise
                 return
         pytest.skip("no absent block found")
 
@@ -150,9 +150,8 @@ class TestBlockStorage:
             missing = [I for I in range(part.N) if not bstruct.has_block(I, J)]
             if present and missing:
                 with pytest.raises(StructureViolation):
-                    m.swap_rows_in_block_column(
-                        J, part.start(present[0]), part.start(missing[0])
-                    )
+                    m.swap_block_rows(J, *m.locate_rows(
+                        part.start(present[0]), part.start(missing[0])))
                 return
         pytest.skip("no absent block found")
 

@@ -45,9 +45,9 @@ class TestGrid:
             r, c = g.coords(rank)
             assert g.rank(r, c) == rank
 
-    def test_owner_of_block(self):
+    def test_block_owner(self):
         g = Grid2D(2, 3)
-        assert g.owner_of_block(4, 7) == g.rank(0, 1)
+        assert g.block_owner(4, 7) == g.rank(0, 1)
 
     def test_row_col_ranks(self):
         g = Grid2D(2, 2)

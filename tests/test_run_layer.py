@@ -21,13 +21,13 @@ import repro
 from repro import api, chaos, cli, parallel
 from repro.api import SStarSolver
 from repro.api.fixtures import prepare_pipeline
-from repro.numfact import LUFactorization
+from repro.numfact import LUFactorization, sstar_factor
 from repro.verify.checks import check_bit_identical
 from repro.machine import (
     MACHINES, CrashFault, FaultPlan, RankCrashedError, T3E, spec_by_name,
 )
 from repro.parallel import (
-    DRIVERS, Grid2D, factorize, run_1d, run_2d,
+    DRIVERS, Grid2D, factorize, run_1d, run_2d, run_2d_trisolve,
 )
 from repro.parallel.resilience import run_checkpointed
 from repro.pipeline import PatternLRU, analyze
@@ -44,6 +44,11 @@ RUNNERS = {"run_1d", "run_2d", "run_checkpointed"}
 def run_args():
     p = prepare_pipeline("sherman5")
     return (p["om"].A, p["part"], p["bstruct"], 4, T3E)
+
+
+@pytest.fixture(scope="module")
+def sequential_lu():
+    return sstar_factor(repro.matrices.get_matrix("sherman5"))
 
 
 def _same_factor(a, b) -> bool:
@@ -162,6 +167,19 @@ HOSTILE = [
 ]
 
 
+# the rows a single run sees, which the runners check themselves
+ONE_RUN = [row for row in HOSTILE
+           if {"nprocs", "pivot_threshold", "grid"} & set(row[0])] + [
+    ({"method": "1d-rapid", "nprocs": 0}, "nprocs"),
+    ({"method": "1d-ca", "nprocs": -2}, "nprocs"),
+    ({"method": "2d", "nprocs": 0}, "nprocs"),
+] + [
+    ({"method": method, "stage_range": window}, "stage_range")
+    for method in DRIVERS
+    for window in [(3, 1), (2, 2), (0, 62), (0, 999), (-2, 3), (0.0, 3)]
+]
+
+
 class TestHostileRunOptions:
     @pytest.fixture(autouse=True)
     def no_simulator_may_exist(self, monkeypatch):
@@ -185,6 +203,23 @@ class TestHostileRunOptions:
         with pytest.raises(ValueError, match=message):
             factorize(opts.pop("method"), A, part, bstruct,
                       opts.pop("nprocs"), spec, **opts)
+
+    @pytest.mark.parametrize("opts, message", ONE_RUN)
+    def test_the_runners_themselves(self, opts, message, run_args):
+        opts = {"method": "1d-ca", "nprocs": 4, **opts}
+        _, runner, fixed = DRIVERS[opts.pop("method")]
+        A, part, bstruct, _, spec = run_args
+        with pytest.raises(ValueError, match=message):
+            runner(A, part, bstruct, opts.pop("nprocs"), spec, **fixed, **opts)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda lu: run_2d_trisolve(lu, np.ones(lu.part.n), 0, T3E), "nprocs"),
+        (lambda lu: Grid2D(0, 4), "grid 0x4"),
+        (lambda lu: Grid2D(2, -1), "grid 2x-1"),
+    ], ids=["trisolve-0-ranks", "grid-0x4", "grid-2x-1"])
+    def test_no_mapping_without_ranks(self, make, message, sequential_lu):
+        with pytest.raises(ValueError, match=message):
+            make(sequential_lu)
 
     def test_factorize_has_no_sequential_row(self, run_args):
         with pytest.raises(ValueError, match="unknown method 'sequential'"):
