@@ -11,7 +11,8 @@ which keeps :mod:`repro.verify.replay` bit-identical on faulty runs.
 Message rules match by source/destination rank and by tag prefix (tags in
 the parallel codes are tuples like ``("col", k)`` or ``("lcol", K)``), each
 with an independent per-attempt probability.  Crash faults kill one rank at
-a virtual time; the simulator applies them at yield (task) boundaries.
+a virtual time: the simulator applies them to a blocked rank when its event
+loop reaches that time, and to a running one at its next yield or return.
 
 Besides probabilistic rules a plan may carry explicit **events**
 (:class:`FaultEvent`): one action pinned to one exact transmission
@@ -146,8 +147,9 @@ class FaultEvent:
 
 @dataclass(frozen=True)
 class CrashFault:
-    """Rank ``rank`` dies at virtual time ``at_time`` (applied at the next
-    yield/task boundary the rank reaches at or after that time)."""
+    """Rank ``rank`` dies at virtual time ``max(clock, at_time)``: when the
+    simulator's event loop reaches ``at_time`` while the rank is blocked,
+    or at the rank's first yield or return with its clock at or past it."""
 
     rank: int
     at_time: float

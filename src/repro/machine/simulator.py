@@ -22,6 +22,12 @@ Semantics (matching the shmem/RMA style the paper's codes rely on):
   parallel codes in :mod:`repro.parallel` follow this discipline;
 * ``barrier`` synchronises all ranks at ``max(clocks) + barrier cost``.
 
+The scheduler is one event heap ordered by virtual time: a rank's start, a
+recv that can be served, a barrier release and a scheduled crash are its
+events, and ``host_order`` only breaks ties between events at the same
+virtual time.  A scheduled crash kills a rank blocked when the heap reaches
+it, or a rank that yields or returns past it (see :class:`Simulator`).
+
 The simulator records per-rank busy time, labeled task spans (used for
 Gantt charts, load-balance factors and the Theorem 2 overlap-degree
 measurements) and one :class:`MessageRecord` per transmission attempt.
@@ -163,6 +169,11 @@ class SimTrace:
 # rank scheduling states (module-level so _post can test for _RECV)
 _READY, _RECV, _BARRIER, _DONE, _CRASHED = 0, 1, 2, 3, 4
 
+# event kinds, in the order the heap serves events of one virtual time:
+# every rank starts first, and a crash pre-empts the delivery or barrier
+# release it coincides with
+_START, _CRASH, _SERVE, _RELEASE = 0, 1, 2, 3
+
 
 class _RecvRequest:
     __slots__ = ("tag",)
@@ -173,6 +184,12 @@ class _RecvRequest:
 
 class _BarrierRequest:
     __slots__ = ()
+
+
+#: what every ``env.barrier()`` yields
+_BARRIER_REQUEST = _BarrierRequest()
+#: what a rank "yields" when its program returns
+_FINISHED = object()
 
 
 def _payload_nbytes(payload) -> int:
@@ -447,7 +464,7 @@ class Env:
 
     def barrier(self):
         """Yieldable: global barrier."""
-        return _BarrierRequest()
+        return _BARRIER_REQUEST
 
     # -- tracing -----------------------------------------------------------
 
@@ -610,18 +627,21 @@ class Simulator:
         the result as ``SimResult.trace``, for the :mod:`repro.verify`
         checkers; so does a run with ``faults`` or ``reliable`` (its
         :class:`MessageLostError` looks the lost attempt up there).
-        ``host_order`` is a permutation of ``range(nprocs)`` that
-        perturbs the *host* scheduling order (which runnable rank the event
-        loop advances first); simulated semantics must not depend on it —
-        the replay checker asserts exactly that.
+        ``host_order`` is a permutation of ``range(nprocs)``: the tie-break
+        among events at equal virtual time (which rank the event loop
+        serves first).  Simulated semantics must not depend on it — the
+        replay checker asserts exactly that.
 
         ``faults`` is an optional :class:`repro.machine.FaultPlan`;
         ``reliable`` enables the ack/retry transport (pass ``True`` for the
-        defaults or a :class:`ReliableDelivery` config).  Survivors declare
-        a silent rank dead after a virtual-time heartbeat timeout of 100x
-        the network latency.  The run's :class:`FaultStats` is
-        ``SimResult.fault_stats``, or the ``fault_stats`` attribute of the
-        exception a failed run raises.
+        defaults or a :class:`ReliableDelivery` config).  A rank with a
+        scheduled crash at ``t`` dies at ``max(clock, t)`` the first time
+        it is blocked (``recv`` or barrier) when the event loop reaches
+        ``t``, or yields or returns with its clock at or past ``t``.
+        Survivors declare a silent rank dead after a virtual-time heartbeat
+        timeout of 100x the network latency.  The run's :class:`FaultStats`
+        is ``SimResult.fault_stats``, or the ``fault_stats`` attribute of
+        the exception a failed run raises.
 
         ``sanitize=True`` enables the zero-copy write-after-send checker:
         every payload is content-hashed when posted and re-verified when
@@ -648,12 +668,12 @@ class Simulator:
         a different certificate; one that cannot be read certifies nothing.
         ``sanitize=True`` always restores copying so the dynamic
         write-after-send checker keeps its pre-mutation reference bytes —
-        CI cross-checks zero-copy runs bit-for-bit this way.  A request the
-        certificate declines is not silent: the run copies, and says so —
-        ``SimResult.zero_copy`` /
-        ``zero_copy_reason``, one :class:`RuntimeWarning` per (module,
-        reason) per process, and a ``sim.zero_copy.fallback`` count in the
-        tracer's metrics.
+        CI cross-checks zero-copy runs bit-for-bit this way.  The delivery
+        mode is fixed here, as the ``zero_copy`` / ``zero_copy_reason``
+        attributes (and ``SimResult`` fields).  A request the certificate
+        declines is not silent: the run copies, and says so — the reason,
+        one :class:`RuntimeWarning` per (module, reason) per process, and a
+        ``sim.zero_copy.fallback`` count in the tracer's metrics.
         """
         self.nprocs = nprocs
         self.spec = spec
@@ -671,11 +691,6 @@ class Simulator:
             if faults is not None or self.reliable is not None else None
         )
         self.fault_stats = FaultStats()
-        self._crash_time = {}
-        if faults is not None:
-            for c in faults.crashes:
-                if 0 <= c.rank < nprocs:
-                    self._crash_time[c.rank] = c.at_time
         self.trace = (
             SimTrace() if trace or self._network is not None else None
         )
@@ -685,47 +700,43 @@ class Simulator:
             self._order = [int(r) for r in host_order]
             if sorted(self._order) != list(range(nprocs)):
                 raise ValueError("host_order must be a permutation of ranks")
-        # zero-copy delivery: requested at construction, certified against
-        # the lint certificate, but only *effective* per run() — sanitize
-        # mode (which the test harness may switch on after construction)
-        # always restores copying so the mutation checker keeps honest
-        # pre-mutation reference bytes.
-        self._zc_requested = bool(zero_copy)
-        self._zc_module = getattr(program, "__module__", None)
-        self._zc_declined = None  # why the certificate said no, if it did
-        if zero_copy:
+        self._tie = [0] * nprocs  # rank -> its place in the host order
+        for i, r in enumerate(self._order):
+            self._tie[r] = i
+        self.zero_copy = False
+        self.zero_copy_reason = None  # why a requested zero-copy is off
+        if zero_copy and self.sanitize:
+            self.zero_copy_reason = "sanitize"
+        elif zero_copy:
             from ..lint.certify import certificate_decline_reason
 
-            self._zc_declined = certificate_decline_reason(
-                self._zc_module,
-                cert=None if zero_copy is True else zero_copy,
-            )
-        self._zc_certified = self._zc_requested and self._zc_declined is None
-        self.zero_copy = False  # effective flag, finalised at run()
-        self.zero_copy_reason = None  # why a requested zero-copy is off
-        # wake set + run-state views (populated by run(); _post consults
-        # them to wake a rank blocked on the landed tag)
-        self._wake = None
-        self._state = None
-        self._waiting_tag = None
+            module = getattr(program, "__module__", None)
+            declined = certificate_decline_reason(
+                module, cert=None if zero_copy is True else zero_copy)
+            self.zero_copy = declined is None
+            if declined is not None:
+                # every payload is deep-copied (correct, but up to 30 %
+                # slower on the 1D codes): say why, count it, warn once
+                self.zero_copy_reason = f"{declined}: {module}"
+                if tracer is not None:
+                    tracer.metrics.counter("sim.zero_copy.fallback").inc()
+                if self.zero_copy_reason not in _ZC_WARNED:
+                    _ZC_WARNED.add(self.zero_copy_reason)
+                    warnings.warn(
+                        f"zero-copy delivery requested but not certified "
+                        f"({self.zero_copy_reason}); payloads are "
+                        "deep-copied — regenerate the certificate with "
+                        "`repro lint --certify`",
+                        RuntimeWarning, stacklevel=2,
+                    )
+        # the run's state, which _post reads to schedule the serve of a
+        # rank blocked on the landed tag: one event heap of (virtual time,
+        # kind, tie, rank)
+        self._state = [_READY] * nprocs
+        self._waiting_tag = [None] * nprocs
+        self._events = []
         self.envs = [Env(self, r) for r in range(nprocs)]
         self._programs = [program(self.envs[r], *args) for r in range(nprocs)]
-
-    def _note_zero_copy_fallback(self) -> None:
-        """Zero-copy was asked for and the certificate declined: the run
-        deep-copies every payload (correct, but up to 30 % slower on the
-        1D codes).  Leave the reason on the result, count it, warn once."""
-        self.zero_copy_reason = f"{self._zc_declined}: {self._zc_module}"
-        if self.tracer is not None:
-            self.tracer.metrics.counter("sim.zero_copy.fallback").inc()
-        if self.zero_copy_reason not in _ZC_WARNED:
-            _ZC_WARNED.add(self.zero_copy_reason)
-            warnings.warn(
-                f"zero-copy delivery requested but not certified "
-                f"({self.zero_copy_reason}); payloads are deep-copied — "
-                "regenerate the certificate with `repro lint --certify`",
-                RuntimeWarning, stacklevel=4,
-            )
 
     # -- mailbox -----------------------------------------------------------
 
@@ -752,15 +763,15 @@ class Simulator:
             self._mailboxes[key] = [entry]
         else:
             heapq.heappush(box, entry)
-        if (
-            # run() has started (plain-function ranks send at construction)
-            self._wake is not None
-            and self._state[dest] == _RECV
-            and self._waiting_tag[dest] == rec.tag
-        ):
-            # the landed message is exactly what the destination's recv
-            # awaits — wake it
-            self._wake.add(dest)
+            if box[0] is not entry:
+                return  # an earlier arrival already scheduled the serve
+        if self._state[dest] == _RECV and self._waiting_tag[dest] == rec.tag:
+            # the landed message is what the destination's recv awaits:
+            # serve it when both it and the receiver are there
+            clock, arrival = self.envs[dest].clock, rec.arrival
+            heapq.heappush(self._events, (
+                arrival if arrival > clock else clock, _SERVE,
+                self._tie[dest], dest))
 
     def _trace_send(self, rec, t_end, **extra) -> None:
         """The sender's ``send`` span of one attempt, issue to ``t_end``."""
@@ -806,17 +817,52 @@ class Simulator:
             send_clock=rec.t_send, span=span,
         )
 
-    def _deadlock_error(self, blocked, state, waiting_tag, RECV) -> DeadlockError:
-        """Build a DeadlockError naming, per blocked rank, the tag it waits
-        on and the undelivered messages parked in its mailbox."""
+    def _stuck_error(self) -> RuntimeError:
+        """Why live ranks are left blocked with no event to serve: a crashed
+        rank (the survivors' heartbeat timeout expires on it), a message
+        the network provably dropped with no retransmission coming, or else
+        a deadlock naming each blocked rank's wait and its undelivered
+        mailbox."""
+        state, waiting_tag = self._state, self._waiting_tag
+        blocked = [
+            (r, waiting_tag[r] if state[r] == _RECV else "barrier")
+            for r in range(self.nprocs) if state[r] in (_RECV, _BARRIER)
+        ]
+        if self.fault_stats.crashes:
+            crash_times = dict(self.fault_stats.crashes)
+            t_block = max(self.envs[r].clock for r, _ in blocked)
+            detected_at = t_block + 100.0 * self.spec.latency_s  # heartbeat
+            names = ", ".join(
+                f"rank {r} (died at t={t:.3g})"
+                for r, t in sorted(crash_times.items())
+            )
+            waits = "; ".join(
+                f"rank {r} waiting on {what!r}" for r, what in blocked)
+            return RankCrashedError(
+                "rank crash detected by heartbeat timeout at "
+                f"t={detected_at:.3g}: {names}; survivors blocked: {waits}",
+                ranks=sorted(crash_times), crash_times=crash_times,
+                detected_at=detected_at, blocked=blocked,
+            )
+        if self.reliable is None and self.trace is not None:
+            # a run that can lose an attempt keeps its records; with
+            # retries on, a lost send was retried or raised DeliveryError
+            for r, tag in [(r, w) for r, w in blocked if state[r] == _RECV]:
+                want = repr(tag)
+                for rec in self.trace.records:
+                    if rec.dropped and rec.dest == r and repr(rec.tag) == want:
+                        return MessageLostError(
+                            f"rank {r} waits on tag {tag!r}, but the network "
+                            f"dropped that message from rank {rec.src} and "
+                            "reliable delivery is off (no retransmission "
+                            "will come)",
+                            src=rec.src, dest=r, tag=tag, attempts=1,
+                        )
         pending = self._pending_by_rank()
-        blocked_info = []
         lines = []
-        for r in blocked:
-            what = waiting_tag[r] if state[r] == RECV else "barrier"
-            blocked_info.append((r, what))
-            if state[r] == RECV:
-                desc = f"rank {r} waiting on tag {waiting_tag[r]!r}"
+        for r, what in blocked:
+            if state[r] == _RECV:
+                desc = f"rank {r} waiting on tag {what!r}"
             else:
                 desc = f"rank {r} waiting on barrier"
             inbox = pending.get(r, [])
@@ -832,54 +878,8 @@ class Simulator:
             lines.append(desc)
         return DeadlockError(
             "simulation deadlock:\n  " + "\n  ".join(lines),
-            blocked=blocked_info,
-            pending=pending,
+            blocked=blocked, pending=pending,
         )
-
-    def _crashed_error(self, crashed, blocked, state, waiting_tag, RECV):
-        """Survivors' heartbeat timeout expired on a dead rank."""
-        crash_times = {r: t for r, t in self.fault_stats.crashes}
-        blocked_info = [
-            (r, waiting_tag[r] if state[r] == RECV else "barrier")
-            for r in blocked
-        ]
-        t_block = max((self.envs[r].clock for r in blocked), default=0.0)
-        detected_at = t_block + 100.0 * self.spec.latency_s  # heartbeat
-        names = ", ".join(
-            f"rank {r} (died at t={crash_times.get(r, 0.0):.3g})" for r in crashed
-        )
-        waits = "; ".join(
-            f"rank {r} waiting on {what!r}" for r, what in blocked_info
-        )
-        return RankCrashedError(
-            f"rank crash detected by heartbeat timeout at t={detected_at:.3g}: "
-            f"{names}; survivors blocked: {waits}",
-            ranks=crashed,
-            crash_times=crash_times,
-            detected_at=detected_at,
-            blocked=blocked_info,
-        )
-
-    def _lost_message_error(self, blocked, state, waiting_tag, RECV):
-        """A blocked receiver's awaited message was provably dropped: the
-        records show a lost attempt and no retransmission will come (a run
-        that can lose one keeps its records)."""
-        if self.reliable is not None or self.trace is None:
-            return None  # a lost send was retried, or raised DeliveryError
-        for r in blocked:
-            if state[r] != RECV:
-                continue
-            want = repr(waiting_tag[r])
-            for rec in self.trace.records:
-                if rec.dropped and rec.dest == r and repr(rec.tag) == want:
-                    return MessageLostError(
-                        f"rank {r} waits on tag {waiting_tag[r]!r}, but the "
-                        f"network dropped that message from rank {rec.src} "
-                        "and reliable delivery is off (no retransmission "
-                        "will come)",
-                        src=rec.src, dest=r, tag=waiting_tag[r], attempts=1,
-                    )
-        return None
 
     def _publish_metrics(self) -> None:
         """Add the run's message, retransmit and fault counts to the
@@ -910,245 +910,161 @@ class Simulator:
                 self._publish_metrics()
 
     def _run(self) -> SimResult:
+        """Pop the earliest event and run the rank it names until it blocks
+        again, dropping stale serves; live ranks on an empty heap fail."""
         READY, RECV, BARRIER, DONE, CRASHED = (
             _READY, _RECV, _BARRIER, _DONE, _CRASHED)
-        state = self._state = [READY] * self.nprocs
-        waiting_tag = self._waiting_tag = [None] * self.nprocs
-        blocked_at = [0.0] * self.nprocs  # clock when a rank last blocked
-        returns = [None] * self.nprocs
-        crash_time = dict(self._crash_time)
-        tr = self.tracer
-        # finalise the delivery mode here, not at construction: the test
-        # harness switches sanitize on after constructing the simulator,
-        # and sanitize must always restore copying (the mutation checker
-        # needs the receiver to hold pre-mutation bytes)
-        self.zero_copy = self._zc_certified and not self.sanitize
-        if self._zc_declined is not None and not self.sanitize:
-            self._note_zero_copy_fallback()
-        elif self._zc_requested and self.sanitize:
-            self.zero_copy_reason = "sanitize"
-        wake = self._wake = set()
-        order = self._order
-        nord = len(order)
-        oidx = {r: i for i, r in enumerate(order)}
+        heappush, heappop = heapq.heappush, heapq.heappop
+        nprocs, envs, order, tie = self.nprocs, self.envs, self._order, self._tie
+        state, waiting_tag = self._state, self._waiting_tag
+        mailboxes, events, tr = self._mailboxes, self._events, self.tracer
+        crashes = self.fault_stats.crashes
+        blocked_at = [0.0] * nprocs  # clock when a rank last blocked
+        returns = [None] * nprocs
+        deadline = [float("inf")] * nprocs  # scheduled crash times
+        events.extend((0.0, _START, tie[r], r) for r in range(nprocs))
+        for c in self.faults.crashes if self.faults is not None else ():
+            if 0 <= c.rank < nprocs:
+                deadline[c.rank] = c.at_time
+                events.append((c.at_time, _CRASH, c.rank, c.rank))
+        heapq.heapify(events)
+        barrier_cost = self.spec.barrier_seconds(nprocs)
+        # generator send methods, resolved once (plain functions have none)
+        gen_sends = [getattr(g, "send", None) for g in self._programs]
+        live = nprocs  # ranks neither finished nor crashed
+        at_barrier = 0  # ranks waiting at the open barrier ...
+        barrier_t = 0.0  # ... and the latest clock they arrived with
 
-        def crash(r, at=None):
-            """Kill rank r at its next yield/task boundary."""
-            env = self.envs[r]
-            if at is not None:
-                env.clock = max(env.clock, at)
-            if tr is not None and env.clock > blocked_at[r]:
-                # the rank died while blocked: close the open wait span so
-                # its timeline still tiles [0, clock] (the chaos campaign's
-                # trace-consistency oracle checks exactly this)
-                if state[r] == RECV:
-                    tr.span(
-                        r, f"recv {_obs.tag_label(waiting_tag[r])}",
-                        _obs.RECV_WAIT, blocked_at[r], env.clock,
-                        {"crashed": True},
-                    )
-                elif state[r] == BARRIER:
-                    tr.span(r, "barrier", _obs.BARRIER_WAIT,
-                            blocked_at[r], env.clock, {"crashed": True})
-            state[r] = CRASHED
-            waiting_tag[r] = None
-            wake.discard(r)
-            crash_time.pop(r, None)
-            self.fault_stats.crashes.append((r, env.clock))
+        def close_wait(r, t, args=None):
+            """The span of blocked rank r's wait, up to virtual time t."""
+            if state[r] == RECV:
+                tr.span(r, f"recv {_obs.tag_label(waiting_tag[r])}",
+                        _obs.RECV_WAIT, blocked_at[r], t, args)
+            else:
+                tr.span(r, "barrier", _obs.BARRIER_WAIT, blocked_at[r], t, args)
+
+        def crash(r, at):
+            """Kill rank r at virtual time ``max(clock, at)``."""
+            nonlocal live, at_barrier
+            env = envs[r]
+            if at > env.clock:
+                env.clock = at
+            if (tr is not None and state[r] in (RECV, BARRIER)
+                    and env.clock > blocked_at[r]):
+                # it died blocked: close the wait span so its timeline still
+                # tiles [0, clock] (the chaos trace-consistency oracle checks)
+                close_wait(r, env.clock, {"crashed": True})
+            if state[r] == BARRIER:
+                at_barrier -= 1
+            state[r], waiting_tag[r] = CRASHED, None
+            live -= 1
+            crashes.append((r, env.clock))
             gen = self._programs[r]
             if hasattr(gen, "close"):
                 gen.close()
 
-        def maybe_crash(r) -> bool:
-            """Apply a scheduled crash once the rank's clock reaches it."""
-            t = crash_time.get(r)
-            if (
-                t is not None
-                and state[r] not in (DONE, CRASHED)
-                and self.envs[r].clock >= t
-            ):
-                crash(r)
-                return True
-            return False
-
-        # generator send methods, resolved once (plain functions have none)
-        gen_sends = [getattr(g, "send", None) for g in self._programs]
-        mailboxes = self._mailboxes
-        envs = self.envs
-
         def resume(r, value=None):
             """Advance rank r's generator until it blocks or finishes."""
+            nonlocal live, at_barrier, barrier_t
             snd = gen_sends[r]
             try:
-                if snd is None:
-                    # plain function already ran at construction
-                    state[r] = DONE
-                    return
-                req = snd(value)
+                # a plain function already ran at construction
+                req = snd(value) if snd is not None else _FINISHED
             except StopIteration as stop:
-                state[r] = DONE
-                returns[r] = stop.value
-                return
-            if isinstance(req, _RecvRequest):
-                state[r] = RECV
-                waiting_tag[r] = req.tag
-                blocked_at[r] = envs[r].clock
-                if (r, req.tag) in mailboxes:
-                    # the awaited message already landed: wake immediately
-                    wake.add(r)
-            elif isinstance(req, _BarrierRequest):
-                state[r] = BARRIER
-                blocked_at[r] = envs[r].clock
+                req, value = _FINISHED, stop.value
+            clock = envs[r].clock
+            if clock >= deadline[r]:
+                # it ran past its crash time in a compute segment the
+                # simulator cannot interrupt
+                crash(r, clock)
+            elif req.__class__ is _RecvRequest:
+                state[r], waiting_tag[r], blocked_at[r] = RECV, req.tag, clock
+                box = mailboxes.get((r, req.tag))
+                if box is not None:
+                    arrival = box[0][0]
+                    heappush(events, (arrival if arrival > clock else clock,
+                                      _SERVE, tie[r], r))
+            elif req is _BARRIER_REQUEST:
+                state[r], blocked_at[r] = BARRIER, clock
+                if clock > barrier_t:
+                    barrier_t = clock
+                at_barrier += 1
+            elif req is _FINISHED:
+                state[r], returns[r] = DONE, value
+                live -= 1
             else:
                 raise TypeError(
                     f"rank {r} yielded {req!r}; yield env.recv(...) or env.barrier()"
                 )
-            if crash_time:
-                maybe_crash(r)
+            if at_barrier == live and at_barrier and not crashes:
+                # every live rank is at the barrier (this one arrived last,
+                # or finished): release it once
+                heappush(events, (barrier_t + barrier_cost, _RELEASE, 0, r))
 
-        def service_recv(r) -> bool:
-            """Try to satisfy rank r's pending recv.  Returns True when the
-            rank made progress (consumed a message, or crashed trying)."""
-            tag = waiting_tag[r]
-            key = (r, tag)
-            box = mailboxes.get(key)
-            if not box:
-                return False
-            env = envs[r]
-            if crash_time:
-                ct = crash_time.get(r)
-                if ct is not None and max(env.clock, box[0][0]) >= ct:
-                    # the rank dies before it could process the message;
-                    # leave it undelivered
-                    crash(r, at=ct)
-                    return True
-            # single-entry boxes dominate (see _post)
-            if len(box) == 1:
-                arrival, _, payload, rec, guard = box[0]
-                del mailboxes[key]
-            else:
-                arrival, _, payload, rec, guard = heapq.heappop(box)
-            if guard is not None:
-                self._check_guard(guard, rec)
-            if arrival > env.clock:
-                env.clock = arrival
-            rec.t_recv = env.clock
-            if tr is not None:
-                if env.clock > blocked_at[r]:
-                    tr.span(
-                        r, f"recv {_obs.tag_label(tag)}",
-                        _obs.RECV_WAIT, blocked_at[r], env.clock,
-                        {"src": int(rec.src)},
-                    )
-                tr.message(rec)
-            state[r] = READY
-            waiting_tag[r] = None
-            resume(r, payload)
-            return True
-
-        for r in self._order:
-            resume(r)
-
-        while True:
-            progressed = False
-            # satisfy receivers: only woken ranks (a deposit matching a
-            # blocked recv, or a recv posted against a non-empty mailbox),
-            # drained in passes over the host order.  That service order is
-            # observable — it fixes ``_seq``, the order of
-            # ``tracer.messages`` and so the Chrome-trace flow ids that
-            # ``tests/data/trace_golden.json`` pins.  While a rank is
-            # blocked every input of service_recv's checks is frozen (its
-            # clock, the box head, crash time), so nothing is
-            # missed by not looking at it between deposits.
-            if len(wake) == 1:
-                # overwhelmingly common: a single woken rank.  Servicing it
-                # may wake later-order ranks, which this pass must also
-                # drain; earlier-order wakes carry over to the next pass.
-                r = wake.pop()
-                if state[r] == RECV and service_recv(r):
-                    progressed = True
-                if wake:
-                    for i in range(oidx[r] + 1, nord):
-                        rr = order[i]
-                        if rr not in wake:
-                            continue
-                        wake.discard(rr)
-                        if state[rr] == RECV and service_recv(rr):
-                            progressed = True
-            elif wake:
-                for r in order:
-                    if r not in wake:
-                        continue
-                    wake.discard(r)
-                    if state[r] == RECV and service_recv(r):
-                        progressed = True
-            if progressed:
-                continue
-            # barrier: everyone live must be at the barrier
-            at_barrier = [r for r in self._order if state[r] == BARRIER]
-            live = [r for r in range(self.nprocs) if state[r] not in (DONE, CRASHED)]
-            crashed = sorted(r for r in range(self.nprocs) if state[r] == CRASHED)
-            if at_barrier and len(at_barrier) == len(live):
-                if crashed:
-                    # a barrier can never complete once a participant died
-                    raise self._crashed_error(crashed, at_barrier, state,
-                                              waiting_tag, RECV)
-                t = max(self.envs[r].clock for r in at_barrier)
-                t += self.spec.barrier_seconds(self.nprocs)
-                for r in at_barrier:
-                    if tr is not None and t > blocked_at[r]:
-                        tr.span(r, "barrier", _obs.BARRIER_WAIT,
-                                blocked_at[r], t)
-                    self.envs[r].clock = t
-                    state[r] = READY
-                for r in at_barrier:
-                    if state[r] == READY:
-                        resume(r)
-                continue
-            if not live:
-                break
-            blocked = [r for r in live if state[r] in (RECV, BARRIER)]
-            if len(blocked) == len(live):
-                # quiescent: no rank can advance on its own.  Fire the
-                # earliest scheduled crash of a blocked rank before
-                # declaring failure.  The choice is a min over (time,
-                # rank): host scheduling order never matters.
-                due = [(crash_time[r], r) for r in blocked if r in crash_time]
-                if due:
-                    t, r = min(due)
-                    crash(r, at=t)
+        while events:
+            t, kind, _, r = heappop(events)
+            if kind == _SERVE:
+                if state[r] != RECV:
                     continue
-                if crashed:
-                    raise self._crashed_error(crashed, blocked, state,
-                                              waiting_tag, RECV)
-                lost = self._lost_message_error(blocked, state, waiting_tag, RECV)
-                if lost is not None:
-                    raise lost
-                raise self._deadlock_error(blocked, state, waiting_tag, RECV)
-            # should not happen: READY ranks are resumed inside resume()
-            raise AssertionError("scheduler invariant violated")
+                key = (r, waiting_tag[r])
+                box = mailboxes.get(key)
+                if box is None:
+                    continue
+                env = envs[r]
+                arrival = box[0][0]
+                if (arrival if arrival > env.clock else env.clock) != t:
+                    continue  # stale: this wait is served at another time
+                # single-entry boxes dominate (see _post)
+                if len(box) == 1:
+                    _, _, payload, rec, guard = box[0]
+                    del mailboxes[key]
+                else:
+                    _, _, payload, rec, guard = heappop(box)
+                if guard is not None:
+                    self._check_guard(guard, rec)
+                env.clock = rec.t_recv = t
+                if tr is not None:
+                    if t > blocked_at[r]:
+                        close_wait(r, t, {"src": int(rec.src)})
+                    tr.message(rec)
+                state[r], waiting_tag[r] = READY, None
+                resume(r, payload)
+            elif kind == _START:
+                resume(r)
+            elif kind == _CRASH:
+                if state[r] == RECV or state[r] == BARRIER:
+                    crash(r, t)
+            elif not crashes:
+                # a release no crash has broken since it was pushed
+                released = [r for r in order if state[r] == BARRIER]
+                for r in released:
+                    if tr is not None and t > blocked_at[r]:
+                        close_wait(r, t)
+                    envs[r].clock, state[r] = t, READY
+                at_barrier, barrier_t = 0, 0.0
+                for r in released:
+                    resume(r)
 
+        if live:
+            raise self._stuck_error()
         if self.sanitize:
             # messages never received: still verify the sender kept its
             # hands off the posted buffers until the end of the run
-            for box in self._mailboxes.values():
+            for box in mailboxes.values():
                 for entry in box:
                     self._check_guard(entry[4], entry[3],
                                       when="the run ended")
-        spans = []
-        for env in self.envs:
-            spans.extend(env.spans)
         return SimResult(
             trace=self.trace,
-            total_time=max(env.clock for env in self.envs) if self.envs else 0.0,
-            rank_clocks=[env.clock for env in self.envs],
-            rank_busy=[env.busy for env in self.envs],
-            counters=[env.counter for env in self.envs],
-            spans=spans,
-            messages=sum(env.sent_messages for env in self.envs),
-            bytes_sent=sum(env.sent_bytes for env in self.envs),
+            total_time=max(env.clock for env in envs) if envs else 0.0,
+            rank_clocks=[env.clock for env in envs],
+            rank_busy=[env.busy for env in envs],
+            counters=[env.counter for env in envs],
+            spans=[s for env in envs for s in env.spans],
+            messages=sum(env.sent_messages for env in envs),
+            bytes_sent=sum(env.sent_bytes for env in envs),
             returns=returns,
-            crashed=sorted(r for r in range(self.nprocs) if state[r] == CRASHED),
+            crashed=sorted(r for r, _ in crashes),
             fault_stats=self.fault_stats,
             zero_copy=self.zero_copy,
             zero_copy_reason=self.zero_copy_reason,

@@ -1,11 +1,15 @@
 """Plugin-style pytest support: trace-check every simulation for free.
 
-``trace_checked_simulations()`` patches :meth:`repro.machine.Simulator.run`
-so that *every* simulation inside the context records a message trace and
-is checked against the tag-uniqueness / no-leak / causality rules as soon
-as it finishes; a violation raises :class:`ProtocolViolationError` (an
-``AssertionError``, so pytest reports it as a plain test failure at the
-offending call site).
+``trace_checked_simulations()`` wraps the construction of every
+:class:`repro.machine.Simulator` inside the context so that it keeps its
+message records and runs the write-after-send checker (``trace=True``,
+``sanitize=True``), and checks each run against the tag-uniqueness /
+no-leak / causality rules as soon as it finishes; a violation raises
+:class:`ProtocolViolationError` (an ``AssertionError``, so pytest reports it
+as a plain test failure at the offending call site).  Because the switches
+are made at construction, the simulator fixes its delivery mode once:
+sanitize mode keeps the defensive copy, with ``zero_copy_reason ==
+"sanitize"``.
 
 The test suite activates it per module from ``tests/conftest.py``::
 
@@ -22,34 +26,33 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from ..machine.simulator import SimTrace, Simulator
+from ..machine.simulator import Simulator
 from .tracecheck import check_messages, ProtocolViolationError
 
 
 @contextmanager
 def trace_checked_simulations():
-    """Patch ``Simulator.run`` to verify the message protocol of each run
-    and to turn on the simulator's zero-copy write-after-send checker, so a
-    rank program that mutates a posted payload fails the test with a typed
-    :class:`repro.machine.PayloadMutationError` even though the simulator's
-    defensive copy would have hidden the bug.
+    """Build every ``Simulator`` with ``trace=True, sanitize=True`` (pass
+    both as keywords, if at all) and verify the message protocol of each
+    run, so a rank program that mutates a posted payload fails the test
+    with a typed :class:`repro.machine.PayloadMutationError` even though
+    the simulator's defensive copy would have hidden the bug.
     """
-    orig_run = Simulator.run
+    orig_init, orig_run = Simulator.__init__, Simulator.run
+
+    def checked_init(self, *args, **kwargs):
+        orig_init(self, *args, **{**kwargs, "trace": True, "sanitize": True})
 
     def checked_run(self):
-        if self.trace is None:
-            self.trace = SimTrace()
-        self.sanitize = True
         result = orig_run(self)
         violations = check_messages(
-            self.trace, spec=self.spec, crashed=getattr(result, "crashed", ())
-        )
+            self.trace, spec=self.spec, crashed=result.crashed)
         if violations:
             raise ProtocolViolationError(violations)
         return result
 
-    Simulator.run = checked_run
+    Simulator.__init__, Simulator.run = checked_init, checked_run
     try:
         yield
     finally:
-        Simulator.run = orig_run
+        Simulator.__init__, Simulator.run = orig_init, orig_run

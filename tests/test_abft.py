@@ -24,6 +24,7 @@ from repro.machine import GENERIC, FaultPlan, ReliableDelivery
 from repro.machine.faults import CORRUPT, FaultEvent, MessageFaultRule
 from repro.matrices import random_nonsymmetric
 from repro.numfact import SilentCorruptionError, sstar_factor
+from repro.numfact.abft import payload_checksums, verify_payload
 from repro.obs import Tracer
 from repro.ordering import prepare_matrix
 from repro.parallel import factorize, run_1d, run_2d
@@ -57,6 +58,21 @@ def _bitwise_equal(a, b):
 # ---------------------------------------------------------------------------
 # sequential: clean bit-identity, detection, localized recovery
 # ---------------------------------------------------------------------------
+
+
+class TestPayloadTolerance:
+    def test_tolerance_separates_drift_from_corruption(self):
+        # a 4x4 block of ones: the tolerance is ABFT_RTOL * (1 + 16), so a
+        # 1e-6 error in one entry is corruption and a 1e-9 one carried drift
+        for delta, detected in ((1e-6, True), (1e-9, False)):
+            payload = {"x": np.ones((4, 4))}
+            payload["abft"] = payload_checksums({"x": payload["x"]})
+            payload["x"][1, 2] += delta
+            if detected:
+                with pytest.raises(SilentCorruptionError):
+                    verify_payload(payload, "test")
+            else:
+                assert verify_payload(payload, "test") is payload
 
 
 class TestSequentialAbft:

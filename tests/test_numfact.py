@@ -16,6 +16,7 @@ from repro.numfact import (
     unit_lower_inverse,
     upper_solve,
 )
+from repro.numfact.tasks import choose_pivot
 from repro.ordering import prepare_matrix
 from repro.sparse import coo_to_csr, csr_to_dense
 from repro.supernodes import build_block_structure, build_partition
@@ -192,6 +193,12 @@ class TestFactorBlockColumn:
         m = BlockLUMatrix.from_csr(A, part, bstruct)
         with pytest.raises(SingularMatrixError):
             factor_block_column(m, 0)
+
+    def test_threshold_keeps_a_diagonal_exactly_at_u_times_max(self):
+        # |diag| == u * max|candidate| passes the threshold test: the
+        # diagonal stays, the larger candidate in row 7 does not pivot
+        assert choose_pivot(3, 1.0, 7, 0.5, 0.5, None) == 3
+        assert choose_pivot(3, 1.0, 7, 0.4999, 0.5, None) == 7
 
 
 class TestSequentialFactor:

@@ -13,8 +13,10 @@ fault-free run, and the recovered traces must pass the trace checks of
 import numpy as np
 import pytest
 
+from repro.api.fixtures import prepare_pipeline
 from repro.machine import (
     GENERIC,
+    T3E,
     CrashFault,
     DeadlockError,
     DeliveryError,
@@ -34,6 +36,7 @@ from repro.numfact import (
     SingularMatrixError,
     sstar_factor,
 )
+from repro.obs import BARRIER_WAIT, Tracer
 from repro.ordering import prepare_matrix
 from repro.parallel import factorize, run_1d, run_2d
 from repro.sparse import csr_matvec
@@ -43,6 +46,17 @@ from repro.verify import check_run
 
 
 N = 90
+
+
+@pytest.fixture(scope="module")
+def sherman5_2d_sync():
+    """sherman5 on 4 simulated T3E nodes: the factorize arguments, the
+    fault-free 2d-sync run, and that run's trace."""
+    p = prepare_pipeline("sherman5")
+    args = (p["om"].A, p["part"], p["bstruct"], 4, T3E)
+    tracer = Tracer()
+    base = factorize("2d-sync", *args, sim_opts={"tracer": tracer})
+    return args, base, tracer
 
 
 @pytest.fixture(scope="module")
@@ -312,6 +326,49 @@ class TestCrashRecovery:
                       faults=FaultPlan().with_crash(2, 0.0)).run()
         assert ei.value.ranks == [2]
         assert any(what == "barrier" for _, what in ei.value.blocked)
+
+    def test_crash_inside_a_barrier_wait_fires(self, sherman5_2d_sync):
+        # a crash scheduled while rank 1 waits at its last barrier: the
+        # barrier can no longer complete, so the run fails typed
+        args, _, tracer = sherman5_2d_sync
+        waits = [s for s in tracer.spans
+                 if s.track == 1 and s.cat == BARRIER_WAIT]
+        t = 0.5 * (waits[-1].start + waits[-1].end)
+        with pytest.raises(RankCrashedError) as ei:
+            factorize("2d-sync", *args, sim_opts={
+                "faults": FaultPlan(crashes=[CrashFault(1, t)])})
+        assert ei.value.ranks == [1]
+        assert ei.value.crash_times == {1: t}
+        assert any(what == "barrier" for _, what in ei.value.blocked)
+
+    def test_crash_after_the_run_changes_nothing(self, sherman5_2d_sync):
+        # a stale crash event left on the heap neither kills a finished
+        # rank nor holds back a barrier release
+        args, base, _ = sherman5_2d_sync
+        late = 2.0 * base.parallel_seconds
+        res = factorize("2d-sync", *args, sim_opts={
+            "faults": FaultPlan(crashes=[CrashFault(1, late)])})
+        assert res.crashes == [] and res.fault_stats.crashes == []
+        assert res.parallel_seconds == base.parallel_seconds
+        assert res.sim.rank_clocks == base.sim.rank_clocks
+        assert (res.messages, res.bytes_sent) == (base.messages,
+                                                  base.bytes_sent)
+        assert _bitwise_equal(res.factor, base.factor)
+
+    def test_crash_in_the_last_compute_segment_fires_at_return(self):
+        # rank 1 computes past its crash time and returns without yielding
+        # again: it dies at its return clock
+        def prog(env):
+            env.compute("blas1", 1e6)
+            return env.rank
+            yield  # a generator program
+
+        res = Simulator(2, GENERIC, prog,
+                        faults=FaultPlan().with_crash(1, 1e-6)).run()
+        assert res.crashed == [1]
+        assert res.fault_stats.crashes == [(1, res.rank_clocks[1])]
+        assert res.rank_clocks[1] > 1e-6
+        assert res.returns == [0, None]
 
     def _crash_plan(self, pipeline, frac=0.4, rank=3, nprocs=4):
         p = pipeline

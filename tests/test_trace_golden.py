@@ -6,15 +6,22 @@ blake2b digest of the ``to_chrome_trace`` bytes, ``SimResult.messages`` /
 ``bytes_sent``, the per-rank receive-buffer ``high_water`` (1D) and the
 simulated ``parallel_seconds`` — plain, with ``abft=True``, on a lossy
 network under ``ReliableDelivery``, and through a checkpointed
-crash-restart — recorded from the commit *before* the 1D column message
-became one contiguous panel (PR 16).  Every scenario runs through
+crash-restart.  The counts, buffers and seconds were recorded from the
+commit *before* the 1D column message became one contiguous panel.  The
+trace digests were re-recorded once since, when the simulator moved onto
+one event heap: that changed the order in which equal-time events are
+served (hence ``_seq``, the order of ``tracer.messages`` and the Chrome
+flow ids) and nothing else — each scenario's trace, with its events sorted
+and flow ids dropped, was equal before and after.
+``test_canonical_trace_ignores_host_order`` keeps that view fixed under a
+reversed host order.  Every scenario runs through
 ``repro.parallel.factorize``, the one entry point of the run layer, so the
 goldens also pin that the driver table adds nothing observable.  The tier-1
-test below asserts the
-current code reproduces them, so "the payload change is invisible" is
-checked against recorded evidence, not against a retained old wire format
-(same recipe as ``tests/test_numeric_golden.py``, whose BLAS canary this
-file shares: pivot choices, hence message sizes, follow the host BLAS).
+test below asserts the current code reproduces them, so "the payload change
+is invisible" is checked against recorded evidence, not against a retained
+old wire format (same recipe as ``tests/test_numeric_golden.py``, whose BLAS
+canary this file shares: pivot choices, hence message sizes, follow the
+host BLAS).
 
 Re-record (only when a trace is *meant* to change), from the repo root::
 
@@ -28,7 +35,7 @@ import pathlib
 import pytest
 
 from repro.api.fixtures import prepare_pipeline
-from repro.machine import CrashFault, FaultPlan, T3E
+from repro.machine import CrashFault, FaultPlan, Simulator, T3E
 from repro.obs import Tracer, to_chrome_trace
 from repro.parallel import DRIVERS, factorize
 
@@ -44,6 +51,17 @@ def _trace_digest(tracer) -> str:
     return hashlib.blake2b(raw, digest_size=16).hexdigest()
 
 
+def _canonical_trace(tracer) -> list:
+    """The Chrome trace as a sorted list of events without flow ``id``s:
+    what is left when the host order of equal-time events is factored
+    out."""
+    doc = to_chrome_trace(tracer.spans, tracer.messages)
+    return sorted(
+        json.dumps({k: v for k, v in ev.items() if k != "id"}, sort_keys=True)
+        for ev in doc["traceEvents"]
+    )
+
+
 def _sim_record(sim) -> dict:
     return {
         "messages": sim.messages,
@@ -56,17 +74,17 @@ def _sim_record(sim) -> dict:
     }
 
 
-def _run(args, driver, abft=False, **sim_opts) -> dict:
+def _run(args, driver, abft=False, trace=_trace_digest, **sim_opts) -> dict:
     tracer = Tracer()
     res = factorize(driver, *args, abft=abft,
                     sim_opts={"tracer": tracer, **sim_opts})
     out = _sim_record(res.sim)
-    out["trace"] = _trace_digest(tracer)
+    out["trace"] = trace(tracer)
     out["parallel_seconds"] = float(res.parallel_seconds).hex()
     return out
 
 
-def _run_crash_restart(args, abft: bool) -> dict:
+def _run_crash_restart(args, abft: bool, trace=_trace_digest) -> dict:
     probe = factorize("1d-ca", *args)
     plan = FaultPlan(crashes=[CrashFault(2, probe.sim.total_time * 0.4)])
     tracer = Tracer()
@@ -75,7 +93,7 @@ def _run_crash_restart(args, abft: bool) -> dict:
         sim_opts={"tracer": tracer, "faults": plan, "reliable": True},
     )
     return {
-        "trace": _trace_digest(tracer),
+        "trace": trace(tracer),
         "parallel_seconds": float(res.parallel_seconds).hex(),
         "crashes": list(res.crashes),
         "rounds": [[list(r.window), r.nprocs, r.ok] for r in res.rounds],
@@ -83,11 +101,18 @@ def _run_crash_restart(args, abft: bool) -> dict:
     }
 
 
+def _args() -> tuple:
+    p = prepare_pipeline(MATRIX)
+    return (p["om"].A, p["part"], p["bstruct"], NPROCS, T3E)
+
+
+def _lossy() -> dict:
+    return {"faults": FaultPlan.drops(0.05, seed=11), "reliable": True}
+
+
 def trace_records() -> dict:
     """Every scenario's record, keyed by scenario name."""
-    p = prepare_pipeline(MATRIX)
-    args = (p["om"].A, p["part"], p["bstruct"], NPROCS, T3E)
-    lossy = {"faults": FaultPlan.drops(0.05, seed=11), "reliable": True}
+    args, lossy = _args(), _lossy()
     out = {}
     for driver in DRIVERS:
         out[driver] = _run(args, driver)
@@ -131,6 +156,32 @@ def test_runs_match_recorded(field, golden, records):
 def test_crash_restart_matches_recorded(golden, records):
     for name in ("1d-ca+crash-restart", "1d-ca+crash-restart+abft"):
         assert records[name] == golden[name], name
+
+
+def test_canonical_trace_ignores_host_order(monkeypatch):
+    """The digests pin the order equal-time events are served in, which
+    ``host_order`` breaks ties of; what happened, and when, must not move
+    with it — the wait, send and retransmit spans included, which the
+    replay checker does not compare.  Every simulator is built with its
+    ranks reversed, so the crash-restart rounds after the shrink are too."""
+    args = _args()
+
+    def scenarios():
+        return (
+            _run(args, "2d-sync", trace=_canonical_trace, **_lossy()),
+            _run_crash_restart(args, abft=False, trace=_canonical_trace),
+        )
+
+    natural = scenarios()
+    build = Simulator.__init__
+
+    def reversed_build(self, nprocs, *a, **kw):
+        build(self, nprocs, *a, host_order=list(reversed(range(nprocs))),
+              **kw)
+
+    monkeypatch.setattr(Simulator, "__init__", reversed_build)
+    for want, got in zip(natural, scenarios()):
+        assert got == want
 
 
 def test_recorded_scenarios_cover_what_they_claim(golden):
