@@ -55,10 +55,6 @@ class FactorizationReport:
     perturbed_pivots: int = 0  # tiny pivots statically perturbed
     restarts: int = 0  # crashed-and-discarded checkpoint rounds
     analysis_reused: bool = False  # refactor hit cached symbolic state
-    #: simulated runs: payloads were delivered zero-copy (False = the
-    #: certificate declined and every message was deep-copied; see
-    #: ``SimResult.zero_copy_reason``); None for sequential
-    zero_copy: Optional[bool] = None
 
 
 class SStarSolver:
@@ -328,7 +324,7 @@ class SStarSolver:
         sequential = self.method == "sequential" or self.nprocs == 1
         if sequential and (self.faults is not None or self.reliable is not None):
             raise ValueError("fault injection requires a parallel method")
-        parallel_seconds = zero_copy = None
+        parallel_seconds = None
         messages = bytes_sent = 0
         restarts = 0
         self.run_result = None
@@ -357,7 +353,6 @@ class SStarSolver:
             lu = LUFactorization(res.factor, sym, part, bstruct, res.total_counter())
             parallel_seconds = res.parallel_seconds
             messages, bytes_sent = res.messages, res.bytes_sent
-            zero_copy = res.zero_copy
             restarts = sum(1 for r in res.rounds if not r.ok)
         counter = lu.counter
 
@@ -410,7 +405,6 @@ class SStarSolver:
             perturbed_pivots=len(monitor.perturbations),
             restarts=restarts,
             analysis_reused=reused,
-            zero_copy=zero_copy,
         )
         return self
 

@@ -351,47 +351,6 @@ def cmd_lint(args) -> int:
     select = args.select.split(",") if args.select else None
     env_names = tuple(args.env_name) if args.env_name else ("env",)
 
-    if args.certify is not None or args.certify_check:
-        from .lint.certify import (
-            ZeroCopyCertificate, build_certificate, default_certificate_path)
-
-        cert = build_certificate(
-            args.paths or None, env_names=env_names
-        )
-        if args.certify_check:
-            path = default_certificate_path()
-            try:
-                committed = ZeroCopyCertificate.load(path)
-            except (OSError, ValueError):
-                print(f"certificate missing or unreadable: {path}")
-                return 1
-            fresh = {m: (e["sha256"], e["clean"])
-                     for m, e in cert.modules.items()}
-            old = {m: (e.get("sha256"), e.get("clean"))
-                   for m, e in committed.modules.items()}
-            if fresh != old:
-                stale = sorted(
-                    m for m in set(fresh) | set(old)
-                    if fresh.get(m) != old.get(m)
-                )
-                print(f"zero-copy certificate is stale ({len(stale)} "
-                      f"module(s) differ): {', '.join(stale[:8])}"
-                      f"{', ...' if len(stale) > 8 else ''}")
-                print("regenerate with: repro lint --certify")
-                return 1
-            print(f"zero-copy certificate is fresh: "
-                  f"{len(cert.clean_modules())} clean module(s), "
-                  f"{len(cert.dirty_modules())} uncertified")
-            return 0
-        path = Path(args.certify) if args.certify else default_certificate_path()
-        cert.write(path)
-        dirty = cert.dirty_modules()
-        print(f"wrote {path}: {len(cert.clean_modules())} module(s) "
-              f"certified zero-copy clean, {len(dirty)} uncertified"
-              + (f" ({', '.join(dirty[:6])}"
-                 f"{', ...' if len(dirty) > 6 else ''})" if dirty else ""))
-        return 0
-
     findings = lint_paths(paths, env_names=env_names, select=select)
     fail_on = None if args.fail_on == "never" else args.fail_on
     if args.json:
@@ -793,15 +752,6 @@ def build_parser() -> argparse.ArgumentParser:
     ln.add_argument("--env-name", action="append",
                     help="SPMD env handle name(s) for the aliasing pass "
                          "(default: env)")
-    ln.add_argument("--certify", nargs="?", const="", metavar="PATH",
-                    default=None,
-                    help="emit a zero-copy certificate (Z201/Z202 verdict + "
-                         "source hash per module) consumed by "
-                         "Simulator(zero_copy=True); PATH defaults to the "
-                         "packaged certificate location")
-    ln.add_argument("--certify-check", action="store_true",
-                    help="rebuild the certificate and fail if the committed "
-                         "copy is stale (CI freshness gate)")
     ln.set_defaults(func=cmd_lint)
 
     sd = sub.add_parser(

@@ -25,10 +25,11 @@ linted file set (function summaries — "returns a fresh buffer", "returns
 an alias of parameter p", "mutates parameter p", "returns an unordered
 collection" — are resolved across modules via their import graph).
 
-The dynamic counterpart is ``Simulator(sanitize=True)``
-(:mod:`repro.machine.simulator`): payloads are content-hashed at send and
-re-verified at consumption, raising :class:`PayloadMutationError` on a
-zero-copy violation.
+The dynamic counterpart of the aliasing pass is the simulator
+(:mod:`repro.machine.simulator`): every payload array is read-only from its
+send on, and ``Simulator(sanitize=True)`` also content-hashes payloads at
+send and re-verifies them at consumption; both raise
+:class:`PayloadMutationError` on a zero-copy violation.
 """
 
 from .core import (
@@ -47,20 +48,8 @@ from .core import (
 from . import determinism  # noqa: F401  (registers D1xx rules)
 from . import aliasing  # noqa: F401  (registers Z2xx rules)
 from .protocol import PROTOCOL_RULES  # (registers Y01/T0x rules)
-from .certify import (
-    ZeroCopyCertificate,
-    build_certificate,
-    certificate_covers,
-    default_certificate,
-    default_certificate_path,
-)
 
 __all__ = [
-    "ZeroCopyCertificate",
-    "build_certificate",
-    "certificate_covers",
-    "default_certificate",
-    "default_certificate_path",
     "Finding",
     "Severity",
     "RULES",

@@ -2,9 +2,11 @@
 
 The simulator's ``env.send``/``env.multicast`` model RMA-style one-sided
 puts: the sender must not mutate the posted payload until the receiver
-has consumed it (the real machine transfers the bytes asynchronously;
-the simulator's defensive deep copy at send merely *hides* violations —
-``Simulator(sanitize=True)`` is the dynamic counterpart of this pass).
+has consumed it (the real machine transfers the bytes asynchronously).
+The simulator delivers by reference and makes every payload array
+read-only at its send, so such a write fails when a run reaches it, and
+``Simulator(sanitize=True)`` catches one through another view of the
+same memory; this pass finds them without a run.
 
 * ``Z201`` (error) — **write-after-send**: a buffer reachable from a
   posted payload is mutated later in the function.  Loop bodies are

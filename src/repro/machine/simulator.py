@@ -13,11 +13,11 @@ Semantics (matching the shmem/RMA style the paper's codes rely on):
   overhead, the payload is deposited in the receiver's mailbox at
   ``sender_clock + latency + bytes/bandwidth``;
 * ``recv(tag)`` blocks until a matching message exists and resumes at
-  ``max(local_clock, arrival)``; payloads are deep-copied at send time so
-  ranks never alias each other's memory — unless ``zero_copy`` delivery is
-  active, in which case the lint certificate (``repro lint --certify``)
-  proves the program never writes a posted buffer and the copy is skipped
-  (true RMA put semantics, as on the paper's T3D);
+  ``max(local_clock, arrival)``;
+* a payload is delivered by reference, never copied (the T3D/T3E codes'
+  zero-copy put): ``send`` makes every ndarray it carries read-only, so a
+  sender that writes a posted buffer, or a receiver that writes what it
+  got, fails at that write with a :class:`PayloadMutationError`;
 * tags must uniquely identify a logical transfer (step/stage/source); the
   parallel codes in :mod:`repro.parallel` follow this discipline;
 * ``barrier`` synchronises all ranks at ``max(clocks) + barrier cost``.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import warnings
+import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,18 +74,19 @@ class DeliveryError(RuntimeError):
 
 
 class PayloadMutationError(RuntimeError):
-    """A sender mutated a posted payload before it was consumed.
+    """A rank wrote to a payload, which is delivered by reference.
 
-    Raised by ``Simulator(sanitize=True)``: payloads are content-hashed at
-    send time and re-verified when the receiver consumes them (and at the
-    end of the run for messages never received).  The simulator's defensive
-    deep copy means the receiver still observed the *pre-mutation* bytes —
-    but on a real zero-copy RMA machine it would not have, so the program
-    is incorrect.
+    Raised at the write, since every array a payload carries is read-only
+    from its send on, and by ``Simulator(sanitize=True)``, whose content
+    hash (re-verified at consumption and at the end of the run) catches a
+    write through another view of the same memory.  On the paper's
+    zero-copy RMA machines the receiver would read the written bytes.
 
-    Structured attributes: ``src``, ``dest``, ``tag``, ``send_clock`` (the
-    sender's virtual clock when the payload was posted), and ``span`` (the
-    label of the sender's task span covering the send, or None).
+    Structured attributes: ``src``, ``dest`` (a receiver that wrote),
+    ``tag``, ``send_clock`` (the sender's clock at the send), and ``span``
+    (the sender's task span covering the send, or None).  A write no
+    message can be found for has ``src`` None, and ``dest`` and ``span``
+    name the writing rank and its span.
     """
 
     def __init__(self, message, src=None, dest=None, tag=None,
@@ -210,7 +211,8 @@ def _payload_nbytes(payload) -> int:
 
 
 def _copy_payload(payload):
-    """Deep-copy the ndarray parts of a payload (no aliasing across ranks)."""
+    """Deep-copy the ndarray parts of a payload (a CORRUPT fault's private
+    copy, whose bit flip must reach neither the sender nor a retry)."""
     if isinstance(payload, np.ndarray):
         return payload.copy()
     if isinstance(payload, tuple):
@@ -262,22 +264,6 @@ def _payload_digest(payload) -> bytes:
     h = hashlib.blake2b(digest_size=16)
     _digest_into(h, payload)
     return h.digest()
-
-
-#: (reason: module) strings already warned about in this process
-_ZC_WARNED = set()
-
-
-class _SanitizeGuard:
-    """Send-time snapshot for one posted payload: the *original* object
-    (not the simulator's defensive copy) plus its content hash.  Re-hashing
-    the original later detects any write the sender made after posting."""
-
-    __slots__ = ("payload", "digest")
-
-    def __init__(self, payload):
-        self.payload = payload
-        self.digest = _payload_digest(payload)
 
 
 def _corrupt_payload(payload):
@@ -397,7 +383,9 @@ class Env:
     # -- communication -----------------------------------------------------
 
     def send(self, dest: int, tag, payload, nbytes: int = None) -> None:
-        """One-sided put to ``dest``; sender pays the overhead.
+        """One-sided put to ``dest``; sender pays the overhead.  The payload
+        is delivered by reference, and every ndarray it carries is
+        read-only from here on (:class:`PayloadMutationError` at a write).
 
         Each attempt is one :class:`MessageRecord`.  Under a
         :class:`FaultPlan` the transmission may be dropped, duplicated,
@@ -408,30 +396,60 @@ class Env:
         (:class:`_FaultyNetwork`), absent on a perfect network.  A ``dest``
         that is not a rank is a :class:`ValueError` here, at the send.
         """
+        self._put((dest,), tag, payload, nbytes, False)
+
+    def multicast(self, dests, tag, payload, nbytes: int = None) -> None:
+        """Sequential puts of one payload to each destination but this
+        rank (shmem-style multicast), frozen and sized once."""
+        self._put(dests, tag, payload, nbytes, True)
+
+    def _put(self, dests, tag, payload, nbytes, multicast) -> None:
+        """Post ``payload`` itself to each of ``dests``, first making every
+        ndarray it carries (through dicts, lists and tuples) read-only and
+        indexing it by ``id`` to the first record (for ``_write_error``):
+        one walk per send, with no call per container or scalar."""
         sim = self._sim
-        if not 0 <= dest < sim.nprocs:
-            raise ValueError(
-                f"rank {self.rank} sends tag {tag!r} to rank {dest}: "
-                f"not a rank of this {sim.nprocs}-rank run"
-            )
-        # the sanitizer hashes the sender's own object; the receiver gets
-        # a copy unless the lint certificate proved it unnecessary
-        guard = _SanitizeGuard(payload) if sim.sanitize else None
-        if not sim.zero_copy:
-            payload = _copy_payload(payload)
-        if dest == self.rank:
-            # local deposit: no network cost, no faults
-            sim._post(MessageRecord(self.rank, dest, tag, self.clock,
-                                    self.clock), payload, guard)
-            return
-        rec = self._wire(
-            dest, tag, _payload_nbytes(payload) if nbytes is None else nbytes)
-        if sim._network is not None:
-            sim._network.deliver(self, rec, payload, guard)
-            return
-        sim._post(rec, payload, guard)
-        if sim.tracer is not None:
-            sim._trace_send(rec, self.clock)
+        me = self.rank
+        # sanitize: the posted object and its hash, re-checked at consumption
+        guard = (payload, _payload_digest(payload)) if sim.sanitize else None
+        todo = [payload]  # what is left to freeze
+        for dest in dests:
+            if dest == me:
+                if multicast:
+                    continue
+                # local deposit: no network cost, no faults
+                rec = MessageRecord(me, dest, tag, self.clock, self.clock)
+            elif 0 <= dest < sim.nprocs:
+                if nbytes is None:
+                    nbytes = _payload_nbytes(payload)
+                rec = self._wire(dest, tag, nbytes)
+            else:
+                raise ValueError(
+                    f"rank {me} sends tag {tag!r} to rank {dest}: "
+                    f"not a rank of this {sim.nprocs}-rank run"
+                )
+            if todo:
+                frozen = sim._frozen
+                for p in todo:
+                    cls = p.__class__
+                    if cls is int or cls is float:
+                        continue  # most leaves: pivot pairs, sizes
+                    if cls is tuple or cls is list:
+                        todo += p
+                    elif cls is dict:
+                        todo += p.values()
+                    elif np.ndarray in cls.__mro__:
+                        p.flags.writeable = False
+                        frozen[id(p)] = rec
+                todo = None
+            if dest == me:
+                sim._post(rec, payload, guard)
+            elif sim._network is not None:
+                sim._network.deliver(self, rec, payload, guard)
+            else:
+                sim._post(rec, payload, guard)
+                if sim.tracer is not None:
+                    sim._trace_send(rec, self.clock)
 
     def _wire(self, dest, tag, nbytes):
         """Charge this rank one transmission attempt — its overhead and
@@ -447,15 +465,6 @@ class Env:
         # positional: keyword arguments would double the record's cost
         return MessageRecord(self.rank, dest, tag, t_send,
                              self.clock + nbytes / spec.bandwidth_bps, nbytes)
-
-    def multicast(self, dests, tag, payload, nbytes: int = None) -> None:
-        """Sequential puts to each destination (shmem-style multicast)."""
-        if nbytes is None:
-            # size the payload once, not once per destination
-            nbytes = _payload_nbytes(payload)
-        for d in dests:
-            if d != self.rank:
-                self.send(d, tag, payload, nbytes=nbytes)
 
     def recv(self, tag):
         """Yieldable: block until a message tagged ``tag`` is available.
@@ -503,7 +512,8 @@ class _FaultyNetwork:
             pay = payload
             if action == CORRUPT:
                 # a private copy, so the bit flip reaches neither the
-                # sender's memory (zero-copy) nor the next attempt
+                # sender's memory nor the next attempt (nor any other rank:
+                # it is the one payload left writable)
                 pay = _copy_payload(payload)
                 rec.corrupted = _corrupt_payload(pay)
                 if not rec.corrupted:
@@ -528,7 +538,7 @@ class _FaultyNetwork:
                         rec.src, rec.dest, rec.tag, rec.t_send,
                         rec.arrival + spec.latency_s, rec.nbytes,
                         logical=rec.logical, attempt=attempt, duplicate=True,
-                    ), pay if sim.zero_copy else _copy_payload(pay), guard)
+                    ), pay, guard)
                 if rel is not None:
                     # block until the ack returns
                     env.clock = max(env.clock, rec.arrival + rel.ack(spec))
@@ -578,10 +588,6 @@ class SimResult:
     trace: SimTrace = None  # the kept message records (see Simulator)
     crashed: list = field(default_factory=list)  # ranks dead at exit
     fault_stats: FaultStats = field(default_factory=FaultStats)
-    zero_copy: bool = False  # payloads were delivered without a deep copy
-    #: why a requested zero-copy delivery was not honoured: ``"sanitize"``,
-    #: or ``"uncertified" / "stale sha256" / "dirty"`` + ``": <module>"``
-    zero_copy_reason: str = None
 
     @property
     def nprocs(self) -> int:
@@ -616,7 +622,6 @@ class Simulator:
         reliable=None,
         sanitize: bool = False,
         tracer=None,
-        zero_copy=False,
     ):
         """``program(env, *args)`` must return a generator (it may also be a
         plain function for compute-only ranks).
@@ -643,12 +648,14 @@ class Simulator:
         is ``SimResult.fault_stats``, or the ``fault_stats`` attribute of
         the exception a failed run raises.
 
-        ``sanitize=True`` enables the zero-copy write-after-send checker:
-        every payload is content-hashed when posted and re-verified when
-        consumed (and at the end of the run for messages never received);
-        a mismatch raises :class:`PayloadMutationError` naming the sender,
-        tag and the sender's task span covering the send.  This is the
-        dynamic counterpart of the ``Z201`` rule in :mod:`repro.lint`.
+        Every payload is delivered by reference, as the paper's one-sided
+        puts deliver it, and every ndarray it carries is read-only from its
+        send on, so a write to a posted or received array raises
+        :class:`PayloadMutationError` at the write.  ``sanitize=True`` adds
+        a content hash of every payload, re-verified when it is consumed
+        (and at the end of the run for messages never received), for a
+        write through another view of the same memory.  Both are dynamic
+        counterparts of the ``Z201``/``Z202`` rules in :mod:`repro.lint`.
 
         ``tracer`` is an optional :class:`repro.obs.Tracer`; when set, the
         simulator emits virtual-time spans (compute/send/recv_wait/
@@ -656,24 +663,6 @@ class Simulator:
         the record of each consumed message into it, and adds the run's
         ``sim.*`` counts to its metrics when the run ends.  When ``None``
         (the default) every instrumentation site is skipped.
-
-        ``zero_copy`` skips the defensive deep copy at send time — true
-        one-sided-put semantics.  That is only sound when the program never
-        writes a posted buffer (Z201) and never mutates a received payload
-        it retained (Z202), which is exactly what the aliasing lint proves;
-        so ``zero_copy=True`` consults the packaged certificate emitted by
-        ``repro lint --certify`` and only engages when ``program``'s module
-        is certified clean (and its source unchanged since certification).
-        Pass a path / :class:`repro.lint.certify.ZeroCopyCertificate` to use
-        a different certificate; one that cannot be read certifies nothing.
-        ``sanitize=True`` always restores copying so the dynamic
-        write-after-send checker keeps its pre-mutation reference bytes —
-        CI cross-checks zero-copy runs bit-for-bit this way.  The delivery
-        mode is fixed here, as the ``zero_copy`` / ``zero_copy_reason``
-        attributes (and ``SimResult`` fields).  A request the certificate
-        declines is not silent: the run copies, and says so — the reason,
-        one :class:`RuntimeWarning` per (module, reason) per process, and a
-        ``sim.zero_copy.fallback`` count in the tracer's metrics.
         """
         self.nprocs = nprocs
         self.spec = spec
@@ -681,6 +670,8 @@ class Simulator:
         self.tracer = tracer
         # (dest, tag) -> heap of (arrival, seq, payload, record, guard)
         self._mailboxes = {}
+        # id of every array a payload froze -> the record it was sent with
+        self._frozen = {}
         self._seq = 0
         self.faults = faults
         self.reliable = (
@@ -703,32 +694,6 @@ class Simulator:
         self._tie = [0] * nprocs  # rank -> its place in the host order
         for i, r in enumerate(self._order):
             self._tie[r] = i
-        self.zero_copy = False
-        self.zero_copy_reason = None  # why a requested zero-copy is off
-        if zero_copy and self.sanitize:
-            self.zero_copy_reason = "sanitize"
-        elif zero_copy:
-            from ..lint.certify import certificate_decline_reason
-
-            module = getattr(program, "__module__", None)
-            declined = certificate_decline_reason(
-                module, cert=None if zero_copy is True else zero_copy)
-            self.zero_copy = declined is None
-            if declined is not None:
-                # every payload is deep-copied (correct, but up to 30 %
-                # slower on the 1D codes): say why, count it, warn once
-                self.zero_copy_reason = f"{declined}: {module}"
-                if tracer is not None:
-                    tracer.metrics.counter("sim.zero_copy.fallback").inc()
-                if self.zero_copy_reason not in _ZC_WARNED:
-                    _ZC_WARNED.add(self.zero_copy_reason)
-                    warnings.warn(
-                        f"zero-copy delivery requested but not certified "
-                        f"({self.zero_copy_reason}); payloads are "
-                        "deep-copied — regenerate the certificate with "
-                        "`repro lint --certify`",
-                        RuntimeWarning, stacklevel=2,
-                    )
         # the run's state, which _post reads to schedule the serve of a
         # rank blocked on the landed tag: one event heap of (virtual time,
         # kind, tie, rank)
@@ -791,7 +756,7 @@ class Simulator:
                     (tag, entry[0], entry[3].src))
         return pending
 
-    # -- sanitize mode -------------------------------------------------------
+    # -- payload writes -------------------------------------------------------
 
     def _sending_span(self, src, send_clock):
         """Label of the sender's task span covering ``send_clock``, if any."""
@@ -801,21 +766,52 @@ class Simulator:
                 label = s.name  # keep the last (innermost) match
         return label
 
-    def _check_guard(self, guard, rec, when="it was consumed"):
-        """Re-verify a posted payload's content hash; raise on mutation."""
-        if guard is None or _payload_digest(guard.payload) == guard.digest:
-            return
+    def _mutation_error(self, rec, what, writer=None) -> PayloadMutationError:
+        """Flag ``rec`` (tracecheck's MUTATE rule) and name its send; a
+        receiving ``writer`` is the error's ``dest``."""
         rec.mutated = True
         span = self._sending_span(rec.src, rec.t_send)
         where = f" during span {span!r}" if span is not None else ""
-        raise PayloadMutationError(
+        return PayloadMutationError(
             f"rank {rec.src} posted tag {rec.tag!r} to rank "
-            f"{rec.dest} at t={rec.t_send:.3g}{where}, then mutated "
-            f"the payload before {when}; zero-copy put semantics forbid "
-            "write-after-send (post a defensive .copy())",
-            src=rec.src, dest=rec.dest, tag=rec.tag,
-            send_clock=rec.t_send, span=span,
+            f"{rec.dest} at t={rec.t_send:.3g}{where}, then {what}; "
+            "zero-copy put semantics forbid write-after-send and writes to "
+            "a received buffer (post or take a .copy())",
+            src=rec.src, dest=rec.dest if writer in (None, rec.src) else writer,
+            tag=rec.tag, send_clock=rec.t_send, span=span,
         )
+
+    def _check_guard(self, guard, rec, when="it was consumed"):
+        """Re-verify a posted payload's content hash; raise on mutation."""
+        if guard is None or _payload_digest(guard[0]) == guard[1]:
+            return
+        raise self._mutation_error(rec, f"mutated the payload before {when}")
+
+    def _write_error(self, r, err) -> PayloadMutationError:
+        """The typed error for rank ``r``'s write to a read-only array: the
+        message of the first frozen array its failing frames hold
+        (innermost frame first, one level into dicts, lists and tuples, a
+        view's bases before the view), or else ``r`` and its task span."""
+        frames = [f for f, _ in traceback.walk_tb(err.__traceback__)]
+        for frame in reversed(frames[1:]):  # past the frame that resumed r
+            for v in frame.f_locals.values():
+                held = (v.values() if isinstance(v, dict)
+                        else v if isinstance(v, (list, tuple)) else (v,))
+                for base in held:
+                    chain = []
+                    while isinstance(base, np.ndarray):
+                        chain.append(base)
+                        base = base.base
+                    for a in reversed(chain):
+                        rec = self._frozen.get(id(a))
+                        if rec is not None and not a.flags.writeable:
+                            return self._mutation_error(
+                                rec, "wrote to it" if r == rec.src else
+                                f"rank {r} wrote to what it received", r)
+        span = self._sending_span(r, self.envs[r].clock)
+        return PayloadMutationError(
+            f"rank {r} wrote to a read-only array (a payload or a view of "
+            f"one) during span {span!r}: {err}", dest=r, span=span)
 
     def _stuck_error(self) -> RuntimeError:
         """Why live ranks are left blocked with no event to serve: a crashed
@@ -972,6 +968,10 @@ class Simulator:
                 req = snd(value) if snd is not None else _FINISHED
             except StopIteration as stop:
                 req, value = _FINISHED, stop.value
+            except ValueError as err:
+                if "read-only" not in str(err):
+                    raise
+                raise self._write_error(r, err) from err
             clock = envs[r].clock
             if clock >= deadline[r]:
                 # it ran past its crash time in a compute segment the
@@ -1066,6 +1066,4 @@ class Simulator:
             returns=returns,
             crashed=sorted(r for r, _ in crashes),
             fault_stats=self.fault_stats,
-            zero_copy=self.zero_copy,
-            zero_copy_reason=self.zero_copy_reason,
         )

@@ -136,7 +136,7 @@ class MessageRecord:
     dropped: bool = False  # lost in the network (never deposited)
     duplicate: bool = False  # fault-injected extra copy
     corrupted: bool = False  # payload corrupted in flight
-    mutated: bool = False  # sender wrote to the payload after posting it
+    mutated: bool = False  # a rank wrote to the payload after it was posted
 
     @property
     def consumed(self) -> bool:

@@ -139,11 +139,10 @@ def _rank_program(env, ctx):
             # the message is one fresh copy of the column's L panel: fc
             # holds views into the local storage ``m``, which later
             # Factor/Update tasks keep mutating while the posted payload is
-            # still in flight (Z201).  Every consumer reads that one buffer
-            # in place, so it is frozen before it is posted.
-            panel = fc.panel.copy()
-            panel.setflags(write=False)
-            payload = {"K": int(k), "pivots": list(fc.pivots), "panel": panel}
+            # still in flight (Z201); every consumer reads that one buffer
+            # in place
+            payload = {"K": int(k), "pivots": list(fc.pivots),
+                       "panel": fc.panel.copy()}
             if abft:
                 payload["abft"] = payload_checksums(column_leaves(payload, plan))
             env.multicast(others if consumers is None else consumers[k],

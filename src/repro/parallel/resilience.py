@@ -114,10 +114,6 @@ class RunResult:
         return self.rounds[-1].nprocs
 
     @property
-    def zero_copy(self) -> bool:
-        return all(sim.zero_copy for sim in self.sims)
-
-    @property
     def buffer_high_water(self) -> list:
         """1D codes: each rank's peak bytes of cached remote columns."""
         return [ret["high_water"] for ret in self.sim.returns]
@@ -171,7 +167,8 @@ def launch(rank_program, ctx, A, part, bstruct, mapping, nprocs, spec, *,
     layouts: the one matrix split by the layout's ``mapping`` (checked
     against the run), in ``ctx["locals"]`` beside the other keys every rank
     reads.  The ranks factor its arena in place; their pivot sequences,
-    merged here, complete the factor.  ``result`` is the layout's
+    merged here, complete the factor, whose blocks are made writable again
+    (a send made the ones it posted read-only).  ``result`` is the layout's
     ``schedule=`` or ``grid=``.  A run in which any rank crashed raises
     :class:`repro.machine.RankCrashedError`, whether or not the survivors
     finished; every error leaving the run carries its ``fault_stats``.
@@ -183,12 +180,8 @@ def launch(rank_program, ctx, A, part, bstruct, mapping, nprocs, spec, *,
     ctx.update(locals=merged.split(mapping.block_owner, nprocs),
                pivot_threshold=pivot_threshold, monitor=monitor, abft=abft,
                stage_range=window)
-    opts = dict(sim_opts or {})
-    # zero-copy delivery by default: both rank programs are Z-rule
-    # certified (repro lint --certify); the simulator falls back to
-    # copying if the certificate is stale/absent or sanitize mode is on
-    opts.setdefault("zero_copy", True)
-    sim = Simulator(nprocs, spec, rank_program, args=(ctx,), **opts).run()
+    sim = Simulator(nprocs, spec, rank_program, args=(ctx,),
+                    **(sim_opts or {})).run()
     if sim.crashed:
         # the survivors finished, but the dead ranks' work may be missing
         err = RankCrashedError(
@@ -201,6 +194,10 @@ def launch(rank_program, ctx, A, part, bstruct, mapping, nprocs, spec, *,
         for K, seq in enumerate(ret["pivot_seq"]):
             if seq is not None:
                 merged.pivot_seq[K] = seq
+    # a send freezes what it posts, arena views of the factor included:
+    # the returned factor is writable again
+    for blk in merged.blocks.values():
+        blk.flags.writeable = True
     rnd = RoundInfo(window, nprocs, True, seconds=sim.total_time, sim=sim)
     return RunResult(merged, [rnd], **result)
 
@@ -268,6 +265,13 @@ def run_checkpointed(runner, A, part, bstruct, nprocs, spec, *,
             nprocs -= 1
         if nprocs < 1:
             raise err
+        order = opts.get("host_order")
+        if order is not None:
+            # the survivors keep their relative order, renumbered as
+            # after_crash renumbers them
+            dead = sorted(err.ranks)
+            opts["host_order"] = [r - sum(d < r for d in dead)
+                                  for r in order if r not in dead]
         # a caller-fixed 2D grid no longer fits: run_2d re-picks
         # Grid2D.preferred for the surviving rank count
         runner_kwargs.pop("grid", None)

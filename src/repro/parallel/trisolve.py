@@ -207,9 +207,8 @@ def _solve_program(env, ctx):
 def _run_trisolve(lu, mapping, b, nprocs, spec, sim_opts) -> TriSolveResult:
     b = rhs_array(b, lu.n)
     ctx = {"lu": lu, "b": b, **_shared_tables(lu, mapping, nprocs)}
-    opts = dict(sim_opts or {})
-    opts.setdefault("zero_copy", True)  # Z-rule certified module
-    sim = Simulator(nprocs, spec, _solve_program, args=(ctx,), **opts).run()
+    sim = Simulator(nprocs, spec, _solve_program, args=(ctx,),
+                    **(sim_opts or {})).run()
     x = np.empty(b.shape)
     bounds = lu.part.bounds
     for ret in sim.returns:

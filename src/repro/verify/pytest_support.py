@@ -6,10 +6,10 @@ message records and runs the write-after-send checker (``trace=True``,
 ``sanitize=True``), and checks each run against the tag-uniqueness /
 no-leak / causality rules as soon as it finishes; a violation raises
 :class:`ProtocolViolationError` (an ``AssertionError``, so pytest reports it
-as a plain test failure at the offending call site).  Because the switches
-are made at construction, the simulator fixes its delivery mode once:
-sanitize mode keeps the defensive copy, with ``zero_copy_reason ==
-"sanitize"``.
+as a plain test failure at the offending call site).  Delivery is the one
+the simulator always uses, by reference with every payload array made
+read-only at its send; ``sanitize=True`` adds the content hash that catches
+a write through another view of the sender's memory.
 
 The test suite activates it per module from ``tests/conftest.py``::
 
@@ -34,9 +34,9 @@ from .tracecheck import check_messages, ProtocolViolationError
 def trace_checked_simulations():
     """Build every ``Simulator`` with ``trace=True, sanitize=True`` (pass
     both as keywords, if at all) and verify the message protocol of each
-    run, so a rank program that mutates a posted payload fails the test
-    with a typed :class:`repro.machine.PayloadMutationError` even though
-    the simulator's defensive copy would have hidden the bug.
+    run, so a rank program that mutates a posted payload, even through
+    another view of it, fails the test with a typed
+    :class:`repro.machine.PayloadMutationError`.
     """
     orig_init, orig_run = Simulator.__init__, Simulator.run
 

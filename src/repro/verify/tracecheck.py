@@ -10,9 +10,10 @@ simulator documents but cannot enforce cheaply during execution:
   unconsumed mailbox entry means a lost multicast or a dropped ``yield``);
 * **CAUSAL** — every arrival respects the latency/bandwidth model and no
   receiver resumes before its message arrived;
-* **MUTATE** — no sender wrote to a posted payload before it was consumed
-  (records flagged by ``Simulator(sanitize=True)``, the dynamic
-  counterpart of the ``Z201`` lint rule);
+* **MUTATE** — no rank wrote to a posted payload (records the simulator
+  flagged: a write to a read-only payload array, or under
+  ``sanitize=True`` a changed content hash — the dynamic counterparts of
+  the ``Z201``/``Z202`` lint rules);
 * **DAG** (1D codes) — the executed task spans, parsed from their labels
   (``F{k}`` / ``U{k},{j}``), cover the :class:`repro.taskgraph.TaskGraph`
   exactly once each, on the scheduled owner rank, in an order that

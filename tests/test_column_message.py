@@ -189,7 +189,6 @@ class TestInvariants:
 
         monkeypatch.setattr(oned, "_receive_column", spy)
         res = run_1d(A, part, bstruct, 4, T3E, method=method)
-        assert res.sim.zero_copy  # receivers really share the posted buffer
         assert seen and not any(seen)
 
     def test_below_diagonal_is_one_immutable_object_per_column(self, fem):

@@ -1,31 +1,25 @@
-"""The two delivery modes: semantics-preservation tests.
+"""Delivery by reference: what the read-only payload arrays and the
+sanitizer catch, and what the caller gets back.
 
-Both stay live — a certified program's payloads are delivered zero-copy,
-while ``sanitize=True`` and uncertified programs copy — so the pair must be
-*observably equal*: bit-identical factors and solves, identical virtual
-times, byte-identical Chrome traces.  These tests pin that down:
+Every payload is delivered by reference and every ndarray it carries is
+read-only from its send on, so these tests pin down:
 
-* zero-copy vs deep-copy delivery — 1D rapid/CA, 2D sync/async, a resilient
-  crash-restart run, and a chaos-style lossy-network scenario;
-* the sanitizer (``sanitize=True``) catching a seeded write-after-send
-  mutation that zero-copy semantics forbid;
-* the certificate logic gating zero-copy (clean + fresh hash, or nothing);
+* a write-after-send, or a receiver's write to what it got, failing at the
+  write with a typed :class:`PayloadMutationError` naming the message;
+* the sanitizer (``sanitize=True``) catching a write through another view
+  of a posted buffer, which the read-only flag cannot stop;
+* the returned factor being writable again after 2D runs, whose sends post
+  views of the factor's own blocks;
 * the pooled scratch reusing and growing its slots;
 * mailbox arrival-order delivery through the single-entry fast path and
   the heap path.
-
-NOTE: this module must stay *out* of ``TRACE_CHECKED_MODULES`` — the trace
-checker forces ``sanitize=True``, which deliberately disables zero-copy.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 import pytest
 
-from repro.lint.certify import ZeroCopyCertificate, certificate_covers
 from repro.machine import (
     CrashFault,
     FaultPlan,
@@ -33,16 +27,8 @@ from repro.machine import (
     Simulator,
     T3E,
 )
-from repro.numfact import sstar_factor
 from repro.numfact.kernels import scratch_buffer
-from repro.obs import Tracer, to_chrome_trace
-from repro.parallel import (
-    factorize,
-    run_1d,
-    run_1d_trisolve,
-    run_2d,
-    run_2d_trisolve,
-)
+from repro.parallel import factorize, run_2d
 
 
 @pytest.fixture(scope="module")
@@ -50,130 +36,8 @@ def pipeline(contexts):
     return contexts("sherman5")
 
 
-def _assert_factor_identical(fa, fb):
-    assert set(fa.blocks) == set(fb.blocks)
-    for key in fa.blocks:
-        assert fa.blocks[key].tobytes() == fb.blocks[key].tobytes(), key
-    assert fa.pivot_seq == fb.pivot_seq
-
-
-def _assert_sim_identical(sa, sb):
-    assert sa.total_time == sb.total_time
-    assert sa.rank_clocks == sb.rank_clocks
-    assert sa.messages == sb.messages
-    assert sa.bytes_sent == sb.bytes_sent
-    assert sa.total_counter().by_gran == sb.total_counter().by_gran
-
-
-def _chrome_bytes(tracer) -> bytes:
-    doc = to_chrome_trace(tracer.spans, tracer.messages)
-    return json.dumps(doc, sort_keys=True).encode()
-
-
 # ---------------------------------------------------------------------------
-# zero-copy vs deep-copy delivery
-# ---------------------------------------------------------------------------
-
-
-class TestZeroCopyDelivery:
-    def test_certificate_actually_engages(self):
-        # guard against a silently stale certificate making every A/B in
-        # this class compare copy vs copy
-        for mod in ("repro.parallel.oned", "repro.parallel.twod",
-                    "repro.parallel.trisolve"):
-            assert certificate_covers(mod), f"certificate stale for {mod}"
-
-    @pytest.mark.parametrize("method", ["rapid", "ca"])
-    def test_1d_bit_identical(self, pipeline, method):
-        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
-        zc = run_1d(*args, method=method, sim_opts={"zero_copy": True})
-        cp = run_1d(*args, method=method, sim_opts={"zero_copy": False})
-        _assert_factor_identical(zc.factor, cp.factor)
-        _assert_sim_identical(zc.sim, cp.sim)
-        assert zc.buffer_high_water == cp.buffer_high_water
-
-    @pytest.mark.parametrize("synchronous", [False, True])
-    def test_2d_bit_identical(self, pipeline, synchronous):
-        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
-        zc = run_2d(*args, synchronous=synchronous,
-                    sim_opts={"zero_copy": True})
-        cp = run_2d(*args, synchronous=synchronous,
-                    sim_opts={"zero_copy": False})
-        _assert_factor_identical(zc.factor, cp.factor)
-        _assert_sim_identical(zc.sim, cp.sim)
-
-    def test_trisolves_bit_identical(self, pipeline):
-        lu = sstar_factor(pipeline["om"].A, sym=pipeline["sym"],
-                          part=pipeline["part"], bstruct=pipeline["bstruct"])
-        b = np.random.default_rng(7).standard_normal((lu.n, 3))
-        owner = [K % 4 for K in range(lu.part.N)]
-        z1 = run_1d_trisolve(lu, owner, b, 4, T3E, sim_opts={"zero_copy": True})
-        c1 = run_1d_trisolve(lu, owner, b, 4, T3E, sim_opts={"zero_copy": False})
-        assert z1.x.tobytes() == c1.x.tobytes()
-        assert z1.sim.total_time == c1.sim.total_time
-        z2 = run_2d_trisolve(lu, b, 4, T3E, sim_opts={"zero_copy": True})
-        c2 = run_2d_trisolve(lu, b, 4, T3E, sim_opts={"zero_copy": False})
-        assert z2.x.tobytes() == c2.x.tobytes()
-        assert z2.sim.total_time == c2.sim.total_time
-        # one certified module, one result type, for both mappings
-        for z in (z1, z2):
-            assert z.sim.zero_copy is True, z.sim.zero_copy_reason
-        assert type(z1) is type(z2)
-
-    def test_resilient_restart_bit_identical(self, pipeline):
-        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
-        probe = run_1d(*args, method="ca")
-        plan = FaultPlan(crashes=[CrashFault(2, probe.sim.total_time * 0.4)])
-        opts = {"faults": plan, "reliable": True}
-        zc = factorize("1d-ca", *args, ckpt_interval=3,
-                       sim_opts={"zero_copy": True, **opts})
-        cp = factorize("1d-ca", *args, ckpt_interval=3,
-                       sim_opts={"zero_copy": False, **opts})
-        assert zc.crashes == cp.crashes == [2]
-        _assert_factor_identical(zc.factor, cp.factor)
-        assert zc.parallel_seconds == cp.parallel_seconds
-        assert [(r.window, r.ok) for r in zc.rounds] == \
-               [(r.window, r.ok) for r in cp.rounds]
-
-    def test_chaos_lossy_network_bit_identical(self, pipeline):
-        # chaos-style scenario: 5% message loss under reliable (ack/retry)
-        # delivery — retransmissions and all, both modes must agree exactly
-        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
-        plan = FaultPlan.drops(0.05, seed=11)
-        zc = run_1d(*args, method="ca",
-                    sim_opts={"faults": plan, "reliable": True,
-                              "zero_copy": True})
-        cp = run_1d(*args, method="ca",
-                    sim_opts={"faults": plan, "reliable": True,
-                              "zero_copy": False})
-        _assert_factor_identical(zc.factor, cp.factor)
-        _assert_sim_identical(zc.sim, cp.sim)
-
-    @pytest.mark.parametrize("synchronous", [False, True])
-    def test_2d_traces_byte_identical(self, pipeline, synchronous):
-        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
-        traces = []
-        for zero_copy in (True, False):
-            tr = Tracer()
-            run_2d(*args, synchronous=synchronous,
-                   sim_opts={"zero_copy": zero_copy, "tracer": tr})
-            traces.append(_chrome_bytes(tr))
-        assert traces[0] == traces[1]
-
-    @pytest.mark.parametrize("method", ["rapid", "ca"])
-    def test_1d_traces_byte_identical(self, pipeline, method):
-        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
-        traces = []
-        for zero_copy in (True, False):
-            tr = Tracer()
-            run_1d(*args, method=method,
-                   sim_opts={"zero_copy": zero_copy, "tracer": tr})
-            traces.append(_chrome_bytes(tr))
-        assert traces[0] == traces[1]
-
-
-# ---------------------------------------------------------------------------
-# sanitizer: seeded write-after-send mutation must be caught
+# writes to posted and received payloads
 # ---------------------------------------------------------------------------
 
 
@@ -190,79 +54,100 @@ def _wapsend_program(env, got, mutate):
     return None
 
 
+def _view_program(env, got):
+    """Rank 0 posts a view of its buffer, then writes through the buffer:
+    the view is read-only, the buffer is not."""
+    if env.rank == 0:
+        a = np.ones(4)
+        env.send(1, "view", a[0:2])
+        a[0] = -7.0  # lint: disable=Z201 -- the seeded write via the base
+        return None
+    got.append((yield env.recv("view")))
+    return None
+
+
+def _receiver_write_program(env):
+    """Rank 1 writes to the array it received (the Z202 class)."""
+    if env.rank == 0:
+        env.send(1, ("col", 3), {"panel": np.ones((3, 2))})
+        return None
+    got = yield env.recv(("col", 3))
+    got["panel"][1, 1] = 0.0
+    return None
+
+
 class TestSanitizer:
     def test_seeded_mutation_caught(self):
         got = []
         sim = Simulator(2, T3E, _wapsend_program, args=(got, True),
-                        zero_copy=True, sanitize=True)
+                        sanitize=True)
         with pytest.raises(PayloadMutationError, match="write-after-send"):
             sim.run()
 
     def test_clean_send_passes(self):
         got = []
         Simulator(2, T3E, _wapsend_program, args=(got, False),
-                  zero_copy=True, sanitize=True).run()
+                  sanitize=True).run()
         assert got[0].tobytes() == np.ones(4).tobytes()
 
-    def test_uncertified_module_falls_back_to_copying(self):
-        # this test module carries no certificate entry: zero_copy=True
-        # must silently keep the defensive copy, so the receiver still
-        # observes pre-mutation bytes
+    def test_write_through_another_view_caught_by_the_hash(self):
         got = []
-        sim = Simulator(2, T3E, _wapsend_program, args=(got, True),
-                        zero_copy=True)
-        assert sim.zero_copy is False
-        assert sim.zero_copy_reason == "uncertified: tests.test_host_perf"
-        sim.run()
-        assert got[0].tobytes() == np.ones(4).tobytes()
+        sim = Simulator(2, T3E, _view_program, args=(got,), sanitize=True)
+        with pytest.raises(PayloadMutationError) as ei:
+            sim.run()
+        assert (ei.value.src, ei.value.dest, ei.value.tag) == (0, 1, "view")
+
+    def test_receiver_write_fails_at_the_write(self):
+        sim = Simulator(2, T3E, _receiver_write_program, trace=True)
+        with pytest.raises(PayloadMutationError, match="what it received") as ei:
+            sim.run()
+        err = ei.value
+        assert (err.src, err.dest, err.tag) == (0, 1, ("col", 3))
+        assert isinstance(err.__cause__, ValueError)
+        assert [r.mutated for r in sim.trace.records] == [True]
+
+
+    def test_write_to_an_unposted_read_only_array_names_the_writer(self):
+        def prog(env):
+            if env.rank == 1:
+                t0 = env.clock
+                env.compute("blas1", 1e3)
+                env.span("F0", t0)
+                a = np.ones(2)
+                a.flags.writeable = False
+                a[0] = 0.0
+            yield env.barrier()
+
+        with pytest.raises(PayloadMutationError, match="'F0'") as ei:
+            Simulator(2, T3E, prog).run()
+        assert (ei.value.src, ei.value.dest, ei.value.span) == (None, 1, "F0")
 
 
 # ---------------------------------------------------------------------------
-# certificate logic
+# the returned factor is the caller's
 # ---------------------------------------------------------------------------
 
 
-class TestCertificate:
-    def test_certified_program_enables_zero_copy(self, pipeline):
-        from repro.parallel.oned import _rank_program
+def _assert_writable(factor):
+    assert factor.blocks
+    assert all(b.flags.writeable for b in factor.blocks.values())
 
-        sim = Simulator(2, T3E, _rank_program, args=(None,), zero_copy=True)
-        assert sim.zero_copy is True
-        assert sim.zero_copy_reason is None
 
-    def test_stale_hash_declines(self):
-        cert = ZeroCopyCertificate({
-            "repro.parallel.oned": {
-                "sha256": "0" * 64, "clean": True,
-                "findings": [],
-            },
-        })
-        assert not cert.covers("repro.parallel.oned")
+class TestReturnedFactorWritable:
+    @pytest.mark.parametrize("synchronous", [False, True],
+                             ids=["2d", "2d-sync"])
+    def test_2d(self, pipeline, synchronous):
+        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
+        _assert_writable(run_2d(*args, synchronous=synchronous).factor)
 
-    def test_dirty_module_declines(self):
-        cert = ZeroCopyCertificate({
-            "repro.parallel.oned": {
-                "sha256": "0" * 64, "clean": False,
-                "findings": ["Z201 oned.py:1:1 boom"],
-            },
-        })
-        assert not cert.covers("repro.parallel.oned")
-        assert cert.dirty_modules() == ["repro.parallel.oned"]
-
-    def test_unknown_module_declines(self):
-        assert not certificate_covers("tests.test_host_perf")
-        assert not certificate_covers(None)
-
-    def test_sanitize_overrides_certificate(self, pipeline):
-        from repro.parallel.oned import _rank_program
-
-        assert certificate_covers("repro.parallel.oned")  # certificate says yes...
-        sim = Simulator(2, T3E, _rank_program, args=(None,),
-                        zero_copy=True, sanitize=True)
-        # ...but sanitize restores copying, decided at construction;
-        # exercised on a real run by the trace-checked parallel test modules
-        assert sim.zero_copy is False
-        assert sim.zero_copy_reason == "sanitize"
+    def test_2d_checkpointed_crash_restart(self, pipeline):
+        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
+        probe = run_2d(*args)
+        plan = FaultPlan(crashes=[CrashFault(2, probe.sim.total_time * 0.4)])
+        res = factorize("2d", *args, ckpt_interval=3,
+                        sim_opts={"faults": plan, "reliable": True})
+        assert res.crashes == [2]
+        _assert_writable(res.factor)
 
 
 # ---------------------------------------------------------------------------

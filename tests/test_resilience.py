@@ -341,6 +341,27 @@ class TestCrashRecovery:
         assert ei.value.crash_times == {1: t}
         assert any(what == "barrier" for _, what in ei.value.blocked)
 
+    def test_checkpointed_host_order_follows_the_shrink(
+            self, sherman5_2d_sync, monkeypatch):
+        # the survivors of a crash keep their relative host order,
+        # renumbered as the fault plan renumbers them
+        from repro.parallel import resilience
+
+        args, base, _ = sherman5_2d_sync
+        orders = []
+
+        class Recording(Simulator):
+            def __init__(self, nprocs, *a, host_order=None, **kw):
+                orders.append(host_order)
+                super().__init__(nprocs, *a, host_order=host_order, **kw)
+
+        monkeypatch.setattr(resilience, "Simulator", Recording)
+        plan = FaultPlan(crashes=[CrashFault(2, 0.4 * base.parallel_seconds)])
+        res = factorize("1d-ca", *args, ckpt_interval=3, sim_opts={
+            "faults": plan, "reliable": True, "host_order": [2, 0, 3, 1]})
+        assert res.crashes == [2]
+        assert [2, 0, 3, 1] in orders and orders[-1] == [0, 2, 1]
+
     def test_crash_after_the_run_changes_nothing(self, sherman5_2d_sync):
         # a stale crash event left on the heap neither kills a finished
         # rank nor holds back a barrier release

@@ -75,6 +75,24 @@ class TestIterativeRefinement:
         assert history[-1] <= history[0]
         assert history[-1] < 1e-12
 
+    def test_refines_a_backward_error_just_above_tolerance(self):
+        # a crafted solve whose first answer is off by a relative 1e-13:
+        # its backward error lies between the default tol=1e-14 and ten
+        # times that, so exactly one refinement step must follow
+        A = dense_to_csr(np.eye(2))
+        b = np.array([1.0, 2.0])
+        calls = []
+
+        def solve(rhs):
+            calls.append(rhs)
+            return rhs * (1.0 + 1e-13) if len(calls) == 1 else rhs.copy()
+
+        x, history = iterative_refinement(A, solve, b)
+        assert 1e-14 < history[0] < 1e-13
+        assert len(history) == 2 and len(calls) == 2
+        assert history[1] <= 1e-14
+        assert np.array_equal(x, b)
+
     def test_history_monotone_until_stagnation(self):
         A = random_nonsymmetric(40, density=0.1, seed=8)
         s = SStarSolver().factor(A)

@@ -35,7 +35,7 @@ import pathlib
 import pytest
 
 from repro.api.fixtures import prepare_pipeline
-from repro.machine import CrashFault, FaultPlan, Simulator, T3E
+from repro.machine import CrashFault, FaultPlan, T3E
 from repro.obs import Tracer, to_chrome_trace
 from repro.parallel import DRIVERS, factorize
 
@@ -84,13 +84,15 @@ def _run(args, driver, abft=False, trace=_trace_digest, **sim_opts) -> dict:
     return out
 
 
-def _run_crash_restart(args, abft: bool, trace=_trace_digest) -> dict:
+def _run_crash_restart(args, abft: bool, trace=_trace_digest,
+                       **sim_opts) -> dict:
     probe = factorize("1d-ca", *args)
     plan = FaultPlan(crashes=[CrashFault(2, probe.sim.total_time * 0.4)])
     tracer = Tracer()
     res = factorize(
         "1d-ca", *args, ckpt_interval=3, abft=abft,
-        sim_opts={"tracer": tracer, "faults": plan, "reliable": True},
+        sim_opts={"tracer": tracer, "faults": plan, "reliable": True,
+                  **sim_opts},
     )
     return {
         "trace": trace(tracer),
@@ -158,29 +160,25 @@ def test_crash_restart_matches_recorded(golden, records):
         assert records[name] == golden[name], name
 
 
-def test_canonical_trace_ignores_host_order(monkeypatch):
+def test_canonical_trace_ignores_host_order():
     """The digests pin the order equal-time events are served in, which
     ``host_order`` breaks ties of; what happened, and when, must not move
     with it — the wait, send and retransmit spans included, which the
-    replay checker does not compare.  Every simulator is built with its
-    ranks reversed, so the crash-restart rounds after the shrink are too."""
+    replay checker does not compare.  The order is the caller's, through
+    ``sim_opts``; the crash-restart rounds after the shrink run its
+    survivors in the same relative order."""
     args = _args()
 
-    def scenarios():
+    def scenarios(**order):
         return (
-            _run(args, "2d-sync", trace=_canonical_trace, **_lossy()),
-            _run_crash_restart(args, abft=False, trace=_canonical_trace),
+            _run(args, "2d-sync", trace=_canonical_trace, **_lossy(), **order),
+            _run_crash_restart(args, abft=False, trace=_canonical_trace,
+                               **order),
         )
 
     natural = scenarios()
-    build = Simulator.__init__
-
-    def reversed_build(self, nprocs, *a, **kw):
-        build(self, nprocs, *a, host_order=list(reversed(range(nprocs))),
-              **kw)
-
-    monkeypatch.setattr(Simulator, "__init__", reversed_build)
-    for want, got in zip(natural, scenarios()):
+    reversed_ = scenarios(host_order=list(reversed(range(NPROCS))))
+    for want, got in zip(natural, reversed_):
         assert got == want
 
 
