@@ -4,12 +4,20 @@ sanitizer catch, and what the caller gets back.
 Every payload is delivered by reference and every ndarray it carries is
 read-only from its send on, so these tests pin down:
 
+* by-reference delivery observably equal to a deep copy of every payload
+  at its send — bit-identical factors and solves, identical virtual times,
+  byte-identical Chrome traces — for 1D rapid/CA, 2D sync/async, both
+  trisolves, a crash-restart run and a lossy network;
+* a send freezing every ndarray of a nested payload, a multicast posting
+  one object to every destination, and a local deposit frozen too;
 * a write-after-send, or a receiver's write to what it got, failing at the
   write with a typed :class:`PayloadMutationError` naming the message;
 * the sanitizer (``sanitize=True``) catching a write through another view
   of a posted buffer, which the read-only flag cannot stop;
-* the returned factor being writable again after 2D runs, whose sends post
-  views of the factor's own blocks;
+* the returned factor being writable again after every parallel run (2D
+  sends post views of the factor's own blocks), the trisolves' solutions
+  writable, and a solver's refactor running after a factor froze its
+  payloads;
 * the pooled scratch reusing and growing its slots;
 * mailbox arrival-order delivery through the single-entry fast path and
   the heap path.
@@ -17,23 +25,250 @@ read-only from its send on, so these tests pin down:
 
 from __future__ import annotations
 
+import copy
+import json
+
 import numpy as np
 import pytest
 
 from repro.machine import (
     CrashFault,
+    Env,
     FaultPlan,
     PayloadMutationError,
     Simulator,
     T3E,
 )
+from repro.numfact import sstar_factor
 from repro.numfact.kernels import scratch_buffer
-from repro.parallel import factorize, run_2d
+from repro.obs import Tracer, to_chrome_trace
+from repro.parallel import (
+    factorize,
+    run_1d,
+    run_1d_trisolve,
+    run_2d,
+    run_2d_trisolve,
+)
 
 
 @pytest.fixture(scope="module")
 def pipeline(contexts):
     return contexts("sherman5")
+
+
+@pytest.fixture
+def copying(monkeypatch):
+    """``copying(True)`` makes every send and multicast post a deep copy of
+    its payload, taken at the send (the sender's arrays stay writable):
+    the reference that delivery by reference must be observably equal to."""
+    put = Env._put
+
+    def copy_put(self, dests, tag, payload, nbytes, multicast):
+        return put(self, dests, tag, copy.deepcopy(payload), nbytes,
+                   multicast)
+
+    def switch(on):
+        if on:
+            monkeypatch.setattr(Env, "_put", copy_put)
+        else:
+            monkeypatch.setattr(Env, "_put", put)
+
+    return switch
+
+
+def _assert_factor_identical(fa, fb):
+    assert set(fa.blocks) == set(fb.blocks)
+    for key in fa.blocks:
+        assert fa.blocks[key].tobytes() == fb.blocks[key].tobytes(), key
+    assert fa.pivot_seq == fb.pivot_seq
+
+
+def _assert_sim_identical(sa, sb):
+    assert sa.total_time == sb.total_time
+    assert sa.rank_clocks == sb.rank_clocks
+    assert sa.messages == sb.messages
+    assert sa.bytes_sent == sb.bytes_sent
+    assert sa.total_counter().by_gran == sb.total_counter().by_gran
+
+
+def _chrome_bytes(tracer) -> bytes:
+    doc = to_chrome_trace(tracer.spans, tracer.messages)
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+def _both(copying, run):
+    """``run()`` by reference, then under deep-copy delivery."""
+    copying(False)
+    ref = run()
+    copying(True)
+    cp = run()
+    copying(False)
+    return ref, cp
+
+
+# ---------------------------------------------------------------------------
+# by-reference vs deep-copy delivery
+# ---------------------------------------------------------------------------
+
+
+def _identity_program(env, got):
+    if env.rank == 0:
+        a = np.ones(3)
+        got.append(a)
+        env.send(1, "m", {"a": a})
+        return None
+    got.append((yield env.recv("m"))["a"])
+    return None
+
+
+class TestZeroCopyDelivery:
+    def test_reference_actually_differs_from_the_copy(self, copying):
+        # guard against the fixture leaving both runs of every A/B in this
+        # class on the same delivery
+        runs = []
+        for on in (False, True):
+            copying(on)
+            got = []
+            Simulator(2, T3E, _identity_program, args=(got,)).run()
+            runs.append(got)
+        (sent, received), (sent_c, received_c) = runs
+        assert received is sent and not sent.flags.writeable
+        assert received_c is not sent_c and sent_c.flags.writeable
+        assert received_c.tobytes() == sent_c.tobytes()
+
+    @pytest.mark.parametrize("method", ["rapid", "ca"])
+    def test_1d_bit_identical(self, pipeline, copying, method):
+        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
+        ref, cp = _both(copying, lambda: run_1d(*args, method=method))
+        _assert_factor_identical(ref.factor, cp.factor)
+        _assert_sim_identical(ref.sim, cp.sim)
+        assert ref.buffer_high_water == cp.buffer_high_water
+
+    @pytest.mark.parametrize("synchronous", [False, True])
+    def test_2d_bit_identical(self, pipeline, copying, synchronous):
+        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
+        ref, cp = _both(copying,
+                        lambda: run_2d(*args, synchronous=synchronous))
+        _assert_factor_identical(ref.factor, cp.factor)
+        _assert_sim_identical(ref.sim, cp.sim)
+
+    def test_trisolves_bit_identical(self, pipeline, copying):
+        lu = sstar_factor(pipeline["om"].A, sym=pipeline["sym"],
+                          part=pipeline["part"], bstruct=pipeline["bstruct"])
+        b = np.random.default_rng(7).standard_normal((lu.n, 3))
+        owner = [K % 4 for K in range(lu.part.N)]
+        r1, c1 = _both(copying,
+                       lambda: run_1d_trisolve(lu, owner, b, 4, T3E))
+        assert r1.x.tobytes() == c1.x.tobytes()
+        assert r1.sim.total_time == c1.sim.total_time
+        r2, c2 = _both(copying, lambda: run_2d_trisolve(lu, b, 4, T3E))
+        assert r2.x.tobytes() == c2.x.tobytes()
+        assert r2.sim.total_time == c2.sim.total_time
+        assert type(r1) is type(r2)
+
+    def test_resilient_restart_bit_identical(self, pipeline, copying):
+        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
+        probe = run_1d(*args, method="ca")
+        plan = FaultPlan(crashes=[CrashFault(2, probe.sim.total_time * 0.4)])
+        opts = {"faults": plan, "reliable": True}
+        ref, cp = _both(copying, lambda: factorize(
+            "1d-ca", *args, ckpt_interval=3, sim_opts=opts))
+        assert ref.crashes == cp.crashes == [2]
+        _assert_factor_identical(ref.factor, cp.factor)
+        assert ref.parallel_seconds == cp.parallel_seconds
+        assert [(r.window, r.ok) for r in ref.rounds] == \
+               [(r.window, r.ok) for r in cp.rounds]
+
+    def test_chaos_lossy_network_bit_identical(self, pipeline, copying):
+        # chaos-style scenario: 5% message loss under reliable (ack/retry)
+        # delivery — retransmissions and all, both deliveries must agree
+        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
+        plan = FaultPlan.drops(0.05, seed=11)
+        ref, cp = _both(copying, lambda: run_1d(
+            *args, method="ca", sim_opts={"faults": plan, "reliable": True}))
+        _assert_factor_identical(ref.factor, cp.factor)
+        _assert_sim_identical(ref.sim, cp.sim)
+
+    @pytest.mark.parametrize("synchronous", [False, True])
+    def test_2d_traces_byte_identical(self, pipeline, copying, synchronous):
+        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
+
+        def traced():
+            tr = Tracer()
+            run_2d(*args, synchronous=synchronous, sim_opts={"tracer": tr})
+            return _chrome_bytes(tr)
+
+        ref, cp = _both(copying, traced)
+        assert ref == cp
+
+    @pytest.mark.parametrize("method", ["rapid", "ca"])
+    def test_1d_traces_byte_identical(self, pipeline, copying, method):
+        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
+
+        def traced():
+            tr = Tracer()
+            run_1d(*args, method=method, sim_opts={"tracer": tr})
+            return _chrome_bytes(tr)
+
+        ref, cp = _both(copying, traced)
+        assert ref == cp
+
+
+# ---------------------------------------------------------------------------
+# what a send freezes
+# ---------------------------------------------------------------------------
+
+
+class TestFreezeAtSend:
+    def test_every_array_of_a_nested_payload_is_frozen(self):
+        a, b, c = np.ones(2), np.ones((2, 2)), np.arange(3)
+        payload = {"cols": [a, (b, 4)], "meta": ("tag", 2.5, {"idx": c})}
+        got = []
+
+        def prog(env):
+            if env.rank == 0:
+                env.send(1, "p", payload)
+                return None
+            got.append((yield env.recv("p")))
+            return None
+
+        Simulator(2, T3E, prog).run()
+        assert got == [payload] and got[0] is payload
+        assert not any(x.flags.writeable for x in (a, b, c))
+        assert payload["meta"][:2] == ("tag", 2.5)
+
+    def test_multicast_posts_one_object_to_every_destination(self):
+        buf = np.ones(3)
+        got = {}
+
+        def prog(env):
+            if env.rank == 0:
+                env.multicast([0, 1, 2, 3], "m", buf)
+                return None
+            got[env.rank] = yield env.recv("m")
+            return None
+
+        res = Simulator(4, T3E, prog).run()
+        assert sorted(got) == [1, 2, 3]
+        assert all(g is buf for g in got.values())
+        assert not buf.flags.writeable
+        assert res.messages == 3
+
+    def test_local_deposit_is_frozen_too(self):
+        buf = np.ones(2)
+
+        def prog(env):
+            env.send(env.rank, "self", buf if env.rank == 0 else np.ones(1))
+            got = yield env.recv("self")
+            if env.rank == 0:
+                assert got is buf
+                got[0] = 3.0
+            return None
+
+        with pytest.raises(PayloadMutationError) as ei:
+            Simulator(2, T3E, prog).run()
+        assert (ei.value.src, ei.value.dest, ei.value.tag) == (0, 0, "self")
+        assert (buf == 1).all()
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +375,12 @@ class TestReturnedFactorWritable:
         args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
         _assert_writable(run_2d(*args, synchronous=synchronous).factor)
 
+    @pytest.mark.parametrize("method", ["rapid", "ca"],
+                             ids=["1d-rapid", "1d-ca"])
+    def test_1d(self, pipeline, method):
+        args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
+        _assert_writable(run_1d(*args, method=method).factor)
+
     def test_2d_checkpointed_crash_restart(self, pipeline):
         args = (pipeline["om"].A, pipeline["part"], pipeline["bstruct"], 4, T3E)
         probe = run_2d(*args)
@@ -148,6 +389,33 @@ class TestReturnedFactorWritable:
                         sim_opts={"faults": plan, "reliable": True})
         assert res.crashes == [2]
         _assert_writable(res.factor)
+
+    def test_trisolve_solutions(self, pipeline):
+        lu = sstar_factor(pipeline["om"].A, sym=pipeline["sym"],
+                          part=pipeline["part"], bstruct=pipeline["bstruct"])
+        b = np.random.default_rng(3).standard_normal(lu.n)
+        owner = [K % 4 for K in range(lu.part.N)]
+        for res in (run_1d_trisolve(lu, owner, b, 4, T3E),
+                    run_2d_trisolve(lu, b, 4, T3E)):
+            assert res.x.flags.writeable
+            res.x[0] = 0.0
+
+    @pytest.mark.parametrize("method", ["1d-rapid", "1d-ca", "2d", "2d-sync"])
+    def test_refactor_after_a_factor_froze_its_payloads(self, contexts,
+                                                        method):
+        # the solver's second run reuses the first's analysis: nothing the
+        # first run posted (and froze) may be written by the second
+        from repro.api import SStarSolver
+
+        A = contexts("sherman5")["A"]
+        A2 = A.copy()
+        A2.data = A2.data * 1.5 + 0.25
+        b = np.random.default_rng(5).standard_normal(A.shape[0])
+        solver = SStarSolver(nprocs=4, machine="T3E", method=method)
+        x = solver.factor(A).refactor(A2).solve(b)
+        fresh = SStarSolver(nprocs=4, machine="T3E", method=method)
+        assert x.tobytes() == fresh.factor(A2).solve(b).tobytes()
+        assert x.flags.writeable
 
 
 # ---------------------------------------------------------------------------
