@@ -1,17 +1,14 @@
 """``repro.lint`` — the one AST-analysis framework of the repro codebase.
 
-Three passes share one rule registry, one ``Finding`` record and one
-suppression syntax.  Two track values through assignments and calls to
-check invariants the S* design depends on, the third is a per-call lint of
-the SPMD sources:
+Two passes share one rule registry, one ``Finding`` record and one
+suppression syntax:
 
 * **determinism** (``D1xx`` rules) — nothing that feeds numerics or
   message-emission order may depend on an unordered collection, global RNG
-  state, wall-clock time, or object identities;
-* **zero-copy aliasing** (``Z2xx`` rules) — a payload posted with
-  ``env.send``/``env.multicast`` must not be mutated afterwards (RMA put
-  semantics), and a received buffer must not be mutated in place while a
-  reference to it is retained elsewhere;
+  state, wall-clock time, or object identities; a dataflow walk made
+  interprocedural within the linted file set by function summaries
+  ("returns an unordered collection", resolved across modules via their
+  import graph, :mod:`summaries`);
 * **communication protocol** (``Y01``/``T0x`` rules, :mod:`protocol`) —
   every ``recv``/``barrier`` request is ``yield``-ed, a tag kind's send
   and recv sides agree in arity and both exist, and a tag inside a ``for``
@@ -20,16 +17,13 @@ the SPMD sources:
 
 The framework is a rule registry with per-rule severities, per-line
 ``# lint: disable=RULE`` suppressions, text/JSON rendering and a
-``repro lint`` CLI verb; the dataflow passes are interprocedural within the
-linted file set (function summaries — "returns a fresh buffer", "returns
-an alias of parameter p", "mutates parameter p", "returns an unordered
-collection" — are resolved across modules via their import graph).
+``repro lint`` CLI verb.
 
-The dynamic counterpart of the aliasing pass is the simulator
-(:mod:`repro.machine.simulator`): every payload array is read-only from its
-send on, and ``Simulator(sanitize=True)`` also content-hashes payloads at
-send and re-verifies them at consumption; both raise
-:class:`PayloadMutationError` on a zero-copy violation.
+Zero-copy discipline (nobody writes a posted payload) is not a lint rule:
+the simulator (:mod:`repro.machine.simulator`) makes every payload array
+read-only from its send on, and ``Simulator(sanitize=True)`` also
+content-hashes payloads at send and re-verifies them at consumption; both
+raise :class:`PayloadMutationError` on a violation.
 """
 
 from .core import (
@@ -46,7 +40,6 @@ from .core import (
     count_at_or_above,
 )
 from . import determinism  # noqa: F401  (registers D1xx rules)
-from . import aliasing  # noqa: F401  (registers Z2xx rules)
 from .protocol import PROTOCOL_RULES  # (registers Y01/T0x rules)
 
 __all__ = [

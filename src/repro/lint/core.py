@@ -92,7 +92,7 @@ _DISABLE_RE = re.compile(r"#\s*lint:\s*disable(?:=([A-Za-z0-9_,\s]+))?")
 def suppressed_rules(source_line: str):
     """Rules suppressed on this physical line.
 
-    ``# lint: disable`` suppresses everything; ``# lint: disable=D101,Z201``
+    ``# lint: disable`` suppresses everything; ``# lint: disable=D101,D103``
     suppresses the listed rules.  Returns None (nothing suppressed), the
     string ``"all"``, or a set of rule ids.
     """
@@ -165,10 +165,11 @@ def lint_paths(paths, env_names=("env",), select=None) -> list:
 
     ``select`` restricts output to an iterable of rule ids — plus ``PARSE``,
     always: a file that could not be analysed has not been found clean of
-    the selected rules.
+    the selected rules.  An id no pass registers is a ``ValueError``.
     """
     from .summaries import build_project_summaries
 
+    wanted = None if select is None else _selected(select) | {"PARSE"}
     files = iter_python_files(paths)
     modules = []
     for f in files:
@@ -187,8 +188,7 @@ def lint_paths(paths, env_names=("env",), select=None) -> list:
             ))
             continue
         findings.extend(_run_passes(m, summaries))
-    if select is not None:
-        wanted = set(select) | {"PARSE"}
+    if wanted is not None:
         findings = [f for f in findings if f.rule in wanted]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
@@ -199,14 +199,25 @@ def lint_source(source: str, path: str = "<string>", env_names=("env",),
     """Lint one source text (single-module summaries only)."""
     from .summaries import build_project_summaries
 
+    wanted = None if select is None else _selected(select)
     m = ModuleUnderLint(source, path, env_names)
     summaries = build_project_summaries([m])
     findings = _run_passes(m, summaries)
-    if select is not None:
-        wanted = set(select)
+    if wanted is not None:
         findings = [f for f in findings if f.rule in wanted]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return findings
+
+
+def _selected(select) -> set:
+    """The rule ids in ``select``; ``ValueError`` names any that no pass
+    registers (``PARSE`` is selectable too), so a mistyped or retired id
+    cannot read as a clean run."""
+    wanted = set(select)
+    unknown = sorted(wanted - RULES.keys() - {"PARSE"})
+    if unknown:
+        raise ValueError(f"unknown rule id(s): {', '.join(unknown)}")
+    return wanted
 
 
 def _run_passes(module: ModuleUnderLint, summaries) -> list:

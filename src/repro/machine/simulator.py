@@ -654,8 +654,9 @@ class Simulator:
         :class:`PayloadMutationError` at the write.  ``sanitize=True`` adds
         a content hash of every payload, re-verified when it is consumed
         (and at the end of the run for messages never received), for a
-        write through another view of the same memory.  Both are dynamic
-        counterparts of the ``Z201``/``Z202`` rules in :mod:`repro.lint`.
+        write through another view of the same memory, or to a dict or
+        list a payload carries.  These two are the codebase's one check of
+        zero-copy discipline; there is no static counterpart.
 
         ``tracer`` is an optional :class:`repro.obs.Tracer`; when set, the
         simulator emits virtual-time spans (compute/send/recv_wait/

@@ -136,13 +136,10 @@ def _rank_program(env, ctx):
             env.end_counted(win)
             env.span(f"F{k}", t0)
             local_fc[k] = fc
-            # the message is one fresh copy of the column's L panel: fc
-            # holds views into the local storage ``m``, which later
-            # Factor/Update tasks keep mutating while the posted payload is
-            # still in flight (Z201); every consumer reads that one buffer
-            # in place
-            payload = {"K": int(k), "pivots": list(fc.pivots),
-                       "panel": fc.panel.copy()}
+            # the message is fc's own pivots and L panel, a view into the
+            # local storage ``m``: no task writes column K after Factor(K),
+            # so every consumer reads that one buffer in place
+            payload = {"K": int(k), "pivots": fc.pivots, "panel": fc.panel}
             if abft:
                 payload["abft"] = payload_checksums(column_leaves(payload, plan))
             env.multicast(others if consumers is None else consumers[k],

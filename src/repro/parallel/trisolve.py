@@ -198,7 +198,8 @@ def _solve_program(env, ctx):
             env.end_counted(win)
             xj[K] = xk
             if group[K] is not None:
-                env.multicast(group[K], ("xb", K), xk.copy())
+                # x_K is final: no rank writes it after its backward solve
+                env.multicast(group[K], ("xb", K), xk)
         elif group[K] is not None and me in group[K]:
             xj[K] = yield env.recv(("xb", K))
     return x

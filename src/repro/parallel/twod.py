@@ -60,8 +60,8 @@ def _pack_row(blocks, part, cols, pos):
     for J in cols:
         blk = blocks.get((I, J))
         if blk is not None:
-            # copy, not a view: the row is posted zero-copy while the local
-            # block keeps being updated (Z201)
+            # copy, not a view: ``_store_row`` writes the partner's row over
+            # this one, so it is not final when sent
             out[J] = blk[o].copy()
     return out
 
@@ -112,8 +112,8 @@ def _rank_program_2d(env, ctx):
     lcol_cache = {}  # K -> {"pivots", "diag", "lblocks"} for my block rows
     urow_cache = {}  # K -> {J: scaled U_KJ} for my block columns
     # per-rank update-sweep memo: K -> (sorted lblock items, tallest block).
-    # Kept outside lcol_cache because the lcol payload may be zero-copy
-    # shared with other ranks — received payloads are never mutated.
+    # Kept outside lcol_cache because the lcol payload is shared by
+    # reference with other ranks — received payloads are never mutated.
     lcol_sweep = {}
 
     my_cols = [J for J in range(N) if J % pc == c]
@@ -165,6 +165,9 @@ def _rank_program_2d(env, ctx):
                     best_row = blk[lo + t]
             compute("blas1", ncand)
             if r != diag_r:
+                # a copy of best_row: the interchange writes the row it
+                # views once pbest arrives, so the view being read by then
+                # would rest on message order, not on the row being final
                 env.send(
                     grid.rank(diag_r, c),
                     ("pmax", K, m, r),

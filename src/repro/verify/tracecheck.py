@@ -12,8 +12,7 @@ simulator documents but cannot enforce cheaply during execution:
   receiver resumes before its message arrived;
 * **MUTATE** — no rank wrote to a posted payload (records the simulator
   flagged: a write to a read-only payload array, or under
-  ``sanitize=True`` a changed content hash — the dynamic counterparts of
-  the ``Z201``/``Z202`` lint rules);
+  ``sanitize=True`` a changed content hash);
 * **DAG** (1D codes) — the executed task spans, parsed from their labels
   (``F{k}`` / ``U{k},{j}``), cover the :class:`repro.taskgraph.TaskGraph`
   exactly once each, on the scheduled owner rank, in an order that

@@ -295,19 +295,75 @@ def _view_program(env, got):
     if env.rank == 0:
         a = np.ones(4)
         env.send(1, "view", a[0:2])
-        a[0] = -7.0  # lint: disable=Z201 -- the seeded write via the base
+        a[0] = -7.0  # the seeded write via the base
         return None
     got.append((yield env.recv("view")))
     return None
 
 
 def _receiver_write_program(env):
-    """Rank 1 writes to the array it received (the Z202 class)."""
+    """Rank 1 writes to the array it received."""
     if env.rank == 0:
         env.send(1, ("col", 3), {"panel": np.ones((3, 2))})
         return None
     got = yield env.recv(("col", 3))
     got["panel"][1, 1] = 0.0
+    return None
+
+
+def _loop_program(env):
+    """Rank 0 posts its buffer in every iteration and writes it at the top
+    of the next: iteration 1's write hits what iteration 0 posted."""
+    if env.rank == 0:
+        buf = np.zeros(4)
+        for k in range(3):
+            buf[0] = k
+            env.send(1, ("it", k), buf)
+        return None
+    for k in range(3):
+        yield env.recv(("it", k))
+    return None
+
+
+def _row_of(b):
+    return b[0]
+
+
+def _helper_view_program(env):
+    """Rank 0 posts the row view a helper returns, then writes the row
+    through its buffer, which the send left writable."""
+    if env.rank == 0:
+        b = np.zeros((2, 4))
+        env.send(1, "row", _row_of(b))
+        b[0, 0] = 1.0
+        return None
+    yield env.recv("row")
+    return None
+
+
+def _memoize(col):
+    col["linv"] = np.eye(2)
+
+
+def _append_row(col):
+    col["rows"].append(2)
+
+
+def _shared_receive_program(env, write):
+    """Rank 0 multicasts one payload to ranks 1 and 2.  Rank 1 keeps it and
+    applies ``write`` to it (dicts and lists cannot be frozen), and only
+    then lets rank 2 take the same object."""
+    if env.rank == 0:
+        env.multicast([1, 2], "col",
+                      {"panel": np.ones((2, 2)), "rows": [0, 1]})
+        return None
+    if env.rank == 1:
+        kept = {0: (yield env.recv("col"))}
+        write(kept[0])
+        env.send(2, "go", None)
+        return None
+    yield env.recv("go")
+    yield env.recv("col")
     return None
 
 
@@ -341,6 +397,21 @@ class TestSanitizer:
         assert isinstance(err.__cause__, ValueError)
         assert [r.mutated for r in sim.trace.records] == [True]
 
+    # the freeze catches a write to the posted array itself; the content
+    # hash (sanitize) one through another view, or to a dict or list
+    @pytest.mark.parametrize("nprocs, program, args, sanitize, tag", [
+        (2, _loop_program, (), False, ("it", 0)),
+        (2, _helper_view_program, (), True, "row"),
+        (3, _shared_receive_program, (_memoize,), True, "col"),
+        (3, _shared_receive_program, (_append_row,), True, "col"),
+    ], ids=["next-iteration-write", "write-through-helper-view",
+            "memo-on-received-dict", "append-to-received-list"])
+    def test_write_to_a_shared_payload_caught(self, nprocs, program, args,
+                                              sanitize, tag):
+        sim = Simulator(nprocs, T3E, program, args=args, sanitize=sanitize)
+        with pytest.raises(PayloadMutationError) as ei:
+            sim.run()
+        assert ei.value.tag == tag
 
     def test_write_to_an_unposted_read_only_array_names_the_writer(self):
         def prog(env):

@@ -35,7 +35,7 @@ def rules_of(findings):
 #: the dataflow rules: what this file's toy programs are about (send-only
 #: toys would otherwise also report the protocol pass's T02; that pass is
 #: tested in tests/test_verify.py::TestCommLint)
-DATAFLOW_RULES = tuple(r for r in RULES if r[0] in "DZ")
+DATAFLOW_RULES = tuple(r for r in RULES if r[0] == "D")
 
 
 def lint_source(src, **kw):
@@ -53,12 +53,9 @@ def lint_rules(src, **kw):
 
 class TestFramework:
     def test_registry_has_all_rules(self):
-        for rule in ["D101", "D102", "D103", "D104", "D105", "D106",
-                     "Z201", "Z202"]:
+        for rule in ["D101", "D102", "D103", "D104", "D105", "D106"]:
             assert rule in RULES
         assert RULES["D103"].severity == Severity.ERROR
-        assert RULES["Z201"].severity == Severity.ERROR
-        assert RULES["Z202"].severity == Severity.WARNING
 
     def test_suppression_single_rule(self):
         src = (
@@ -82,7 +79,7 @@ class TestFramework:
         src = (
             "def f():\n"
             "    s = {1, 2}\n"
-            "    for x in s:  # lint: disable=Z201\n"
+            "    for x in s:  # lint: disable=D103\n"
             "        print(x)\n"
         )
         assert lint_rules(src) == ["D101"]
@@ -119,11 +116,18 @@ class TestFramework:
         assert findings[0].severity == Severity.ERROR
 
     def test_parse_error_survives_any_select(self, tmp_path):
-        # "no Z201 finding" must not read as "clean" for a file never analysed
+        # "no D103 finding" must not read as "clean" for a file never analysed
         bad = tmp_path / "bad.py"
         bad.write_text("def broken(:\n")
-        assert rules_of(lint_paths([bad], select=["Z201"])) == ["PARSE"]
+        assert rules_of(lint_paths([bad], select=["D103"])) == ["PARSE"]
         assert rules_of(lint_paths([bad], select=[])) == ["PARSE"]
+        assert rules_of(lint_paths([bad], select=["PARSE"])) == ["PARSE"]
+
+    def test_select_names_unknown_rules(self, tmp_path):
+        with pytest.raises(ValueError, match=r"unknown rule id\(s\): Q9, Z201$"):
+            lint.lint_source("x = 1\n", select=["D101", "Z201", "Q9"])
+        with pytest.raises(ValueError, match="Z202"):
+            lint_paths([tmp_path], select=["Z202"])
 
 
 # ---------------------------------------------------------------------------
@@ -277,174 +281,6 @@ class TestDeterminism:
 
 
 # ---------------------------------------------------------------------------
-# aliasing pass: Z201 / Z202
-# ---------------------------------------------------------------------------
-
-
-class TestAliasing:
-    def test_z201_write_after_send(self):
-        src = (
-            "import numpy as np\n"
-            "def prog(env):\n"
-            "    buf = np.zeros(4)\n"
-            "    env.send(1, ('t', 0), buf)\n"
-            "    buf[0] = 1.0\n"
-            "    yield env.recv(('u', 0))\n"
-        )
-        findings = lint_source(src)
-        assert rules_of(findings) == ["Z201"]
-        assert findings[0].line == 5
-        assert "line 4" in findings[0].message
-
-    def test_z201_clean_copy_on_send(self):
-        src = (
-            "import numpy as np\n"
-            "def prog(env):\n"
-            "    buf = np.zeros(4)\n"
-            "    env.send(1, ('t', 0), buf.copy())\n"
-            "    buf[0] = 1.0\n"
-            "    yield env.recv(('u', 0))\n"
-        )
-        assert lint_rules(src) == []
-
-    def test_z201_clean_rebind_kills_alias(self):
-        src = (
-            "import numpy as np\n"
-            "def prog(env):\n"
-            "    buf = np.zeros(4)\n"
-            "    env.send(1, ('t', 0), buf)\n"
-            "    buf = np.zeros(4)\n"
-            "    buf[0] = 1.0\n"
-            "    yield env.recv(('u', 0))\n"
-        )
-        assert lint_rules(src) == []
-
-    def test_z201_loop_wraparound(self):
-        src = (
-            "import numpy as np\n"
-            "def prog(env):\n"
-            "    buf = np.zeros(4)\n"
-            "    for k in range(3):\n"
-            "        env.send(1, ('t', k), buf)\n"
-            "        buf[0] = k\n"
-            "    yield env.recv(('u', 0))\n"
-        )
-        assert "Z201" in lint_rules(src)
-
-    def test_z201_multicast_payload_in_dict(self):
-        src = (
-            "import numpy as np\n"
-            "def prog(env):\n"
-            "    buf = np.zeros(4)\n"
-            "    env.multicast([1, 2], ('t', 0), {'b': buf})\n"
-            "    buf.fill(1.0)\n"
-            "    yield env.recv(('u', 0))\n"
-        )
-        assert lint_rules(src) == ["Z201"]
-
-    def test_z201_interprocedural_view_helper(self):
-        src = (
-            "import numpy as np\n"
-            "def pack(b):\n"
-            "    return b[0]\n"
-            "def prog(env):\n"
-            "    b = np.zeros((2, 4))\n"
-            "    env.send(1, ('t', 0), pack(b))\n"
-            "    b[0, 0] = 1.0\n"
-            "    yield env.recv(('u', 0))\n"
-        )
-        assert lint_rules(src) == ["Z201"]
-
-    def test_z201_interprocedural_copy_helper_clean(self):
-        src = (
-            "import numpy as np\n"
-            "def pack(b):\n"
-            "    return b[0].copy()\n"
-            "def prog(env):\n"
-            "    b = np.zeros((2, 4))\n"
-            "    env.send(1, ('t', 0), pack(b))\n"
-            "    b[0, 0] = 1.0\n"
-            "    yield env.recv(('u', 0))\n"
-        )
-        assert lint_rules(src) == []
-
-    def test_z202_recv_alias_retained_and_mutated(self):
-        src = (
-            "def prog(env, cache):\n"
-            "    msg = yield env.recv(('t', 0))\n"
-            "    cache[0] = msg\n"
-            "    msg.fill(0.0)\n"
-        )
-        findings = lint_source(src)
-        assert rules_of(findings) == ["Z202"]
-        assert findings[0].line == 4
-
-    def test_z202_clean_number_accumulator_fed_from_payload(self):
-        # ``rows += nrows`` rebinds an int: it neither extends ``rows`` with
-        # the payload's values nor writes to the payload
-        src = (
-            "def tally(fc):\n"
-            "    rows = 0\n"
-            "    for blk, nrows in fc['sweep']:\n"
-            "        rows += nrows\n"
-            "        if nrows > 1:\n"
-            "            rows += 2 * nrows\n"
-            "    return rows\n"
-            "def prog(env, cache):\n"
-            "    msg = yield env.recv(('t', 0))\n"
-            "    cache[0] = msg\n"
-            "    tally(msg)\n"
-        )
-        assert lint_rules(src) == []
-
-    @pytest.mark.parametrize("init", ["[]", "2 * [None]"])
-    def test_z202_list_extended_with_payload_still_flagged(self, init):
-        src = (
-            "def stash(items):\n"
-            f"    acc = {init}\n"
-            "    acc += items\n"
-            "    acc[-1].fill(0.0)\n"
-            "def prog(env, cache):\n"
-            "    msg = yield env.recv(('t', 0))\n"
-            "    cache[0] = msg\n"
-            "    stash(msg)\n"
-        )
-        findings = lint_source(src)
-        assert rules_of(findings) == ["Z202"]
-        assert findings[0].line == 8
-
-    def test_z202_clean_mutate_without_retention(self):
-        src = (
-            "def prog(env):\n"
-            "    msg = yield env.recv(('t', 0))\n"
-            "    msg.fill(0.0)\n"
-            "    return msg\n"
-        )
-        assert lint_rules(src) == []
-
-    def test_z202_clean_retain_without_mutation(self):
-        src = (
-            "def prog(env, cache):\n"
-            "    msg = yield env.recv(('t', 0))\n"
-            "    cache[0] = msg\n"
-            "    return cache\n"
-        )
-        assert lint_rules(src) == []
-
-    def test_custom_env_name(self):
-        src = (
-            "import numpy as np\n"
-            "def prog(comm):\n"
-            "    buf = np.zeros(4)\n"
-            "    comm.send(1, ('t', 0), buf)\n"
-            "    buf[0] = 1.0\n"
-            "    yield comm.recv(('u', 0))\n"
-        )
-        assert lint_rules(src) == []  # default handle name is 'env'
-        assert lint_rules(src, env_names=("comm",)) == ["Z201"]
-
-
-# ---------------------------------------------------------------------------
 # the codebase itself must be clean (the analyzers' standing regression)
 # ---------------------------------------------------------------------------
 
@@ -514,7 +350,7 @@ def _mutating_program(env):
     if env.rank == 0:
         buf = np.ones(4)
         env.send(1, ("m", 0), buf)
-        buf[0] = 99.0  # lint: disable=Z201 -- the seeded write-after-send
+        buf[0] = 99.0  # the seeded write-after-send
     else:
         yield env.recv(("m", 0))
     yield env.barrier()
@@ -567,7 +403,7 @@ class TestSanitizer:
                 buf = np.ones(4)
                 env.send(1, ("never", 0), buf[:2])
                 # through the writable base: only the content hash sees it
-                buf[0] = 7.0  # lint: disable=Z201 -- seeded bug
+                buf[0] = 7.0  # seeded bug
             yield env.barrier()
 
         sim = Simulator(2, GENERIC, leaky, sanitize=True)
@@ -580,7 +416,7 @@ class TestSanitizer:
             if env.rank == 0:
                 blocks = {0: np.ones(3), 1: np.zeros(3)}
                 env.send(1, ("d", 0), blocks)
-                blocks[1][2] = 5.0  # lint: disable=Z201 -- seeded bug
+                blocks[1][2] = 5.0  # seeded bug
             else:
                 yield env.recv(("d", 0))
             yield env.barrier()
@@ -595,7 +431,7 @@ class TestSanitizer:
                 buf = np.ones(4)
                 env.send(1, ("m", 0), buf)
                 env.span("F7", t0)
-                buf[0] = -1.0  # lint: disable=Z201 -- seeded bug
+                buf[0] = -1.0  # seeded bug
             else:
                 yield env.recv(("m", 0))
             yield env.barrier()
@@ -645,8 +481,19 @@ class TestCli:
 
     def test_lint_select(self, tmp_path, capsys):
         p = self._seeded(tmp_path)
-        assert main(["lint", str(p), "--select", "Z201"]) == 0
+        assert main(["lint", str(p), "--select", "D103"]) == 0
         assert "0 findings" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("select, unknown", [
+        ("Z201", "Z201"), ("D101,Q999", "Q999")])
+    def test_lint_select_unknown_rule_is_a_usage_error(
+            self, tmp_path, capsys, select, unknown):
+        # a retired or mistyped id must not read as a clean run
+        p = self._seeded(tmp_path)
+        assert main(["lint", str(p), "--select", select]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unknown rule id(s): {unknown}" in captured.err
 
     def test_lint_clean_file(self, tmp_path, capsys):
         p = tmp_path / "clean.py"
