@@ -14,6 +14,9 @@ read-only from its send on, so these tests pin down:
   write with a typed :class:`PayloadMutationError` naming the message;
 * the sanitizer (``sanitize=True``) catching a write through another view
   of a posted buffer, which the read-only flag cannot stop;
+* neither firing on the near misses of those writes: a rebound name, a
+  fresh buffer per iteration, a copy sent or written instead, a received
+  payload kept but never written;
 * the returned factor being writable again after every parallel run (2D
   sends post views of the factor's own blocks), the trisolves' solutions
   writable, and a solver's refactor running after a factor froze its
@@ -367,6 +370,105 @@ def _shared_receive_program(env, write):
     return None
 
 
+# near misses of the shapes above: each writes only memory that no send
+# posted, so neither the freeze nor the hash may fire
+
+
+def _rebind_program(env, got):
+    """Rank 0 posts its buffer, rebinds the name to a fresh one and writes
+    that."""
+    if env.rank == 0:
+        buf = np.zeros(4)
+        env.send(1, "p", buf)
+        buf = np.zeros(4)
+        buf[0] = 1.0
+        return None
+    got.append((yield env.recv("p")))
+    return None
+
+
+def _fresh_per_iteration_program(env, got):
+    """Rank 0 allocates its buffer inside the loop, so no iteration writes
+    what an earlier one posted."""
+    if env.rank == 0:
+        for k in range(3):
+            buf = np.zeros(4)
+            buf[0] = k
+            env.send(1, ("it", k), buf)
+        return None
+    for k in range(3):
+        got.append((yield env.recv(("it", k))))
+    return None
+
+
+def _row_copy_of(b):
+    return b[0].copy()
+
+
+def _helper_copy_program(env, got):
+    """Rank 0 posts the row copy a helper returns, then writes the row."""
+    if env.rank == 0:
+        b = np.zeros((2, 4))
+        env.send(1, "row", _row_copy_of(b))
+        b[0, 0] = 1.0
+        return None
+    got.append((yield env.recv("row")))
+    return None
+
+
+def _multicast_copy_in_dict_program(env, got):
+    """Rank 0 multicasts a dict holding a copy of its buffer, then fills
+    the buffer."""
+    if env.rank == 0:
+        buf = np.zeros(4)
+        env.multicast([1, 2], "col", {"b": buf.copy()})
+        buf.fill(1.0)
+        return None
+    got.append((yield env.recv("col"))["b"])
+    return None
+
+
+def _kept_payload_tally_program(env, got):
+    """Rank 1 keeps a received column and sums its row counts into a local
+    int: the payload feeds the tally but is never written."""
+    if env.rank == 0:
+        env.send(1, "col", {"sweep": [(np.ones(2), 2), (np.ones(3), 3)]})
+        return None
+    kept = {0: (yield env.recv("col"))}
+    rows = 0
+    for _blk, nrows in kept[0]["sweep"]:
+        rows += nrows
+    got.append(np.array([rows]))
+    return None
+
+
+def _receiver_writes_a_copy_program(env, got):
+    """Rank 1 copies the array it received and writes the copy."""
+    if env.rank == 0:
+        env.send(1, "p", np.ones(4))
+        return None
+    mine = (yield env.recv("p")).copy()
+    mine.fill(0.0)
+    got.append(mine)
+    return None
+
+
+def _keep_without_write_program(env, got):
+    """Rank 0 multicasts to ranks 1 and 2; rank 1 keeps the payload and
+    only then lets rank 2 take the same object."""
+    if env.rank == 0:
+        env.multicast([1, 2], "col", {"panel": np.ones((2, 2))})
+        return None
+    if env.rank == 1:
+        kept = {0: (yield env.recv("col"))}
+        env.send(2, "go", None)
+        got.append(kept[0]["panel"])
+        return None
+    yield env.recv("go")
+    got.append((yield env.recv("col"))["panel"])
+    return None
+
+
 class TestSanitizer:
     def test_seeded_mutation_caught(self):
         got = []
@@ -412,6 +514,27 @@ class TestSanitizer:
         with pytest.raises(PayloadMutationError) as ei:
             sim.run()
         assert ei.value.tag == tag
+
+    @pytest.mark.parametrize("nprocs, program, expect", [
+        (2, _rebind_program, [np.zeros(4)]),
+        (2, _fresh_per_iteration_program,
+         [np.array([k, 0.0, 0.0, 0.0]) for k in range(3)]),
+        (2, _helper_copy_program, [np.zeros(4)]),
+        (3, _multicast_copy_in_dict_program, [np.zeros(4)] * 2),
+        (2, _kept_payload_tally_program, [np.array([5])]),
+        (2, _receiver_writes_a_copy_program, [np.zeros(4)]),
+        (3, _keep_without_write_program, [np.ones((2, 2))] * 2),
+    ], ids=["rebind-after-send", "fresh-buffer-per-iteration",
+            "copy-through-helper", "copy-in-multicast-dict",
+            "tally-from-kept-payload", "receiver-writes-a-copy",
+            "keep-without-write"])
+    def test_write_to_unshared_memory_passes(self, nprocs, program, expect):
+        got = []
+        sim = Simulator(nprocs, T3E, program, args=(got,), sanitize=True,
+                        trace=True)
+        assert sim.run().messages > 0
+        assert not any(r.mutated for r in sim.trace.records)
+        assert [g.tolist() for g in got] == [e.tolist() for e in expect]
 
     def test_write_to_an_unposted_read_only_array_names_the_writer(self):
         def prog(env):
