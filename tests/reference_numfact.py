@@ -74,3 +74,347 @@ def reference_solve(lu, b, lower_solve=reference_unit_lower_solve):
             xk -= m.blocks[(K, J)] @ x[bounds[J] : bounds[J + 1]]
         upper_solve(m.blocks[(K, K)], xk)
     return x
+
+
+# -- the counting kernels ------------------------------------------------------
+#
+# ``Factor(K)``, ``Update(K, J)``, the unit lower apply and the upper solve
+# as they stood at commit a9ff611, when every kernel still tallied its own
+# flops into a ``KernelCounter`` and a 1D rank priced each task through a
+# counted window (``Env.begin_counted`` / ``end_counted``).  They are the
+# oracle ``tests/test_task_charges.py`` compares the pattern-level charges
+# with: order of the ``by_gran`` keys, values, rank clocks, busy times and
+# compute spans.  Frozen: not to be "improved".
+
+from repro.numfact.blocks import SingularMatrixError, StructureViolation
+from repro.numfact.counter import BLAS1
+from repro.numfact.kernels import block_product, scratch_buffer
+from repro.numfact.tasks import choose_pivot
+from repro.obs import COMPUTE
+from repro.taskgraph import FACTOR as FACTOR_TASK, UPDATE as UPDATE_TASK
+
+
+class ReferenceCounter(KernelCounter):
+    """``KernelCounter`` with the counted-window bookkeeping it carried:
+    ``_touched`` (first-touch values of the keys changed since the window
+    opened) and ``_korder`` (each key's global insertion index)."""
+
+    def __init__(self):
+        super().__init__()
+        self._touched = None
+        self._korder = {}
+
+    def add(self, kernel, nflops, gran=None):
+        nflops = float(nflops)
+        f = self.flops
+        f[kernel] = f.get(kernel, 0.0) + nflops
+        key = (kernel, gran)
+        g = self.by_gran
+        prev = g.get(key)
+        if prev is None:
+            self._korder[key] = len(self._korder)
+            prev = 0.0
+        t = self._touched
+        if t is not None and key not in t:
+            t[key] = prev
+        g[key] = prev + nflops
+
+
+def reference_begin_counted(env):
+    c = env.counter
+    outer = c._touched
+    t = c._touched = {}
+    return (outer, t)
+
+
+def reference_end_counted(env, window):
+    """Charge the window's per-key deltas in ``by_gran`` insertion order,
+    advancing ``env.clock`` / ``env.busy`` and tracing a compute span per
+    positive delta."""
+    outer, touched = window
+    c = env.counter
+    c._touched = outer
+    if touched:
+        g = c.by_gran
+        keys = (sorted(touched, key=c._korder.get)
+                if len(touched) > 1 else touched)
+        compute_seconds = env.spec.compute_seconds
+        tr = env._sim.tracer
+        for key in keys:
+            prev = touched[key]
+            v = g[key]
+            if v > prev:
+                kernel, gran = key
+                dt = compute_seconds(kernel, v - prev, gran)
+                t0 = env.clock
+                env.clock += dt
+                env.busy += dt
+                if tr is not None:
+                    tr.span(env.rank, kernel, COMPUTE, t0, env.clock,
+                            {"nflops": float(v - prev)})
+        if outer is not None:
+            for key, prev in touched.items():
+                if key not in outer:
+                    outer[key] = prev
+
+
+def reference_unit_lower_apply(Linv, B, counter=None, ncols_structural=None):
+    k = B.shape[0]
+    if k > 1:
+        prod = scratch_buffer("lower-apply", k, None if B.ndim == 1 else B.shape[1])
+        block_product(Linv, B, prod)
+        B[...] = prod
+    if counter is not None:
+        ncols = (1 if B.ndim == 1 else B.shape[1]) if ncols_structural is None else ncols_structural
+        kernel = DGEMM if ncols >= 2 else DGEMV
+        counter.add(kernel, FLOP_TRSM(k, ncols), gran=min(k, ncols) if kernel == DGEMM else k)
+    return B
+
+
+def reference_upper_solve(U, B, counter=None):
+    upper_solve(U, B)
+    if counter is not None:
+        k = U.shape[0]
+        ncols = 1 if B.ndim == 1 else B.shape[1]
+        counter.add(DGEMM if ncols >= 2 else DGEMV, FLOP_TRSM(k, ncols) + k * ncols)
+    return B
+
+
+class ReferenceColumn:
+    """What the reference update reads of a factored column."""
+
+    def __init__(self, K, pivots, panel, linv=None):
+        from repro.numfact.kernels import unit_lower_inverse
+        bs = panel.shape[1]
+        self.K = K
+        self.pivots = pivots
+        self.panel = panel
+        self.diag = panel[:bs]
+        self.lpanel = panel[bs:]
+        if linv is None and bs > 1:
+            linv = unit_lower_inverse(self.diag)
+        self.linv = linv
+
+
+def _panel_position(m, K, r):
+    for I, lo, hi, _ in m.plan.below_diagonal(K):
+        if r < hi:
+            return m.part.start(I) + r - lo
+    raise IndexError(f"row {r} is outside the L panel of column {K}")
+
+
+def reference_factor_block_column(m, K, counter=None, pivot_threshold=1.0,
+                                  monitor=None):
+    part = m.part
+    bs = part.size(K)
+    if m.abft is not None:
+        for I in m.bstruct.l_block_rows(K):
+            m.abft.verify_block(I, K, m.blocks[(I, K)], where=f"factor({K})")
+    panel = m.lpanel(K)
+    nrows = panel.shape[0]
+    srows = int(m.plan.col_srows[K])
+
+    pivots = []
+    start_K = part.start(K)
+    cadd = counter.add if counter is not None else None
+    scratch = scratch_buffer("factor-outer", nrows, bs)
+    abs_col = scratch_buffer("factor-abs", nrows)
+    for c in range(bs):
+        gcol = start_K + c
+        col = panel[c:, c]
+        ab = abs_col[: nrows - c]
+        np.abs(col, out=ab)
+        t = int(ab.argmax())
+        pos = choose_pivot(
+            gcol, float(ab[t]),
+            start_K + c + t if c + t < bs else _panel_position(m, K, c + t - bs),
+            float(ab[0]), pivot_threshold, monitor)
+        t = c if pos == gcol else c + t
+        pivots.append((gcol, pos))
+        if t != c:
+            tmp = scratch[0, :]
+            tmp[:] = panel[c, :]
+            panel[c, :] = panel[t, :]
+            panel[t, :] = tmp
+        if monitor is not None:
+            panel[c, c] = monitor.consider(gcol, float(panel[c, c]))
+        piv = panel[c, c]
+        if c + 1 < nrows:
+            panel[c + 1 :, c] /= piv
+            if cadd is not None:
+                cadd(BLAS1, max(srows - c - 1, 0))
+        if c + 1 < bs:
+            sub = panel[c + 1 :, c + 1 : bs]
+            x = panel[c + 1 :, c]
+            outer = scratch[1 : nrows - c, 1 : bs - c]
+            np.multiply(x[:, None], panel[c, c + 1 : bs], out=outer)
+            np.subtract(sub, outer, out=sub)
+            if cadd is not None:
+                cadd(DGEMV, 2.0 * max(srows - c - 1, 0) * (bs - c - 1), gran=bs)
+
+    if not np.isfinite(panel).all():
+        bad = int(np.argwhere(~np.isfinite(panel))[0, 1])
+        gcol = part.start(K) + min(bad, bs - 1)
+        raise SingularMatrixError(
+            f"non-finite entries in factored panel {K}", pivot_index=gcol)
+
+    m.pivot_seq[K] = pivots
+    if m.abft is not None:
+        m.abft.anchor_column(m, K)
+    return ReferenceColumn(K, pivots, panel,
+                           m.invert_diagonal(K) if bs > 1 else None)
+
+
+def reference_update_block_columns(m, fc, columns, counter=None):
+    K = fc.K
+    blocks = m.blocks
+    abft = m.abft
+    udense_cols = m.bstruct.udense_cols
+    linv = fc.linv
+    lpanel = fc.lpanel
+    lk = fc.diag.shape[0]
+    swaps = [m.locate_rows(r1, r2) for r1, r2 in fc.pivots if r1 != r2]
+    below = m.plan.below_diagonal(K)
+    lrows = below[-1][2] if below else 0
+    stacked = lk == 1
+    cadd = counter.add if counter is not None else None
+    subtract = np.subtract
+
+    for J in columns:
+        if J <= K:
+            raise ValueError("Update(K, J) requires J > K")
+        for I1, o1, I2, o2 in swaps:
+            m.swap_block_rows(J, I1, o1, I2, o2)
+
+        ukj = blocks.get((K, J))
+        if ukj is None:
+            continue
+        ncols = len(udense_cols[(K, J)])
+
+        if abft is not None:
+            abft.pre_solve(K, J, linv)
+        if not stacked:
+            reference_unit_lower_apply(linv, ukj, counter=counter,
+                                       ncols_structural=ncols)
+        elif cadd is not None:
+            cadd(DGEMM if ncols >= 2 else DGEMV, float(ncols), gran=1)
+        if abft is not None:
+            abft.post_solve(K, J, ukj)
+        if not below:
+            continue
+
+        prod = scratch_buffer("update-prod", lrows, ukj.shape[1])
+        if stacked:
+            block_product(lpanel, ukj, prod)
+        wide = ncols >= 2
+        gran = lk if lk < ncols else ncols
+        gemm_rows = gemv_rows = 0
+        gemm_first = False
+        for I, lo, hi, nrows in below:
+            p = prod[lo:hi]
+            if not stacked:
+                block_product(lpanel[lo:hi], ukj, p)
+            target = blocks.get((I, J))
+            if target is None:
+                if np.any(p):
+                    raise StructureViolation(
+                        f"update ({K},{J}) touches absent block ({I},{J})")
+                continue
+            if abft is not None:
+                abft.carry_gemm(I, J, lpanel[lo:hi], ukj, K=K)
+            subtract(target, p, out=target)
+            if cadd is None:
+                continue
+            if wide and nrows >= 2:
+                gemm_first = gemm_first or not gemv_rows
+                gemm_rows += nrows
+            else:
+                gemv_rows += nrows
+        if gemm_rows and gemm_first:
+            cadd(DGEMM, 2.0 * gemm_rows * lk * ncols, gran=gran)
+        if gemv_rows:
+            cadd(DGEMV, 2.0 * gemv_rows * lk * ncols, gran=lk)
+        if gemm_rows and not gemm_first:
+            cadd(DGEMM, 2.0 * gemm_rows * lk * ncols, gran=gran)
+
+
+def reference_sequential_tally(A, part, bstruct, abft=False,
+                               pivot_threshold=1.0):
+    """The tally of ``sstar_factor``'s sweep, charged by the kernels
+    themselves (and, with ``abft``, by the ledger into the same counter)."""
+    from repro.numfact import AbftLedger, BlockLUMatrix
+
+    m = BlockLUMatrix.from_csr(A, part, bstruct)
+    counter = ReferenceCounter()
+    if abft:
+        AbftLedger.attach(m, counter=counter)
+    for K in range(part.N):
+        fc = reference_factor_block_column(
+            m, K, counter=counter, pivot_threshold=pivot_threshold)
+        reference_update_block_columns(m, fc, bstruct.u_block_cols(K),
+                                       counter=counter)
+    return counter
+
+
+def reference_rank_program_1d(env, ctx):
+    """The 1D rank program of a9ff611 (ABFT left out): each task's kernel
+    charges priced through a counted window, every receiver inverting the
+    diagonal triangle of each column it updates with."""
+    schedule = ctx["schedule"]
+    owner = ctx["owner"]
+    consumers = ctx["consumers"]
+    m = ctx["locals"][env.rank]
+    env.counter = counter = ReferenceCounter()
+    rank = env.rank
+    plan = m.plan
+    k0, k1 = ctx["stage_range"]
+    received = {}
+    seen = set()
+    local_fc = {}
+    my_tasks = [t for t in schedule.proc_tasks[rank] if k0 <= t[1] < k1]
+    last_use = {}
+    for idx, t in enumerate(my_tasks):
+        if t[0] == UPDATE_TASK:
+            last_use[t[1]] = idx
+    others = [p for p in range(env.nprocs) if p != rank]
+    for idx, task in enumerate(my_tasks):
+        t0 = env.clock
+        if task[0] == FACTOR_TASK:
+            k = task[1]
+            win = reference_begin_counted(env)
+            fc = reference_factor_block_column(
+                m, k, counter=counter,
+                pivot_threshold=ctx["pivot_threshold"], monitor=ctx["monitor"])
+            reference_end_counted(env, win)
+            env.span(f"F{k}", t0)
+            local_fc[k] = fc
+            payload = {"K": int(k), "pivots": fc.pivots, "panel": fc.panel}
+            env.multicast(others if consumers is None else consumers[k],
+                          ("col", k), payload, nbytes=plan.column_nbytes(k))
+        else:
+            _, k, j = task
+            remote = owner[k] != rank
+            if not remote:
+                fc = local_fc.get(k)
+                if fc is None:
+                    fc = local_fc[k] = ReferenceColumn(
+                        k, m.pivot_seq[k], m.lpanel(k),
+                        m.diag_inverse(k) if m.part.size(k) > 1 else None)
+            else:
+                fc = received.get(k)
+                if fc is None:
+                    payload = yield env.recv(("col", k))
+                    fc = received[k] = ReferenceColumn(
+                        payload["K"], payload["pivots"], payload["panel"])
+                    seen.add(k)
+            win = reference_begin_counted(env)
+            reference_update_block_columns(m, fc, (j,), counter=counter)
+            reference_end_counted(env, win)
+            env.span(f"U{k},{j}", t0)
+            if remote and idx == last_use[k]:
+                del received[k]
+    if consumers is None:
+        for k in range(k0, k1):
+            if owner[k] != rank and k not in seen:
+                yield env.recv(("col", k))
+    return {"pivot_seq": m.pivot_seq, "high_water": 0}
