@@ -19,7 +19,7 @@ Rows land in ``benchmarks/results/BENCH_abft_overhead.json``.
 from conftest import print_table, save_results
 from repro.machine import GENERIC, T3E
 from repro.matrices import dense_matrix
-from repro.numfact import KernelCounter, sstar_factor
+from repro.numfact import sstar_factor
 from repro.ordering import prepare_matrix
 from repro.supernodes import build_partition
 from repro.symbolic import static_symbolic_factorization
@@ -32,9 +32,9 @@ ABFT_BUDGET = 0.15  # acceptance: <15% modeled T3E factor time at b=25
 
 
 def _measure(name, A, sym, part, block, asserted):
-    c0, c1 = KernelCounter(), KernelCounter()
-    base = sstar_factor(A, sym=sym, part=part, counter=c0)
-    prot = sstar_factor(A, sym=sym, part=part, counter=c1, abft=True)
+    base = sstar_factor(A, sym=sym, part=part)
+    prot = sstar_factor(A, sym=sym, part=part, abft=True)
+    c0, c1 = base.counter, prot.counter
     assert check_bit_identical(prot.matrix, base.matrix).ok
     assert prot.abft.detected == 0 and prot.abft.recovered == 0
     t3e0, t3e1 = c0.modeled_seconds(T3E), c1.modeled_seconds(T3E)

@@ -30,6 +30,7 @@ triangle moves them on purpose).  Rows land in
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -85,21 +86,25 @@ def measure(src: str) -> list:
     # the triangle kernel of whichever tree this is
     apply_name = ("unit_lower_apply" if hasattr(tasks, "unit_lower_apply")
                   else "unit_lower_solve")
+    # older trees' kernels tally their own flops; newer ones do arithmetic
+    # only and the plan prices the sweep
+    counting = "counter" in inspect.signature(tasks.factor_block_column).parameters
 
     def sweep(om, art, times=None):
         """The sequential driver's loop (what ``sstar_factor`` runs for a
         solver), with each task timed into ``times`` by column width."""
         part, bstruct = art.part, art.bstruct
         m = BlockLUMatrix.from_csr(om.A, part, bstruct)
-        counter = KernelCounter()
+        counter = KernelCounter() if counting else m.plan.sequential_tally().copy()
+        kw = {"counter": counter} if counting else {}
         monitor = PivotMonitor(matrix_maxnorm(om.A))
         clock = time.perf_counter
         for K in range(part.N):
             kind = "w1" if part.size(K) == 1 else "wide"
             t0 = clock()
-            fc = tasks.factor_block_column(m, K, counter=counter, monitor=monitor)
+            fc = tasks.factor_block_column(m, K, monitor=monitor, **kw)
             t1 = clock()
-            tasks.update_block_columns(m, fc, bstruct.u_block_cols(K), counter=counter)
+            tasks.update_block_columns(m, fc, bstruct.u_block_cols(K), **kw)
             t2 = clock()
             if times is not None:
                 times[f"factor_{kind}_s"] += t1 - t0

@@ -339,46 +339,36 @@ class Env:
             tr.span(self.rank, kernel, _obs.COMPUTE, t0, self.clock,
                     {"nflops": float(nflops)})
 
-    def begin_counted(self):
-        """Open a counted-compute window: kernels account into the rank
-        counter as usual, and :meth:`end_counted` prices exactly the keys
-        touched since, replaying the deltas in ``by_gran`` insertion
-        order."""
-        c = self.counter
-        outer = c._touched
-        t = c._touched = {}
-        return (outer, t)
+    @property
+    def traced(self) -> bool:
+        """Whether a tracer records this run (:meth:`charge` then needs
+        each increment's span)."""
+        return self._sim.tracer is not None
 
-    def end_counted(self, window) -> None:
-        """Close a :meth:`begin_counted` window and charge its deltas."""
-        outer, touched = window
-        c = self.counter
-        c._touched = outer
-        if touched:
-            g = c.by_gran
-            keys = (
-                sorted(touched, key=c._korder.get)
-                if len(touched) > 1 else touched
-            )
-            compute_seconds = self._sim.spec.compute_seconds
-            tr = self._sim.tracer
-            for key in keys:
-                prev = touched[key]
-                v = g[key]
-                if v > prev:
-                    kernel, gran = key
-                    dt = compute_seconds(kernel, v - prev, gran)
-                    t0 = self.clock
-                    self.clock += dt
-                    self.busy += dt
-                    if tr is not None:
-                        tr.span(self.rank, kernel, _obs.COMPUTE, t0,
-                                self.clock, {"nflops": float(v - prev)})
-            if outer is not None:
-                # surface first-touch values to the enclosing window
-                for key, prev in touched.items():
-                    if key not in outer:
-                        outer[key] = prev
+    def charge(self, seconds, spans=None) -> None:
+        """Advance the clock and busy time by each of ``seconds`` in turn:
+        compute priced before the run (a 1D rank's task increments), each
+        bit-equal to the :meth:`compute` call it stands for.  With a tracer
+        attached, ``spans`` holds each increment's ``(kernel, nflops)`` for
+        its compute span.  The rank's counter is not touched: the caller
+        priced it with the increments and sets it."""
+        clock = self.clock
+        busy = self.busy
+        tr = self._sim.tracer
+        if tr is None:
+            for dt in seconds:
+                clock += dt
+                busy += dt
+        else:
+            rank = self.rank
+            for dt, (kernel, flops) in zip(seconds, spans):
+                t0 = clock
+                clock += dt
+                busy += dt
+                tr.span(rank, kernel, _obs.COMPUTE, t0, clock,
+                        {"nflops": flops})
+        self.clock = clock
+        self.busy = busy
 
     # -- communication -----------------------------------------------------
 

@@ -279,17 +279,18 @@ def _find_mismatch(payload, record, path):
 
 
 def column_leaves(payload, plan) -> dict:
-    """What is checksummed of a 1D ``("col", K)`` payload: the pivots and
+    """What is checksummed of a 1D ``("col", K)`` payload: the pivots,
     one leaf **per block** of the panel (row slices, located by the plan
     of whoever asks — sender and receiver share the pattern), so a flipped
-    element is blamed on its block ``(I, K)`` and not on the column."""
+    element is blamed on its block ``(I, K)`` and not on the column, and
+    ``L_KK^{-1}``, blamed on the diagonal block it is built from."""
     K, panel = payload["K"], payload["panel"]
     bs = panel.shape[1]
     blocks = {
         I: panel[bs + lo : bs + hi] for I, lo, hi, _ in plan.below_diagonal(K)
     }
     return {"K": K, "pivots": payload["pivots"],
-            "panel": {K: panel[:bs], **blocks}}
+            "panel": {K: panel[:bs], **blocks}, "linv": payload.get("linv")}
 
 
 def _blame_block(path, column):

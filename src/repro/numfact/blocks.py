@@ -27,7 +27,8 @@ import numpy as np
 
 from ..sparse import CSRMatrix
 from ..supernodes import BlockPartition, BlockStructure
-from .kernels import unit_lower_inverse
+from .counter import BLAS1, DGEMM, DGEMV, KernelCounter
+from .kernels import trsm_charge, unit_lower_inverse
 
 
 class StructureViolation(RuntimeError):
@@ -71,12 +72,19 @@ class NumericPlan:
     of every width-1 column's L panel (:meth:`width1_rows`, for the
     triangular solve) are one int64 array, built on the first solve.  The
     panel's shape and wire size (:meth:`lpanel_shape`,
-    :meth:`column_nbytes`) are O(1) from the offsets above.
+    :meth:`column_nbytes`) are read from one table of Python ints, built on
+    first use.
+
+    The virtual-time charges of both task kinds depend on this pattern
+    alone: :meth:`factor_charges` and :meth:`update_charges` give them in
+    the order the paper's kernels incur them, and :meth:`sequential_tally`
+    is the whole sweep's tally, built once.
     """
 
     def __init__(self, bstruct: BlockStructure):
         part = bstruct.part
         N = part.N
+        self.bstruct = bstruct
         keys = list(bstruct.lrows)
         keys.extend(bstruct.udense_cols)
         IJ = np.array(keys, dtype=np.int64).reshape(-1, 2)
@@ -117,6 +125,8 @@ class NumericPlan:
         self.inv_off = np.concatenate(([0], np.cumsum(sizes * sizes)))
         self._below = {}  # K -> below_diagonal(K), built on first use
         self._w1_rows = self._w1_ptr = None  # width1_rows, built on first use
+        self._shapes = self._wire = None  # column_table, built on first use
+        self._tally = None  # sequential_tally, built on first use
         self._pattern = None  # digest of the CSR pattern _scatter is for
         self._scatter = None
 
@@ -144,6 +154,9 @@ class NumericPlan:
         b += sum(64 + 80 * len(t) for t in self._below.values())
         if self._w1_rows is not None:
             b += self._w1_rows.nbytes + self._w1_ptr.nbytes
+        if self._shapes is not None:
+            # per column: a list slot, a pair and three Python ints
+            b += 128 * len(self._shapes)
         if self._scatter is not None:
             b += self._scatter.nbytes + len(self._pattern)
         return b
@@ -177,16 +190,25 @@ class NumericPlan:
             -1, self.part.size(K)
         )
 
+    def column_table(self) -> tuple:
+        """``(shapes, wire)``: per block column, :meth:`lpanel_shape` and
+        :meth:`column_nbytes` as lists of Python ints, built on first use
+        (a 1D run reads them once per message)."""
+        if self._shapes is None:
+            panel = (self.col_off[1:] - self.lpanel_off).tolist()
+            sizes = self.sizes.tolist()
+            self._shapes = [(n // w, w) for n, w in zip(panel, sizes)]
+            self._wire = [8 * n + 16 * w for n, w in zip(panel, sizes)]
+        return self._shapes, self._wire
+
     def lpanel_shape(self, K: int) -> tuple:
         """``(rows, width)`` of ``lpanel(K)``."""
-        width = int(self.sizes[K])
-        return int(self.col_off[K + 1] - self.lpanel_off[K]) // width, width
+        return self.column_table()[0][K]
 
     def column_nbytes(self, K: int) -> int:
         """Wire size of factored column ``K``: its L panel plus 16 bytes
         per pivot pair."""
-        return int(8 * (self.col_off[K + 1] - self.lpanel_off[K])
-                   + 16 * self.sizes[K])
+        return self.column_table()[1][K]
 
     def width1_rows(self, K: int) -> np.ndarray:
         """For a block column ``K`` one wide: the global row of every row of
@@ -226,6 +248,82 @@ class NumericPlan:
                 Is.tolist(), lo.tolist(), (lo + self.sizes[Is]).tolist(),
                 self.blk_srows[a:b].tolist()))
         return below
+
+    # -- task charges --------------------------------------------------------
+
+    def factor_charges(self, K: int) -> list:
+        """The ``(kernel, gran, flops)`` charges of ``Factor(K)``, in order:
+        per scalar column ``c``, the multipliers' scaling (BLAS-1, one flop
+        per structural row below ``c``) and, but for the last column, the
+        rank-1 update of the panel's remaining columns (DGEMV at the
+        column's width).  A zero charge is kept: it creates its key where
+        the kernel first reaches it."""
+        bs = int(self.sizes[K])
+        nrows = int(self.col_off[K + 1] - self.lpanel_off[K]) // bs
+        srows = int(self.col_srows[K])
+        out = []
+        for c in range(bs):
+            below = max(srows - c - 1, 0)
+            if c + 1 < nrows:
+                out.append((BLAS1, None, float(below)))
+            if c + 1 < bs:
+                out.append((DGEMV, bs, 2.0 * below * (bs - c - 1)))
+        return out
+
+    def update_charges(self, K: int, J: int) -> list:
+        """The ``(kernel, gran, flops)`` charges of ``Update(K, J)``, in
+        order; none when ``U_KJ`` is structurally zero.
+
+        First the triangular solve ``L_KK^{-1} U_KJ`` over ``U_KJ``'s
+        structural columns (:func:`repro.numfact.kernels.trsm_charge`; a
+        ``1 x 1`` triangle keeps its charge), then the products
+        ``L_IK U_KJ`` into every present ``(I, J)``, merged into at most
+        two charges: DGEMM for blocks of two or more rows when ``U_KJ`` has
+        two or more columns, DGEMV for the rest, in the order their keys
+        are first due.  Every flop count is an integer-valued float far
+        below 2**53, so merged sums equal per-block ones exactly."""
+        bstruct = self.bstruct
+        ucols = bstruct.udense_cols.get((K, J))
+        if ucols is None:
+            return []
+        ncols = len(ucols)
+        lk = int(self.sizes[K])
+        out = [trsm_charge(lk, ncols)]
+        wide = ncols >= 2
+        gemm_rows = gemv_rows = 0
+        gemm_first = False
+        for I, _, _, nrows in self.below_diagonal(K):
+            if not bstruct.has_block(I, J):
+                continue
+            if wide and nrows >= 2:
+                gemm_first = gemm_first or not gemv_rows
+                gemm_rows += nrows
+            else:
+                gemv_rows += nrows
+        gemm = (DGEMM, lk if lk < ncols else ncols, 2.0 * gemm_rows * lk * ncols)
+        if gemm_rows and gemm_first:
+            out.append(gemm)
+        if gemv_rows:
+            out.append((DGEMV, lk, 2.0 * gemv_rows * lk * ncols))
+        if gemm_rows and not gemm_first:
+            out.append(gemm)
+        return out
+
+    def sequential_tally(self) -> KernelCounter:
+        """The tally of the sequential sweep — ``Factor(K)``, then
+        ``Update(K, J)`` for each ``J`` of ``U``'s block row ``K`` — built
+        once and kept; callers copy it."""
+        if self._tally is None:
+            tally = KernelCounter()
+            add = tally.add
+            for K in range(self.part.N):
+                for kernel, gran, flops in self.factor_charges(K):
+                    add(kernel, flops, gran)
+                for J in self.bstruct.u_block_cols(K):
+                    for kernel, gran, flops in self.update_charges(K, J):
+                        add(kernel, flops, gran)
+            self._tally = tally
+        return self._tally
 
     # -- CSR scatter ---------------------------------------------------------
 

@@ -2,12 +2,17 @@
 
 The paper's central performance argument is *which kernel class executes the
 flops*: S* routes most update flops through BLAS-3 ``DGEMM`` while SuperLU is
-BLAS-2 ``DGEMV``-bound.  Every numeric kernel in this package reports its
-flops to a :class:`KernelCounter` tagged with a kernel class and, where it
-matters, the block width it operated at; a
-:class:`repro.machine.MachineSpec` then converts the tally into modeled
-seconds at the published per-kernel rates, derated for narrow blocks (the
-cache effect that makes supernode amalgamation profitable).
+BLAS-2 ``DGEMV``-bound.  A :class:`KernelCounter` tallies flops tagged
+with a kernel class and, where it matters, the block width the kernel
+operates at; a :class:`repro.machine.MachineSpec` then converts the tally
+into modeled seconds at the published per-kernel rates, derated for narrow
+blocks (the cache effect that makes supernode amalgamation profitable).
+
+The charges of ``Factor(K)`` and ``Update(K, J)`` depend on the pattern
+alone, so the kernels do not count: :class:`repro.numfact.NumericPlan`
+gives each task's ordered charges and the tally of a whole sequential
+sweep, and a 1D rank adds prices computed from them once per schedule
+(:mod:`repro.parallel.oned`).
 """
 
 from __future__ import annotations
@@ -31,29 +36,16 @@ class KernelCounter:
 
     flops: dict = field(default_factory=dict)
     by_gran: dict = field(default_factory=dict)
-    # open accounting window (``Env.begin_counted``): first-touch snapshot
-    # values of the ``by_gran`` keys mutated since the window opened, so the
-    # time model can price exactly the delta without scanning the whole
-    # tally.  ``_korder`` records each key's global insertion index so the
-    # window replays deltas in ``by_gran`` order.
-    _touched: dict = field(default=None, init=False, repr=False, compare=False)
-    _korder: dict = field(default_factory=dict, init=False, repr=False,
-                          compare=False)
 
     def add(self, kernel: str, nflops: float, gran=None) -> None:
+        """Charge ``nflops`` to ``kernel`` at ``gran``; a zero charge still
+        creates its keys (the insertion order is part of the tally)."""
         nflops = float(nflops)
         f = self.flops
         f[kernel] = f.get(kernel, 0.0) + nflops
-        key = (kernel, gran)
         g = self.by_gran
-        prev = g.get(key)
-        if prev is None:
-            self._korder[key] = len(self._korder)
-            prev = 0.0
-        t = self._touched
-        if t is not None and key not in t:
-            t[key] = prev
-        g[key] = prev + nflops
+        key = (kernel, gran)
+        g[key] = g.get(key, 0.0) + nflops
 
     @property
     def total(self) -> float:
@@ -69,16 +61,10 @@ class KernelCounter:
         for k, v in other.flops.items():
             self.flops[k] = self.flops.get(k, 0.0) + v
         for k, v in other.by_gran.items():
-            if k not in self.by_gran:
-                self._korder[k] = len(self._korder)
             self.by_gran[k] = self.by_gran.get(k, 0.0) + v
 
     def copy(self) -> "KernelCounter":
-        c = KernelCounter()
-        c.flops = dict(self.flops)
-        c.by_gran = dict(self.by_gran)
-        c._korder = dict(self._korder)
-        return c
+        return KernelCounter(dict(self.flops), dict(self.by_gran))
 
     def modeled_seconds(self, spec) -> float:
         """Convert the tally to seconds using a machine spec's kernel rates

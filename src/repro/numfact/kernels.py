@@ -1,9 +1,11 @@
-"""Dense micro-kernels with FLOP accounting.
+"""Dense micro-kernels, and the charges that price them.
 
 All heavy arithmetic funnels through numpy (which dispatches to the host
-BLAS); what matters for the reproduction is the *accounting*: each call
-reports its flops and kernel class so the machine model can price it at
-T3D/T3E rates.
+BLAS).  The factorization kernels do arithmetic only: what the machine
+model prices at T3D/T3E rates is a ``(kernel, gran, flops)`` charge that
+depends on shapes alone (:func:`trsm_charge`, and the per-task charges of
+:class:`repro.numfact.NumericPlan`).  Only the ABFT checksum kernels below
+still report their own flops, to the ledger's counter.
 """
 
 from __future__ import annotations
@@ -38,6 +40,24 @@ def scratch_buffer(slot: str, nrows: int, ncols: int = None) -> np.ndarray:
 def FLOP_TRSM(k: int, n: int) -> float:
     """Flops of a triangular solve with ``k x k`` triangle and ``n`` rhs."""
     return float(k) * k * n
+
+
+def trsm_charge(k: int, ncols: int) -> tuple:
+    """``(kernel, gran, flops)`` of ``L^{-1} B`` with a ``k x k`` unit
+    lower triangle and ``ncols`` (structural) right-hand-side columns: the
+    paper's TRSM, DGEMM at ``min(k, ncols)`` when two or more columns are
+    nonzero, DGEMV at ``k`` otherwise.  :func:`unit_lower_apply` is how the
+    host computes it; a ``1 x 1`` triangle costs no arithmetic but keeps
+    its charge."""
+    if ncols >= 2:
+        return DGEMM, min(k, ncols), FLOP_TRSM(k, ncols)
+    return DGEMV, k, FLOP_TRSM(k, ncols)
+
+
+def upper_solve_charge(k: int, ncols: int) -> tuple:
+    """``(kernel, gran, flops)`` of :func:`upper_solve` on a ``k x k``
+    triangle with ``ncols`` right-hand-side columns (nominal rate)."""
+    return DGEMM if ncols >= 2 else DGEMV, None, FLOP_TRSM(k, ncols) + k * ncols
 
 
 def block_product(A, B, out):
@@ -97,29 +117,23 @@ def unit_lower_inverse(L, out=None):
     return X
 
 
-def unit_lower_apply(Linv, B, counter: KernelCounter = None, ncols_structural=None):
+def unit_lower_apply(Linv, B):
     """In place ``B <- L^{-1} B`` for a unit lower ``L`` whose inverse
     (:func:`unit_lower_inverse`) is ``Linv``: one :func:`block_product`.
-    A ``1 x 1`` triangle is the identity and ``Linv`` is not read.
-
-    The charge is the triangular solve's (``FLOP_TRSM``, DGEMM when two or
-    more columns are structurally nonzero): the modelled algorithm is the
-    paper's TRSM, the product is how the host computes it."""
+    A ``1 x 1`` triangle is the identity and ``Linv`` is not read.  It is
+    priced as the triangular solve it stands for (:func:`trsm_charge`)."""
     k = B.shape[0]
     if k > 1:
         prod = scratch_buffer("lower-apply", k, None if B.ndim == 1 else B.shape[1])
         block_product(Linv, B, prod)
         B[...] = prod
-    if counter is not None:
-        ncols = (1 if B.ndim == 1 else B.shape[1]) if ncols_structural is None else ncols_structural
-        kernel = DGEMM if ncols >= 2 else DGEMV
-        counter.add(kernel, FLOP_TRSM(k, ncols), gran=min(k, ncols) if kernel == DGEMM else k)
     return B
 
 
-def upper_solve(U, B, counter: KernelCounter = None):
+def upper_solve(U, B):
     """In-place solve ``U X = B`` with ``U`` upper triangular
-    (diagonal included, referenced from the upper part of ``U``)."""
+    (diagonal included, referenced from the upper part of ``U``); priced
+    by :func:`upper_solve_charge`."""
     k = U.shape[0]
     if B.ndim == 1:
         for i in range(k - 1, -1, -1):
@@ -131,9 +145,6 @@ def upper_solve(U, B, counter: KernelCounter = None):
             if i + 1 < k:
                 B[i, :] -= U[i, i + 1 :] @ B[i + 1 :, :]
             B[i, :] /= U[i, i]
-    if counter is not None:
-        ncols = 1 if B.ndim == 1 else B.shape[1]
-        counter.add(DGEMM if ncols >= 2 else DGEMV, FLOP_TRSM(k, ncols) + k * ncols)
     return B
 
 

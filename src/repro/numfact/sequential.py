@@ -21,7 +21,7 @@ from ..supernodes import build_partition, build_block_structure, BlockPartition,
 from ..symbolic import static_symbolic_factorization, SymbolicFactorization
 from .abft import AbftLedger, recover_block_column
 from .blocks import BlockLUMatrix
-from .counter import KernelCounter
+from .counter import DGEMV, KernelCounter
 from .kernels import block_product, scratch_buffer, unit_lower_apply, upper_solve
 from .robust import PivotMonitor, SilentCorruptionError
 from .tasks import (
@@ -223,7 +223,6 @@ def sstar_factor(
     sym: SymbolicFactorization = None,
     part: BlockPartition = None,
     bstruct: BlockStructure = None,
-    counter: KernelCounter = None,
     pivot_threshold: float = 1.0,
     monitor=None,
     abft: bool = False,
@@ -236,12 +235,18 @@ def sstar_factor(
     :class:`repro.numfact.PivotMonitor`) enables pivot growth tracking and
     tiny-pivot perturbation.
 
+    The kernels do arithmetic only: the factorization's ``counter`` is a
+    copy of the pattern's tally (:meth:`repro.numfact.NumericPlan.
+    sequential_tally`), built once per pattern.
+
     ``abft=True`` attaches an :class:`repro.numfact.abft.AbftLedger`: every
     block carries column/row checksums through the Factor/Update sweep,
     panels are verified when ``Factor(K)`` consumes them, and a pristine
     copy of the scattered matrix is retained so a corrupted block column
     can be recomputed in place (during the sweep here, or later via
-    :meth:`LUFactorization.verify_abft` before the triangular solves).
+    :meth:`LUFactorization.verify_abft` before the triangular solves).  The
+    ledger charges its checksum work into the same counter as it goes, so
+    this path charges each task where its kernels ran (see the loop).
     """
     check_pivot_threshold(pivot_threshold)
     if sym is None:
@@ -251,40 +256,52 @@ def sstar_factor(
     if bstruct is None:
         bstruct = build_block_structure(sym, part)
     m = BlockLUMatrix.from_csr(A, part, bstruct)
-    counter = counter if counter is not None else KernelCounter()
+    plan = m.plan
+    if not abft:
+        for K in range(part.N):
+            fc = factor_block_column(m, K, pivot_threshold=pivot_threshold,
+                                     monitor=monitor)
+            update_block_columns(m, fc, bstruct.u_block_cols(K))
+        return LUFactorization(m, sym, part, bstruct,
+                               plan.sequential_tally().copy())
 
-    pristine = None
-    monitor_cfg = None
-    monitor_factory = None
-    if abft:
-        pristine = BlockLUMatrix(part, bstruct, arena=m.arena.copy())
-        AbftLedger.attach(m, counter=counter)
-        if monitor is not None:
-            monitor_cfg = (monitor.anorm, monitor.perturb, monitor.threshold)
+    counter = KernelCounter()
+    pristine = BlockLUMatrix(part, bstruct, arena=m.arena.copy())
+    AbftLedger.attach(m, counter=counter)
+    monitor_cfg = monitor_factory = None
+    if monitor is not None:
+        monitor_cfg = (monitor.anorm, monitor.perturb, monitor.threshold)
 
-            def monitor_factory():
-                return PivotMonitor(*monitor_cfg)
+        def monitor_factory():
+            return PivotMonitor(*monitor_cfg)
 
-    N = part.N
-    for K in range(N):
+    add = counter.add
+    for K in range(part.N):
         try:
             fc = factor_block_column(
-                m, K, counter=counter, pivot_threshold=pivot_threshold,
-                monitor=monitor,
-            )
+                m, K, pivot_threshold=pivot_threshold, monitor=monitor)
         except SilentCorruptionError:
-            if pristine is None:
-                raise
             # corrupted panel caught at consumption: replay the column's
             # updates from pristine inputs, then retry the factorization
             recover_block_column(m, K, pristine,
                                  monitor_factory=monitor_factory)
             m.abft.recovered += 1
             fc = factor_block_column(
-                m, K, counter=counter, pivot_threshold=pivot_threshold,
-                monitor=monitor,
-            )
-        update_block_columns(m, fc, bstruct.u_block_cols(K), counter=counter)
+                m, K, pivot_threshold=pivot_threshold, monitor=monitor)
+        for kernel, gran, flops in plan.factor_charges(K):
+            add(kernel, flops, gran)
+        for J in bstruct.u_block_cols(K):
+            charges = plan.update_charges(K, J)
+            if charges:
+                # the solve is charged between the ledger's solve carry
+                # (DGEMV at no granularity, whose key it creates first)
+                # and the rest of the ledger's work on U_KJ; the products
+                # after all of it
+                add(DGEMV, 0.0)
+                kernel, gran, flops = charges[0]
+                add(kernel, flops, gran)
+            update_block_columns(m, fc, (J,))
+            for kernel, gran, flops in charges[1:]:
+                add(kernel, flops, gran)
     return LUFactorization(m, sym, part, bstruct, counter,
                            pristine=pristine, monitor_cfg=monitor_cfg)
-

@@ -21,14 +21,19 @@ consume a :class:`FactoredColumn` — the self-contained result of
 ``Factor(K)``: the pivot sequence, **one panel** (the diagonal block with
 the L blocks stacked below it in ascending block row) and, for a column
 two or more wide, ``L_KK^{-1}``.  On the owner the panel is a view of the
-arena and the inverse one of the side arena; in the 1D parallel code one
-copy of the panel *is* the message the owner of column ``K`` multicasts,
-and every receiver that updates with it checks it
-(:meth:`FactoredColumn.check_message`) and wraps that same buffer,
-inverting its diagonal triangle once for all its updates.  Where
-each L block lies inside the panel is not part of the column: it is read
-from the consumer's own :class:`repro.numfact.blocks.NumericPlan`
-(``below_diagonal(K)``), compiled once per pattern.
+arena and the inverse one of the side arena; in the 1D parallel code those
+two buffers *are* the message the owner of column ``K`` multicasts, and
+every receiver that updates with it checks it
+(:meth:`FactoredColumn.check_message`) and wraps the same buffers: no
+receiver inverts a triangle.  Where each L block lies inside the panel is
+not part of the column: it is read from the consumer's own
+:class:`repro.numfact.blocks.NumericPlan` (``below_diagonal(K)``), compiled
+once per pattern.
+
+The kernels do arithmetic only.  What a task costs on the modelled machine
+depends on the pattern alone and is priced from
+:meth:`repro.numfact.NumericPlan.factor_charges` and
+:meth:`~repro.numfact.NumericPlan.update_charges`, once per pattern.
 
 Pivot bookkeeping is LINPACK-style: interchanges are applied to block
 columns ``>= K`` only (never retroactively to already-factored columns),
@@ -47,28 +52,28 @@ from .blocks import (
     SingularMatrixError,
     StructureViolation,
 )
-from .counter import KernelCounter, DGEMM, DGEMV, BLAS1
 from .kernels import (
     block_product,
     scratch_buffer,
     unit_lower_apply,
-    unit_lower_inverse,
 )
 
+
 class FactoredColumn:
-    """Everything ``Update(*, J)`` needs from a factored block column K.
+    """Everything ``Update(*, J)`` needs from a factored block column K,
+    resolved once for all its updates: besides the pivots and the panel,
+    ``linv`` — ``L_KK^{-1}``, None for a column one wide, whose triangle is
+    the identity: the owner's view of the side arena ``Factor(K)`` filled,
+    or the one a ``("col", K)`` message carried — the real interchanges as
+    ``(block, offset)`` pairs (``swaps``) and the plan's
+    ``below_diagonal(K)`` (``below``).  A received column that is merely
+    drained is checked with :meth:`check_message` and never wrapped."""
 
-    ``linv`` is ``L_KK^{-1}`` (None for a column one wide, whose triangle
-    is the identity).  It is built once, here, unless the caller already
-    holds it — the owner's comes from the side arena ``Factor(K)`` filled
-    — and only for a column that will update: a received column that is
-    merely drained is checked with :meth:`check_message` and never
-    wrapped."""
+    __slots__ = ("K", "pivots", "panel", "diag", "lpanel", "linv", "swaps",
+                 "below")
 
-    __slots__ = ("K", "pivots", "panel", "diag", "lpanel", "linv")
-
-    def __init__(self, K: int, pivots: list, panel: np.ndarray,
-                 linv: np.ndarray = None):
+    def __init__(self, plan: NumericPlan, K: int, pivots: list,
+                 panel: np.ndarray, linv: np.ndarray):
         bs = panel.shape[1]
         self.K = K
         self.pivots = pivots  # [(m_pos, t_pos), ...] global position pairs
@@ -77,32 +82,55 @@ class FactoredColumn:
         self.panel = panel
         self.diag = panel[:bs]  # the diagonal block (unit-lower L + upper U)
         self.lpanel = panel[bs:]  # the L blocks, stacked in ascending I
-        if linv is None and bs > 1:
-            linv = unit_lower_inverse(self.diag)
         self.linv = linv
+        part = plan.part
+        block_of, bounds = part.block_of, part.bounds
+        swaps = []
+        for r1, r2 in pivots:
+            if r1 != r2:
+                I1, I2 = int(block_of[r1]), int(block_of[r2])
+                swaps.append((I1, r1 - int(bounds[I1]), I2, r2 - int(bounds[I2])))
+        self.swaps = swaps
+        self.below = plan.below_diagonal(K)
 
     @classmethod
     def from_message(cls, payload: dict, plan: NumericPlan) -> "FactoredColumn":
         """The column a ``("col", K)`` message carries, as views of the
-        received panel (:meth:`check_message` first)."""
+        received buffers (:meth:`check_message` first)."""
         cls.check_message(payload, plan)
-        return cls(payload["K"], payload["pivots"], payload["panel"])
+        return cls(plan, payload["K"], payload["pivots"], payload["panel"],
+                   payload["linv"])
 
     @staticmethod
     def check_message(payload: dict, plan: NumericPlan) -> None:
         """The panel must be exactly the ``lpanel(K)`` of the receiver's
-        own ``plan`` — anything else is a :class:`StructureViolation`,
-        never a mis-sliced update."""
+        own ``plan``, and ``linv`` a ``size(K)`` square (None for a column
+        one wide) — anything else is a :class:`StructureViolation`, never a
+        mis-sliced update."""
         K, panel = payload["K"], payload["panel"]
-        if not (isinstance(K, int) and 0 <= K < plan.part.N):
+        shapes = plan.column_table()[0]
+        if not (isinstance(K, int) and 0 <= K < len(shapes)):
             raise StructureViolation(f"column message for block column {K!r}")
-        shape = plan.lpanel_shape(K)
+        shape = shapes[K]
         if not (isinstance(panel, np.ndarray) and panel.dtype == np.float64
                 and panel.shape == shape):
             raise StructureViolation(
                 f"column message {K}: panel is {getattr(panel, 'dtype', None)} "
                 f"{getattr(panel, 'shape', None)}, this pattern's L panel "
                 f"is float64 {shape}"
+            )
+        linv = payload.get("linv")
+        width = shape[1]
+        if width == 1 and linv is None:
+            return
+        if width == 1 or not (isinstance(linv, np.ndarray)
+                              and linv.dtype == np.float64
+                              and linv.shape == (width, width)):
+            raise StructureViolation(
+                f"column message {K}: linv is "
+                f"{getattr(linv, 'dtype', None)} {getattr(linv, 'shape', None)}, "
+                f"this pattern's L_KK^-1 is "
+                f"{'None' if width == 1 else f'float64 {(width, width)}'}"
             )
 
 
@@ -158,7 +186,6 @@ def choose_pivot(gcol: int, best_abs: float, best_pos: int, diag: float,
 def factor_block_column(
     m: BlockLUMatrix,
     K: int,
-    counter: KernelCounter = None,
     pivot_threshold: float = 1.0,
     monitor=None,
 ) -> FactoredColumn:
@@ -190,11 +217,9 @@ def factor_block_column(
             m.abft.verify_block(I, K, m.blocks[(I, K)], where=f"factor({K})")
     panel = m.lpanel(K)
     nrows = panel.shape[0]
-    srows = int(m.plan.col_srows[K])  # packed rows (accounting)
 
     pivots = []
     start_K = part.start(K)
-    cadd = counter.add if counter is not None else None
     scratch = scratch_buffer("factor-outer", nrows, bs)  # rank-1 + row swaps
     abs_col = scratch_buffer("factor-abs", nrows)
     for c in range(bs):
@@ -219,16 +244,12 @@ def factor_block_column(
         piv = panel[c, c]
         if c + 1 < nrows:
             panel[c + 1 :, c] /= piv
-            if cadd is not None:
-                cadd(BLAS1, max(srows - c - 1, 0))
         if c + 1 < bs:
             sub = panel[c + 1 :, c + 1 : bs]
             x = panel[c + 1 :, c]
             outer = scratch[1 : nrows - c, 1 : bs - c]
             np.multiply(x[:, None], panel[c, c + 1 : bs], out=outer)
             np.subtract(sub, outer, out=sub)
-            if cadd is not None:
-                cadd(DGEMV, 2.0 * max(srows - c - 1, 0) * (bs - c - 1), gran=bs)
 
     if not np.isfinite(panel).all():
         bad = int(np.argwhere(~np.isfinite(panel))[0, 1])
@@ -244,7 +265,7 @@ def factor_block_column(
     if m.abft is not None:
         # the panel kernels are elementwise; re-anchor rather than carry
         m.abft.anchor_column(m, K)
-    return FactoredColumn(K, pivots, panel,
+    return FactoredColumn(m.plan, K, pivots, panel,
                           m.invert_diagonal(K) if bs > 1 else None)
 
 
@@ -252,84 +273,58 @@ def factored_column_of(m: BlockLUMatrix, K: int) -> FactoredColumn:
     """Re-wrap an already factored local column (views, no copies)."""
     if m.pivot_seq[K] is None:
         raise RuntimeError(f"Factor({K}) has not run yet")
-    return FactoredColumn(K, m.pivot_seq[K], m.lpanel(K),
+    return FactoredColumn(m.plan, K, m.pivot_seq[K], m.lpanel(K),
                           m.diag_inverse(K) if m.part.size(K) > 1 else None)
 
 
-def update_block_column(
-    m: BlockLUMatrix,
-    fc: FactoredColumn,
-    J: int,
-    counter: KernelCounter = None,
-) -> None:
+def update_block_column(m: BlockLUMatrix, fc: FactoredColumn, J: int) -> None:
     """Run ``Update(K, J)`` for one ``J > K``: :func:`update_block_columns`
     over a single block column."""
-    update_block_columns(m, fc, (J,), counter=counter)
+    update_block_columns(m, fc, (J,))
 
 
-def update_block_columns(
-    m: BlockLUMatrix,
-    fc: FactoredColumn,
-    columns,
-    counter: KernelCounter = None,
-) -> None:
+def update_block_columns(m: BlockLUMatrix, fc: FactoredColumn, columns) -> None:
     """Run ``Update(K, J)`` (Fig. 8) for every ``J`` in ``columns`` against
     local storage ``m`` using the factored column ``fc`` (local views or a
     received message) — the update half of elimination stage ``K``.
 
-    What depends on ``K`` alone is resolved once for the sweep: the real
-    interchanges as ``(block, offset)`` pairs, the L blocks with their row
-    ranges and structural row counts.
-
-    The flops of one ``Update(K, J)`` are charged in at most two
-    ``KernelCounter.add`` calls (every charge is an integer-valued float
-    far below 2**53, so the per-key sums, the first-touch key order and
-    hence the virtual times equal those of one charge per block).  The
-    triangular solve is one product with ``fc.linv``
-    (:func:`repro.numfact.kernels.unit_lower_apply`, charged as the TRSM
-    it stands for).  A column one wide runs no solve (its unit triangle is
-    the identity; the solve's charge is still added) and forms its
-    products in one stacked outer product over the panel
+    What depends on ``K`` alone — the real interchanges, the L blocks with
+    their row ranges — ``fc`` resolved once.  The triangular solve is one
+    product with ``fc.linv`` (:func:`repro.numfact.kernels.unit_lower_apply`).
+    A column one wide runs no solve (its unit triangle is the identity) and
+    forms its products in one stacked outer product over the panel
     (:func:`repro.numfact.kernels.block_product`; DESIGN.md "Host
     performance" has why outer products may be stacked and GEMMs may not);
     a wider column's per-block GEMMs read their L block as a row slice of
-    the same panel.
+    the same panel.  The task's charges are
+    :meth:`repro.numfact.NumericPlan.update_charges`.
     """
     K = fc.K
     blocks = m.blocks
     abft = m.abft
-    udense_cols = m.bstruct.udense_cols
     linv = fc.linv
     lpanel = fc.lpanel
-    lk = fc.diag.shape[0]
-    swaps = [m.locate_rows(r1, r2) for r1, r2 in fc.pivots if r1 != r2]
-    below = m.plan.below_diagonal(K)
+    swaps = fc.swaps
+    below = fc.below
     lrows = below[-1][2] if below else 0
-    stacked = lk == 1
-    cadd = counter.add if counter is not None else None
+    stacked = fc.diag.shape[0] == 1
+    swap_block_rows = m.swap_block_rows
     subtract = np.subtract
 
     for J in columns:
         if J <= K:
             raise ValueError("Update(K, J) requires J > K")
         for I1, o1, I2, o2 in swaps:
-            m.swap_block_rows(J, I1, o1, I2, o2)
+            swap_block_rows(J, I1, o1, I2, o2)
 
         ukj = blocks.get((K, J))
         if ukj is None:
             continue  # structurally zero: nothing to scale or propagate
 
-        # structural subcolumn count, for paper-faithful FLOP accounting
-        ncols = len(udense_cols[(K, J)])
-
         if abft is not None:
             abft.pre_solve(K, J, linv)
         if not stacked:
-            unit_lower_apply(linv, ukj, counter=counter, ncols_structural=ncols)
-        elif cadd is not None:
-            # a 1x1 unit triangle is the identity: only the charge
-            # unit_lower_apply adds for it (FLOP_TRSM(1, ncols), gran 1)
-            cadd(DGEMM if ncols >= 2 else DGEMV, float(ncols), gran=1)
+            unit_lower_apply(linv, ukj)
         if abft is not None:
             abft.post_solve(K, J, ukj)
         if not below:
@@ -338,11 +333,7 @@ def update_block_columns(
         prod = scratch_buffer("update-prod", lrows, ukj.shape[1])
         if stacked:
             block_product(lpanel, ukj, prod)
-        wide = ncols >= 2
-        gran = lk if lk < ncols else ncols
-        gemm_rows = gemv_rows = 0
-        gemm_first = False
-        for I, lo, hi, nrows in below:
+        for I, lo, hi, _ in below:
             p = prod[lo:hi]
             if not stacked:
                 block_product(lpanel[lo:hi], ukj, p)
@@ -357,17 +348,3 @@ def update_block_columns(
             if abft is not None:
                 abft.carry_gemm(I, J, lpanel[lo:hi], ukj, K=K)
             subtract(target, p, out=target)
-            if cadd is None:
-                continue
-            if wide and nrows >= 2:
-                gemm_first = gemm_first or not gemv_rows
-                gemm_rows += nrows
-            else:
-                gemv_rows += nrows
-        # the sweep's merged charges, in the order their keys were first due
-        if gemm_rows and gemm_first:
-            cadd(DGEMM, 2.0 * gemm_rows * lk * ncols, gran=gran)
-        if gemv_rows:
-            cadd(DGEMV, 2.0 * gemv_rows * lk * ncols, gran=lk)
-        if gemm_rows and not gemm_first:
-            cadd(DGEMM, 2.0 * gemm_rows * lk * ncols, gran=gran)

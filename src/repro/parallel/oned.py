@@ -14,15 +14,27 @@ arena by :class:`~repro.parallel.mapping.ColumnMapping`); ``Factor`` and
 bit-identical to the sequential ones (asserted in tests).  Received columns
 are cached in per-rank buffers; the high-water mark of that cache is the
 extra-memory statistic behind the paper's 1D-memory-pressure discussion.
+
+Like RAPID's inspector/executor, everything but the arithmetic is fixed
+before the numerics start: each rank's task list and the virtual time of
+each of its tasks (:class:`_RankPrices`) are computed once per schedule
+and stage window, and a rank adds those increments instead of counting its
+kernels' flops.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
 
 from ..machine import MachineSpec
 from ..numfact import (
     AbftLedger,
     BlockLUMatrix,
     FactoredColumn,
+    KernelCounter,
+    NumericPlan,
     column_leaves,
     factor_block_column,
     factored_column_of,
@@ -30,7 +42,8 @@ from ..numfact import (
     update_block_columns,
     verify_payload,
 )
-from ..scheduling import Schedule, graph_schedule, compute_ahead_schedule
+from ..numfact.counter import BLAS1, DGEMM, DGEMV
+from ..scheduling import graph_schedule, compute_ahead_schedule
 from ..supernodes import BlockPartition, BlockStructure
 from ..taskgraph import TaskGraph, task_graph_of, FACTOR, UPDATE
 from ..sparse import CSRMatrix
@@ -74,6 +87,89 @@ def _mapping(tg: TaskGraph, method: str, nprocs: int, spec: MachineSpec):
     return entry
 
 
+#: the kernel classes a price table codes as uint8
+_KERNELS = (BLAS1, DGEMV, DGEMM)
+
+
+def _window_tasks(tasks: list, window: tuple) -> list:
+    """A rank's tasks of the elimination stages ``[k0, k1)`` (a task's stage
+    is its source column, ``task[1]``), in schedule order."""
+    k0, k1 = window
+    return [t for t in tasks if k0 <= t[1] < k1]
+
+
+@dataclass
+class _RankPrices:
+    """One rank's compute in a stage window, priced once: per task ``i`` of
+    :func:`_window_tasks`, the clock increments
+    ``seconds[offsets[i]:offsets[i + 1]]`` with the kernel classes (coded
+    as indices into :data:`_KERNELS`) and flops the tracer's compute spans
+    carry, plus the rank's final ``counter``.
+
+    The increments are those of a counted window per task: the task's
+    charges (:meth:`repro.numfact.NumericPlan.factor_charges` /
+    :meth:`~repro.numfact.NumericPlan.update_charges`) summed per
+    ``(kernel, gran)`` key, each positive sum priced once, in the order the
+    rank's counter first met the keys.  Every charge is an integer-valued
+    float far below 2**53, so those sums are exact."""
+
+    seconds: np.ndarray  # float64
+    kernels: np.ndarray  # uint8
+    nflops: np.ndarray  # float64
+    offsets: np.ndarray  # int32, one more than the tasks
+    counter: KernelCounter
+
+    def spans(self) -> list:
+        """``(kernel, nflops)`` of each increment's compute span."""
+        return list(zip([_KERNELS[c] for c in self.kernels.tolist()],
+                        self.nflops.tolist()))
+
+
+def _rank_prices(plan: NumericPlan, spec: MachineSpec, tasks: list) -> _RankPrices:
+    counter = KernelCounter()
+    add = counter.add
+    order = {}  # (kernel, gran) -> first-touch index in counter.by_gran
+    compute_seconds = spec.compute_seconds
+    seconds, kernels, nflops, offsets = [], [], [], [0]
+    for task in tasks:
+        charges = (plan.factor_charges(task[1]) if task[0] == FACTOR
+                   else plan.update_charges(task[1], task[2]))
+        window = {}
+        for kernel, gran, flops in charges:
+            key = (kernel, gran)
+            if key not in order:
+                order[key] = len(order)
+            add(kernel, flops, gran)
+            window[key] = window.get(key, 0.0) + flops
+        for key in (sorted(window, key=order.get) if len(window) > 1
+                    else window):
+            flops = window[key]
+            if flops > 0:
+                seconds.append(compute_seconds(key[0], flops, key[1]))
+                kernels.append(_KERNELS.index(key[0]))
+                nflops.append(flops)
+        offsets.append(len(seconds))
+    return _RankPrices(np.array(seconds, dtype=np.float64),
+                       np.array(kernels, dtype=np.uint8),
+                       np.array(nflops, dtype=np.float64),
+                       np.array(offsets, dtype=np.int32), counter)
+
+
+def _prices(tg: TaskGraph, plan: NumericPlan, method: str, nprocs: int,
+            spec: MachineSpec, window: tuple) -> list:
+    """Every rank's :class:`_RankPrices` for stages ``window``, memoised
+    beside the schedule (:func:`_mapping`)."""
+    key = ("prices", method, nprocs, spec, window)
+    prices = tg._sched_cache.get(key)
+    if prices is None:
+        schedule = _mapping(tg, method, nprocs, spec)[0]
+        prices = tg._sched_cache[key] = [
+            _rank_prices(plan, spec, _window_tasks(tasks, window))
+            for tasks in schedule.proc_tasks
+        ]
+    return prices
+
+
 def _check_column(payload, plan, abft, metrics) -> None:
     """Check a received column's shape (and with ABFT verify it, block by
     block) without wrapping it: what a drained column gets."""
@@ -86,15 +182,15 @@ def _check_column(payload, plan, abft, metrics) -> None:
 
 
 def _receive_column(payload, plan, abft, metrics) -> FactoredColumn:
-    """Check, then wrap a received column for the updates that consume it
-    (wrapping inverts its diagonal triangle)."""
+    """Check, then wrap a received column for the updates that consume it:
+    its panel and the owner's ``L_KK^{-1}``, as received."""
     _check_column(payload, plan, abft, metrics)
-    return FactoredColumn(payload["K"], payload["pivots"], payload["panel"])
+    return FactoredColumn(plan, payload["K"], payload["pivots"],
+                          payload["panel"], payload["linv"])
 
 
 def _rank_program(env, ctx):
     """Generic 1D SPMD rank: execute my scheduled task list in order."""
-    schedule: Schedule = ctx["schedule"]
     owner: list = ctx["owner"]
     consumers = ctx["consumers"]  # None: broadcast to everyone (CA)
     m: BlockLUMatrix = ctx["locals"][env.rank]
@@ -104,19 +200,23 @@ def _rank_program(env, ctx):
     if abft:  # my columns are written by no other rank
         AbftLedger.attach(m)
     rank = env.rank
-    counter = env.counter
     plan = m.plan
-    column_nbytes = plan.column_nbytes
+    wire = plan.column_table()[1]  # column_nbytes
     # checkpoint/restart runs a window of elimination stages [k0, k1) per
     # round; a task's stage is its source column k (task[1])
     k0, k1 = ctx["stage_range"]
+    my_tasks = _window_tasks(ctx["schedule"].proc_tasks[rank], (k0, k1))
+    prices: _RankPrices = ctx["prices"][rank]
+    seconds = prices.seconds.tolist()
+    offsets = prices.offsets.tolist()
+    spans = prices.spans() if env.traced else None
+    charge = env.charge
     received = {}
     seen = set()  # every column ever received (incl. later-freed buffers)
     local_fc = {}  # my own factored columns: Factor(k)'s, or re-wrapped
     buffer_bytes = 0
     high_water = 0
 
-    my_tasks = [t for t in schedule.proc_tasks[rank] if k0 <= t[1] < k1]
     # index of the last Update consuming each remote column k, so the
     # receive buffer frees exactly when its final local consumer ran
     last_use = {}
@@ -126,24 +226,24 @@ def _rank_program(env, ctx):
     others = [p for p in range(env.nprocs) if p != rank]
     for idx, task in enumerate(my_tasks):
         t0 = env.clock
+        a, b = offsets[idx], offsets[idx + 1]
         if task[0] == FACTOR:
             k = task[1]
-            win = env.begin_counted()
             fc = factor_block_column(
-                m, k, counter=counter,
-                pivot_threshold=pivot_threshold, monitor=monitor,
-            )
-            env.end_counted(win)
+                m, k, pivot_threshold=pivot_threshold, monitor=monitor)
+            charge(seconds[a:b], spans and spans[a:b])
             env.span(f"F{k}", t0)
             local_fc[k] = fc
-            # the message is fc's own pivots and L panel, a view into the
-            # local storage ``m``: no task writes column K after Factor(K),
-            # so every consumer reads that one buffer in place
-            payload = {"K": int(k), "pivots": fc.pivots, "panel": fc.panel}
+            # the message is fc's own pivots, L panel and L_KK^{-1}, views
+            # into the local storage ``m`` and its side arena: no task
+            # writes column K after Factor(K), so every consumer reads
+            # those buffers in place
+            payload = {"K": int(k), "pivots": fc.pivots, "panel": fc.panel,
+                       "linv": fc.linv}
             if abft:
                 payload["abft"] = payload_checksums(column_leaves(payload, plan))
             env.multicast(others if consumers is None else consumers[k],
-                          ("col", k), payload, nbytes=column_nbytes(k))
+                          ("col", k), payload, nbytes=wire[k])
         else:
             _, k, j = task
             remote = owner[k] != rank
@@ -158,17 +258,17 @@ def _rank_program(env, ctx):
                     fc = received[k] = _receive_column(
                         payload, plan, abft, env.metrics)
                     seen.add(k)
-                    buffer_bytes += column_nbytes(k)
+                    buffer_bytes += wire[k]
                     if buffer_bytes > high_water:
                         high_water = buffer_bytes
-            win = env.begin_counted()
-            update_block_columns(m, fc, (j,), counter=counter)
-            env.end_counted(win)
+            update_block_columns(m, fc, (j,))
+            charge(seconds[a:b], spans and spans[a:b])
             env.span(f"U{k},{j}", t0)
             # free the buffer once the last local consumer ran
             if remote and idx == last_use[k]:
                 del received[k]
-                buffer_bytes -= column_nbytes(k)
+                buffer_bytes -= wire[k]
+    env.counter = prices.counter.copy()
     if consumers is None:
         # CA broadcasts *every* factored column to every processor; drain
         # the ones this rank never consumed (the Cbuffer free of the real
@@ -211,7 +311,10 @@ def run_1d(
     if tg is None:
         tg = task_graph_of(bstruct)
     schedule, owner, consumers = _mapping(tg, method, nprocs, spec)
-    ctx = {"schedule": schedule, "owner": owner, "consumers": consumers}
+    window = (0, part.N) if stage_range is None else tuple(stage_range)
+    prices = _prices(tg, NumericPlan.of(bstruct), method, nprocs, spec, window)
+    ctx = {"schedule": schedule, "owner": owner, "consumers": consumers,
+           "prices": prices}
     return launch(_rank_program, ctx, A, part, bstruct, ColumnMapping(owner),
                   nprocs, spec, sim_opts=sim_opts, stage_range=stage_range,
                   start_from=start_from, pivot_threshold=pivot_threshold,

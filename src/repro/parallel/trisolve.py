@@ -39,7 +39,12 @@ import numpy as np
 
 from ..machine import Simulator, MachineSpec
 from ..numfact import LUFactorization
-from ..numfact.kernels import unit_lower_apply, upper_solve
+from ..numfact.kernels import (
+    trsm_charge,
+    unit_lower_apply,
+    upper_solve,
+    upper_solve_charge,
+)
 from ..sparse import rhs_array
 from .mapping import ColumnMapping, Grid2D
 
@@ -155,10 +160,9 @@ def _solve_program(env, ctx):
                 x[It][lt] = yield env.recv(("fswap", K, step, "m"))
         if seg[K] == me:
             xk = x[K]
-            win = env.begin_counted()
-            unit_lower_apply(diag_inverse(K) if psize(K) > 1 else None, xk,
-                             counter=env.counter)
-            env.end_counted(win)
+            unit_lower_apply(diag_inverse(K) if psize(K) > 1 else None, xk)
+            kernel, gran, flops = trsm_charge(psize(K), nrhs)
+            env.compute(kernel, flops, gran=gran)
             if group[K] is not None:
                 env.multicast(group[K], ("xk", K), xk.copy())
         elif group[K] is not None and me in group[K]:
@@ -193,9 +197,9 @@ def _solve_program(env, ctx):
                 else:
                     contrib = yield env.recv(("bwd", K, J))
                 xk -= contrib
-            win = env.begin_counted()
-            upper_solve(blocks[(K, K)], xk, counter=env.counter)
-            env.end_counted(win)
+            upper_solve(blocks[(K, K)], xk)
+            kernel, gran, flops = upper_solve_charge(psize(K), nrhs)
+            env.compute(kernel, flops, gran=gran)
             xj[K] = xk
             if group[K] is not None:
                 # x_K is final: no rank writes it after its backward solve

@@ -42,6 +42,7 @@ from ..numfact.tasks import choose_pivot
 from ..numfact.kernels import (
     block_product,
     scratch_buffer,
+    trsm_charge,
     unit_lower_apply,
     unit_lower_inverse,
 )
@@ -308,14 +309,10 @@ def _rank_program_2d(env, ctx):
                     if linv is None and part.size(K) > 1:
                         linv = (local.invert_diagonal(K) if c == K % pc
                                 else unit_lower_inverse(diag))
-                    win = env.begin_counted()
-                    unit_lower_apply(
-                        linv,
-                        ukj,
-                        counter=env.counter,
-                        ncols_structural=len(udense[(K, J)]),
-                    )
-                    env.end_counted(win)
+                    unit_lower_apply(linv, ukj)
+                    kernel, gran, flops = trsm_charge(part.size(K),
+                                                      len(udense[(K, J)]))
+                    env.compute(kernel, flops, gran=gran)
                     scaled[J] = ukj
             nb = None if abft else _ndarray_dict_nbytes(scaled)
             if abft:

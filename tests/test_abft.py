@@ -118,18 +118,16 @@ class TestSequentialAbft:
         BENCH_abft_overhead.json for the full sweep)."""
         from repro.machine import T3E
         from repro.matrices import dense_matrix
-        from repro.numfact import KernelCounter
 
         A = dense_matrix(150, seed=1)
         om = prepare_matrix(A)
         sym = static_symbolic_factorization(om.A)
         part = build_partition(sym, max_size=25, amalgamation=4)
-        c0, c1 = KernelCounter(), KernelCounter()
-        lu0 = sstar_factor(om.A, sym=sym, part=part, counter=c0)
-        lu1 = sstar_factor(om.A, sym=sym, part=part, counter=c1, abft=True)
+        lu0 = sstar_factor(om.A, sym=sym, part=part)
+        lu1 = sstar_factor(om.A, sym=sym, part=part, abft=True)
         assert _bitwise_equal(lu1.matrix, lu0.matrix)
-        t0 = c0.modeled_seconds(T3E)
-        t1 = c1.modeled_seconds(T3E)
+        t0 = lu0.counter.modeled_seconds(T3E)
+        t1 = lu1.counter.modeled_seconds(T3E)
         assert t1 / t0 - 1.0 < 0.15
 
 

@@ -40,17 +40,18 @@ def _pipeline(A, max_size=25, amalgamation=4):
     return om.A, part, build_block_structure(sym, part)
 
 
-def _eliminate_to(m, K, counter=None):
+def _eliminate_to(m, K):
     """Sequential elimination of stages ``< K``, then ``Factor(K)``."""
     for k in range(K):
         fc = factor_block_column(m, k)
         update_block_columns(m, fc, sorted(m.bstruct.u_block_cols(k)))
-    return factor_block_column(m, K, counter=counter)
+    return factor_block_column(m, K)
 
 
 def _message(fc) -> dict:
     """What the owner of column ``fc.K`` posts (see ``oned._rank_program``)."""
-    return {"K": fc.K, "pivots": list(fc.pivots), "panel": fc.panel.copy()}
+    return {"K": fc.K, "pivots": list(fc.pivots), "panel": fc.panel.copy(),
+            "linv": None if fc.linv is None else fc.linv.copy()}
 
 
 @pytest.fixture(scope="module")
@@ -101,6 +102,32 @@ class TestHostilePayload:
         payload = _message(fc)
         payload["panel"] = mangle(payload["panel"])
         with pytest.raises(StructureViolation, match="panel"):
+            FactoredColumn.from_message(payload, m.plan)
+
+    @pytest.mark.parametrize("mangle", [
+        lambda L: L[:, :-1],
+        lambda L: L[:-1],
+        lambda L: L.astype(np.float32),
+        lambda L: L.tolist(),
+        lambda L: None,
+    ], ids=["narrow", "short", "float32", "list", "none"])
+    def test_malformed_inverse_is_a_structure_violation(self, fem, mangle):
+        A, part, bstruct = fem
+        K = next(K for K in range(part.N) if part.size(K) > 1)
+        m = BlockLUMatrix.from_csr(A, part, bstruct)
+        payload = _message(_eliminate_to(m, K))
+        payload["linv"] = mangle(payload["linv"])
+        with pytest.raises(StructureViolation, match="linv"):
+            FactoredColumn.from_message(payload, m.plan)
+
+    def test_a_width1_column_carries_no_inverse(self, fem):
+        A, part, bstruct = fem
+        K = next(K for K in range(part.N) if part.size(K) == 1)
+        m = BlockLUMatrix.from_csr(A, part, bstruct)
+        fc = _eliminate_to(m, K)
+        assert FactoredColumn.from_message(_message(fc), m.plan).linv is None
+        payload = dict(_message(fc), linv=np.eye(1))
+        with pytest.raises(StructureViolation, match="linv"):
             FactoredColumn.from_message(payload, m.plan)
 
     @pytest.mark.parametrize("K", [-1, 10**6, 2.0, "3", None])
@@ -277,14 +304,21 @@ def test_update_from_received_column_equals_owners_bitwise(width, seed, pick,
     if abft:
         AbftLedger.attach(recv)
     payload = _copy_payload(_message(fc))
-    payload["panel"].setflags(write=False)
+    for leaf in ("panel", "linv"):
+        if payload[leaf] is not None:
+            payload[leaf].setflags(write=False)
     got = FactoredColumn.from_message(payload, recv.plan)
-    cols = sorted(bstruct.u_block_cols(K))
-    c_own, c_recv = KernelCounter(), KernelCounter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        update_block_columns(owner, fc, cols, counter=c_own)
-        update_block_columns(recv, got, cols, counter=c_recv)
-    assert recv.arena.tobytes() == owner.arena.tobytes()
-    assert list(c_recv.by_gran.items()) == list(c_own.by_gran.items())
+    assert got.linv is payload["linv"]  # the owner's inverse, not rebuilt
+    assert (got.swaps, got.below) == (fc.swaps, fc.below)
     if abft:
+        # the ledgers' checksum work is charged, and must be equal too
+        owner.abft.counter, recv.abft.counter = KernelCounter(), KernelCounter()
+    cols = sorted(bstruct.u_block_cols(K))
+    with np.errstate(over="ignore", invalid="ignore"):
+        update_block_columns(owner, fc, cols)
+        update_block_columns(recv, got, cols)
+    assert recv.arena.tobytes() == owner.arena.tobytes()
+    if abft:
+        assert (list(recv.abft.counter.by_gran.items())
+                == list(owner.abft.counter.by_gran.items()))
         recv.abft.verify_matrix(recv)

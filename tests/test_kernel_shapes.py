@@ -20,7 +20,7 @@ from repro.numfact import (
     unit_lower_apply,
     unit_lower_inverse,
 )
-from repro.numfact.kernels import block_product
+from repro.numfact.kernels import block_product, trsm_charge
 from repro.service import analyze
 from repro.sparse import csr_to_dense
 
@@ -139,8 +139,10 @@ def test_unit_lower_apply_on_1x1_leaves_its_charge_unchanged(ncols, kernel):
     c.add("dgemv", 2.0, gran=1)
     B = np.array([[-0.0, 2.5, np.nextafter(0.0, 1.0)]])
     before = B.tobytes()
-    unit_lower_apply(None, B, counter=c, ncols_structural=ncols)
+    unit_lower_apply(None, B)
     assert B.tobytes() == before
+    got_kernel, gran, flops = trsm_charge(1, ncols)
+    c.add(got_kernel, flops, gran)
     want = {("blas1", None): 3.0, ("dgemv", 1): 2.0}
     want[(kernel, 1)] = want.get((kernel, 1), 0.0) + float(ncols)
     assert list(c.by_gran.items()) == list(want.items())
@@ -167,7 +169,8 @@ def test_width1_rows_are_built_on_the_first_solve_and_counted(factored):
         assert rows.tolist() == want
         assert len(rows) == fresh.lpanel_shape(K)[0] - 1
     below = sum(64 + 80 * len(fresh.below_diagonal(K)) for K in range(factored.part.N))
-    assert fresh.nbytes - base - below == (
+    shapes = 128 * factored.part.N  # the column table, built above
+    assert fresh.nbytes - base - below - shapes == (
         fresh._w1_rows.nbytes + fresh._w1_ptr.nbytes)
     factored.solve(np.ones(factored.n))  # builds the factor's own table
     assert plan._w1_rows is not None
@@ -243,8 +246,10 @@ def test_unit_lower_apply_charges_what_the_row_loop_charged(k, ncols, structural
     B = rng.standard_normal(k if vector else (k, ncols))
     got, want = B.copy(), B.copy()
     c_got, c_want = KernelCounter(), KernelCounter()
-    unit_lower_apply(unit_lower_inverse(L), got, counter=c_got,
-                     ncols_structural=structural)
+    unit_lower_apply(unit_lower_inverse(L), got)
+    kernel, gran, flops = trsm_charge(
+        k, (1 if vector else ncols) if structural is None else structural)
+    c_got.add(kernel, flops, gran)
     reference_unit_lower_solve(L, want, counter=c_want,
                                ncols_structural=structural)
     assert list(c_got.by_gran.items()) == list(c_want.by_gran.items())
@@ -301,24 +306,25 @@ def test_every_driver_leaves_the_same_inverses(wide_pattern):
 
 
 @pytest.mark.parametrize("method", ["rapid", "ca"])
-def test_1d_receivers_invert_only_columns_they_update_with(method, wide_pattern, monkeypatch):
-    """One inversion per (rank, remote wide column that rank updates
-    with): none on the owner (it keeps ``Factor(K)``'s), none for a column
-    the compute-ahead broadcast delivers only to be drained."""
+def test_1d_wide_columns_are_inverted_once_by_their_owner(method, wide_pattern, monkeypatch):
+    """One inversion per wide column per run, by its owner's ``Factor(K)``
+    into the side arena: every receiver updates with the ``L_KK^{-1}`` the
+    column's message carries and inverts nothing."""
     from repro.machine import T3E
-    from repro.numfact import tasks
-    from repro.parallel import run_1d
-    from repro.taskgraph import UPDATE
+    from repro.numfact import blocks, tasks
+    from repro.parallel import oned, run_1d
 
     art, om = wide_pattern
     calls = []
-    inverse = tasks.unit_lower_inverse
-    monkeypatch.setattr(tasks, "unit_lower_inverse",
-                        lambda L, out=None: calls.append(L.shape[0]) or inverse(L, out))
+    inverse = blocks.unit_lower_inverse
+    monkeypatch.setattr(blocks, "unit_lower_inverse",
+                        lambda L, out=None: calls.append(out) or inverse(L, out))
+    for module in (tasks, oned):
+        assert not hasattr(module, "unit_lower_inverse")
     res = run_1d(om.A, art.part, art.bstruct, 4, T3E, method=method)
-    owner = res.schedule.owner
-    want = sum(
-        len({t[1] for t in tasks_ if t[0] == UPDATE and owner[t[1]] != rank
-             and art.part.size(t[1]) > 1})
-        for rank, tasks_ in enumerate(res.schedule.proc_tasks))
-    assert want > 0 and len(calls) == want
+    sizes = art.part.sizes()
+    assert len(calls) == int((sizes > 1).sum()) > 0
+    # each into its column's slot of the one side arena the ranks share
+    assert all(out is not None and out.base is res.factor.inv_arena
+               for out in calls)
+    assert res.factor.inv_ready.tolist() == (sizes > 1).tolist()
