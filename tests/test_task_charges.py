@@ -25,8 +25,11 @@ from repro.symbolic import static_symbolic_factorization
 from repro.taskgraph import task_graph_of
 
 from .reference_numfact import (
+    ReferenceCounter,
+    reference_factor_block_column,
     reference_rank_program_1d,
     reference_sequential_tally,
+    reference_update_block_columns,
 )
 
 patterns = st.tuples(
@@ -59,6 +62,42 @@ def test_sequential_tally_equals_the_counting_kernels(params, abft):
         assume(False)
     got = sstar_factor(A, part=part, bstruct=bstruct, abft=abft).counter
     assert _tally(got) == _tally(want)
+
+
+class _Log(ReferenceCounter):
+    """Records every charge a reference kernel adds, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def add(self, kernel, nflops, gran=None):
+        self.log.append((kernel, gran, float(nflops)))
+        super().add(kernel, nflops, gran)
+
+
+@given(patterns)
+@settings(max_examples=30, deadline=None)
+def test_each_tasks_charges_are_the_kernels_adds_in_order(params):
+    """``factor_charges(K)`` and ``update_charges(K, J)`` list exactly the
+    ``add`` calls the counting kernels made for that task, zero-flop ones
+    and their order included."""
+    from repro.numfact import BlockLUMatrix
+
+    A, part, bstruct = _pipeline(*params)
+    m = BlockLUMatrix.from_csr(A, part, bstruct)
+    plan = m.plan
+    for K in range(part.N):
+        c = _Log()
+        try:
+            fc = reference_factor_block_column(m, K, counter=c)
+        except SingularMatrixError:
+            assume(False)
+        assert plan.factor_charges(K) == c.log
+        for J in bstruct.u_block_cols(K):
+            c = _Log()
+            reference_update_block_columns(m, fc, (J,), counter=c)
+            assert plan.update_charges(K, J) == c.log
 
 
 def _reference_run(A, part, bstruct, nprocs, method, stage_range=None,
