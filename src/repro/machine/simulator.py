@@ -1,8 +1,8 @@
 """Deterministic discrete-event SPMD simulator.
 
 Each rank is a Python **generator**: ordinary Python between yields runs the
-real numerics; ``compute``/``send`` advance the rank's *virtual clock*
-immediately, while ``recv`` and ``barrier`` yield control back to the
+real numerics; ``compute``/``charge``/``send`` advance the rank's *virtual
+clock* immediately, while ``recv`` and ``barrier`` yield control back to the
 scheduler until they can be satisfied.  Message arrival times are computed
 from the sender's clock with the machine spec's latency/bandwidth model, so
 timing is causally correct no matter in which host order ranks execute.
@@ -293,7 +293,13 @@ def _corrupt_payload(payload):
 
 
 class Env:
-    """Per-rank handle passed to SPMD programs."""
+    """Per-rank handle passed to SPMD programs.
+
+    Compute advances the clock in one of two ways, both counted as busy
+    time: :meth:`compute` prices one ``(kernel, flops, gran)`` charge at
+    the spec's rate and adds it to the rank's :attr:`counter`;
+    :meth:`charge` adds clock increments a program priced before the run
+    (a 1D rank's per-task prices), and that program sets the counter."""
 
     def __init__(self, sim: "Simulator", rank: int):
         self._sim = sim

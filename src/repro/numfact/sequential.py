@@ -257,23 +257,19 @@ def sstar_factor(
         bstruct = build_block_structure(sym, part)
     m = BlockLUMatrix.from_csr(A, part, bstruct)
     plan = m.plan
-    if not abft:
-        for K in range(part.N):
-            fc = factor_block_column(m, K, pivot_threshold=pivot_threshold,
-                                     monitor=monitor)
-            update_block_columns(m, fc, bstruct.u_block_cols(K))
-        return LUFactorization(m, sym, part, bstruct,
-                               plan.sequential_tally().copy())
+    counter = KernelCounter() if abft else plan.sequential_tally().copy()
 
-    counter = KernelCounter()
-    pristine = BlockLUMatrix(part, bstruct, arena=m.arena.copy())
-    AbftLedger.attach(m, counter=counter)
-    monitor_cfg = monitor_factory = None
-    if monitor is not None:
-        monitor_cfg = (monitor.anorm, monitor.perturb, monitor.threshold)
+    pristine = None
+    monitor_cfg = None
+    monitor_factory = None
+    if abft:
+        pristine = BlockLUMatrix(part, bstruct, arena=m.arena.copy())
+        AbftLedger.attach(m, counter=counter)
+        if monitor is not None:
+            monitor_cfg = (monitor.anorm, monitor.perturb, monitor.threshold)
 
-        def monitor_factory():
-            return PivotMonitor(*monitor_cfg)
+            def monitor_factory():
+                return PivotMonitor(*monitor_cfg)
 
     add = counter.add
     for K in range(part.N):
@@ -281,6 +277,8 @@ def sstar_factor(
             fc = factor_block_column(
                 m, K, pivot_threshold=pivot_threshold, monitor=monitor)
         except SilentCorruptionError:
+            if pristine is None:
+                raise
             # corrupted panel caught at consumption: replay the column's
             # updates from pristine inputs, then retry the factorization
             recover_block_column(m, K, pristine,
@@ -288,6 +286,9 @@ def sstar_factor(
             m.abft.recovered += 1
             fc = factor_block_column(
                 m, K, pivot_threshold=pivot_threshold, monitor=monitor)
+        if not abft:
+            update_block_columns(m, fc, bstruct.u_block_cols(K))
+            continue
         for kernel, gran, flops in plan.factor_charges(K):
             add(kernel, flops, gran)
         for J in bstruct.u_block_cols(K):

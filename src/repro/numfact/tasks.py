@@ -83,14 +83,8 @@ class FactoredColumn:
         self.diag = panel[:bs]  # the diagonal block (unit-lower L + upper U)
         self.lpanel = panel[bs:]  # the L blocks, stacked in ascending I
         self.linv = linv
-        part = plan.part
-        block_of, bounds = part.block_of, part.bounds
-        swaps = []
-        for r1, r2 in pivots:
-            if r1 != r2:
-                I1, I2 = int(block_of[r1]), int(block_of[r2])
-                swaps.append((I1, r1 - int(bounds[I1]), I2, r2 - int(bounds[I2])))
-        self.swaps = swaps
+        locate = plan.locate_rows
+        self.swaps = [locate(r1, r2) for r1, r2 in pivots if r1 != r2]
         self.below = plan.below_diagonal(K)
 
     @classmethod
@@ -121,16 +115,17 @@ class FactoredColumn:
             )
         linv = payload.get("linv")
         width = shape[1]
-        if width == 1 and linv is None:
-            return
-        if width == 1 or not (isinstance(linv, np.ndarray)
-                              and linv.dtype == np.float64
-                              and linv.shape == (width, width)):
+        if width == 1:
+            ok = linv is None
+        else:
+            ok = (isinstance(linv, np.ndarray) and linv.dtype == np.float64
+                  and linv.shape == (width, width))
+        if not ok:
+            want = "None" if width == 1 else f"float64 {(width, width)}"
             raise StructureViolation(
                 f"column message {K}: linv is "
                 f"{getattr(linv, 'dtype', None)} {getattr(linv, 'shape', None)}, "
-                f"this pattern's L_KK^-1 is "
-                f"{'None' if width == 1 else f'float64 {(width, width)}'}"
+                f"this pattern's L_KK^-1 is {want}"
             )
 
 

@@ -16,10 +16,9 @@ are cached in per-rank buffers; the high-water mark of that cache is the
 extra-memory statistic behind the paper's 1D-memory-pressure discussion.
 
 Like RAPID's inspector/executor, everything but the arithmetic is fixed
-before the numerics start: each rank's task list and the virtual time of
-each of its tasks (:class:`_RankPrices`) are computed once per schedule
-and stage window, and a rank adds those increments instead of counting its
-kernels' flops.
+before the numerics start: the virtual time of each task of each rank
+(:class:`_RankPrices`) is computed once per schedule and stage window, and
+a rank adds those increments instead of counting its kernels' flops.
 """
 
 from __future__ import annotations
@@ -203,7 +202,7 @@ def _rank_program(env, ctx):
     plan = m.plan
     wire = plan.column_table()[1]  # column_nbytes
     # checkpoint/restart runs a window of elimination stages [k0, k1) per
-    # round; a task's stage is its source column k (task[1])
+    # round
     k0, k1 = ctx["stage_range"]
     my_tasks = _window_tasks(ctx["schedule"].proc_tasks[rank], (k0, k1))
     prices: _RankPrices = ctx["prices"][rank]

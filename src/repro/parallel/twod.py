@@ -281,7 +281,7 @@ def _rank_program_2d(env, ctx):
             r1 = block_of[gm] % pr
             r2 = block_of[t] % pr
             if r1 == r and r2 == r:
-                rows = local.locate_rows(gm, t)
+                rows = local.plan.locate_rows(gm, t)
                 for J in cols_after:
                     local.swap_block_rows(J, *rows)
             elif r1 == r or r2 == r:

@@ -273,7 +273,7 @@ def reference_update_block_columns(m, fc, columns, counter=None):
     linv = fc.linv
     lpanel = fc.lpanel
     lk = fc.diag.shape[0]
-    swaps = [m.locate_rows(r1, r2) for r1, r2 in fc.pivots if r1 != r2]
+    swaps = [m.plan.locate_rows(r1, r2) for r1, r2 in fc.pivots if r1 != r2]
     below = m.plan.below_diagonal(K)
     lrows = below[-1][2] if below else 0
     stacked = lk == 1

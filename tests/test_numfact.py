@@ -119,7 +119,7 @@ class TestBlockStorage:
         r1 = part.start(rows[0])
         r2 = part.start(rows[0]) + part.size(rows[0]) - 1
         D0 = m.to_dense()
-        m.swap_block_rows(J, *m.locate_rows(r1, r2))
+        m.swap_block_rows(J, *m.plan.locate_rows(r1, r2))
         D1 = m.to_dense()
         c0, c1 = part.start(J), part.start(J) + part.size(J)
         assert np.array_equal(D1[r1, c0:c1], D0[r2, c0:c1])
@@ -137,7 +137,7 @@ class TestBlockStorage:
                 r_missing = part.start(missing[0])
                 blk = m.blocks[(present[0], J)]
                 blk[r_present - part.start(present[0])] = 0.0
-                m.swap_block_rows(J, *m.locate_rows(r_present, r_missing))  # no raise
+                m.swap_block_rows(J, *m.plan.locate_rows(r_present, r_missing))  # no raise
                 return
         pytest.skip("no absent block found")
 
@@ -154,7 +154,7 @@ class TestBlockStorage:
             missing = [I for I in range(part.N) if not bstruct.has_block(I, J)]
             if present and missing:
                 with pytest.raises(StructureViolation):
-                    m.swap_block_rows(J, *m.locate_rows(
+                    m.swap_block_rows(J, *m.plan.locate_rows(
                         part.start(present[0]), part.start(missing[0])))
                 return
         pytest.skip("no absent block found")
