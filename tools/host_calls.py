@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import cProfile
 import json
-import pstats
 import sys
 from collections import Counter
 from pathlib import Path
@@ -50,22 +49,41 @@ def group_of(filename: str):
     return "repro." + (sub[:-3] if sub.endswith(".py") else sub)
 
 
-def grouped_calls(stats: pstats.Stats) -> Counter:
-    """Calls per group (see the module docstring); sums to the total."""
+def _function(code):
+    """A profiled function's identity and ``repro`` group: a code object
+    by identity (two functions may share file, line and name, as every
+    dataclass ``__init__`` does, and pstats would merge them), a builtin
+    by its name."""
+    if isinstance(code, str):
+        return code, None
+    return id(code), group_of(code.co_filename)
+
+
+def grouped_calls(prof: cProfile.Profile) -> tuple:
+    """``(total calls, Counter of calls per group)`` of a profile (see the
+    module docstring); the groups sum to the total."""
+    entries = prof.getstats()
+    calls = Counter()
+    group = {}
+    made_by = {}  # function -> [(caller's group, calls it made)]
+    for e in entries:
+        fn, grp = _function(e.code)
+        calls[fn] += e.callcount
+        group[fn] = grp
+        for sub in e.calls or ():
+            made_by.setdefault(_function(sub.code)[0], []).append(
+                (grp, sub.callcount))
     by = Counter()
-    for (filename, _, _), (_, nc, _, _, callers) in stats.stats.items():
-        group = group_of(filename)
-        if group is not None:
-            by[group] += nc
+    for fn, n in calls.items():
+        if group[fn] is not None:
+            by[group[fn]] += n
             continue
-        rest = nc
-        for (cfile, _, _), made in callers.items():
-            cgroup = group_of(cfile)
-            if cgroup is not None:
-                by[cgroup] += made[0]
-                rest -= made[0]
-        by[OTHER] += rest
-    return by
+        for caller_group, made in made_by.get(fn, ()):
+            if caller_group is not None:
+                by[caller_group] += made
+                n -= made
+        by[OTHER] += n
+    return sum(calls.values()), by
 
 
 def round_calls(name: str, seed: int) -> dict:
@@ -79,10 +97,8 @@ def round_calls(name: str, seed: int) -> dict:
     prof.enable()
     wl.run_round(ops)
     prof.disable()
-    stats = pstats.Stats(prof)
-    by = grouped_calls(stats)
-    assert sum(by.values()) == stats.total_calls
-    return {"calls": stats.total_calls, "by_group": dict(sorted(by.items()))}
+    total, by = grouped_calls(prof)
+    return {"calls": total, "by_group": dict(sorted(by.items()))}
 
 
 def main(argv=None) -> int:
