@@ -27,7 +27,7 @@ import numpy as np
 
 from ..sparse import CSRMatrix
 from ..supernodes import BlockPartition, BlockStructure
-from .counter import BLAS1, DGEMM, DGEMV, KernelCounter
+from .counter import BLAS1, DGEMM, DGEMV, KERNEL_CLASSES, KernelCounter
 from .kernels import trsm_charge, unit_lower_inverse
 
 
@@ -340,7 +340,8 @@ class NumericPlan:
         N = part.N
         sizes = self.sizes
         maxbs = int(sizes.max()) if N else 1
-        G = maxbs + 2  # key id = kernel code * G + (0 for no gran, else gran + 1)
+        # key id: KERNEL_CLASSES index * G + (0 for no gran, else gran + 1)
+        G = maxbs + 2
         # Factor(K), per scalar column c: the BLAS-1 scaling while a row
         # is left below c, the DGEMV rank-1 update while a column is
         Kc = part.block_of
@@ -412,11 +413,10 @@ class NumericPlan:
         seen = np.full(len(ids), pos.max() + 1 if len(pos) else 0)
         np.minimum.at(seen, inverse, pos)  # each key's first charge
         tally = KernelCounter()
-        kernels = (BLAS1, DGEMV, DGEMM)
         for i in np.argsort(seen).tolist():
             kernel, gran = divmod(int(ids[i]), G)
             value = float(sums[i])
-            name = kernels[kernel]
+            name = KERNEL_CLASSES[kernel]
             tally.by_gran[(name, gran - 1 if gran else None)] = value
             tally.flops[name] = tally.flops.get(name, 0.0) + value
         self._tally = tally

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 DGEMM = "dgemm"  # BLAS-3 matrix-matrix
 DGEMV = "dgemv"  # BLAS-2 matrix-vector / rank-1
 BLAS1 = "blas1"  # scaling, axpy, pivot search
+#: every kernel class, in the order compact charge tables code them
+KERNEL_CLASSES = (BLAS1, DGEMV, DGEMM)
 
 
 @dataclass

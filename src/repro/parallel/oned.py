@@ -41,7 +41,7 @@ from ..numfact import (
     update_block_columns,
     verify_payload,
 )
-from ..numfact.counter import BLAS1, DGEMM, DGEMV
+from ..numfact.counter import KERNEL_CLASSES
 from ..scheduling import graph_schedule, compute_ahead_schedule
 from ..supernodes import BlockPartition, BlockStructure
 from ..taskgraph import TaskGraph, task_graph_of, FACTOR, UPDATE
@@ -86,10 +86,6 @@ def _mapping(tg: TaskGraph, method: str, nprocs: int, spec: MachineSpec):
     return entry
 
 
-#: the kernel classes a price table codes as uint8
-_KERNELS = (BLAS1, DGEMV, DGEMM)
-
-
 def _window_tasks(tasks: list, window: tuple) -> list:
     """A rank's tasks of the elimination stages ``[k0, k1)`` (a task's stage
     is its source column, ``task[1]``), in schedule order."""
@@ -101,9 +97,9 @@ def _window_tasks(tasks: list, window: tuple) -> list:
 class _RankPrices:
     """One rank's compute in a stage window, priced once: per task ``i`` of
     :func:`_window_tasks`, the clock increments
-    ``seconds[offsets[i]:offsets[i + 1]]`` with the kernel classes (coded
-    as indices into :data:`_KERNELS`) and flops the tracer's compute spans
-    carry, plus the rank's final ``counter``.
+    ``seconds[offsets[i]:offsets[i + 1]]`` with the kernel classes (indices
+    into :data:`repro.numfact.counter.KERNEL_CLASSES`) and flops the
+    tracer's compute spans carry, plus the rank's final ``counter``.
 
     The increments are those of a counted window per task: the task's
     charges (:meth:`repro.numfact.NumericPlan.factor_charges` /
@@ -120,7 +116,7 @@ class _RankPrices:
 
     def spans(self) -> list:
         """``(kernel, nflops)`` of each increment's compute span."""
-        return list(zip([_KERNELS[c] for c in self.kernels.tolist()],
+        return list(zip([KERNEL_CLASSES[c] for c in self.kernels.tolist()],
                         self.nflops.tolist()))
 
 
@@ -145,7 +141,7 @@ def _rank_prices(plan: NumericPlan, spec: MachineSpec, tasks: list) -> _RankPric
             flops = window[key]
             if flops > 0:
                 seconds.append(compute_seconds(key[0], flops, key[1]))
-                kernels.append(_KERNELS.index(key[0]))
+                kernels.append(KERNEL_CLASSES.index(key[0]))
                 nflops.append(flops)
         offsets.append(len(seconds))
     return _RankPrices(np.array(seconds, dtype=np.float64),
