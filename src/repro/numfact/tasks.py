@@ -99,8 +99,8 @@ class FactoredColumn:
     def check_message(payload: dict, plan: NumericPlan) -> None:
         """The panel must be exactly the ``lpanel(K)`` of the receiver's
         own ``plan``, and ``linv`` a ``size(K)`` square (None for a column
-        one wide) — anything else is a :class:`StructureViolation`, never a
-        mis-sliced update."""
+        one wide, but always present) — anything else is a
+        :class:`StructureViolation`, never a mis-sliced update."""
         K, panel = payload["K"], payload["panel"]
         shapes = plan.column_table()[0]
         if not (isinstance(K, int) and 0 <= K < len(shapes)):
@@ -113,7 +113,9 @@ class FactoredColumn:
                 f"{getattr(panel, 'shape', None)}, this pattern's L panel "
                 f"is float64 {shape}"
             )
-        linv = payload.get("linv")
+        if "linv" not in payload:
+            raise StructureViolation(f"column message {K}: no linv")
+        linv = payload["linv"]
         width = shape[1]
         if width == 1:
             ok = linv is None

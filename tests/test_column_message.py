@@ -48,6 +48,9 @@ def _eliminate_to(m, K):
     return factor_block_column(m, K)
 
 
+_MISSING = object()  # a mangle that drops the key
+
+
 def _message(fc) -> dict:
     """What the owner of column ``fc.K`` posts (see ``oned._rank_program``)."""
     return {"K": fc.K, "pivots": list(fc.pivots), "panel": fc.panel.copy(),
@@ -110,13 +113,16 @@ class TestHostilePayload:
         lambda L: L.astype(np.float32),
         lambda L: L.tolist(),
         lambda L: None,
-    ], ids=["narrow", "short", "float32", "list", "none"])
+        lambda L: _MISSING,
+    ], ids=["narrow", "short", "float32", "list", "none", "missing"])
     def test_malformed_inverse_is_a_structure_violation(self, fem, mangle):
         A, part, bstruct = fem
         K = next(K for K in range(part.N) if part.size(K) > 1)
         m = BlockLUMatrix.from_csr(A, part, bstruct)
         payload = _message(_eliminate_to(m, K))
         payload["linv"] = mangle(payload["linv"])
+        if payload["linv"] is _MISSING:
+            del payload["linv"]
         with pytest.raises(StructureViolation, match="linv"):
             FactoredColumn.from_message(payload, m.plan)
 
@@ -127,6 +133,10 @@ class TestHostilePayload:
         fc = _eliminate_to(m, K)
         assert FactoredColumn.from_message(_message(fc), m.plan).linv is None
         payload = dict(_message(fc), linv=np.eye(1))
+        with pytest.raises(StructureViolation, match="linv"):
+            FactoredColumn.from_message(payload, m.plan)
+        payload = _message(fc)
+        del payload["linv"]  # "no inverse" is None, not an absent key
         with pytest.raises(StructureViolation, match="linv"):
             FactoredColumn.from_message(payload, m.plan)
 
