@@ -68,6 +68,7 @@ class AbftLedger:
         self.detected = 0
         self.recovered = 0
         self._rs_pred = {}  # (K, J) in-flight row-sum prediction for solves
+        self._due = ()  # the solve charge of the update :meth:`update` runs
 
     # -- lifecycle -----------------------------------------------------
 
@@ -114,13 +115,16 @@ class AbftLedger:
 
     def pre_solve(self, K, J, linv) -> None:
         """Predict ``rs(L^{-1} U_KJ)`` before the in-place solve runs
-        (``linv`` is ``L_KK^{-1}``, None for a column one wide)."""
+        (``linv`` is ``L_KK^{-1}``, None for a column one wide); under
+        :meth:`update`, then charge the solve itself."""
         entry = self.sums.get((K, J))
-        if entry is None:
-            return
-        self._rs_pred[(K, J)] = checksum_carry_solve(
-            linv, entry[1].copy(), counter=self.counter
-        )
+        if entry is not None:
+            self._rs_pred[(K, J)] = checksum_carry_solve(
+                linv, entry[1].copy(), counter=self.counter
+            )
+        if self._due:
+            self.counter.add_all(self._due)
+            self._due = ()
 
     def post_solve(self, K, J, ukj) -> None:
         """Install the solve-carried row sums; re-anchor column sums (no
@@ -151,6 +155,18 @@ class AbftLedger:
             rs_b = b[1] if b is not None else None
         checksum_carry_gemm(entry[0], entry[1], lik, ukj,
                             cs_a=cs_a, rs_b=rs_b, counter=self.counter)
+
+    def update(self, m, fc, J, charges) -> None:
+        """Run ``Update(fc.K, J)`` on ``m`` and add its ``charges``
+        (:meth:`repro.numfact.NumericPlan.update_charges`) to the ledger's
+        counter where a kernel that counted its own flops would have: the
+        solve right after this ledger's solve carry (:meth:`pre_solve`),
+        the products after every carry of the update."""
+        from .tasks import update_block_columns
+
+        self._due = charges[:1]
+        update_block_columns(m, fc, (J,))
+        self.counter.add_all(charges[1:])
 
     # -- verification --------------------------------------------------
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..sparse import CSRMatrix
 from ..supernodes import BlockPartition, BlockStructure
-from .counter import BLAS1, DGEMM, DGEMV, KERNEL_CLASSES, KernelCounter
+from .counter import BLAS1, DGEMM, DGEMV, KernelCounter
 from .kernels import trsm_charge, unit_lower_inverse
 
 
@@ -89,6 +89,7 @@ class NumericPlan:
         # evicted pattern's plan alive until the next full collection)
         self._udense = bstruct.udense_cols
         self._lrows = bstruct.lrows
+        self._ublocks = bstruct.ublocks
         keys = list(bstruct.lrows)
         keys.extend(bstruct.udense_cols)
         IJ = np.array(keys, dtype=np.int64).reshape(-1, 2)
@@ -323,104 +324,19 @@ class NumericPlan:
         return out
 
     def sequential_tally(self) -> KernelCounter:
-        """The tally of the sequential sweep — ``Factor(K)``, then
-        ``Update(K, J)`` for each ``J`` of ``U``'s block row ``K`` in
-        ascending order — built once and kept; callers copy it.
-
-        It equals, values and key order, adding :meth:`factor_charges` and
-        :meth:`update_charges` task by task, but is computed over all
-        charges at once (a pattern factored once pays for it once): each
-        charge gets its place in the sweep, its key and its flops; a key's
-        value is the sum of its charges (integer-valued floats far below
-        2**53, so any summation order is exact) and the keys are ordered
-        by their first charge."""
-        if self._tally is not None:
-            return self._tally
-        part = self.part
-        N = part.N
-        sizes = self.sizes
-        maxbs = int(sizes.max()) if N else 1
-        # key id: KERNEL_CLASSES index * G + (0 for no gran, else gran + 1)
-        G = maxbs + 2
-        # Factor(K), per scalar column c: the BLAS-1 scaling while a row
-        # is left below c, the DGEMV rank-1 update while a column is
-        Kc = part.block_of
-        c = np.arange(part.n) - part.bounds[Kc]
-        bs = sizes[Kc]
-        rows = ((self.col_off[1:] - self.lpanel_off) // sizes)[Kc]
-        below = np.maximum(self.col_srows[Kc] - c - 1, 0)
-        f1 = np.flatnonzero(c + 1 < rows)
-        f2 = np.flatnonzero(c + 1 < bs)
-        # Update(K, J) for every U block, by K then J
-        blk_I = self.blk_I
-        blk_J = np.repeat(np.arange(N), np.diff(self.col_ptr))
-        u = np.flatnonzero(blk_I < blk_J)
-        u = u[np.lexsort((blk_J[u], blk_I[u]))]
-        UK, UJ = blk_I[u], blk_J[u]
-        keys, udense = self.keys, self._udense
-        ncols = np.fromiter((len(udense[keys[b]]) for b in u.tolist()),
-                            dtype=np.int64, count=len(u))
-        lk = sizes[UK]
-        wide = ncols >= 2
-        jrank = np.arange(len(u)) - np.searchsorted(UK, UK)
-        # its products: one per L block (I, K) below the diagonal whose
-        # target (I, J) is present
-        nbelow = (self.col_ptr[1:] - self.col_diag - 1)[UK]
-        first = np.cumsum(nbelow) - nbelow
-        pu = np.repeat(np.arange(len(u)), nbelow)
-        b = self.col_diag[UK][pu] + 1 + np.arange(len(pu)) - first[pu]
-        blk_key = blk_J * N + blk_I  # ascending: arena order
-        want = UJ[pu] * N + blk_I[b]
-        at = np.minimum(np.searchsorted(blk_key, want), len(blk_key) - 1)
-        present = blk_key[at] == want
-        nrows = self.blk_srows[b]
-        gemm = present & wide[pu] & (nrows >= 2)
-        gemv = present & ~gemm
-        gemm_rows = np.bincount(pu, nrows * gemm, len(u)).astype(np.int64)
-        gemv_rows = np.bincount(pu, nrows * gemv, len(u)).astype(np.int64)
-        # the DGEMM charge comes first when no DGEMV row precedes the
-        # update's first DGEMM block
-        gv = np.cumsum(np.where(gemv, nrows, 0))
-        gv_before = gv - np.where(gemv, nrows, 0)
-        gv_before = gv_before - gv_before[first[pu]]
-        gemm_first = np.zeros(len(u), dtype=bool)
-        g_at = np.flatnonzero(gemm)
-        ug, fi = np.unique(pu[g_at], return_index=True)
-        gemm_first[ug] = gv_before[g_at[fi]] == 0
-        m1 = np.flatnonzero((gemm_rows > 0) & gemm_first)
-        m2 = np.flatnonzero(gemv_rows > 0)
-        m3 = np.flatnonzero((gemm_rows > 0) & ~gemm_first)
-        # every charge: its place in the sweep, its key, its flops
-        stride = 2 * maxbs + 4 * (int(jrank.max()) + 1 if len(u) else 1)
-        upos = UK * stride + 2 * maxbs + 4 * jrank
-        mgran = np.minimum(lk, ncols) + 1
-        pos = np.concatenate((
-            Kc[f1] * stride + 2 * c[f1], Kc[f2] * stride + 2 * c[f2] + 1,
-            upos, upos[m1] + 1, upos[m2] + 2, upos[m3] + 3))
-        key = np.concatenate((
-            np.zeros(len(f1), dtype=np.int64), G + bs[f2] + 1,
-            np.where(wide, 2 * G + mgran, G + lk + 1),
-            2 * G + mgran[m1], G + lk[m2] + 1, 2 * G + mgran[m3]))
-        flops = np.concatenate((
-            below[f1].astype(np.float64),
-            2.0 * below[f2] * (bs[f2] - c[f2] - 1),
-            lk.astype(np.float64) * lk * ncols,
-            2.0 * gemm_rows[m1] * lk[m1] * ncols[m1],
-            2.0 * gemv_rows[m2] * lk[m2] * ncols[m2],
-            2.0 * gemm_rows[m3] * lk[m3] * ncols[m3]))
-        ids, inverse = np.unique(key, return_inverse=True)
-        sums = np.bincount(inverse, flops, len(ids))
-        seen = np.full(len(ids), pos.max() + 1 if len(pos) else 0)
-        np.minimum.at(seen, inverse, pos)  # each key's first charge
-        tally = KernelCounter()
-        for i in np.argsort(seen).tolist():
-            kernel, gran = divmod(int(ids[i]), G)
-            value = float(sums[i])
-            name = KERNEL_CLASSES[kernel]
-            tally.by_gran[(name, gran - 1 if gran else None)] = value
-            tally.flops[name] = tally.flops.get(name, 0.0) + value
-        self._tally = tally
-        return tally
+        """The tally of the sequential sweep — :meth:`factor_charges` of
+        ``Factor(K)``, then :meth:`update_charges` of ``Update(K, J)`` for
+        each ``J`` of ``U``'s block row ``K``, added in that order — built
+        once and kept; callers copy it."""
+        if self._tally is None:
+            tally = KernelCounter()
+            ublocks = self._ublocks
+            for K in range(self.part.N):
+                tally.add_all(self.factor_charges(K))
+                for J in ublocks.get(K, ()):
+                    tally.add_all(self.update_charges(K, J))
+            self._tally = tally
+        return self._tally
 
     # -- CSR scatter ---------------------------------------------------------
 

@@ -49,6 +49,13 @@ class KernelCounter:
         key = (kernel, gran)
         g[key] = g.get(key, 0.0) + nflops
 
+    def add_all(self, charges) -> None:
+        """Add ``(kernel, gran, flops)`` charges in order, as
+        :meth:`repro.numfact.NumericPlan.factor_charges` and
+        :meth:`~repro.numfact.NumericPlan.update_charges` list them."""
+        for kernel, gran, nflops in charges:
+            self.add(kernel, nflops, gran)
+
     @property
     def total(self) -> float:
         return sum(self.flops.values())

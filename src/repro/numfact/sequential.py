@@ -21,7 +21,7 @@ from ..supernodes import build_partition, build_block_structure, BlockPartition,
 from ..symbolic import static_symbolic_factorization, SymbolicFactorization
 from .abft import AbftLedger, recover_block_column
 from .blocks import BlockLUMatrix
-from .counter import DGEMV, KernelCounter
+from .counter import KernelCounter
 from .kernels import block_product, scratch_buffer, unit_lower_apply, upper_solve
 from .robust import PivotMonitor, SilentCorruptionError
 from .tasks import (
@@ -246,7 +246,8 @@ def sstar_factor(
     can be recomputed in place (during the sweep here, or later via
     :meth:`LUFactorization.verify_abft` before the triangular solves).  The
     ledger charges its checksum work into the same counter as it goes, so
-    this path charges each task where its kernels ran (see the loop).
+    on this path it also places each update's charges among its own
+    (:meth:`repro.numfact.abft.AbftLedger.update`).
     """
     check_pivot_threshold(pivot_threshold)
     if sym is None:
@@ -271,7 +272,6 @@ def sstar_factor(
             def monitor_factory():
                 return PivotMonitor(*monitor_cfg)
 
-    add = counter.add
     for K in range(part.N):
         try:
             fc = factor_block_column(
@@ -289,20 +289,8 @@ def sstar_factor(
         if not abft:
             update_block_columns(m, fc, bstruct.u_block_cols(K))
             continue
-        for kernel, gran, flops in plan.factor_charges(K):
-            add(kernel, flops, gran)
+        counter.add_all(plan.factor_charges(K))
         for J in bstruct.u_block_cols(K):
-            charges = plan.update_charges(K, J)
-            if charges:
-                # the solve is charged between the ledger's solve carry
-                # (DGEMV at no granularity, whose key it creates first)
-                # and the rest of the ledger's work on U_KJ; the products
-                # after all of it
-                add(DGEMV, 0.0)
-                kernel, gran, flops = charges[0]
-                add(kernel, flops, gran)
-            update_block_columns(m, fc, (J,))
-            for kernel, gran, flops in charges[1:]:
-                add(kernel, flops, gran)
+            m.abft.update(m, fc, J, plan.update_charges(K, J))
     return LUFactorization(m, sym, part, bstruct, counter,
                            pristine=pristine, monitor_cfg=monitor_cfg)
