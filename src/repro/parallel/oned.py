@@ -153,7 +153,9 @@ def _rank_prices(plan: NumericPlan, spec: MachineSpec, tasks: list) -> _RankPric
 def _prices(tg: TaskGraph, plan: NumericPlan, method: str, nprocs: int,
             spec: MachineSpec, window: tuple) -> list:
     """Every rank's :class:`_RankPrices` for stages ``window``, memoised
-    beside the schedule (:func:`_mapping`)."""
+    beside the schedule (:func:`_mapping`): the memo pays when the same
+    pattern, method, ``nprocs``, machine and window run again (repeated
+    solves, restart rounds); a pattern run once prices once."""
     key = ("prices", method, nprocs, spec, window)
     prices = tg._sched_cache.get(key)
     if prices is None:
