@@ -14,10 +14,9 @@ Commands
                trace_event JSON (per-rank spans + send→recv flow arrows)
 ``validate``   run the full invariant battery on a matrix
 ``verify-comm`` dynamic trace check + host-order replay of every parallel
-               code (the static protocol rules are ``repro lint --select
-               Y01,T01,T02,T03``; the fault cases are ``repro chaos``)
-``lint``       static analysis: determinism (D1xx) and comm-protocol
-               (Y01/T0x) rules over the codebase
+               code (the fault cases are ``repro chaos``)
+``lint``       static analysis: unseeded or global RNGs (D103), the
+               determinism source no dynamic gate sees
 ``serve-demo`` run a synthetic workload through the SolveService front end
 ``chaos``      seeded fault-injection campaign over the 1D/2D/resilient
                solvers and the service, with oracle checks and optional
@@ -349,10 +348,9 @@ def cmd_lint(args) -> int:
 
     paths = args.paths or [str(Path(__file__).resolve().parent)]
     select = args.select.split(",") if args.select else None
-    env_names = tuple(args.env_name) if args.env_name else ("env",)
 
     try:
-        findings = lint_paths(paths, env_names=env_names, select=select)
+        findings = lint_paths(paths, select=select)
     except ValueError as e:
         return _error(args, str(e))
     fail_on = None if args.fail_on == "never" else args.fail_on
@@ -740,8 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ln = sub.add_parser(
         "lint",
-        help="static analysis: determinism (D1xx) and comm-protocol "
-             "(Y01/T0x) rules",
+        help="static analysis: unseeded or global RNGs (D103)",
         parents=[_flags(json=True)])
     ln.add_argument("paths", nargs="*",
                     help="files or directories to lint (default: the "
@@ -751,11 +748,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit nonzero when a finding at or above this "
                          "severity exists (default: warning)")
     ln.add_argument("--select",
-                    help="comma-separated rule ids to report (e.g. D101,T02); "
+                    help="comma-separated rule ids to report (e.g. D103); "
                          "an unknown id is a usage error")
-    ln.add_argument("--env-name", action="append",
-                    help="SPMD env handle name(s) for the protocol pass "
-                         "(default: env)")
     ln.set_defaults(func=cmd_lint)
 
     sd = sub.add_parser(

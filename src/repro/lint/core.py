@@ -1,10 +1,10 @@
 """Framework core: severities, findings, the rule registry, suppressions,
 the file walker and the text/JSON renderers.
 
-A *pass* is a callable ``run(module, summaries) -> [Finding]`` registered
-together with the rules it may emit.  ``lint_paths`` parses every file
-once, builds the project-wide function-summary table (the interprocedural
-phase, :mod:`repro.lint.summaries`) and hands each module to every pass.
+A *pass* is a callable ``run(module) -> [Finding]`` registered together
+with the rules it may emit.  ``lint_paths`` parses one file at a time,
+hands it to every pass and drops its tree before the next file, so memory
+does not grow with the number of files.
 """
 
 from __future__ import annotations
@@ -92,9 +92,9 @@ _DISABLE_RE = re.compile(r"#\s*lint:\s*disable(?:=([A-Za-z0-9_,\s]+))?")
 def suppressed_rules(source_line: str):
     """Rules suppressed on this physical line.
 
-    ``# lint: disable`` suppresses everything; ``# lint: disable=D101,D103``
-    suppresses the listed rules.  Returns None (nothing suppressed), the
-    string ``"all"``, or a set of rule ids.
+    ``# lint: disable`` suppresses everything; ``# lint: disable=D103``
+    suppresses the listed (comma-separated) rules.  Returns None (nothing
+    suppressed), the string ``"all"``, or a set of rule ids.
     """
     m = _DISABLE_RE.search(source_line)
     if not m:
@@ -107,10 +107,8 @@ def suppressed_rules(source_line: str):
 class ModuleUnderLint:
     """One parsed file plus everything the passes need to inspect it."""
 
-    def __init__(self, source: str, path: str, env_names=("env",)):
-        self.source = source
+    def __init__(self, source: str, path: str):
         self.path = path
-        self.env_names = tuple(env_names)
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=path)
 
@@ -160,49 +158,34 @@ def iter_python_files(paths) -> list:
     return uniq
 
 
-def lint_paths(paths, env_names=("env",), select=None) -> list:
+def lint_paths(paths, select=None) -> list:
     """Lint files/directories; returns all findings sorted by location.
 
     ``select`` restricts output to an iterable of rule ids — plus ``PARSE``,
     always: a file that could not be analysed has not been found clean of
     the selected rules.  An id no pass registers is a ``ValueError``.
     """
-    from .summaries import build_project_summaries
-
     wanted = None if select is None else _selected(select) | {"PARSE"}
-    files = iter_python_files(paths)
-    modules = []
-    for f in files:
-        try:
-            modules.append(ModuleUnderLint(f.read_text(), str(f), env_names))
-        except (SyntaxError, UnicodeDecodeError, OSError) as e:
-            modules.append(e)  # surfaced as a PARSE finding below
-    summaries = build_project_summaries(
-        [m for m in modules if isinstance(m, ModuleUnderLint)]
-    )
     findings = []
-    for f, m in zip(files, modules):
-        if not isinstance(m, ModuleUnderLint):
+    for f in iter_python_files(paths):
+        try:
+            module = ModuleUnderLint(f.read_text(), str(f))
+        except (SyntaxError, UnicodeDecodeError, OSError) as e:
             findings.append(Finding(
-                "PARSE", Severity.ERROR, str(f), 1, 0, f"cannot lint: {m}"
+                "PARSE", Severity.ERROR, str(f), 1, 0, f"cannot lint: {e}"
             ))
             continue
-        findings.extend(_run_passes(m, summaries))
-    if wanted is not None:
-        findings = [f for f in findings if f.rule in wanted]
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
-    return findings
+        findings.extend(_run_passes(module))
+    return _sorted(findings, wanted)
 
 
-def lint_source(source: str, path: str = "<string>", env_names=("env",),
-                select=None) -> list:
-    """Lint one source text (single-module summaries only)."""
-    from .summaries import build_project_summaries
-
+def lint_source(source: str, path: str = "<string>", select=None) -> list:
+    """Lint one source text."""
     wanted = None if select is None else _selected(select)
-    m = ModuleUnderLint(source, path, env_names)
-    summaries = build_project_summaries([m])
-    findings = _run_passes(m, summaries)
+    return _sorted(_run_passes(ModuleUnderLint(source, path)), wanted)
+
+
+def _sorted(findings, wanted) -> list:
     if wanted is not None:
         findings = [f for f in findings if f.rule in wanted]
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
@@ -220,10 +203,10 @@ def _selected(select) -> set:
     return wanted
 
 
-def _run_passes(module: ModuleUnderLint, summaries) -> list:
+def _run_passes(module: ModuleUnderLint) -> list:
     out = []
     for _, run in PASSES:
-        out.extend(run(module, summaries))
+        out.extend(run(module))
     return out
 
 

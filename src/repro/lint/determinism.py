@@ -1,29 +1,19 @@
-"""The determinism pass (``D1xx`` rules).
+"""The determinism pass: ``D103``, unseeded RNG.
 
-Replay determinism (bit-identical numerics and traces under permuted host
-orders, ``repro.verify.replay``) requires that nothing feeding numerics or
-message-emission order depends on a nondeterminism source.  This pass
-flags the sources at the point where their nondeterminism *escapes*:
+Replay determinism (bit-identical numerics and traces, run after run and
+under permuted host orders) requires that nothing feeding numerics or
+message emission reads a source of nondeterminism.  The run-time gates
+catch most of them: unordered iteration, ``id()``-keyed order, float
+reductions over sets and wall-clock reads change a golden, a virtual time
+or a trace (also under a second ``PYTHONHASHSEED``).  An unseeded RNG whose
+draws no gate pins goes unseen there, so this pass flags it:
 
-* ``D101`` — iteration over a ``set``/``frozenset`` (statement ``for`` or
-  comprehension).  Consuming the same value through an order-insensitive
-  reducer (``sorted``, ``min``/``max``, ``len``, ``any``/``all``,
-  ``set``/``frozenset``) or a membership test is clean.
-* ``D102`` — iteration over a dict keyed in nondeterministic order (keys
-  drawn from an unordered iteration), where insertion order no longer
-  means anything.
-* ``D103`` — unseeded RNG: any module-level ``random.*`` /
-  ``numpy.random.*`` call (global state), and ``default_rng()`` /
-  ``RandomState()`` / ``random.Random()`` constructed without a seed.
-* ``D104`` — wall-clock reads (``time.time``/``perf_counter``/...,
-  ``datetime.now``): *warning* inside the simulated packages or any
-  generator (rank program), *note* elsewhere (host-side benchmarking).
-* ``D105`` — iteration over an ``id()``-keyed container (CPython address
-  order).  Membership tests against id-keyed containers are clean.
-* ``D106`` — order-sensitive float reduction over an unordered
-  collection: ``sum(...)`` over a set or accumulation (``+=``/``-=``/
-  ``*=``) of a value drawn from an unordered iteration.  ``math.fsum`` is
-  exempt (order-insensitive by construction).
+* ``D103`` (error) — any module-level ``random.*`` / ``numpy.random.*``
+  call (global state), and ``default_rng()`` / ``RandomState()`` /
+  ``Generator()`` / ``random.Random()`` constructed without a seed.
+
+A call is resolved through its own module's imports (``import numpy as
+np``, ``from numpy.random import default_rng``).
 """
 
 from __future__ import annotations
@@ -31,53 +21,11 @@ from __future__ import annotations
 import ast
 
 from .core import FindingCollector, Severity, register_pass, register_rule
-from .summaries import (
-    AbstractEvaluator,
-    ValueInfo,
-    iter_code_units,
-    module_name_for_path,
-)
 
-register_rule(
-    "D101", Severity.WARNING, "unordered-iteration",
-    "iteration over a set/frozenset: order is nondeterministic",
-)
-register_rule(
-    "D102", Severity.WARNING, "unordered-dict-order",
-    "iteration over a dict keyed in nondeterministic order",
-)
 register_rule(
     "D103", Severity.ERROR, "unseeded-rng",
     "global or unseeded RNG use",
 )
-register_rule(
-    "D104", Severity.WARNING, "wall-clock",
-    "wall-clock read in (or near) simulated code",
-)
-register_rule(
-    "D105", Severity.WARNING, "id-keyed-order",
-    "iteration over an id()-keyed container",
-)
-register_rule(
-    "D106", Severity.ERROR, "unordered-reduction",
-    "order-sensitive reduction over an unordered collection",
-)
-
-#: packages whose code runs under (or checks) the simulator: wall-clock
-#: reads there are warnings, not notes
-SIM_PACKAGES = (
-    "repro.machine", "repro.parallel", "repro.service",
-    "repro.scheduling", "repro.verify", "repro.numfact", "repro.taskgraph",
-)
-
-#: dotted call targets that read the wall clock
-WALL_CLOCK_CALLS = frozenset({
-    "time.time", "time.time_ns", "time.perf_counter",
-    "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
-    "time.process_time", "time.process_time_ns", "time.sleep",
-    "datetime.datetime.now", "datetime.datetime.utcnow",
-    "datetime.datetime.today", "datetime.date.today",
-})
 
 #: seedable RNG constructors: clean when called with a seed argument
 SEEDABLE_RNG = frozenset({
@@ -85,143 +33,53 @@ SEEDABLE_RNG = frozenset({
     "numpy.random.Generator", "random.Random",
 })
 
-#: order-insensitive consumers: unordered iteration inside them is clean
-SAFE_CONSUMERS = frozenset({
-    "sorted", "set", "frozenset", "min", "max", "len", "any", "all",
-})
 
-_RULE_BY_REASON = {"set": "D101", "dict": "D102", "id": "D105"}
-
-_ACCUM_OPS = (ast.Add, ast.Sub, ast.Mult)
-
-
-class DeterminismWalker(AbstractEvaluator):
-    """One code unit's walk, emitting D1xx findings."""
-
-    def __init__(self, fn, summaries, path, collector: FindingCollector,
-                 sim_scoped: bool):
-        super().__init__(fn, summaries, path)
-        self.col = collector
-        self.sim_scoped = sim_scoped
-        self._safe_depth = 0
-        self._reduction_depth = 0
-
-    # -- iteration points ---------------------------------------------------
-
-    def eval_iteration(self, iter_node, ctx_node) -> ValueInfo:
-        info = self.eval(iter_node)
-        if info.unordered and not self._safe_depth:
-            if self._reduction_depth:
-                self.col.emit(
-                    "D106", iter_node,
-                    "float reduction over an unordered collection: "
-                    "accumulation order is nondeterministic "
-                    "(use math.fsum or sorted(...))",
-                )
-            else:
-                rule = _RULE_BY_REASON.get(info.reason, "D101")
-                what = {
-                    "set": "a set/frozenset",
-                    "dict": "a dict keyed in nondeterministic order",
-                    "id": "an id()-keyed container",
-                }[info.reason]
-                self.col.emit(
-                    rule, iter_node,
-                    f"iteration over {what}: order is nondeterministic "
-                    "(wrap in sorted(...) or use an ordered structure)",
-                )
-        return info
-
-    # -- calls: RNG, wall clock, reductions, safe consumers -----------------
-
-    def eval_call(self, node: ast.Call) -> ValueInfo:
-        qual = self.summaries.resolve_qualname(node.func, self.path)
-        has_args = bool(node.args or node.keywords)
-
-        if qual is not None:
-            if qual.startswith("random.") or qual == "random":
-                if not (qual in SEEDABLE_RNG and has_args):
-                    self.col.emit(
-                        "D103", node,
-                        f"call to {qual}: module-level RNG state is shared "
-                        "and unseeded (use a seeded np.random.default_rng)",
-                    )
-            elif qual.startswith("numpy.random."):
-                if not (qual in SEEDABLE_RNG and has_args):
-                    self.col.emit(
-                        "D103", node,
-                        f"call to {qual}: global/unseeded RNG "
-                        "(use np.random.default_rng(seed))",
-                    )
-            elif qual in WALL_CLOCK_CALLS:
-                self.col.emit(
-                    "D104", node,
-                    f"wall-clock read {qual} is nondeterministic across "
-                    "runs; simulated code must use virtual time",
-                    severity=(Severity.WARNING if self.sim_scoped
-                              else Severity.NOTE),
-                )
-
-        fname = node.func.id if isinstance(node.func, ast.Name) else None
-        safe = fname in SAFE_CONSUMERS or qual == "math.fsum"
-        reduction = fname == "sum"
-        if reduction:
-            for a in node.args:
-                if isinstance(a, ast.Name):
-                    info = self.env.get(a.id)
-                    if info is not None and info.unordered:
-                        self.col.emit(
-                            "D106", node,
-                            "sum() over an unordered collection: float "
-                            "accumulation order is nondeterministic "
-                            "(use math.fsum or sum(sorted(...)))",
-                        )
-        if safe:
-            self._safe_depth += 1
-        if reduction:
-            self._reduction_depth += 1
-        try:
-            return super().eval_call(node)
-        finally:
-            if safe:
-                self._safe_depth -= 1
-            if reduction:
-                self._reduction_depth -= 1
-
-    # -- dict keying and accumulation ---------------------------------------
-
-    def note_keying(self, target, key_info: ValueInfo, node) -> None:
-        if not isinstance(target.value, ast.Name):
-            return
-        cur = self.env.get(target.value.id)
-        if cur is None:
-            return
-        key_expr = target.slice
-        if (isinstance(key_expr, ast.Call)
-                and isinstance(key_expr.func, ast.Name)
-                and key_expr.func.id == "id"):
-            cur.unordered, cur.reason = True, "id"
-        elif key_info.tainted:
-            cur.unordered, cur.reason = True, "dict"
-
-    def note_aug_assign(self, s, value_info: ValueInfo) -> None:
-        if value_info.tainted and isinstance(s.op, _ACCUM_OPS):
-            self.col.emit(
-                "D106", s,
-                "accumulation of a value drawn from an unordered "
-                "iteration: reduction order is nondeterministic",
-            )
+def _imports(tree) -> dict:
+    """Local name -> dotted target of every absolute import in the file
+    (a relative import never binds ``random`` or ``numpy``)."""
+    env = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname:
+                    env[alias.asname] = alias.name
+                else:
+                    first = alias.name.split(".")[0]
+                    env[first] = first
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                env[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+    return env
 
 
-def run(module, summaries):
+def _dotted(expr, env):
+    """``np.random.rand`` -> ``"numpy.random.rand"``; None unless the chain
+    starts at an imported name."""
+    parts = []
+    while isinstance(expr, ast.Attribute):
+        parts.append(expr.attr)
+        expr = expr.value
+    if not isinstance(expr, ast.Name) or expr.id not in env:
+        return None
+    return ".".join([env[expr.id], *reversed(parts)])
+
+
+def run(module):
     col = FindingCollector(module)
-    modname = summaries.module_name.get(module.path) \
-        or module_name_for_path(module.path)
-    sim_pkg = modname.startswith(SIM_PACKAGES)
-    for fn, is_gen in iter_code_units(module.tree):
-        w = DeterminismWalker(fn, summaries, module.path, col,
-                              sim_scoped=sim_pkg or is_gen)
-        w.walk(module.tree.body if fn is None else fn.body)
+    env = _imports(module.tree)
+    for node in ast.walk(module.tree):
+        if not isinstance(node, ast.Call):
+            continue
+        qual = _dotted(node.func, env)
+        if qual is None or not qual.startswith(("random.", "numpy.random.")):
+            continue
+        if qual in SEEDABLE_RNG and (node.args or node.keywords):
+            continue
+        col.emit(
+            "D103", node,
+            f"call to {qual}: global or unseeded RNG state "
+            "(use np.random.default_rng(seed))",
+        )
     return col.findings
 
 

@@ -111,7 +111,7 @@ def _adjacency(G: CSRMatrix) -> list:
     adj = [set(indices[indptr[i] : indptr[i + 1]]) for i in range(n)]
     for i, a in enumerate(adj):
         a.discard(i)
-        for j in a:  # lint: disable=D101 -- inserting i into each adj[j] commutes
+        for j in a:  # inserting i into each adj[j] commutes: set order is harmless
             adj[j].add(i)
     return adj
 

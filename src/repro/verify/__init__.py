@@ -4,10 +4,11 @@ The simulator's contract (see :mod:`repro.machine.simulator`) is easy to
 state and easy to violate silently: tags must uniquely identify a logical
 transfer, every ``recv``/``barrier`` must be ``yield``-ed, and every
 deposited message must eventually be consumed.  This package machine-checks
-that discipline at run time; the **static** half (un-yielded
-``recv``/``barrier`` calls, tag tuples missing loop discriminators,
-send/recv tag-shape mismatches) is the protocol pass of :mod:`repro.lint`
-(``PROTOCOL_RULES``):
+that discipline at run time, where every slip shows: an un-yielded
+``recv`` leaks its message, a tag missing its loop discriminator collides,
+send and recv tags that disagree in kind or arity deadlock with both tags
+named (no static pass checks the protocol; DESIGN "Static analysis" has
+the mutation census behind that):
 
 * :mod:`tracecheck` — **dynamic** checks over a recorded message trace
   (``Simulator(trace=True)``): per-``(dest, tag)`` uniqueness, no leaked

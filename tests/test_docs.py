@@ -1,4 +1,4 @@
-"""The docs name code that exists.
+"""The docs name code that exists, and the code is used.
 
 DESIGN.md's Experiment index sends each of the paper's tables and figures
 to the modules that reproduce it; every backticked dotted name in its "Our
@@ -6,6 +6,9 @@ modules" column must resolve under ``repro`` — as a module, or as an
 attribute path below the longest importable module prefix.  Backticked
 strings that are not dotted names (``DRIVERS`` keys in quotes, span-name
 patterns, commit hashes) are not names and are skipped.
+
+``TestCodebaseClean`` is the dead-definition scan: a definition of
+``src/repro`` that nothing names is deleted, not documented.
 """
 
 import importlib
@@ -59,3 +62,49 @@ def test_the_index_names_code():
 @pytest.mark.parametrize("row,name", _experiment_index_names())
 def test_experiment_index_names_resolve(row, name):
     assert _resolves(name), f"{row}: `{name}` is not a name under repro"
+
+
+class TestCodebaseClean:
+    def test_every_definition_is_used(self):
+        """Every top-level function and class of ``src/repro``, and every
+        method, is named somewhere besides its own definition and a package
+        ``__init__`` re-export: in ``src``, ``tests``, ``benchmarks``,
+        ``tools`` or ``examples``.  A plain name scan, so a call through
+        ``getattr`` or a docstring mention keeps a name alive; dunder
+        methods and the CLI entry point are exempt."""
+        import ast
+        import re
+        from collections import Counter
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parents[1]
+        exempt = {"main"}  # ``python -m repro`` reaches it by convention
+        defs = Counter()
+        for path in (root / "src" / "repro").rglob("*.py"):
+            for node in ast.parse(path.read_text()).body:
+                if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    continue
+                defs[node.name] += 1
+                if isinstance(node, ast.ClassDef):
+                    defs.update(m.name for m in node.body
+                                if isinstance(m, ast.FunctionDef))
+        words = Counter()
+        for top in ("src", "tests", "benchmarks", "tools", "examples"):
+            for path in (root / top).rglob("*.py"):
+                text = path.read_text()
+                if path.name == "__init__.py":
+                    # a re-export names a definition without using it
+                    lines = text.splitlines()
+                    for node in ast.parse(text).body:
+                        if isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                                isinstance(node, ast.Assign)
+                                and ast.unparse(node.targets[0]) == "__all__"):
+                            for i in range(node.lineno - 1, node.end_lineno):
+                                lines[i] = ""
+                    text = "\n".join(lines)
+                words.update(re.findall(r"\w+", text))
+        unused = sorted(
+            name for name, n in defs.items()
+            if words[name] <= n and name not in exempt
+            and not (name.startswith("__") and name.endswith("__")))
+        assert unused == []

@@ -11,6 +11,7 @@ from repro.machine import (
     T3D,
     T3E,
 )
+from repro.verify import check_messages
 
 
 class TestSpecs:
@@ -227,3 +228,104 @@ class TestStats:
         res = run(2, prog)
         assert len(res.spans) == 2
         assert all(s.name == "work" for s in res.spans)
+
+
+# ---------------------------------------------------------------------------
+# dynamic sanitizer: Simulator(sanitize=True)
+# ---------------------------------------------------------------------------
+
+
+def _mutating_program(env):
+    if env.rank == 0:
+        buf = np.ones(4)
+        env.send(1, ("m", 0), buf)
+        buf[0] = 99.0  # the seeded write-after-send
+    else:
+        yield env.recv(("m", 0))
+    yield env.barrier()
+
+
+def _clean_program(env):
+    if env.rank == 0:
+        buf = np.ones(4)
+        env.send(1, ("m", 0), buf.copy())
+        buf[0] = 99.0
+    else:
+        msg = yield env.recv(("m", 0))
+        assert msg[0] == 1.0
+    yield env.barrier()
+
+
+class TestSanitizer:
+    def test_write_after_send_raises(self):
+        sim = Simulator(2, GENERIC, _mutating_program, sanitize=True)
+        with pytest.raises(PayloadMutationError) as ei:
+            sim.run()
+        err = ei.value
+        assert err.src == 0 and err.dest == 1
+        assert err.tag == ("m", 0)
+        assert "write-after-send" in str(err)
+
+    def test_copy_on_send_is_clean(self):
+        Simulator(2, GENERIC, _clean_program, sanitize=True).run()
+
+    def test_sanitize_off_still_fails_at_the_write(self):
+        # the payload is read-only from its send on: the write itself
+        # raises, with or without the content hash
+        with pytest.raises(PayloadMutationError) as ei:
+            Simulator(2, GENERIC, _mutating_program, sanitize=False).run()
+        assert (ei.value.src, ei.value.dest, ei.value.tag) == (0, 1, ("m", 0))
+
+    def test_mutated_record_flagged_in_trace(self):
+        sim = Simulator(2, GENERIC, _mutating_program, trace=True,
+                        sanitize=True)
+        with pytest.raises(PayloadMutationError):
+            sim.run()
+        mutated = [r for r in sim.trace.records if r.mutated]
+        assert len(mutated) == 1
+        violations = check_messages(sim.trace, spec=GENERIC)
+        assert any(v.rule == "MUTATE" for v in violations)
+
+    def test_undelivered_mutation_detected_at_exit(self):
+        def leaky(env):
+            if env.rank == 0:
+                buf = np.ones(4)
+                env.send(1, ("never", 0), buf[:2])
+                # through the writable base: only the content hash sees it
+                buf[0] = 7.0  # seeded bug
+            yield env.barrier()
+
+        sim = Simulator(2, GENERIC, leaky, sanitize=True)
+        with pytest.raises(PayloadMutationError) as ei:
+            sim.run()
+        assert "the run ended" in str(ei.value)
+
+    def test_dict_payload_mutation_detected(self):
+        def prog(env):
+            if env.rank == 0:
+                blocks = {0: np.ones(3), 1: np.zeros(3)}
+                env.send(1, ("d", 0), blocks)
+                blocks[1][2] = 5.0  # seeded bug
+            else:
+                yield env.recv(("d", 0))
+            yield env.barrier()
+
+        with pytest.raises(PayloadMutationError):
+            Simulator(2, GENERIC, prog, sanitize=True).run()
+
+    def test_sending_span_named_in_error(self):
+        def prog(env):
+            if env.rank == 0:
+                t0 = env.clock
+                buf = np.ones(4)
+                env.send(1, ("m", 0), buf)
+                env.span("F7", t0)
+                buf[0] = -1.0  # seeded bug
+            else:
+                yield env.recv(("m", 0))
+            yield env.barrier()
+
+        with pytest.raises(PayloadMutationError) as ei:
+            Simulator(2, GENERIC, prog, sanitize=True).run()
+        assert ei.value.span == "F7"
+        assert "'F7'" in str(ei.value)

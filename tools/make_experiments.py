@@ -155,6 +155,22 @@ PAPER_NOTES = {
         "Paper (Section 2): the triangular solvers are much less time "
         "consuming than the elimination; they are latency-bound.",
     ),
+    "mutation": (
+        "Lint census — seeded mutants against the rules and the dynamic gates",
+        "Not in the paper.  S*'s static symbolic phase makes numerics and "
+        "message order a function of the pattern alone; this census asks "
+        "which `repro lint` rules catch a bug no run-time gate does.  Each "
+        "row is one mutant of one rule's bug class, seeded alone into "
+        "`src/repro` at the commit that had all ten rules: whether the "
+        "mutated line runs under the gate modules, whether the rule "
+        "reports it at `warning` or above, the tests failing under the "
+        "default hash seed and `PYTHONHASHSEED=987654` (gate modules plus "
+        "every tier-1 module importing the mutated one), and the failing "
+        "tools (`verify-comm`, `check_e2e_exact.py`, `chaos --budget 70`).  "
+        "A rule stays only if some mutant is `rule only` "
+        "(`python tools/lint_census.py --jobs 2`; DESIGN \"Static "
+        "analysis\").",
+    ),
     "tune_gain": (
         "Autotuning — model-guided search vs the static default",
         "The paper picks block size 25 and the p_c/p_r ~ 2 grid by hand "
@@ -169,6 +185,7 @@ ORDER = [
     "ablation_ordering", "ablation_grid", "ablation_blocksize",
     "ablation_network", "memory_scalability", "storage_backends",
     "ordering_host", "numeric_kernels", "oracle_splu", "trisolve", "tune_gain",
+    "mutation",
 ]
 
 
