@@ -27,10 +27,14 @@ register_rule(
     "global or unseeded RNG use",
 )
 
-#: seedable RNG constructors: clean when called with a seed argument
+#: seedable RNG constructors: clean when called with a seed argument (a
+#: ``Generator`` is clean around a bit generator, which is checked itself)
 SEEDABLE_RNG = frozenset({
     "numpy.random.default_rng", "numpy.random.RandomState",
     "numpy.random.Generator", "random.Random",
+    "numpy.random.SeedSequence", "numpy.random.PCG64",
+    "numpy.random.PCG64DXSM", "numpy.random.MT19937",
+    "numpy.random.Philox", "numpy.random.SFC64",
 })
 
 

@@ -6,7 +6,9 @@ with a near-miss snippet that is semantically adjacent but clean, so the
 false-positive surface is pinned down too.
 """
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -119,8 +121,60 @@ class TestFramework:
 
 
 # ---------------------------------------------------------------------------
-# determinism pass: D101..D106
+# determinism pass: D103
 # ---------------------------------------------------------------------------
+
+#: one defect each: global RNG state, reached through every import form the
+#: pass resolves, or a seedable constructor called without a seed
+D103_SEEDED = {
+    "unseeded_random_Random": (
+        "import random\ndef f():\n    return random.Random()\n"),
+    "unseeded_RandomState": (
+        "import numpy as np\ndef f():\n    return np.random.RandomState()\n"),
+    "unseeded_bit_generator": (
+        "import numpy as np\n"
+        "def f():\n"
+        "    return np.random.Generator(np.random.PCG64())\n"),
+    "from_import_default_rng": (
+        "from numpy.random import default_rng\n"
+        "def f():\n"
+        "    return default_rng()\n"),
+    "numpy_random_module_alias": (
+        "import numpy.random as npr\ndef f(x):\n    npr.shuffle(x)\n"),
+    "from_random_import_shuffle": (
+        "from random import shuffle\ndef f(x):\n    shuffle(x)\n"),
+    "unaliased_numpy": (
+        "import numpy\ndef f():\n    return numpy.random.normal()\n"),
+    "global_seed_call": (
+        "import numpy as np\ndef f():\n    np.random.seed(0)\n"),
+}
+
+#: near misses: seeded constructors (positional, keyword, a seeded bit
+#: generator), draws from a generator object, and a name ``random`` that is
+#: not the standard library's
+D103_CLEAN = {
+    "seed_keyword": (
+        "import numpy as np\ndef f():\n    return np.random.default_rng(seed=3)\n"),
+    "seeded_random_Random": (
+        "import random\ndef f():\n    return random.Random(7)\n"),
+    "seeded_bit_generator": (
+        "import numpy as np\n"
+        "def f():\n"
+        "    return np.random.Generator(np.random.PCG64(1))\n"),
+    "seeded_seed_sequence": (
+        "import numpy as np\n"
+        "def f(seed):\n"
+        "    return np.random.default_rng(np.random.SeedSequence(seed))\n"),
+    "draws_from_a_seeded_generator": (
+        "import numpy as np\n"
+        "def f():\n"
+        "    rng = np.random.default_rng(0)\n"
+        "    return rng.permutation(5)\n"),
+    "draws_from_a_passed_generator": (
+        "def f(rng):\n    return rng.random(3)\n"),
+    "relative_module_named_random": (
+        "from . import random\ndef f():\n    return random.random()\n"),
+}
 
 
 class TestDeterminism:
@@ -148,6 +202,55 @@ class TestDeterminism:
             "    return rng\n"
         )
         assert lint_rules(src) == []
+
+    @pytest.mark.parametrize("case", list(D103_SEEDED))
+    def test_d103_seeded(self, case):
+        findings = lint_source(D103_SEEDED[case])
+        assert [(f.rule, f.line) for f in findings] == [("D103", 3)]
+
+    @pytest.mark.parametrize("case", list(D103_CLEAN))
+    def test_d103_near_miss_clean(self, case):
+        assert lint_rules(D103_CLEAN[case]) == []
+
+
+# ---------------------------------------------------------------------------
+# the census rows that keep a rule: mutants no dynamic gate catches
+# ---------------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _census():
+    """``tools/lint_census.py``'s mutants by id, and the ids of the census
+    record's rows that only a rule killed."""
+    spec = importlib.util.spec_from_file_location(
+        "lint_census", ROOT / "tools" / "lint_census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    rows = json.loads(census.OUT.read_text())["rows"]
+    return ({m["id"]: m for m in census.MUTANTS},
+            [r["mutant"] for r in rows if r["verdict"] == "rule only"])
+
+
+MUTANTS, RULE_ONLY = _census()
+
+
+class TestCensusRows:
+    def test_every_rule_only_row_names_a_kept_rule(self):
+        assert RULE_ONLY
+        assert {MUTANTS[m]["rule"] for m in RULE_ONLY} <= set(RULES)
+
+    @pytest.mark.parametrize("mid", RULE_ONLY)
+    def test_rule_only_mutant_is_still_flagged(self, mid):
+        """Seeded into today's source, the mutant the dynamic gates miss
+        still draws its rule's finding, one more than the clean file."""
+        m = MUTANTS[mid]
+        src = (ROOT / m["path"]).read_text()
+        assert src.count(m["old"]) == 1, f"{mid}: the mutated text moved"
+        mutated = src.replace(m["old"], m["new"])
+        before = lint_source(src, m["path"], select=[m["rule"]])
+        after = lint_source(mutated, m["path"], select=[m["rule"]])
+        assert len(after) == len(before) + 1, mid
 
 
 # ---------------------------------------------------------------------------
