@@ -15,8 +15,6 @@ Commands
 ``validate``   run the full invariant battery on a matrix
 ``verify-comm`` dynamic trace check + host-order replay of every parallel
                code (the fault cases are ``repro chaos``)
-``lint``       static analysis: unseeded or global RNGs (D103), the
-               determinism source no dynamic gate sees
 ``serve-demo`` run a synthetic workload through the SolveService front end
 ``chaos``      seeded fault-injection campaign over the 1D/2D/resilient
                solvers and the service, with oracle checks and optional
@@ -339,26 +337,6 @@ def cmd_verify_comm(args) -> int:
     else:
         print(f"\n{'PASS' if failures == 0 else 'FAIL'}: {failures} violation(s)")
     return 1 if failures else 0
-
-
-def cmd_lint(args) -> int:
-    from pathlib import Path
-
-    from .lint import count_at_or_above, lint_paths, render_json, render_text
-
-    paths = args.paths or [str(Path(__file__).resolve().parent)]
-    select = args.select.split(",") if args.select else None
-
-    try:
-        findings = lint_paths(paths, select=select)
-    except ValueError as e:
-        return _error(args, str(e))
-    fail_on = None if args.fail_on == "never" else args.fail_on
-    if args.json:
-        print(render_json(findings, fail_on=fail_on))
-    else:
-        print(render_text(findings))
-    return 1 if fail_on and count_at_or_above(findings, fail_on) else 0
 
 
 def _perturbed(A, rng, rel=0.05):
@@ -735,22 +713,6 @@ def build_parser() -> argparse.ArgumentParser:
     vc.add_argument("--replays", type=_count, default=3,
                     help="number of perturbed host orders per code")
     vc.set_defaults(func=cmd_verify_comm)
-
-    ln = sub.add_parser(
-        "lint",
-        help="static analysis: unseeded or global RNGs (D103)",
-        parents=[_flags(json=True)])
-    ln.add_argument("paths", nargs="*",
-                    help="files or directories to lint (default: the "
-                         "installed repro package)")
-    ln.add_argument("--fail-on", default="warning",
-                    choices=["note", "warning", "error", "never"],
-                    help="exit nonzero when a finding at or above this "
-                         "severity exists (default: warning)")
-    ln.add_argument("--select",
-                    help="comma-separated rule ids to report (e.g. D103); "
-                         "an unknown id is a usage error")
-    ln.set_defaults(func=cmd_lint)
 
     sd = sub.add_parser(
         "serve-demo",

@@ -7,8 +7,9 @@ deposited message must eventually be consumed.  This package machine-checks
 that discipline at run time, where every slip shows: an un-yielded
 ``recv`` leaks its message, a tag missing its loop discriminator collides,
 send and recv tags that disagree in kind or arity deadlock with both tags
-named (no static pass checks the protocol; DESIGN "Static analysis" has
-the mutation census behind that):
+named (the repo has no static pass: the mutation census in DESIGN "Static
+analysis" retired every rule, the last, unseeded RNGs, for tier-1's
+run-time RNG watch):
 
 * :mod:`tracecheck` — **dynamic** checks over a recorded message trace
   (``Simulator(trace=True)``): per-``(dest, tag)`` uniqueness, no leaked

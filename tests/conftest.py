@@ -1,7 +1,9 @@
 """Shared fixtures and helpers for the test suite.
 
 The memoised pipeline cache and the suite list live in
-:mod:`repro.api.fixtures`, shared with ``benchmarks/conftest.py``.
+:mod:`repro.api.fixtures`, shared with ``benchmarks/conftest.py``.  The
+session-wide RNG watch (a test that draws from an unseeded or global RNG
+fails) lives in :mod:`tests.call_watch`.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from repro.api.fixtures import MemoCache, prepare_pipeline, SMALL_SUITE  # noqa:
 from repro.matrices import random_nonsymmetric
 from repro.ordering import prepare_matrix
 from repro.verify.pytest_support import trace_checked_simulations
+
+from .call_watch import pytest_runtest_call, unseeded_rng_calls  # noqa: F401
 
 #: simulator-driven test modules whose runs are protocol-checked for free
 TRACE_CHECKED_MODULES = {

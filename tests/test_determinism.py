@@ -1,17 +1,20 @@
 """Run-time twins of the retired determinism rules: the runs read no host
-clock, do not move with the string-hash seed, and multicast in rank order.
+clock and no unseeded RNG, do not move with the string-hash seed, and
+multicast in rank order.
 
-``repro lint`` once flagged wall-clock reads (D104) and iteration over
-sets and set-keyed dicts feeding numerics or message order (D101, D102,
-D106) by reading the source; the mutation census in DESIGN "Static
-analysis" retired those rules because the goldens catch their mutants.
-These tests check the same three properties on the running code, at the
-entry points the rules guarded, so a failure names the property rather
-than a digest:
+``repro lint`` once flagged wall-clock reads (D104), unseeded or global
+RNGs (D103) and iteration over sets and set-keyed dicts feeding numerics
+or message order (D101, D102, D106) by reading the source; the mutation
+census in DESIGN "Static analysis" retired those rules because run-time
+gates catch their mutants.  These tests check the same properties on the
+running code, so a failure names the property rather than a digest:
 
 * ``TestNoHostClock`` — no ``time`` clock is read from ``repro`` code
   during an analysis, a factorization under every driver, a distributed
   solve, a service drain or a tuner search;
+* ``TestNoUnseededRng`` — the session-wide RNG watch of
+  ``tests/call_watch.py`` sees every unseeded or global RNG call, the
+  census mutants the D103 rule alone killed included, and nothing seeded;
 * ``TestHashSeed`` — the same scenarios, run again in a fresh interpreter
   under another ``PYTHONHASHSEED``, give the same bits: factors, tallies
   in insertion order, traces and virtual times (tier-1's twin of CI's
@@ -28,17 +31,20 @@ in its child process)::
 """
 
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import time
+import types
 
 import numpy as np
 import pytest
 
-import repro
 from repro.api.fixtures import prepare_pipeline
 from repro.machine import T3E
 from repro.matrices import get_matrix
@@ -48,11 +54,10 @@ from repro.parallel import DRIVERS, factorize, run_1d_trisolve
 from repro.service import SolveService
 from repro.tune import Tuner
 
+from .call_watch import REPRO, watched
 from .test_analysis_golden import analysis_digests
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-#: the directory of the package under test: reads from its files count
-REPRO = os.path.dirname(repro.__file__)
 MATRIX, NPROCS = "sherman5", 4
 
 #: the host clocks of the ``time`` module
@@ -166,31 +171,133 @@ class TestNoHostClock:
     @pytest.fixture
     def clock_reads(self, monkeypatch):
         reads = []
-
-        def watch(name, clock):
-            def read():
-                caller = sys._getframe(1).f_code.co_filename
-                if caller.startswith(REPRO):
-                    reads.append(f"time.{name} from {caller}")
-                return clock()
-            return read
-
         for name in CLOCKS:
             clock = getattr(time, name, None)
             if clock is not None:
-                monkeypatch.setattr(time, name, watch(name, clock))
+                monkeypatch.setattr(time, name, watched(
+                    clock, f"time.{name}", reads, REPRO))
         return reads
 
     def test_the_watch_sees_a_read(self, clock_reads):
-        exec(compile("import time\ntime.perf_counter()\n",
-                     os.path.join(REPRO, "probe.py"), "exec"), {})
-        assert clock_reads == [
-            f"time.perf_counter from {os.path.join(REPRO, 'probe.py')}"]
+        probe = os.path.join(REPRO, "probe.py")
+        exec(compile("import time\ntime.perf_counter()\n", probe, "exec"), {})
+        assert clock_reads == [f"time.perf_counter from {probe}:2"]
 
     @pytest.mark.parametrize("scenario", list(SCENARIOS))
     def test_run_reads_no_clock(self, scenario, clock_reads):
         SCENARIOS[scenario]()
         assert clock_reads == []
+
+
+def _census():
+    """``tools/lint_census.py`` (its mutants and its record's path)."""
+    spec = importlib.util.spec_from_file_location(
+        "lint_census", ROOT / "tools" / "lint_census.py")
+    census = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(census)
+    return census
+
+
+CENSUS = _census()
+#: the census mutants the D103 rule killed that change what a run prints
+#: (their witness differs between two runs): before the watch, no run-time
+#: gate saw them
+RULE_KILLED = [r["id"] for r in json.loads(CENSUS.OUT.read_text())["detail"]
+               if r["rule_kills"] and (r["witness"] or {}).get("differs")]
+
+
+class TestNoUnseededRng:
+    """Every draw must be a function of a seed the caller chose; the
+    session-wide watch of ``tests/call_watch.py`` fails a test in which
+    ``repro`` or test code draws from an unseeded or global RNG.  A test
+    here that makes such a call on purpose takes its record out of the
+    watch's list before the test ends."""
+
+    def _probe(self, line, calls):
+        probe = os.path.join(REPRO, "probe.py")
+        exec(compile(f"import random\nimport numpy as np\n{line}\n", probe,
+                     "exec"), {})
+        seen = calls[:]
+        calls.clear()
+        return seen, probe
+
+    @pytest.mark.parametrize("line, name", [
+        ("np.random.default_rng()", "numpy.random.default_rng"),
+        ("np.random.default_rng(None)", "numpy.random.default_rng"),
+        ("random.Random()", "random.Random"),
+        ("np.random.rand(3)", "numpy.random.rand"),
+        ("random.random()", "random.random"),
+        # a seed that is None only at run time, and every import form
+        ("seed = None; np.random.default_rng(seed)", "numpy.random.default_rng"),
+        ("from numpy.random import default_rng; default_rng()",
+         "numpy.random.default_rng"),
+        ("import numpy.random as npr; npr.shuffle([1, 2])",
+         "numpy.random.shuffle"),
+        ("from random import shuffle; shuffle([1, 2])", "random.shuffle"),
+        ("import numpy; numpy.random.normal()", "numpy.random.normal"),
+        ("np.random.seed(0)", "numpy.random.seed"),
+        ("np.random.RandomState()", "numpy.random.RandomState"),
+        ("np.random.Generator(np.random.PCG64())", "numpy.random.PCG64"),
+        ("np.random.SeedSequence(None)", "numpy.random.SeedSequence"),
+    ])
+    def test_the_watch_sees_an_unseeded_draw(self, line, name,
+                                             unseeded_rng_calls):
+        seen, probe = self._probe(line, unseeded_rng_calls)
+        assert seen == [f"{name} from {probe}:3"]
+
+    @pytest.mark.parametrize("line", [
+        "np.random.default_rng(0)",
+        "np.random.Generator(np.random.PCG64(1))",
+        "random.Random(3)",
+        "np.random.default_rng(seed=3).permutation(5)",
+        "np.random.default_rng(np.random.SeedSequence(5))",
+        "np.random.Philox(key=7)",
+        "np.random.RandomState(4).rand(2)",
+    ])
+    def test_the_watch_ignores_a_seeded_construction(self, line,
+                                                     unseeded_rng_calls):
+        assert self._probe(line, unseeded_rng_calls)[0] == []
+
+    def test_classes_keep_isinstance_and_subclassing(self):
+        class Mine(random.Random):
+            pass
+
+        assert isinstance(random.SystemRandom(), random.Random)
+        assert isinstance(Mine(1), random.Random) and issubclass(Mine, random.Random)
+        # the watch's stand-in builds instances of the class itself
+        assert type(random.Random(2)) is random.SystemRandom.__base__
+        assert isinstance(np.random.RandomState(0), np.random.RandomState)
+        assert isinstance(np.random.default_rng(0).bit_generator, np.random.PCG64)
+
+    @pytest.mark.parametrize("mid", RULE_KILLED)
+    def test_the_watch_sees_a_census_mutant(self, mid, monkeypatch, capsys,
+                                            unseeded_rng_calls):
+        """The run-time twin of the retired rule on its census rows: the
+        mutant, seeded into today's source of its module and run by its
+        row's witness, is recorded at the mutated line."""
+        assert RULE_KILLED
+        m = next(m for m in CENSUS.MUTANTS if m["id"] == mid)
+        name = CENSUS.module_name(m["path"])
+        path = os.path.join(REPRO, *name.split(".")[1:]) + ".py"
+        src = pathlib.Path(path).read_text()
+        assert src.count(m["old"]) == 1, f"{mid}: the mutated text moved"
+        line = src[: src.index(m["old"])].count("\n") + 1
+        real = importlib.import_module(name)
+        pkg = sys.modules[name.rpartition(".")[0]]
+        mutant = types.ModuleType(name)
+        mutant.__file__, mutant.__package__ = path, pkg.__name__
+        monkeypatch.setitem(sys.modules, name, mutant)
+        exec(compile(src.replace(m["old"], m["new"]), path, "exec"),
+             vars(mutant))
+        for attr, value in list(vars(pkg).items()):
+            if value is real:
+                monkeypatch.setattr(pkg, attr, mutant)
+            elif getattr(real, attr, None) is value:
+                monkeypatch.setattr(pkg, attr, getattr(mutant, attr))
+        exec(m["witness"], {})
+        seen = unseeded_rng_calls[:]
+        unseeded_rng_calls.clear()
+        assert f"numpy.random.default_rng from {path}:{line}" in seen, seen
 
 
 class TestHashSeed:

@@ -17,9 +17,12 @@ runs:
   (the threshold CI failed on) than on the unmutated file;
 * the gate modules (``GATE_MODULES``) plus every tier-1 module that imports
   the mutated module, under the default hash seed and under
-  ``PYTHONHASHSEED=987654``, counting failing tests per module; the tests
-  that run the lint itself (``LINT_MODULE``, ``LINT_CLASS``) are left out,
-  since they are the rule and not a dynamic gate;
+  ``PYTHONHASHSEED=987654``, counting failing tests per module; this
+  checkout's run-time RNG watch (``tests/call_watch.py``, which fails a test
+  that draws from an unseeded or global RNG) is laid over them as a pytest
+  plugin; the tests that run the lint itself (``LINT_MODULE``,
+  ``LINT_CLASS``) are left out, since they are the rule and not a dynamic
+  gate;
 * ``repro verify-comm``, ``tools/check_e2e_exact.py`` and ``repro chaos
   --budget 70 --seed 1 --fail-on failure``.
 
@@ -61,6 +64,9 @@ OUT = ROOT / "benchmarks" / "results" / "BENCH_mutation.json"
 
 #: the last commit with all ten rules registered
 REV = "1d471d0"
+
+#: this checkout's RNG watch, copied into the archived tree as a plugin
+WATCH = ROOT / "tests" / "call_watch.py"
 
 #: the tier-1 modules every mutant is run against (the importers of the
 #: mutated module are added per mutant)
@@ -374,11 +380,13 @@ def _run(cmd, tree: Path, timeout: int, hash_seed=None):
 
 
 def make_tree(dest: Path) -> Path:
-    """``git archive REV`` unpacked into ``dest``."""
+    """``git archive REV`` unpacked into ``dest``, with ``WATCH`` beside
+    its tests."""
     dest.mkdir(parents=True)
     archive = subprocess.run(["git", "archive", REV], cwd=ROOT,
                              capture_output=True, check=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    shutil.copy(WATCH, dest / "tests" / WATCH.name)
     return dest
 
 
@@ -421,7 +429,8 @@ def pytest_gate(tree: Path, modules, hash_seed) -> dict:
     """Failing tests per module (failures and errors) of one pytest run."""
     xml = tree / f"junit-{hash_seed or 'default'}.xml"
     rc, _ = _run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                  f"--junitxml={xml}", "--deselect", LINT_CLASS,
+                  "-p", f"tests.{WATCH.stem}", f"--junitxml={xml}",
+                  "--deselect", LINT_CLASS,
                   *(f"tests/{m}.py" for m in modules)], tree, PYTEST_TIMEOUT,
                  hash_seed)
     if rc is None or not xml.exists():

@@ -166,8 +166,11 @@ PAPER_NOTES = {
         "reports it at `warning` or above, the tests failing under the "
         "default hash seed and `PYTHONHASHSEED=987654` (gate modules plus "
         "every tier-1 module importing the mutated one), and the failing "
-        "tools (`verify-comm`, `check_e2e_exact.py`, `chaos --budget 70`).  "
-        "A rule stays only if some mutant is `rule only` "
+        "tools (`verify-comm`, `check_e2e_exact.py`, `chaos --budget 70`), "
+        "with this tree's run-time RNG watch (`tests/call_watch.py`) laid "
+        "over the tests.  A rule would stay only if some mutant were "
+        "`rule only`; since the watch turned D103-1 and D103-2 `dynamic`, "
+        "none is, and the repo has no static rule left "
         "(`python tools/lint_census.py --jobs 2`; DESIGN \"Static "
         "analysis\").",
     ),
