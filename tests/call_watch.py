@@ -7,7 +7,7 @@ One mechanism serves both run-time determinism watches
   from a frame under ``roots`` appends ``"<name> from <file>:<line>"`` to
   ``record`` before it runs; ``TestNoHostClock`` wraps the ``time`` clocks
   with it;
-* ``rng_watch(record)`` wraps every way to draw randomness that no seed
+* ``rng_watch()`` wraps every way to draw randomness that no seed
   fixes, called from ``src/repro`` or ``tests/``: ``numpy.random``'s
   ``default_rng``, ``RandomState``, ``SeedSequence`` and bit generators,
   and ``random.Random``, given no seed or ``None``; and every function of
@@ -34,9 +34,10 @@ import pytest
 
 import repro
 
-#: the directory of the package under test and of its tests
+#: the directory of the package under test; calls from it and from the
+#: tests' directory are the RNG watch's
 REPRO = os.path.dirname(repro.__file__)
-TESTS = os.path.dirname(os.path.abspath(__file__))
+ROOTS = (REPRO, os.path.dirname(os.path.abspath(__file__)))
 
 #: the seedable classes, by module
 SEEDABLE = (
@@ -70,7 +71,10 @@ def unseeded(args, kwargs) -> bool:
                (*args[:1], *(kwargs.get(k) for k in SEED_KEYWORDS)))
 
 
-#: stand-in class -> (the class, its name, record, roots)
+#: the RNG watch's record since the last test's check
+UNSEEDED = []
+
+#: stand-in class -> (the class, its name)
 _STANDS_FOR = {}
 
 
@@ -82,8 +86,8 @@ class _StandIn(type):
     def __call__(cls, *args, **kwargs):
         if cls not in _STANDS_FOR:
             return super().__call__(*args, **kwargs)
-        origin, name, record, roots = _STANDS_FOR[cls]
-        _note(record, name, roots, args, kwargs, unseeded)
+        origin, name = _STANDS_FOR[cls]
+        _note(UNSEEDED, name, ROOTS, args, kwargs, unseeded)
         return origin(*args, **kwargs)
 
     def __instancecheck__(cls, obj):
@@ -97,18 +101,18 @@ class _StandIn(type):
         return issubclass(sub, _STANDS_FOR[cls][0])
 
 
-def _stand_in(origin, name, record, roots):
+def _stand_in(origin, name):
     cls = _StandIn(origin.__name__, (origin,), {
         "__module__": origin.__module__, "__qualname__": origin.__qualname__,
         "__doc__": origin.__doc__})
-    _STANDS_FOR[cls] = (origin, name, record, roots)
+    _STANDS_FOR[cls] = (origin, name)
     return cls
 
 
 @contextmanager
-def rng_watch(record, roots=(REPRO, TESTS)):
-    """Record into ``record`` every unseeded or shared-generator RNG call
-    (module docstring) made from under ``roots`` while the context is open."""
+def rng_watch():
+    """Record into ``UNSEEDED`` every unseeded or shared-generator RNG call
+    (module docstring) made from under ``ROOTS`` while the context is open."""
     with pytest.MonkeyPatch.context() as mp:
         for module in (random, np.random):
             for name in module.__all__:
@@ -117,32 +121,28 @@ def rng_watch(record, roots=(REPRO, TESTS)):
                 if name == "seed" or isinstance(owner, (random.Random,
                                                         np.random.RandomState)):
                     mp.setattr(module, name, watched(
-                        fn, f"{module.__name__}.{name}", record, roots))
+                        fn, f"{module.__name__}.{name}", UNSEEDED, ROOTS))
         mp.setattr(np.random, "default_rng", watched(
-            np.random.default_rng, "numpy.random.default_rng", record, roots,
-            unseeded))
-        stand_ins = [
-            (module, name, _stand_in(getattr(module, name),
-                                     f"{module.__name__}.{name}", record, roots))
-            for module, names in SEEDABLE for name in names]
-        for module, name, cls in stand_ins:
-            mp.setattr(module, name, cls)
+            np.random.default_rng, "numpy.random.default_rng", UNSEEDED,
+            ROOTS, unseeded))
+        stand_ins = []
+        for module, names in SEEDABLE:
+            for name in names:
+                stand_ins.append(_stand_in(getattr(module, name),
+                                           f"{module.__name__}.{name}"))
+                mp.setattr(module, name, stand_ins[-1])
         try:
             yield
         finally:
-            for _, _, cls in stand_ins:
+            for cls in stand_ins:
                 del _STANDS_FOR[cls]
-
-
-#: the session watch's record since the last test's check
-UNSEEDED = []
 
 
 @pytest.fixture(scope="session", autouse=True)
 def unseeded_rng_calls():
     """The RNG watch, on for the session: yields the list it records into
     (a test that calls unseeded RNGs on purpose takes its entries out)."""
-    with rng_watch(UNSEEDED):
+    with rng_watch():
         yield UNSEEDED
 
 

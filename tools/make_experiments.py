@@ -168,9 +168,11 @@ PAPER_NOTES = {
         "every tier-1 module importing the mutated one), and the failing "
         "tools (`verify-comm`, `check_e2e_exact.py`, `chaos --budget 70`), "
         "with this tree's run-time RNG watch (`tests/call_watch.py`) laid "
-        "over the tests.  A rule would stay only if some mutant were "
-        "`rule only`; since the watch turned D103-1 and D103-2 `dynamic`, "
-        "none is, and the repo has no static rule left "
+        "over the tests.  The watch turns D103-1 and D103-3 `dynamic`.  "
+        "D103-2 stays `rule only` here because no module of its gate set "
+        "calls `validate_matrix`; tier-1's one caller, "
+        "`tests/test_cli.py::TestValidate`, fails under the watch on it, so "
+        "the repo keeps no static rule "
         "(`python tools/lint_census.py --jobs 2`; DESIGN \"Static "
         "analysis\").",
     ),
