@@ -35,9 +35,10 @@ import pytest
 import repro
 
 #: the directory of the package under test; calls from it and from the
-#: tests' directory are the RNG watch's
-REPRO = os.path.dirname(repro.__file__)
-ROOTS = (REPRO, os.path.dirname(os.path.abspath(__file__)))
+#: tests' directory are the RNG watch's (each ends in a separator, so a
+#: sibling file such as ``src/repro_x.py`` is not under it)
+REPRO = os.path.join(os.path.dirname(repro.__file__), "")
+ROOTS = (REPRO, os.path.join(os.path.dirname(os.path.abspath(__file__)), ""))
 
 #: the seedable classes, by module
 SEEDABLE = (

@@ -54,7 +54,8 @@ from repro.parallel import DRIVERS, factorize, run_1d_trisolve
 from repro.service import SolveService
 from repro.tune import Tuner
 
-from .call_watch import REPRO, watched
+from . import call_watch
+from .call_watch import REPRO, SEEDABLE, watched
 from .test_analysis_golden import analysis_digests
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -213,8 +214,7 @@ class TestNoUnseededRng:
     here that makes such a call on purpose takes its record out of the
     watch's list before the test ends."""
 
-    def _probe(self, line, calls):
-        probe = os.path.join(REPRO, "probe.py")
+    def _probe(self, line, calls, probe=os.path.join(REPRO, "probe.py")):
         exec(compile(f"import random\nimport numpy as np\n{line}\n", probe,
                      "exec"), {})
         seen = calls[:]
@@ -239,6 +239,19 @@ class TestNoUnseededRng:
         ("np.random.RandomState()", "numpy.random.RandomState"),
         ("np.random.Generator(np.random.PCG64())", "numpy.random.PCG64"),
         ("np.random.SeedSequence(None)", "numpy.random.SeedSequence"),
+        # every other seedable class, a None given by keyword, more draws
+        ("np.random.SeedSequence()", "numpy.random.SeedSequence"),
+        ("np.random.PCG64DXSM()", "numpy.random.PCG64DXSM"),
+        ("np.random.MT19937()", "numpy.random.MT19937"),
+        ("np.random.Philox(key=None)", "numpy.random.Philox"),
+        ("np.random.SFC64()", "numpy.random.SFC64"),
+        ("random.Random(None)", "random.Random"),
+        ("np.random.RandomState(seed=None)", "numpy.random.RandomState"),
+        ("np.random.default_rng(seed=None)", "numpy.random.default_rng"),
+        ("np.random.randint(5)", "numpy.random.randint"),
+        ("np.random.permutation(4)", "numpy.random.permutation"),
+        ("random.choice([1, 2])", "random.choice"),
+        ("random.getrandbits(8)", "random.getrandbits"),
     ])
     def test_the_watch_sees_an_unseeded_draw(self, line, name,
                                              unseeded_rng_calls):
@@ -253,10 +266,65 @@ class TestNoUnseededRng:
         "np.random.default_rng(np.random.SeedSequence(5))",
         "np.random.Philox(key=7)",
         "np.random.RandomState(4).rand(2)",
+        "np.random.Generator(np.random.MT19937(5))",
+        "np.random.SFC64(2)",
+        "np.random.PCG64DXSM(seed=3)",
+        "np.random.SeedSequence(entropy=9)",
+        "np.random.default_rng([1, 2])",
+        "random.Random(0).shuffle([1, 2])",
+        # draws from a generator the caller passed in, and a parameter
+        # that is named ``random`` but holds a seeded generator
+        "f = lambda rng: rng.random(3); f(np.random.default_rng(0))",
+        "f = lambda random: random.random(); f(random.Random(1))",
     ])
     def test_the_watch_ignores_a_seeded_construction(self, line,
                                                      unseeded_rng_calls):
         assert self._probe(line, unseeded_rng_calls)[0] == []
+
+    def test_the_watch_sees_a_call_from_the_tests(self, unseeded_rng_calls):
+        probe = os.path.join(call_watch.ROOTS[1], "probe.py")
+        seen, _ = self._probe("np.random.rand(3)", unseeded_rng_calls, probe)
+        assert seen == [f"numpy.random.rand from {probe}:3"]
+
+    @pytest.mark.parametrize("where", ["numpy", "sibling"])
+    def test_the_watch_ignores_a_call_from_elsewhere(self, where,
+                                                     unseeded_rng_calls):
+        """Third-party code (here, a file in numpy's directory) and a file
+        beside the package whose name starts like it are not watched."""
+        probe = (os.path.join(os.path.dirname(np.__file__), "probe.py")
+                 if where == "numpy" else REPRO.rstrip(os.sep) + "_probe.py")
+        assert self._probe("np.random.rand(3)", unseeded_rng_calls,
+                           probe)[0] == []
+
+    def test_a_recorded_call_fails_its_test(self):
+        hook = call_watch.pytest_runtest_call(None)
+        next(hook)
+        call_watch.UNSEEDED.append("numpy.random.rand from probe.py:3")
+        with pytest.raises(AssertionError,
+                           match="numpy.random.rand from probe.py:3"):
+            hook.send(None)
+        assert call_watch.UNSEEDED == []
+
+    def test_a_test_without_a_recorded_call_passes(self):
+        hook = call_watch.pytest_runtest_call(None)
+        next(hook)
+        with pytest.raises(StopIteration) as stop:
+            hook.send("result")
+        assert stop.value.value == "result"
+
+    @pytest.mark.parametrize("module, name", [
+        (module, name) for module, names in SEEDABLE for name in names])
+    def test_a_stand_in_keeps_isinstance_and_subclassing(self, module, name):
+        cls = getattr(module, name)
+
+        class Mine(cls):
+            pass
+
+        seeded = cls(1)
+        assert type(seeded) is not cls and type(seeded).__name__ == name
+        assert isinstance(seeded, cls) and not isinstance(object(), cls)
+        assert issubclass(type(seeded), cls) and issubclass(Mine, cls)
+        assert type(Mine(2)) is Mine and isinstance(Mine(2), cls)
 
     def test_classes_keep_isinstance_and_subclassing(self):
         class Mine(random.Random):
