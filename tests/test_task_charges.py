@@ -17,7 +17,7 @@ from repro.matrices import random_nonsymmetric
 from repro.numfact import SingularMatrixError, sstar_factor
 from repro.obs import COMPUTE, Tracer
 from repro.ordering import prepare_matrix
-from repro.parallel import oned, run_1d
+from repro.parallel import Grid2D, oned, run_1d, run_2d
 from repro.parallel.resilience import _copy_state, launch
 from repro.parallel.mapping import ColumnMapping
 from repro.supernodes import build_block_structure, build_partition
@@ -28,6 +28,7 @@ from .reference_numfact import (
     ReferenceCounter,
     reference_factor_block_column,
     reference_rank_program_1d,
+    reference_rank_program_2d,
     reference_sequential_tally,
     reference_update_block_columns,
 )
@@ -157,3 +158,66 @@ def test_1d_rank_charges_equal_the_counted_windows(params):
                                   stage_range=(k0, k1),
                                   start_from=start and _copy_state(start))
             assert _observed(got) == _observed(want)
+
+
+def _reference_run_2d(A, part, bstruct, grid, synchronous, abft,
+                      stage_range=None, start_from=None, tracer=None):
+    ctx = {"grid": grid, "synchronous": synchronous,
+           "block_of": part.block_of.tolist()}
+    return launch(reference_rank_program_2d, ctx, A, part, bstruct, grid,
+                  grid.nprocs, T3E, sim_opts={"tracer": tracer},
+                  stage_range=stage_range, start_from=start_from,
+                  pivot_threshold=1.0, monitor=None, abft=abft)
+
+
+def _observed_2d(res, tracer):
+    out = _observed(res, tracer)
+    out["messages"] = res.sim.messages
+    out["bytes"] = res.sim.bytes_sent
+    return out
+
+
+@given(patterns, st.booleans())
+@settings(max_examples=6, deadline=None)
+def test_2d_rank_prices_equal_the_counted_charges(params, abft):
+    """Each 2D rank's priced increments and its final counter equal what
+    the frozen rank program's per-site ``Env.compute`` calls gave, whole
+    run and a stage window resumed from a checkpoint alike."""
+    A, part, bstruct = _pipeline(*params)
+    N = part.N
+    try:
+        sstar_factor(A, part=part, bstruct=bstruct)
+    except SingularMatrixError:
+        assume(False)
+    k0 = N // 3
+    k1 = max(k0 + 1, (2 * N) // 3)
+    for grid in (Grid2D(1, 2), Grid2D(2, 2), Grid2D(2, 3)):
+        for synchronous in (False, True):
+            runs = []
+            for run in (run_2d, _reference_run_2d):
+                t = Tracer()
+                if run is run_2d:
+                    res = run_2d(A, part, bstruct, grid.nprocs, T3E,
+                                 synchronous=synchronous, grid=grid,
+                                 sim_opts={"tracer": t}, abft=abft)
+                else:
+                    res = run(A, part, bstruct, grid, synchronous, abft,
+                              tracer=t)
+                runs.append(_observed_2d(res, t))
+            assert runs[0] == runs[1]
+            # a stage window [k0, k1) resumed from a checkpoint of [0, k0)
+            start = None
+            if k0 > 0:
+                start = run_2d(A, part, bstruct, grid.nprocs, T3E,
+                               synchronous=synchronous, grid=grid,
+                               stage_range=(0, k0)).factor
+            t_got, t_want = Tracer(), Tracer()
+            got = run_2d(A, part, bstruct, grid.nprocs, T3E,
+                         synchronous=synchronous, grid=grid,
+                         sim_opts={"tracer": t_got}, stage_range=(k0, k1),
+                         start_from=start and _copy_state(start), abft=abft)
+            want = _reference_run_2d(A, part, bstruct, grid, synchronous,
+                                     abft, stage_range=(k0, k1),
+                                     start_from=start and _copy_state(start),
+                                     tracer=t_want)
+            assert _observed_2d(got, t_got) == _observed_2d(want, t_want)
