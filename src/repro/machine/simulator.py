@@ -299,7 +299,8 @@ class Env:
     time: :meth:`compute` prices one ``(kernel, flops, gran)`` charge at
     the spec's rate and adds it to the rank's :attr:`counter`;
     :meth:`charge` adds clock increments a program priced before the run
-    (a 1D rank's per-task prices), and that program sets the counter."""
+    (the per-task prices of a 1D rank, the per-place prices of a 2D one),
+    and that program sets the counter."""
 
     def __init__(self, sim: "Simulator", rank: int):
         self._sim = sim
@@ -353,11 +354,13 @@ class Env:
 
     def charge(self, seconds, spans=None) -> None:
         """Advance the clock and busy time by each of ``seconds`` in turn:
-        compute priced before the run (a 1D rank's task increments), each
-        bit-equal to the :meth:`compute` call it stands for.  With a tracer
-        attached, ``spans`` holds each increment's ``(kernel, nflops)`` for
-        its compute span.  The rank's counter is not touched: the caller
-        priced it with the increments and sets it."""
+        compute priced before the run (a 1D rank's task increments, a 2D
+        rank's charge places), each bit-equal to the :meth:`compute` call
+        it stands for.  With a tracer attached, ``spans`` holds each
+        increment's ``(kernel, nflops)`` for its compute span; an increment
+        of no flops is a place :meth:`compute` would have skipped, and adds
+        nothing.  The rank's counter is not touched: the caller priced it
+        with the increments and sets it."""
         clock = self.clock
         busy = self.busy
         tr = self._sim.tracer
@@ -368,6 +371,8 @@ class Env:
         else:
             rank = self.rank
             for dt, (kernel, flops) in zip(seconds, spans):
+                if flops <= 0:
+                    continue
                 t0 = clock
                 clock += dt
                 busy += dt
@@ -402,8 +407,10 @@ class Env:
     def _put(self, dests, tag, payload, nbytes, multicast) -> None:
         """Post ``payload`` itself to each of ``dests``, first making every
         ndarray it carries (through dicts, lists and tuples) read-only and
-        indexing it by ``id`` to the first record (for ``_write_error``):
-        one walk per send, with no call per container or scalar."""
+        indexing it by ``id`` to the first attempt's ``(src, dest, tag,
+        send clock)`` (for ``_write_error``; the record itself is freed at
+        consumption when the run keeps none): one walk per send, with no
+        call per container or scalar."""
         sim = self._sim
         me = self.rank
         # sanitize: the posted object and its hash, re-checked at consumption
@@ -426,6 +433,7 @@ class Env:
                 )
             if todo:
                 frozen = sim._frozen
+                sent = (me, rec.dest, tag, rec.t_send)
                 for p in todo:
                     cls = p.__class__
                     if cls is int or cls is float:
@@ -435,8 +443,8 @@ class Env:
                     elif cls is dict:
                         todo += p.values()
                     elif np.ndarray in cls.__mro__:
-                        p.flags.writeable = False
-                        frozen[id(p)] = rec
+                        p.setflags(write=False)
+                        frozen[id(p)] = sent
                 todo = None
             if dest == me:
                 sim._post(rec, payload, guard)
@@ -667,7 +675,8 @@ class Simulator:
         self.tracer = tracer
         # (dest, tag) -> heap of (arrival, seq, payload, record, guard)
         self._mailboxes = {}
-        # id of every array a payload froze -> the record it was sent with
+        # id of every array a payload froze -> (src, dest, tag, send clock)
+        # of the attempt it was first sent with
         self._frozen = {}
         self._seq = 0
         self.faults = faults
@@ -784,6 +793,18 @@ class Simulator:
             return
         raise self._mutation_error(rec, f"mutated the payload before {when}")
 
+    def _sent_record(self, src, dest, tag, t_send) -> MessageRecord:
+        """The record of the attempt a ``_frozen`` entry names: the kept
+        one when the run keeps records (its ``mutated`` flag is the trace
+        checker's), else a stand-in with the same src, dest, tag and send
+        clock."""
+        if self.trace is not None:
+            for rec in self.trace.records:
+                if (rec.tag is tag and rec.src == src and rec.dest == dest
+                        and rec.t_send == t_send):
+                    return rec
+        return MessageRecord(src, dest, tag, t_send)
+
     def _write_error(self, r, err) -> PayloadMutationError:
         """The typed error for rank ``r``'s write to a read-only array: the
         message of the first frozen array its failing frames hold
@@ -800,10 +821,11 @@ class Simulator:
                         chain.append(base)
                         base = base.base
                     for a in reversed(chain):
-                        rec = self._frozen.get(id(a))
-                        if rec is not None and not a.flags.writeable:
+                        sent = self._frozen.get(id(a))
+                        if sent is not None and not a.flags.writeable:
                             return self._mutation_error(
-                                rec, "wrote to it" if r == rec.src else
+                                self._sent_record(*sent),
+                                "wrote to it" if r == sent[0] else
                                 f"rank {r} wrote to what it received", r)
         span = self._sending_span(r, self.envs[r].clock)
         return PayloadMutationError(
@@ -901,6 +923,12 @@ class Simulator:
             # reports what it sent
             if self.tracer is not None:
                 self._publish_metrics()
+            # the envs outlive the run only as records of what each rank
+            # did; without their link back, a finished simulator (its
+            # mailboxes, records and freeze index) is freed with its last
+            # reference, not at the next cyclic collection
+            for env in self.envs:
+                env._sim = None
 
     def _run(self) -> SimResult:
         """Pop the earliest event and run the rank it names until it blocks

@@ -78,7 +78,10 @@ class NumericPlan:
     The virtual-time charges of both task kinds depend on this pattern
     alone: :meth:`factor_charges` and :meth:`update_charges` give them in
     the order the paper's kernels incur them, and :meth:`sequential_tally`
-    is the whole sweep's tally, built once.
+    is the whole sweep's tally, built once.  A 2D rank holds only some of
+    a column's blocks: :meth:`factor_charges_2d`, :meth:`solve_charge` and
+    :meth:`update_charges_2d` price its share.  A parallel layout's tables
+    built from these (per grid or machine) are kept by :meth:`memo`.
     """
 
     def __init__(self, bstruct: BlockStructure):
@@ -132,6 +135,7 @@ class NumericPlan:
         self._w1_rows = self._w1_ptr = None  # width1_rows, built on first use
         self._shapes = self._wire = None  # column_table, built on first use
         self._tally = None  # sequential_tally, built on first use
+        self._memo = {}  # a layout's tables by key (memo), built on first use
         self._pattern = None  # digest of the CSR pattern _scatter is for
         self._scatter = None
 
@@ -164,7 +168,16 @@ class NumericPlan:
             b += 128 * len(self._shapes)
         if self._scatter is not None:
             b += self._scatter.nbytes + len(self._pattern)
-        return b
+        return b + sum(t.nbytes for t in self._memo.values())
+
+    def memo(self, key, build):
+        """The table ``build()`` makes for ``key`` — a parallel layout's
+        static per-rank plan or its prices, with an ``nbytes`` — built on
+        first use and kept as long as the plan."""
+        table = self._memo.get(key)
+        if table is None:
+            table = self._memo[key] = build()
+        return table
 
     # -- views ---------------------------------------------------------------
 
@@ -302,7 +315,7 @@ class NumericPlan:
         lrows = self._lrows
         ncols = len(ucols)
         lk = int(self.sizes[K])
-        out = [trsm_charge(lk, ncols)]
+        out = [self.solve_charge(K, J)]
         wide = ncols >= 2
         gemm_rows = gemv_rows = 0
         gemm_first = False
@@ -321,6 +334,59 @@ class NumericPlan:
             out.append((DGEMV, lk, 2.0 * gemv_rows * lk * ncols))
         if gemm_rows and not gemm_first:
             out.append(gemm)
+        return out
+
+    def factor_charges_2d(self, K: int, rows: list) -> list:
+        """The ``(kernel, gran, flops)`` charges of a 2D rank's share of
+        ``Factor(K)`` (Fig. 13), holding the blocks ``rows`` (ascending
+        block rows ``I >= K``) of column ``K``'s L panel: three per scalar
+        column ``m`` — the pivot search's BLAS-1 over the local candidates
+        (the rows at or below ``m``), the multipliers' scaling (BLAS-1, one
+        flop per structural row below ``m``) and the rank-1 update of the
+        remaining columns (DGEMV at the column's width).  Zero charges are
+        kept, so each scalar column has three places."""
+        bs = int(self.sizes[K])
+        lrows = self._lrows
+        held = rows[0] == K if rows else False
+        below = rows[1:] if held else rows
+        cand = int(self.sizes[below].sum()) if below else 0
+        srows = sum(len(lrows[(I, K)]) for I in below)
+        out = []
+        for m in range(bs):
+            trail = bs - m - 1
+            scaled = srows + trail if held else srows
+            out.append((BLAS1, None, float(cand + bs - m if held else cand)))
+            out.append((BLAS1, None, float(scaled)))
+            out.append((DGEMV, bs, 2.0 * scaled * trail))
+        return out
+
+    def solve_charge(self, K: int, J: int) -> tuple:
+        """The ``(kernel, gran, flops)`` charge of scaling ``U_KJ`` by
+        ``L_KK^{-1}`` over its structural columns
+        (:func:`repro.numfact.kernels.trsm_charge`): the first charge of
+        :meth:`update_charges`, and 2D ``ScaleSwap(K)``'s per block."""
+        return trsm_charge(int(self.sizes[K]), len(self._udense[(K, J)]))
+
+    def update_charges_2d(self, K: int, J: int, rows: list) -> list:
+        """The ``(kernel, gran, flops)`` charges of a 2D rank's
+        ``Update_2D(K, J)`` (Fig. 15) over the L blocks ``rows`` (ascending
+        ``I > K``) it holds of column ``K``: one product per block whose
+        target ``(I, J)`` is present — DGEMM when the block has two or more
+        structural rows and ``U_KJ`` two or more columns, else DGEMV — in
+        ascending ``I``.  A block of no structural rows keeps its zero."""
+        udense, lrows = self._udense, self._lrows
+        ncols = len(udense[(K, J)])
+        lk = int(self.sizes[K])
+        wide = ncols >= 2
+        gemm_gran = lk if lk < ncols else ncols
+        out = []
+        for I in rows:
+            if (I, J) not in (lrows if I >= J else udense):
+                continue
+            srows = len(lrows[(I, K)])
+            flops = 2.0 * srows * lk * ncols
+            out.append((DGEMM, gemm_gran, flops) if wide and srows >= 2
+                       else (DGEMV, lk, flops))
         return out
 
     def sequential_tally(self) -> KernelCounter:

@@ -27,22 +27,38 @@ elimination stage and drops the compute-ahead, serialising the pipeline.
 
 The numerics are bitwise identical to the sequential S* code — same scalar
 operations in the same order per matrix element — which the tests assert.
+
+As for 1D, everything but the arithmetic and the messages is fixed before
+the numerics start.  Per (pattern, grid), :class:`_GridPlan` holds which
+blocks each rank's ``Factor``, ``ScaleSwap`` and ``Update_2D`` touch; per
+(pattern, grid, machine), :class:`_Prices2D` holds the clock increment of
+every place the rank program charges compute — per scalar column of
+``Factor(K)``, per scaled U block of ``ScaleSwap(K)``, per present target
+of ``Update_2D(K, J)`` — and a rank adds its next increment there instead
+of counting flops.  Both live on the pattern's
+:class:`~repro.numfact.NumericPlan`.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..machine import MachineSpec
-from ..numfact import BlockLUMatrix, StructureViolation
+from ..numfact import (
+    BlockLUMatrix,
+    KernelCounter,
+    NumericPlan,
+    StructureViolation,
+)
 from ..numfact.abft import payload_checksums, verify_payload
 from ..numfact.tasks import choose_pivot
 from ..numfact.kernels import (
     block_product,
     scratch_buffer,
-    trsm_charge,
     unit_lower_apply,
     unit_lower_inverse,
 )
@@ -96,26 +112,231 @@ def _store_row(blocks, part, cols, pos, incoming):
                 )
 
 
+def _ints(a: np.ndarray) -> array:
+    return array("i", a.astype(np.int32).tobytes())
+
+
+def _nbytes(*tables) -> int:
+    """Bytes held by lists of arrays (numpy or ``array``)."""
+    return sum(memoryview(a).nbytes for arrays in tables for a in arrays)
+
+
+@dataclass
+class _GridPlan:
+    """What a 2D rank reads of the pattern, fixed by the pattern and the
+    grid alone and built once per (pattern, grid) on the
+    :class:`~repro.numfact.NumericPlan` (:meth:`~repro.numfact.NumericPlan.memo`).
+
+    Per processor row ``r``: the block rows ``I >= K`` of column ``K``'s L
+    panel it holds, ascending, column after column —
+    ``l_rows[r][l_ptr[r][K]:l_ptr[r][K + 1]]`` — and each one's first row
+    (``l_start``): ``Factor(K)``'s panel, and without the diagonal its
+    ``Update_2D`` sweep.  Per processor column ``c``: the structural U
+    columns ``J > K`` of block row ``K`` it holds,
+    ``u_cols[c][u_ptr[c][K]:u_ptr[c][K + 1]]``, which ``ScaleSwap(K)``
+    scales and ``Update_2D(K, ·)`` walks.  Ranks in one processor row (or
+    column) share its arrays, which index like lists (``array('i')``: no
+    per-run conversion), and a run builds only the views of its own
+    arena."""
+
+    l_rows: list  # per processor row, array('i')
+    l_start: list
+    l_ptr: list
+    u_cols: list  # per processor column, array('i')
+    u_ptr: list
+
+    @classmethod
+    def build(cls, plan: NumericPlan, grid: Grid2D) -> "_GridPlan":
+        N = plan.part.N
+        Is = plan.blk_I
+        Js = np.repeat(np.arange(N), np.diff(plan.col_ptr))
+        # arena order: per column J its U blocks, the diagonal, the L blocks
+        below = np.arange(len(Is)) >= plan.col_diag[Js]
+        stages = np.arange(N + 1)
+        l_rows, l_start, l_ptr = [], [], []
+        for r in range(grid.pr):
+            sel = np.flatnonzero(below & (Is % grid.pr == r))
+            l_rows.append(_ints(Is[sel]))
+            l_start.append(_ints(plan.part.bounds[Is[sel]]))
+            l_ptr.append(_ints(np.searchsorted(Js[sel], stages)))
+        uK, uJ = Is[~below], Js[~below]
+        order = np.lexsort((uJ, uK))  # by block row, then column
+        uK, uJ = uK[order], uJ[order]
+        u_cols, u_ptr = [], []
+        for c in range(grid.pc):
+            sel = uJ % grid.pc == c
+            u_cols.append(_ints(uJ[sel]))
+            u_ptr.append(_ints(np.searchsorted(uK[sel], stages)))
+        return cls(l_rows, l_start, l_ptr, u_cols, u_ptr)
+
+    @property
+    def nbytes(self) -> int:
+        return _nbytes(self.l_rows, self.l_start, self.l_ptr, self.u_cols,
+                       self.u_ptr)
+
+
+#: the phases of stage ``K`` a 2D rank's prices are stored in, in this
+#: order: ``Factor(K)``, ``ScaleSwap(K)``, ``Update_2D(K, K + 1)`` and
+#: ``Update_2D(K, J > K + 1)`` — the compute-ahead runs the third before
+#: ``Factor(K + 1)`` and the fourth after it
+_PHASES = 4
+_F, _S, _U1, _U = range(_PHASES)
+
+
+def _program_phases(N: int, synchronous: bool, window: tuple) -> np.ndarray:
+    """The ``4 K + phase`` indices of the phases a rank runs for stages
+    ``window``, in the order the rank program runs them."""
+    k0, k1 = window
+    out = []
+    if synchronous:
+        for k in range(k0, k1):
+            out += (4 * k + _F, 4 * k + _S, 4 * k + _U1, 4 * k + _U)
+    else:
+        out.append(4 * k0 + _F)
+        for k in range(k0, k1 - 1):
+            out += (4 * k + _S, 4 * k + _U1, 4 * (k + 1) + _F, 4 * k + _U)
+        if k1 < N:  # the window's last stage completes; Factor(k1) waits
+            k = k1 - 1
+            out += (4 * k + _S, 4 * k + _U1, 4 * k + _U)
+    return np.array(out, dtype=np.int64)
+
+
+@dataclass
+class _Prices2D:
+    """Every 2D rank's compute, priced once per (pattern, grid, machine).
+
+    Per rank, one clock increment per charge place of its program
+    (:meth:`~repro.numfact.NumericPlan.factor_charges_2d`, ``solve_charge``
+    and ``update_charges_2d``, zero ones kept), stored stage by stage in
+    :data:`_PHASES` order: the increments of phase ``p`` of stage ``K``
+    start at ``offsets[4 K + p]``, and each charge site of the rank
+    program adds its next one.  Beside each increment, its ``(kernel,
+    gran)`` as an index into ``keys`` and its flops: the tracer's compute
+    span, and each rank's final counter for a window and synchrony
+    (:meth:`counters`), which depend on the order the program runs the
+    phases in.  Every charge is an integer-valued float far below 2**53,
+    so the counters' sums are exact in any order."""
+
+    seconds: list  # per rank, array('d')
+    nflops: list  # per rank, float64
+    key: list  # per rank, uint16 indices into keys
+    offsets: list  # per rank, array('i') of 4 N + 1
+    keys: list  # (kernel, gran)
+    _counters: dict = field(default_factory=dict)
+
+    @classmethod
+    def build(cls, plan: NumericPlan, grid: Grid2D, spec: MachineSpec,
+              tables: _GridPlan) -> "_Prices2D":
+        N = plan.part.N
+        keys, code = [], {}
+        seconds, nflops, key, offsets = [], [], [], []
+        for rank in range(grid.nprocs):
+            r, c = grid.coords(rank)
+            lrows, lptr = tables.l_rows[r].tolist(), tables.l_ptr[r].tolist()
+            ucols, uptr = tables.u_cols[c].tolist(), tables.u_ptr[c].tolist()
+            charges, offs = [], array("i")
+            for K in range(N):
+                rows = lrows[lptr[K]:lptr[K + 1]]
+                cols = ucols[uptr[K]:uptr[K + 1]]
+                below = rows[1:] if rows and rows[0] == K else rows
+                ahead = 1 if cols and cols[0] == K + 1 else 0
+                offs.append(len(charges))
+                if K % grid.pc == c:
+                    charges += plan.factor_charges_2d(K, rows)
+                offs.append(len(charges))
+                if K % grid.pr == r:
+                    charges += [plan.solve_charge(K, J) for J in cols]
+                offs.append(len(charges))
+                for J in cols[:ahead]:
+                    charges += plan.update_charges_2d(K, J, below)
+                offs.append(len(charges))
+                for J in cols[ahead:]:
+                    charges += plan.update_charges_2d(K, J, below)
+            offs.append(len(charges))
+            codes = []
+            for kernel, gran, _ in charges:
+                k = code.get((kernel, gran))
+                if k is None:
+                    k = code[kernel, gran] = len(keys)
+                    keys.append((kernel, gran))
+                codes.append(k)
+            key.append(np.array(codes, dtype=np.uint16))
+            nflops.append(np.array([ch[2] for ch in charges], dtype=np.float64))
+            offsets.append(offs)
+        # an increment is compute_seconds(kernel, flops, gran): the same
+        # one IEEE division, for every place at once
+        rates = np.array([spec.kernel_rate(k, g) for k, g in keys])
+        seconds = [array("d", (f / rates[k]).tobytes())
+                   for f, k in zip(nflops, key)]
+        return cls(seconds, nflops, key, offsets, keys)
+
+    @property
+    def nbytes(self) -> int:
+        return _nbytes(self.seconds, self.nflops, self.key, self.offsets)
+
+    def spans(self, rank: int) -> list:
+        """``(kernel, nflops)`` of each of ``rank``'s increments."""
+        kernels = [k for k, _ in self.keys]
+        return list(zip([kernels[k] for k in self.key[rank].tolist()],
+                        self.nflops[rank].tolist()))
+
+    def counters(self, synchronous: bool, window: tuple) -> list:
+        """Each rank's :class:`KernelCounter` for stages ``window``: its
+        positive charges summed per key, keys in the order the program
+        first charges them (as ``Env.compute`` left them), built once per
+        ``(synchronous, window)``."""
+        out = self._counters.get((synchronous, window))
+        if out is None:
+            out = self._counters[synchronous, window] = []
+            phases = _program_phases(len(self.offsets[0]) // _PHASES,
+                                     synchronous, window)
+            for offs, flops, key in zip(self.offsets, self.nflops, self.key):
+                offs = np.frombuffer(offs, dtype=np.int32)
+                lo = offs[phases].astype(np.int64)
+                n = offs[phases + 1] - lo
+                at = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+                f, k = flops[at], key[at]
+                charged = f > 0  # Env.compute skips a charge of no flops
+                f, k = f[charged], k[charged]
+                sums = np.bincount(k, weights=f, minlength=len(self.keys))
+                _, first = np.unique(k, return_index=True)
+                counter = KernelCounter()
+                for j in k[np.sort(first)].tolist():
+                    counter.add(self.keys[j][0], float(sums[j]), self.keys[j][1])
+                out.append(counter)
+        return out
+
+
 def _rank_program_2d(env, ctx):
     grid: Grid2D = ctx["grid"]
     local: BlockLUMatrix = ctx["locals"][env.rank]
     part: BlockPartition = local.part
-    bstruct: BlockStructure = local.bstruct
     blocks = local.blocks
     synchronous: bool = ctx["synchronous"]
     pivot_threshold: float = ctx["pivot_threshold"]
     monitor = ctx["monitor"]
     abft = ctx["abft"]
     block_of = ctx["block_of"]
-    r, c = grid.coords(env.rank)
+    rank = env.rank
+    r, c = grid.coords(rank)
     pr, pc = grid.pr, grid.pc
     N = part.N
+    tables: _GridPlan = ctx["tables"]
+    lrows, lptr, lstart = tables.l_rows[r], tables.l_ptr[r], tables.l_start[r]
+    ucols, uptr = tables.u_cols[c], tables.u_ptr[c]
+    prices: _Prices2D = ctx["prices"]
+    seconds, offsets = prices.seconds[rank], prices.offsets[rank]
+    spans = prices.spans(rank) if env.traced else None
+    charge = env.charge
     lcol_cache = {}  # K -> {"pivots", "diag", "lblocks"} for my block rows
     urow_cache = {}  # K -> {J: scaled U_KJ} for my block columns
-    # per-rank update-sweep memo: K -> (sorted lblock items, tallest block).
-    # Kept outside lcol_cache because the lcol payload is shared by
-    # reference with other ranks — received payloads are never mutated.
-    lcol_sweep = {}
+    # scratch per width, as tall as any block: contents never survive a
+    # yield (each use fully writes before reading), so the pooled buffers
+    # are safe to share across the interleaved rank generators
+    tallest = int(part.sizes().max()) if N else 0
+    babs = scratch_buffer("2d-factor-abs", tallest)
+    outer_scratch = {}
+    prod_scratch = {}
 
     my_cols = [J for J in range(N) if J % pc == c]
 
@@ -123,23 +344,15 @@ def _rank_program_2d(env, ctx):
     def factor(K):
         k0, bs = part.start(K), part.size(K)
         diag_r = K % pr
-        myI = [I for I in bstruct.l_block_rows(K) if I % pr == r]
-        # hoist the per-column lookups: (start, block, structural rows) per
-        # local panel block, plus shared abs/outer scratch for the pivot
-        # search and the rank-1 eliminations
-        panel = []
-        maxrows = 0
-        for I in myI:
-            blk = blocks[(I, K)]
-            panel.append((part.start(I), blk, bstruct.l_rows_count(I, K)))
-            if blk.shape[0] > maxrows:
-                maxrows = blk.shape[0]
-        # scratch contents never survive a yield (each pivot step fully
-        # writes before reading), so the pooled buffers are safe to share
-        # across the interleaved per-rank factor() generators
-        scr = scratch_buffer("2d-factor-outer", maxrows, bs) if maxrows else None
-        babs = scratch_buffer("2d-factor-abs", maxrows) if maxrows else None
-        compute = env.compute
+        a, b = lptr[K], lptr[K + 1]
+        myI = lrows[a:b]
+        held = [blocks[(I, K)] for I in myI]
+        panel = list(zip(lstart[a:b], held))
+        scr = outer_scratch.get(bs)
+        if scr is None:
+            scr = outer_scratch[bs] = scratch_buffer(
+                f"2d-factor-outer-{bs}", tallest, bs)
+        i = offsets[4 * K + _F]  # three increments per scalar column
         pivots = []
         for m in range(bs):
             gm = k0 + m
@@ -147,8 +360,7 @@ def _rank_program_2d(env, ctx):
             # position; a NaN (which argmax returns first) wins and stays,
             # as in the sequential search
             best_abs, best_pos, best_row = -1.0, -1, None
-            ncand = 0
-            for s0, blk, _srows in panel:
+            for s0, blk in panel:
                 lo = gm - s0
                 if lo < 0:
                     lo = 0
@@ -156,15 +368,20 @@ def _rank_program_2d(env, ctx):
                 if nsub <= 0:
                     continue
                 sub = blk[lo:, m]
-                ncand += nsub
                 ab = babs[:nsub]
                 np.abs(sub, out=ab)
-                t = int(np.argmax(ab))
+                t = int(ab.argmax())
                 v = float(ab[t])
                 if v > best_abs or v != v:
                     best_abs, best_pos = v, s0 + lo + t
                     best_row = blk[lo + t]
-            compute("blas1", ncand)
+            # the pivot search's BLAS-1 over my candidates
+            if spans is None:
+                dt = seconds[i]
+                env.clock += dt
+                env.busy += dt
+            else:
+                charge(seconds[i:i + 1], spans[i:i + 1])
             if r != diag_r:
                 # a copy of best_row: the interchange writes the row it
                 # views once pbest arrives, so the view being read by then
@@ -219,10 +436,9 @@ def _rank_program_2d(env, ctx):
                     blk[t_pos - part.start(It)] = old_row
             # eliminate: scale column m and update the trailing panel
             piv_val = piv_row[m] if r != diag_r else blocks[(K, K)][m, m]
-            nrows = 0
             ntrail = bs - m - 1
             prow = piv_row[m + 1 :] if ntrail > 0 else None
-            for s0, blk, lrc in panel:
+            for s0, blk in panel:
                 lo = gm + 1 - s0
                 if lo < 0:
                     lo = 0
@@ -236,15 +452,22 @@ def _rank_program_2d(env, ctx):
                     outer = scr[:h, :ntrail]
                     np.multiply(col[:, None], prow, out=outer)
                     np.subtract(sub, outer, out=sub)
-                # charge the packed-storage row count (accounting parity
-                # with the sequential code)
-                nrows += lrc if lrc < h else h
-            compute("blas1", nrows)
-            compute("dgemv", 2.0 * nrows * max(ntrail, 0), gran=bs)
+            # the scaling's BLAS-1 and the rank-1 DGEMV
+            if spans is None:
+                dt = seconds[i + 1]
+                env.clock += dt
+                env.busy += dt
+                dt = seconds[i + 2]
+                env.clock += dt
+                env.busy += dt
+            else:
+                charge(seconds[i + 1:i + 3], spans[i + 1:i + 3])
+            i += 3
         local.pivot_seq[K] = pivots
         # multicast pivots + my local L blocks along my processor row
-        diag = blocks.get((K, K)) if diag_r == r else None
-        lblocks = {I: blocks[(I, K)] for I in myI if I > K}
+        diag = held[0] if diag_r == r else None
+        lblocks = dict(zip(myI[1:], held[1:]) if diag_r == r
+                       else zip(myI, held))
         payload = {"pivots": pivots, "diag": diag, "lblocks": lblocks}
         nb = None
         if abft:
@@ -297,23 +520,20 @@ def _rank_program_2d(env, ctx):
                     verify_payload(incoming, where=f"payload:swap({K},{step})",
                                    column=K, metrics=env.metrics)
                 _store_row(blocks, part, cols_after, mine, incoming)
-        # scaling of the U row panel by the owners of block row K
+        # scaling of block row K's structural U blocks by its owners
         if r == K % pr:
-            diag = info["diag"]
+            a, b = uptr[K], uptr[K + 1]
             linv = None
+            if a < b and part.size(K) > 1:
+                linv = (local.invert_diagonal(K) if c == K % pc
+                        else unit_lower_inverse(info["diag"]))
             scaled = {}
-            udense = bstruct.udense_cols
-            for J in cols_after:
-                ukj = blocks.get((K, J))
-                if ukj is not None:
-                    if linv is None and part.size(K) > 1:
-                        linv = (local.invert_diagonal(K) if c == K % pc
-                                else unit_lower_inverse(diag))
-                    unit_lower_apply(linv, ukj)
-                    kernel, gran, flops = trsm_charge(part.size(K),
-                                                      len(udense[(K, J)]))
-                    env.compute(kernel, flops, gran=gran)
-                    scaled[J] = ukj
+            for J in ucols[a:b]:
+                ukj = blocks[(K, J)]
+                unit_lower_apply(linv, ukj)
+                scaled[J] = ukj
+            i = offsets[4 * K + _S]
+            charge(seconds[i:i + b - a], spans and spans[i:i + b - a])
             nb = None if abft else _ndarray_dict_nbytes(scaled)
             if abft:
                 # block row K is final after the scaling; see lcol above
@@ -328,40 +548,32 @@ def _rank_program_2d(env, ctx):
             urow_cache[K] = urow
 
     # ---- Update_2D(K, J): local GEMM sweep (Fig. 15) ---------------------
-    udense_cols = bstruct.udense_cols
+    blocks_get = blocks.get
+    subtract = np.subtract
 
     def update_stage(K, urow, lo, hi=N):
         """Run ``Update_2D(K, J)`` for every block column ``lo < J <= hi``
         of the scaled U row — its own keys, ascending as the scaling rank
-        inserted them, so structurally absent columns cost nothing —
-        hoisting the per-stage lookups shared by the whole sweep out of the
-        per-(K, J) work.  Per-(K, J) spans, counters and clock charges are
-        unchanged."""
+        inserted them — over my L blocks of column ``K`` as received, one
+        product per block and one priced increment per present target;
+        a task span per ``(K, J)`` that advanced the clock."""
         items = None
+        i = offsets[4 * K + (_U1 if lo == K else _U)]
         for J, ukj in urow.items():
             if J == "abft" or not lo < J <= hi:
                 continue
             if items is None:
-                sweep = lcol_sweep.get(K)
-                if sweep is None:
-                    items = [
-                        (I, lik, bstruct.l_rows_count(I, K), lik.shape[1])
-                        for I, lik in sorted(lcol_cache[K]["lblocks"].items())
-                    ]
-                    maxrows = max(
-                        (lik.shape[0] for _, lik, _, _ in items), default=0)
-                    sweep = lcol_sweep[K] = (items, maxrows)
-                items, maxrows = sweep
-                blocks_get = blocks.get
-                compute = env.compute
-                subtract = np.subtract
-            t0 = env.clock
-            ncols = len(udense_cols[(K, J)])
-            # one product scratch for the sweep, one BLAS call and one
-            # charge per block: no per-block temporaries
-            scratch = scratch_buffer("2d-update-prod", maxrows, ukj.shape[1])
-            wide = ncols >= 2
-            for I, lik, srows, lk in items:
+                lblocks = lcol_cache[K]["lblocks"]
+                a = lptr[K]
+                if a < lptr[K + 1] and lrows[a] == K:
+                    a += 1
+                items = [(I, lblocks[I]) for I in lrows[a:lptr[K + 1]]]
+            scratch = prod_scratch.get(ukj.shape[1])
+            if scratch is None:
+                scratch = prod_scratch[ukj.shape[1]] = scratch_buffer(
+                    f"2d-update-prod-{ukj.shape[1]}", tallest, ukj.shape[1])
+            n = i
+            for I, lik in items:
                 prod = block_product(lik, ukj, scratch[: lik.shape[0]])
                 target = blocks_get((I, J))
                 if target is None:
@@ -371,11 +583,10 @@ def _rank_program_2d(env, ctx):
                         )
                     continue
                 subtract(target, prod, out=target)
-                if wide and srows >= 2:
-                    compute("dgemm", 2.0 * srows * lk * ncols,
-                            gran=lk if lk < ncols else ncols)
-                else:
-                    compute("dgemv", 2.0 * srows * lk * ncols, gran=lk)
+                n += 1
+            t0 = env.clock
+            charge(seconds[i:n], spans and spans[i:n])
+            i = n
             if env.clock > t0:
                 env.span(f"U2D{K}", t0)
 
@@ -417,6 +628,7 @@ def _rank_program_2d(env, ctx):
                 verify_payload(last, where=f"payload:lcol({N - 1})",
                                column=N - 1, metrics=env.metrics)
             lcol_cache[N - 1] = last
+    env.counter = ctx["counters"][rank].copy()
     return {"pivot_seq": local.pivot_seq}
 
 
@@ -451,9 +663,18 @@ def run_2d(
     check_run(part.N, nprocs, stage_range, pivot_threshold)
     if grid is None:
         grid = Grid2D.preferred(nprocs)
+    plan = NumericPlan.of(bstruct)
+    tables = plan.memo(("2d", grid),
+                       lambda: _GridPlan.build(plan, grid))
+    prices = plan.memo(("2d", grid, spec),
+                       lambda: _Prices2D.build(plan, grid, spec, tables))
+    window = (0, part.N) if stage_range is None else tuple(stage_range)
     ctx = {
         "grid": grid,
         "synchronous": synchronous,
+        "tables": tables,
+        "prices": prices,
+        "counters": prices.counters(bool(synchronous), window),
         # row -> block index as plain Python ints, shared read-only by all
         # ranks: the pivot-swap loops hit this per pivot, and indexing the
         # numpy array there costs an int() boxing per lookup
