@@ -315,7 +315,7 @@ class NumericPlan:
         lrows = self._lrows
         ncols = len(ucols)
         lk = int(self.sizes[K])
-        out = [self.solve_charge(K, J)]
+        out = [trsm_charge(lk, ncols)]
         wide = ncols >= 2
         gemm_rows = gemv_rows = 0
         gemm_first = False
@@ -363,8 +363,8 @@ class NumericPlan:
     def solve_charge(self, K: int, J: int) -> tuple:
         """The ``(kernel, gran, flops)`` charge of scaling ``U_KJ`` by
         ``L_KK^{-1}`` over its structural columns
-        (:func:`repro.numfact.kernels.trsm_charge`): the first charge of
-        :meth:`update_charges`, and 2D ``ScaleSwap(K)``'s per block."""
+        (:func:`repro.numfact.kernels.trsm_charge`, as :meth:`update_charges`
+        starts): 2D ``ScaleSwap(K)``'s charge per block."""
         return trsm_charge(int(self.sizes[K]), len(self._udense[(K, J)]))
 
     def update_charges_2d(self, K: int, J: int, rows: list) -> list:

@@ -564,9 +564,7 @@ def _rank_program_2d(env, ctx):
                 continue
             if items is None:
                 lblocks = lcol_cache[K]["lblocks"]
-                a = lptr[K]
-                if a < lptr[K + 1] and lrows[a] == K:
-                    a += 1
+                a = lptr[K] + (K % pr == r)  # past the diagonal, if mine
                 items = [(I, lblocks[I]) for I in lrows[a:lptr[K + 1]]]
             scratch = prod_scratch.get(ukj.shape[1])
             if scratch is None:

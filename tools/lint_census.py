@@ -16,7 +16,9 @@ runs:
   kills the mutant when it reports more findings at ``warning`` or above
   (the threshold CI failed on) than on the unmutated file;
 * the gate modules (``GATE_MODULES``) plus every tier-1 module that imports
-  the mutated module, under the default hash seed and under
+  the mutated module (or imports ``repro.cli`` when ``cli.py`` imports it:
+  the verbs import their modules inside the verb), under the default hash
+  seed and under
   ``PYTHONHASHSEED=987654``, counting failing tests per module; this
   checkout's run-time RNG watch (``tests/call_watch.py``, which fails a test
   that draws from an unseeded or global RNG) is laid over them as a pytest
@@ -37,8 +39,9 @@ outputs on the unmutated tree, show the mutant is not equivalent.  Verdicts:
 * ``missed`` — no gate fails, the witness differs and the rule is silent;
 * ``equivalent`` — nothing fails and nothing observable moves.
 
-Whether the mutated line runs under the gate modules is read from one
-``sys.settrace`` line trace of those modules on the unmutated tree.
+Whether the mutated line runs under that mutant's own gate modules is read
+from ``sys.settrace`` line traces of the unmutated tree, one per test
+module, each module traced once however many mutants it gates.
 
 The record goes to ``benchmarks/results/BENCH_mutation.json`` (``--only``
 replaces the rows it re-runs in an existing record); ``python
@@ -407,11 +410,18 @@ def module_name(path: str) -> str:
 
 def importers(tree: Path, path: str) -> list:
     """Tier-1 test modules whose source imports the mutated module or its
-    package (importing a package runs its submodules)."""
+    package (importing a package runs its submodules), or imports
+    ``repro.cli`` when ``cli.py`` imports one of those (its verbs import
+    their modules inside the verb function)."""
     mod = module_name(path)
     pkg = mod.rsplit(".", 1)[0]
-    pat = re.compile(rf"^\s*(from|import)\s+({re.escape(mod)}|{re.escape(pkg)})\b",
-                     re.M)
+    names = "|".join(re.escape(m) for m in (mod, pkg))
+    pat = re.compile(rf"^\s*(from|import)\s+({names})\b", re.M)
+    rel = "|".join(re.escape(m.removeprefix("repro")) for m in (mod, pkg)
+                   if m != "repro")
+    cli = (tree / "src" / "repro" / "cli.py").read_text()
+    if re.search(rf"^\s*from\s+({rel})\b", cli, re.M):
+        pat = re.compile(rf"{pat.pattern}|^\s*from\s+repro\.cli\b", re.M)
     return sorted(p.stem for p in (tree / "tests").glob("test_*.py")
                   if pat.search(p.read_text()) and p.stem != LINT_MODULE)
 
@@ -494,14 +504,15 @@ with open(sys.argv[2], "w") as f:
 """
 
 
-def line_trace(tree: Path, modules) -> dict:
-    """``{path under src/: [executed lines]}`` of the modules on ``tree``."""
-    out = tree / "lines.json"
+def line_trace(tree: Path, module: str) -> dict:
+    """``{path under src/: [executed lines]}`` of one test module on
+    ``tree``."""
+    out = tree / f"lines-{module}.json"
     src = str(tree / "src")
     subprocess.run([sys.executable, "-c", _TRACER, src, str(out), LINT_CLASS,
-                    *(f"tests/{m}.py" for m in modules)],
+                    f"tests/{module}.py"],
                    cwd=tree, env=_env(tree), capture_output=True,
-                   timeout=4 * PYTEST_TIMEOUT)
+                   timeout=PYTEST_TIMEOUT)
     return json.loads(out.read_text())
 
 
@@ -527,7 +538,7 @@ def census_row(mutant: dict, base: Path, work: Path, executed: dict,
     finally:
         shutil.rmtree(tree, ignore_errors=True)
     rel = mutant["path"][len("src/"):]
-    runs = line in executed.get(rel, ())
+    runs = any(line in executed[m].get(rel, ()) for m in modules)
     rule_kills = found["blocking"] > base_found["blocking"]
     failing = {k: v["failed"] for k, v in gates.items() if v["failed"] != 0}
     if failing:
@@ -587,7 +598,7 @@ def main(argv=None) -> int:
                 raise SystemExit(f"{m['id']}: old text not found once")
         traced = sorted(set(GATE_MODULES).union(
             *(importers(base, m["path"]) for m in chosen)))
-        executed = line_trace(base, traced)
+        executed = {module: line_trace(base, module) for module in traced}
         baseline = {(m["path"], m["rule"]): rule_findings(base, m["path"], m["rule"])
                     for m in chosen}
         with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
